@@ -83,73 +83,85 @@ func (e *Engine) execInsert(ctx *ExecCtx, s *sqlparser.Insert) (*Result, error) 
 	return &Result{Affected: n}, nil
 }
 
-func (e *Engine) execUpdate(ctx *ExecCtx, s *sqlparser.Update) (*Result, error) {
+func (e *Engine) execUpdate(ctx *ExecCtx, pr *Prepared, s *sqlparser.Update) (*Result, error) {
 	if err := e.writable(ctx); err != nil {
 		return nil, err
 	}
 	if err := e.checkWriteClass(ctx, s.Table); err != nil {
 		return nil, err
 	}
-	t, err := e.store.Table(s.Table)
+	st, err := e.matchForWrite(ctx, pr)
 	if err != nil {
 		return nil, err
 	}
-	schema := t.Schema()
-
-	// Resolve SET targets up front.
-	setOrds := make([]int, len(s.Set))
-	for i, sc := range s.Set {
-		ord := schema.ColIndex(sc.Column)
-		if ord < 0 {
-			return nil, fmt.Errorf("engine: column %q not in table %s", sc.Column, s.Table)
-		}
-		setOrds[i] = ord
-	}
-
-	vers, rs, err := e.scanForWrite(ctx, s.Table, s.Where)
-	if err != nil {
-		return nil, err
-	}
-	n := 0
-	env := evalEnv{ctx: ctx, rs: rs}
-	for _, v := range vers {
-		newRow := v.Data.Clone()
-		env.row = v.Data
-		for i, sc := range s.Set {
-			val, err := env.eval(sc.Value)
+	defer st.release()
+	p := st.plan
+	for _, h := range st.hits[0] {
+		newRow := h.row.Clone()
+		st.env.rows[0] = h.row
+		for i, x := range p.setVals {
+			val, err := st.env.eval(x)
 			if err != nil {
 				return nil, err
 			}
-			newRow[setOrds[i]] = val
+			newRow[p.setOrds[i]] = val
 		}
-		if err := e.store.MarkDelete(ctx.Rec, s.Table, v.ID); err != nil {
+		if err := e.store.MarkDelete(ctx.Rec, s.Table, h.id); err != nil {
 			return nil, err
 		}
 		if _, err := e.store.Insert(ctx.Rec, s.Table, newRow); err != nil {
 			return nil, err
 		}
-		n++
 	}
-	return &Result{Affected: n}, nil
+	return &Result{Affected: len(st.hits[0])}, nil
 }
 
-func (e *Engine) execDelete(ctx *ExecCtx, s *sqlparser.Delete) (*Result, error) {
+func (e *Engine) execDelete(ctx *ExecCtx, pr *Prepared, s *sqlparser.Delete) (*Result, error) {
 	if err := e.writable(ctx); err != nil {
 		return nil, err
 	}
 	if err := e.checkWriteClass(ctx, s.Table); err != nil {
 		return nil, err
 	}
-	vers, _, err := e.scanForWrite(ctx, s.Table, s.Where)
+	st, err := e.matchForWrite(ctx, pr)
 	if err != nil {
 		return nil, err
 	}
-	for _, v := range vers {
-		if err := e.store.MarkDelete(ctx.Rec, s.Table, v.ID); err != nil {
+	defer st.release()
+	for _, h := range st.hits[0] {
+		if err := e.store.MarkDelete(ctx.Rec, s.Table, h.id); err != nil {
 			return nil, err
 		}
 	}
-	return &Result{Affected: len(vers)}, nil
+	return &Result{Affected: len(st.hits[0])}, nil
+}
+
+// matchForWrite runs the WHERE scan of an UPDATE or DELETE and leaves in
+// hits[0] the versions the statement applies to, in primary-key order. The
+// scan is complete — every version read and tracked, every predicate
+// evaluated — before the caller writes anything.
+func (e *Engine) matchForWrite(ctx *ExecCtx, pr *Prepared) (*execState, error) {
+	st, err := e.begin(ctx, pr)
+	if err != nil {
+		return nil, err
+	}
+	if where := st.plan.where; where != nil {
+		kept := st.hits[0][:0]
+		for _, h := range st.hits[0] {
+			st.env.rows[0] = h.row
+			v, err := st.env.eval(where)
+			if err != nil {
+				st.release()
+				return nil, err
+			}
+			if truthy(v) {
+				kept = append(kept, h)
+			}
+		}
+		clear(st.hits[0][len(kept):])
+		st.hits[0] = kept
+	}
+	return st, nil
 }
 
 // CreateTableWithDefaults is used by DDL execution to evaluate constant

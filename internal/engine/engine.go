@@ -13,7 +13,6 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"bcrdb/internal/sqlparser"
@@ -98,7 +97,7 @@ func (c *ExecCtx) tracking() bool {
 
 // Result is the outcome of one statement.
 type Result struct {
-	Cols     []string
+	Cols     []string // shared with the statement's plan: do not modify
 	Rows     []types.Row
 	Affected int
 }
@@ -106,31 +105,18 @@ type Result struct {
 // Engine executes SQL against a storage backend (memory or disk — the
 // engine is backend-agnostic; see storage.Backend).
 //
-// The engine keeps two bounded caches for the execute hot path:
-//
-//   - stmtCache: SQL text → parsed Statement, so repeated statements (the
-//     per-transaction authentication and contract-lookup queries) parse
-//     once. Parsed ASTs are never mutated by execution, and caching also
-//     gives every repeat of a statement a *stable node identity* — which
-//     is what keys the plan cache.
-//   - planCache: (WHERE expr identity, table, alias) → memoized index
-//     choice, epoch- and shape-guarded (see plancache.go).
+// The execute hot path re-runs the same handful of statements (the
+// per-transaction authentication and contract-lookup queries, contract
+// bodies), so the engine keeps a bounded cache from SQL text to the
+// Prepared statement — parsed once, and carrying its physical plan (see
+// plancache.go, plan.go). Parsed ASTs are never mutated by execution.
 type Engine struct {
 	store storage.Backend
 
-	stmtCache sync.Map // sql text → sqlparser.Statement
-	stmtCount atomic.Int64
-
-	planCache sync.Map // planKey → *planEntry
-	planCount atomic.Int64
+	stmts stmtCache
 
 	planHits, planMisses atomic.Int64
 }
-
-// maxStmtCache bounds the text→AST cache; once full, new statements just
-// parse uncached (long-tail one-off statements such as genesis bulk
-// inserts must not grow it without bound).
-const maxStmtCache = 4096
 
 // New returns an engine over the given storage backend.
 func New(st storage.Backend) *Engine { return &Engine{store: st} }
@@ -175,29 +161,6 @@ func (e *Engine) checkWriteClass(ctx *ExecCtx, table string) error {
 	return fmt.Errorf("%w: cannot write %s table %q in this mode", ErrSchemaClass, className(class), table)
 }
 
-// checkReadClass forbids contracts from reading node-private tables —
-// their contents differ per node and would break determinism. sys_ledger
-// is equally off-limits to contracts: it carries node-local xids, and its
-// rows are sealed asynchronously behind the committed height (the block
-// pipeline's seal stage), so its contents at a snapshot depend on per-node
-// seal lag. Read-only queries outside contracts may join it freely.
-func (e *Engine) checkReadClass(ctx *ExecCtx, table string) error {
-	if ctx.Mode != ModeContract {
-		return nil
-	}
-	t, err := e.store.Table(table)
-	if err != nil {
-		return err
-	}
-	if t.Schema().Class == storage.ClassPrivate {
-		return fmt.Errorf("%w: contract read of private table %q", ErrSchemaClass, table)
-	}
-	if table == "sys_ledger" {
-		return fmt.Errorf("%w: contract read of %q (node bookkeeping, sealed asynchronously)", ErrSchemaClass, table)
-	}
-	return nil
-}
-
 func className(c storage.SchemaClass) string {
 	switch c {
 	case storage.ClassBlockchain:
@@ -210,23 +173,18 @@ func className(c storage.SchemaClass) string {
 	return "?"
 }
 
-// ExecSQL parses and executes a single statement. Parsed statements are
-// cached by text: execution never mutates an AST, so repeats share the
-// same nodes (and therefore the same prepared plans).
+// ExecSQL parses and executes a single statement. Statements are cached by
+// text, so repeats share one parse and one plan.
 func (e *Engine) ExecSQL(ctx *ExecCtx, sql string) (*Result, error) {
-	if cached, ok := e.stmtCache.Load(sql); ok {
-		return e.Exec(ctx, cached.(sqlparser.Statement))
-	}
-	stmt, err := sqlparser.ParseStatement(sql)
-	if err != nil {
-		return nil, err
-	}
-	if e.stmtCount.Load() < maxStmtCache {
-		if _, loaded := e.stmtCache.LoadOrStore(sql, stmt); !loaded {
-			e.stmtCount.Add(1)
+	pr := e.stmts.get(sql)
+	if pr == nil {
+		stmt, err := sqlparser.ParseStatement(sql)
+		if err != nil {
+			return nil, err
 		}
+		pr = e.stmts.put(sql, e.Prepare(stmt))
 	}
-	return e.Exec(ctx, stmt)
+	return e.ExecPrepared(ctx, pr)
 }
 
 // EvalScalar evaluates a scalar expression with no relation in scope —
@@ -238,23 +196,32 @@ func (e *Engine) EvalScalar(ctx *ExecCtx, x sqlparser.Expr) (types.Value, error)
 	return env.eval(x)
 }
 
-// PlanCacheStats reports prepared-plan cache hits and misses (hot-path
-// observability for benchmarks and tests).
+// PlanCacheStats reports how many executions of a SELECT, UPDATE or DELETE
+// found their plan and access path prepared (hits) and how many had to
+// build one (misses) — hot-path observability for benchmarks and tests.
 func (e *Engine) PlanCacheStats() (hits, misses int64) {
 	return e.planHits.Load(), e.planMisses.Load()
 }
 
-// Exec executes a parsed statement.
+// Exec executes a parsed statement nobody holds a Prepared for: it is
+// planned for this one execution.
 func (e *Engine) Exec(ctx *ExecCtx, stmt sqlparser.Statement) (*Result, error) {
-	switch s := stmt.(type) {
+	return e.ExecPrepared(ctx, &Prepared{stmt: stmt})
+}
+
+// ExecPrepared executes a prepared statement.
+func (e *Engine) ExecPrepared(ctx *ExecCtx, pr *Prepared) (*Result, error) {
+	switch s := pr.stmt.(type) {
 	case *sqlparser.Select:
-		return e.execSelect(ctx, s)
+		return e.execSelect(ctx, pr, s)
+	case *sqlparser.Explain:
+		return e.execExplain(ctx, pr, s)
 	case *sqlparser.Insert:
 		return e.execInsert(ctx, s)
 	case *sqlparser.Update:
-		return e.execUpdate(ctx, s)
+		return e.execUpdate(ctx, pr, s)
 	case *sqlparser.Delete:
-		return e.execDelete(ctx, s)
+		return e.execDelete(ctx, pr, s)
 	case *sqlparser.CreateTable:
 		return e.execCreateTable(ctx, s)
 	case *sqlparser.CreateIndex:
@@ -262,7 +229,7 @@ func (e *Engine) Exec(ctx *ExecCtx, stmt sqlparser.Statement) (*Result, error) {
 	case *sqlparser.DropTable:
 		return e.execDropTable(ctx, s)
 	default:
-		return nil, fmt.Errorf("engine: unsupported statement %T", stmt)
+		return nil, fmt.Errorf("engine: unsupported statement %T", pr.stmt)
 	}
 }
 

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"bcrdb/internal/storage"
@@ -97,5 +98,62 @@ func BenchmarkGroupByQuery(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// joinHarness loads the complex-join contract's data set: 50 regions of 10
+// orders with 5 items each, indexed for the join.
+func joinHarness(tb testing.TB) *harness {
+	st := storage.NewStore()
+	h := &harness{st: st, eng: New(st)}
+	rec := storage.NewTxRecord(st.BeginTx(), 0)
+	ctx := &ExecCtx{Mode: ModeSystem, Rec: rec}
+	exec := func(sql string) {
+		if _, err := h.eng.ExecSQL(ctx, sql); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	exec(`CREATE TABLE orders (id BIGINT PRIMARY KEY, region BIGINT NOT NULL, customer BIGINT, status TEXT)`)
+	exec(`CREATE INDEX orders_region ON orders (region)`)
+	exec(`CREATE TABLE order_items (id BIGINT PRIMARY KEY, order_id BIGINT NOT NULL, qty BIGINT, price DOUBLE)`)
+	exec(`CREATE INDEX order_items_order ON order_items (order_id)`)
+	var orders, items []string
+	for o := 0; o < 500; o++ {
+		orders = append(orders, fmt.Sprintf("(%d, %d, %d, 'open')", o, o%50, o%997))
+		for k := 0; k < 5; k++ {
+			items = append(items, fmt.Sprintf("(%d, %d, %d, %d.25)", o*5+k, o, 1+k, 3+o%7))
+		}
+	}
+	exec("INSERT INTO orders VALUES " + strings.Join(orders, ", "))
+	exec("INSERT INTO order_items VALUES " + strings.Join(items, ", "))
+	st.CommitTx(rec, 1)
+	st.SetHeight(1)
+	h.block = 1
+	return h
+}
+
+const joinAggregateSQL = `SELECT SUM(oi.qty * oi.price), COUNT(*) FROM orders o JOIN order_items oi ON oi.order_id = o.id WHERE o.region = $1`
+
+// joinAggregateTx runs the complex_join contract's query the way a replica
+// does: in a tracked execute-order transaction (every read recorded, an
+// index mandatory), 10 outer rows probing 50 inner ones.
+func joinAggregateTx(tb testing.TB, h *harness, region int64) {
+	rec := storage.AcquireTxRecord(h.st.BeginTx(), h.block)
+	ctx := &ExecCtx{Mode: ModeContract, Height: h.block, Rec: rec, RequireIndex: true,
+		Params: []types.Value{types.NewInt(region)}}
+	res, err := h.eng.ExecSQL(ctx, joinAggregateSQL)
+	if err != nil || len(res.Rows) != 1 || res.Rows[0][1].Int() != 50 {
+		tb.Fatalf("join aggregate: %v %v", res, err)
+	}
+	h.st.AbortTx(rec)
+	storage.ReleaseTxRecord(rec)
+}
+
+func BenchmarkJoinAggregate(b *testing.B) {
+	h := joinHarness(b)
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		joinAggregateTx(b, h, int64(i%50))
 	}
 }

@@ -10,20 +10,18 @@ import (
 	"bcrdb/internal/types"
 )
 
-// relCol is one column of a relation's row layout.
+// relCol is one column of the relation a statement's expressions are
+// resolved against when it is prepared.
 type relCol struct {
-	alias string // table alias; "" for computed columns
+	alias string // table alias
 	name  string
-	kind  types.Kind
+	ref   *sqlparser.BoundCol // what a reference to this column is rewritten to
 }
 
-// relSchema describes the layout of rows flowing through the executor.
+// relSchema is the name scope of a prepared statement: the columns of its
+// FROM table followed by those of each JOIN, in order.
 type relSchema struct {
 	cols []relCol
-}
-
-func (rs *relSchema) add(alias, name string, kind types.Kind) {
-	rs.cols = append(rs.cols, relCol{alias, name, kind})
 }
 
 // resolve finds the ordinal for a (possibly qualified) column reference.
@@ -53,11 +51,16 @@ func (rs *relSchema) resolve(alias, name string) (int, error) {
 // evalEnv is the evaluation environment for one row.
 type evalEnv struct {
 	ctx *ExecCtx
-	rs  *relSchema
-	row types.Row
-	// aggVals maps aggregate call nodes to their computed per-group
-	// values (set only in the grouped-evaluation phase).
-	aggVals map[*sqlparser.FuncCall]types.Value
+	// rows holds the current row of every input of the statement, indexed
+	// by BoundCol.Src (nil when no relation is in scope).
+	rows []types.Row
+	// aggs holds the current group's aggregate values, indexed by
+	// AggRef.Idx (set only while a grouped query emits its groups).
+	aggs []types.Value
+	// unbound maps the column references preparing could not resolve to
+	// the error resolution gave; evaluating one reports it unless the name
+	// is a procedure variable.
+	unbound map[*sqlparser.ColumnRef]error
 }
 
 // eval evaluates an expression in this environment.
@@ -84,28 +87,28 @@ func (env *evalEnv) eval(e sqlparser.Expr) (types.Value, error) {
 		}
 		return types.Null(), fmt.Errorf("engine: unknown variable %q", x.Name)
 
-	case *sqlparser.ColumnRef:
-		if env.rs == nil {
-			// No relation in scope: a bare name might be a procedure
-			// variable.
-			if env.ctx != nil && env.ctx.Vars != nil && x.Table == "" {
-				if v, ok := env.ctx.Vars[x.Column]; ok {
-					return v, nil
-				}
-			}
-			return types.Null(), fmt.Errorf("engine: no table in scope for column %q", x.Column)
+	case *sqlparser.BoundCol:
+		return env.rows[x.Src][x.Ord], nil
+
+	case *sqlparser.AggRef:
+		if x.Idx >= len(env.aggs) {
+			return types.Null(), fmt.Errorf("engine: aggregate %s used outside grouped query", x.Name)
 		}
-		i, err := env.rs.resolve(x.Table, x.Column)
-		if err != nil {
-			// Fall back to procedure variables for unqualified names.
-			if env.ctx != nil && env.ctx.Vars != nil && x.Table == "" {
-				if v, ok := env.ctx.Vars[x.Column]; ok {
-					return v, nil
-				}
+		return env.aggs[x.Idx], nil
+
+	case *sqlparser.ColumnRef:
+		// Preparing a statement rewrites every resolvable reference to a
+		// BoundCol, so what arrives here resolved to no column: an
+		// unqualified name may still be a procedure variable.
+		if x.Table == "" && env.ctx != nil && env.ctx.Vars != nil {
+			if v, ok := env.ctx.Vars[x.Column]; ok {
+				return v, nil
 			}
+		}
+		if err, ok := env.unbound[x]; ok {
 			return types.Null(), err
 		}
-		return env.row[i], nil
+		return types.Null(), fmt.Errorf("engine: no table in scope for column %q", x.Column)
 
 	case *sqlparser.Unary:
 		v, err := env.eval(x.X)
@@ -188,11 +191,6 @@ func (env *evalEnv) eval(e sqlparser.Expr) (types.Value, error) {
 		return types.NewBool(matchLike(v.Str(), p.Str()) != x.Not), nil
 
 	case *sqlparser.FuncCall:
-		if env.aggVals != nil {
-			if v, ok := env.aggVals[x]; ok {
-				return v, nil
-			}
-		}
 		if sqlparser.AggregateFuncs[x.Name] {
 			return types.Null(), fmt.Errorf("engine: aggregate %s used outside grouped query", x.Name)
 		}
@@ -654,56 +652,69 @@ func likeHelper(s, p string) bool {
 	return pi == len(p)
 }
 
-// exprKey renders an expression canonically, for GROUP BY matching.
+// exprKey renders an expression as canonical SQL-like text: structurally
+// equal expressions render equally and different ones differently, which
+// is what GROUP BY matching needs; EXPLAIN prints predicates with it.
 func exprKey(e sqlparser.Expr) string {
+	list := func(xs []sqlparser.Expr) string {
+		parts := make([]string, len(xs))
+		for i, x := range xs {
+			parts[i] = exprKey(x)
+		}
+		return strings.Join(parts, ", ")
+	}
+	not := func(b bool) string {
+		if b {
+			return " NOT"
+		}
+		return ""
+	}
 	switch x := e.(type) {
 	case *sqlparser.Literal:
-		return "lit:" + x.Val.Kind().String() + ":" + x.Val.String()
+		if x.Val.Kind() == types.KindFloat && !strings.ContainsAny(x.Val.String(), ".eIN") {
+			return x.Val.String() + ".0" // keep 1.0 apart from 1
+		}
+		return x.Val.SQLLiteral()
 	case *sqlparser.ColumnRef:
-		return "col:" + x.Table + "." + x.Column
+		if x.Table == "" {
+			return x.Column
+		}
+		return x.Table + "." + x.Column
 	case *sqlparser.Param:
-		return fmt.Sprintf("param:%d", x.N)
+		return "$" + strconv.Itoa(x.N)
 	case *sqlparser.VarRef:
-		return "var:" + x.Name
+		return ":" + x.Name
 	case *sqlparser.Unary:
-		return "u:" + x.Op + "(" + exprKey(x.X) + ")"
+		return x.Op + " (" + exprKey(x.X) + ")"
 	case *sqlparser.Binary:
-		return "b:" + x.Op + "(" + exprKey(x.L) + "," + exprKey(x.R) + ")"
+		return "(" + exprKey(x.L) + " " + x.Op + " " + exprKey(x.R) + ")"
 	case *sqlparser.IsNull:
-		return fmt.Sprintf("isnull:%v(%s)", x.Not, exprKey(x.X))
+		return "(" + exprKey(x.X) + " IS" + not(x.Not) + " NULL)"
 	case *sqlparser.InList:
-		s := fmt.Sprintf("in:%v(%s;", x.Not, exprKey(x.X))
-		for _, i := range x.List {
-			s += exprKey(i) + ","
-		}
-		return s + ")"
+		return "(" + exprKey(x.X) + not(x.Not) + " IN (" + list(x.List) + "))"
 	case *sqlparser.Between:
-		return fmt.Sprintf("btw:%v(%s,%s,%s)", x.Not, exprKey(x.X), exprKey(x.Lo), exprKey(x.Hi))
+		return "(" + exprKey(x.X) + not(x.Not) + " BETWEEN " + exprKey(x.Lo) + " AND " + exprKey(x.Hi) + ")"
 	case *sqlparser.Like:
-		return fmt.Sprintf("like:%v(%s,%s)", x.Not, exprKey(x.X), exprKey(x.Pattern))
+		return "(" + exprKey(x.X) + not(x.Not) + " LIKE " + exprKey(x.Pattern) + ")"
 	case *sqlparser.FuncCall:
-		s := "fn:" + x.Name + "("
-		if x.Star {
-			s += "*"
+		switch {
+		case x.Star:
+			return x.Name + "(*)"
+		case x.Distinct:
+			return x.Name + "(DISTINCT " + list(x.Args) + ")"
 		}
-		if x.Distinct {
-			s += "distinct "
-		}
-		for _, a := range x.Args {
-			s += exprKey(a) + ","
-		}
-		return s + ")"
+		return x.Name + "(" + list(x.Args) + ")"
 	case *sqlparser.CaseExpr:
-		s := "case("
+		s := "CASE"
 		for _, w := range x.Whens {
-			s += exprKey(w.Cond) + "=>" + exprKey(w.Then) + ";"
+			s += " WHEN " + exprKey(w.Cond) + " THEN " + exprKey(w.Then)
 		}
 		if x.Else != nil {
-			s += "else:" + exprKey(x.Else)
+			s += " ELSE " + exprKey(x.Else)
 		}
-		return s + ")"
+		return s + " END"
 	case *sqlparser.Cast:
-		return "cast:" + x.To.String() + "(" + exprKey(x.X) + ")"
+		return "CAST(" + exprKey(x.X) + " AS " + x.To.String() + ")"
 	}
 	return fmt.Sprintf("%T", e)
 }

@@ -2,13 +2,149 @@ package engine
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"sync/atomic"
 
 	"bcrdb/internal/index"
 	"bcrdb/internal/sqlparser"
 	"bcrdb/internal/storage"
 	"bcrdb/internal/types"
 )
+
+// Preparing a statement turns a SELECT, or the WHERE scan of an UPDATE or
+// DELETE, into a queryPlan: tables resolved, column references bound to
+// positions, sargable predicates extracted, the join probe index chosen,
+// aggregates collected. Executing it (select.go) evaluates the bound
+// values, picks the access path for the resulting bounds shape and streams
+// rows through the operators.
+//
+// A plan depends only on the statement and the catalog, and the access
+// path only on the catalog and on *which* predicates carry a usable value
+// (never on the values), so whether an execution finds them cached or
+// rebuilds them cannot be observed — the invariant every replica relies
+// on, since the chosen index decides emission order and the recorded read
+// ranges.
+
+// queryPlan is the physical plan of one statement under one schema epoch.
+type queryPlan struct {
+	epoch      uint64
+	tables     []*tableAccess // the FROM (or UPDATE/DELETE) table, then each JOIN in order
+	provenance bool
+	write      bool           // UPDATE or DELETE: the plan is the statement's WHERE scan
+	where      sqlparser.Expr // bound
+	nCands     int            // sargable predicates over all tables
+	unbound    map[*sqlparser.ColumnRef]error
+	// eager lists, in clause order, the unresolved references of a SELECT's
+	// items, WHERE, GROUP BY, HAVING and ORDER BY: they fail the statement
+	// even when no row reaches them, unless they name a procedure variable.
+	eager []*sqlparser.ColumnRef
+	// groupErr is a grouped SELECT's "column must appear in GROUP BY"
+	// verdict. It is reported after the eager references: an unknown column
+	// is the more useful complaint.
+	groupErr error
+
+	// SELECT output.
+	cols     []string
+	items    []sqlparser.Expr // bound
+	order    []sqlparser.Expr // bound; evaluated into hidden trailing columns
+	desc     []bool
+	grouped  bool
+	groupBy  []sqlparser.Expr // bound
+	having   sqlparser.Expr   // bound
+	aggs     []aggSpec
+	distinct bool
+	limit    sqlparser.Expr
+	offset   sqlparser.Expr
+
+	// UPDATE assignments.
+	setOrds []int
+	setVals []sqlparser.Expr // bound
+
+	// states recycles execution scratch: a few slots, enough for the exec
+	// workers that run one contract statement at the same time. (A sync.Pool
+	// per plan would register every one-off statement's pool with the
+	// runtime.)
+	states [4]atomic.Pointer[execState]
+}
+
+// state takes an execution scratch from the plan, or makes one.
+func (p *queryPlan) state() *execState {
+	for i := range p.states {
+		if st := p.states[i].Load(); st != nil && p.states[i].CompareAndSwap(st, nil) {
+			return st
+		}
+	}
+	return newExecState(p)
+}
+
+// tableAccess is one input of a plan: how its rows are found.
+type tableAccess struct {
+	name, alias string
+	private     bool    // node-private table: off-limits to contracts
+	indexes     []ixDef // primary first, then the others by name
+	pkCols      []int
+	nullRow     types.Row
+
+	// A scanned input (the first table; a joined table no index serves)
+	// reads the range its sargable predicates allow.
+	cands    []sargCand
+	candBase int                           // offset of cands in the execution's value arrays
+	paths    atomic.Pointer[[]*accessPath] // one per bounds shape seen
+
+	// Joined inputs.
+	left  bool           // LEFT JOIN: emit a NULL row when nothing matches
+	on    sqlparser.Expr // bound over this and all earlier inputs
+	probe *probePlan     // nil: nested loop over the scanned input
+}
+
+type ixDef struct {
+	name string
+	cols []int
+}
+
+// probePlan is an index-nested-loop join: per outer row, one point or
+// prefix lookup in an index of the joined table.
+type probePlan struct {
+	index string
+	keys  []sqlparser.Expr // bound over the earlier inputs, one per probed index column
+	point bool             // keys cover the whole index key
+}
+
+// sargCand is a WHERE conjunct of the form column OP constant (or BETWEEN,
+// or a one-element IN) on one input. Whether it constrains a scan is
+// decided per execution: its value must evaluate, and not to NULL.
+type sargCand struct {
+	col int // table column ordinal
+	op  candOp
+	val sqlparser.Expr // references no column
+	hi  sqlparser.Expr // candBetween: the upper bound (val is the lower)
+}
+
+type candOp uint8
+
+const (
+	candEq candOp = iota
+	candLt
+	candLe
+	candGt
+	candGe
+	candBetween
+)
+
+// accessPath is the index choice for one bounds shape of one input.
+type accessPath struct {
+	active  []bool // the shape: which of the input's cands carry a value
+	index   string
+	cols    []int
+	indexed bool  // false: full scan of the primary index
+	eq      []int // per equality-prefix column, the cand supplying its value
+	rng     []int // cands bounding the column after the prefix, in WHERE order
+}
+
+// maxPaths bounds the shapes remembered per input; a statement that keeps
+// producing new ones (it would need that many NULL-able predicates) just
+// chooses its path anew each time.
+const maxPaths = 8
 
 // splitConjuncts flattens a WHERE tree into AND-ed conjuncts.
 func splitConjuncts(e sqlparser.Expr) []sqlparser.Expr {
@@ -21,20 +157,27 @@ func splitConjuncts(e sqlparser.Expr) []sqlparser.Expr {
 	return []sqlparser.Expr{e}
 }
 
-// constValue evaluates an expression that references no table columns
-// (literals, params, procedure variables, arithmetic over them). It
-// reports ok=false when the expression depends on a relation.
-func (e *Engine) constValue(ctx *ExecCtx, x sqlparser.Expr) (types.Value, bool) {
-	hasCol := false
+// isConstExpr reports whether x references no column and no aggregate
+// (literals, params, procedure variables and arithmetic over them).
+func isConstExpr(x sqlparser.Expr) bool {
+	isConst := true
 	sqlparser.WalkExpr(x, func(n sqlparser.Expr) {
-		if _, ok := n.(*sqlparser.ColumnRef); ok {
-			hasCol = true
-		}
-		if f, ok := n.(*sqlparser.FuncCall); ok && sqlparser.AggregateFuncs[f.Name] {
-			hasCol = true
+		switch f := n.(type) {
+		case *sqlparser.ColumnRef:
+			isConst = false
+		case *sqlparser.FuncCall:
+			if sqlparser.AggregateFuncs[f.Name] {
+				isConst = false
+			}
 		}
 	})
-	if hasCol {
+	return isConst
+}
+
+// constValue evaluates an expression that references no table columns. It
+// reports ok=false when the expression depends on a relation or fails.
+func (e *Engine) constValue(ctx *ExecCtx, x sqlparser.Expr) (types.Value, bool) {
+	if !isConstExpr(x) {
 		return types.Null(), false
 	}
 	env := &evalEnv{ctx: ctx}
@@ -45,251 +188,261 @@ func (e *Engine) constValue(ctx *ExecCtx, x sqlparser.Expr) (types.Value, bool) 
 	return v, true
 }
 
-// colBounds accumulates sargable constraints on one column.
-type colBounds struct {
-	eq       *types.Value
-	lo, hi   *types.Value
-	loInc    bool
-	hiInc    bool
-	hasLo    bool
-	hasHi    bool
-	hasPoint bool
-}
-
-func (b *colBounds) setEq(v types.Value) {
-	b.eq = &v
-	b.hasPoint = true
-}
-
-func (b *colBounds) setLo(v types.Value, inc bool) {
-	if !b.hasLo || types.Compare(v, *b.lo) > 0 {
-		b.lo, b.loInc, b.hasLo = &v, inc, true
-	}
-}
-
-func (b *colBounds) setHi(v types.Value, inc bool) {
-	if !b.hasHi || types.Compare(v, *b.hi) < 0 {
-		b.hi, b.hiInc, b.hasHi = &v, inc, true
-	}
-}
-
-// extractBounds mines the conjuncts for sargable constraints on columns
-// of the given table alias.
-func (e *Engine) extractBounds(ctx *ExecCtx, alias string, conjuncts []sqlparser.Expr) map[string]*colBounds {
-	out := make(map[string]*colBounds)
-	get := func(col string) *colBounds {
-		b := out[col]
-		if b == nil {
-			b = &colBounds{}
-			out[col] = b
-		}
-		return b
-	}
-	colOf := func(x sqlparser.Expr) (string, bool) {
+// sargCands mines the conjuncts for constraints on columns of the given
+// table alias.
+func sargCands(alias string, schema *storage.Schema, conjuncts []sqlparser.Expr) []sargCand {
+	colOf := func(x sqlparser.Expr) (int, bool) {
 		c, ok := x.(*sqlparser.ColumnRef)
-		if !ok {
-			return "", false
+		if !ok || (c.Table != "" && c.Table != alias) {
+			return 0, false
 		}
-		if c.Table != "" && c.Table != alias {
-			return "", false
-		}
-		return c.Column, true
+		ord := schema.ColIndex(c.Column)
+		return ord, ord >= 0
 	}
+	var out []sargCand
 	for _, cj := range conjuncts {
 		switch x := cj.(type) {
 		case *sqlparser.Binary:
-			col, colOK := colOf(x.L)
-			val, valOK := e.constValue(ctx, x.R)
-			op := x.Op
-			if !colOK || !valOK {
-				// Try flipped: const OP col.
-				col, colOK = colOf(x.R)
-				val, valOK = e.constValue(ctx, x.L)
-				if !colOK || !valOK {
-					continue
-				}
-				switch op {
-				case "<":
-					op = ">"
-				case "<=":
-					op = ">="
-				case ">":
-					op = "<"
-				case ">=":
-					op = "<="
-				}
-			}
-			if val.IsNull() {
+			var op candOp
+			switch x.Op {
+			case "=":
+				op = candEq
+			case "<":
+				op = candLt
+			case "<=":
+				op = candLe
+			case ">":
+				op = candGt
+			case ">=":
+				op = candGe
+			default:
 				continue
 			}
-			switch op {
-			case "=":
-				get(col).setEq(val)
-			case "<":
-				get(col).setHi(val, false)
-			case "<=":
-				get(col).setHi(val, true)
-			case ">":
-				get(col).setLo(val, false)
-			case ">=":
-				get(col).setLo(val, true)
+			if col, ok := colOf(x.L); ok && isConstExpr(x.R) {
+				out = append(out, sargCand{col: col, op: op, val: x.R})
+			} else if col, ok := colOf(x.R); ok && isConstExpr(x.L) {
+				// constant OP column: mirror the comparison.
+				mirror := [...]candOp{candEq: candEq, candLt: candGt, candLe: candGe, candGt: candLt, candGe: candLe}
+				out = append(out, sargCand{col: col, op: mirror[op], val: x.L})
 			}
 		case *sqlparser.Between:
-			if x.Not {
-				continue
-			}
-			col, colOK := colOf(x.X)
-			lo, loOK := e.constValue(ctx, x.Lo)
-			hi, hiOK := e.constValue(ctx, x.Hi)
-			if colOK && loOK && hiOK && !lo.IsNull() && !hi.IsNull() {
-				get(col).setLo(lo, true)
-				get(col).setHi(hi, true)
+			if col, ok := colOf(x.X); ok && !x.Not && isConstExpr(x.Lo) && isConstExpr(x.Hi) {
+				out = append(out, sargCand{col: col, op: candBetween, val: x.Lo, hi: x.Hi})
 			}
 		case *sqlparser.InList:
 			// Single-element IN acts as equality.
-			if !x.Not && len(x.List) == 1 {
-				if col, ok := colOf(x.X); ok {
-					if v, ok := e.constValue(ctx, x.List[0]); ok && !v.IsNull() {
-						get(col).setEq(v)
-					}
-				}
+			if col, ok := colOf(x.X); ok && !x.Not && len(x.List) == 1 && isConstExpr(x.List[0]) {
+				out = append(out, sargCand{col: col, op: candEq, val: x.List[0]})
 			}
 		}
 	}
 	return out
 }
 
-// chosenPlan is the access path for one base table.
-type chosenPlan struct {
-	indexName string
-	rng       index.Range
-	indexed   bool // false = full scan over the primary index
-}
-
-// indexBounds walks an index's columns left to right, collecting the
-// equality-prefix key and the optional range bound on the column after it.
-func indexBounds(schema storage.Schema, cols []int, bounds map[string]*colBounds) (types.Key, *colBounds) {
-	var eqKey types.Key
-	var rangeB *colBounds
-	for _, c := range cols {
-		b := bounds[schema.Columns[c].Name]
-		if b == nil {
+// choosePath picks, for one bounds shape, the index with the longest
+// equality prefix (plus an optional range on the following column).
+// Primary wins ties.
+func (t *tableAccess) choosePath(active []bool) *accessPath {
+	// Per column: does an equality, does any bound constrain it?
+	flags := make([]struct{ point, bounded bool }, len(t.nullRow))
+	for i, c := range t.cands {
+		if active[i] {
+			flags[c.col].bounded = true
+			flags[c.col].point = flags[c.col].point || c.op == candEq
+		}
+	}
+	best := &accessPath{index: t.indexes[0].name, cols: t.indexes[0].cols}
+	bestScore := 0
+	for _, ix := range t.indexes {
+		nEq, rangeCol := 0, -1
+		for _, c := range ix.cols {
+			if !flags[c].bounded {
+				break
+			}
+			if flags[c].point {
+				nEq++
+				continue
+			}
+			rangeCol = c
 			break
 		}
-		if b.hasPoint {
-			eqKey = append(eqKey, *b.eq)
-			continue
-		}
-		if b.hasLo || b.hasHi {
-			rangeB = b
-		}
-		break
-	}
-	return eqKey, rangeB
-}
-
-// buildRange turns an equality prefix plus the optional trailing range
-// bound into the index.Range to scan; nCols is the index's column count.
-func buildRange(eqKey types.Key, rangeB *colBounds, nCols int) index.Range {
-	switch {
-	case rangeB != nil:
-		rng := index.Range{LoInc: true, HiInc: true}
-		if rangeB.hasLo {
-			rng.Lo = append(eqKey.Clone(), *rangeB.lo)
-			rng.LoInc = rangeB.loInc
-		} else if len(eqKey) > 0 {
-			rng.Lo = eqKey.Clone()
-		}
-		if rangeB.hasHi {
-			rng.Hi = append(eqKey.Clone(), *rangeB.hi)
-			rng.HiInc = rangeB.hiInc
-		} else if len(eqKey) > 0 {
-			rng.Hi = eqKey.Clone()
-		}
-		return rng
-	case len(eqKey) == nCols:
-		return index.PointRange(eqKey)
-	default:
-		return index.PrefixRange(eqKey)
-	}
-}
-
-// chooseIndex picks the index with the longest equality prefix (plus an
-// optional range on the following column). Primary wins ties. The choice
-// depends only on the catalog and on the bounds *shape* (which columns
-// carry point/range constraints) — never on bound values — which is what
-// lets the plan cache memoize it safely (see plancache.go).
-func chooseIndex(t *storage.Table, bounds map[string]*colBounds) chosenPlan {
-	schema := t.Schema()
-	names := t.Indexes()
-	// Evaluate primary first so ties prefer it.
-	ordered := []string{t.PrimaryIndexName()}
-	for _, n := range names {
-		if n != t.PrimaryIndexName() {
-			ordered = append(ordered, n)
-		}
-	}
-	best := chosenPlan{indexName: t.PrimaryIndexName(), rng: index.AllRange()}
-	bestScore := -1
-	for _, name := range ordered {
-		cols, ok := t.IndexCols(name)
-		if !ok {
-			continue
-		}
-		eqKey, rangeB := indexBounds(schema, cols, bounds)
-		score := len(eqKey) * 2
-		if rangeB != nil {
+		score := nEq * 2
+		if rangeCol >= 0 {
 			score++
 		}
-		if score == 0 || score <= bestScore {
+		if score <= bestScore {
 			continue
 		}
 		bestScore = score
-		best = chosenPlan{indexName: name, rng: buildRange(eqKey, rangeB, len(cols)), indexed: true}
+		best = &accessPath{index: ix.name, cols: ix.cols, indexed: true}
+		for _, c := range ix.cols[:nEq] {
+			last := -1 // the last equality on a column is the one in force
+			for i, cand := range t.cands {
+				if active[i] && cand.col == c && cand.op == candEq {
+					last = i
+				}
+			}
+			best.eq = append(best.eq, last)
+		}
+		for i, cand := range t.cands {
+			if active[i] && cand.col == rangeCol {
+				best.rng = append(best.rng, i)
+			}
+		}
 	}
+	best.active = append([]bool(nil), active...)
 	return best
 }
 
-// scanned is one row produced by a base-table scan, with the sort keys
-// that make emission order deterministic.
-type scanned struct {
-	idxKey types.Key
-	pk     types.Key
-	ver    *storage.RowVersion
+// pathFor returns the access path for the given bounds shape, and whether
+// it was already known.
+func (t *tableAccess) pathFor(active []bool) (*accessPath, bool) {
+	var known []*accessPath
+	if p := t.paths.Load(); p != nil {
+		known = *p
+	}
+search:
+	for _, p := range known {
+		for i, a := range p.active {
+			if a != active[i] {
+				continue search
+			}
+		}
+		return p, true
+	}
+	p := t.choosePath(active)
+	if len(known) < maxPaths {
+		// A racing execution may drop this path from the list; it is then
+		// chosen again, identically, the next time.
+		next := append(append(make([]*accessPath, 0, len(known)+1), known...), p)
+		t.paths.Store(&next)
+	}
+	return p, false
 }
 
-// baseSchema builds the relation schema for a table scan under an alias.
-func baseSchema(t *storage.Table, alias string, provenance bool) *relSchema {
-	schema := t.Schema()
-	rs := &relSchema{}
-	for _, c := range schema.Columns {
-		rs.add(alias, c.Name, c.Type)
+// scanRange turns the path's equality prefix plus the optional bounds on
+// the next column into the index.Range to scan. vals holds the values of
+// the input's cands (two slots each, the second for BETWEEN's upper bound).
+func (p *accessPath) scanRange(st *execState, t *tableAccess) index.Range {
+	if !p.indexed {
+		return index.AllRange()
 	}
-	if provenance {
-		rs.add(alias, "xmin", types.KindInt)
-		rs.add(alias, "xmax", types.KindInt)
-		rs.add(alias, "creator_block", types.KindInt)
-		rs.add(alias, "deleter_block", types.KindInt)
+	vals := st.vals[2*t.candBase:]
+	nEq := len(p.eq)
+	eqKey := func(extra int) types.Key {
+		k := st.newKey(nEq + extra)
+		for i, ci := range p.eq {
+			k[i] = vals[2*ci]
+		}
+		return k
 	}
-	return rs
+	if len(p.rng) == 0 {
+		if nEq == len(p.cols) {
+			return index.PointRange(eqKey(0))
+		}
+		return index.PrefixRange(eqKey(0))
+	}
+	// The tightest bound wins; of equal bounds, the first one stated.
+	var lo, hi types.Value
+	var hasLo, hasHi, loInc, hiInc bool
+	setLo := func(v types.Value, inc bool) {
+		if !hasLo || types.Compare(v, lo) > 0 {
+			lo, loInc, hasLo = v, inc, true
+		}
+	}
+	setHi := func(v types.Value, inc bool) {
+		if !hasHi || types.Compare(v, hi) < 0 {
+			hi, hiInc, hasHi = v, inc, true
+		}
+	}
+	for _, ci := range p.rng {
+		switch v := vals[2*ci]; t.cands[ci].op {
+		case candLt:
+			setHi(v, false)
+		case candLe:
+			setHi(v, true)
+		case candGt:
+			setLo(v, false)
+		case candGe:
+			setLo(v, true)
+		case candBetween:
+			setLo(v, true)
+			setHi(vals[2*ci+1], true)
+		}
+	}
+	rng := index.Range{LoInc: true, HiInc: true}
+	if hasLo {
+		rng.Lo = eqKey(1)
+		rng.Lo[nEq] = lo
+		rng.LoInc = loInc
+	} else if nEq > 0 {
+		rng.Lo = eqKey(0)
+	}
+	if hasHi {
+		rng.Hi = eqKey(1)
+		rng.Hi[nEq] = hi
+		rng.HiInc = hiInc
+	} else if nEq > 0 {
+		rng.Hi = eqKey(0)
+	}
+	return rng
 }
 
-// scanBase reads all visible rows of the table under the given bounds,
-// in deterministic (index key, then primary key) order, recording the
-// scanned range and the versions read. where is the statement's original
-// WHERE expression (the plan-cache key); conjuncts its AND-split form.
-func (e *Engine) scanBase(ctx *ExecCtx, tableName, alias string, where sqlparser.Expr, conjuncts []sqlparser.Expr, provenance bool) (*relSchema, []types.Row, error) {
-	if err := e.checkReadClass(ctx, tableName); err != nil {
-		return nil, nil, err
-	}
-	t, err := e.store.Table(tableName)
+// systemColumns are the provenance pseudo-columns, in the order a
+// provenance scan appends them to a row.
+var systemColumns = [...]string{"xmin", "xmax", "creator_block", "deleter_block"}
+
+func isSystemColumn(name string) bool {
+	return slices.Contains(systemColumns[:], name)
+}
+
+// planner carries the state of preparing one statement.
+type planner struct {
+	e     *Engine
+	plan  *queryPlan
+	scope relSchema // columns of the inputs added so far
+}
+
+// addTable resolves a table and appends it to the plan's inputs and to the
+// name scope.
+func (pl *planner) addTable(name, alias string) (*tableAccess, *storage.Schema, error) {
+	t, err := pl.e.store.Table(name)
 	if err != nil {
 		return nil, nil, err
 	}
 	schema := t.Schema()
+	p := pl.plan
+	ta := &tableAccess{name: name, alias: alias, private: schema.Class == storage.ClassPrivate, pkCols: schema.PKCols}
+	for _, ixName := range append([]string{t.PrimaryIndexName()}, t.Indexes()...) {
+		if cols, ok := t.IndexCols(ixName); ok && (len(ta.indexes) == 0 || ixName != ta.indexes[0].name) {
+			ta.indexes = append(ta.indexes, ixDef{ixName, cols})
+		}
+	}
+	width := len(schema.Columns)
+	if p.provenance {
+		width += len(systemColumns)
+	}
+	src, refs := len(p.tables), make([]sqlparser.BoundCol, width)
+	pl.scope.cols = slices.Grow(pl.scope.cols, width)
+	for ord := range refs {
+		colName := systemColumns[max(0, ord-len(schema.Columns))]
+		if ord < len(schema.Columns) {
+			colName = schema.Columns[ord].Name
+		}
+		refs[ord] = sqlparser.BoundCol{Src: src, Ord: ord}
+		pl.scope.cols = append(pl.scope.cols, relCol{alias: alias, name: colName, ref: &refs[ord]})
+	}
+	ta.nullRow = make(types.Row, width)
+	p.tables = append(p.tables, ta)
+	return ta, &schema, nil
+}
 
-	// Contracts may not reference system columns outside provenance mode.
-	if !provenance {
+// scanPredicates gives a scanned input its sargable predicates from the
+// WHERE conjuncts.
+func (pl *planner) scanPredicates(ta *tableAccess, schema *storage.Schema, conjuncts []sqlparser.Expr) error {
+	p := pl.plan
+	if !p.provenance {
+		// Contracts may not reference system columns outside provenance mode.
 		for _, cj := range conjuncts {
 			var bad error
 			sqlparser.WalkExpr(cj, func(n sqlparser.Expr) {
@@ -298,142 +451,438 @@ func (e *Engine) scanBase(ctx *ExecCtx, tableName, alias string, where sqlparser
 				}
 			})
 			if bad != nil {
-				return nil, nil, bad
+				return bad
 			}
 		}
 	}
-
-	plan := e.planScan(ctx, t, tableName, alias, where, conjuncts)
-	if !plan.indexed && ctx.tracking() && ctx.RequireIndex {
-		return nil, nil, fmt.Errorf("%w: table %s", ErrNoIndex, tableName)
-	}
-
-	mode := storage.ScanVisible
-	if provenance {
-		mode = storage.ScanProvenance
-	}
-	if ctx.tracking() && !provenance {
-		ctx.Rec.NoteRange(tableName, plan.indexName, plan.rng)
-	}
-
-	var hits []scanned
-	err = e.store.ScanIndex(tableName, plan.indexName, plan.rng, ctx.selfID(), ctx.snapshotHeight(), mode, func(v *storage.RowVersion) bool {
-		hits = append(hits, scanned{pk: schema.PKKey(v.Data), ver: v})
-		return true
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	ixCols, _ := t.IndexCols(plan.indexName)
-	for i := range hits {
-		k := make(types.Key, len(ixCols))
-		for j, c := range ixCols {
-			k[j] = hits[i].ver.Data[c]
-		}
-		hits[i].idxKey = k
-	}
-	sort.SliceStable(hits, func(i, j int) bool {
-		if c := types.CompareKeys(hits[i].idxKey, hits[j].idxKey); c != 0 {
-			return c < 0
-		}
-		return types.CompareKeys(hits[i].pk, hits[j].pk) < 0
-	})
-
-	rs := baseSchema(t, alias, provenance)
-	rows := make([]types.Row, 0, len(hits))
-	tracking := ctx.tracking() && !provenance
-	for _, h := range hits {
-		if tracking {
-			ctx.Rec.NoteRead(tableName, h.ver.ID)
-		}
-		// Version data is immutable after insert and downstream operators
-		// never mutate base rows in place, so the scan can hand out the
-		// stored row directly instead of cloning every hit.
-		row := h.ver.Data
-		if provenance {
-			row = h.ver.Data.Clone()
-			row = append(row, types.NewInt(int64(h.ver.Xmin)))
-			if h.ver.Xmax != 0 {
-				row = append(row, types.NewInt(int64(h.ver.Xmax)))
-			} else {
-				row = append(row, types.Null())
-			}
-			if h.ver.CreatorBlk != storage.NoBlock {
-				row = append(row, types.NewInt(h.ver.CreatorBlk))
-			} else {
-				row = append(row, types.Null())
-			}
-			if h.ver.DeleterBlk != storage.NoBlock {
-				row = append(row, types.NewInt(h.ver.DeleterBlk))
-			} else {
-				row = append(row, types.Null())
-			}
-		}
-		rows = append(rows, row)
-	}
-	return rs, rows, nil
+	ta.cands = sargCands(ta.alias, schema, conjuncts)
+	ta.candBase = p.nCands
+	p.nCands += len(ta.cands)
+	return nil
 }
 
-// isSystemColumn reports whether the name is a provenance pseudo-column.
-func isSystemColumn(name string) bool {
-	switch name {
-	case "xmin", "xmax", "creator_block", "deleter_block":
-		return true
+// addScanned is addTable plus scanPredicates: the first input of a plan.
+func (pl *planner) addScanned(name, alias string, where sqlparser.Expr) (*storage.Schema, error) {
+	ta, schema, err := pl.addTable(name, alias)
+	if err == nil {
+		err = pl.scanPredicates(ta, schema, splitConjuncts(where))
 	}
-	return false
+	return schema, err
 }
 
-// scanForWrite returns the versions (not just rows) matching the
-// statement's WHERE for UPDATE/DELETE, in deterministic order, with read
-// tracking.
-func (e *Engine) scanForWrite(ctx *ExecCtx, tableName string, where sqlparser.Expr) ([]*storage.RowVersion, *relSchema, error) {
-	t, err := e.store.Table(tableName)
-	if err != nil {
-		return nil, nil, err
+// bind rewrites the column references of x that resolve in scope into
+// BoundCols; the others stay, remembered with their resolution error.
+func (pl *planner) bind(x sqlparser.Expr, scope *relSchema) sqlparser.Expr {
+	if x == nil {
+		return nil
 	}
-	schema := t.Schema()
-	conjuncts := splitConjuncts(where)
-	plan := e.planScan(ctx, t, tableName, tableName, where, conjuncts)
-	if !plan.indexed && ctx.tracking() && ctx.RequireIndex {
-		if where == nil {
-			return nil, nil, ErrBlindUpdate
+	return sqlparser.RewriteExpr(x, func(n sqlparser.Expr) sqlparser.Expr {
+		if c, ok := n.(*sqlparser.ColumnRef); ok {
+			return pl.bindRef(c, scope)
 		}
-		return nil, nil, fmt.Errorf("%w: table %s", ErrNoIndex, tableName)
-	}
-	if ctx.tracking() {
-		ctx.Rec.NoteRange(tableName, plan.indexName, plan.rng)
-	}
-
-	rs := baseSchema(t, tableName, false)
-	var hits []scanned
-	err = e.store.ScanIndex(tableName, plan.indexName, plan.rng, ctx.selfID(), ctx.snapshotHeight(), storage.ScanVisible, func(v *storage.RowVersion) bool {
-		hits = append(hits, scanned{pk: schema.PKKey(v.Data), ver: v})
-		return true
+		return n
 	})
+}
+
+func (pl *planner) bindRef(c *sqlparser.ColumnRef, scope *relSchema) sqlparser.Expr {
+	i, err := scope.resolve(c.Table, c.Column)
 	if err != nil {
-		return nil, nil, err
-	}
-	sort.SliceStable(hits, func(i, j int) bool {
-		return types.CompareKeys(hits[i].pk, hits[j].pk) < 0
-	})
-
-	var out []*storage.RowVersion
-	env := evalEnv{ctx: ctx, rs: rs}
-	for _, h := range hits {
-		if ctx.tracking() {
-			ctx.Rec.NoteRead(tableName, h.ver.ID)
+		if pl.plan.unbound == nil {
+			pl.plan.unbound = make(map[*sqlparser.ColumnRef]error)
 		}
-		if where != nil {
-			env.row = h.ver.Data
-			v, err := env.eval(where)
-			if err != nil {
-				return nil, nil, err
+		pl.plan.unbound[c] = err
+		return c
+	}
+	return scope.cols[i].ref
+}
+
+// bindGrouped is bind for the expressions a grouped query evaluates once
+// per group: each aggregate call becomes an AggRef to a collected aggSpec.
+func (pl *planner) bindGrouped(x sqlparser.Expr) sqlparser.Expr {
+	if x == nil {
+		return nil
+	}
+	return sqlparser.RewriteExpr(x, func(n sqlparser.Expr) sqlparser.Expr {
+		switch n := n.(type) {
+		case *sqlparser.ColumnRef:
+			return pl.bindRef(n, &pl.scope)
+		case *sqlparser.FuncCall:
+			if sqlparser.AggregateFuncs[n.Name] {
+				// RewriteExpr works bottom-up: the argument is bound already,
+				// and an aggregate nested in it is an AggRef, which has no
+				// value while input rows are accumulated.
+				spec := aggSpec{call: n}
+				if !n.Star && len(n.Args) == 1 {
+					spec.arg = n.Args[0]
+				}
+				pl.plan.aggs = append(pl.plan.aggs, spec)
+				return &sqlparser.AggRef{Idx: len(pl.plan.aggs) - 1, Name: n.Name}
 			}
-			if !truthy(v) {
+		}
+		return n
+	})
+}
+
+// prepareJoin adds one JOIN: an index-nested-loop probe when the ON clause
+// equates a prefix of some index of the joined table with expressions over
+// the earlier inputs, else a nested loop over a scan of the table.
+func (pl *planner) prepareJoin(j sqlparser.Join, whereConjuncts []sqlparser.Expr) error {
+	leftRS := relSchema{cols: pl.scope.cols[:len(pl.scope.cols):len(pl.scope.cols)]}
+	ta, rightSchema, err := pl.addTable(j.Right.Table, j.Right.Alias)
+	if err != nil {
+		return err
+	}
+	ta.left = j.Kind == "LEFT"
+	ta.on = pl.bind(j.On, &pl.scope)
+
+	isRightCol := func(x sqlparser.Expr) (int, bool) {
+		c, ok := x.(*sqlparser.ColumnRef)
+		if !ok || (c.Table != "" && c.Table != j.Right.Alias) {
+			return 0, false
+		}
+		ord := rightSchema.ColIndex(c.Column)
+		if ord < 0 {
+			return 0, false
+		}
+		// Ambiguity guard: unqualified name must not also resolve on the left.
+		if c.Table == "" {
+			if _, err := leftRS.resolve("", c.Column); err == nil {
+				return 0, false
+			}
+		}
+		return ord, true
+	}
+	refsOnlyLeft := func(x sqlparser.Expr) bool {
+		ok := true
+		sqlparser.WalkExpr(x, func(n sqlparser.Expr) {
+			if c, is := n.(*sqlparser.ColumnRef); is {
+				if _, err := leftRS.resolve(c.Table, c.Column); err != nil {
+					ok = false
+				}
+			}
+		})
+		return ok
+	}
+	// The first equality found for a column of the joined table supplies
+	// its probe value. The whole ON clause is evaluated on every candidate
+	// pair anyway, so the other conjuncts need no separate bookkeeping.
+	eqByOrd := make(map[int]sqlparser.Expr)
+	for _, cj := range splitConjuncts(j.On) {
+		b, isBin := cj.(*sqlparser.Binary)
+		if !isBin || b.Op != "=" {
+			continue
+		}
+		for _, side := range [2][2]sqlparser.Expr{{b.R, b.L}, {b.L, b.R}} {
+			if ord, ok := isRightCol(side[0]); ok && refsOnlyLeft(side[1]) {
+				if _, dup := eqByOrd[ord]; !dup {
+					eqByOrd[ord] = side[1]
+				}
+				break
+			}
+		}
+	}
+	if !pl.plan.provenance {
+		// The index covering the longest prefix of equated columns; the
+		// primary index, then the first by name, wins ties.
+		for _, ix := range ta.indexes {
+			n := 0
+			for n < len(ix.cols) && eqByOrd[ix.cols[n]] != nil {
+				n++
+			}
+			if n > 0 && (ta.probe == nil || n > len(ta.probe.keys)) {
+				ta.probe = &probePlan{index: ix.name, point: n == len(ix.cols), keys: make([]sqlparser.Expr, n)}
+				for i, c := range ix.cols[:n] {
+					ta.probe.keys[i] = pl.bind(eqByOrd[c], &leftRS)
+				}
+			}
+		}
+	}
+	if ta.probe == nil {
+		return pl.scanPredicates(ta, rightSchema, whereConjuncts)
+	}
+	return nil
+}
+
+// prepare builds the plan of a SELECT with a FROM clause, an UPDATE or a
+// DELETE against the current catalog.
+func (e *Engine) prepare(stmt sqlparser.Statement) (*queryPlan, error) {
+	pl := &planner{e: e, plan: &queryPlan{epoch: e.store.SchemaEpoch()}}
+	p := pl.plan
+	var err error
+	switch s := stmt.(type) {
+	case *sqlparser.Select:
+		err = pl.prepareSelect(s)
+	case *sqlparser.Update:
+		p.write = true
+		var schema *storage.Schema
+		if schema, err = pl.addScanned(s.Table, s.Table, s.Where); err != nil {
+			break
+		}
+		for _, sc := range s.Set {
+			ord := schema.ColIndex(sc.Column)
+			if ord < 0 {
+				return nil, fmt.Errorf("engine: column %q not in table %s", sc.Column, s.Table)
+			}
+			p.setOrds = append(p.setOrds, ord)
+			p.setVals = append(p.setVals, pl.bind(sc.Value, &pl.scope))
+		}
+		p.where = pl.bind(s.Where, &pl.scope)
+	case *sqlparser.Delete:
+		p.write = true
+		if _, err = pl.addScanned(s.Table, s.Table, s.Where); err == nil {
+			p.where = pl.bind(s.Where, &pl.scope)
+		}
+	default:
+		err = fmt.Errorf("engine: cannot prepare %T", stmt)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+func (pl *planner) prepareSelect(s *sqlparser.Select) error {
+	p := pl.plan
+	p.provenance, p.distinct, p.limit, p.offset = s.Provenance, s.Distinct, s.Limit, s.Offset
+	if _, err := pl.addScanned(s.From.Table, s.From.Alias, s.Where); err != nil {
+		return err
+	}
+	conjuncts := splitConjuncts(s.Where)
+	for _, j := range s.Joins {
+		if err := pl.prepareJoin(j, conjuncts); err != nil {
+			return err
+		}
+	}
+
+	items, err := expandItems(s, &pl.scope)
+	if err != nil {
+		return err
+	}
+	orderExprs := resolveOrderExprs(s, items)
+	pl.eagerRefs(s)
+
+	p.grouped = len(s.GroupBy) > 0 || s.Having != nil
+	for _, it := range items {
+		p.grouped = p.grouped || sqlparser.HasAggregate(it.Expr)
+	}
+	bindOut := pl.bindGrouped
+	if p.grouped {
+		p.groupErr = validateGrouping(s, items, orderExprs)
+	} else {
+		bindOut = func(x sqlparser.Expr) sqlparser.Expr { return pl.bind(x, &pl.scope) }
+	}
+
+	p.where = pl.bind(s.Where, &pl.scope)
+	for _, g := range s.GroupBy {
+		p.groupBy = append(p.groupBy, pl.bind(g, &pl.scope))
+	}
+	p.cols = make([]string, len(items))
+	p.items = make([]sqlparser.Expr, len(items))
+	for i, it := range items {
+		p.cols[i] = itemName(it)
+		p.items[i] = bindOut(it.Expr)
+	}
+	p.having = bindOut(s.Having)
+	for i, oe := range orderExprs {
+		bound := sqlparser.Expr(nil)
+		for k, it := range items {
+			if it.Expr == oe { // ORDER BY named an item: share its aggregates
+				bound = p.items[k]
+				break
+			}
+		}
+		if bound == nil {
+			bound = bindOut(oe)
+		}
+		p.order = append(p.order, bound)
+		p.desc = append(p.desc, s.OrderBy[i].Desc)
+	}
+	return nil
+}
+
+// eagerRefs collects the references that must resolve for the query to
+// run at all (PostgreSQL semantics: a bad column name fails even on empty
+// input). ON clauses are not among them: they fail on the first pair of
+// rows they are evaluated for.
+func (pl *planner) eagerRefs(s *sqlparser.Select) {
+	check := func(x sqlparser.Expr) {
+		sqlparser.WalkExpr(x, func(n sqlparser.Expr) {
+			if c, ok := n.(*sqlparser.ColumnRef); ok {
+				if _, err := pl.scope.resolve(c.Table, c.Column); err != nil {
+					pl.plan.eager = append(pl.plan.eager, c)
+				}
+			}
+		})
+	}
+	for _, it := range s.Items {
+		if !it.Star {
+			check(it.Expr)
+		}
+	}
+	check(s.Where)
+	for _, g := range s.GroupBy {
+		check(g)
+	}
+	check(s.Having)
+order:
+	for _, o := range s.OrderBy {
+		// ORDER BY may name an output alias or a position.
+		if c, ok := o.Expr.(*sqlparser.ColumnRef); ok && c.Table == "" {
+			for _, it := range s.Items {
+				if itemName(it) == c.Column {
+					continue order
+				}
+			}
+		}
+		if l, ok := o.Expr.(*sqlparser.Literal); ok && l.Val.Kind() == types.KindInt {
+			continue
+		}
+		check(o.Expr)
+	}
+}
+
+// itemName derives the output column name for a select item.
+func itemName(item sqlparser.SelectItem) string {
+	if item.Alias != "" {
+		return item.Alias
+	}
+	switch x := item.Expr.(type) {
+	case *sqlparser.ColumnRef:
+		return x.Column
+	case *sqlparser.FuncCall:
+		return lowerASCII(x.Name)
+	default:
+		return "?column?"
+	}
+}
+
+func lowerASCII(s string) string {
+	b := []byte(s)
+	for i := range b {
+		if b[i] >= 'A' && b[i] <= 'Z' {
+			b[i] += 'a' - 'A'
+		}
+	}
+	return string(b)
+}
+
+// expandItems replaces * and t.* with explicit column references.
+func expandItems(s *sqlparser.Select, rs *relSchema) ([]sqlparser.SelectItem, error) {
+	var out []sqlparser.SelectItem
+	for _, item := range s.Items {
+		if !item.Star {
+			out = append(out, item)
+			continue
+		}
+		matched := false
+		for _, c := range rs.cols {
+			if item.Table != "" && c.alias != item.Table {
 				continue
 			}
+			matched = true
+			out = append(out, sqlparser.SelectItem{
+				Expr:  &sqlparser.ColumnRef{Table: c.alias, Column: c.name},
+				Alias: c.name,
+			})
 		}
-		out = append(out, h.ver)
+		if !matched {
+			return nil, fmt.Errorf("engine: unknown table %q in %s.*", item.Table, item.Table)
+		}
 	}
-	return out, rs, nil
+	return out, nil
+}
+
+// resolveOrderExprs maps ORDER BY expressions to evaluable expressions:
+// bare names matching an item alias resolve to that item's expression,
+// and integer literals resolve positionally.
+func resolveOrderExprs(s *sqlparser.Select, items []sqlparser.SelectItem) []sqlparser.Expr {
+	out := make([]sqlparser.Expr, 0, len(s.OrderBy))
+	for _, o := range s.OrderBy {
+		e := o.Expr
+		if c, ok := e.(*sqlparser.ColumnRef); ok && c.Table == "" {
+			for _, it := range items {
+				if itemName(it) == c.Column && it.Expr != nil {
+					e = it.Expr
+					break
+				}
+			}
+		}
+		if l, ok := e.(*sqlparser.Literal); ok && l.Val.Kind() == types.KindInt {
+			n := int(l.Val.Int())
+			if n >= 1 && n <= len(items) {
+				e = items[n-1].Expr
+			}
+		}
+		out = append(out, e)
+	}
+	return out
+}
+
+// validateGrouping checks that every column a grouped query references
+// outside its aggregates is a GROUP BY expression.
+func validateGrouping(s *sqlparser.Select, items []sqlparser.SelectItem, orderExprs []sqlparser.Expr) error {
+	groupKeys := make([]string, len(s.GroupBy))
+	for i, g := range s.GroupBy {
+		groupKeys[i] = exprKey(g)
+	}
+	var validate func(x sqlparser.Expr) error
+	all := func(xs ...sqlparser.Expr) error {
+		for _, x := range xs {
+			if err := validate(x); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	validate = func(x sqlparser.Expr) error {
+		if x == nil {
+			return nil
+		}
+		key := exprKey(x)
+		for _, gk := range groupKeys {
+			if key == gk {
+				return nil
+			}
+		}
+		switch t := x.(type) {
+		case *sqlparser.FuncCall:
+			if sqlparser.AggregateFuncs[t.Name] {
+				return nil
+			}
+			return all(t.Args...)
+		case *sqlparser.ColumnRef:
+			return fmt.Errorf("engine: column %q must appear in GROUP BY or an aggregate", t.Column)
+		case *sqlparser.Unary:
+			return validate(t.X)
+		case *sqlparser.Binary:
+			return all(t.L, t.R)
+		case *sqlparser.IsNull:
+			return validate(t.X)
+		case *sqlparser.InList:
+			return all(append([]sqlparser.Expr{t.X}, t.List...)...)
+		case *sqlparser.Between:
+			return all(t.X, t.Lo, t.Hi)
+		case *sqlparser.Like:
+			return all(t.X, t.Pattern)
+		case *sqlparser.CaseExpr:
+			for _, w := range t.Whens {
+				if err := all(w.Cond, w.Then); err != nil {
+					return err
+				}
+			}
+			return validate(t.Else)
+		case *sqlparser.Cast:
+			return validate(t.X)
+		}
+		return nil
+	}
+	for _, it := range items {
+		if err := validate(it.Expr); err != nil {
+			return err
+		}
+	}
+	if err := validate(s.Having); err != nil {
+		return err
+	}
+	return all(orderExprs...)
 }

@@ -1,155 +1,79 @@
 package engine
 
 import (
-	"sort"
+	"sync"
+	"sync/atomic"
 
-	"bcrdb/internal/index"
 	"bcrdb/internal/sqlparser"
-	"bcrdb/internal/storage"
 )
 
-// The prepared-plan cache memoizes chooseIndex so a statement executed
-// many times (every contract invocation re-runs the same handful of
-// statements) plans once and then only re-evaluates its bound values.
+// Prepared is a statement with a stable identity: every execution goes
+// through the same value, so the physical plan built on first use (see
+// plan.go) is found again without a lookup. The engine's statement cache
+// holds one per SQL text and a compiled contract holds one per embedded
+// statement; a statement nobody keeps (Engine.Exec) gets a throwaway
+// Prepared and runs through the same code uncached.
 //
-// Correctness across replicas hinges on one invariant: the effective
-// access path must be a pure function of (catalog, bounds shape), with or
-// without the cache — cache contents are node-local and must never leak
-// into execution-visible behavior (the chosen index determines scan
-// order, which is execution-visible for queries without ORDER BY). Three
-// guards enforce that:
-//
-//   - epoch: entries built under an older storage.SchemaEpoch are ignored
-//     and replaced, so DDL invalidates every plan (new index, dropped
-//     table);
-//   - shape: an entry records which columns carried point/range bounds
-//     when it was built. If the current execution's shape differs (a
-//     parameter evaluated to NULL, dropping its bound), the entry is
-//     bypassed and chooseIndex runs fresh — exactly what an uncached
-//     replica would do;
-//   - identity: the key is the WHERE expression's node identity, so only
-//     statements with stable ASTs (the statement cache, compiled
-//     contracts) ever hit.
-
-// planKey identifies one access-path decision.
-type planKey struct {
-	where sqlparser.Expr
-	table string
-	alias string
+// The plan is node-local and must never leak into anything a replica can
+// observe: it is a pure function of (catalog epoch, statement, bounds
+// shape), so an execution that finds it and one that rebuilds it behave
+// identically (docs/adr/0007-prepared-plans.md).
+type Prepared struct {
+	stmt sqlparser.Statement
+	plan atomic.Pointer[queryPlan] // nil until first executed; replaced when the schema epoch moves
 }
 
-// planEntry is a memoized index choice, valid for one catalog epoch and
-// one bounds shape.
-type planEntry struct {
-	epoch     uint64
-	shape     string
-	indexName string
-	ixCols    []int
-	indexed   bool
+// Prepare wraps a parsed statement for repeated execution. The statement
+// must not be mutated afterwards.
+func (e *Engine) Prepare(stmt sqlparser.Statement) *Prepared {
+	return &Prepared{stmt: stmt}
 }
 
-// maxPlanCache bounds the plan cache; once full, new statements plan
-// uncached.
-const maxPlanCache = 4096
+// maxStmtCache bounds the text→statement cache.
+const maxStmtCache = 4096
 
-// boundsShape renders the value-independent part of a bounds map: the
-// constrained columns and the kind of constraint on each.
-func boundsShape(bounds map[string]*colBounds) string {
-	if len(bounds) == 0 {
-		return ""
-	}
-	cols := make([]string, 0, len(bounds))
-	for c := range bounds {
-		cols = append(cols, c)
-	}
-	sort.Strings(cols)
-	b := make([]byte, 0, 16*len(cols))
-	for _, c := range cols {
-		cb := bounds[c]
-		b = append(b, c...)
-		b = append(b, ':')
-		if cb.hasPoint {
-			b = append(b, '=')
-		}
-		if cb.hasLo {
-			if cb.loInc {
-				b = append(b, 'L')
-			} else {
-				b = append(b, 'l')
-			}
-		}
-		if cb.hasHi {
-			if cb.hiInc {
-				b = append(b, 'H')
-			} else {
-				b = append(b, 'h')
-			}
-		}
-		b = append(b, ';')
-	}
-	return string(b)
+// stmtCache maps SQL text to its Prepared statement in two generations,
+// like identity's verification memo: inserts fill the young map; when it
+// holds half the bound it becomes the old generation and the previous old
+// generation — every statement not used since the rotation before — is
+// dropped together with its plan. A hit in the old generation moves the
+// entry back to the young one, so the statements a workload keeps running
+// (contract lookups, contract bodies) survive any number of rotations,
+// while a client inlining literals can only ever displace other one-off
+// texts.
+type stmtCache struct {
+	mu         sync.RWMutex
+	young, old map[string]*Prepared
 }
 
-// planScan resolves the access path for a scan of t filtered by where,
-// consulting the prepared-plan cache. conjuncts is splitConjuncts(where),
-// precomputed by the caller.
-func (e *Engine) planScan(ctx *ExecCtx, t *storage.Table, tableName, alias string, where sqlparser.Expr, conjuncts []sqlparser.Expr) chosenPlan {
-	if where == nil {
-		// Unfiltered scan: always the primary full scan; nothing to cache.
-		return chosenPlan{indexName: t.PrimaryIndexName(), rng: index.AllRange()}
+func (c *stmtCache) get(sql string) *Prepared {
+	c.mu.RLock()
+	p, young := c.young[sql]
+	if !young {
+		p = c.old[sql]
 	}
-	bounds := e.extractBounds(ctx, alias, conjuncts)
-	shape := boundsShape(bounds)
-	epoch := e.store.SchemaEpoch()
-	key := planKey{where: where, table: tableName, alias: alias}
-	if v, ok := e.planCache.Load(key); ok {
-		ent := v.(*planEntry)
-		if ent.epoch == epoch && ent.shape == shape {
-			e.planHits.Add(1)
-			if !ent.indexed {
-				return chosenPlan{indexName: ent.indexName, rng: index.AllRange()}
-			}
-			schema := t.Schema()
-			eqKey, rangeB := indexBounds(schema, ent.ixCols, bounds)
-			return chosenPlan{
-				indexName: ent.indexName,
-				rng:       buildRange(eqKey, rangeB, len(ent.ixCols)),
-				indexed:   true,
-			}
-		}
-		// Stale epoch or different shape: replan. A stale entry is
-		// overwritten below; a shape mismatch leaves the entry in place
-		// for the common-shape executions.
-		e.planMisses.Add(1)
-		plan := chooseIndex(t, bounds)
-		if ent.epoch != epoch {
-			e.storePlan(key, epoch, shape, t, plan, true)
-		}
-		return plan
+	c.mu.RUnlock()
+	if p != nil && !young {
+		return c.put(sql, p)
 	}
-	e.planMisses.Add(1)
-	plan := chooseIndex(t, bounds)
-	e.storePlan(key, epoch, shape, t, plan, false)
-	return plan
+	return p
 }
 
-func (e *Engine) storePlan(key planKey, epoch uint64, shape string, t *storage.Table, plan chosenPlan, replace bool) {
-	ent := &planEntry{epoch: epoch, shape: shape, indexName: plan.indexName, indexed: plan.indexed}
-	if plan.indexed {
-		cols, ok := t.IndexCols(plan.indexName)
-		if !ok {
-			return
-		}
-		ent.ixCols = cols
+// put caches p under sql and returns the entry that ends up cached (an
+// earlier one if another goroutine got there first).
+func (c *stmtCache) put(sql string, p *Prepared) *Prepared {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if cur, ok := c.young[sql]; ok {
+		return cur
 	}
-	if replace {
-		e.planCache.Store(key, ent)
-		return
+	if c.young == nil || len(c.young) >= maxStmtCache/2 {
+		c.old = c.young
+		c.young = make(map[string]*Prepared, maxStmtCache/2)
 	}
-	if e.planCount.Load() >= maxPlanCache {
-		return
+	if cur, ok := c.old[sql]; ok {
+		p = cur
 	}
-	if _, loaded := e.planCache.LoadOrStore(key, ent); !loaded {
-		e.planCount.Add(1)
-	}
+	c.young[sql] = p
+	return p
 }

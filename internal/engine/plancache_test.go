@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"bcrdb/internal/storage"
@@ -90,5 +91,110 @@ func TestPlanCacheBoundsShapeGuard(t *testing.T) {
 	got = h.exec(query, types.NewInt(10))
 	if len(got.Rows) != 1 {
 		t.Fatalf("expected 1 row after shape flip, got %d", len(got.Rows))
+	}
+}
+
+// TestStatementCacheKeepsCachingWhenFull pins the rotation: a stream of
+// one-off statement texts larger than the cache must not stop later
+// statements from being cached. (The cache used to freeze once it held
+// maxStmtCache entries: everything first seen after that — a contract
+// deployed later, say — was parsed and planned on every call, forever.)
+func TestStatementCacheKeepsCachingWhenFull(t *testing.T) {
+	h := newHarness(t)
+	h.ddl(`CREATE TABLE fc (id BIGINT PRIMARY KEY, v TEXT)`)
+	h.exec(`INSERT INTO fc VALUES (1, 'a'), (2, 'b')`)
+	hot := `SELECT v FROM fc WHERE id = $1`
+	h.query(hot, types.NewInt(1))
+	for i := 0; i < maxStmtCache+maxStmtCache/4; i++ {
+		h.query(fmt.Sprintf(`SELECT v FROM fc WHERE id = %d`, i))
+		if i%100 == 0 {
+			h.query(hot, types.NewInt(1)) // a statement in use survives the rotations
+		}
+	}
+	hits, misses := h.eng.PlanCacheStats()
+	h.query(hot, types.NewInt(2))
+	if h2, m2 := h.eng.PlanCacheStats(); h2 != hits+1 || m2 != misses {
+		t.Errorf("statement in steady use fell out of the cache: hits %d→%d, misses %d→%d", hits, h2, misses, m2)
+	}
+	fresh := `SELECT id FROM fc WHERE v = $1`
+	h.query(fresh, types.NewString("a"))
+	hits, misses = h.eng.PlanCacheStats()
+	h.query(fresh, types.NewString("b"))
+	if h2, m2 := h.eng.PlanCacheStats(); h2 != hits+1 || m2 != misses {
+		t.Errorf("statement first seen after %d one-off texts is not cached: hits %d→%d, misses %d→%d",
+			maxStmtCache+maxStmtCache/4, hits, h2, misses, m2)
+	}
+	if n := len(h.eng.stmts.young) + len(h.eng.stmts.old); n > maxStmtCache {
+		t.Errorf("statement cache holds %d entries, bound is %d", n, maxStmtCache)
+	}
+}
+
+// TestPreparedPlansSharedAcrossGoroutines runs what a node's exec workers,
+// sealer and query handlers do to the caches at once: the same cached
+// statements from many goroutines (so they contend for one plan's scratch
+// slots and access-path list), flipping between bounds shapes, while
+// one-off texts rotate the statement cache and DDL moves the schema epoch
+// under everybody. Every execution must still return the right answer;
+// with -race this audits the sharing.
+func TestPreparedPlansSharedAcrossGoroutines(t *testing.T) {
+	h := joinHarness(t)
+	var wg sync.WaitGroup
+	fail := make(chan error, 16)
+	report := func(format string, args ...any) {
+		select {
+		case fail <- fmt.Errorf(format, args...):
+		default:
+		}
+	}
+	const rounds = 150
+	for w := 0; w < 6; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				rec := storage.NewTxRecord(h.st.BeginTx(), h.block)
+				ctx := &ExecCtx{Mode: ModeContract, Height: h.block, Rec: rec,
+					Params: []types.Value{types.NewInt(int64((w + r) % 50))}}
+				want := int64(50)
+				if r%5 == 0 { // another bounds shape: no bound, nothing matches
+					ctx.Params, want = []types.Value{types.Null()}, 0
+				}
+				res, err := h.eng.ExecSQL(ctx, joinAggregateSQL)
+				if err != nil || res.Rows[0][1].Int() != want {
+					report("join aggregate: %v, %v", res, err)
+				}
+				res, err = h.eng.ExecSQL(ctx, `UPDATE order_items SET qty = qty + 1 WHERE order_id = $1`)
+				if err != nil || int64(res.Affected) != want/10 {
+					report("update: %v, %v", res, err)
+				}
+				h.st.AbortTx(rec)
+			}
+		}(w)
+	}
+	wg.Add(1)
+	go func() { // one-off texts: rotate the statement cache
+		defer wg.Done()
+		ctx := &ExecCtx{Mode: ModeReadOnly, Height: h.block}
+		for i := 0; i < maxStmtCache+500; i++ {
+			res, err := h.eng.ExecSQL(ctx, fmt.Sprintf(`SELECT region FROM orders WHERE id = %d`, i%500))
+			if err != nil || len(res.Rows) != 1 || res.Rows[0][0].Int() != int64(i%50) {
+				report("ad-hoc select %d: %v, %v", i, res, err)
+			}
+		}
+	}()
+	wg.Add(1)
+	go func() { // DDL: every cached plan goes stale, again and again
+		defer wg.Done()
+		for i := 0; i < 40; i++ {
+			ctx := &ExecCtx{Mode: ModeSystem, Height: h.block, Rec: storage.NewTxRecord(h.st.BeginTx(), h.block)}
+			if _, err := h.eng.ExecSQL(ctx, fmt.Sprintf(`CREATE TABLE side%d (id BIGINT PRIMARY KEY)`, i)); err != nil {
+				report("ddl: %v", err)
+			}
+		}
+	}()
+	wg.Wait()
+	close(fail)
+	for err := range fail {
+		t.Error(err)
 	}
 }

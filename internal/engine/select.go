@@ -11,7 +11,300 @@ import (
 	"bcrdb/internal/types"
 )
 
-func (e *Engine) execSelect(ctx *ExecCtx, s *sqlparser.Select) (*Result, error) {
+// Executing a queryPlan streams rows: the first input is scanned, every
+// row is carried through the joins (an index probe per outer row, or a
+// loop over an input scanned once up front), filtered by WHERE and handed
+// to the sink — aggregate accumulators or the projection. Nothing is
+// buffered between operators except the versions one scan or probe found,
+// which live in scratch slices the plan recycles; what a query inherently
+// has to hold (its groups, its output rows for DISTINCT/ORDER BY/LIMIT) is
+// all that is materialised.
+//
+// What a replica can observe is fixed by three rules the old materialising
+// executor followed and this one keeps: a scan emits in (index key, primary
+// key) order and a probe or write scan in primary-key order, whatever
+// order versions were inserted in; every scan records its range before it
+// runs and every version it yields, whether or not a later operator drops
+// the row; and a join emits, per outer row in order, the matching inner
+// rows in order, so an aggregate sees — and a float SUM associates — the
+// same sequence on every node.
+
+// hit is one version a scan yielded: all an operator may keep of it.
+type hit struct {
+	id  uint64    // heap ref, for read tracking and writes
+	row types.Row // immutable
+}
+
+// execState is the scratch of one execution of a plan.
+type execState struct {
+	plan    *queryPlan
+	env     evalEnv
+	hits    [][]hit                            // per input
+	collect []func(v *storage.RowVersion) bool // per input: the ScanIndex callback filling hits
+	vals    []types.Value                      // values of the sargable predicates, two slots each
+	active  []bool                             // which of them carry a value
+	keyBuf  []types.Value                      // backing store range keys are carved from
+	sorter  hitSorter
+	single  group // the one group of an aggregate without GROUP BY
+	groups  map[string]*group
+	byKey   []*group // groups in order of first appearance
+	aggVals []types.Value
+	out     []types.Row
+}
+
+func newExecState(p *queryPlan) *execState {
+	st := &execState{
+		plan:    p,
+		hits:    make([][]hit, len(p.tables)),
+		collect: make([]func(*storage.RowVersion) bool, len(p.tables)),
+		vals:    make([]types.Value, 2*p.nCands),
+		active:  make([]bool, p.nCands),
+		aggVals: make([]types.Value, len(p.aggs)),
+	}
+	st.env.rows = make([]types.Row, len(p.tables))
+	st.env.unbound = p.unbound
+	st.single.aggs = make([]aggState, len(p.aggs))
+	for i := range p.tables {
+		i := i
+		if p.provenance {
+			st.collect[i] = func(v *storage.RowVersion) bool {
+				st.hits[i] = append(st.hits[i], hit{v.ID, provenanceRow(v)})
+				return true
+			}
+		} else {
+			// Version data is immutable after insert and no operator mutates
+			// a row in place, so the stored row is handed on uncopied.
+			st.collect[i] = func(v *storage.RowVersion) bool {
+				st.hits[i] = append(st.hits[i], hit{v.ID, v.Data})
+				return true
+			}
+		}
+	}
+	return st
+}
+
+// provenanceRow extends a version's row with the system columns. It runs
+// inside the scan callback: the stamps are guarded by the table latch.
+func provenanceRow(v *storage.RowVersion) types.Row {
+	row := make(types.Row, len(v.Data), len(v.Data)+4)
+	copy(row, v.Data)
+	orNull := func(set bool, n int64) types.Value {
+		if set {
+			return types.NewInt(n)
+		}
+		return types.Null()
+	}
+	return append(row,
+		types.NewInt(int64(v.Xmin)),
+		orNull(v.Xmax != 0, int64(v.Xmax)),
+		orNull(v.CreatorBlk != storage.NoBlock, v.CreatorBlk),
+		orNull(v.DeleterBlk != storage.NoBlock, v.DeleterBlk))
+}
+
+// release drops what the execution referenced and returns the scratch to
+// the plan.
+func (st *execState) release() {
+	for i := range st.hits {
+		clear(st.hits[i])
+		st.hits[i] = st.hits[i][:0]
+	}
+	clear(st.env.rows)
+	clear(st.vals)
+	clear(st.aggVals)
+	st.env.ctx, st.env.aggs, st.out = nil, nil, nil
+	st.groups, st.byKey = nil, nil
+	for i := range st.plan.states {
+		if st.plan.states[i].CompareAndSwap(nil, st) {
+			return
+		}
+	}
+}
+
+// newKey carves an n-value key out of keyBuf. Keys end up in the
+// transaction's recorded ranges, so they are never reused; carving them
+// from a shared chunk only saves the per-key allocation.
+func (st *execState) newKey(n int) types.Key {
+	if len(st.keyBuf) < n {
+		st.keyBuf = make([]types.Value, 16*n)
+	}
+	k := st.keyBuf[:n:n]
+	st.keyBuf = st.keyBuf[n:]
+	return types.Key(k)
+}
+
+// hitSorter orders hits by the given columns, then by primary key.
+type hitSorter struct {
+	hits        []hit
+	first, then []int
+}
+
+func (s *hitSorter) Len() int      { return len(s.hits) }
+func (s *hitSorter) Swap(i, j int) { s.hits[i], s.hits[j] = s.hits[j], s.hits[i] }
+func (s *hitSorter) Less(i, j int) bool {
+	a, b := s.hits[i].row, s.hits[j].row
+	for _, cols := range [2][]int{s.first, s.then} {
+		for _, c := range cols {
+			if cmp := types.Compare(a[c], b[c]); cmp != 0 {
+				return cmp < 0
+			}
+		}
+	}
+	return false
+}
+
+// sortHits puts hits into emission order. ScanIndex yields index-key
+// order with heap-ref ties, which already is the wanted order unless rows
+// sharing an index key were inserted out of primary-key order (or, for a
+// probe over a composite prefix, at all times) — so check before sorting.
+func (st *execState) sortHits(hits []hit, first, then []int) {
+	st.sorter = hitSorter{hits: hits, first: first, then: then}
+	for i := 1; i < len(hits); i++ {
+		if st.sorter.Less(i, i-1) {
+			sort.Stable(&st.sorter)
+			break
+		}
+	}
+	st.sorter.hits = nil
+}
+
+// scan fills hits[i] with the versions of input i inside rng, in emission
+// order (ixCols, then primary key), recording the range and the versions.
+func (e *Engine) scan(st *execState, i int, ixName string, ixCols []int, rng index.Range) error {
+	p, ctx := st.plan, st.env.ctx
+	t := p.tables[i]
+	track := ctx.tracking() && !p.provenance
+	if track {
+		ctx.Rec.NoteRange(t.name, ixName, rng)
+	}
+	mode := storage.ScanVisible
+	if p.provenance {
+		mode = storage.ScanProvenance
+	}
+	st.hits[i] = st.hits[i][:0]
+	if err := e.store.ScanIndex(t.name, ixName, rng, ctx.selfID(), ctx.snapshotHeight(), mode, st.collect[i]); err != nil {
+		return err
+	}
+	st.sortHits(st.hits[i], ixCols, t.pkCols)
+	if track {
+		for _, h := range st.hits[i] {
+			ctx.Rec.NoteRead(t.name, h.id)
+		}
+	}
+	return nil
+}
+
+// checkAccess enforces what depends on the execution context rather than
+// on the plan: contracts may not read node-private tables or
+// sys_ledger (their contents differ per node — sys_ledger carries
+// node-local xids and is sealed asynchronously behind the committed
+// height).
+func (ctx *ExecCtx) checkAccess(t *tableAccess) error {
+	if ctx.Mode != ModeContract {
+		return nil
+	}
+	if t.private {
+		return fmt.Errorf("%w: contract read of private table %q", ErrSchemaClass, t.name)
+	}
+	if t.name == "sys_ledger" {
+		return fmt.Errorf("%w: contract read of %q (node bookkeeping, sealed asynchronously)", ErrSchemaClass, t.name)
+	}
+	return nil
+}
+
+// pathOf evaluates input i's sargable predicates and returns the access
+// path for the resulting bounds shape, and whether it was already known.
+func (st *execState) pathOf(i int) (*accessPath, bool) {
+	t := st.plan.tables[i]
+	active := st.active[t.candBase : t.candBase+len(t.cands)]
+	vals := st.vals[2*t.candBase:]
+	for ci, c := range t.cands {
+		v, err := st.env.eval(c.val)
+		active[ci] = err == nil && !v.IsNull()
+		vals[2*ci] = v
+		if c.op == candBetween && active[ci] {
+			hi, err := st.env.eval(c.hi)
+			active[ci] = err == nil && !hi.IsNull()
+			vals[2*ci+1] = hi
+		}
+	}
+	return t.pathFor(active)
+}
+
+// scanInput scans input i over the access path its predicates allow: a
+// SELECT in (index key, primary key) order, the WHERE scan of a write in
+// primary-key order. It reports whether the path was already known.
+func (e *Engine) scanInput(st *execState, i int) (known bool, err error) {
+	p, ctx := st.plan, st.env.ctx
+	t := p.tables[i]
+	path, known := st.pathOf(i)
+	if !path.indexed && ctx.tracking() && ctx.RequireIndex {
+		if p.write && p.where == nil {
+			return known, ErrBlindUpdate
+		}
+		return known, fmt.Errorf("%w: table %s", ErrNoIndex, t.name)
+	}
+	var ixCols []int
+	if !p.write {
+		ixCols = path.cols
+	}
+	return known, e.scan(st, i, path.index, ixCols, path.scanRange(st, t))
+}
+
+// planFor returns the plan hanging off pr, preparing stmt anew when there is
+// none for the current schema epoch, and whether it was found.
+func (e *Engine) planFor(pr *Prepared, stmt sqlparser.Statement) (plan *queryPlan, cached bool, err error) {
+	if plan = pr.plan.Load(); plan != nil && plan.epoch == e.store.SchemaEpoch() {
+		return plan, true, nil
+	}
+	if plan, err = e.prepare(stmt); err != nil {
+		return nil, false, err
+	}
+	pr.plan.Store(plan)
+	return plan, false, nil
+}
+
+// begin starts an execution of a prepared SELECT, UPDATE or DELETE: it
+// finds (or builds) the statement's plan, takes an execution scratch from
+// it and reads every scanned input. The caller releases the scratch.
+func (e *Engine) begin(ctx *ExecCtx, pr *Prepared) (*execState, error) {
+	plan, cached, err := e.planFor(pr, pr.stmt)
+	if err != nil {
+		e.planMisses.Add(1)
+		return nil, err
+	}
+	st := plan.state()
+	st.env.ctx = ctx
+	// Every scanned input is read before anything is streamed: the ranges
+	// land in the read set in input order, and an input is read (and
+	// recorded) even when an earlier one turns out empty.
+	for i, t := range plan.tables {
+		var err error
+		if !plan.write { // a write's table went through checkWriteClass
+			err = ctx.checkAccess(t)
+		}
+		if err == nil && t.probe == nil {
+			if i > 0 && ctx.tracking() && ctx.RequireIndex {
+				err = fmt.Errorf("%w: join on %s has no usable index", ErrNoIndex, t.name)
+			} else {
+				var known bool
+				known, err = e.scanInput(st, i)
+				cached = cached && known
+			}
+		}
+		if err != nil {
+			st.release()
+			return nil, err
+		}
+	}
+	if cached {
+		e.planHits.Add(1)
+	} else {
+		e.planMisses.Add(1)
+	}
+	return st, nil
+}
+
+func (e *Engine) execSelect(ctx *ExecCtx, pr *Prepared, s *sqlparser.Select) (*Result, error) {
 	// FROM-less select: evaluate items once against the empty relation.
 	if s.From == nil {
 		env := &evalEnv{ctx: ctx}
@@ -30,324 +323,134 @@ func (e *Engine) execSelect(ctx *ExecCtx, s *sqlparser.Select) (*Result, error) 
 		}
 		return &Result{Cols: cols, Rows: []types.Row{row}}, nil
 	}
-
-	if s.Provenance && (ctx.tracking()) {
+	if s.Provenance && ctx.tracking() {
 		return nil, fmt.Errorf("engine: provenance queries are read-only and cannot run inside contracts")
 	}
-
-	conjuncts := splitConjuncts(s.Where)
-	rs, rows, err := e.scanBase(ctx, s.From.Table, s.From.Alias, s.Where, conjuncts, s.Provenance)
+	st, err := e.begin(ctx, pr)
 	if err != nil {
 		return nil, err
 	}
-	for _, j := range s.Joins {
-		rs, rows, err = e.execJoin(ctx, rs, rows, j, s.Where, conjuncts, s.Provenance)
-		if err != nil {
+	defer st.release()
+	p := st.plan
+	if err := p.checkRefs(ctx); err != nil {
+		return nil, err
+	}
+	if p.grouped {
+		st.startGroups()
+	}
+	for _, h := range st.hits[0] {
+		st.env.rows[0] = h.row
+		if err := e.joinFrom(st, 1); err != nil {
 			return nil, err
 		}
 	}
-
-	// Eager name resolution: bad column references must fail even when
-	// the input is empty (PostgreSQL semantics), instead of lazily on
-	// the first row.
-	if err := e.validateRefs(ctx, rs, s); err != nil {
-		return nil, err
-	}
-
-	// WHERE filter over the joined relation.
-	if s.Where != nil {
-		kept := rows[:0]
-		env := evalEnv{ctx: ctx, rs: rs}
-		for _, r := range rows {
-			env.row = r
-			v, err := env.eval(s.Where)
-			if err != nil {
-				return nil, err
-			}
-			if truthy(v) {
-				kept = append(kept, r)
-			}
-		}
-		rows = kept
-	}
-
-	items, err := expandItems(s, rs)
-	if err != nil {
-		return nil, err
-	}
-
-	grouped := len(s.GroupBy) > 0
-	if !grouped {
-		for _, it := range items {
-			if sqlparser.HasAggregate(it.Expr) {
-				grouped = true
-				break
-			}
-		}
-		if !grouped && s.Having != nil {
-			grouped = true
+	if p.grouped {
+		if err := st.emitGroups(); err != nil {
+			return nil, err
 		}
 	}
-
-	var out *Result
-	if grouped {
-		out, err = e.projectGrouped(ctx, s, items, rs, rows)
-	} else {
-		out, err = e.projectPlain(ctx, s, items, rs, rows)
-	}
-	if err != nil {
-		return nil, err
-	}
-
-	if s.Distinct {
-		out.Rows = dedupeRows(out.Rows, len(out.Cols))
-	}
-
-	// ORDER BY keys were attached as hidden trailing columns by the
-	// projection phases; sort, then strip.
-	nOrder := len(s.OrderBy)
-	if nOrder > 0 {
-		descs := make([]bool, nOrder)
-		for i, o := range s.OrderBy {
-			descs[i] = o.Desc
-		}
-		w := len(out.Cols)
-		sort.SliceStable(out.Rows, func(i, j int) bool {
-			a, b := out.Rows[i], out.Rows[j]
-			for k := 0; k < nOrder; k++ {
-				c := types.Compare(a[w+k], b[w+k])
-				if c != 0 {
-					if descs[k] {
-						return c > 0
-					}
-					return c < 0
-				}
-			}
-			// Total tie-break over the visible columns keeps the order —
-			// and therefore LIMIT results — identical on every replica.
-			return types.CompareKeys(types.Key(a[:w]), types.Key(b[:w])) < 0
-		})
-		for i := range out.Rows {
-			out.Rows[i] = out.Rows[i][:w]
-		}
-	}
-
-	// LIMIT / OFFSET.
-	if s.Limit != nil || s.Offset != nil {
-		if s.Limit != nil && nOrder == 0 && ctx.tracking() {
-			return nil, ErrLimitNeedsOrder
-		}
-		offset := int64(0)
-		if s.Offset != nil {
-			v, ok := e.constValue(ctx, s.Offset)
-			if !ok || v.Kind() != types.KindInt || v.Int() < 0 {
-				return nil, fmt.Errorf("engine: OFFSET must be a non-negative integer")
-			}
-			offset = v.Int()
-		}
-		limit := int64(len(out.Rows))
-		if s.Limit != nil {
-			v, ok := e.constValue(ctx, s.Limit)
-			if !ok || v.Kind() != types.KindInt || v.Int() < 0 {
-				return nil, fmt.Errorf("engine: LIMIT must be a non-negative integer")
-			}
-			limit = v.Int()
-		}
-		if offset > int64(len(out.Rows)) {
-			offset = int64(len(out.Rows))
-		}
-		end := offset + limit
-		if end > int64(len(out.Rows)) {
-			end = int64(len(out.Rows))
-		}
-		out.Rows = out.Rows[offset:end]
-	}
-	return out, nil
+	return e.finish(st)
 }
 
-// validateRefs checks that every column reference in the query's main
-// clauses resolves against the joined relation (or a bound procedure
-// variable / parameter).
-func (e *Engine) validateRefs(ctx *ExecCtx, rs *relSchema, s *sqlparser.Select) error {
-	check := func(x sqlparser.Expr) error {
-		var bad error
-		sqlparser.WalkExpr(x, func(n sqlparser.Expr) {
-			if bad != nil {
-				return
-			}
-			c, ok := n.(*sqlparser.ColumnRef)
-			if !ok {
-				return
-			}
-			if _, err := rs.resolve(c.Table, c.Column); err == nil {
-				return
-			} else if c.Table == "" && ctx.Vars != nil {
-				if _, isVar := ctx.Vars[c.Column]; isVar {
-					return
-				}
-			} else if c.Table == "" {
-				// keep the resolve error below
-				_ = err
-			}
-			_, bad = rs.resolve(c.Table, c.Column)
-		})
-		return bad
-	}
-	for _, it := range s.Items {
-		if it.Star {
-			continue
-		}
-		if err := check(it.Expr); err != nil {
-			return err
-		}
-	}
-	if err := check(s.Where); err != nil {
-		return err
-	}
-	for _, g := range s.GroupBy {
-		if err := check(g); err != nil {
-			return err
-		}
-	}
-	if err := check(s.Having); err != nil {
-		return err
-	}
-	for _, o := range s.OrderBy {
-		// ORDER BY may name an output alias; skip bare names that match.
-		if c, ok := o.Expr.(*sqlparser.ColumnRef); ok && c.Table == "" {
-			named := false
-			for _, it := range s.Items {
-				if itemName(it) == c.Column {
-					named = true
-					break
-				}
-			}
-			if named {
+// checkRefs is the eager name resolution of a SELECT: bad column
+// references must fail even when the input is empty (PostgreSQL
+// semantics), instead of lazily on the first row.
+func (p *queryPlan) checkRefs(ctx *ExecCtx) error {
+	for _, c := range p.eager {
+		if c.Table == "" && ctx.Vars != nil {
+			if _, isVar := ctx.Vars[c.Column]; isVar {
 				continue
 			}
 		}
-		if l, ok := o.Expr.(*sqlparser.Literal); ok && l.Val.Kind() == types.KindInt {
-			continue // positional
+		return p.unbound[c]
+	}
+	return p.groupErr
+}
+
+// joinFrom carries the current row combination of inputs [0, i) through
+// join i and the ones after it, then through WHERE into the sink.
+func (e *Engine) joinFrom(st *execState, i int) error {
+	p := st.plan
+	if i == len(p.tables) {
+		if p.where != nil {
+			v, err := st.env.eval(p.where)
+			if err != nil || !truthy(v) {
+				return err
+			}
 		}
-		if err := check(o.Expr); err != nil {
+		if p.grouped {
+			return st.accumulate()
+		}
+		return st.appendOutput()
+	}
+	t := p.tables[i]
+	if t.probe != nil {
+		key := st.newKey(len(t.probe.keys))
+		for k, x := range t.probe.keys {
+			v, err := st.env.eval(x)
+			if err != nil {
+				return err
+			}
+			if v.IsNull() {
+				key = nil // NULL equals nothing: no lookup, no match
+				break
+			}
+			key[k] = v
+		}
+		st.hits[i] = st.hits[i][:0]
+		if key != nil {
+			rng := index.PrefixRange(key)
+			if t.probe.point {
+				rng = index.PointRange(key)
+			}
+			if err := e.scan(st, i, t.probe.index, nil, rng); err != nil {
+				return err
+			}
+		}
+	}
+	matched := false
+	for _, h := range st.hits[i] {
+		st.env.rows[i] = h.row
+		v, err := st.env.eval(t.on)
+		if err != nil {
 			return err
 		}
+		if truthy(v) {
+			matched = true
+			if err := e.joinFrom(st, i+1); err != nil {
+				return err
+			}
+		}
+	}
+	if !matched && t.left {
+		st.env.rows[i] = t.nullRow
+		return e.joinFrom(st, i+1)
 	}
 	return nil
 }
 
-// itemName derives the output column name for a select item.
-func itemName(item sqlparser.SelectItem) string {
-	if item.Alias != "" {
-		return item.Alias
-	}
-	switch x := item.Expr.(type) {
-	case *sqlparser.ColumnRef:
-		return x.Column
-	case *sqlparser.FuncCall:
-		return lowerASCII(x.Name)
-	default:
-		return "?column?"
-	}
-}
-
-func lowerASCII(s string) string {
-	b := []byte(s)
-	for i := range b {
-		if b[i] >= 'A' && b[i] <= 'Z' {
-			b[i] += 'a' - 'A'
-		}
-	}
-	return string(b)
-}
-
-// expandItems replaces * and t.* with explicit column references.
-func expandItems(s *sqlparser.Select, rs *relSchema) ([]sqlparser.SelectItem, error) {
-	var out []sqlparser.SelectItem
-	for _, item := range s.Items {
-		if !item.Star {
-			out = append(out, item)
-			continue
-		}
-		matched := false
-		for _, c := range rs.cols {
-			if item.Table != "" && c.alias != item.Table {
-				continue
-			}
-			matched = true
-			out = append(out, sqlparser.SelectItem{
-				Expr:  &sqlparser.ColumnRef{Table: c.alias, Column: c.name},
-				Alias: c.name,
-			})
-		}
-		if !matched {
-			return nil, fmt.Errorf("engine: unknown table %q in %s.*", item.Table, item.Table)
-		}
-	}
-	return out, nil
-}
-
-// projectPlain evaluates items per input row, appending hidden ORDER BY
-// key columns.
-func (e *Engine) projectPlain(ctx *ExecCtx, s *sqlparser.Select, items []sqlparser.SelectItem, rs *relSchema, rows []types.Row) (*Result, error) {
-	cols := make([]string, len(items))
-	for i, it := range items {
-		cols[i] = itemName(it)
-	}
-	orderExprs := resolveOrderExprs(s, items)
-	out := make([]types.Row, 0, len(rows))
-	env := evalEnv{ctx: ctx, rs: rs}
-	for _, r := range rows {
-		env.row = r
-		orow := make(types.Row, 0, len(items)+len(orderExprs))
-		for _, it := range items {
-			v, err := env.eval(it.Expr)
+// appendOutput evaluates the select items and the hidden ORDER BY keys in
+// the current environment into a new output row.
+func (st *execState) appendOutput() error {
+	p := st.plan
+	orow := make(types.Row, 0, len(p.items)+len(p.order))
+	for _, exprs := range [2][]sqlparser.Expr{p.items, p.order} {
+		for _, x := range exprs {
+			v, err := st.env.eval(x)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			orow = append(orow, v)
 		}
-		for _, oe := range orderExprs {
-			v, err := env.eval(oe)
-			if err != nil {
-				return nil, err
-			}
-			orow = append(orow, v)
-		}
-		out = append(out, orow)
 	}
-	return &Result{Cols: cols, Rows: out}, nil
+	st.out = append(st.out, orow)
+	return nil
 }
 
-// resolveOrderExprs maps ORDER BY expressions to evaluable expressions:
-// bare names matching an item alias resolve to that item's expression,
-// and integer literals resolve positionally.
-func resolveOrderExprs(s *sqlparser.Select, items []sqlparser.SelectItem) []sqlparser.Expr {
-	out := make([]sqlparser.Expr, 0, len(s.OrderBy))
-	for _, o := range s.OrderBy {
-		e := o.Expr
-		if c, ok := e.(*sqlparser.ColumnRef); ok && c.Table == "" {
-			for _, it := range items {
-				if itemName(it) == c.Column && it.Expr != nil {
-					e = it.Expr
-					break
-				}
-			}
-		}
-		if l, ok := e.(*sqlparser.Literal); ok && l.Val.Kind() == types.KindInt {
-			n := int(l.Val.Int())
-			if n >= 1 && n <= len(items) {
-				e = items[n-1].Expr
-			}
-		}
-		out = append(out, e)
-	}
-	return out
-}
-
-// aggSpec describes one aggregate call discovered in the query.
+// aggSpec describes one aggregate call of a grouped query.
 type aggSpec struct {
 	call *sqlparser.FuncCall
+	arg  sqlparser.Expr // bound; nil for COUNT(*) and for calls without exactly one argument
 }
 
 // aggState accumulates one aggregate for one group.
@@ -445,215 +548,161 @@ func (a *aggState) result(spec *aggSpec) types.Value {
 	return types.Null()
 }
 
-// projectGrouped evaluates a grouped query: group rows by the GROUP BY
-// keys, accumulate aggregates, validate that non-aggregate references are
-// grouping expressions, then emit one row per group in key order.
-func (e *Engine) projectGrouped(ctx *ExecCtx, s *sqlparser.Select, items []sqlparser.SelectItem, rs *relSchema, rows []types.Row) (*Result, error) {
-	orderExprs := resolveOrderExprs(s, items)
+// group is one group of a grouped query: its key, the first row
+// combination that fell into it (the GROUP BY expressions of the output
+// are evaluated against it; nothing is for the one group of an aggregate
+// without GROUP BY, whose output may reference no column) and its
+// accumulators.
+type group struct {
+	key   types.Key
+	first []types.Row
+	aggs  []aggState
+}
 
-	// Discover aggregate calls across items, HAVING and ORDER BY.
-	var specs []*aggSpec
-	specOf := make(map[*sqlparser.FuncCall]int)
-	collect := func(x sqlparser.Expr) {
-		sqlparser.WalkExpr(x, func(n sqlparser.Expr) {
-			if f, ok := n.(*sqlparser.FuncCall); ok && sqlparser.AggregateFuncs[f.Name] {
-				if _, seen := specOf[f]; !seen {
-					specOf[f] = len(specs)
-					specs = append(specs, &aggSpec{call: f})
-				}
-			}
-		})
+// startGroups resets the grouping state for a new execution.
+func (st *execState) startGroups() {
+	p := st.plan
+	if len(p.groupBy) == 0 {
+		clear(st.single.aggs)
+		return
 	}
-	for _, it := range items {
-		collect(it.Expr)
-	}
-	collect(s.Having)
-	for _, oe := range orderExprs {
-		collect(oe)
-	}
+	st.groups = make(map[string]*group)
+}
 
-	// Validate grouping references.
-	groupKeys := make([]string, len(s.GroupBy))
-	for i, g := range s.GroupBy {
-		groupKeys[i] = exprKey(g)
-	}
-	var validate func(x sqlparser.Expr) error
-	validate = func(x sqlparser.Expr) error {
-		if x == nil {
-			return nil
-		}
-		for _, gk := range groupKeys {
-			if exprKey(x) == gk {
-				return nil
-			}
-		}
-		if f, ok := x.(*sqlparser.FuncCall); ok && sqlparser.AggregateFuncs[f.Name] {
-			return nil
-		}
-		if c, ok := x.(*sqlparser.ColumnRef); ok {
-			return fmt.Errorf("engine: column %q must appear in GROUP BY or an aggregate", c.Column)
-		}
-		// Recurse over direct children by type.
-		var err error
-		switch t := x.(type) {
-		case *sqlparser.FuncCall:
-			for _, a := range t.Args {
-				if err = validate(a); err != nil {
-					break
-				}
-			}
-		case *sqlparser.Unary:
-			err = validate(t.X)
-		case *sqlparser.Binary:
-			if err = validate(t.L); err == nil {
-				err = validate(t.R)
-			}
-		case *sqlparser.IsNull:
-			err = validate(t.X)
-		case *sqlparser.InList:
-			if err = validate(t.X); err == nil {
-				for _, i := range t.List {
-					if err = validate(i); err != nil {
-						break
-					}
-				}
-			}
-		case *sqlparser.Between:
-			if err = validate(t.X); err == nil {
-				if err = validate(t.Lo); err == nil {
-					err = validate(t.Hi)
-				}
-			}
-		case *sqlparser.Like:
-			if err = validate(t.X); err == nil {
-				err = validate(t.Pattern)
-			}
-		case *sqlparser.CaseExpr:
-			for _, w := range t.Whens {
-				if err = validate(w.Cond); err != nil {
-					break
-				}
-				if err = validate(w.Then); err != nil {
-					break
-				}
-			}
-			if err == nil {
-				err = validate(t.Else)
-			}
-		case *sqlparser.Cast:
-			err = validate(t.X)
-		}
-		return err
-	}
-	for _, it := range items {
-		if err := validate(it.Expr); err != nil {
-			return nil, err
-		}
-	}
-	if err := validate(s.Having); err != nil {
-		return nil, err
-	}
-	for _, oe := range orderExprs {
-		if err := validate(oe); err != nil {
-			return nil, err
-		}
-	}
-
-	type group struct {
-		key      types.Key
-		firstRow types.Row
-		aggs     []aggState
-	}
-	groups := make(map[string]*group)
-	env := evalEnv{ctx: ctx, rs: rs}
-	for _, r := range rows {
-		env.row = r
-		key := make(types.Key, len(s.GroupBy))
-		for i, g := range s.GroupBy {
-			v, err := env.eval(g)
+// accumulate adds the current row combination to its group.
+func (st *execState) accumulate() error {
+	p := st.plan
+	g := &st.single
+	if len(p.groupBy) > 0 {
+		key := make(types.Key, len(p.groupBy))
+		for i, x := range p.groupBy {
+			v, err := st.env.eval(x)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			key[i] = v
 		}
-		b := codec.NewBuf(32)
-		b.Row(types.Row(key))
-		ks := string(b.Bytes())
-		grp := groups[ks]
-		if grp == nil {
-			grp = &group{key: key, firstRow: r, aggs: make([]aggState, len(specs))}
-			groups[ks] = grp
-		}
-		for i, spec := range specs {
-			var v types.Value
-			if !spec.call.Star {
-				if len(spec.call.Args) != 1 {
-					return nil, fmt.Errorf("engine: %s expects one argument", spec.call.Name)
-				}
-				var err error
-				v, err = env.eval(spec.call.Args[0])
-				if err != nil {
-					return nil, err
-				}
-			}
-			if err := grp.aggs[i].add(spec, v); err != nil {
-				return nil, err
-			}
+		enc := codec.NewBuf(32)
+		enc.Row(types.Row(key))
+		if g = st.groups[string(enc.Bytes())]; g == nil {
+			g = &group{key: key, first: append([]types.Row(nil), st.env.rows...), aggs: make([]aggState, len(p.aggs))}
+			st.groups[string(enc.Bytes())] = g
+			st.byKey = append(st.byKey, g)
 		}
 	}
-	// Aggregate-only query over empty input yields one all-default group.
-	if len(groups) == 0 && len(s.GroupBy) == 0 {
-		groups[""] = &group{aggs: make([]aggState, len(specs)), firstRow: make(types.Row, len(rs.cols))}
+	for i := range p.aggs {
+		spec := &p.aggs[i]
+		var v types.Value
+		if !spec.call.Star {
+			if spec.arg == nil {
+				return fmt.Errorf("engine: %s expects one argument", spec.call.Name)
+			}
+			var err error
+			if v, err = st.env.eval(spec.arg); err != nil {
+				return err
+			}
+		}
+		if err := g.aggs[i].add(spec, v); err != nil {
+			return err
+		}
 	}
+	return nil
+}
 
-	// Emit groups in key order.
-	keys := make([]string, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
+// emitGroups turns the accumulated groups into output rows, in key order.
+// An aggregate without GROUP BY has exactly one group, even over no input.
+func (st *execState) emitGroups() error {
+	p := st.plan
+	if len(p.groupBy) == 0 {
+		return st.emitGroup(&st.single)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		return types.CompareKeys(groups[keys[i]].key, groups[keys[j]].key) < 0
+	sort.SliceStable(st.byKey, func(i, j int) bool {
+		return types.CompareKeys(st.byKey[i].key, st.byKey[j].key) < 0
 	})
+	for _, g := range st.byKey {
+		if err := st.emitGroup(g); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
-	cols := make([]string, len(items))
-	for i, it := range items {
-		cols[i] = itemName(it)
+func (st *execState) emitGroup(g *group) error {
+	p := st.plan
+	for i := range p.aggs {
+		st.aggVals[i] = g.aggs[i].result(&p.aggs[i])
 	}
-	var out []types.Row
-	for _, k := range keys {
-		grp := groups[k]
-		aggVals := make(map[*sqlparser.FuncCall]types.Value, len(specs))
-		for i, spec := range specs {
-			aggVals[spec.call] = grp.aggs[i].result(spec)
+	copy(st.env.rows, g.first)
+	st.env.aggs = st.aggVals
+	if p.having != nil {
+		hv, err := st.env.eval(p.having)
+		if err != nil || !truthy(hv) {
+			return err
 		}
-		env.row, env.aggVals = grp.firstRow, aggVals
-		if s.Having != nil {
-			hv, err := env.eval(s.Having)
-			if err != nil {
-				return nil, err
-			}
-			if !truthy(hv) {
-				continue
-			}
-		}
-		orow := make(types.Row, 0, len(items)+len(orderExprs))
-		for _, it := range items {
-			v, err := env.eval(it.Expr)
-			if err != nil {
-				return nil, err
-			}
-			orow = append(orow, v)
-		}
-		for _, oe := range orderExprs {
-			v, err := env.eval(oe)
-			if err != nil {
-				return nil, err
-			}
-			orow = append(orow, v)
-		}
-		out = append(out, orow)
 	}
-	return &Result{Cols: cols, Rows: out}, nil
+	return st.appendOutput()
+}
+
+// finish applies the operators that need the whole output — DISTINCT,
+// ORDER BY, LIMIT/OFFSET — and builds the result.
+func (e *Engine) finish(st *execState) (*Result, error) {
+	p, ctx := st.plan, st.env.ctx
+	rows := st.out
+	w := len(p.cols)
+	if p.distinct {
+		rows = dedupeRows(rows, w)
+	}
+	// ORDER BY keys are the hidden trailing columns; sort, then strip.
+	if nOrder := len(p.order); nOrder > 0 {
+		sort.SliceStable(rows, func(i, j int) bool {
+			a, b := rows[i], rows[j]
+			for k := 0; k < nOrder; k++ {
+				c := types.Compare(a[w+k], b[w+k])
+				if c != 0 {
+					if p.desc[k] {
+						return c > 0
+					}
+					return c < 0
+				}
+			}
+			// Total tie-break over the visible columns keeps the order —
+			// and therefore LIMIT results — identical on every replica.
+			return types.CompareKeys(types.Key(a[:w]), types.Key(b[:w])) < 0
+		})
+		for i := range rows {
+			rows[i] = rows[i][:w]
+		}
+	}
+	if p.limit != nil || p.offset != nil {
+		if p.limit != nil && len(p.order) == 0 && ctx.tracking() {
+			return nil, ErrLimitNeedsOrder
+		}
+		offset := int64(0)
+		if p.offset != nil {
+			v, ok := e.constValue(ctx, p.offset)
+			if !ok || v.Kind() != types.KindInt || v.Int() < 0 {
+				return nil, fmt.Errorf("engine: OFFSET must be a non-negative integer")
+			}
+			offset = v.Int()
+		}
+		limit := int64(len(rows))
+		if p.limit != nil {
+			v, ok := e.constValue(ctx, p.limit)
+			if !ok || v.Kind() != types.KindInt || v.Int() < 0 {
+				return nil, fmt.Errorf("engine: LIMIT must be a non-negative integer")
+			}
+			limit = v.Int()
+		}
+		if offset > int64(len(rows)) {
+			offset = int64(len(rows))
+		}
+		end := offset + limit
+		if end > int64(len(rows)) {
+			end = int64(len(rows))
+		}
+		rows = rows[offset:end]
+	}
+	return &Result{Cols: p.cols, Rows: rows}, nil
 }
 
 // dedupeRows removes duplicate rows (comparing the visible width w),
@@ -671,247 +720,4 @@ func dedupeRows(rows []types.Row, w int) []types.Row {
 		}
 	}
 	return out
-}
-
-// execJoin joins the accumulated left relation with one more table.
-// where/whereConjuncts are the statement's WHERE (plan-cache key and
-// bounds for the fallback right-side scan).
-func (e *Engine) execJoin(ctx *ExecCtx, leftRS *relSchema, leftRows []types.Row, j sqlparser.Join, where sqlparser.Expr, whereConjuncts []sqlparser.Expr, provenance bool) (*relSchema, []types.Row, error) {
-	if err := e.checkReadClass(ctx, j.Right.Table); err != nil {
-		return nil, nil, err
-	}
-	rightTable, err := e.store.Table(j.Right.Table)
-	if err != nil {
-		return nil, nil, err
-	}
-	rightSchema := rightTable.Schema()
-	rightRS := baseSchema(rightTable, j.Right.Alias, provenance)
-
-	combined := &relSchema{}
-	combined.cols = append(combined.cols, leftRS.cols...)
-	combined.cols = append(combined.cols, rightRS.cols...)
-
-	// Decompose ON into equality pairs (left expr = right column) and
-	// residual conditions.
-	onConjuncts := splitConjuncts(j.On)
-	type eqPair struct {
-		leftExpr sqlparser.Expr
-		rightCol int // ordinal in right table
-	}
-	var eqs []eqPair
-	var residual []sqlparser.Expr
-	isRightCol := func(x sqlparser.Expr) (int, bool) {
-		c, ok := x.(*sqlparser.ColumnRef)
-		if !ok {
-			return 0, false
-		}
-		if c.Table != "" && c.Table != j.Right.Alias {
-			return 0, false
-		}
-		ord := rightSchema.ColIndex(c.Column)
-		if ord < 0 {
-			return 0, false
-		}
-		// Ambiguity guard: unqualified name must not also resolve on the left.
-		if c.Table == "" {
-			if _, err := leftRS.resolve("", c.Column); err == nil {
-				return 0, false
-			}
-		}
-		return ord, true
-	}
-	refsOnlyLeft := func(x sqlparser.Expr) bool {
-		ok := true
-		sqlparser.WalkExpr(x, func(n sqlparser.Expr) {
-			if c, is := n.(*sqlparser.ColumnRef); is {
-				if _, err := leftRS.resolve(c.Table, c.Column); err != nil {
-					ok = false
-				}
-			}
-		})
-		return ok
-	}
-	for _, cj := range onConjuncts {
-		b, isBin := cj.(*sqlparser.Binary)
-		if isBin && b.Op == "=" {
-			if ord, ok := isRightCol(b.R); ok && refsOnlyLeft(b.L) {
-				eqs = append(eqs, eqPair{leftExpr: b.L, rightCol: ord})
-				continue
-			}
-			if ord, ok := isRightCol(b.L); ok && refsOnlyLeft(b.R) {
-				eqs = append(eqs, eqPair{leftExpr: b.R, rightCol: ord})
-				continue
-			}
-		}
-		residual = append(residual, cj)
-	}
-
-	// Pick an index on the right table covering a prefix of the eq cols.
-	eqByOrd := make(map[int]sqlparser.Expr, len(eqs))
-	for _, p := range eqs {
-		if _, dup := eqByOrd[p.rightCol]; !dup {
-			eqByOrd[p.rightCol] = p.leftExpr
-		}
-	}
-	var lookupIx string
-	var lookupOrds []int
-	for _, name := range append([]string{rightTable.PrimaryIndexName()}, rightTable.Indexes()...) {
-		cols, ok := rightTable.IndexCols(name)
-		if !ok {
-			continue
-		}
-		var ords []int
-		for _, c := range cols {
-			if _, ok := eqByOrd[c]; !ok {
-				break
-			}
-			ords = append(ords, c)
-		}
-		if len(ords) > len(lookupOrds) {
-			lookupIx, lookupOrds = name, ords
-		}
-	}
-
-	residualEqs := eqs // checked via combined-row evaluation of j.On anyway
-	_ = residualEqs
-
-	onEnv := evalEnv{ctx: ctx, rs: combined}
-	evalCombined := func(lrow, rrow types.Row) (bool, error) {
-		full := make(types.Row, 0, len(lrow)+len(rrow))
-		full = append(full, lrow...)
-		full = append(full, rrow...)
-		onEnv.row = full
-		v, err := onEnv.eval(j.On)
-		if err != nil {
-			return false, err
-		}
-		return truthy(v), nil
-	}
-
-	var out []types.Row
-	nullRight := make(types.Row, len(rightRS.cols))
-	for i := range nullRight {
-		nullRight[i] = types.Null()
-	}
-
-	if len(lookupOrds) > 0 && !provenance {
-		// Index-nested-loop join: per-left-row point/prefix lookups.
-		fullCols, _ := rightTable.IndexCols(lookupIx)
-		lenv := evalEnv{ctx: ctx, rs: leftRS}
-		for _, lrow := range leftRows {
-			lenv.row = lrow
-			key := make(types.Key, len(lookupOrds))
-			skip := false
-			for i, ord := range lookupOrds {
-				v, err := lenv.eval(eqByOrd[ord])
-				if err != nil {
-					return nil, nil, err
-				}
-				if v.IsNull() {
-					skip = true
-					break
-				}
-				key[i] = v
-			}
-			matched := false
-			if !skip {
-				var rng index.Range
-				if len(lookupOrds) == len(fullCols) {
-					rng = index.PointRange(key)
-				} else {
-					rng = index.PrefixRange(key)
-				}
-				rrows, err := e.lookupRows(ctx, j.Right.Table, lookupIx, rng, &rightSchema)
-				if err != nil {
-					return nil, nil, err
-				}
-				for _, rrow := range rrows {
-					ok, err := evalCombined(lrow, rrow)
-					if err != nil {
-						return nil, nil, err
-					}
-					if ok {
-						matched = true
-						full := make(types.Row, 0, len(lrow)+len(rrow))
-						full = append(full, lrow...)
-						full = append(full, rrow...)
-						out = append(out, full)
-					}
-				}
-			}
-			if !matched && j.Kind == "LEFT" {
-				full := make(types.Row, 0, len(lrow)+len(nullRight))
-				full = append(full, lrow...)
-				full = append(full, nullRight...)
-				out = append(out, full)
-			}
-		}
-		return combined, out, nil
-	}
-
-	// Fallback: materialize the right side once (bounds from WHERE), then
-	// nested-loop. Disallowed when an index is mandatory.
-	if ctx.tracking() && ctx.RequireIndex {
-		return nil, nil, fmt.Errorf("%w: join on %s has no usable index", ErrNoIndex, j.Right.Table)
-	}
-	_, rightRows, err := e.scanBase(ctx, j.Right.Table, j.Right.Alias, where, whereConjuncts, provenance)
-	if err != nil {
-		return nil, nil, err
-	}
-	for _, lrow := range leftRows {
-		matched := false
-		for _, rrow := range rightRows {
-			ok, err := evalCombined(lrow, rrow)
-			if err != nil {
-				return nil, nil, err
-			}
-			if ok {
-				matched = true
-				full := make(types.Row, 0, len(lrow)+len(rrow))
-				full = append(full, lrow...)
-				full = append(full, rrow...)
-				out = append(out, full)
-			}
-		}
-		if !matched && j.Kind == "LEFT" {
-			full := make(types.Row, 0, len(lrow)+len(nullRight))
-			full = append(full, lrow...)
-			full = append(full, nullRight...)
-			out = append(out, full)
-		}
-	}
-	return combined, out, nil
-}
-
-// lookupRows reads the visible rows matching rng through the named index,
-// sorted by primary key, with read/range tracking.
-func (e *Engine) lookupRows(ctx *ExecCtx, table, ixName string, rng index.Range, schema *storage.Schema) ([]types.Row, error) {
-	if ctx.tracking() {
-		ctx.Rec.NoteRange(table, ixName, rng)
-	}
-	type hit struct {
-		pk  types.Key
-		ver *storage.RowVersion
-	}
-	var hits []hit
-	err := e.store.ScanIndex(table, ixName, rng, ctx.selfID(), ctx.snapshotHeight(), storage.ScanVisible, func(v *storage.RowVersion) bool {
-		hits = append(hits, hit{pk: schema.PKKey(v.Data), ver: v})
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	sort.SliceStable(hits, func(i, j int) bool {
-		return types.CompareKeys(hits[i].pk, hits[j].pk) < 0
-	})
-	rows := make([]types.Row, 0, len(hits))
-	for _, h := range hits {
-		if ctx.tracking() {
-			ctx.Rec.NoteRead(table, h.ver.ID)
-		}
-		// Version data is immutable after insert; hand it out directly
-		// (join combination always copies into a fresh combined row).
-		rows = append(rows, h.ver.Data)
-	}
-	return rows, nil
 }

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -253,5 +255,155 @@ func TestErrorMessagesNameTheProblem(t *testing.T) {
 		if _, err := h.tryExec(c.sql); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: err = %v", c.sql, err)
 		}
+	}
+}
+
+// explainLines runs EXPLAIN read-only and returns its rows.
+func explainLines(t *testing.T, h *harness, sql string, params ...types.Value) []string {
+	t.Helper()
+	res := h.query(sql, params...)
+	if len(res.Cols) != 1 || res.Cols[0] != "plan" {
+		t.Fatalf("EXPLAIN cols = %v", res.Cols)
+	}
+	lines := make([]string, len(res.Rows))
+	for i, r := range res.Rows {
+		lines[i] = r[0].Str()
+	}
+	return lines
+}
+
+// TestExplainReportsThePlan asserts plans by value: which index serves
+// each input, as what kind of access, which join strategy, what is left
+// to the filter, and whether the plan was found prepared.
+func TestExplainReportsThePlan(t *testing.T) {
+	h := joinHarness(t)
+	h.t = t
+	h.ddl(`CREATE TABLE customers (id BIGINT PRIMARY KEY, name TEXT)`)
+	h.ddl(`CREATE TABLE events (id BIGINT PRIMARY KEY, grp BIGINT, seq BIGINT)`)
+	h.ddl(`CREATE INDEX events_grp_seq ON events (grp, seq)`)
+
+	got := explainLines(t, h, `EXPLAIN `+joinAggregateSQL, types.NewInt(3))
+	want := []string{
+		"scan orders as o: point scan of orders_region (region)",
+		"inner join order_items as oi: point probe of order_items_order (order_id), on (oi.order_id = o.id)",
+		"filter: (o.region = $1)",
+		"aggregate: group by ()",
+		"project: sum, count",
+		"plan cache: miss",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("join plan:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	// Same statement again: the plan is found prepared. A NULL parameter
+	// is another bounds shape — no usable bound, so a full scan, chosen
+	// anew.
+	if got := explainLines(t, h, `EXPLAIN `+joinAggregateSQL, types.NewInt(4)); got[len(got)-1] != "plan cache: hit" {
+		t.Errorf("second EXPLAIN: %q", got[len(got)-1])
+	}
+	got = explainLines(t, h, `EXPLAIN `+joinAggregateSQL, types.Null())
+	if got[0] != "scan orders as o: full scan of orders_pkey" || got[len(got)-1] != "plan cache: miss" {
+		t.Errorf("NULL-parameter plan: %q", got)
+	}
+
+	for _, c := range []struct {
+		sql  string
+		want []string // lines that must appear
+	}{
+		{`EXPLAIN SELECT id FROM order_items WHERE id >= 10 AND id < 20 ORDER BY qty DESC LIMIT 5 OFFSET 1`,
+			[]string{"scan order_items as order_items: range scan of order_items_pkey (id)", "sort: qty DESC", "limit: 5", "offset: 1"}},
+		{`EXPLAIN SELECT DISTINCT status FROM orders WHERE id = 7`,
+			[]string{"scan orders as orders: point scan of orders_pkey (id)", "distinct"}},
+		{`EXPLAIN SELECT o.id, c.name FROM orders o LEFT JOIN customers c ON c.name = o.status`,
+			[]string{"scan orders as o: full scan of orders_pkey", "left join customers as c: nested loop over full scan of customers_pkey, on (c.name = o.status)"}},
+		{`EXPLAIN SELECT o.id FROM orders o JOIN customers c ON c.id = o.customer WHERE o.region = 1 AND o.id > 5`,
+			[]string{"scan orders as o: point scan of orders_region (region)", "inner join customers as c: point probe of customers_pkey (id), on (c.id = o.customer)"}},
+		{`EXPLAIN SELECT e.id FROM orders o JOIN events e ON e.grp = o.id WHERE o.id = 3`,
+			[]string{"inner join events as e: prefix probe of events_grp_seq (grp), on (e.grp = o.id)"}},
+		{`EXPLAIN SELECT id FROM events WHERE grp = 1 AND seq > 2`,
+			[]string{"scan events as events: range scan of events_grp_seq (grp, seq)"}},
+		{`EXPLAIN SELECT region, COUNT(*) FROM orders GROUP BY region HAVING COUNT(*) > 1`,
+			[]string{"aggregate: group by (region)", "having: (COUNT(*) > 1)"}},
+		{`EXPLAIN SELECT 1 + 1`, []string{"result: one row of constants"}},
+	} {
+		got := strings.Join(explainLines(t, h, c.sql), "\n")
+		for _, w := range c.want {
+			if !strings.Contains("\n"+got+"\n", "\n"+w+"\n") {
+				t.Errorf("%s:\n%s\nlacks line %q", c.sql, got, w)
+			}
+		}
+	}
+
+	// EXPLAIN reports node-local state: not for contracts, nor any context
+	// that is not a plain read-only query.
+	if _, err := h.tryExec(`EXPLAIN SELECT id FROM orders WHERE id = 1`); !errors.Is(err, ErrExplainCtx) {
+		t.Errorf("EXPLAIN in a contract: err = %v", err)
+	}
+	if _, err := h.eng.ExecSQL(&ExecCtx{Mode: ModeReadOnly, Height: h.block}, `EXPLAIN SELECT nope FROM orders`); err == nil {
+		t.Error("EXPLAIN of a query naming an unknown column should fail")
+	}
+}
+
+// TestFloatSumIndependentOfInsertionOrder loads two stores with the same
+// rows in different interleavings — different transactions, different
+// order inside them, so heap refs and B-tree shapes differ — and requires
+// bit-identical float aggregates through a non-unique index: the scan's
+// (index key, primary key) emission order, not insertion history, fixes
+// how the additions associate.
+func TestFloatSumIndependentOfInsertionOrder(t *testing.T) {
+	type item struct {
+		id, order int64
+		price     float64
+	}
+	var items []item
+	for i := int64(0); i < 60; i++ {
+		// Magnitudes far enough apart that reordering the additions
+		// changes the rounded sum.
+		p := []float64{0.1, 1e16, 0.2, -1e16, 0.3, 1e-3}[i%6] * float64(1+i%7)
+		items = append(items, item{id: i, order: i % 3, price: p})
+	}
+	load := func(perm func(i int) int, batch int) *harness {
+		h := newHarness(t)
+		h.ddl(`CREATE TABLE orders (id BIGINT PRIMARY KEY, region BIGINT)`)
+		h.ddl(`CREATE TABLE order_items (id BIGINT PRIMARY KEY, order_id BIGINT, price DOUBLE)`)
+		h.ddl(`CREATE INDEX order_items_order ON order_items (order_id)`)
+		h.exec(`INSERT INTO orders VALUES (2, 1), (0, 1), (1, 1)`)
+		for lo := 0; lo < len(items); lo += batch {
+			var vals []string
+			for k := lo; k < lo+batch && k < len(items); k++ {
+				it := items[perm(k)]
+				vals = append(vals, "("+types.NewInt(it.id).String()+", "+types.NewInt(it.order).String()+", "+types.NewFloat(it.price).SQLLiteral()+")")
+			}
+			h.exec(`INSERT INTO order_items VALUES ` + strings.Join(vals, ", "))
+		}
+		return h
+	}
+	a := load(func(i int) int { return i }, 60)
+	b := load(func(i int) int { return (i*37 + 11) % 60 }, 7)
+	for _, q := range []string{
+		`SELECT SUM(oi.price) FROM orders o JOIN order_items oi ON oi.order_id = o.id WHERE o.region = 1`,
+		`SELECT SUM(price), AVG(price) FROM order_items WHERE order_id >= 0`,
+		`SELECT o.id, SUM(oi.price) FROM orders o JOIN order_items oi ON oi.order_id = o.id GROUP BY o.id`,
+	} {
+		ra, rb := a.exec(q), b.exec(q)
+		if len(ra.Rows) != len(rb.Rows) {
+			t.Fatalf("%s: %d rows vs %d", q, len(ra.Rows), len(rb.Rows))
+		}
+		for i := range ra.Rows {
+			for j := range ra.Rows[i] {
+				va, vb := ra.Rows[i][j], rb.Rows[i][j]
+				if va.Kind() != vb.Kind() || (va.Kind() == types.KindFloat && math.Float64bits(va.Float()) != math.Float64bits(vb.Float())) || types.Compare(va, vb) != 0 {
+					t.Errorf("%s: row %d col %d: %v vs %v", q, i, j, va, vb)
+				}
+			}
+		}
+	}
+	// The orders differ for real: summing in insertion order disagrees.
+	var fwd, perm float64
+	for i := range items {
+		fwd += items[i].price
+		perm += items[(i*37+11)%60].price
+	}
+	if fwd == perm {
+		t.Fatal("test data does not distinguish summation orders")
 	}
 }

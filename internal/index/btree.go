@@ -62,7 +62,10 @@ func searchNode(n *node, k types.Key) (int, bool) {
 }
 
 // Insert adds ref under key. It reports whether the (key, ref) pair was
-// newly added (false if the exact pair was already present).
+// newly added (false if the exact pair was already present). The tree
+// keeps key when it is new: the caller must not modify it afterwards
+// (storage hands in a slice of the immutable row, so an index entry costs
+// no key copy).
 func (t *BTree) Insert(key types.Key, ref uint64) bool {
 	if len(t.root.items) >= degree {
 		old := t.root
@@ -79,7 +82,10 @@ func (t *BTree) splitChild(parent *node, i int) {
 
 	right := &node{}
 	right.items = append(right.items, child.items[mid+1:]...)
-	child.items = child.items[:mid]
+	// Reallocate the left half at its own size: under ascending keys
+	// (primary keys, block numbers, xids) it never receives another insert,
+	// and a full node's capacity would stay pinned behind its 16 items.
+	child.items = append([]item(nil), child.items[:mid]...)
 	if !child.leaf() {
 		right.children = append(right.children, child.children[mid+1:]...)
 		child.children = child.children[:mid+1]
@@ -103,7 +109,7 @@ func (t *BTree) insertNonFull(n *node, key types.Key, ref uint64) bool {
 		if n.leaf() {
 			n.items = append(n.items, item{})
 			copy(n.items[i+1:], n.items[i:])
-			n.items[i] = item{key: key.Clone(), refs: []uint64{ref}}
+			n.items[i] = item{key: key, refs: []uint64{ref}}
 			t.size++
 			return true
 		}

@@ -18,9 +18,9 @@ import (
 //
 //   - variables are assigned frame slots; VarRef.Slot lets the engine
 //     read ctx.Frame directly instead of a map lookup;
-//   - embedded SQL statements are bound at compile time, so every
-//     invocation executes the SAME statement AST — stable node identity,
-//     which is what makes the engine's prepared-plan cache hit;
+//   - embedded SQL statements are bound at compile time and wrapped in an
+//     engine.Prepared, so every invocation runs the statement off the
+//     physical plan its first execution built;
 //   - procedural expressions evaluate through engine.EvalScalar instead
 //     of a synthesized FROM-less SELECT.
 //
@@ -62,8 +62,8 @@ type cDecl struct {
 type cStmt interface{ compiledStmt() }
 
 type cSQL struct {
-	stmt      sqlparser.Statement // bound; shared by all invocations
-	intoSlots []int               // -1 = undeclared (runtime error)
+	stmt      *engine.Prepared // bound; shared by all invocations, carries the plan
+	intoSlots []int            // -1 = undeclared (runtime error)
 	intoNames []string
 }
 
@@ -259,7 +259,7 @@ func (c *compiler) stmts(in []Stmt) []cStmt {
 func (c *compiler) stmt(s Stmt) cStmt {
 	switch st := s.(type) {
 	case *SQLStmt:
-		cs := &cSQL{stmt: c.statement(st.Stmt), intoNames: st.IntoVars}
+		cs := &cSQL{stmt: c.eng.Prepare(c.statement(st.Stmt)), intoNames: st.IntoVars}
 		for _, v := range st.IntoVars {
 			slot, ok := c.slots[v]
 			if !ok {
@@ -377,7 +377,7 @@ func (in *Interp) runCompiled(ctx *engine.ExecCtx, stmts []cStmt) error {
 func (in *Interp) runCompiledStmt(ctx *engine.ExecCtx, s cStmt) error {
 	switch st := s.(type) {
 	case *cSQL:
-		res, err := in.eng.Exec(ctx, st.stmt)
+		res, err := in.eng.ExecPrepared(ctx, st.stmt)
 		if err != nil {
 			return err
 		}

@@ -45,6 +45,24 @@ type VarRef struct {
 	Slot int
 }
 
+// BoundCol is a column reference the engine's planner has resolved to a
+// position: row Ord of input Src (the FROM table is input 0, each JOIN the
+// next). Like VarRef, the parser never produces it; preparing a statement
+// rewrites every resolvable ColumnRef into one so evaluation indexes the
+// row instead of comparing names.
+type BoundCol struct {
+	Src, Ord int
+}
+
+// AggRef stands for the value of the Idx-th aggregate of a grouped query
+// in the expressions evaluated once per group (select items, HAVING,
+// ORDER BY). The parser never produces it; preparing a grouped statement
+// rewrites each aggregate FuncCall into one.
+type AggRef struct {
+	Idx  int
+	Name string // the aggregate's name, for diagnostics
+}
+
 // Unary is a unary operation: -x, NOT x.
 type Unary struct {
 	Op string // "-", "NOT"
@@ -115,6 +133,8 @@ func (*Literal) expr()   {}
 func (*ColumnRef) expr() {}
 func (*Param) expr()     {}
 func (*VarRef) expr()    {}
+func (*BoundCol) expr()  {}
+func (*AggRef) expr()    {}
 func (*Unary) expr()     {}
 func (*Binary) expr()    {}
 func (*IsNull) expr()    {}
@@ -329,6 +349,13 @@ type Select struct {
 	Provenance bool // FROM t PROVENANCE — sees all committed versions (§4.2)
 }
 
+// Explain is EXPLAIN <select>: it reports the plan the engine would run
+// for Query instead of running it.
+type Explain struct {
+	Query *Select
+}
+
+func (*Explain) stmt()     {}
 func (*CreateTable) stmt() {}
 func (*CreateIndex) stmt() {}
 func (*DropTable) stmt()   {}
@@ -352,6 +379,8 @@ func StatementTables(s Statement) []string {
 		return []string{st.Table}
 	case *Delete:
 		return []string{st.Table}
+	case *Explain:
+		return StatementTables(st.Query)
 	case *Select:
 		var out []string
 		if st.From != nil {
@@ -367,8 +396,11 @@ func StatementTables(s Statement) []string {
 
 // IsReadOnly reports whether the statement cannot modify data.
 func IsReadOnly(s Statement) bool {
-	_, ok := s.(*Select)
-	return ok
+	switch s.(type) {
+	case *Select, *Explain:
+		return true
+	}
+	return false
 }
 
 // KindFromTypeName maps SQL type names to value kinds.

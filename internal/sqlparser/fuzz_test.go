@@ -32,6 +32,8 @@ func fuzzSeedsSQL() []string {
 		"SELECT CASE WHEN a > 0 THEN 'pos' WHEN a < 0 THEN 'neg' ELSE 'zero' END FROM t",
 		"SELECT COALESCE(a, b, 0), ABS(-x), LENGTH('αβγ') FROM t",
 		"SELECT * FROM t WHERE s LIKE 'a%' AND d BETWEEN 1 AND 9 AND e IS NOT NULL",
+		"EXPLAIN SELECT a FROM t WHERE b = $1 ORDER BY a",
+		"EXPLAIN EXPLAIN SELECT 1",
 		"SELECT 'unterminated",
 		"SELECT ((((",
 		"INSERT INTO t VALUES (1,)",

@@ -159,6 +159,16 @@ func (p *Parser) parseStatement() (Statement, error) {
 	switch t.Text {
 	case "SELECT":
 		return p.parseSelect()
+	case "EXPLAIN":
+		p.advance()
+		if !p.peekKeyword("SELECT") {
+			return nil, p.errHere("expected SELECT after EXPLAIN, found %s", p.cur())
+		}
+		sel, err := p.parseSelect()
+		if err != nil {
+			return nil, err
+		}
+		return &Explain{Query: sel.(*Select)}, nil
 	case "INSERT":
 		return p.parseInsert()
 	case "UPDATE":

@@ -58,7 +58,7 @@ var keywords = map[string]bool{
 	"FLOAT": true, "TEXT": true, "VARCHAR": true, "BOOLEAN": true,
 	"BYTEA": true, "PRECISION": true,
 	"COUNT": true, "SUM": true, "AVG": true, "MIN": true, "MAX": true,
-	"PROVENANCE": true, "CAST": true,
+	"PROVENANCE": true, "CAST": true, "EXPLAIN": true,
 	// Procedure-language keywords (shared lexer).
 	"FUNCTION": true, "RETURNS": true, "DECLARE": true, "BEGIN": true,
 	"IF": true, "ELSIF": true, "RAISE": true, "EXCEPTION": true,

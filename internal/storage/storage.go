@@ -118,10 +118,26 @@ type IndexDef struct {
 	Cols   []int // column ordinals
 	Unique bool
 	tree   *index.BTree
+	// adjacent: Cols are consecutive ordinals (see KeyFor).
+	adjacent bool
 }
 
-// KeyFor extracts this index's key from a row.
+func newIndexDef(name string, cols []int, unique bool) *IndexDef {
+	ix := &IndexDef{Name: name, Cols: append([]int(nil), cols...), Unique: unique, tree: index.New(), adjacent: true}
+	for i, c := range cols {
+		ix.adjacent = ix.adjacent && c == cols[0]+i
+	}
+	return ix
+}
+
+// KeyFor extracts this index's key from a row. When the index columns are
+// adjacent in the row (any single-column index) the key is a slice of the
+// row itself: row data is immutable once stored, and the B-tree keeps the
+// key it is handed, so such an index entry holds no copy of its values.
 func (ix *IndexDef) KeyFor(row types.Row) types.Key {
+	if c0 := ix.Cols[0]; ix.adjacent {
+		return types.Key(row[c0 : c0+len(ix.Cols) : c0+len(ix.Cols)])
+	}
 	k := make(types.Key, len(ix.Cols))
 	for i, c := range ix.Cols {
 		k[i] = row[c]
@@ -444,12 +460,7 @@ func (s *Store) CreateTable(schema Schema) error {
 	if _, ok := old[schema.Name]; ok {
 		return fmt.Errorf("%w: %s", ErrTableExists, schema.Name)
 	}
-	pk := &IndexDef{
-		Name:   schema.Name + "_pkey",
-		Cols:   append([]int(nil), schema.PKCols...),
-		Unique: true,
-		tree:   index.New(),
-	}
+	pk := newIndexDef(schema.Name+"_pkey", schema.PKCols, true)
 	t := &Table{
 		schema:  schema,
 		heap:    make(map[uint64]*RowVersion),
@@ -523,7 +534,10 @@ func (s *Store) CreateIndex(table, name string, cols []int, unique bool) error {
 	if _, ok := t.indexes[name]; ok {
 		return fmt.Errorf("%w: %s", ErrIndexExists, name)
 	}
-	ix := &IndexDef{Name: name, Cols: append([]int(nil), cols...), Unique: unique, tree: index.New()}
+	if len(cols) == 0 {
+		return fmt.Errorf("storage: index %s on %s names no column", name, table)
+	}
+	ix := newIndexDef(name, cols, unique)
 	for _, v := range t.heap {
 		if !v.aborted {
 			ix.tree.Insert(ix.KeyFor(v.Data), v.ID)
@@ -535,6 +549,35 @@ func (s *Store) CreateIndex(table, name string, cols []int, unique bool) error {
 }
 
 // --- visibility ----------------------------------------------------------------
+
+// Visibility is answered from the block stamps on the version wherever
+// they are set, and from the transaction status table only for versions
+// that are still provisional. CommitTx writes CreatorBlk/DeleterBlk (and
+// Xmax) under the same table latch every reader of the version holds, and
+// marks the transaction committed right after releasing it, so the two
+// sources differ only inside that window: the stamp says "committed in
+// block b", the status table still says "in progress". For a block's
+// transactions that window is invisible, because b is above every
+// reader's snapshot — SetHeight(b) happens after the block's last
+// CommitTx returned, and no snapshot height exceeds the store height —
+// so both sources answer "not yet visible" (or, for a deleter, "still
+// live"). The only commits at or below the current height are the ones
+// that are unordered with respect to readers by design — the sealer's
+// sys_ledger rows (sealed behind the committed height; contracts may not
+// read them) and private-schema transactions (node-local) — and for those
+// a concurrent reader now sees the commit from the stamp instead of from
+// the status flip a few instructions later, two equally arbitrary points.
+// What the stamps save is a striped RWMutex round trip and a map read per
+// version inspected, twice for superseded versions, on every scan.
+
+// createdBy reports whether v's creator committed at or below height.
+func (s *Store) createdBy(v *RowVersion, height int64) bool {
+	if v.CreatorBlk != NoBlock {
+		return v.CreatorBlk <= height
+	}
+	cst := s.txStatus(v.Xmin)
+	return cst.kind == txCommitted && cst.block <= height
+}
 
 // visibleAt reports whether version v is visible to a transaction with
 // the given snapshot height and own id. Caller holds the table lock
@@ -548,32 +591,29 @@ func (s *Store) visibleAt(v *RowVersion, self TxID, height int64) bool {
 		return v.Xmax != self
 	}
 	// Created by another tx: must be committed at or below the snapshot.
-	if cst := s.txStatus(v.Xmin); cst.kind != txCommitted || cst.block > height {
+	if !s.createdBy(v, height) {
 		return false
 	}
-	// Deleted by self: invisible. (Guard Xmax != 0: self may be 0 when
-	// hashing state with no transaction context.)
-	if v.Xmax != 0 && v.Xmax == self {
+	if v.Xmax == 0 {
+		return true
+	}
+	// Deleted by self: invisible.
+	if v.Xmax == self {
 		return false
 	}
 	// Deleted by a committed tx at or below the snapshot: invisible.
-	if v.Xmax != 0 {
-		if dst := s.txStatus(v.Xmax); dst.kind == txCommitted && dst.block <= height {
-			return false
-		}
+	if v.DeleterBlk != NoBlock {
+		return v.DeleterBlk > height
 	}
-	return true
+	dst := s.txStatus(v.Xmax)
+	return dst.kind != txCommitted || dst.block > height
 }
 
 // committedAt reports whether version v existed in the committed state as
 // of height (ignoring any in-progress activity). Used by provenance
 // queries, which see both live and superseded versions.
 func (s *Store) committedAt(v *RowVersion, height int64) bool {
-	if v.aborted {
-		return false
-	}
-	cst := s.txStatus(v.Xmin)
-	return cst.kind == txCommitted && cst.block <= height
+	return !v.aborted && s.createdBy(v, height)
 }
 
 // --- reads ----------------------------------------------------------------------
@@ -589,8 +629,11 @@ const (
 
 // ScanIndex iterates versions reachable through the named index within
 // rng, in index-key order (ties broken by ascending heap ref), invoking
-// fn with each version. fn must not retain v or modify the store.
-// Returning false stops the scan.
+// fn with each version; returning false stops the scan. fn runs under the
+// table's read latch: it must not call into the store (a nested scan can
+// deadlock against a committer locking tables in name order), and of v it
+// may keep only ID and Data, which never change — the other fields are
+// guarded by the latch and must be read inside fn.
 func (s *Store) ScanIndex(table, ixName string, rng index.Range, self TxID, height int64, mode ScanMode, fn func(v *RowVersion) bool) error {
 	t, err := s.Table(table)
 	if err != nil {

@@ -108,6 +108,95 @@ func runConcurrentStress(t *testing.T, s Backend) {
 	}
 }
 
+// TestSnapshotReadsDuringCommits scans at the store's current height while
+// a committer supersedes rows block after block. Visibility is answered
+// from the block stamps CommitTx writes under the table latch, a moment
+// before the transaction's status flips; a reader must nevertheless see
+// each block's updates all at once and only from that block's height on —
+// never a row twice, never a row missing, never half a transaction. With
+// -race it also audits the stamp reads against the committer's writes.
+func TestSnapshotReadsDuringCommits(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, s Backend) {
+		const (
+			rows    = 64
+			perTx   = 8 // rows superseded per block, each gaining 1.0
+			blocks  = 120
+			readers = 4
+		)
+		if err := s.CreateTable(testSchema("t")); err != nil {
+			t.Fatal(err)
+		}
+		seed := NewTxRecord(s.BeginTx(), 0)
+		refs := make([]uint64, rows) // live version of each row; the committer's
+		for i := range refs {
+			v, err := s.Insert(seed, "t", row(int64(i), "r", 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			refs[i] = v.ID
+		}
+		s.CommitTx(seed, 1)
+		s.SetHeight(1)
+
+		done := make(chan struct{})
+		var wg sync.WaitGroup
+		errCh := make(chan error, readers)
+		for r := 0; r < readers; r++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					select {
+					case <-done:
+						return
+					default:
+					}
+					h := s.Height()
+					n, sum := 0, 0.0
+					if err := s.ScanIndex("t", "t_pkey", index.AllRange(), 0, h, ScanVisible, func(v *RowVersion) bool {
+						n++
+						sum += v.Data[2].Float()
+						return true
+					}); err != nil {
+						errCh <- err
+						return
+					}
+					if want := float64(perTx * (h - 1)); n != rows || sum != want {
+						errCh <- fmt.Errorf("height %d: %d rows summing to %v, want %d summing to %v", h, n, sum, rows, want)
+						return
+					}
+				}
+			}()
+		}
+		for b := int64(2); b < 2+blocks; b++ {
+			rec := NewTxRecord(s.BeginTx(), b-1)
+			for k := 0; k < perTx; k++ {
+				i := (int(b)*perTx + k) % rows
+				old := s.Get("t", refs[i])
+				if err := s.MarkDelete(rec, "t", old.ID); err != nil {
+					t.Fatal(err)
+				}
+				v, err := s.Insert(rec, "t", row(int64(i), "r", old.Data[2].Float()+1))
+				if err != nil {
+					t.Fatal(err)
+				}
+				refs[i] = v.ID
+			}
+			if err := s.Validate(rec, b); err != nil {
+				t.Fatal(err)
+			}
+			s.CommitTx(rec, b)
+			s.SetHeight(b)
+		}
+		close(done)
+		wg.Wait()
+		close(errCh)
+		for err := range errCh {
+			t.Fatal(err)
+		}
+	})
+}
+
 // TestStripedStoreDisjointTables drives the multicore commit pattern:
 // per-table committers running fully concurrently (the parallel commit
 // turn commits disjoint-table groups from different goroutines), a DDL

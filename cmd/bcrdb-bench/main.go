@@ -1,7 +1,8 @@
 // bcrdb-bench regenerates every table and figure of the paper's
 // evaluation (§5) with configurable sweep sizes. `go test -bench=.` runs
 // reduced versions of the same experiments; this tool is the full
-// harness whose output EXPERIMENTS.md records.
+// harness whose output EXPERIMENTS.md records. It is not the A/B tool:
+// parent-vs-change comparisons use `go run ./benchmarks` (BENCHMARK.json).
 //
 // Usage:
 //
@@ -15,7 +16,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"runtime/pprof"
 	"strings"
 	"time"
@@ -25,22 +25,16 @@ import (
 )
 
 var (
-	expFlag  = flag.String("e", "all", "comma-separated experiments: fig5a,fig5b,table4,table5,serial,pipeline,compiled,multicore,fig6a,fig6b,fig7a,fig7b,fig8a,fig8b,contention,smoke,chaos (smoke and chaos are CI-only and excluded from \"all\")")
+	expFlag  = flag.String("e", "all", "comma-separated experiments: fig5a,fig5b,table4,table5,serial,fig6a,fig6b,fig7a,fig7b,fig8a,fig8b,contention,chaos (chaos is CI-only and excluded from \"all\")")
 	duration = flag.Duration("duration", 2*time.Second, "measurement window per point")
 	warmup   = flag.Duration("warmup", 500*time.Millisecond, "warmup before each measurement")
 	backend  = flag.String("backend", "memory", "storage backend: memory or disk (disk uses a temp data dir per run)")
-	jsonPath = flag.String("json", "BENCH.json", "write machine-readable results to this file (empty disables)")
-	compiled = flag.Bool("compiled", true, "execute contracts through the compiled path; -compiled=false forces the tree-walking interpreter")
+	jsonPath = flag.String("json", "", "write machine-readable results to this file (empty disables)")
 	cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
-
-	commitWorkers = flag.Int("commit-workers", 0, "commit-turn validation workers per node (0 = GOMAXPROCS, 1 = serial commit turn)")
-	verifyWorkers = flag.Int("verify-workers", 0, "block-intake signature-prewarm workers per node (0 = GOMAXPROCS, negative = disabled)")
-	serialCommit  = flag.Bool("serial-commit", false, "force the pre-multicore hot path: serial commit turn, no signature prewarm (overrides -commit-workers/-verify-workers)")
 )
 
-// benchScenario is one measured point of BENCH.json: the workload
-// parameters plus the headline and per-stage metrics, so successive PRs
-// can track the performance trajectory mechanically.
+// benchScenario is one measured point of the -json report: the workload
+// parameters plus the headline and per-stage metrics.
 type benchScenario struct {
 	Experiment  string  `json:"experiment"`
 	Flow        string  `json:"flow"`
@@ -49,12 +43,6 @@ type benchScenario struct {
 	BlockSize   int     `json:"block_size"`
 	ArrivalRate float64 `json:"arrival_rate_tps"` // 0 = closed-loop saturation
 	Serial      bool    `json:"serial,omitempty"`
-	SyncSeal    bool    `json:"synchronous_seal,omitempty"`
-	Interpreted bool    `json:"interpreted,omitempty"`
-
-	// Multicore hot-path knobs (docs/adr/0004): 0 = GOMAXPROCS default.
-	CommitWorkers int `json:"commit_workers,omitempty"`
-	VerifyWorkers int `json:"verify_workers,omitempty"`
 
 	ThroughputTPS float64 `json:"throughput_tps"`
 	AvgLatencyMs  float64 `json:"avg_latency_ms"`
@@ -113,10 +101,6 @@ func record(cfg workload.RunConfig, r workload.Result) {
 		BlockSize:      cfg.BlockSize,
 		ArrivalRate:    cfg.ArrivalRate,
 		Serial:         cfg.Serial,
-		SyncSeal:       cfg.SynchronousSeal,
-		Interpreted:    cfg.InterpretContracts,
-		CommitWorkers:  cfg.CommitWorkers,
-		VerifyWorkers:  cfg.VerifyWorkers,
 		ThroughputTPS:  r.Throughput,
 		AvgLatencyMs:   r.AvgLatencyMs,
 		P95LatencyMs:   r.P95LatencyMs,
@@ -134,7 +118,7 @@ func record(cfg workload.RunConfig, r workload.Result) {
 	})
 }
 
-// recordChaos appends one chaos-soak point to BENCH.json.
+// recordChaos appends one chaos-soak point to the report.
 func recordChaos(backend string, r workload.ChaosResult) {
 	report.Scenarios = append(report.Scenarios, benchScenario{
 		Experiment: curExperiment,
@@ -161,11 +145,11 @@ func writeReport() {
 	report.DurationSec = duration.Seconds()
 	data, err := json.MarshalIndent(&report, "", "  ")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "BENCH.json:", err)
+		fmt.Fprintln(os.Stderr, "json report:", err)
 		return
 	}
 	if err := os.WriteFile(*jsonPath, append(data, '\n'), 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "BENCH.json:", err)
+		fmt.Fprintln(os.Stderr, "json report:", err)
 		return
 	}
 	fmt.Printf("\nwrote %d scenarios to %s\n", len(report.Scenarios), *jsonPath)
@@ -204,9 +188,6 @@ func main() {
 		{"table4", func() { micro(bcrdb.OrderThenExecute, "Table 4: order-then-execute micro metrics", false) }},
 		{"table5", func() { micro(bcrdb.ExecuteOrder, "Table 5: execute-order-in-parallel micro metrics", true) }},
 		{"serial", serialComparison},
-		{"pipeline", pipelineComparison},
-		{"compiled", compiledComparison},
-		{"multicore", multicoreComparison},
 		{"fig6a", func() {
 			figComplex(workload.ComplexJoin, bcrdb.OrderThenExecute, "Figure 6(a): complex-join, order-then-execute")
 		}},
@@ -222,14 +203,11 @@ func main() {
 		{"fig8a", fig8a},
 		{"fig8b", fig8b},
 		{"contention", contention},
-		{"smoke", smoke},
 		{"chaos", chaosSmoke},
-		{"remote", remoteSmoke},
 	}
-	ciOnly := map[string]bool{"smoke": true, "chaos": true, "remote": true}
 	ran := 0
 	for _, r := range runs {
-		if (all && !ciOnly[r.name]) || want[r.name] {
+		if (all && r.name != "chaos") || want[r.name] {
 			r.fn()
 			ran++
 		}
@@ -245,22 +223,6 @@ func run(cfg workload.RunConfig) workload.Result {
 	cfg.Duration = *duration
 	cfg.Warmup = *warmup
 	cfg.Backend = *backend
-	if !*compiled {
-		cfg.InterpretContracts = true
-	}
-	// Experiments that A/B the multicore hot path set the worker knobs
-	// themselves; the flags only fill in unset (zero) values.
-	if *serialCommit {
-		cfg.CommitWorkers = 1
-		cfg.VerifyWorkers = -1
-	} else {
-		if cfg.CommitWorkers == 0 {
-			cfg.CommitWorkers = *commitWorkers
-		}
-		if cfg.VerifyWorkers == 0 {
-			cfg.VerifyWorkers = *verifyWorkers
-		}
-	}
 	res, err := workload.Run(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "run failed:", err)
@@ -346,114 +308,6 @@ func serialComparison() {
 	fmt.Printf("ratio:               %.2f (paper: ≈0.4)\n", serRes.Throughput/par.Throughput)
 }
 
-func pipelineComparison() {
-	header("Block pipeline A/B: pipelined (seal off critical path) vs SynchronousSeal")
-	fmt.Printf("%-24s %-10s %-12s %-9s %-9s %-9s %-9s %-6s\n",
-		"config", "blocksize", "peak(tps)", "bpt(ms)", "bet(ms)", "bct(ms)", "bst(ms)", "su%")
-	for _, flow := range []bcrdb.Flow{bcrdb.OrderThenExecute, bcrdb.ExecuteOrder} {
-		for _, sync := range []bool{true, false} {
-			name := flowName(flow) + "/pipelined"
-			if sync {
-				name = flowName(flow) + "/sync-seal"
-			}
-			cfg := workload.RunConfig{Contract: workload.Simple, Flow: flow,
-				SynchronousSeal: sync, BlockSize: 100, BlockTimeout: 100 * time.Millisecond}
-			r := peak(cfg)
-			fmt.Printf("%-24s %-10d %-12.1f %-9.2f %-9.2f %-9.2f %-9.2f %-6.1f\n",
-				name, cfg.BlockSize, r.Throughput, r.BPT, r.BET, r.BCT, r.BST, r.SU)
-		}
-	}
-}
-
-func compiledComparison() {
-	header("Compiled contracts A/B: compile-once execution vs tree-walking interpreter")
-	fmt.Printf("%-28s %-10s %-12s %-9s %-9s %-9s %-9s\n",
-		"config", "blocksize", "peak(tps)", "bpt(ms)", "bet(ms)", "bct(ms)", "tet(ms)")
-	for _, c := range []workload.Contract{workload.Simple, workload.ComplexJoin} {
-		for _, interp := range []bool{true, false} {
-			name := c.String() + "/compiled"
-			if interp {
-				name = c.String() + "/interpreted"
-			}
-			cfg := workload.RunConfig{Contract: c, Flow: bcrdb.OrderThenExecute,
-				InterpretContracts: interp, BlockSize: 100, BlockTimeout: 100 * time.Millisecond}
-			r := peak(cfg)
-			fmt.Printf("%-28s %-10d %-12.1f %-9.2f %-9.2f %-9.2f %-9.3f\n",
-				name, cfg.BlockSize, r.Throughput, r.BPT, r.BET, r.BCT, r.TET)
-		}
-	}
-}
-
-// multicoreComparison is the same-binary A/B for the multicore hot path
-// (docs/adr/0004): the Figure 5(a) simple-contract saturation point with
-// the pre-multicore configuration (serial commit turn, no signature
-// prewarm) against the parallel configuration (commit workers sized to
-// GOMAXPROCS but at least 4 so the grouping machinery runs even on small
-// runners, plus a prewarm pool). On a single-core runner both legs
-// resolve to near-identical schedules — the printed GOMAXPROCS is the
-// honesty marker for interpreting the ratio.
-func multicoreComparison() {
-	header("Multicore hot path A/B: parallel commit turn + signature prewarm vs serial baseline")
-	procs := runtime.GOMAXPROCS(0)
-	cw := procs
-	if cw < 4 {
-		cw = 4
-	}
-	fmt.Printf("GOMAXPROCS=%d (ratios below are only meaningful on a multi-core runner)\n", procs)
-	base := workload.RunConfig{Contract: workload.Simple, Flow: bcrdb.OrderThenExecute,
-		BlockSize: 100, BlockTimeout: 100 * time.Millisecond}
-	ser := base
-	ser.CommitWorkers = 1
-	ser.VerifyWorkers = -1
-	serRes := peak(ser)
-	par := base
-	par.CommitWorkers = cw
-	par.VerifyWorkers = 2
-	parRes := peak(par)
-	fmt.Printf("%-36s %-12s %-9s %-9s %-9s %-6s\n",
-		"config", "peak(tps)", "bpt(ms)", "bet(ms)", "bct(ms)", "su%")
-	fmt.Printf("%-36s %-12.1f %-9.2f %-9.2f %-9.2f %-6.1f\n",
-		"serial-commit (baseline)", serRes.Throughput, serRes.BPT, serRes.BET, serRes.BCT, serRes.SU)
-	fmt.Printf("%-36s %-12.1f %-9.2f %-9.2f %-9.2f %-6.1f\n",
-		fmt.Sprintf("parallel (commit=%d, verify=2)", cw), parRes.Throughput, parRes.BPT, parRes.BET, parRes.BCT, parRes.SU)
-	if serRes.Throughput > 0 {
-		fmt.Printf("throughput ratio: %.2f× (target ≥1.3× on a multi-core runner)\n",
-			parRes.Throughput/serRes.Throughput)
-	}
-}
-
-// smoke is the CI entry point: one short saturation window per flow on
-// the simple contract, through the compiled execute path. It fails the
-// process when nothing commits, so a broken hot path cannot pass as a
-// "successful" benchmark run. It is not a performance gate.
-func smoke() {
-	header("Smoke: one short window per flow, simple contract")
-	for _, flow := range []bcrdb.Flow{bcrdb.OrderThenExecute, bcrdb.ExecuteOrder} {
-		cfg := workload.RunConfig{Contract: workload.Simple, Flow: flow,
-			BlockSize: 50, BlockTimeout: 100 * time.Millisecond}
-		r := peak(cfg)
-		fmt.Printf("%-28s tput %.1f tps, committed %d, aborted %d\n",
-			flowName(flow), r.Throughput, r.Committed, r.Aborted)
-		if r.Committed == 0 {
-			fmt.Fprintf(os.Stderr, "smoke: %s window committed nothing\n", flowName(flow))
-			os.Exit(1)
-		}
-	}
-	// Third window: force the parallel commit turn and prewarm pool on,
-	// regardless of core count, so CI exercises the multicore machinery
-	// (worker fan-out, grouping, prewarm) end to end every run.
-	cfg := workload.RunConfig{Contract: workload.Simple, Flow: bcrdb.OrderThenExecute,
-		BlockSize: 50, BlockTimeout: 100 * time.Millisecond,
-		CommitWorkers: 4, VerifyWorkers: 2}
-	r := peak(cfg)
-	fmt.Printf("%-28s tput %.1f tps, committed %d, aborted %d\n",
-		"parallel-commit (cw=4,vw=2)", r.Throughput, r.Committed, r.Aborted)
-	if r.Committed == 0 {
-		fmt.Fprintln(os.Stderr, "smoke: parallel-commit window committed nothing")
-		os.Exit(1)
-	}
-}
-
 // chaosSmoke is the CI chaos gate: on each storage backend, first a
 // healthy-fabric control window that must keep every self-healing
 // counter at zero (healing machinery firing without faults is a
@@ -503,45 +357,6 @@ func chaosSmoke() {
 			os.Exit(1)
 		}
 		recordChaos(be, soak)
-	}
-}
-
-// remoteSmoke is the CI wire-path gate: the same closed-loop
-// synchronous-invoke window driven twice — once through in-process
-// clients, once through RemoteClients over loopback HTTP against a
-// served node — so BENCH.json tracks the wire overhead next to the
-// baseline. It fails the process when the wire leg commits nothing,
-// so a broken transport cannot pass as a "successful" run.
-func remoteSmoke() {
-	cfg := workload.RemoteRunConfig{Contract: workload.Simple, Flow: bcrdb.OrderThenExecute,
-		BlockSize: 50, BlockTimeout: 100 * time.Millisecond,
-		Duration: *duration, Warmup: *warmup}
-	rec := workload.RunConfig{Contract: cfg.Contract, Flow: cfg.Flow,
-		BlockSize: cfg.BlockSize, BlockTimeout: cfg.BlockTimeout}
-
-	header("Remote: in-process baseline (closed loop, synchronous invokes)")
-	local, err := workload.RunRemote(cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "remote baseline:", err)
-		os.Exit(1)
-	}
-	record(rec, local)
-
-	header("Remote: RemoteClient over loopback HTTP")
-	cfg.Wire = true
-	wire, err := workload.RunRemote(cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "remote wire:", err)
-		os.Exit(1)
-	}
-	record(rec, wire)
-
-	fmt.Printf("%-28s tput %8.1f tps, lat(avg) %6.2fms, committed %d, aborted %d\n",
-		"in-process", local.Throughput, local.AvgLatencyMs, local.Committed, local.Aborted)
-	fmt.Printf("%-28s tput %8.1f tps, lat(avg) %6.2fms, committed %d, aborted %d\n",
-		"wire (loopback HTTP)", wire.Throughput, wire.AvgLatencyMs, wire.Committed, wire.Aborted)
-	if local.Throughput > 0 {
-		fmt.Printf("wire/local throughput ratio: %.2f\n", wire.Throughput/local.Throughput)
 	}
 }
 

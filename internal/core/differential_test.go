@@ -71,7 +71,7 @@ func flowName(f bcrdb.Flow) string {
 
 // runDifferential drives one network variant through the workload and
 // returns its observable outcome. Optional mods tweak the network
-// options before it is built (e.g. the multicore commit-turn knobs).
+// options before it is built (e.g. the worker-pool sizes).
 func runDifferential(t *testing.T, c workload.Contract, flow bcrdb.Flow, backend string, interpret bool, mods ...func(*bcrdb.Options)) *diffOutcome {
 	t.Helper()
 	opts := bcrdb.Options{

@@ -38,11 +38,13 @@ type Metrics struct {
 
 	SealQueueDepth atomic.Int64 // gauge: blocks committed but not yet sealed
 
-	// Multicore hot path (docs/adr/0004): commit-turn groups formed
-	// (groups per block ≈ available commit parallelism) and signatures
-	// prewarmed by the block-intake verify pool.
+	// CommitGroups counts one per non-empty block. It outlives the
+	// withdrawn table-partitioned commit turn (docs/adr/0004) only
+	// because the benchmark harness reads Snapshot.CommitGroups.
 	CommitGroups atomic.Int64
-	SigPrewarms  atomic.Int64
+	// SigPrewarms counts signatures prewarmed by the block-intake verify
+	// pool (docs/adr/0004).
+	SigPrewarms atomic.Int64
 
 	// Self-healing delivery (docs/adr/0005): catch-up ranges requested
 	// from peers, orderer failovers (re-subscribes after a silent

@@ -15,7 +15,7 @@
 // checkpoint broadcast, notifications) runs on a background sealer so
 // block N's bookkeeping overlaps block N+1's execution. See pipeline.go
 // and docs/adr/0002-block-pipeline.md; Config.SynchronousSeal restores
-// the fully serial path for A/B comparison.
+// the fully serial path as the parity tests' reference.
 package core
 
 import (
@@ -79,6 +79,18 @@ const (
 	KindTip = "peer.tip"
 )
 
+const (
+	// sealQueueCap bounds how many committed-but-unsealed blocks may be
+	// queued for the background sealer before the commit stage blocks
+	// (backpressure).
+	sealQueueCap = 64
+	// pendingAhead bounds the out-of-order block buffer: deliveries more
+	// than this many blocks above the chain tip are dropped (the tip is
+	// remembered and the range re-requested instead of buffering
+	// unboundedly).
+	pendingAhead = 512
+)
+
 // Config describes one database node.
 type Config struct {
 	Name string // endpoint name, e.g. "db.org1"
@@ -110,11 +122,6 @@ type Config struct {
 	// peer, catch-up re-requests with exponential backoff, and the
 	// orderer liveness check. Defaults to 250ms.
 	AntiEntropyEvery time.Duration
-	// PendingAhead bounds the out-of-order block buffer: deliveries more
-	// than this many blocks above the chain tip are dropped (the tip is
-	// remembered and the range re-requested instead of buffering
-	// unboundedly). Defaults to 512.
-	PendingAhead int
 
 	// DataDir enables file-backed persistence (block store + WAL) for
 	// crash recovery. Empty means in-memory only.
@@ -135,29 +142,17 @@ type Config struct {
 	// SynchronousSeal disables the block pipeline's background sealer:
 	// the seal stage (sys_ledger rows, write-set hash, WAL frame,
 	// checkpointing, notifications) runs inline on the block processor,
-	// reproducing the fully serial pre-pipeline commit path. Intended for
-	// A/B benchmarking; pipelined and synchronous nodes produce identical
-	// state and checkpoint hashes at every height.
+	// reproducing the fully serial pre-pipeline commit path. It is the
+	// reference the pipeline parity tests compare against; pipelined and
+	// synchronous nodes produce identical state and checkpoint hashes at
+	// every height.
 	SynchronousSeal bool
-	// SealQueue bounds how many committed-but-unsealed blocks may be
-	// queued for the background sealer before the commit stage blocks
-	// (backpressure). Defaults to 64. Ignored with SynchronousSeal.
-	SealQueue int
 
 	// InterpretContracts disables compile-once contract execution and
 	// runs every invocation through the tree-walking interpreter.
 	// Intended for A/B benchmarking and differential testing; both paths
 	// produce identical state.
 	InterpretContracts bool
-
-	// CommitWorkers bounds the goroutines the commit stage uses for
-	// parallel commit-turn validation: transactions are partitioned by
-	// touched-table footprint and non-overlapping groups validate and
-	// commit concurrently (serial in block order within a group — see
-	// docs/adr/0004-multicore-hot-path.md for the determinism argument).
-	// 0 means GOMAXPROCS; 1 restores the fully serial commit turn (the
-	// A/B baseline, bcrdb-bench -serial-commit).
-	CommitWorkers int
 
 	// ExecWorkers sizes the execute stage's worker pool: transactions
 	// run on a fixed pool instead of one goroutine each, so a 10k-tx
@@ -251,7 +246,7 @@ type Node struct {
 	heightMu   sync.Mutex
 	heightCond *sync.Cond
 
-	// Incoming block sequencing. pending is bounded by cfg.PendingAhead
+	// Incoming block sequencing. pending is bounded by pendingAhead
 	// (far-future deliveries are re-requested, not buffered).
 	blockMu sync.Mutex
 	pending map[uint64]*ledger.Block
@@ -339,29 +334,16 @@ func NewNode(cfg Config, signer *identity.Signer, netReg *identity.Registry, net
 	if cfg.CheckpointEvery == 0 {
 		cfg.CheckpointEvery = 1
 	}
-	if cfg.SealQueue == 0 {
-		cfg.SealQueue = 64
-	}
 	if cfg.FailoverTimeout <= 0 {
 		cfg.FailoverTimeout = 2 * time.Second
 	}
 	if cfg.AntiEntropyEvery <= 0 {
 		cfg.AntiEntropyEvery = 250 * time.Millisecond
 	}
-	if cfg.PendingAhead <= 0 {
-		cfg.PendingAhead = 512
-	}
 	if cfg.DeliverFrom == "" && len(cfg.Orderers) > 0 {
 		cfg.DeliverFrom = cfg.Orderers[0]
 	}
-	// Worker-count knobs: 0 means "scale with the machine". On a
-	// single-core runner they all resolve to 1, which is exactly the
-	// serial baseline.
-	if cfg.CommitWorkers == 0 {
-		cfg.CommitWorkers = runtime.GOMAXPROCS(0)
-	} else if cfg.CommitWorkers < 0 {
-		cfg.CommitWorkers = 1
-	}
+	// Worker-count knobs: 0 means "scale with the machine".
 	if cfg.ExecWorkers <= 0 {
 		cfg.ExecWorkers = runtime.GOMAXPROCS(0)
 	}
@@ -538,7 +520,7 @@ func (n *Node) Start() error {
 		return err
 	}
 	if !n.cfg.SynchronousSeal {
-		n.sealCh = make(chan *sealTask, n.cfg.SealQueue)
+		n.sealCh = make(chan *sealTask, sealQueueCap)
 		n.sealWG.Add(1)
 		go n.sealLoop()
 	}
@@ -931,7 +913,7 @@ loop:
 			// Buffer near-future blocks; anything beyond the bound is
 			// dropped (the tip is remembered and the range re-requested,
 			// so a burst of far-future deliveries cannot exhaust memory).
-			if b.Number <= h+1+uint64(n.cfg.PendingAhead) {
+			if b.Number <= h+1+pendingAhead {
 				n.pending[b.Number] = b
 			}
 			gap, tip = true, b.Number

@@ -16,9 +16,9 @@
 // critical path reads, so it is handed to a dedicated sealer goroutine
 // through a bounded channel: block N's seal overlaps block N+1's
 // execution. Config.SynchronousSeal collapses the pipeline back to the
-// fully serial pre-pipeline behavior for A/B comparison, and replay
-// (§3.6 recovery) always drives the stages synchronously so recovery
-// stays deterministic.
+// fully serial pre-pipeline behavior (the parity tests' reference), and
+// replay (§3.6 recovery) always drives the stages synchronously so
+// recovery stays deterministic.
 
 package core
 
@@ -84,7 +84,7 @@ func (n *Node) processBlock(b *ledger.Block, replay bool) {
 		return
 	}
 	// Hand off to the sealer. The channel bound is the pipeline's
-	// backpressure: if sealing falls more than SealQueue blocks behind,
+	// backpressure: if sealing falls more than sealQueueCap blocks behind,
 	// the commit stage blocks here rather than letting unsealed work grow
 	// without limit.
 	n.metrics.SealQueueDepth.Add(1)

@@ -7,7 +7,6 @@
 package core
 
 import (
-	"sync"
 	"time"
 
 	"bcrdb/internal/ledger"
@@ -33,64 +32,30 @@ func (n *Node) commitStage(b *ledger.Block, execs []*execution, replay bool, t0 
 	}
 	analysis := ssi.NewAnalysis(mode, infos)
 
-	// Duplicate-id detection (§3.4.3, the unique-identifier rule) is the
-	// one commit-turn check whose state is global — any two block
-	// positions can carry the same id regardless of table footprint — so
-	// it is decided in a serial pre-pass in block order. The id is
-	// consumed whether the transaction commits or aborts; sys_ledger
-	// records both.
-	dup := make([]bool, len(execs))
-	for i, e := range execs {
-		dup[i] = n.consumeID(e.tx.ID)
-	}
-
-	// Every remaining commit-turn interaction is table-local (see
-	// commit_groups.go), so transactions partition into groups with
-	// disjoint table footprints that validate and commit concurrently,
-	// serial in block order within each group. CommitWorkers=1 (the
-	// -serial-commit baseline) degenerates to the plain serial loop.
+	// The commit turn is serial in block order (§3.3.3, §4.2). It cannot
+	// be partitioned by table: every contract call reads sys_contracts
+	// inside its own transaction (§3.7: an upgrade aborts stale
+	// invocations), so all footprints of a block overlap.
 	outcomes := make([]wal.TxOutcome, len(execs))
 	results := make([]TxResult, len(execs))
-	groups := commitGroups(execs)
-	n.metrics.CommitGroups.Add(int64(len(groups)))
-	runGroup := func(idxs []int) {
-		for _, i := range idxs {
-			n.commitOne(b, i, execs[i], dup[i], analysis, outcomes, results)
-		}
-	}
-	if workers := minInt(n.cfg.CommitWorkers, len(groups)); workers > 1 {
-		gch := make(chan []int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for g := range gch {
-					runGroup(g)
-				}
-			}()
-		}
-		for _, g := range groups {
-			gch <- g
-		}
-		close(gch)
-		wg.Wait()
-	} else {
-		for _, g := range groups {
-			runGroup(g)
-		}
-	}
-
-	// Serial post-pass in block order: the seal stage's digest and the
-	// audit history depend on committed-transaction order.
+	// committedRecs/committedTxs keep block order: the seal stage's digest
+	// and the audit history depend on it.
 	var committedRecs []*storage.TxRecord
 	var committedTxs []*ledger.Transaction
 	for i, e := range execs {
+		// Duplicate-id detection (§3.4.3, the unique-identifier rule). The
+		// id is consumed whether the transaction commits or aborts;
+		// sys_ledger records both.
+		dup := n.consumeID(e.tx.ID)
+		n.commitOne(b, i, e, dup, analysis, outcomes, results)
 		if outcomes[i].Committed {
 			committedRecs = append(committedRecs, e.rec)
 			committedTxs = append(committedTxs, e.tx)
 			n.recordHistory(b, i, e, infos[i])
 		}
+	}
+	if len(execs) > 0 {
+		n.metrics.CommitGroups.Add(1) // see Metrics.CommitGroups
 	}
 
 	// Release execution slots.
@@ -122,10 +87,7 @@ func (n *Node) commitStage(b *ledger.Block, execs []*execution, replay bool, t0 
 }
 
 // commitOne validates and commits (or aborts) the block's i-th
-// transaction. Safe to run concurrently for transactions in different
-// commit groups: every store and analysis access is confined to the
-// transaction's own table footprint, and the metrics/cert-epoch updates
-// are atomic.
+// transaction.
 func (n *Node) commitOne(b *ledger.Block, i int, e *execution, dup bool,
 	analysis *ssi.Analysis, outcomes []wal.TxOutcome, results []TxResult) {
 	reason := ""
@@ -151,8 +113,6 @@ func (n *Node) commitOne(b *ledger.Block, i int, e *execution, dup bool,
 			// A malicious block can carry the same transaction twice;
 			// both entries then share one execution record, and the
 			// second must not roll back versions the first committed.
-			// (Shared-record entries are always in the same group, so
-			// this check runs after the first entry's commit turn.)
 			if ok, _ := n.store.IsCommitted(e.rec.ID); !ok {
 				n.store.AbortTx(e.rec)
 			}
@@ -163,13 +123,6 @@ func (n *Node) commitOne(b *ledger.Block, i int, e *execution, dup bool,
 	outcomes[i] = wal.TxOutcome{ID: e.tx.ID, Committed: reason == "", Reason: reason}
 	results[i] = TxResult{ID: e.tx.ID, Block: b.Number, Committed: reason == "",
 		Reason: reason, clientEndpoint: e.tx.Username}
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // noteCertWrites bumps the cert-cache epoch when a committed

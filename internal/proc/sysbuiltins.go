@@ -91,7 +91,9 @@ func biCreateDeployTx(in *Interp, ctx *engine.ExecCtx, args []types.Value) (type
 			return types.Null(), err
 		}
 	}
-	res, err := in.q(ctx, `SELECT COALESCE(MAX(id), 0) FROM sys_deployments`)
+	// The id range keeps the read on the primary key: execute-order
+	// rejects an unpredicated scan (§4.3).
+	res, err := in.q(ctx, `SELECT COALESCE(MAX(id), 0) FROM sys_deployments WHERE id > 0`)
 	if err != nil {
 		return types.Null(), err
 	}

@@ -17,19 +17,6 @@ type RunConfig struct {
 	Contract Contract
 	Flow     bcrdb.Flow
 	Serial   bool // Ethereum-style serial block execution (§5.1)
-	// SynchronousSeal turns off the pipelined block processor (seal
-	// inline instead of overlapping the next block) — the A/B baseline
-	// for the pipeline benchmark.
-	SynchronousSeal bool
-	// InterpretContracts turns off compile-once contract execution —
-	// the A/B baseline for the compiled-contracts benchmark.
-	InterpretContracts bool
-	// CommitWorkers bounds parallel commit-turn validation (0 =
-	// GOMAXPROCS, 1 = serial commit turn, the multicore A/B baseline).
-	CommitWorkers int
-	// VerifyWorkers sizes the block-intake signature-prewarm pool (0 =
-	// GOMAXPROCS, negative = disabled).
-	VerifyWorkers int
 
 	Orgs          int // organizations = database nodes (default 3)
 	UsersPerOrg   int // client identities per org (default 2)
@@ -96,9 +83,8 @@ type Result struct {
 	Aborted   int64
 
 	// Micro metrics (node 0, measurement window). BST is the mean block
-	// seal time, which overlaps the next block's execution unless
-	// SynchronousSeal is set; SealQueue is the seal-queue depth at the
-	// end of the window.
+	// seal time, which overlaps the next block's execution; SealQueue is
+	// the seal-queue depth at the end of the window.
 	BRR, BPR, BPT, BET, BCT, BST, TET, MT, SU float64
 	SealQueue                                 int64
 
@@ -145,21 +131,17 @@ func Run(cfg RunConfig) (Result, error) {
 	}
 
 	nw, err := bcrdb.NewNetwork(bcrdb.Options{
-		Orgs:               orgs,
-		Flow:               cfg.Flow,
-		SerialExecution:    cfg.Serial,
-		SynchronousSeal:    cfg.SynchronousSeal,
-		InterpretContracts: cfg.InterpretContracts,
-		CommitWorkers:      cfg.CommitWorkers,
-		VerifyWorkers:      cfg.VerifyWorkers,
-		Ordering:           cfg.Ordering,
-		ExtraOrderers:      cfg.ExtraOrderers,
-		BlockSize:          cfg.BlockSize,
-		BlockTimeout:       cfg.BlockTimeout,
-		Profile:            cfg.Profile,
-		Backend:            cfg.Backend,
-		DataDir:            dataDir,
-		Genesis:            Genesis(cfg.Contract),
+		Orgs:            orgs,
+		Flow:            cfg.Flow,
+		SerialExecution: cfg.Serial,
+		Ordering:        cfg.Ordering,
+		ExtraOrderers:   cfg.ExtraOrderers,
+		BlockSize:       cfg.BlockSize,
+		BlockTimeout:    cfg.BlockTimeout,
+		Profile:         cfg.Profile,
+		Backend:         cfg.Backend,
+		DataDir:         dataDir,
+		Genesis:         Genesis(cfg.Contract),
 	})
 	if err != nil {
 		return Result{}, err

@@ -93,23 +93,12 @@ type Options struct {
 	// (default 1).
 	CheckpointEvery uint64
 
-	// SynchronousSeal disables the nodes' pipelined block processor: the
-	// seal stage (ledger rows, write-set hash, WAL frame, checkpointing,
-	// notifications) runs inline after each block instead of overlapping
-	// the next block's execution. Used for A/B benchmarking; results are
-	// bit-identical either way.
-	SynchronousSeal bool
-
 	// InterpretContracts runs contracts through the tree-walking
-	// interpreter instead of the compiled path. A/B benchmarking and
-	// differential-testing knob; state is identical either way.
+	// interpreter instead of the compiled path: the reference of the
+	// compiled-vs-interpreted differential test; state is identical
+	// either way.
 	InterpretContracts bool
 
-	// CommitWorkers bounds each node's parallel commit-turn validation
-	// (docs/adr/0004-multicore-hot-path.md): 0 scales with GOMAXPROCS,
-	// 1 restores the fully serial commit turn (the A/B baseline).
-	// Outcomes are identical at any setting.
-	CommitWorkers int
 	// ExecWorkers sizes each node's execute-stage worker pool
 	// (0 = GOMAXPROCS).
 	ExecWorkers int
@@ -248,9 +237,8 @@ func NewNetwork(opts Options) (*Network, error) {
 	if opts.Profile == ProfileWAN {
 		lan, wan := simnet.LAN(), simnet.WAN()
 		orgOf := make(map[string]string)
-		for i, org := range opts.Orgs {
+		for _, org := range opts.Orgs {
 			orgOf["db."+org.Name] = org.Name
-			_ = i
 		}
 		for i := 0; i < nOrderers; i++ {
 			orgOf[ordererName(i)] = opts.Orgs[i%len(opts.Orgs)].Name
@@ -380,9 +368,7 @@ func NewNetwork(opts Options) (*Network, error) {
 			AntiEntropyEvery:   opts.AntiEntropyEvery,
 			CheckpointEvery:    opts.CheckpointEvery,
 			Backend:            backend,
-			SynchronousSeal:    opts.SynchronousSeal,
 			InterpretContracts: opts.InterpretContracts,
-			CommitWorkers:      opts.CommitWorkers,
 			ExecWorkers:        opts.ExecWorkers,
 			VerifyWorkers:      opts.VerifyWorkers,
 		}
@@ -394,12 +380,7 @@ func NewNetwork(opts Options) (*Network, error) {
 			nw.Close()
 			return nil, err
 		}
-		if node.BlockStore().Height() == 0 {
-			if err := node.Bootstrap(genesis); err != nil {
-				nw.Close()
-				return nil, err
-			}
-		} else if err := node.Bootstrap(genesis); err != nil {
+		if err := node.Bootstrap(genesis); err != nil {
 			nw.Close()
 			return nil, err
 		}
@@ -646,38 +627,49 @@ func (nw *Network) VerifyConsistency() error {
 // through the full §3.7 governance flow: proposed by the first org's
 // admin, approved by every org's admin, then submitted.
 func (nw *Network) DeployContract(src string) error {
-	admin0 := nw.Client("admin@" + nw.opts.Orgs[0].Name)
-	res, err := admin0.Invoke("create_deploytx", Text(src))
+	id, err := nw.proposeDeployment(src)
 	if err != nil {
 		return err
 	}
-	if !res.Committed {
-		return fmt.Errorf("bcrdb: create_deploytx aborted: %s", res.Reason)
+	admin0 := nw.Client("admin@" + nw.opts.Orgs[0].Name)
+	return nw.deployStep(admin0, "submit_deploytx", id)
+}
+
+// proposeDeployment runs create_deploytx and every org's
+// approve_deploytx, returning the id submit_deploytx takes.
+func (nw *Network) proposeDeployment(src string) (Value, error) {
+	admin0 := nw.Client("admin@" + nw.opts.Orgs[0].Name)
+	if err := nw.deployStep(admin0, "create_deploytx", Text(src)); err != nil {
+		return Value{}, err
 	}
 	// The id is deterministic: read it back.
 	row, err := admin0.Query(`SELECT MAX(id) FROM sys_deployments`)
 	if err != nil || len(row.Rows) == 0 || row.Rows[0][0].IsNull() {
-		return fmt.Errorf("bcrdb: cannot determine deployment id: %v", err)
+		return Value{}, fmt.Errorf("bcrdb: cannot determine deployment id: %v", err)
 	}
 	id := row.Rows[0][0]
 	for _, org := range nw.opts.Orgs {
-		adm := nw.Client("admin@" + org.Name)
-		res, err := adm.Invoke("approve_deploytx", id)
-		if err != nil {
-			return err
-		}
-		if !res.Committed {
-			return fmt.Errorf("bcrdb: approve by %s aborted: %s", org.Name, res.Reason)
+		if err := nw.deployStep(nw.Client("admin@"+org.Name), "approve_deploytx", id); err != nil {
+			return Value{}, err
 		}
 	}
-	res, err = admin0.Invoke("submit_deploytx", id)
+	return id, nil
+}
+
+// deployStep invokes one governance call and waits until every node
+// holds the block that committed it: under execute-order the next
+// admin's transaction takes its snapshot from its own org's node, and a
+// node still behind would hand it a superseded sys_deployments row
+// (ww-conflict abort).
+func (nw *Network) deployStep(c *Client, fn string, arg Value) error {
+	res, err := c.Invoke(fn, arg)
 	if err != nil {
 		return err
 	}
 	if !res.Committed {
-		return fmt.Errorf("bcrdb: submit_deploytx aborted: %s", res.Reason)
+		return fmt.Errorf("bcrdb: %s by %s aborted: %s", fn, c.Username(), res.Reason)
 	}
-	return nil
+	return nw.WaitHeight(int64(res.Block), 10*time.Second)
 }
 
 // SubmitRaw signs and submits a transaction for the given user without

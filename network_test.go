@@ -1,6 +1,7 @@
 package bcrdb
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -49,10 +50,17 @@ func demoOptions(flow Flow) Options {
 	}
 }
 
+// flowLabel names a flow's subtest.
+func flowLabel(f Flow) string {
+	if f == ExecuteOrder {
+		return "ExecuteOrder"
+	}
+	return "OrderThenExecute"
+}
+
 func TestNetworkEndToEnd(t *testing.T) {
 	for _, flow := range []Flow{OrderThenExecute, ExecuteOrder} {
-		name := map[Flow]string{OrderThenExecute: "OrderThenExecute", ExecuteOrder: "ExecuteOrder"}[flow]
-		t.Run(name, func(t *testing.T) {
+		t.Run(flowLabel(flow), func(t *testing.T) {
 			nw, err := NewNetwork(demoOptions(flow))
 			if err != nil {
 				t.Fatal(err)
@@ -121,30 +129,36 @@ func TestNetworkBFTOrdering(t *testing.T) {
 }
 
 func TestRuntimeContractDeployment(t *testing.T) {
-	nw, err := NewNetwork(demoOptions(OrderThenExecute))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nw.Close()
+	for _, flow := range []Flow{OrderThenExecute, ExecuteOrder} {
+		t.Run(flowLabel(flow), func(t *testing.T) {
+			nw, err := NewNetwork(demoOptions(flow))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer nw.Close()
 
-	err = nw.DeployContract(`CREATE FUNCTION account_count() RETURNS BIGINT AS $$
-	DECLARE
-		n BIGINT;
-	BEGIN
-		SELECT COUNT(*) INTO n FROM accounts;
-		RETURN n;
-	END;
-	$$`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	carol := nw.Client("carol")
-	res, err := carol.Invoke("account_count")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Committed {
-		t.Fatalf("aborted: %s", res.Reason)
+			// The id range keeps the read indexed, as execute-order
+			// requires of every contract read (§4.3).
+			err = nw.DeployContract(`CREATE FUNCTION account_count() RETURNS BIGINT AS $$
+			DECLARE
+				n BIGINT;
+			BEGIN
+				SELECT COUNT(*) INTO n FROM accounts WHERE id > 0;
+				RETURN n;
+			END;
+			$$`)
+			if err != nil {
+				t.Fatal(err)
+			}
+			carol := nw.Client("carol")
+			res, err := carol.Invoke("account_count")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Committed {
+				t.Fatalf("aborted: %s", res.Reason)
+			}
+		})
 	}
 }
 
@@ -248,5 +262,136 @@ func TestValueHelpers(t *testing.T) {
 	}
 	if !Bool(true).Bool() || !Null().IsNull() || string(Bytes([]byte{1}).Bytes()) != "\x01" {
 		t.Fatal("constructors broken")
+	}
+}
+
+// TestSameBlockContractUpgrade pins the property that makes the commit
+// turn unpartitionable by table: a contract call reads its own source
+// from sys_contracts inside its transaction (§3.7), so an upgrade that
+// commits earlier in the same block decides the fate of an invocation
+// touching otherwise unrelated tables.
+func TestSameBlockContractUpgrade(t *testing.T) {
+	putSrc := func(replace, marker string) string {
+		return `CREATE ` + replace + `FUNCTION put(p_k BIGINT) RETURNS VOID AS $$
+		BEGIN
+			INSERT INTO kv VALUES (p_k, '` + marker + `');
+		END;
+		$$`
+	}
+	for _, flow := range []Flow{OrderThenExecute, ExecuteOrder} {
+		t.Run(flowLabel(flow), func(t *testing.T) {
+			opts := demoOptions(flow)
+			opts.BlockSize = 2 // the upgrade and the invocation fill one block
+			opts.BlockTimeout = 50 * time.Millisecond
+			opts.Genesis = Genesis{
+				SQL:       []string{`CREATE TABLE kv (k BIGINT PRIMARY KEY, v TEXT)`},
+				Contracts: []string{putSrc("", "v0")},
+			}
+			nw, err := NewNetwork(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer nw.Close()
+			alice, admin := nw.Client("alice"), nw.Client("admin@org1")
+
+			// valueOf returns kv.v for k on every node ("" when absent).
+			valueOf := func(k int64) string {
+				t.Helper()
+				res, err := alice.QueryAll(`SELECT v FROM kv WHERE k = $1`, Int(k))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(res.Rows) == 0 {
+					return ""
+				}
+				return res.Rows[0][0].Str()
+			}
+			seqOf := func(id string) int64 {
+				t.Helper()
+				res, err := alice.Query(`SELECT seq FROM sys_ledger WHERE txid = $1`, Text(id))
+				if err != nil || len(res.Rows) != 1 {
+					t.Fatalf("sys_ledger row of %s: %v, %v", id, res, err)
+				}
+				return res.Rows[0][0].Int()
+			}
+
+			old := "v0"
+			for attempt := int64(1); attempt <= 10; attempt++ {
+				marker := fmt.Sprintf("v%d", attempt)
+				id, err := nw.proposeDeployment(putSrc("OR REPLACE ", marker))
+				if err != nil {
+					t.Fatal(err)
+				}
+				k := 100 * attempt
+				up, err := admin.Submit("submit_deploytx", id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				inv, err := alice.Submit("put", Int(k))
+				if err != nil {
+					t.Fatal(err)
+				}
+				upRes, err := up.Await(10 * time.Second)
+				if err != nil {
+					t.Fatal(err)
+				}
+				invRes, err := inv.Await(10 * time.Second)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !upRes.Committed {
+					t.Fatalf("submit_deploytx aborted: %s", upRes.Reason)
+				}
+				last := upRes.Block
+				if invRes.Block > last {
+					last = invRes.Block
+				}
+				if err := nw.WaitHeight(int64(last), 10*time.Second); err != nil {
+					t.Fatal(err)
+				}
+
+				// However the pair resolved, the row matches the verdict
+				// and the next block runs the new source on every node.
+				want := ""
+				if invRes.Committed {
+					want = old
+				}
+				if got := valueOf(k); got != want {
+					t.Fatalf("attempt %d: kv[%d] = %q, want %q (invocation %+v)", attempt, k, got, want, invRes)
+				}
+				next, err := alice.Invoke("put", Int(k+1))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !next.Committed {
+					t.Fatalf("invocation after the upgrade aborted: %s", next.Reason)
+				}
+				if err := nw.WaitHeight(int64(next.Block), 10*time.Second); err != nil {
+					t.Fatal(err)
+				}
+				if got := valueOf(k + 1); got != marker {
+					t.Fatalf("attempt %d: kv[%d] = %q, want the upgraded source's %q", attempt, k+1, got, marker)
+				}
+				if err := nw.VerifyConsistency(); err != nil {
+					t.Fatal(err)
+				}
+				old = marker
+
+				if upRes.Block != invRes.Block || seqOf(up.ID) > seqOf(inv.ID) {
+					continue // not the interleaving under test; upgrade again
+				}
+				// Same block, upgrade first: the invocation read the
+				// sys_contracts row the upgrade superseded. Order-then-
+				// execute aborts it; execute-order may also serialize it
+				// before the upgrade (one rw edge, no cycle), which the
+				// checks above already held to the old source.
+				if flow == OrderThenExecute && invRes.Committed {
+					t.Fatalf("invocation committed behind a same-block upgrade: %+v", invRes)
+				}
+				t.Logf("attempt %d: same block %d, invocation committed=%v (%s)", attempt, invRes.Block, invRes.Committed, invRes.Reason)
+				return
+			}
+			t.Fatal("the upgrade and the invocation never shared a block in 10 attempts")
+		})
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"bcrdb/internal/transport"
 )
 
 // remoteOptions is demoOptions plus the deterministic identities remote
@@ -20,8 +22,7 @@ func remoteOptions(flow Flow, secret string) Options {
 // notification streams back over the wire.
 func TestRemoteClientOverWire(t *testing.T) {
 	for _, flow := range []Flow{OrderThenExecute, ExecuteOrder} {
-		name := map[Flow]string{OrderThenExecute: "OrderThenExecute", ExecuteOrder: "ExecuteOrder"}[flow]
-		t.Run(name, func(t *testing.T) {
+		t.Run(flowLabel(flow), func(t *testing.T) {
 			nw, err := NewNetwork(remoteOptions(flow, "wire-secret"))
 			if err != nil {
 				t.Fatal(err)
@@ -70,10 +71,11 @@ func TestRemoteClientOverWire(t *testing.T) {
 }
 
 // TestWireDifferential runs the identical transaction sequence through
-// the in-process client and through a RemoteClient over HTTP and
-// demands bit-identical outcomes: same state digests, same sys_ledger
-// rows. ExecuteOrder flow with awaited serial invokes makes both runs
-// fully deterministic (deterministic tx ids, one tx per block), and the
+// the in-process client, through a RemoteClient over HTTP and through a
+// RemoteClient over the in-process Direct transport, and demands
+// bit-identical outcomes: same state digests, same sys_ledger rows.
+// ExecuteOrder flow with awaited serial invokes makes every run fully
+// deterministic (deterministic tx ids, one tx per block), and the
 // shared IdentitySecret makes the genesis certificates — which are part
 // of the hashed state — identical too.
 func TestWireDifferential(t *testing.T) {
@@ -89,14 +91,25 @@ func TestWireDifferential(t *testing.T) {
 		{"transfer", []Value{Int(2), Int(3), Float(5)}},
 	}
 
-	run := func(remote bool) (*Network, func(string, []Value) (TxResult, error), func()) {
+	retry := RetryPolicy{Attempts: 4, Timeout: 5 * time.Second, Backoff: 50 * time.Millisecond}
+	run := func(leg string) (*Network, func(string, []Value) (TxResult, error), func()) {
 		nw, err := NewNetwork(remoteOptions(ExecuteOrder, secret))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !remote {
+		switch leg {
+		case "local":
 			alice := nw.Client("alice")
 			return nw, func(c string, a []Value) (TxResult, error) { return alice.Invoke(c, a...) }, nw.Close
+		case "direct":
+			tr, err := transport.NewDirect(nw.Net(), "alice.direct", nw.Node(0), ExecuteOrder, nw.Orderers())
+			if err != nil {
+				nw.Close()
+				t.Fatal(err)
+			}
+			rc := NewRemoteClient(tr, nw.signers["alice"], ExecuteOrder, retry)
+			cleanup := func() { rc.Close(); nw.Close() }
+			return nw, func(c string, a []Value) (TxResult, error) { return rc.Invoke(c, a...) }, cleanup
 		}
 		srv, err := nw.Serve(0, "127.0.0.1:0")
 		if err != nil {
@@ -104,8 +117,7 @@ func TestWireDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 		rc, err := DialRemote(RemoteConfig{
-			URL: srv.URL(), Username: "alice", IdentitySecret: secret,
-			Retry: RetryPolicy{Attempts: 4, Timeout: 5 * time.Second, Backoff: 50 * time.Millisecond},
+			URL: srv.URL(), Username: "alice", IdentitySecret: secret, Retry: retry,
 		})
 		if err != nil {
 			srv.Close()
@@ -121,19 +133,19 @@ func TestWireDifferential(t *testing.T) {
 		digest [32]byte
 		ledger string
 	}
-	execute := func(remote bool) outcome {
-		nw, invoke, cleanup := run(remote)
+	execute := func(leg string) outcome {
+		nw, invoke, cleanup := run(leg)
 		defer cleanup()
 		for i, o := range ops {
 			res, err := invoke(o.contract, o.args)
 			if err != nil {
-				t.Fatalf("op %d (remote=%v): %v", i, remote, err)
+				t.Fatalf("op %d (%s): %v", i, leg, err)
 			}
 			if !res.Committed {
-				t.Fatalf("op %d (remote=%v) aborted: %s", i, remote, res.Reason)
+				t.Fatalf("op %d (%s) aborted: %s", i, leg, res.Reason)
 			}
 			// Settle every replica before the next snapshot is taken so
-			// both runs observe the same heights at the same steps.
+			// all runs observe the same heights at the same steps.
 			if err := nw.WaitHeight(int64(res.Block), 10*time.Second); err != nil {
 				t.Fatal(err)
 			}
@@ -150,16 +162,18 @@ func TestWireDifferential(t *testing.T) {
 		return outcome{height: h, digest: nw.Node(0).StateHash(h), ledger: ledger}
 	}
 
-	local := execute(false)
-	wire := execute(true)
-	if local.height != wire.height {
-		t.Fatalf("heights diverge: local %d, wire %d", local.height, wire.height)
-	}
-	if local.digest != wire.digest {
-		t.Fatalf("state digests diverge at height %d", local.height)
-	}
-	if local.ledger != wire.ledger {
-		t.Fatalf("sys_ledger diverges:\nlocal:\n%s\nwire:\n%s", local.ledger, wire.ledger)
+	local := execute("local")
+	for _, leg := range []string{"http", "direct"} {
+		got := execute(leg)
+		if local.height != got.height {
+			t.Fatalf("heights diverge: local %d, %s %d", local.height, leg, got.height)
+		}
+		if local.digest != got.digest {
+			t.Fatalf("state digests diverge at height %d (local vs %s)", local.height, leg)
+		}
+		if local.ledger != got.ledger {
+			t.Fatalf("sys_ledger diverges:\nlocal:\n%s\n%s:\n%s", local.ledger, leg, got.ledger)
+		}
 	}
 }
 

@@ -1,11 +1,14 @@
 package bcrdb
 
 import (
+	"context"
 	"crypto/rand"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	mrand "math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"bcrdb/internal/core"
@@ -13,7 +16,7 @@ import (
 	"bcrdb/internal/identity"
 	"bcrdb/internal/ledger"
 	"bcrdb/internal/ordering"
-	"bcrdb/internal/simnet"
+	"bcrdb/internal/transport"
 )
 
 // RetryPolicy configures client-side resubmission (Options.Retry).
@@ -56,18 +59,29 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	return p
 }
 
-// Client submits signed transactions on behalf of one user and listens
-// for commit notifications (§2(7): transactions are asynchronous).
+// Client submits signed transactions on behalf of one user and hears
+// back on the commit stream of the node it is connected to (§2(7):
+// transactions are asynchronous). How it reaches the network is its
+// Transport's business: Network.Client builds it over the in-process
+// fabric, DialRemote over HTTP, and signing, retry, failover and result
+// delivery are the same code either way.
 //
-// In the execute-order-in-parallel flow a client submits to its home
-// database node, tagging the transaction with the node's current block
-// height as the snapshot; in order-then-execute it submits directly to an
-// ordering node.
+// In the execute-order-in-parallel flow a submission goes to the connected
+// database node, tagged with that node's current block height as the
+// snapshot; in order-then-execute it goes straight to an ordering node
+// (transport.Route.Dest).
 type Client struct {
-	nw     *Network
+	tr     transport.Transport
 	signer *identity.Signer
-	home   *core.Node
-	ep     *simnet.Endpoint
+	flow   Flow
+	retry  RetryPolicy
+	// retries counts resubmissions: the home node's ClientRetries for an
+	// in-process client, a private counter for a dialed one.
+	retries *atomic.Int64
+
+	// In-process extras (Home, ExecPrivate, QueryAll); nil when dialed.
+	home  *core.Node
+	nodes []*core.Node
 
 	// rng drives retry jitter. Per-client and explicitly seeded so two
 	// networks built with the same RetryPolicy.Seed produce identical
@@ -81,11 +95,40 @@ type Client struct {
 
 	mu      sync.Mutex
 	waiters map[string][]chan TxResult
+
+	// ctx ends with Close: it wakes every blocked wait (Await, retry
+	// backoff) and aborts in-flight transport calls. The follower starts
+	// with the first awaited submission (followOnce); wg waits for it.
+	ctx        context.Context
+	cancel     context.CancelFunc
+	followOnce sync.Once
+	wg         sync.WaitGroup
+}
+
+// newClient builds a client over tr (nil for a handle made after the
+// network closed, which Close-s it at once).
+func newClient(tr transport.Transport, signer *identity.Signer, flow Flow, retry RetryPolicy) *Client {
+	seed := retry.Seed
+	if seed == 0 {
+		seed = mrand.Int63()
+	}
+	c := &Client{
+		tr:      tr,
+		signer:  signer,
+		flow:    flow,
+		retry:   retry,
+		retries: new(atomic.Int64),
+		rng:     mrand.New(mrand.NewSource(seed ^ int64(ordering.FNV1a(signer.Name)))),
+		waiters: make(map[string][]chan TxResult),
+	}
+	c.ctx, c.cancel = context.WithCancel(context.Background())
+	return c
 }
 
 // Client returns (creating on first use) the client handle for a user
-// registered in Options.Orgs. Home nodes are assigned round-robin by
-// user order within the org.
+// registered in Options.Orgs, connected to the user's org's node through
+// a fabric endpoint named after the user. After Close it returns a closed
+// handle: every submission fails with ErrClosed.
 func (nw *Network) Client(username string) *Client {
 	nw.clientMu.Lock()
 	defer nw.clientMu.Unlock()
@@ -96,96 +139,140 @@ func (nw *Network) Client(username string) *Client {
 	if signer == nil {
 		panic(fmt.Sprintf("bcrdb: unknown user %q (declare it in Options.Orgs)", username))
 	}
-	// Home node: the user's org's node.
-	var home *core.Node
+	home := nw.nodes[0]
 	for _, n := range nw.nodes {
 		if n.Org() == signer.Org {
 			home = n
 			break
 		}
 	}
-	if home == nil {
-		home = nw.nodes[0]
-	}
-	seed := nw.opts.Retry.Seed
-	if seed == 0 {
-		seed = mrand.Int63()
-	}
-	c := &Client{
-		nw:      nw,
-		signer:  signer,
-		home:    home,
-		rng:     mrand.New(mrand.NewSource(seed ^ int64(fnvIdx(username)))),
-		waiters: make(map[string][]chan TxResult),
-	}
-	ep, err := nw.net.Register(username, c.onNotify)
-	if err == nil {
-		c.ep = ep
-	} else {
-		// Name collision (e.g. restarted client): fall back to a
-		// uniquely suffixed endpoint; push notifications then miss, but
-		// local subscriptions still work.
-		ep, err = nw.net.Register(username+".client", c.onNotify)
-		if err == nil {
-			c.ep = ep
+	// closed is read under clientMu, which Close takes after setting it
+	// and before stopping anything: a handle is either in the map Close
+	// walks, or born closed — never registered on a stopping fabric.
+	var tr transport.Transport
+	if !nw.closed.Load() {
+		d, err := transport.NewDirect(nw.net, username, home, nw.route(home))
+		if err != nil {
+			panic(fmt.Sprintf("bcrdb: client endpoint for %q: %v", username, err))
 		}
+		tr = d
+	}
+	c := newClient(tr, signer, nw.opts.Flow, nw.opts.Retry)
+	c.home, c.nodes, c.retries = home, nw.nodes, &home.Metrics().ClientRetries
+	if tr == nil {
+		c.cancel()
 	}
 	nw.clients[username] = c
 	return c
 }
 
-func (c *Client) close() {
-	if c.ep != nil {
-		c.ep.Unregister()
+// Close stops the commit-stream follower, fails every blocked and future
+// submission with ErrClosed and releases the transport. Network.Close
+// closes the clients it handed out; one closed by hand stays closed, and
+// Network.Client keeps returning it.
+func (c *Client) Close() error {
+	c.mu.Lock() // fences the follower's wg.Add (follow) against the Wait below
+	c.cancel()
+	c.mu.Unlock()
+	c.wg.Wait()
+	if c.tr == nil {
+		return nil
 	}
+	return c.tr.Close()
 }
 
 // Username returns the client's user name.
 func (c *Client) Username() string { return c.signer.Name }
 
-// Home returns the client's home database node.
+// Home returns the client's home database node (nil for a dialed client).
 func (c *Client) Home() *core.Node { return c.home }
 
-func (c *Client) onNotify(m simnet.Message) {
-	if m.Kind != core.KindNotify {
-		return
+// follow starts the commit-stream follower on first use. The first stream
+// is opened here, on the caller's goroutine, so the subscription exists
+// before the caller's submission leaves; concurrent first callers wait for
+// it in the Once. Clients that never await a result (SubmitRaw) never
+// come here and carry no stream — a node copies every result into every
+// stream it serves.
+func (c *Client) follow() {
+	c.followOnce.Do(func() {
+		c.mu.Lock()
+		if c.ctx.Err() != nil {
+			c.mu.Unlock()
+			return
+		}
+		c.wg.Add(1)
+		c.mu.Unlock()
+		ch, stop, err := c.tr.CommitStream(c.ctx)
+		go c.followCommits(ch, stop, err)
+	})
+}
+
+// followCommits hands the stream's results to their waiters and, when a
+// remote stream drops, redials with backoff. Results committed while no
+// stream was connected are recovered by Invoke's sys_ledger lookup.
+func (c *Client) followCommits(ch <-chan TxResult, stop func(), err error) {
+	defer c.wg.Done()
+	redial := 50 * time.Millisecond
+	for ; ; ch, stop, err = c.tr.CommitStream(c.ctx) {
+		if err != nil {
+			if !c.sleep(redial) {
+				return
+			}
+			redial = min(2*redial, 2*time.Second)
+			continue
+		}
+		redial = 50 * time.Millisecond
+		for open := true; open; {
+			select {
+			case <-c.ctx.Done():
+				stop()
+				return
+			case res, ok := <-ch:
+				if open = ok; ok {
+					c.dispatch(res)
+				}
+			}
+		}
+		stop() // connection lost: redial
 	}
-	// Every replica pushes a notification as it seals; honor only the
-	// home node's so Invoke-then-Query reads the client's own writes
-	// (a faster replica's push would race the home node's commit).
-	if m.From != c.home.Name() {
-		return
-	}
-	r, err := core.DecodeResult(m.Payload)
-	if err != nil {
-		return
-	}
+}
+
+// dispatch delivers one result to the waiters registered for its id.
+func (c *Client) dispatch(res TxResult) {
 	c.mu.Lock()
-	chans := c.waiters[r.ID]
-	delete(c.waiters, r.ID)
+	chans := c.waiters[res.ID]
+	delete(c.waiters, res.ID)
 	c.mu.Unlock()
 	for _, ch := range chans {
 		select {
-		case ch <- r:
+		case ch <- res:
 		default:
 		}
 	}
 }
 
-// buildTx signs a transaction. For ExecuteOrder the snapshot is the home
-// node's current height (the paper: "the client can obtain this from the
-// peer it is connected with") and the id is the §3.4.3 deterministic hash
-// — identical (user, contract, args, snapshot) share an id by design. In
-// OrderThenExecute the id is client-chosen and unique (§3.3), so retries
-// of failed invocations work naturally.
-func (c *Client) buildTx(contract string, args []Value) *ledger.Transaction {
+// buildTx signs a transaction and marshals it; a closed client is refused
+// here, before anything crosses the transport. For ExecuteOrder the
+// snapshot is the connected node's current height (the paper: "the client
+// can obtain this from the peer it is connected with") and the id is the
+// §3.4.3 deterministic hash — identical (user, contract, args, snapshot)
+// share an id by design. In OrderThenExecute the id is client-chosen and
+// unique (§3.3), so retries of failed invocations work naturally.
+func (c *Client) buildTx(contract string, args []Value) (id string, payload []byte, err error) {
+	if c.ctx.Err() != nil {
+		return "", nil, ErrClosed
+	}
 	tx := &ledger.Transaction{
 		Username: c.signer.Name,
 		Contract: contract,
 		Args:     args,
 	}
-	if c.nw.opts.Flow == ExecuteOrder {
-		tx.Snapshot = c.home.Height()
+	if c.flow == ExecuteOrder {
+		info, err := c.tr.Info(c.ctx)
+		if err != nil {
+			return "", nil, fmt.Errorf("bcrdb: fetch snapshot height: %w", err)
+		}
+		tx.Snapshot = info.Height
 		tx.ID = ledger.ComputeID(c.signer.Name, contract, args, tx.Snapshot)
 	} else {
 		var nonce [16]byte
@@ -195,38 +282,10 @@ func (c *Client) buildTx(contract string, args []Value) *ledger.Transaction {
 		tx.ID = hex.EncodeToString(nonce[:])
 	}
 	tx.Signature = c.signer.Sign(tx.SignBytes())
-	return tx
+	return tx.ID, ledger.MarshalTransaction(tx), nil
 }
 
-// submitTarget picks the endpoint for one submission attempt. Attempt 0
-// is the normal route (home node / id-chosen orderer); each retry fails
-// over to the next database node (execute-order) or the next orderer
-// (order-then-execute).
-func (c *Client) submitTarget(tx *ledger.Transaction, attempt int) (name, kind string) {
-	if c.nw.opts.Flow == ExecuteOrder {
-		nodes := c.nw.nodes
-		idx := 0
-		for i, n := range nodes {
-			if n == c.home {
-				idx = i
-				break
-			}
-		}
-		return nodes[(idx+attempt)%len(nodes)].Name(), core.KindSubmit
-	}
-	return c.nw.orderers[(fnvIdx(tx.ID)+attempt)%len(c.nw.orderers)], ordering.KindSubmit
-}
-
-func fnvIdx(s string) int {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return int(h & 0x7fffffff)
-}
-
-// addWaiter registers a push-notification waiter for a tx id.
+// addWaiter registers a waiter for a tx id's result.
 func (c *Client) addWaiter(id string) <-chan TxResult {
 	ch := make(chan TxResult, 1)
 	c.mu.Lock()
@@ -254,26 +313,11 @@ func (c *Client) removeWaiter(id string, ch <-chan TxResult) {
 	c.mu.Unlock()
 }
 
-// submit signs and sends without waiting; returns the transaction id.
-func (c *Client) submit(contract string, args []Value) (string, error) {
-	if c.nw.closed.Load() {
-		return "", ErrClosed
-	}
-	tx := c.buildTx(contract, args)
-	payload := ledger.MarshalTransaction(tx)
-	if c.ep == nil {
-		return "", fmt.Errorf("bcrdb: client %s has no network endpoint", c.signer.Name)
-	}
-	target, kind := c.submitTarget(tx, 0)
-	return tx.ID, c.ep.Send(target, kind, payload)
-}
-
 // PendingTx is an in-flight transaction.
 type PendingTx struct {
-	ID   string
-	c    *Client
-	ch   <-chan TxResult // home-node subscription
-	push <-chan TxResult // client push-notification waiter
+	ID string
+	c  *Client
+	ch <-chan TxResult
 }
 
 // Submit signs and submits a transaction asynchronously. Await the
@@ -281,61 +325,39 @@ type PendingTx struct {
 // (user, contract, args, snapshot) share an id (§3.4.3) — include a
 // nonce argument in the contract when replays must be distinct.
 func (c *Client) Submit(contract string, args ...Value) (*PendingTx, error) {
-	tx := c.buildTx(contract, args)
-	return c.send(tx, ledger.MarshalTransaction(tx), 0)
-}
-
-// send registers both result channels (home-node subscription and
-// push-notification waiter) and ships the payload to the attempt's
-// target, deregistering on send failure.
-func (c *Client) send(tx *ledger.Transaction, payload []byte, attempt int) (*PendingTx, error) {
-	if c.nw.closed.Load() {
-		return nil, ErrClosed
-	}
-	if c.ep == nil {
-		return nil, fmt.Errorf("bcrdb: client %s has no network endpoint", c.signer.Name)
-	}
-	sub := c.home.Subscribe(tx.ID)
-	push := c.addWaiter(tx.ID)
-	target, kind := c.submitTarget(tx, attempt)
-	if err := c.ep.Send(target, kind, payload); err != nil {
-		c.home.Unsubscribe(tx.ID, sub)
-		c.removeWaiter(tx.ID, push)
+	id, payload, err := c.buildTx(contract, args)
+	if err != nil {
 		return nil, err
 	}
-	return &PendingTx{ID: tx.ID, c: c, ch: sub, push: push}, nil
+	return c.send(id, payload, 0)
+}
+
+// send makes sure the follower runs, registers a waiter and ships the
+// payload to the attempt's destination, deregistering on failure.
+func (c *Client) send(id string, payload []byte, attempt int) (*PendingTx, error) {
+	c.follow()
+	p := &PendingTx{ID: id, c: c, ch: c.addWaiter(id)}
+	if err := c.tr.SubmitAttempt(c.ctx, payload, attempt); err != nil {
+		c.removeWaiter(id, p.ch)
+		return nil, err
+	}
+	return p, nil
 }
 
 // Await blocks for the transaction result. Whatever the outcome, the
-// pending transaction's channel registrations are released on return: a
-// timed-out Await no longer leaks its node-side subscription or its
-// client-side waiter entry.
+// pending transaction's waiter is released on return: a timed-out Await
+// does not leak its entry.
 func (p *PendingTx) Await(timeout time.Duration) (TxResult, error) {
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
-	defer p.release()
+	defer p.c.removeWaiter(p.ID, p.ch)
 	select {
 	case r := <-p.ch:
 		return r, nil
-	case r := <-p.push:
-		return r, nil
-	case <-p.c.nw.closedCh:
+	case <-p.c.ctx.Done():
 		return TxResult{}, ErrClosed
 	case <-timer.C:
 		return TxResult{}, fmt.Errorf("bcrdb: timeout waiting for tx %s", p.ID)
-	}
-}
-
-// release deregisters the pending transaction's result channels.
-func (p *PendingTx) release() {
-	if p.c == nil {
-		return
-	}
-	if p.ch != nil {
-		p.c.home.Unsubscribe(p.ID, p.ch)
-	}
-	if p.push != nil {
-		p.c.removeWaiter(p.ID, p.push)
 	}
 }
 
@@ -343,7 +365,9 @@ func (p *PendingTx) release() {
 // and the replicated ledger has no terminal state for the transaction
 // yet. It carries the transaction id so callers can reconcile later —
 // the transaction may still commit after the client gave up (e.g. the
-// home node is catching up after a partition).
+// home node is catching up after a partition). Last is ErrClosed when the
+// client was closed first; ID is empty when that (or a failed snapshot
+// fetch) happened before the transaction was built.
 type UnresolvedError struct {
 	ID       string
 	Attempts int
@@ -359,7 +383,7 @@ func (e *UnresolvedError) Unwrap() error { return e.Last }
 // lookupLedger consults the replicated ledger table for a transaction's
 // terminal state — authoritative when a result notification was lost.
 func (c *Client) lookupLedger(id string) (TxResult, bool) {
-	res, err := c.home.Query(`SELECT block, status FROM sys_ledger WHERE txid = $1`, Text(id))
+	res, err := c.tr.Query(c.ctx, -1, `SELECT block, status FROM sys_ledger WHERE txid = $1`, []Value{Text(id)})
 	if err != nil || len(res.Rows) == 0 {
 		return TxResult{}, false
 	}
@@ -375,16 +399,18 @@ func (c *Client) lookupLedger(id string) (TxResult, bool) {
 }
 
 // Invoke submits a transaction and waits for its result, retrying per
-// Options.Retry (default: one attempt, 30s). Retries resubmit the SAME
-// signed transaction — the ordering service and nodes deduplicate by id,
-// so resubmission is idempotent — and fail over to a different target
-// each attempt. Before each retry (and before giving up) the replicated
-// ledger is consulted, which resolves transactions that committed while
-// their notification was lost.
+// the client's RetryPolicy (default: one attempt, 30s). Retries resubmit
+// the SAME signed transaction — the ordering service and nodes deduplicate
+// by id, so resubmission is idempotent — and fail over to a different
+// target each attempt. Before each retry (and before giving up) the
+// replicated ledger is consulted, which resolves transactions that
+// committed while their notification was lost.
 func (c *Client) Invoke(contract string, args ...Value) (TxResult, error) {
-	pol := c.nw.opts.Retry.withDefaults()
-	tx := c.buildTx(contract, args)
-	payload := ledger.MarshalTransaction(tx)
+	pol := c.retry.withDefaults()
+	id, payload, err := c.buildTx(contract, args)
+	if err != nil {
+		return TxResult{}, &UnresolvedError{Last: err}
+	}
 	backoff := pol.Backoff
 	var lastErr error
 	for attempt := 0; attempt < pol.Attempts; attempt++ {
@@ -393,39 +419,34 @@ func (c *Client) Invoke(contract string, args ...Value) (TxResult, error) {
 			if c.backoffHook != nil {
 				c.backoffHook(wait)
 			}
-			// Wait close-aware: Network.Close wakes every sleeping
-			// retry immediately instead of letting it fire attempts
-			// into a stopped fabric seconds later.
+			// Wait close-aware: Close wakes every sleeping retry
+			// immediately instead of letting it fire attempts into a
+			// stopped fabric seconds later.
 			if !c.sleep(wait) {
-				return TxResult{}, &UnresolvedError{ID: tx.ID, Attempts: attempt, Last: ErrClosed}
+				return TxResult{}, &UnresolvedError{ID: id, Attempts: attempt, Last: ErrClosed}
 			}
-			backoff *= 2
-			if backoff > pol.MaxBackoff {
-				backoff = pol.MaxBackoff
-			}
-			c.home.Metrics().ClientRetries.Add(1)
-			if r, ok := c.lookupLedger(tx.ID); ok {
+			backoff = min(2*backoff, pol.MaxBackoff)
+			c.retries.Add(1)
+			if r, ok := c.lookupLedger(id); ok {
 				return r, nil
 			}
 		}
-		if c.nw.closed.Load() {
-			return TxResult{}, &UnresolvedError{ID: tx.ID, Attempts: attempt, Last: ErrClosed}
-		}
-		p, err := c.send(tx, payload, attempt)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		r, err := p.Await(pol.Timeout)
+		p, err := c.send(id, payload, attempt)
 		if err == nil {
-			return r, nil
+			var r TxResult
+			if r, err = p.Await(pol.Timeout); err == nil {
+				return r, nil
+			}
+		}
+		if c.ctx.Err() != nil {
+			return TxResult{}, &UnresolvedError{ID: id, Attempts: attempt + 1, Last: ErrClosed}
 		}
 		lastErr = err
 	}
-	if r, ok := c.lookupLedger(tx.ID); ok {
+	if r, ok := c.lookupLedger(id); ok {
 		return r, nil
 	}
-	return TxResult{}, &UnresolvedError{ID: tx.ID, Attempts: pol.Attempts, Last: lastErr}
+	return TxResult{}, &UnresolvedError{ID: id, Attempts: pol.Attempts, Last: lastErr}
 }
 
 // jitter draws from the client's seeded rng (n must be > 0).
@@ -436,50 +457,75 @@ func (c *Client) jitter(n int64) int64 {
 	return v
 }
 
-// sleep waits for d, returning false if the network closed first.
+// sleep waits for d, returning false if the client closed first.
 func (c *Client) sleep(d time.Duration) bool {
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
 	case <-t.C:
 		return true
-	case <-c.nw.closedCh:
+	case <-c.ctx.Done():
 		return false
 	}
 }
 
-// Query runs a read-only SQL query against the client's home node at the
+// Query runs a read-only SQL query against the connected node at its
 // current height. Read-only queries are served by one node and are not
 // recorded on the chain (§3.7); clients distrusting their node can issue
-// the query against several nodes and compare (§3.5(5)).
+// the query against several nodes and compare (§3.5(5)). Read-your-writes
+// holds on the connected node: a result this client received came from
+// that node's commit stream, so the node has already applied it. It does
+// not hold across clients of different organizations — another org's node
+// may still trail the block.
 func (c *Client) Query(sql string, params ...Value) (*Result, error) {
-	return c.home.Query(sql, params...)
+	return c.QueryAt(-1, sql, params...)
 }
 
-// QueryAt runs a read-only query at a historic block height.
+// QueryAt runs a read-only query at a historic block height (negative:
+// the current height).
 func (c *Client) QueryAt(height int64, sql string, params ...Value) (*Result, error) {
-	return c.home.QueryAt(height, sql, params...)
+	if c.tr == nil {
+		return nil, ErrClosed
+	}
+	return c.tr.Query(context.Background(), height, sql, params)
 }
+
+// Info reports the connected node's identity and heights.
+func (c *Client) Info() (transport.Info, error) {
+	if c.tr == nil {
+		return transport.Info{}, ErrClosed
+	}
+	return c.tr.Info(context.Background())
+}
+
+// errDialed is returned by the in-process extras on a dialed client.
+var errDialed = errors.New("bcrdb: not available on a dialed client (use Network.Client)")
 
 // ExecPrivate runs a statement on the home node's non-blockchain schema
 // (§3.7): node-local tables for the client's own organization, joinable
 // with blockchain tables in read-only queries but invisible to contracts
-// and consensus.
+// and consensus. In-process clients only.
 func (c *Client) ExecPrivate(sql string, params ...Value) (*Result, error) {
+	if c.home == nil {
+		return nil, errDialed
+	}
 	return c.home.ExecPrivate(sql, params...)
 }
 
 // QueryAll runs the query on every node and returns an error if any two
-// disagree — the cross-checking read of §3.5(5).
+// disagree — the cross-checking read of §3.5(5). In-process clients only.
 func (c *Client) QueryAll(sql string, params ...Value) (*Result, error) {
-	h := c.nw.nodes[0].Height()
-	for _, n := range c.nw.nodes[1:] {
+	if c.home == nil {
+		return nil, errDialed
+	}
+	h := c.nodes[0].Height()
+	for _, n := range c.nodes[1:] {
 		if nh := n.Height(); nh < h {
 			h = nh
 		}
 	}
 	var ref *engine.Result
-	for i, n := range c.nw.nodes {
+	for i, n := range c.nodes {
 		res, err := n.QueryAt(h, sql, params...)
 		if err != nil {
 			return nil, fmt.Errorf("bcrdb: node %s: %w", n.Name(), err)

@@ -122,6 +122,9 @@ func TestCloseFencesConcurrentUse(t *testing.T) {
 	if _, err := nw.SubmitRaw("alice", "transfer", []Value{Int(1), Int(2), Float(1)}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("SubmitRaw after Close returned %v, want ErrClosed", err)
 	}
+	if _, err := nw.Client("bob").Invoke("transfer", Int(2), Int(1), Float(1)); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Invoke by a user first seen after Close returned %v, want ErrClosed", err)
+	}
 	if !nw.Closed() {
 		t.Fatal("Closed() = false after Close")
 	}

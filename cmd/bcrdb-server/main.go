@@ -208,7 +208,7 @@ func clientMode(cf clusterFile) {
 		url = "http://" + cf.Listen[cf.Orgs[0].Name]
 	}
 	var (
-		rc  *bcrdb.RemoteClient
+		rc  *bcrdb.Client
 		err error
 	)
 	// The server may still be booting (CI starts both concurrently):

@@ -106,6 +106,11 @@ func main() {
 	if err != nil || !r2.Committed {
 		log.Fatalf("settle region 20: %v %+v", err, r2)
 	}
+	// One client reads both banks' rows: wait until every node holds the
+	// block bo's settlement committed in (ana's node may trail bankB's).
+	if err := nw.WaitHeight(int64(r2.Block), 10*time.Second); err != nil {
+		log.Fatal(err)
+	}
 	rows, err := ana.Query(`SELECT region, total, cnt FROM settlements ORDER BY region`)
 	if err != nil {
 		log.Fatal(err)
@@ -120,7 +125,9 @@ func main() {
 	if err != nil || !r3.Committed {
 		log.Fatalf("top_desk: %v %+v", err, r3)
 	}
-	rows, err = bo.Query(`SELECT desk, total FROM desk_awards WHERE grp = 1`)
+	// Read back through the client that wrote: its node has applied the
+	// block, bankB's node may still trail it.
+	rows, err = ana.Query(`SELECT desk, total FROM desk_awards WHERE grp = 1`)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -145,6 +152,9 @@ func main() {
 		w1.Committed, w2.Committed)
 	if w1.Committed && w2.Committed {
 		log.Fatal("write skew slipped through!")
+	}
+	if err := nw.WaitHeight(int64(max(w1.Block, w2.Block)), 10*time.Second); err != nil {
+		log.Fatal(err)
 	}
 	rows, err = ana.Query(`SELECT SUM(balance) FROM treasury`)
 	if err != nil {

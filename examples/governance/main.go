@@ -102,7 +102,12 @@ $$ LANGUAGE plpgsql;`
 
 	// 6. A malicious proposal gets rejected — immutably.
 	must(admin2.Invoke("create_deploytx", bcrdb.Text(`CREATE FUNCTION drain() RETURNS VOID AS $$ BEGIN DELETE FROM notes WHERE id > 0; END; $$`)))
-	row, _ = admin1.Query(`SELECT MAX(id) FROM sys_deployments`)
+	// Read the id back through the client that wrote it: its node has the
+	// row, org1's node may still trail the block.
+	row, err = admin2.Query(`SELECT MAX(id) FROM sys_deployments`)
+	if err != nil {
+		log.Fatal(err)
+	}
 	id2 := row.Rows[0][0]
 	must(admin1.Invoke("reject_deploytx", id2, bcrdb.Text("drains the notes table")))
 	dep, _ = alice.Query(`SELECT status, rejections FROM sys_deployments WHERE id = $1`, id2)

@@ -11,10 +11,13 @@
 //     catch-up response — was dropped by the network.
 //
 //   - Catch-up with backoff: missing ranges are requested from ONE
-//     rotating peer at a time, rate-limited with exponential backoff
-//     (reset whenever the chain tip makes progress). The previous design
-//     broadcast every gap request to every peer, which under loss turned
-//     one dropped block into N duplicate full responses.
+//     rotating source at a time — every other peer, then the delivering
+//     orderer's retained window (ordering.KindBlockFetch), the one holder
+//     of a block whose delivery was lost on every link — rate-limited
+//     with exponential backoff (reset whenever the chain tip makes
+//     progress). The previous design broadcast every gap request to every
+//     peer, which under loss turned one dropped block into N duplicate
+//     full responses.
 //
 //   - Orderer failover: block deliveries and idle heartbeats
 //     (ordering.KindHeartbeat) from the node's delivering orderer refresh
@@ -50,6 +53,7 @@ type healState struct {
 	// Catch-up.
 	remoteTip   uint64        // highest chain tip heard from any peer or orderer
 	peerRR      int           // rotating cursor over cfg.Peers
+	sourceRR    int           // catch-up requests sent; every len(cfg.Peers)-th asks the orderer
 	nextReqAt   time.Time     // earliest instant the next range request may go out
 	backoff     time.Duration // current request backoff (0 = start fresh)
 	reqHeight   uint64        // chain tip when the last request was sent
@@ -107,7 +111,7 @@ func (n *Node) noteTip(tip uint64, urgent bool) {
 	n.maybeCatchUp(time.Now(), urgent)
 }
 
-// maybeCatchUp asks one rotating peer for the missing range when the
+// maybeCatchUp asks one rotating source for the missing range when the
 // node is behind the best-known tip, subject to exponential backoff.
 // Progress (a higher chain tip than at the previous request) resets the
 // backoff; repeated fruitless requests double it up to 8× the
@@ -141,7 +145,16 @@ func (n *Node) maybeCatchUp(now time.Time, urgent bool) {
 	}
 	n.heal.reqHeight = h
 	n.heal.nextReqAt = now.Add(n.heal.backoff)
-	p := n.nextPeerLocked()
+	// One stop of the rotation per other peer, then one at the delivering
+	// orderer, which re-delivers what it still retains; a node without
+	// peers has only the orderer to ask.
+	p, kind := "", KindBlockReq
+	if n.heal.sourceRR++; n.heal.sourceRR%max(len(n.cfg.Peers), 1) != 0 {
+		p = n.nextPeerLocked()
+	}
+	if p == "" {
+		p, kind = n.currentOrdererLocked(), ordering.KindBlockFetch
+	}
 	n.heal.mu.Unlock()
 	if p == "" {
 		return
@@ -153,7 +166,7 @@ func (n *Node) maybeCatchUp(now time.Time, urgent bool) {
 	e := codec.NewBuf(16)
 	e.Uvarint(h + 1)
 	e.Uvarint(to)
-	_ = n.ep.Send(p, KindBlockReq, e.Bytes())
+	_ = n.ep.Send(p, kind, e.Bytes())
 	n.metrics.CatchUpRequests.Add(1)
 }
 

@@ -69,9 +69,6 @@ const (
 	KindBlockReq = "peer.blockreq"
 	// KindBlockResp returns one block.
 	KindBlockResp = "peer.blockresp"
-	// KindNotify delivers a transaction result to a client endpoint named
-	// after the username (§2(7): LISTEN/NOTIFY equivalent).
-	KindNotify = "client.notify"
 	// KindTipReq carries the sender's chain tip (uvarint) and asks the
 	// receiver for its own — the anti-entropy tip gossip (§3.6 extended).
 	KindTipReq = "peer.tipreq"
@@ -177,29 +174,6 @@ type TxResult struct {
 	Block     uint64
 	Committed bool
 	Reason    string
-
-	clientEndpoint string // push-notification target (the username)
-}
-
-// encodeResult serializes a result for the notification channel.
-func encodeResult(r TxResult) []byte {
-	e := codec.NewBuf(64)
-	e.String(r.ID)
-	e.Uvarint(r.Block)
-	e.Bool(r.Committed)
-	e.String(r.Reason)
-	return e.Bytes()
-}
-
-// DecodeResult parses a notification payload.
-func DecodeResult(data []byte) (TxResult, error) {
-	d := codec.NewDec(data)
-	r := TxResult{}
-	r.ID = d.String()
-	r.Block = d.Uvarint()
-	r.Committed = d.Bool()
-	r.Reason = d.String()
-	return r, d.Done()
 }
 
 // execution tracks one transaction being executed (§4.2 TxMetadata).
@@ -728,8 +702,6 @@ func (n *Node) notify(r TxResult, replay bool) {
 		default:
 		}
 	}
-	// Push to the submitting client's endpoint, if registered (§2(7)).
-	_ = n.ep.Send(r.clientEndpoint, KindNotify, encodeResult(r))
 }
 
 // --- message handling -----------------------------------------------------------
@@ -774,8 +746,7 @@ func (n *Node) onSubmit(m simnet.Message, fresh bool) {
 	// at the committed height, outside any transaction.
 	if err := n.authenticate(tx, n.store.Height()); err != nil {
 		if fresh {
-			n.notify(TxResult{ID: tx.ID, Reason: "authentication: " + err.Error(),
-				clientEndpoint: tx.Username}, false)
+			n.notify(TxResult{ID: tx.ID, Reason: "authentication: " + err.Error()}, false)
 		}
 		return
 	}
@@ -788,20 +759,13 @@ func (n *Node) onSubmit(m simnet.Message, fresh bool) {
 			}
 		}
 		if len(n.cfg.Orderers) > 0 {
-			target := n.cfg.Orderers[fnvMod(tx.ID, len(n.cfg.Orderers))]
+			// The orderer a client's attempt 0 picks under order-then-
+			// execute (transport.Route), so the id reaches one cutter first.
+			target := n.cfg.Orderers[ordering.FNV1a(tx.ID)%uint32(len(n.cfg.Orderers))]
 			_ = n.ep.Send(target, ordering.KindSubmit, m.Payload)
 		}
 	}
 	n.ensureExecution(tx, tx.Snapshot)
-}
-
-func fnvMod(s string, n int) int {
-	var h uint32 = 2166136261
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return int(h % uint32(n))
 }
 
 // authenticate verifies the client signature against sys_certs as of the

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -666,55 +665,6 @@ func TestSerialExecutionModeConsistent(t *testing.T) {
 	res, _ := tn.nodes[0].Query(`SELECT SUM(balance) FROM accounts`)
 	if res.Rows[0][0].Float() != 300.0 {
 		t.Fatalf("total = %v", res.Rows[0][0])
-	}
-}
-
-func TestNotificationPush(t *testing.T) {
-	tn := newTestNet(t, netOpts{flow: ExecuteOrder})
-	// The client registers an endpoint named after the username (§2(7)).
-	var mu sync.Mutex
-	var got []TxResult
-	_, err := tn.net.Register("alice", func(m simnet.Message) {
-		if m.Kind != KindNotify {
-			return
-		}
-		r, err := DecodeResult(m.Payload)
-		if err != nil {
-			return
-		}
-		mu.Lock()
-		got = append(got, r)
-		mu.Unlock()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch, id := tn.submit("alice", "put_account",
-		types.NewInt(1100), types.NewString("x"), types.NewFloat(1))
-	tn.await(ch)
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		mu.Lock()
-		n := len(got)
-		mu.Unlock()
-		if n > 0 {
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(got) == 0 {
-		t.Fatal("client never received a push notification")
-	}
-	found := false
-	for _, r := range got {
-		if r.ID == id && r.Committed {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("notification for %s missing: %+v", id, got)
 	}
 }
 

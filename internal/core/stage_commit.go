@@ -121,8 +121,7 @@ func (n *Node) commitOne(b *ledger.Block, i int, e *execution, dup bool,
 		n.metrics.TxAborted.Add(1)
 	}
 	outcomes[i] = wal.TxOutcome{ID: e.tx.ID, Committed: reason == "", Reason: reason}
-	results[i] = TxResult{ID: e.tx.ID, Block: b.Number, Committed: reason == "",
-		Reason: reason, clientEndpoint: e.tx.Username}
+	results[i] = TxResult{ID: e.tx.ID, Block: b.Number, Committed: reason == "", Reason: reason}
 }
 
 // noteCertWrites bumps the cert-cache epoch when a committed

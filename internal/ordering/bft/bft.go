@@ -59,7 +59,7 @@ type Orderer struct {
 	signer *identity.Signer
 	reg    *identity.Registry
 	ep     *simnet.Endpoint
-	peers  []string
+	dlv    *ordering.Delivery
 	cfg    ordering.Config
 
 	mu          sync.Mutex
@@ -74,8 +74,7 @@ type Orderer struct {
 	lastWatch   time.Time
 	stopped     bool
 	done        chan struct{}
-
-	delivered func(*ledger.Block) // test hook
+	deliverMu   sync.Mutex // orders deliveries; taken under mu, held across the sends
 }
 
 // New creates and starts a PBFT orderer. all lists every orderer endpoint
@@ -95,7 +94,6 @@ func New(idx int, all []string, signer *identity.Signer, reg *identity.Registry,
 		f:           (n - 1) / 3,
 		signer:      signer,
 		reg:         reg,
-		peers:       append([]string(nil), peers...),
 		cfg:         cfg.WithDefaults(),
 		cutter:      ordering.NewCutter(cfg),
 		entries:     make(map[uint64]*entry),
@@ -103,65 +101,16 @@ func New(idx int, all []string, signer *identity.Signer, reg *identity.Registry,
 		vcVotes:     make(map[uint64]map[string]bool),
 		done:        make(chan struct{}),
 	}
-	ep, err := net.Register(o.name, o.onMessage)
+	// The handler goes in once the delivery state it reaches exists.
+	ep, err := net.Register(o.name, nil)
 	if err != nil {
 		return nil, err
 	}
 	o.ep = ep
-	go o.heartbeatLoop()
+	o.dlv = ordering.NewDelivery(o.name, signer, ep, peers)
+	ep.SetHandler(o.onMessage)
+	go o.dlv.Heartbeats(o.cfg.HeartbeatEvery, o.done)
 	return o, nil
-}
-
-// heartbeatLoop proves liveness to this orderer's delivery peers between
-// blocks (same contract as the kafka service): the payload carries the
-// newest delivered block number so a lagging peer knows to catch up.
-func (o *Orderer) heartbeatLoop() {
-	t := time.NewTicker(o.cfg.HeartbeatEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-o.done:
-			return
-		case <-t.C:
-			o.mu.Lock()
-			last := o.deliverNext - 1
-			peers := append([]string(nil), o.peers...)
-			o.mu.Unlock()
-			payload := ordering.EncodeHeartbeat(last)
-			for _, p := range peers {
-				_ = o.ep.Send(p, ordering.KindHeartbeat, payload)
-			}
-		}
-	}
-}
-
-// addPeer subscribes a database node to this orderer's deliveries
-// (orderer failover). Idempotent.
-func (o *Orderer) addPeer(name string) {
-	o.mu.Lock()
-	for _, p := range o.peers {
-		if p == name {
-			o.mu.Unlock()
-			return
-		}
-	}
-	o.peers = append(o.peers, name)
-	last := o.deliverNext - 1
-	o.mu.Unlock()
-	_ = o.ep.Send(name, ordering.KindHeartbeat, ordering.EncodeHeartbeat(last))
-}
-
-// removePeer drops a database node from the delivery peers (the node
-// failed over to another orderer while this one was unreachable).
-func (o *Orderer) removePeer(name string) {
-	o.mu.Lock()
-	for i, p := range o.peers {
-		if p == name {
-			o.peers = append(o.peers[:i], o.peers[i+1:]...)
-			break
-		}
-	}
-	o.mu.Unlock()
 }
 
 // Name returns the orderer's endpoint name.
@@ -192,15 +141,15 @@ func (o *Orderer) Stop() {
 	}
 }
 
-// SetDeliveredHook installs a test hook invoked on every delivered block.
-func (o *Orderer) SetDeliveredHook(fn func(*ledger.Block)) { o.delivered = fn }
-
 func (o *Orderer) leaderOf(view uint64) string { return o.all[int(view)%o.n] }
 
 func (o *Orderer) isLeader() bool { return o.leaderOf(o.view) == o.name }
 
 // onMessage dispatches protocol traffic.
 func (o *Orderer) onMessage(m simnet.Message) {
+	if o.dlv.Handle(m) {
+		return
+	}
 	switch m.Kind {
 	case ordering.KindSubmit:
 		tx, err := ledger.UnmarshalTransaction(m.Payload)
@@ -224,10 +173,6 @@ func (o *Orderer) onMessage(m simnet.Message) {
 		o.handlePrePrepare(m)
 	case kindPrepare, kindCommit:
 		o.handleVote(m)
-	case ordering.KindSubscribe:
-		o.addPeer(m.From)
-	case ordering.KindUnsubscribe:
-		o.removePeer(m.From)
 	case kindViewChange:
 		o.handleViewChange(m)
 	case kindWatch:
@@ -503,10 +448,15 @@ func (o *Orderer) checkProgress(seq uint64) {
 			o.vcTimer = nil
 		}
 	}
+	// Take deliverMu before releasing mu: two link goroutines that each
+	// collected a batch then ship them in collection order, not in
+	// whichever order they happen to run.
+	o.deliverMu.Lock()
 	o.mu.Unlock()
 	for _, b := range toDeliver {
-		o.deliver(b)
+		o.dlv.Deliver(b)
 	}
+	o.deliverMu.Unlock()
 }
 
 func txIDs(b *ledger.Block) []string {
@@ -515,22 +465,6 @@ func txIDs(b *ledger.Block) []string {
 		out[i] = t.ID
 	}
 	return out
-}
-
-// deliver signs and ships a totally-ordered block to connected peers.
-func (o *Orderer) deliver(b *ledger.Block) {
-	signed := *b
-	signed.Sigs = []ledger.BlockSig{{
-		Orderer:   o.name,
-		Signature: o.signer.Sign(b.Hash[:]),
-	}}
-	data := signed.Encode()
-	for _, p := range o.peers {
-		_ = o.ep.Send(p, ordering.KindBlock, data)
-	}
-	if o.delivered != nil {
-		o.delivered(&signed)
-	}
 }
 
 // --- view change -------------------------------------------------------------------

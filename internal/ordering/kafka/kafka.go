@@ -88,22 +88,18 @@ func (t *Topic) publish(r record) {
 // consumes the topic, cuts blocks and delivers them (signed) to its
 // connected peers.
 type Orderer struct {
-	name   string
-	signer *identity.Signer
-	topic  TopicRef
-	cfg    ordering.Config
-	ep     *simnet.Endpoint
-	peers  []string
+	name  string
+	topic TopicRef
+	cfg   ordering.Config
+	ep    *simnet.Endpoint
+	dlv   *ordering.Delivery
 
-	mu            sync.Mutex
-	cutter        *ordering.Cutter
-	timer         *time.Timer
-	stopped       bool
-	done          chan struct{}
-	subID         int
-	lastDelivered uint64
-
-	delivered func(*ledger.Block) // test hook
+	mu      sync.Mutex
+	cutter  *ordering.Cutter
+	timer   *time.Timer
+	stopped bool
+	done    chan struct{}
+	subID   int
 }
 
 // NewOrderer creates and starts an orderer node attached to the topic —
@@ -113,65 +109,24 @@ type Orderer struct {
 func NewOrderer(name string, signer *identity.Signer, topic TopicRef, net *simnet.Network, peers []string, cfg ordering.Config) (*Orderer, error) {
 	o := &Orderer{
 		name:   name,
-		signer: signer,
 		topic:  topic,
 		cfg:    cfg.WithDefaults(),
-		peers:  append([]string(nil), peers...),
 		cutter: ordering.NewCutter(cfg),
 		done:   make(chan struct{}),
 	}
-	ep, err := net.Register(name, o.onMessage)
+	// The handler goes in once the delivery state it reaches exists.
+	ep, err := net.Register(name, nil)
 	if err != nil {
 		return nil, err
 	}
 	o.ep = ep
+	o.dlv = ordering.NewDelivery(name, signer, ep, peers)
+	ep.SetHandler(o.onMessage)
 	id, ch := topic.subscribe()
 	o.subID = id
 	go o.consume(ch)
-	go o.heartbeatLoop()
+	go o.dlv.Heartbeats(o.cfg.HeartbeatEvery, o.done)
 	return o, nil
-}
-
-// heartbeatLoop proves liveness to delivery peers between blocks, so a
-// peer hearing nothing can conclude its orderer crashed and fail over.
-// The payload carries the last delivered block number: a peer that is
-// behind it knows to catch up from its database peers.
-func (o *Orderer) heartbeatLoop() {
-	t := time.NewTicker(o.cfg.HeartbeatEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-o.done:
-			return
-		case <-t.C:
-			o.mu.Lock()
-			last := o.lastDelivered
-			peers := append([]string(nil), o.peers...)
-			o.mu.Unlock()
-			payload := ordering.EncodeHeartbeat(last)
-			for _, p := range peers {
-				_ = o.ep.Send(p, ordering.KindHeartbeat, payload)
-			}
-		}
-	}
-}
-
-// addPeer subscribes a database node to this orderer's deliveries
-// (orderer failover). Idempotent.
-func (o *Orderer) addPeer(name string) {
-	o.mu.Lock()
-	for _, p := range o.peers {
-		if p == name {
-			o.mu.Unlock()
-			return
-		}
-	}
-	o.peers = append(o.peers, name)
-	last := o.lastDelivered
-	o.mu.Unlock()
-	// Answer immediately so the failed-over peer's delivery deadline
-	// resets without waiting a heartbeat period.
-	_ = o.ep.Send(name, ordering.KindHeartbeat, ordering.EncodeHeartbeat(last))
 }
 
 // Name returns the orderer's endpoint name.
@@ -193,8 +148,12 @@ func (o *Orderer) Stop() {
 	}
 }
 
-// onMessage handles peer traffic: publish everything to the topic.
+// onMessage handles peer traffic: delivery requests are answered here,
+// everything else is published to the topic.
 func (o *Orderer) onMessage(m simnet.Message) {
+	if o.dlv.Handle(m) {
+		return
+	}
 	switch m.Kind {
 	case ordering.KindSubmit:
 		tx, err := ledger.UnmarshalTransaction(m.Payload)
@@ -208,24 +167,7 @@ func (o *Orderer) onMessage(m simnet.Message) {
 			return
 		}
 		o.topic.publish(record{kind: msgCheckpoint, cp: cp})
-	case ordering.KindSubscribe:
-		o.addPeer(m.From)
-	case ordering.KindUnsubscribe:
-		o.removePeer(m.From)
 	}
-}
-
-// removePeer drops a database node from the delivery peers (the node
-// failed over to another orderer while this one was unreachable).
-func (o *Orderer) removePeer(name string) {
-	o.mu.Lock()
-	for i, p := range o.peers {
-		if p == name {
-			o.peers = append(o.peers[:i], o.peers[i+1:]...)
-			break
-		}
-	}
-	o.mu.Unlock()
 }
 
 // SubmitLocal injects a transaction directly (clients colocated with an
@@ -264,7 +206,7 @@ func (o *Orderer) consume(ch chan record) {
 			}
 			o.mu.Unlock()
 			for _, b := range blocks {
-				o.deliver(b)
+				o.dlv.Deliver(b)
 			}
 		}
 	}
@@ -287,28 +229,3 @@ func (o *Orderer) armTimerLocked(block uint64) {
 		}
 	})
 }
-
-// deliver signs the block and sends it to the connected peers.
-func (o *Orderer) deliver(b *ledger.Block) {
-	signed := *b // shallow copy; Txs shared (immutable)
-	signed.Sigs = []ledger.BlockSig{{
-		Orderer:   o.name,
-		Signature: o.signer.Sign(b.Hash[:]),
-	}}
-	data := signed.Encode()
-	o.mu.Lock()
-	if b.Number > o.lastDelivered {
-		o.lastDelivered = b.Number
-	}
-	peers := append([]string(nil), o.peers...)
-	o.mu.Unlock()
-	for _, p := range peers {
-		_ = o.ep.Send(p, ordering.KindBlock, data)
-	}
-	if o.delivered != nil {
-		o.delivered(&signed)
-	}
-}
-
-// SetDeliveredHook installs a test hook invoked for every delivered block.
-func (o *Orderer) SetDeliveredHook(fn func(*ledger.Block)) { o.delivered = fn }

@@ -35,6 +35,20 @@ func DecodeHeartbeat(data []byte) (uint64, error) {
 	return last, d.Done()
 }
 
+// FNV1a is the 32-bit FNV-1a hash of s. Every place that spreads work by
+// name uses it — which orderer takes a transaction id first (the
+// transport's route and a peer's forward must agree, or a resubmission
+// reaches a different orderer than the original) and the per-user retry
+// jitter — so there is exactly one such rule.
+func FNV1a(s string) uint32 {
+	h := uint32(2166136261)
+	for i := 0; i < len(s); i++ {
+		h ^= uint32(s[i])
+		h *= 16777619
+	}
+	return h
+}
+
 // Wire message kinds between peers and orderer nodes.
 const (
 	// KindSubmit carries one marshalled transaction, peer/client → orderer.
@@ -56,6 +70,11 @@ const (
 	// (uvarint) to its delivery peers, proving liveness between blocks so
 	// peers can distinguish "no traffic" from "my orderer is dead".
 	KindHeartbeat = "ord.heartbeat"
+	// KindBlockFetch asks an orderer to deliver again the blocks [from, to]
+	// (two uvarints, as in the peers' block request) that it still retains —
+	// sent by a database node whose peers cannot supply a missing block
+	// because its delivery was lost on every link.
+	KindBlockFetch = "ord.blockfetch"
 )
 
 // Config tunes block cutting.

@@ -91,9 +91,14 @@ func (c *HTTPClient) Info(ctx context.Context) (Info, error) {
 	return info, err
 }
 
-// Submit implements Transport.
+// Submit is SubmitAttempt's attempt-0 form: the normal route.
 func (c *HTTPClient) Submit(ctx context.Context, txBytes []byte) error {
-	return c.do(ctx, http.MethodPost, "/v1/submit", submitRequest{Tx: txBytes}, nil)
+	return c.SubmitAttempt(ctx, txBytes, 0)
+}
+
+// SubmitAttempt implements Transport.
+func (c *HTTPClient) SubmitAttempt(ctx context.Context, txBytes []byte, attempt int) error {
+	return c.do(ctx, http.MethodPost, "/v1/submit", submitRequest{Tx: txBytes, Attempt: attempt}, nil)
 }
 
 // Query implements Transport.
@@ -114,7 +119,7 @@ func (c *HTTPClient) Relay(ctx context.Context, from, to, kind string, payload [
 // CommitStream implements Transport: one long-lived GET whose NDJSON
 // lines are demuxed into the returned channel. The channel closes when
 // the stream ends for any reason; callers that need a durable stream
-// redial in a loop (RemoteClient does).
+// redial in a loop (bcrdb.Client's follower does).
 func (c *HTTPClient) CommitStream(ctx context.Context) (<-chan core.TxResult, func(), error) {
 	ctx, cancel := context.WithCancel(ctx)
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/commits", nil)

@@ -2,31 +2,45 @@ package transport
 
 import (
 	"context"
-	"fmt"
-	"hash/fnv"
-	"sync"
 
+	"bcrdb/internal/codec"
 	"bcrdb/internal/core"
 	"bcrdb/internal/engine"
-	"bcrdb/internal/ledger"
 	"bcrdb/internal/ordering"
 	"bcrdb/internal/simnet"
 	"bcrdb/internal/types"
 )
 
-// submitDest picks the wire destination for a signed transaction: in
-// execute-order flow the local node validates and forwards (§3.2); in
-// order-execute flow clients talk straight to the ordering service, so
-// the submission goes to the orderer owning the transaction's id hash —
-// the same routing rule the in-process client uses, keeping resubmission
-// idempotent across transports.
-func submitDest(flow core.Flow, nodeName string, orderers []string, txID string) (to, kind string, err error) {
-	if flow == core.ExecuteOrder || len(orderers) == 0 {
-		return nodeName, core.KindSubmit, nil
+// Route is the one rule for where a client's submission enters the
+// fabric, shared by Direct and Server so an in-process and a dialed client
+// fail over identically. Network builds it: Nodes always contains the
+// connected node, and Orderers is non-empty under order-then-execute.
+type Route struct {
+	Flow core.Flow
+	// Nodes is the ring of database-node endpoints and Home the connected
+	// node's index in it.
+	Nodes []string
+	Home  int
+	// Orderers is the ring of ordering-service endpoints.
+	Orderers []string
+}
+
+// Dest picks the endpoint and message kind for one submission attempt.
+// Execute-order: the connected node validates and forwards (§3.2), and
+// each retry moves one node along the ring. Order-then-execute: clients
+// talk straight to the ordering service (§3.3) — attempt 0 goes to the
+// orderer owning the id's hash, the one a peer's forward picks too, and
+// each retry to the next orderer, so a silent one is walked past.
+//
+// attempt is not negative; it is reduced before it is added, so no value
+// a request can carry overflows the index.
+func (r Route) Dest(txID string, attempt int) (to, kind string) {
+	ring, first, kind := r.Nodes, r.Home, core.KindSubmit
+	if r.Flow == core.OrderThenExecute {
+		ring, kind = r.Orderers, ordering.KindSubmit
+		first = int(ordering.FNV1a(txID) % uint32(len(ring)))
 	}
-	h := fnv.New32a()
-	h.Write([]byte(txID))
-	return orderers[int(h.Sum32())%len(orderers)], ordering.KindSubmit, nil
+	return ring[(first+attempt%len(ring))%len(ring)], kind
 }
 
 // Direct is the in-process transport: it registers one simnet endpoint
@@ -34,56 +48,35 @@ func submitDest(flow core.Flow, nodeName string, orderers []string, txID string)
 // It exists so local and remote clients share one code path — the only
 // difference between them is which Transport they hold.
 type Direct struct {
-	node     NodeBackend
-	ep       *simnet.Endpoint
-	flow     core.Flow
-	orderers []string
-
-	mu      sync.Mutex
-	streams map[<-chan core.TxResult]struct{}
-	closed  bool
+	node  NodeBackend
+	ep    *simnet.Endpoint
+	route Route
 }
 
 // NewDirect registers endpoint epName on the network and connects it to
-// the given node. orderers are the ordering-service endpoint names used
-// for order-execute submissions.
-func NewDirect(net *simnet.Network, epName string, node NodeBackend, flow core.Flow, orderers []string) (*Direct, error) {
-	d := &Direct{
-		node:     node,
-		flow:     flow,
-		orderers: append([]string(nil), orderers...),
-		streams:  make(map[<-chan core.TxResult]struct{}),
-	}
+// the given node; route says where its submissions go.
+func NewDirect(net *simnet.Network, epName string, node NodeBackend, route Route) (*Direct, error) {
 	ep, err := net.Register(epName, func(simnet.Message) {})
 	if err != nil {
 		return nil, err
 	}
-	d.ep = ep
-	return d, nil
+	return &Direct{node: node, ep: ep, route: route}, nil
 }
 
 // Info implements Transport.
 func (d *Direct) Info(context.Context) (Info, error) {
-	return Info{
-		Node:         d.node.Name(),
-		Org:          d.node.Org(),
-		Flow:         flowName(d.flow),
-		Height:       d.node.Height(),
-		SealedHeight: d.node.SealedHeight(),
-		Orderers:     len(d.orderers),
-	}, nil
+	return nodeInfo(d.node, d.route), nil
 }
 
-// Submit implements Transport.
-func (d *Direct) Submit(_ context.Context, txBytes []byte) error {
-	tx, err := ledger.UnmarshalTransaction(txBytes)
-	if err != nil {
-		return fmt.Errorf("transport: bad transaction: %w", err)
+// SubmitAttempt implements Transport. The bytes come from this process's
+// own client, so nothing is decoded beyond what routing needs: nothing in
+// execute-order, the id — the encoding's first field — otherwise.
+func (d *Direct) SubmitAttempt(_ context.Context, txBytes []byte, attempt int) error {
+	var id string
+	if d.route.Flow == core.OrderThenExecute {
+		id = codec.NewDec(txBytes).String()
 	}
-	to, kind, err := submitDest(d.flow, d.node.Name(), d.orderers, tx.ID)
-	if err != nil {
-		return err
-	}
+	to, kind := d.route.Dest(id, attempt)
 	return d.ep.Send(to, kind, txBytes)
 }
 
@@ -95,73 +88,33 @@ func (d *Direct) Query(_ context.Context, height int64, sql string, params []typ
 	return d.node.QueryAt(height, sql, params...)
 }
 
-// CommitStream implements Transport.
-func (d *Direct) CommitStream(ctx context.Context) (<-chan core.TxResult, func(), error) {
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		return nil, nil, fmt.Errorf("transport: direct transport closed")
-	}
-	src := d.node.SubscribeAll()
-	d.streams[src] = struct{}{}
-	d.mu.Unlock()
-
-	out := make(chan core.TxResult, 256)
-	done := make(chan struct{})
-	var once sync.Once
-	stop := func() {
-		once.Do(func() {
-			close(done)
-			d.mu.Lock()
-			delete(d.streams, src)
-			d.mu.Unlock()
-			d.node.UnsubscribeAll(src)
-		})
-	}
-	go func() {
-		defer close(out)
-		for {
-			select {
-			case <-done:
-				return
-			case <-ctx.Done():
-				stop()
-				return
-			case r := <-src:
-				select {
-				case out <- r:
-				default: // slow consumer: drop, the client's ledger lookup recovers
-				}
-			}
-		}
-	}()
-	return out, stop, nil
+// CommitStream implements Transport by handing out the node's own
+// subscription channel: nothing is copied, and the channel never closes.
+// stop is idempotent and also safe after Close.
+func (d *Direct) CommitStream(context.Context) (<-chan core.TxResult, func(), error) {
+	ch := d.node.SubscribeAll()
+	return ch, func() { d.node.UnsubscribeAll(ch) }, nil
 }
 
-// Close implements Transport.
+// Close implements Transport: it releases the endpoint. Streams are
+// released by their own stop.
 func (d *Direct) Close() error {
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		return nil
-	}
-	d.closed = true
-	streams := make([]<-chan core.TxResult, 0, len(d.streams))
-	for ch := range d.streams {
-		streams = append(streams, ch)
-	}
-	d.streams = make(map[<-chan core.TxResult]struct{})
-	d.mu.Unlock()
-	for _, ch := range streams {
-		d.node.UnsubscribeAll(ch)
-	}
 	d.ep.Unregister()
 	return nil
 }
 
-func flowName(f core.Flow) string {
-	if f == core.OrderThenExecute {
-		return "order-execute"
+// nodeInfo describes a node and the route of the transport in front of it.
+func nodeInfo(node NodeBackend, route Route) Info {
+	flow := "execute-order"
+	if route.Flow == core.OrderThenExecute {
+		flow = "order-execute"
 	}
-	return "execute-order"
+	return Info{
+		Node:         node.Name(),
+		Org:          node.Org(),
+		Flow:         flow,
+		Height:       node.Height(),
+		SealedHeight: node.SealedHeight(),
+		Orderers:     len(route.Orderers),
+	}
 }

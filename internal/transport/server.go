@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"bcrdb/internal/core"
 	"bcrdb/internal/engine"
 	"bcrdb/internal/ledger"
 	"bcrdb/internal/simnet"
@@ -29,9 +28,9 @@ const (
 
 // ServerConfig configures one node's wire endpoint.
 type ServerConfig struct {
-	Node     NodeBackend
-	Flow     core.Flow
-	Orderers []string // ordering-service endpoint names for order-execute routing
+	Node NodeBackend
+	// Route says where submissions go; Network sets it.
+	Route Route
 
 	// Net is the process-local message fabric. Submissions enter it via
 	// a server-owned endpoint; /v1/relay injects cluster traffic into it.
@@ -168,14 +167,7 @@ func writeJSON(w http.ResponseWriter, v any) {
 }
 
 func (s *Server) handleInfo(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, Info{
-		Node:         s.cfg.Node.Name(),
-		Org:          s.cfg.Node.Org(),
-		Flow:         flowName(s.cfg.Flow),
-		Height:       s.cfg.Node.Height(),
-		SealedHeight: s.cfg.Node.SealedHeight(),
-		Orderers:     len(s.cfg.Orderers),
-	})
+	writeJSON(w, nodeInfo(s.cfg.Node, s.cfg.Route))
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -186,6 +178,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	if len(req.Tx) == 0 {
 		s.fail(w, http.StatusBadRequest, "empty transaction")
+		return
+	}
+	if req.Attempt < 0 {
+		s.fail(w, http.StatusBadRequest, "negative attempt %d", req.Attempt)
 		return
 	}
 	// Decode before routing: a transaction that does not parse is
@@ -201,11 +197,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, "transaction missing id, user or signature")
 		return
 	}
-	to, kind, err := submitDest(s.cfg.Flow, s.cfg.Node.Name(), s.cfg.Orderers, tx.ID)
-	if err != nil {
-		s.fail(w, http.StatusServiceUnavailable, "no route: %v", err)
-		return
-	}
+	to, kind := s.cfg.Route.Dest(tx.ID, req.Attempt)
 	if err := s.ep.Send(to, kind, req.Tx); err != nil {
 		s.fail(w, http.StatusServiceUnavailable, "submit: %v", err)
 		return

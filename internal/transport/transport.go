@@ -2,19 +2,23 @@
 // Transport interface (submit a signed transaction, run a query, follow
 // the commit stream) with two implementations — Direct, for clients in
 // the same process as the fabric, and HTTPClient/Server, the real wire
-// protocol spoken by cmd/bcrdb-server.
+// protocol spoken by cmd/bcrdb-server. The one client type (bcrdb.Client)
+// holds either; where a submission attempt goes is one rule, Route.Dest,
+// applied by Direct and by the Server alike.
 //
 // The wire protocol is HTTP/1.1 + JSON. Transactions cross the wire as
 // the exact ledger.MarshalTransaction bytes (base64 in JSON), so the
 // client's Ed25519 signature verifies unchanged on the far side; the
-// server never re-encodes what was signed. Commit notifications stream
-// back as newline-delimited JSON over a long-lived GET, replacing the
-// in-process waiter registration that remote clients cannot reach.
+// server never re-encodes what was signed. Results reach every client the
+// same way, from the commit stream of the node it is connected to: the
+// node's own subscription channel in-process, newline-delimited JSON over
+// a long-lived GET on the wire.
 //
 // Endpoints:
 //
 //	GET  /v1/info     node identity, org, chain height
-//	POST /v1/submit   {"tx": base64} → {"id": txid}; routed by flow
+//	POST /v1/submit   {"tx": base64, "attempt": n} → {"id": txid}; routed by
+//	                  Route.Dest(id, n); "attempt" is optional (0), < 0 is 400
 //	POST /v1/query    {"sql", "params", "height"} → {"cols", "rows"}
 //	GET  /v1/commits  NDJSON stream of every commit on this node
 //	POST /v1/relay    cluster-internal message injection (gateway path)
@@ -33,17 +37,20 @@ import (
 type Transport interface {
 	// Info describes the node this transport is connected to.
 	Info(ctx context.Context) (Info, error)
-	// Submit delivers the marshalled, signed transaction for ordering.
-	// It returns once the transaction is accepted for processing, not
-	// when it commits — commits arrive on the CommitStream.
-	Submit(ctx context.Context, txBytes []byte) error
+	// SubmitAttempt delivers the marshalled, signed transaction for
+	// ordering, to the destination Route.Dest picks for this attempt (0
+	// is the normal route, each retry fails over one step). It returns
+	// once the transaction is accepted for processing, not when it
+	// commits — commits arrive on the CommitStream.
+	SubmitAttempt(ctx context.Context, txBytes []byte, attempt int) error
 	// Query runs a read-only query at the given height (height < 0
 	// means the node's current height).
 	Query(ctx context.Context, height int64, sql string, params []types.Value) (*engine.Result, error)
 	// CommitStream subscribes to every transaction result committed on
-	// the node. The returned stop function releases the subscription;
-	// the channel is closed when the stream ends (stop called, context
-	// cancelled, or connection lost — remote callers redial).
+	// the node. The returned stop function releases the subscription and
+	// is idempotent. A remote stream's channel is closed when the stream
+	// ends (stop called, context cancelled, or connection lost — callers
+	// redial); an in-process stream never ends on its own.
 	CommitStream(ctx context.Context) (<-chan core.TxResult, func(), error)
 	// Close releases the transport.
 	Close() error
@@ -77,7 +84,8 @@ var _ NodeBackend = (*core.Node)(nil)
 // Wire request/response bodies.
 
 type submitRequest struct {
-	Tx []byte `json:"tx"` // ledger.MarshalTransaction bytes, base64 by encoding/json
+	Tx      []byte `json:"tx"`                // ledger.MarshalTransaction bytes, base64 by encoding/json
+	Attempt int    `json:"attempt,omitempty"` // which stop of Route.Dest; 0 = the normal route
 }
 
 type submitResponse struct {

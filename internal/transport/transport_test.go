@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strings"
 	"sync"
@@ -13,6 +15,8 @@ import (
 
 	"bcrdb/internal/core"
 	"bcrdb/internal/engine"
+	"bcrdb/internal/ledger"
+	"bcrdb/internal/ordering"
 	"bcrdb/internal/simnet"
 	"bcrdb/internal/types"
 )
@@ -72,6 +76,9 @@ func (f *fakeNode) push(r core.TxResult) {
 	}
 }
 
+// testRoute is the one-node ring test constructors pass.
+var testRoute = Route{Flow: core.ExecuteOrder, Nodes: []string{"db.test"}}
+
 func newTestServer(t *testing.T, cfg ServerConfig) (*Server, *fakeNode) {
 	t.Helper()
 	node := &fakeNode{}
@@ -81,12 +88,37 @@ func newTestServer(t *testing.T, cfg ServerConfig) (*Server, *fakeNode) {
 	if cfg.Net == nil {
 		cfg.Net = simnet.New(simnet.Loopback())
 	}
+	if cfg.Route.Nodes == nil {
+		cfg.Route = testRoute
+	}
 	srv, err := NewServer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
 	return srv, node
+}
+
+// bothTransports runs fn once per Transport implementation, each in front
+// of its own fakeNode: Direct on a loopback fabric, HTTPClient against a
+// test server. released reports when the far side has let go of every
+// stream (the server tears a dropped stream down asynchronously).
+func bothTransports(t *testing.T, fn func(t *testing.T, tr Transport, node *fakeNode, released func() bool)) {
+	t.Run("direct", func(t *testing.T) {
+		node := &fakeNode{}
+		d, err := NewDirect(simnet.New(simnet.Loopback()), "client", node, testRoute)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Close()
+		fn(t, d, node, func() bool { return node.subscriberCount() == 0 })
+	})
+	t.Run("http", func(t *testing.T) {
+		srv, node := newTestServer(t, ServerConfig{})
+		c := Dial(srv.URL())
+		defer c.Close()
+		fn(t, c, node, func() bool { return node.subscriberCount() == 0 && srv.ActiveStreams() == 0 })
+	})
 }
 
 // TestMalformedRequestsRejected drives every parse-failure path of the
@@ -111,6 +143,7 @@ func TestMalformedRequestsRejected(t *testing.T) {
 		{"submit junk json", "/v1/submit", "{not json"},
 		{"submit empty tx", "/v1/submit", `{"tx": ""}`},
 		{"submit garbage tx bytes", "/v1/submit", `{"tx": "Z29vZC1tb3JuaW5n"}`},
+		{"submit negative attempt", "/v1/submit", `{"tx": "Z29vZC1tb3JuaW5n", "attempt": -1}`},
 		{"query junk json", "/v1/query", "{{{"},
 		{"query empty sql", "/v1/query", `{"sql": "", "height": -1}`},
 		{"query unknown value kind", "/v1/query", `{"sql": "SELECT 1", "height": -1, "params": [{"k": "decimal128"}]}`},
@@ -136,68 +169,153 @@ func TestMalformedRequestsRejected(t *testing.T) {
 	}
 }
 
-// TestQueryRoundTrip exercises the value codec across the wire,
+// TestQueryRoundTrip exercises the value codec across both transports,
 // including the error path.
 func TestQueryRoundTrip(t *testing.T) {
-	srv, _ := newTestServer(t, ServerConfig{})
-	c := Dial(srv.URL())
-	defer c.Close()
-
-	params := []types.Value{
-		types.NewInt(-42), types.NewFloat(2.5), types.NewString("héllo"),
-		types.NewBool(true), types.NewBytes([]byte{0, 1, 255}), types.Null(),
-	}
-	res, err := c.Query(context.Background(), -1, "SELECT $1", params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	row := res.Rows[0]
-	if row[0].Str() != "SELECT $1" {
-		t.Fatalf("echoed sql = %q", row[0].Str())
-	}
-	for i, want := range params {
-		got := row[i+1]
-		if got.Kind() != want.Kind() || got.String() != want.String() {
-			t.Fatalf("param %d: got %v (%v), want %v (%v)", i, got, got.Kind(), want, want.Kind())
+	bothTransports(t, func(t *testing.T, c Transport, _ *fakeNode, _ func() bool) {
+		params := []types.Value{
+			types.NewInt(-42), types.NewFloat(2.5), types.NewString("héllo"),
+			types.NewBool(true), types.NewBytes([]byte{0, 1, 255}), types.Null(),
 		}
-	}
+		res, err := c.Query(context.Background(), -1, "SELECT $1", params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		row := res.Rows[0]
+		if row[0].Str() != "SELECT $1" {
+			t.Fatalf("echoed sql = %q", row[0].Str())
+		}
+		for i, want := range params {
+			got := row[i+1]
+			if got.Kind() != want.Kind() || got.String() != want.String() {
+				t.Fatalf("param %d: got %v (%v), want %v (%v)", i, got, got.Kind(), want, want.Kind())
+			}
+		}
 
-	if _, err := c.Query(context.Background(), -1, "boom", nil); err == nil {
-		t.Fatal("query error did not propagate")
-	} else if se := err.(*StatusError); se.Code != http.StatusUnprocessableEntity {
-		t.Fatalf("status = %d, want 422", se.Code)
-	}
+		_, err = c.Query(context.Background(), -1, "boom", nil)
+		if err == nil {
+			t.Fatal("query error did not propagate")
+		}
+		// On the wire a query error is a 422, not a transport failure.
+		var se *StatusError
+		if _, wire := c.(*HTTPClient); wire && (!errors.As(err, &se) || se.Code != http.StatusUnprocessableEntity) {
+			t.Fatalf("wire query error = %v, want a 422 StatusError", err)
+		}
 
-	if res, err := c.Query(context.Background(), 3, "SELECT 1", nil); err != nil || res.Rows[0][0].Int() != 3 {
-		t.Fatalf("height routing: %v %v", res, err)
-	}
+		if res, err := c.Query(context.Background(), 3, "SELECT 1", nil); err != nil || res.Rows[0][0].Int() != 3 {
+			t.Fatalf("height routing: %v %v", res, err)
+		}
+	})
 }
 
 // TestCommitStreamSubscriberCleanup: a dropped stream client must not
-// leave its SubscribeAll channel registered on the node.
+// leave its SubscribeAll channel registered on the node, and stop is
+// idempotent — twice, and again after the transport closed.
 func TestCommitStreamSubscriberCleanup(t *testing.T) {
-	srv, node := newTestServer(t, ServerConfig{})
-	c := Dial(srv.URL())
-	defer c.Close()
+	bothTransports(t, func(t *testing.T, c Transport, node *fakeNode, released func() bool) {
+		ch, stop, err := c.CommitStream(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitCond(t, "subscriber registered", func() bool { return node.subscriberCount() == 1 })
 
-	ch, stop, err := c.CommitStream(context.Background())
+		node.push(core.TxResult{ID: "tx1", Block: 3, Committed: true})
+		select {
+		case r := <-ch:
+			if r.ID != "tx1" || r.Block != 3 || !r.Committed {
+				t.Fatalf("streamed result = %+v", r)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("commit did not stream")
+		}
+
+		stop()
+		stop()
+		waitCond(t, "subscriber released", released)
+		c.Close()
+		stop()
+		if !released() {
+			t.Fatal("stop after Close re-registered or leaked a subscriber")
+		}
+	})
+}
+
+// TestRouteDest is the one routing rule as a table: where attempt n of a
+// submission goes, for both flows.
+func TestRouteDest(t *testing.T) {
+	nodes := []string{"db.a", "db.b", "db.c"}
+	ords := []string{"o0", "o1", "o2"}
+	// "b" hashes to 0xe70c2de5: the top bit is set, which the in-process
+	// client used to mask off before the modulo and the peers did not.
+	const topBit = "b"
+	if h := ordering.FNV1a(topBit); h != 0xe70c2de5 || h>>31 != 1 {
+		t.Fatalf("FNV1a(%q) = %#x", topBit, h)
+	}
+	first := func(id string) int { return int(ordering.FNV1a(id) % uint32(len(ords))) }
+	cases := []struct {
+		name    string
+		r       Route
+		id      string
+		attempt int
+		to      string
+	}{
+		{"eo attempt 0 is the home node", Route{Flow: core.ExecuteOrder, Nodes: nodes, Home: 1, Orderers: ords}, "x", 0, "db.b"},
+		{"eo retry walks the ring", Route{Flow: core.ExecuteOrder, Nodes: nodes, Home: 1, Orderers: ords}, "x", 1, "db.c"},
+		{"eo ring wraps past the end", Route{Flow: core.ExecuteOrder, Nodes: nodes, Home: 1, Orderers: ords}, "x", 2, "db.a"},
+		{"eo attempt n is home again", Route{Flow: core.ExecuteOrder, Nodes: nodes, Home: 1, Orderers: ords}, "x", 3, "db.b"},
+		{"eo one-node ring", testRoute, "x", 5, "db.test"},
+		{"oe attempt 0 is the id's orderer", Route{Flow: core.OrderThenExecute, Nodes: nodes, Orderers: ords}, "x", 0, ords[first("x")]},
+		{"oe retry is the next orderer", Route{Flow: core.OrderThenExecute, Nodes: nodes, Orderers: ords}, "x", 1, ords[(first("x")+1)%3]},
+		{"oe second retry is the third", Route{Flow: core.OrderThenExecute, Nodes: nodes, Orderers: ords}, "x", 2, ords[(first("x")+2)%3]},
+		{"oe attempt n wraps", Route{Flow: core.OrderThenExecute, Nodes: nodes, Orderers: ords}, "x", 3, ords[first("x")]},
+		{"oe top-bit id", Route{Flow: core.OrderThenExecute, Nodes: nodes, Orderers: ords}, topBit, 0, ords[0xe70c2de5%3]},
+		{"oe huge attempt does not overflow", Route{Flow: core.OrderThenExecute, Nodes: nodes, Orderers: ords}, topBit, math.MaxInt, ords[(0xe70c2de5%3+math.MaxInt%3)%3]},
+	}
+	for _, tc := range cases {
+		to, kind := tc.r.Dest(tc.id, tc.attempt)
+		wantKind := core.KindSubmit
+		if tc.r.Flow == core.OrderThenExecute {
+			wantKind = ordering.KindSubmit
+		}
+		if to != tc.to || kind != wantKind {
+			t.Errorf("%s: Dest(%q, %d) = %s %s, want %s %s", tc.name, tc.id, tc.attempt, to, kind, tc.to, wantKind)
+		}
+	}
+}
+
+// TestDirectRoutesByPeekedID: Direct reads the id straight off the
+// marshalled bytes (no full decode); it must land where Dest sends the
+// decoded id, attempt by attempt.
+func TestDirectRoutesByPeekedID(t *testing.T) {
+	net := simnet.New(simnet.Loopback())
+	ords := []string{"o0", "o1", "o2"}
+	got := make(chan string, 1)
+	for _, o := range ords {
+		if _, err := net.Register(o, func(m simnet.Message) { got <- m.To + " " + m.Kind }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	route := Route{Flow: core.OrderThenExecute, Nodes: []string{"db.test"}, Orderers: ords}
+	d, err := NewDirect(net, "client", &fakeNode{}, route)
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitCond(t, "subscriber registered", func() bool { return node.subscriberCount() == 1 && srv.ActiveStreams() == 1 })
-
-	node.push(core.TxResult{ID: "tx1", Block: 3, Committed: true})
-	select {
-	case r := <-ch:
-		if r.ID != "tx1" || r.Block != 3 || !r.Committed {
-			t.Fatalf("streamed result = %+v", r)
+	defer d.Close()
+	tx := &ledger.Transaction{ID: "b", Username: "u", Contract: "c", Args: []types.Value{types.NewInt(1)}, Signature: []byte{1}}
+	for attempt := 0; attempt < 4; attempt++ {
+		if err := d.SubmitAttempt(context.Background(), ledger.MarshalTransaction(tx), attempt); err != nil {
+			t.Fatal(err)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("commit did not stream")
+		to, kind := route.Dest(tx.ID, attempt)
+		select {
+		case g := <-got:
+			if g != to+" "+kind {
+				t.Fatalf("attempt %d went to %s, Dest says %s %s", attempt, g, to, kind)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("attempt %d never arrived", attempt)
+		}
 	}
-
-	stop()
-	waitCond(t, "subscriber released", func() bool { return node.subscriberCount() == 0 && srv.ActiveStreams() == 0 })
 }
 
 // TestConnectionLimit: with one connection slot, a held-open stream

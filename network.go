@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -120,7 +121,7 @@ type Options struct {
 	// IdentitySecret, when non-empty, derives every identity (admins,
 	// users, peers, orderers) deterministically from this shared secret
 	// instead of generating random keys. All processes of a
-	// multi-process cluster — and any RemoteClient — must agree on it,
+	// multi-process cluster — and any dialed client — must agree on it,
 	// so genesis certificates and signatures verify across process
 	// boundaries. Required when Cluster is set.
 	IdentitySecret string
@@ -159,6 +160,7 @@ type Network struct {
 	nodes     []*core.Node
 
 	signers  map[string]*identity.Signer // clients and admins
+	peers    []string                    // database-node endpoint names, every org's
 	orderers []string                    // orderer endpoint names
 
 	// Cluster-mode wiring (nil otherwise).
@@ -170,10 +172,9 @@ type Network struct {
 	clientMu sync.Mutex
 	clients  map[string]*Client
 
-	// closed fences use-after-Close: every submission path checks it,
-	// and closedCh wakes blocked waits (retry backoff, Await).
+	// closed fences use-after-Close: set before anything stops, read by
+	// Client under clientMu, so no handle is made on a stopping fabric.
 	closed    atomic.Bool
-	closedCh  chan struct{}
 	closeOnce sync.Once
 }
 
@@ -220,10 +221,9 @@ func NewNetwork(opts Options) (*Network, error) {
 	localOrderer := func(i int) bool { return cluster == nil || i%len(opts.Orgs) == localOrgIdx }
 
 	nw := &Network{
-		opts:     opts,
-		signers:  make(map[string]*identity.Signer),
-		clients:  make(map[string]*Client),
-		closedCh: make(chan struct{}),
+		opts:    opts,
+		signers: make(map[string]*identity.Signer),
+		clients: make(map[string]*Client),
 	}
 	newSigner := func(name, org string, role identity.Role) (*identity.Signer, error) {
 		if opts.IdentitySecret != "" {
@@ -311,7 +311,6 @@ func NewNetwork(opts Options) (*Network, error) {
 		}
 	}
 
-	var peerNames []string
 	var peerSigners []*identity.Signer
 	for _, org := range opts.Orgs {
 		name := "db." + org.Name
@@ -319,7 +318,7 @@ func NewNetwork(opts Options) (*Network, error) {
 		if err != nil {
 			return nil, err
 		}
-		peerNames = append(peerNames, name)
+		nw.peers = append(nw.peers, name)
 		peerSigners = append(peerSigners, s)
 		if err := netReg.Register(s.Public()); err != nil {
 			return nil, err
@@ -357,13 +356,13 @@ func NewNetwork(opts Options) (*Network, error) {
 			continue
 		}
 		cfg := core.Config{
-			Name:               peerNames[i],
+			Name:               nw.peers[i],
 			Org:                org.Name,
 			Flow:               opts.Flow,
 			SerialExecution:    opts.SerialExecution,
 			Orderers:           nw.orderers,
 			DeliverFrom:        nw.orderers[i%len(nw.orderers)],
-			Peers:              peerNames,
+			Peers:              nw.peers,
 			FailoverTimeout:    opts.FailoverTimeout,
 			AntiEntropyEvery:   opts.AntiEntropyEvery,
 			CheckpointEvery:    opts.CheckpointEvery,
@@ -423,7 +422,7 @@ func NewNetwork(opts Options) (*Network, error) {
 				nw.topicClients = append(nw.topicClients, tc)
 				topicRef = tc
 			}
-			peers := deliveryPeers(peerNames, i, nOrderers)
+			peers := deliveryPeers(nw.peers, i, nOrderers)
 			o, err := kafka.NewOrderer(nw.orderers[i], ordSigners[i], topicRef, nw.net, peers, cfg)
 			if err != nil {
 				nw.Close()
@@ -436,7 +435,7 @@ func NewNetwork(opts Options) (*Network, error) {
 			if !localOrderer(i) {
 				continue
 			}
-			peers := deliveryPeers(peerNames, i, nOrderers)
+			peers := deliveryPeers(nw.peers, i, nOrderers)
 			o, err := bft.New(i, nw.orderers, ordSigners[i], netReg, nw.net, peers, cfg)
 			if err != nil {
 				nw.Close()
@@ -451,13 +450,7 @@ func NewNetwork(opts Options) (*Network, error) {
 
 	// Cluster mode serves the wire protocol for the local node.
 	if cluster != nil {
-		srv, err := transport.NewServer(transport.ServerConfig{
-			Node:     nw.nodes[0],
-			Flow:     opts.Flow,
-			Orderers: nw.orderers,
-			Net:      nw.net,
-			Listen:   cluster.Listen,
-		})
+		srv, err := nw.Serve(0, cluster.Listen)
 		if err != nil {
 			nw.Close()
 			return nil, err
@@ -465,6 +458,18 @@ func NewNetwork(opts Options) (*Network, error) {
 		nw.server = srv
 	}
 	return nw, nil
+}
+
+// route is the submission route (transport.Route) of a client connected
+// to node: the one place the flow, the node ring and the orderer ring are
+// put together, for in-process clients and wire servers alike.
+func (nw *Network) route(node *core.Node) transport.Route {
+	return transport.Route{
+		Flow:     nw.opts.Flow,
+		Nodes:    nw.peers,
+		Home:     slices.Index(nw.peers, node.Name()),
+		Orderers: nw.orderers,
+	}
 }
 
 func ordererName(i int) string { return fmt.Sprintf("orderer%d", i) }
@@ -482,16 +487,12 @@ func deliveryPeers(peerNames []string, i, nOrderers int) []string {
 }
 
 // Close stops every component. It is idempotent and fences concurrent
-// use: the closed flag flips and closedCh closes before any component
+// use: the closed flag flips and every client closes before any component
 // stops, so an Invoke racing with Close observes ErrClosed instead of
 // hanging on a dead fabric or panicking into stopped components.
 func (nw *Network) Close() {
 	nw.closeOnce.Do(func() {
 		nw.closed.Store(true)
-		close(nw.closedCh)
-		if nw.server != nil {
-			_ = nw.server.Close()
-		}
 		nw.clientMu.Lock()
 		clients := make([]*Client, 0, len(nw.clients))
 		for _, c := range nw.clients {
@@ -499,7 +500,10 @@ func (nw *Network) Close() {
 		}
 		nw.clientMu.Unlock()
 		for _, c := range clients {
-			c.close()
+			_ = c.Close() // a Direct transport's Close cannot fail
+		}
+		if nw.server != nil {
+			_ = nw.server.Close()
 		}
 		for _, o := range nw.kafkaOrds {
 			o.Stop()
@@ -540,11 +544,10 @@ func (nw *Network) Serve(i int, listen string) (*transport.Server, error) {
 		return nil, ErrClosed
 	}
 	return transport.NewServer(transport.ServerConfig{
-		Node:     nw.nodes[i],
-		Flow:     nw.opts.Flow,
-		Orderers: nw.orderers,
-		Net:      nw.net,
-		Listen:   listen,
+		Node:   nw.nodes[i],
+		Route:  nw.route(nw.nodes[i]),
+		Net:    nw.net,
+		Listen: listen,
 	})
 }
 
@@ -673,8 +676,13 @@ func (nw *Network) deployStep(c *Client, fn string, arg Value) error {
 }
 
 // SubmitRaw signs and submits a transaction for the given user without
-// waiting, returning the transaction id. Used by load generators.
+// waiting, returning the transaction id. Used by load generators: nothing
+// is awaited, so the user's client opens no commit stream.
 func (nw *Network) SubmitRaw(user, contract string, args []Value) (string, error) {
 	c := nw.Client(user)
-	return c.submit(contract, args)
+	id, payload, err := c.buildTx(contract, args)
+	if err != nil {
+		return "", err
+	}
+	return id, c.tr.SubmitAttempt(c.ctx, payload, 0)
 }

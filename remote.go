@@ -2,22 +2,14 @@ package bcrdb
 
 import (
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"errors"
 	"fmt"
-	mrand "math/rand"
 	"strings"
-	"sync"
 	"time"
 
 	"bcrdb/internal/identity"
-	"bcrdb/internal/ledger"
 	"bcrdb/internal/transport"
 )
-
-// ErrRemoteClosed is returned by RemoteClient operations after Close.
-var ErrRemoteClosed = errors.New("bcrdb: remote client closed")
 
 // RemoteConfig configures a client that reaches the network over a
 // Transport instead of living inside the fabric process.
@@ -38,31 +30,10 @@ type RemoteConfig struct {
 	Retry RetryPolicy
 }
 
-// RemoteClient submits signed transactions over a Transport and follows
-// the server's commit stream for results. Retry, id-dedup and ledger-
-// lookup semantics are identical to the in-process Client: the SAME
-// signed transaction is resubmitted, the fabric deduplicates by id, and
-// the replicated sys_ledger table resolves lost notifications.
-type RemoteClient struct {
-	tr     transport.Transport
-	signer *identity.Signer
-	flow   Flow
-	retry  RetryPolicy
-
-	rngMu sync.Mutex
-	rng   *mrand.Rand
-
-	mu      sync.Mutex
-	waiters map[string][]chan TxResult
-
-	done     chan struct{}
-	doneOnce sync.Once
-	wg       sync.WaitGroup
-}
-
-// DialRemote connects to a bcrdb-server, derives the user's identity
-// from the shared secret and starts the commit-stream follower.
-func DialRemote(cfg RemoteConfig) (*RemoteClient, error) {
+// DialRemote connects to a bcrdb-server and derives the user's identity
+// from the shared secret. The returned client is the same type
+// Network.Client hands out, over the wire transport; Close it when done.
+func DialRemote(cfg RemoteConfig) (*Client, error) {
 	if cfg.URL == "" || cfg.Username == "" {
 		return nil, errors.New("bcrdb: RemoteConfig needs URL and Username")
 	}
@@ -92,265 +63,5 @@ func DialRemote(cfg RemoteConfig) (*RemoteClient, error) {
 	if info.Flow == "order-execute" {
 		flow = OrderThenExecute
 	}
-	return NewRemoteClient(tr, signer, flow, cfg.Retry), nil
-}
-
-// NewRemoteClient builds a remote client over an existing transport
-// (DialRemote is the usual entry; tests pass a Direct transport to run
-// the identical client logic against the in-process fabric).
-func NewRemoteClient(tr transport.Transport, signer *identity.Signer, flow Flow, retry RetryPolicy) *RemoteClient {
-	seed := retry.Seed
-	if seed == 0 {
-		seed = mrand.Int63()
-	}
-	r := &RemoteClient{
-		tr:      tr,
-		signer:  signer,
-		flow:    flow,
-		retry:   retry,
-		rng:     mrand.New(mrand.NewSource(seed ^ int64(fnvIdx(signer.Name)))),
-		waiters: make(map[string][]chan TxResult),
-		done:    make(chan struct{}),
-	}
-	r.wg.Add(1)
-	go r.followCommits()
-	return r
-}
-
-// Username returns the client's user name.
-func (r *RemoteClient) Username() string { return r.signer.Name }
-
-// Close stops the commit-stream follower and releases the transport.
-func (r *RemoteClient) Close() error {
-	r.doneOnce.Do(func() { close(r.done) })
-	r.wg.Wait()
-	return r.tr.Close()
-}
-
-// followCommits keeps one commit stream open, redialing with backoff
-// when it drops. Results committed while no stream was connected are
-// recovered by Invoke's sys_ledger lookup, the same lost-notification
-// path the in-process client relies on.
-func (r *RemoteClient) followCommits() {
-	defer r.wg.Done()
-	redial := 50 * time.Millisecond
-	for {
-		select {
-		case <-r.done:
-			return
-		default:
-		}
-		ctx, cancel := context.WithCancel(context.Background())
-		ch, stop, err := r.tr.CommitStream(ctx)
-		if err != nil {
-			cancel()
-			t := time.NewTimer(redial)
-			select {
-			case <-r.done:
-				t.Stop()
-				return
-			case <-t.C:
-			}
-			if redial *= 2; redial > 2*time.Second {
-				redial = 2 * time.Second
-			}
-			continue
-		}
-		redial = 50 * time.Millisecond
-	stream:
-		for {
-			select {
-			case <-r.done:
-				stop()
-				cancel()
-				return
-			case res, ok := <-ch:
-				if !ok {
-					break stream // connection lost: redial
-				}
-				r.dispatch(res)
-			}
-		}
-		stop()
-		cancel()
-	}
-}
-
-func (r *RemoteClient) dispatch(res TxResult) {
-	r.mu.Lock()
-	chans := r.waiters[res.ID]
-	delete(r.waiters, res.ID)
-	r.mu.Unlock()
-	for _, ch := range chans {
-		select {
-		case ch <- res:
-		default:
-		}
-	}
-}
-
-func (r *RemoteClient) addWaiter(id string) <-chan TxResult {
-	ch := make(chan TxResult, 1)
-	r.mu.Lock()
-	r.waiters[id] = append(r.waiters[id], ch)
-	r.mu.Unlock()
-	return ch
-}
-
-func (r *RemoteClient) removeWaiter(id string, ch <-chan TxResult) {
-	r.mu.Lock()
-	ws := r.waiters[id]
-	for i, w := range ws {
-		if (<-chan TxResult)(w) == ch {
-			ws = append(ws[:i], ws[i+1:]...)
-			break
-		}
-	}
-	if len(ws) == 0 {
-		delete(r.waiters, id)
-	} else {
-		r.waiters[id] = ws
-	}
-	r.mu.Unlock()
-}
-
-// buildTx mirrors Client.buildTx: in execute-order flow the snapshot is
-// the connected node's current height (fetched over the wire) and the
-// id is the deterministic §3.4.3 hash; in order-then-execute the id is
-// a random nonce.
-func (r *RemoteClient) buildTx(ctx context.Context, contract string, args []Value) (*ledger.Transaction, error) {
-	tx := &ledger.Transaction{
-		Username: r.signer.Name,
-		Contract: contract,
-		Args:     args,
-	}
-	if r.flow == ExecuteOrder {
-		info, err := r.tr.Info(ctx)
-		if err != nil {
-			return nil, fmt.Errorf("bcrdb: fetch snapshot height: %w", err)
-		}
-		tx.Snapshot = info.Height
-		tx.ID = ledger.ComputeID(r.signer.Name, contract, args, tx.Snapshot)
-	} else {
-		var nonce [16]byte
-		if _, err := rand.Read(nonce[:]); err != nil {
-			panic(err) // crypto/rand failure is unrecoverable
-		}
-		tx.ID = hex.EncodeToString(nonce[:])
-	}
-	tx.Signature = r.signer.Sign(tx.SignBytes())
-	return tx, nil
-}
-
-func (r *RemoteClient) jitter(n int64) int64 {
-	r.rngMu.Lock()
-	v := r.rng.Int63n(n)
-	r.rngMu.Unlock()
-	return v
-}
-
-func (r *RemoteClient) sleep(d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-r.done:
-		return false
-	}
-}
-
-// lookupLedger consults the replicated ledger over the wire.
-func (r *RemoteClient) lookupLedger(ctx context.Context, id string) (TxResult, bool) {
-	res, err := r.tr.Query(ctx, -1, `SELECT block, status FROM sys_ledger WHERE txid = $1`, []Value{Text(id)})
-	if err != nil || len(res.Rows) == 0 {
-		return TxResult{}, false
-	}
-	out := TxResult{
-		ID:        id,
-		Block:     uint64(res.Rows[0][0].Int()),
-		Committed: res.Rows[0][1].Str() == "committed",
-	}
-	if !out.Committed {
-		out.Reason = "recorded aborted in sys_ledger"
-	}
-	return out, true
-}
-
-// Invoke submits a transaction and waits for its result with the same
-// retry/backoff/ledger-fallback semantics as Client.Invoke.
-func (r *RemoteClient) Invoke(contract string, args ...Value) (TxResult, error) {
-	pol := r.retry.withDefaults()
-	ctx := context.Background()
-	tx, err := r.buildTx(ctx, contract, args)
-	if err != nil {
-		return TxResult{}, err
-	}
-	payload := ledger.MarshalTransaction(tx)
-	backoff := pol.Backoff
-	var lastErr error
-	for attempt := 0; attempt < pol.Attempts; attempt++ {
-		if attempt > 0 {
-			wait := backoff/2 + time.Duration(r.jitter(int64(backoff/2)+1))
-			if !r.sleep(wait) {
-				return TxResult{}, &UnresolvedError{ID: tx.ID, Attempts: attempt, Last: ErrRemoteClosed}
-			}
-			backoff *= 2
-			if backoff > pol.MaxBackoff {
-				backoff = pol.MaxBackoff
-			}
-			if res, ok := r.lookupLedger(ctx, tx.ID); ok {
-				return res, nil
-			}
-		}
-		select {
-		case <-r.done:
-			return TxResult{}, &UnresolvedError{ID: tx.ID, Attempts: attempt, Last: ErrRemoteClosed}
-		default:
-		}
-		push := r.addWaiter(tx.ID)
-		if err := r.tr.Submit(ctx, payload); err != nil {
-			r.removeWaiter(tx.ID, push)
-			lastErr = err
-			continue
-		}
-		res, err := r.await(tx.ID, push, pol.Timeout)
-		if err == nil {
-			return res, nil
-		}
-		lastErr = err
-	}
-	if res, ok := r.lookupLedger(ctx, tx.ID); ok {
-		return res, nil
-	}
-	return TxResult{}, &UnresolvedError{ID: tx.ID, Attempts: pol.Attempts, Last: lastErr}
-}
-
-func (r *RemoteClient) await(id string, push <-chan TxResult, timeout time.Duration) (TxResult, error) {
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	defer r.removeWaiter(id, push)
-	select {
-	case res := <-push:
-		return res, nil
-	case <-r.done:
-		return TxResult{}, ErrRemoteClosed
-	case <-timer.C:
-		return TxResult{}, fmt.Errorf("bcrdb: timeout waiting for tx %s", id)
-	}
-}
-
-// Query runs a read-only query at the connected node's current height.
-func (r *RemoteClient) Query(sql string, params ...Value) (*Result, error) {
-	return r.tr.Query(context.Background(), -1, sql, params)
-}
-
-// QueryAt runs a read-only query at a historic block height.
-func (r *RemoteClient) QueryAt(height int64, sql string, params ...Value) (*Result, error) {
-	return r.tr.Query(context.Background(), height, sql, params)
-}
-
-// Info reports the connected node's identity and heights.
-func (r *RemoteClient) Info() (transport.Info, error) {
-	return r.tr.Info(context.Background())
+	return newClient(tr, signer, flow, cfg.Retry), nil
 }

@@ -1,6 +1,7 @@
 package bcrdb
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -192,5 +193,62 @@ func TestPartitionCatchUpWithoutRestart(t *testing.T) {
 	}
 	if got := node2.Metrics().CatchUpRequests.Load(); got <= catchUpsBefore {
 		t.Fatalf("healed without catch-up requests (before=%d after=%d) — wrong mechanism", catchUpsBefore, got)
+	}
+}
+
+// A block whose delivery is lost on every orderer → peer link is held by
+// no database node, so peer-to-peer catch-up alone asks for it forever
+// while later blocks pile up behind the gap — the stall behind the chaos
+// soak's lost invokes. The delivering orderer's retained window must heal
+// it: the node asks its orderer as one stop of the catch-up rotation.
+func TestBlockLostOnEveryDeliveryLink(t *testing.T) {
+	opts := demoOptions(OrderThenExecute)
+	opts.AntiEntropyEvery = 50 * time.Millisecond
+	nw, err := NewNetwork(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nw.Close()
+	alice := nw.Client("alice")
+	first, err := alice.Invoke("open_account", Int(7100), Text("x"), Float(1))
+	if err != nil || !first.Committed {
+		t.Fatalf("warmup invoke: %+v, %v", first, err)
+	}
+	if err := nw.WaitHeight(int64(first.Block), 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+
+	// The next block is cut and lost for everyone.
+	nw.Net().SetFaultsFn(func(from, to string) simnet.Faults {
+		if strings.HasPrefix(from, "orderer") && strings.HasPrefix(to, "db.") {
+			return simnet.Faults{DropProb: 1}
+		}
+		return simnet.Faults{}
+	})
+	if _, err := nw.SubmitRaw("alice", "open_account", []Value{Int(7101), Text("lost"), Float(1)}); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(200 * time.Millisecond)
+	nw.Net().ClearFaults()
+
+	p, err := alice.Submit("open_account", Int(7102), Text("y"), Float(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := p.Await(10 * time.Second)
+	if err != nil {
+		for _, n := range nw.Nodes() {
+			t.Logf("%s at height %d", n.Name(), n.Height())
+		}
+		t.Fatal(err)
+	}
+	if !res.Committed || res.Block != first.Block+2 {
+		t.Fatalf("result %+v, want a commit in block %d", res, first.Block+2)
+	}
+	if err := nw.WaitHeight(int64(res.Block), 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := nw.VerifyConsistency(); err != nil {
+		t.Fatal(err)
 	}
 }

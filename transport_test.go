@@ -1,11 +1,15 @@
 package bcrdb
 
 import (
+	"errors"
 	"fmt"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
-	"bcrdb/internal/transport"
+	"bcrdb/internal/simnet"
 )
 
 // remoteOptions is demoOptions plus the deterministic identities remote
@@ -18,8 +22,10 @@ func remoteOptions(flow Flow, secret string) Options {
 }
 
 // TestRemoteClientOverWire is the acceptance path: a transaction
-// submitted by a RemoteClient over real HTTP commits and its
-// notification streams back over the wire.
+// submitted by a dialed client over real HTTP commits and its
+// notification streams back over the wire. Order-then-execute also pins
+// that the wire client fails over (a retry walks past a stopped orderer),
+// execute-order that a closed dialed client reports ErrClosed.
 func TestRemoteClientOverWire(t *testing.T) {
 	for _, flow := range []Flow{OrderThenExecute, ExecuteOrder} {
 		t.Run(flowLabel(flow), func(t *testing.T) {
@@ -66,14 +72,32 @@ func TestRemoteClientOverWire(t *testing.T) {
 			if info.Node != "db.org1" || info.Org != "org1" {
 				t.Fatalf("info = %+v", info)
 			}
+
+			if flow == ExecuteOrder {
+				rc.Close()
+				if _, err := rc.Invoke("transfer", Int(1), Int(2), Float(1)); !errors.Is(err, ErrClosed) {
+					t.Fatalf("Invoke on a closed dialed client returned %v, want ErrClosed", err)
+				}
+				return
+			}
+			// Stop an orderer node 0 does not deliver from: a third of the
+			// ids hash to it, and only a retry that moves on commits them.
+			stopped := (slices.Index(nw.Orderers(), nw.Node(0).DeliveringOrderer()) + 1) % len(nw.Orderers())
+			nw.StopOrderer(stopped)
+			for i := 0; i < 12; i++ {
+				res, err := rc.Invoke("open_account", Int(int64(100+i)), Text("x"), Float(1))
+				if err != nil || !res.Committed {
+					t.Fatalf("invoke %d with orderer %d stopped: %+v, %v", i, stopped, res, err)
+				}
+			}
 		})
 	}
 }
 
 // TestWireDifferential runs the identical transaction sequence through
-// the in-process client, through a RemoteClient over HTTP and through a
-// RemoteClient over the in-process Direct transport, and demands
-// bit-identical outcomes: same state digests, same sys_ledger rows.
+// the in-process client (the one client over a Direct transport) and
+// through a dialed client over HTTP, and demands bit-identical outcomes:
+// same state digests, same sys_ledger rows.
 // ExecuteOrder flow with awaited serial invokes makes every run fully
 // deterministic (deterministic tx ids, one tx per block), and the
 // shared IdentitySecret makes the genesis certificates — which are part
@@ -97,19 +121,9 @@ func TestWireDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		switch leg {
-		case "local":
+		if leg == "local" {
 			alice := nw.Client("alice")
 			return nw, func(c string, a []Value) (TxResult, error) { return alice.Invoke(c, a...) }, nw.Close
-		case "direct":
-			tr, err := transport.NewDirect(nw.Net(), "alice.direct", nw.Node(0), ExecuteOrder, nw.Orderers())
-			if err != nil {
-				nw.Close()
-				t.Fatal(err)
-			}
-			rc := NewRemoteClient(tr, nw.signers["alice"], ExecuteOrder, retry)
-			cleanup := func() { rc.Close(); nw.Close() }
-			return nw, func(c string, a []Value) (TxResult, error) { return rc.Invoke(c, a...) }, cleanup
 		}
 		srv, err := nw.Serve(0, "127.0.0.1:0")
 		if err != nil {
@@ -162,18 +176,57 @@ func TestWireDifferential(t *testing.T) {
 		return outcome{height: h, digest: nw.Node(0).StateHash(h), ledger: ledger}
 	}
 
-	local := execute("local")
-	for _, leg := range []string{"http", "direct"} {
-		got := execute(leg)
-		if local.height != got.height {
-			t.Fatalf("heights diverge: local %d, %s %d", local.height, leg, got.height)
+	local, got := execute("local"), execute("http")
+	if local.height != got.height {
+		t.Fatalf("heights diverge: local %d, http %d", local.height, got.height)
+	}
+	if local.digest != got.digest {
+		t.Fatalf("state digests diverge at height %d (local vs http)", local.height)
+	}
+	if local.ledger != got.ledger {
+		t.Fatalf("sys_ledger diverges:\nlocal:\n%s\nhttp:\n%s", local.ledger, got.ledger)
+	}
+}
+
+// TestPeerForwardMatchesRoute ties the two ends of the one routing rule
+// together: the orderer a peer forwards an execute-order submission to is
+// the one attempt 0 of an order-then-execute client picks for the same id,
+// so whichever way an id travels it reaches the same cutter first.
+func TestPeerForwardMatchesRoute(t *testing.T) {
+	nw, err := NewNetwork(demoOptions(ExecuteOrder))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nw.Close()
+	// Before the first block seals (checkpoints go to every orderer) the
+	// forward is the only message a node sends an orderer; the fault hook
+	// sees every message's link.
+	var mu sync.Mutex
+	var forwardedTo string
+	nw.Net().SetFaultsFn(func(from, to string) simnet.Faults {
+		if from == nw.Node(0).Name() && strings.HasPrefix(to, "orderer") {
+			mu.Lock()
+			if forwardedTo == "" {
+				forwardedTo = to
+			}
+			mu.Unlock()
 		}
-		if local.digest != got.digest {
-			t.Fatalf("state digests diverge at height %d (local vs %s)", local.height, leg)
-		}
-		if local.ledger != got.ledger {
-			t.Fatalf("sys_ledger diverges:\nlocal:\n%s\n%s:\n%s", local.ledger, leg, got.ledger)
-		}
+		return simnet.Faults{}
+	})
+	p, err := nw.Client("alice").Submit("open_account", Int(77), Text("x"), Float(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := p.Await(10 * time.Second); err != nil || !res.Committed {
+		t.Fatalf("submit: %+v, %v", res, err)
+	}
+	route := nw.route(nw.Node(0))
+	route.Flow = OrderThenExecute
+	want, _ := route.Dest(p.ID, 0)
+	mu.Lock()
+	defer mu.Unlock()
+	if forwardedTo != want {
+		t.Fatalf("peer forwarded %s to %s; an order-then-execute client's attempt 0 goes to %s", p.ID, forwardedTo, want)
 	}
 }
 
@@ -228,6 +281,59 @@ func TestCommitStreamReconnect(t *testing.T) {
 	}
 	if !res.Committed {
 		t.Fatalf("post-reconnect transfer aborted: %s", res.Reason)
+	}
+}
+
+// TestFollowerRedialsAfterFailedOpen: when the very first stream open
+// fails (the server went away between dial and the first awaited
+// submission) the follower must still run and redial with backoff, and
+// the invoke must resolve once a server is back on the address.
+func TestFollowerRedialsAfterFailedOpen(t *testing.T) {
+	nw, err := NewNetwork(remoteOptions(OrderThenExecute, "redial-secret"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nw.Close()
+	srv, err := nw.Serve(0, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc, err := DialRemote(RemoteConfig{
+		URL: srv.URL(), Username: "alice", IdentitySecret: "redial-secret",
+		Retry: RetryPolicy{Attempts: 8, Timeout: 2 * time.Second, Backoff: 100 * time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	addr := srv.Addr()
+	if err := srv.Close(); err != nil {
+		t.Fatalf("server close: %v", err)
+	}
+
+	type outcome struct {
+		res TxResult
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := rc.Invoke("open_account", Int(4242), Text("x"), Float(1))
+		done <- outcome{res, err}
+	}()
+	time.Sleep(250 * time.Millisecond) // the first open and a redial or two are refused
+	srv2, err := nw.Serve(0, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv2.Close()
+	waitFor(t, "follower redialed the new server", func() bool { return srv2.ActiveStreams() == 1 })
+	select {
+	case o := <-done:
+		if o.err != nil || !o.res.Committed {
+			t.Fatalf("invoke across the outage: %+v, %v", o.res, o.err)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("invoke never resolved after the server came back")
 	}
 }
 

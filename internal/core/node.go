@@ -11,8 +11,8 @@
 // Execute (concurrent contract execution against the block snapshot) and
 // Commit (SSI analysis + commit-turn validation in block order, ending
 // at the height bump) form the commit-critical path, while Seal
-// (sys_ledger rows, write-set digest, WAL frame, durability fsync,
-// checkpoint broadcast, notifications) runs on a background sealer so
+// (block outcomes for sys_ledger, write-set digest, WAL frame, durability
+// fsync, checkpoint broadcast, notifications) runs on a background sealer so
 // block N's bookkeeping overlaps block N+1's execution. See pipeline.go
 // and docs/adr/0002-block-pipeline.md; Config.SynchronousSeal restores
 // the fully serial path as the parity tests' reference.
@@ -137,7 +137,7 @@ type Config struct {
 	CheckpointEvery uint64
 
 	// SynchronousSeal disables the block pipeline's background sealer:
-	// the seal stage (sys_ledger rows, write-set hash, WAL frame,
+	// the seal stage (block outcomes, write-set hash, WAL frame,
 	// checkpointing, notifications) runs inline on the block processor,
 	// reproducing the fully serial pre-pipeline commit path. It is the
 	// reference the pipeline parity tests compare against; pipelined and
@@ -201,6 +201,13 @@ type Node struct {
 
 	blocks *ledger.BlockStore
 	log    *wal.Log
+	// ledger derives sys_ledger from blocks and the published block
+	// outcomes, and holds the recorded transaction ids (ledgerview.go).
+	ledger *ledgerView
+	// recovered holds the block-outcome frames recoverLocal found: during
+	// replay they tell the seal which blocks still lack one; afterwards
+	// only those of blocks the block store has yet to be refilled with.
+	recovered map[uint64]*wal.BlockRecord
 
 	ep *simnet.Endpoint
 
@@ -236,11 +243,11 @@ type Node struct {
 	peerHashes map[uint64]map[string]ledger.Hash
 	lastCP     uint64
 	alerts     []string
-	// lastSealedHash/lastSealedOutcomes describe the most recently sealed
-	// block; recovery reads them right after a synchronous replay seal
-	// (the ownHashes entry may already be pruned by a checkpoint quorum).
-	lastSealedHash     ledger.Hash
-	lastSealedOutcomes []wal.TxOutcome
+	logFailed  bool // the first block-outcome WAL failure is in alerts
+	// lastSealedHash is the write-set hash of the most recently sealed
+	// block; recovery reads it right after a synchronous replay seal (the
+	// ownHashes entry may already be pruned by a checkpoint quorum).
+	lastSealedHash ledger.Hash
 
 	// Seal pipeline (stage 3). sealCh is nil with SynchronousSeal;
 	// sealAbort makes the sealer drop queued work (test crash injection);
@@ -252,12 +259,6 @@ type Node struct {
 	sealPause    atomic.Bool
 	sealedHeight atomic.Int64
 	diskBacked   bool
-
-	// Recorded transaction ids (§3.4.3 unique-identifier rule): every id
-	// ever recorded in sys_ledger, maintained by the commit stage and
-	// rebuilt from sys_ledger on recovery.
-	seenMu sync.Mutex
-	seenTx map[string]struct{}
 
 	// Decoded client public keys (authenticate hot path). certsEpoch
 	// counts committed writes to sys_certs; an entry is valid only for
@@ -358,7 +359,6 @@ func NewNode(cfg Config, signer *identity.Signer, netReg *identity.Registry, net
 		ownHashes:  make(map[uint64]ledger.Hash),
 		peerHashes: make(map[uint64]map[string]ledger.Hash),
 		subs:       make(map[string][]chan TxResult),
-		seenTx:     make(map[string]struct{}),
 		certCache:  make(map[string]certCacheEntry),
 		sealAbort:  make(chan struct{}),
 		stopped:    make(chan struct{}),
@@ -379,11 +379,13 @@ func NewNode(cfg Config, signer *identity.Signer, netReg *identity.Registry, net
 	if cfg.DataDir != "" {
 		bs, err := ledger.OpenFileStore(filepath.Join(cfg.DataDir, cfg.Name+".blocks"))
 		if err != nil {
+			n.closeFiles()
 			return nil, err
 		}
 		n.blocks = bs
 		lg, err := wal.Open(filepath.Join(cfg.DataDir, cfg.Name+".wal"))
 		if err != nil {
+			n.closeFiles()
 			return nil, err
 		}
 		n.log = lg
@@ -391,12 +393,36 @@ func NewNode(cfg Config, signer *identity.Signer, netReg *identity.Registry, net
 		n.blocks = ledger.NewBlockStore()
 	}
 
+	// sys_ledger is registered here, not in Bootstrap: a restored disk
+	// store skips Bootstrap, and the registration is never logged. A store
+	// log that already holds a table of that name was written when the
+	// ledger was still materialised; serving it would show stale rows.
+	n.ledger = newLedgerView(n.blocks)
+	if err := st.RegisterDerived(ledgerSchema(), ledgerIndexes, n.ledger.scan); err != nil {
+		n.closeFiles()
+		return nil, fmt.Errorf("core: %s: registering the derived %s (a store log that materialises it predates the derived ledger and cannot be served): %w",
+			cfg.Name, ledgerTable, err)
+	}
+
 	ep, err := net.Register(cfg.Name, n.onMessage)
 	if err != nil {
+		n.closeFiles()
 		return nil, err
 	}
 	n.ep = ep
 	return n, nil
+}
+
+// closeFiles releases the block-outcome log, the block store and the
+// storage backend.
+func (n *Node) closeFiles() {
+	if n.log != nil {
+		n.log.Close()
+	}
+	if n.blocks != nil {
+		n.blocks.Close()
+	}
+	n.store.Close()
 }
 
 // Genesis describes the identical initial state every node starts from
@@ -430,7 +456,6 @@ func (n *Node) Bootstrap(g Genesis) error {
 	if err := proc.CreateSystemTables(n.eng); err != nil {
 		return err
 	}
-	n.store.SetHashExempt("sys_ledger")
 
 	rec := storage.NewTxRecord(n.store.BeginTx(), 0)
 	ctx := &engine.ExecCtx{Mode: engine.ModeSystem, Height: 0, Rec: rec}
@@ -510,8 +535,8 @@ func (n *Node) Start() error {
 }
 
 // Stop halts the node, draining the seal queue so every committed block
-// is sealed (ledger rows, WAL frame, durability fsync) before the files
-// close. The store stays readable.
+// is sealed (outcomes published, WAL frame, durability fsync) before the
+// files close. The store stays readable.
 func (n *Node) Stop() {
 	n.stopOnce.Do(func() {
 		close(n.stopped)
@@ -531,11 +556,7 @@ func (n *Node) Stop() {
 			close(n.sealCh)
 			n.sealWG.Wait()
 		}
-		if n.log != nil {
-			n.log.Close()
-		}
-		n.blocks.Close()
-		n.store.Close()
+		n.closeFiles()
 	})
 }
 
@@ -550,7 +571,7 @@ func (n *Node) Org() string { return n.cfg.Org }
 // Height returns the node's committed block height.
 func (n *Node) Height() int64 { return n.store.Height() }
 
-// SealedHeight returns the newest block whose seal (sys_ledger rows,
+// SealedHeight returns the newest block whose seal (sys_ledger outcomes,
 // write-set checkpoint, WAL frame, durability fsync) has completed. It
 // trails Height() by the pipeline's in-flight window; with
 // SynchronousSeal the two are always equal between blocks. Readers that

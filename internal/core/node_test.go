@@ -70,6 +70,7 @@ var testContracts = []string{
 		UPDATE accounts SET balance = balance - p_amt WHERE id = p_from;
 	END;
 	$$`,
+	readBalanceContract,
 }
 
 type netOpts struct {

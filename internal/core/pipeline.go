@@ -7,9 +7,10 @@
 //	          validation and CommitTx strictly in block order, ending at
 //	          bumpHeight — the point at which block N+1's executions may
 //	          proceed.
-//	Stage 3 — Seal (stage_seal.go): sys_ledger rows, the write-set
-//	          digest, the block-outcome WAL frame, the durability fsync,
-//	          checkpoint signing/broadcast and client notifications.
+//	Stage 3 — Seal (stage_seal.go): the block outcomes behind the
+//	          block's sys_ledger rows, the write-set digest, the
+//	          block-outcome WAL frame, the durability fsync, checkpoint
+//	          signing/broadcast and client notifications.
 //
 // Execute and Commit form the commit-critical path and run on the block
 // processor goroutine. Seal is bookkeeping whose outputs nothing on the
@@ -72,7 +73,14 @@ func (n *Node) processBlock(b *ledger.Block, replay bool) {
 	if int64(b.Number) <= n.store.Height() {
 		// Already reflected in the store: a disk-backed restart restored
 		// state ahead of the (unsynced) block store tail, and catch-up is
-		// refilling the chain. Re-applying would double-commit.
+		// refilling the chain. Re-applying would double-commit; what the
+		// refilled block still owes is its ledger rows.
+		if rec := n.recovered[b.Number]; rec != nil {
+			delete(n.recovered, b.Number)
+			if err := n.ledger.restore(b, rec); err != nil {
+				n.raiseAlert(err.Error())
+			}
+		}
 		return
 	}
 	t0 := time.Now()

@@ -134,8 +134,8 @@ func TestPipelineParity(t *testing.T) {
 // advanced, state mutated) but never sealed (no ledger rows, no WAL
 // frames, no durable height) — and restarts it. Recovery must
 // re-execute the unsealed tail from the block store, re-derive the
-// missing block-outcome WAL frames and sys_ledger rows, and converge to
-// the always-up peers' state hash (§3.6 case b).
+// missing block-outcome WAL frames and with them the sys_ledger rows,
+// and converge to the always-up peers' state hash (§3.6 case b).
 func TestCrashWithUnsealedBlocksRecovers(t *testing.T) {
 	tn := newTestNet(t, netOpts{
 		flow:     OrderThenExecute,
@@ -147,11 +147,15 @@ func TestCrashWithUnsealedBlocksRecovers(t *testing.T) {
 	held := tn.nodes[1]
 
 	var maxBlock uint64
+	var firstID string
 	for i := 0; i < 6; i++ {
-		ch, _ := tn.submit("alice", "put_account",
+		ch, id := tn.submit("alice", "put_account",
 			types.NewInt(int64(400+i)), types.NewString("x"), types.NewFloat(1))
 		if r := tn.await(ch); r.Block > maxBlock {
 			maxBlock = r.Block
+		}
+		if i == 0 {
+			firstID = id
 		}
 	}
 	// The held node commits (height advances) without sealing.
@@ -216,6 +220,9 @@ func TestCrashWithUnsealedBlocksRecovers(t *testing.T) {
 	if err != nil || res.Rows[0][0].Int() < 6 {
 		t.Fatalf("re-derived ledger rows = %v, %v", res.Rows, err)
 	}
+	// Nothing was sealed before the crash, so nothing was restored: every
+	// block is tail, re-executed by this process, and joins on xmin again.
+	assertLedgerAfterRestart(t, restarted, firstID, 0)
 }
 
 // TestRecordedIDSetCoherentAcrossRestart proves the in-memory
@@ -267,8 +274,13 @@ func TestRecordedIDSetCoherentAcrossRestart(t *testing.T) {
 			t.Cleanup(restarted.Stop)
 
 			// Every pre-restart id must be recognized; with the disk
-			// backend they come back via the sys_ledger rebuild, with the
-			// memory backend via chain re-execution.
+			// backend they come back from the block store and the outcome
+			// frames, with the memory backend via chain re-execution.
+			restored := int64(0) // the memory backend re-executes everything
+			if backend == storage.KindDisk {
+				restored = int64(maxBlock)
+			}
+			assertLedgerAfterRestart(t, restarted, usedIDs[0], restored)
 			for _, id := range usedIDs {
 				if !restarted.seenBefore(id) {
 					t.Fatalf("restarted %s node lost recorded id %s", backend, id)
@@ -295,6 +307,9 @@ func TestRecordedIDSetCoherentAcrossRestart(t *testing.T) {
 			if restarted.StateHash(int64(r.Block)) != tn.nodes[0].StateHash(int64(r.Block)) {
 				t.Fatal("restarted node diverged after duplicate-check traffic")
 			}
+			// The block executed after the restart joins on xmin beside a
+			// restored prefix that does not.
+			assertLedgerAfterRestart(t, restarted, usedIDs[0], restored)
 		})
 	}
 }
@@ -362,7 +377,7 @@ func (tn *testNet) buildSignedBlock(number uint64, prev ledger.Hash, txs []*ledg
 // duplicate-id ordering: tx X commits in a block BELOW the storage
 // recovery horizon, its duplicate is aborted in an unsealed block ABOVE
 // it, and the node crashes. Replay re-executes only the tail, so the
-// recorded-id set must be rebuilt from the restored sys_ledger BEFORE
+// recorded-id set must be rebuilt for the restored prefix BEFORE
 // the tail replay — otherwise the duplicate re-commits (a transfer has
 // no unique-key conflict to save it) and the replica diverges from its
 // pre-crash state.
@@ -426,6 +441,21 @@ func TestHorizonSpanningDuplicateStaysAborted(t *testing.T) {
 	res, err := restarted.Query(`SELECT balance FROM accounts WHERE id = 1`)
 	if err != nil || res.Rows[0][0].Float() != 95 {
 		t.Fatalf("account 1 balance = %v, %v (duplicate transfer applied twice?)", res.Rows, err)
+	}
+	// The ledger across the horizon: X's one row is the restored block 1's
+	// (committed, no local_xid); block 2 was re-executed, so Y's row joins
+	// the version it wrote on xmin, and X's duplicate there has no row.
+	if got := ledgerRecs(t, restarted, ledgerRowsQuery+` ORDER BY block, seq`); len(got) != 2 ||
+		got[0].TxID != txX.ID || got[0].Block != 1 || got[0].Status != "committed" ||
+		got[1].TxID != txY.ID || got[1].Block != 2 || got[1].Seq != 0 {
+		t.Fatalf("ledger across the horizon: %+v", got)
+	}
+	if n := count(t, restarted, `SELECT COUNT(*) FROM sys_ledger WHERE local_xid IS NULL`); n != 1 {
+		t.Fatalf("%d rows without local_xid, want the restored block's one", n)
+	}
+	res, err = restarted.Query(`SELECT l.txid FROM accounts a PROVENANCE, sys_ledger l WHERE a.xmin = l.local_xid`)
+	if err != nil || len(res.Rows) != 1 || res.Rows[0][0].Str() != txY.ID {
+		t.Fatalf("tail block re-executed after the restart does not join on xmin: %v, %v", res, err)
 	}
 }
 

@@ -8,6 +8,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"bcrdb/internal/ledger"
 	"bcrdb/internal/simnet"
@@ -74,21 +75,25 @@ func (n *Node) evaluateCheckpoint(block uint64) {
 		if h == own {
 			agree++
 		} else {
-			alert := fmt.Sprintf("checkpoint divergence at block %d: peer %s", block, peer)
-			dup := false
-			for _, a := range n.alerts {
-				if a == alert {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				n.alerts = append(n.alerts, alert)
-			}
+			n.raiseAlertLocked(fmt.Sprintf("checkpoint divergence at block %d: peer %s", block, peer))
 		}
 	}
 	if agree > len(n.cfg.Peers)/2 && block > n.lastCP {
 		n.lastCP = block
+	}
+}
+
+// raiseAlert records an alert once.
+func (n *Node) raiseAlert(alert string) {
+	n.cpMu.Lock()
+	n.raiseAlertLocked(alert)
+	n.cpMu.Unlock()
+}
+
+// raiseAlertLocked is raiseAlert for callers holding cpMu.
+func (n *Node) raiseAlertLocked(alert string) {
+	if !slices.Contains(n.alerts, alert) {
+		n.alerts = append(n.alerts, alert)
 	}
 }
 
@@ -149,16 +154,20 @@ func (n *Node) checkpointPruneableLocked(blk uint64) bool {
 // decisions are deterministic, so replay reproduces exactly the
 // pre-crash state. With the disk backend the store was already restored
 // by storage-WAL replay up to its durable height, so those blocks are
-// skipped (their write-set hashes are loaded from the block-outcome WAL
-// instead) and only the crash-window tail is re-executed. Either way the
-// WAL cross-checks every re-executed outcome (a mismatch means the block
-// store or log was tampered with), and a torn WAL tail — the crash cases
-// of §3.6 — is simply re-processed.
+// skipped: their write-set hashes, and the statuses behind their
+// sys_ledger rows, are loaded from the block-outcome WAL instead (the
+// seal made each frame durable before the block's state, so a restored
+// block without its frame means the log was lost or tampered with, and
+// recovery fails as it does on a write-hash mismatch), and only the
+// crash-window tail is re-executed. Either way the WAL cross-checks every
+// re-executed outcome (a mismatch means the block store or log was
+// tampered with), and a torn WAL tail — the crash cases of §3.6 — is
+// simply re-processed.
 //
 // Replay drives the same Execute → Commit → Seal stages as live
 // processing, but synchronously (the sealer is not running yet), so a
 // node killed with committed-but-unsealed blocks re-derives the missing
-// seal artifacts — sys_ledger rows, write-set hashes, block-outcome WAL
+// seal artifacts — block outcomes, write-set hashes, block-outcome WAL
 // frames — deterministically during the tail re-execution.
 func (n *Node) recoverLocal() error {
 	height := n.blocks.Height()
@@ -181,25 +190,36 @@ func (n *Node) recoverLocal() error {
 	for _, r := range walRecs {
 		byBlock[r.Block] = r
 	}
-	if restored > 0 {
-		// Load the restored prefix's recorded transaction ids BEFORE
-		// re-executing the tail: duplicate-id decisions during replay must
-		// see ids consumed below the horizon, or a duplicate that was
-		// aborted pre-crash would re-commit and diverge from the WAL.
-		n.rebuildSeen()
-	}
-	for i := uint64(1); i <= height; i++ {
-		if int64(i) <= restored {
-			// State for this block came back with the storage WAL; adopt
-			// the recorded write-set hash so checkpointing stays coherent.
-			if rec, ok := byBlock[i]; ok {
-				n.cpMu.Lock()
-				n.ownHashes[i] = ledger.Hash(rec.WriteHash)
-				n.cpMu.Unlock()
-				n.evaluateCheckpoint(i)
-			}
+	n.recovered = byBlock
+	for i := uint64(1); int64(i) <= restored; i++ {
+		// State for this block came back with the storage WAL; adopt the
+		// recorded write-set hash so checkpointing stays coherent, and
+		// publish the block's ledger rows from the recorded outcomes. The
+		// prefix goes first: duplicate-id decisions during the tail replay
+		// must see the ids consumed below the horizon, or a duplicate that
+		// was aborted pre-crash would re-commit and diverge from the WAL.
+		rec, ok := byBlock[i]
+		if !ok {
+			return fmt.Errorf("core: recovery: restored block %d has no outcome frame in %s", i, n.walPath())
+		}
+		n.cpMu.Lock()
+		n.ownHashes[i] = ledger.Hash(rec.WriteHash)
+		n.cpMu.Unlock()
+		n.evaluateCheckpoint(i)
+		if i > height {
+			// The block store came back shorter than the state (its tail is
+			// not synced): catch-up refills it, processBlock publishes then.
 			continue
 		}
+		b, err := n.blocks.Get(i)
+		if err != nil {
+			return err
+		}
+		if err := n.ledger.restore(b, rec); err != nil {
+			return err
+		}
+	}
+	for i := uint64(restored) + 1; i <= height; i++ {
 		b, err := n.blocks.Get(i)
 		if err != nil {
 			return err
@@ -207,17 +227,16 @@ func (n *Node) recoverLocal() error {
 		n.processBlock(b, true)
 		n.cpMu.Lock()
 		own := n.lastSealedHash
-		outcomes := n.lastSealedOutcomes
 		n.cpMu.Unlock()
-		if rec, ok := byBlock[i]; ok {
-			if own != ledger.Hash(rec.WriteHash) {
-				return fmt.Errorf("core: recovery mismatch at block %d: replay disagrees with WAL", i)
-			}
-		} else if n.log != nil {
-			// The crash hit before the WAL frame was written (§3.6 case
-			// b, which includes blocks committed but not yet sealed):
-			// append the re-derived outcome now.
-			_ = n.log.Append(&wal.BlockRecord{Block: i, Outcomes: outcomes, WriteHash: own})
+		if rec, ok := byBlock[i]; ok && own != ledger.Hash(rec.WriteHash) {
+			return fmt.Errorf("core: recovery mismatch at block %d: replay disagrees with WAL", i)
+		}
+	}
+	// What is left to do with a frame after recovery is to publish the
+	// ledger rows of a restored block the block store does not hold yet.
+	for blk := range byBlock {
+		if blk <= height || int64(blk) > restored {
+			delete(byBlock, blk)
 		}
 	}
 	// The restored-prefix loop above adopts one hash per block without

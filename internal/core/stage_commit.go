@@ -45,8 +45,8 @@ func (n *Node) commitStage(b *ledger.Block, execs []*execution, replay bool, t0 
 	for i, e := range execs {
 		// Duplicate-id detection (§3.4.3, the unique-identifier rule). The
 		// id is consumed whether the transaction commits or aborts;
-		// sys_ledger records both.
-		dup := n.consumeID(e.tx.ID)
+		// sys_ledger shows both, at the id's first position.
+		dup := n.ledger.consume(e.tx.ID, txPos{b.Number, uint32(i)})
 		n.commitOne(b, i, e, dup, analysis, outcomes, results)
 		if outcomes[i].Committed {
 			committedRecs = append(committedRecs, e.rec)
@@ -189,48 +189,8 @@ func (n *Node) txInfo(seq int, e *execution) *ssi.TxInfo {
 	return info
 }
 
-// --- recorded-id set (§3.4.3 unique-identifier rule) ---------------------------
-
-// seenBefore reports whether a transaction id was already recorded in
-// the ledger. The check used to be a per-transaction `SELECT txid FROM
-// sys_ledger WHERE txid = $1`; the in-memory set gives the same answer
-// without a SQL round trip on the commit critical path, and — unlike the
-// query, which only saw rows sealed at or below the previous height —
-// stays exact while the previous block's sys_ledger rows are still being
-// sealed in the background.
-func (n *Node) seenBefore(txID string) bool {
-	n.seenMu.Lock()
-	_, ok := n.seenTx[txID]
-	n.seenMu.Unlock()
-	return ok
-}
-
-// consumeID records a transaction id as consumed and reports whether it
-// had already been consumed — by an earlier block, or by an earlier
-// position of the current block.
-func (n *Node) consumeID(txID string) bool {
-	n.seenMu.Lock()
-	_, ok := n.seenTx[txID]
-	if !ok {
-		n.seenTx[txID] = struct{}{}
-	}
-	n.seenMu.Unlock()
-	return ok
-}
-
-// rebuildSeen reloads the recorded-id set from sys_ledger. Recovery
-// calls it after a disk-backed restart, where the restored prefix was
-// never re-executed: the ids of those blocks' transactions exist only in
-// the restored table. Re-executed blocks repopulate the set through
-// commitStage on their own.
-func (n *Node) rebuildSeen() {
-	res, err := n.Query(`SELECT txid FROM sys_ledger`)
-	if err != nil {
-		return
-	}
-	n.seenMu.Lock()
-	for _, row := range res.Rows {
-		n.seenTx[row[0].Str()] = struct{}{}
-	}
-	n.seenMu.Unlock()
-}
+// seenBefore reports whether a processed block already carried the
+// transaction id (§3.4.3 unique-identifier rule). The set is the ledger
+// view's id index: exact while the previous block's outcomes are still
+// being published in the background, and after a restart.
+func (n *Node) seenBefore(txID string) bool { return n.ledger.seen(txID) }

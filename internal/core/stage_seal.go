@@ -1,38 +1,41 @@
 // Stage 3 — Seal: per-block bookkeeping that nothing on the commit
-// critical path reads — sys_ledger rows (§3.3.2 step 1 / §3.3.3), the
-// write-set digest and checkpointing (§3.3.4), the block-outcome WAL
-// frame and the storage durability point, and client notifications
-// (§2(7)). With the pipeline enabled this runs on the sealer goroutine
-// and overlaps the next block's execution; replay and
-// Config.SynchronousSeal run it inline. See pipeline.go for the stage
-// overview and docs/adr/0002-block-pipeline.md for the recovery
+// critical path reads — the block outcomes that make the block's
+// sys_ledger rows visible (§3.3.2 step 1 / §3.3.3), the write-set digest
+// and checkpointing (§3.3.4), the block-outcome WAL frame and the storage
+// durability point, and client notifications (§2(7)). With the pipeline
+// enabled this runs on the sealer goroutine and overlaps the next block's
+// execution; replay and Config.SynchronousSeal run it inline. See
+// pipeline.go for the stage overview and
+// docs/adr/0002-block-pipeline.md for the recovery
 // implications.
 
 package core
 
 import (
 	"crypto/sha256"
+	"fmt"
 	"time"
 
 	"bcrdb/internal/codec"
-	"bcrdb/internal/engine"
 	"bcrdb/internal/ledger"
 	"bcrdb/internal/ordering"
 	"bcrdb/internal/storage"
-	"bcrdb/internal/types"
 	"bcrdb/internal/wal"
 )
 
 // sealStage performs the seal for one committed block. Within the seal,
 // ordering is chosen for crash consistency on the disk backend:
 //
-//  1. sys_ledger rows (storage commit frames, not yet synced);
+//  1. publish the block outcomes: the block's sys_ledger rows become
+//     visible (in memory only — the table is derived from the block store
+//     and these outcomes, ledgerview.go);
 //  2. write-set digest from the commit-time captures (no store reads);
-//  3. block-outcome WAL frame, fsynced on the disk backend;
+//  3. block-outcome WAL frame, fsynced on the disk backend — the only
+//     durable home of the statuses published in step 1;
 //  4. MarkDurable — the storage height frame + fsync. Everything before
-//     it (state commits from stage 2, ledger rows, the outcome frame) is
-//     durable once it returns, so a restart that restores height N also
-//     restores block N's complete seal;
+//     it (state commits from stage 2, the outcome frame) is durable once
+//     it returns, so a restart that restores height N also finds block
+//     N's outcome frame and can publish its ledger rows again;
 //  5. checkpoint broadcast and client notifications, which must only
 //     ever announce durable outcomes.
 //
@@ -43,26 +46,38 @@ func (n *Node) sealStage(task *sealTask) {
 	t0 := time.Now()
 	b := task.block
 
-	n.appendLedgerRows(b, task.execs, task.outcomes)
+	// Before the block's notifications fire: a client that looks its
+	// transaction up in sys_ledger after being notified finds the row.
+	xids := make([]storage.TxID, len(task.execs))
+	for i, e := range task.execs {
+		if e.rec != nil {
+			xids[i] = e.rec.ID
+		}
+	}
+	if err := n.ledger.publish(b.Number, task.outcomes, xids); err != nil {
+		n.raiseAlert(err.Error())
+	}
 
 	writeHash := writeSetHash(task.committedTxs, task.committedRecs)
 	n.cpMu.Lock()
 	n.ownHashes[b.Number] = writeHash
 	n.lastSealedHash = writeHash
-	n.lastSealedOutcomes = task.outcomes
 	n.cpMu.Unlock()
 	n.evaluateCheckpoint(b.Number)
 	n.pruneCheckpoints()
 
-	if n.log != nil && !task.replay {
-		_ = n.log.Append(&wal.BlockRecord{Block: b.Number, Outcomes: task.outcomes, WriteHash: writeHash})
-		if n.diskBacked {
+	// Replay re-derives the frame of a block the crash left without one
+	// (§3.6 case b, which includes blocks committed but not yet sealed).
+	if n.log != nil && (!task.replay || n.recovered[b.Number] == nil) {
+		err := n.log.Append(&wal.BlockRecord{Block: b.Number, Outcomes: task.outcomes, WriteHash: writeHash})
+		if err == nil && n.diskBacked {
 			// Make the outcome frame durable before the storage horizon
 			// advances past this block: a restored block then always has
-			// its WAL frame for the checkpoint bookkeeping and the replay
-			// cross-check.
-			_ = n.log.Sync()
+			// its WAL frame for the ledger rows, the checkpoint bookkeeping
+			// and the replay cross-check.
+			err = n.log.Sync()
 		}
+		n.noteLogFailure(b.Number, err)
 	}
 	n.store.MarkDurable(int64(b.Number))
 
@@ -109,44 +124,20 @@ func (n *Node) releaseBlockRecords(execs []*execution) {
 	}
 }
 
-// appendLedgerRows records all block transactions and their statuses in
-// sys_ledger atomically (the paper's pgLedger, §4.2). The sealer is the
-// only sys_ledger writer and seals in block order, so these rows are
-// deterministic across replicas except for the node-local xid column
-// (which is why sys_ledger is hash-exempt).
-func (n *Node) appendLedgerRows(b *ledger.Block, execs []*execution, outcomes []wal.TxOutcome) {
-	rec := storage.AcquireTxRecord(n.store.BeginTx(), int64(b.Number)-1)
-	defer storage.ReleaseTxRecord(rec) // CommitTx below is its last reader
-	ctx := &engine.ExecCtx{Mode: engine.ModeSystem, Height: int64(b.Number) - 1, Rec: rec}
-	for i, e := range execs {
-		status := "aborted"
-		if outcomes[i].Committed {
-			status = "committed"
-		}
-		var xid int64
-		if e.rec != nil {
-			xid = int64(e.rec.ID)
-		}
-		sub := *ctx
-		sub.Params = []types.Value{
-			types.NewString(e.tx.ID),
-			types.NewInt(int64(b.Number)),
-			types.NewInt(int64(i)),
-			types.NewString(e.tx.Username),
-			types.NewString(e.tx.Contract),
-			types.NewString(argsString(e.tx.Args)),
-			types.NewString(status),
-			types.NewInt(b.Timestamp),
-			types.NewInt(xid),
-		}
-		if _, err := n.eng.ExecSQL(&sub, `INSERT INTO sys_ledger
-			(txid, block, seq, username, contract, args, status, commit_time, local_xid)
-			VALUES ($1, $2, $3, $4, $5, $6, $7, $8, $9)`); err != nil {
-			// A duplicate id in a malicious block: record only the first.
-			continue
-		}
+// noteLogFailure reports the first failed write of a block-outcome frame
+// in Alerts: the frame is the only durable home of the block's
+// transaction statuses, so a restart could not serve the block's ledger
+// rows and refuses to (recoverLocal).
+func (n *Node) noteLogFailure(block uint64, err error) {
+	if err == nil {
+		return
 	}
-	n.store.CommitTx(rec, int64(b.Number))
+	n.cpMu.Lock()
+	if !n.logFailed {
+		n.logFailed = true
+		n.alerts = append(n.alerts, fmt.Sprintf("block-outcome WAL write failed at block %d: %v", block, err))
+	}
+	n.cpMu.Unlock()
 }
 
 // writeSetHash digests the union of all changes a block committed

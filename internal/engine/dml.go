@@ -16,6 +16,9 @@ func (e *Engine) writable(ctx *ExecCtx) error {
 }
 
 func (e *Engine) execInsert(ctx *ExecCtx, s *sqlparser.Insert) (*Result, error) {
+	if err := e.refuseDerived(s.Table); err != nil {
+		return nil, err
+	}
 	if err := e.writable(ctx); err != nil {
 		return nil, err
 	}
@@ -84,6 +87,9 @@ func (e *Engine) execInsert(ctx *ExecCtx, s *sqlparser.Insert) (*Result, error) 
 }
 
 func (e *Engine) execUpdate(ctx *ExecCtx, pr *Prepared, s *sqlparser.Update) (*Result, error) {
+	if err := e.refuseDerived(s.Table); err != nil {
+		return nil, err
+	}
 	if err := e.writable(ctx); err != nil {
 		return nil, err
 	}
@@ -117,6 +123,9 @@ func (e *Engine) execUpdate(ctx *ExecCtx, pr *Prepared, s *sqlparser.Update) (*R
 }
 
 func (e *Engine) execDelete(ctx *ExecCtx, pr *Prepared, s *sqlparser.Delete) (*Result, error) {
+	if err := e.refuseDerived(s.Table); err != nil {
+		return nil, err
+	}
 	if err := e.writable(ctx); err != nil {
 		return nil, err
 	}

@@ -135,6 +135,16 @@ var (
 	ErrSchemaClass     = errors.New("engine: schema-class violation (§3.7: contracts use the blockchain schema, private transactions the non-blockchain schema)")
 )
 
+// refuseDerived rejects a statement that would modify a derived table —
+// its rows, its indexes or its existence — whatever the mode: there is
+// nothing stored to modify.
+func (e *Engine) refuseDerived(table string) error {
+	if t, err := e.store.Table(table); err == nil && t.Derived() {
+		return fmt.Errorf("%w: %q is derived and cannot be written", ErrSchemaClass, table)
+	}
+	return nil
+}
+
 // checkWriteClass enforces the §3.7 schema rules for a table a statement
 // is about to modify.
 func (e *Engine) checkWriteClass(ctx *ExecCtx, table string) error {
@@ -290,6 +300,9 @@ func (e *Engine) execCreateTable(ctx *ExecCtx, s *sqlparser.CreateTable) (*Resul
 }
 
 func (e *Engine) execCreateIndex(ctx *ExecCtx, s *sqlparser.CreateIndex) (*Result, error) {
+	if err := e.refuseDerived(s.Table); err != nil {
+		return nil, err
+	}
 	if err := checkDDLCtx(ctx); err != nil {
 		return nil, err
 	}
@@ -313,6 +326,9 @@ func (e *Engine) execCreateIndex(ctx *ExecCtx, s *sqlparser.CreateIndex) (*Resul
 }
 
 func (e *Engine) execDropTable(ctx *ExecCtx, s *sqlparser.DropTable) (*Result, error) {
+	if err := e.refuseDerived(s.Name); err != nil {
+		return nil, err
+	}
 	if err := checkDDLCtx(ctx); err != nil {
 		return nil, err
 	}

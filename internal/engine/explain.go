@@ -56,6 +56,12 @@ func (e *Engine) execExplain(ctx *ExecCtx, pr *Prepared, s *sqlparser.Explain) (
 			}
 			return fmt.Sprintf("%s of %s (%s)", kind, ixName, strings.Join(names, ", "))
 		}
+		// A derived table stores no index: its provider serves the chosen
+		// path, or walks its whole source where the plan has no bound.
+		derived := ""
+		if t.derived {
+			derived = "derived "
+		}
 		var access string
 		if pb := t.probe; pb != nil {
 			cols, _ := tbl.IndexCols(pb.index)
@@ -63,11 +69,13 @@ func (e *Engine) execExplain(ctx *ExecCtx, pr *Prepared, s *sqlparser.Explain) (
 			if pb.point {
 				kind = "point probe"
 			}
-			access = describe(kind, pb.index, cols[:len(pb.keys)])
+			access = derived + describe(kind, pb.index, cols[:len(pb.keys)])
 		} else {
 			path, known := st.pathOf(i)
 			cached = cached && known
 			switch {
+			case !path.indexed && t.derived:
+				access = "scan"
 			case !path.indexed:
 				access = "full scan of " + path.index
 			case len(path.rng) > 0:
@@ -77,6 +85,7 @@ func (e *Engine) execExplain(ctx *ExecCtx, pr *Prepared, s *sqlparser.Explain) (
 			default:
 				access = describe("prefix scan", path.index, path.cols[:len(path.eq)])
 			}
+			access = derived + access
 			if i > 0 {
 				access = "nested loop over " + access
 			}

@@ -187,6 +187,9 @@ func newGoldenEnv(t *testing.T, kind storage.Kind) *goldenEnv {
 	g.run(ModeSystem, `UPDATE order_items SET qty = qty + 1 WHERE order_id = 1`)
 	g.run(ModeSystem, `DELETE FROM order_items WHERE id = 7`)
 	g.run(ModeSystem, `INSERT INTO sys_ledger VALUES ('t1', 1)`)
+	// A derived table, for the plans over one (the plain sys_ledger above
+	// stays: the by-name refusal is pinned on it).
+	registerChainLedger(t, st)
 	return g
 }
 
@@ -347,6 +350,10 @@ func goldenCases() []goldenCase {
 		{name: "blind-update", sql: `UPDATE orders SET status = 'y'`, mode: "c"},
 		{name: "err-delete-no-index", sql: `DELETE FROM orders WHERE customer = 11`, mode: "ci"},
 		{name: "err-update-readonly", sql: `UPDATE orders SET status = 'y' WHERE id = 1`, mode: "ro"},
+		// Plans over a derived table name the path its provider serves.
+		{name: "explain-derived-point", sql: `EXPLAIN SELECT block, status FROM chain_ledger WHERE txid = $1`, mode: "ro", params: p(types.NewString("ta"))},
+		{name: "explain-derived-range", sql: `EXPLAIN SELECT txid FROM chain_ledger WHERE block BETWEEN 1 AND 2 AND username = 'ann'`, mode: "ro"},
+		{name: "explain-derived-scan", sql: `EXPLAIN SELECT txid FROM chain_ledger WHERE username = 'ann'`, mode: "ro"},
 	}
 }
 
@@ -366,6 +373,11 @@ func goldenRun(g *goldenEnv, gc goldenCase) goldenOut {
 	}
 	out.Cols = res.Cols
 	out.Affected = res.Affected
+	if strings.HasPrefix(gc.sql, "EXPLAIN") {
+		// The last line says whether the plan was found cached: the one
+		// thing that differs between the corpus's two passes.
+		res.Rows = res.Rows[:len(res.Rows)-1]
+	}
 	for _, r := range res.Rows {
 		out.Rows = append(out.Rows, gvs(r))
 	}

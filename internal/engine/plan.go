@@ -81,6 +81,7 @@ func (p *queryPlan) state() *execState {
 type tableAccess struct {
 	name, alias string
 	private     bool    // node-private table: off-limits to contracts
+	derived     bool    // rows computed by a provider (storage.RegisterDerived): off-limits to contracts
 	indexes     []ixDef // primary first, then the others by name
 	pkCols      []int
 	nullRow     types.Row
@@ -412,7 +413,7 @@ func (pl *planner) addTable(name, alias string) (*tableAccess, *storage.Schema, 
 	}
 	schema := t.Schema()
 	p := pl.plan
-	ta := &tableAccess{name: name, alias: alias, private: schema.Class == storage.ClassPrivate, pkCols: schema.PKCols}
+	ta := &tableAccess{name: name, alias: alias, private: schema.Class == storage.ClassPrivate, derived: t.Derived(), pkCols: schema.PKCols}
 	for _, ixName := range append([]string{t.PrimaryIndexName()}, t.Indexes()...) {
 		if cols, ok := t.IndexCols(ixName); ok && (len(ta.indexes) == 0 || ixName != ta.indexes[0].name) {
 			ta.indexes = append(ta.indexes, ixDef{ixName, cols})

@@ -194,10 +194,10 @@ func (e *Engine) scan(st *execState, i int, ixName string, ixCols []int, rng ind
 }
 
 // checkAccess enforces what depends on the execution context rather than
-// on the plan: contracts may not read node-private tables or
-// sys_ledger (their contents differ per node — sys_ledger carries
-// node-local xids and is sealed asynchronously behind the committed
-// height).
+// on the plan: contracts may not read node-private tables, derived tables
+// or anything called sys_ledger (their contents differ per node — the
+// ledger carries node-local xids and is published asynchronously behind
+// the committed height).
 func (ctx *ExecCtx) checkAccess(t *tableAccess) error {
 	if ctx.Mode != ModeContract {
 		return nil
@@ -205,7 +205,7 @@ func (ctx *ExecCtx) checkAccess(t *tableAccess) error {
 	if t.private {
 		return fmt.Errorf("%w: contract read of private table %q", ErrSchemaClass, t.name)
 	}
-	if t.name == "sys_ledger" {
+	if t.derived || t.name == "sys_ledger" {
 		return fmt.Errorf("%w: contract read of %q (node bookkeeping, sealed asynchronously)", ErrSchemaClass, t.name)
 	}
 	return nil

@@ -65,7 +65,8 @@ func (c *ctrlSignal) Error() string { return "proc: internal control signal" }
 
 // CreateSystemTables creates the replicated system tables: sys_contracts
 // (the MVCC-versioned contract registry), sys_deployments (the §3.7
-// deployment workflow), sys_certs (pgCerts) and sys_ledger (pgLedger).
+// deployment workflow) and sys_certs (pgCerts). sys_ledger (pgLedger) is
+// not among them: the node derives it from the chain (core/ledgerview.go).
 func CreateSystemTables(eng *engine.Engine) error {
 	st := eng.Store()
 	rec := storage.NewTxRecord(st.BeginTx(), 0)
@@ -78,13 +79,6 @@ func CreateSystemTables(eng *engine.Engine) error {
 		`CREATE TABLE sys_certs (
 			name TEXT PRIMARY KEY, org TEXT NOT NULL, role TEXT NOT NULL, pubkey TEXT)`,
 		`CREATE INDEX sys_certs_role ON sys_certs (role)`,
-		`CREATE TABLE sys_ledger (
-			txid TEXT PRIMARY KEY, block BIGINT NOT NULL, seq BIGINT NOT NULL,
-			username TEXT, contract TEXT, args TEXT, status TEXT,
-			commit_time BIGINT, local_xid BIGINT)`,
-		`CREATE INDEX sys_ledger_block ON sys_ledger (block)`,
-		`CREATE INDEX sys_ledger_xid ON sys_ledger (local_xid)`,
-		`CREATE INDEX sys_ledger_user ON sys_ledger (username)`,
 	}
 	for _, d := range ddl {
 		if _, err := eng.ExecSQL(ctx, d); err != nil {

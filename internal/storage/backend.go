@@ -57,6 +57,9 @@ type Backend interface {
 	CreateTable(schema Schema) error
 	DropTable(name string) error
 	CreateIndex(table, name string, cols []int, unique bool) error
+	// RegisterDerived adds a read-only table whose rows the given provider
+	// computes on demand (derived.go); every write path refuses it.
+	RegisterDerived(schema Schema, indexes []DerivedIndex, scan DerivedScan) error
 	// SchemaEpoch is a counter that increases on every DDL change; caches
 	// derived from the catalog (prepared plans, compiled contracts) are
 	// valid only for the epoch they were built under.

@@ -349,8 +349,7 @@ func (d *DiskStore) CommitTx(rec *TxRecord, block int64) {
 }
 
 // MarkDurable logs the new durable height and fsyncs: this is the
-// durability point for every commit frame of the block, including the
-// block's sys_ledger seal rows appended just before it. The in-memory
+// durability point for every commit frame of the block. The in-memory
 // height was already bumped by SetHeight at the commit stage; blocks
 // between the two are the crash window that recovery re-processes from
 // the block store (§3.6). A log write or sync failure here is
@@ -413,8 +412,8 @@ func (d *DiskStore) Checkpoint() error {
 
 	for _, name := range d.Store.TableNames() {
 		t, err := d.Store.Table(name)
-		if err != nil {
-			continue
+		if err != nil || t.derived != nil {
+			continue // a derived table stores nothing: never logged
 		}
 		t.mu.RLock()
 		frames = append(frames, encodeCreateTable(0, t.schema))

@@ -63,8 +63,7 @@ type Schema struct {
 	// (replicated, contract-writable only) and the node-private
 	// non-blockchain schema (§3.7).
 	Class SchemaClass
-	// HashExempt excludes the table from StateHash. Used for sys_ledger,
-	// whose local_xid column is node-local by design (§4.2).
+	// HashExempt excludes the table from StateHash.
 	HashExempt bool
 }
 
@@ -75,7 +74,7 @@ type SchemaClass uint8
 const (
 	ClassBlockchain SchemaClass = iota // replicated, mutated only via contracts
 	ClassPrivate                       // node-local, ordinary transactions
-	ClassSystem                        // sys_ledger etc.; mutated by the node itself
+	ClassSystem                        // sys_certs etc.; mutated by the node itself
 )
 
 // ColIndex returns the ordinal of the named column, or -1.
@@ -112,7 +111,9 @@ type RowVersion struct {
 	aborted bool // creating transaction aborted; version is dead
 }
 
-// IndexDef is an index attached to a table.
+// IndexDef is an index attached to a table. On a derived table it is a
+// definition only — a name and columns the planner may choose, served by
+// the table's provider — and tree is nil.
 type IndexDef struct {
 	Name   string
 	Cols   []int // column ordinals
@@ -145,7 +146,8 @@ func (ix *IndexDef) KeyFor(row types.Row) types.Key {
 	return k
 }
 
-// Table is a versioned heap plus its indexes.
+// Table is a versioned heap plus its indexes — or, when derived is set, a
+// schema and index definitions over rows a provider computes (derived.go).
 type Table struct {
 	mu      sync.RWMutex
 	schema  Schema
@@ -153,10 +155,16 @@ type Table struct {
 	nextRef uint64
 	primary *IndexDef
 	indexes map[string]*IndexDef // by name, includes primary
+	derived DerivedScan          // nil for a stored table
 }
 
 // Schema returns a copy of the table schema.
 func (t *Table) Schema() Schema { return t.schema }
+
+// Derived reports whether the table's rows are computed by a provider
+// instead of stored (see Store.RegisterDerived): it can be read through
+// ScanIndex like any other table and never written.
+func (t *Table) Derived() bool { return t.derived != nil }
 
 // PrimaryIndexName returns the name of the primary-key index.
 func (t *Table) PrimaryIndexName() string { return t.primary.Name }
@@ -369,6 +377,7 @@ var (
 	ErrNotNull         = errors.New("storage: NOT NULL constraint violated")
 	ErrUniqueViolation = errors.New("storage: unique constraint violated")
 	ErrArity           = errors.New("storage: wrong number of columns")
+	ErrDerivedTable    = errors.New("storage: derived table cannot be written")
 )
 
 // NewStore returns an empty store at height 0 (genesis).
@@ -454,24 +463,28 @@ func (s *Store) CreateTable(schema Schema) error {
 		}
 		schema.Columns[c].NotNull = true
 	}
-	s.catMu.Lock()
-	defer s.catMu.Unlock()
-	old := s.catalog()
-	if _, ok := old[schema.Name]; ok {
-		return fmt.Errorf("%w: %s", ErrTableExists, schema.Name)
-	}
 	pk := newIndexDef(schema.Name+"_pkey", schema.PKCols, true)
-	t := &Table{
+	return s.addTable(&Table{
 		schema:  schema,
 		heap:    make(map[uint64]*RowVersion),
 		primary: pk,
 		indexes: map[string]*IndexDef{pk.Name: pk},
+	})
+}
+
+// addTable publishes a new table in the catalog.
+func (s *Store) addTable(t *Table) error {
+	s.catMu.Lock()
+	defer s.catMu.Unlock()
+	old := s.catalog()
+	if _, ok := old[t.schema.Name]; ok {
+		return fmt.Errorf("%w: %s", ErrTableExists, t.schema.Name)
 	}
 	next := make(map[string]*Table, len(old)+1)
 	for n, tb := range old {
 		next[n] = tb
 	}
-	next[schema.Name] = t
+	next[t.schema.Name] = t
 	s.tables.Store(&next)
 	s.epoch.Add(1)
 	return nil
@@ -482,8 +495,10 @@ func (s *Store) DropTable(name string) error {
 	s.catMu.Lock()
 	defer s.catMu.Unlock()
 	old := s.catalog()
-	if _, ok := old[name]; !ok {
+	if t, ok := old[name]; !ok {
 		return fmt.Errorf("%w: %s", ErrNoSuchTable, name)
+	} else if t.derived != nil {
+		return fmt.Errorf("%w: %s", ErrDerivedTable, name)
 	}
 	next := make(map[string]*Table, len(old))
 	for n, tb := range old {
@@ -529,6 +544,9 @@ func (s *Store) CreateIndex(table, name string, cols []int, unique bool) error {
 	if err != nil {
 		return err
 	}
+	if t.derived != nil {
+		return fmt.Errorf("%w: %s", ErrDerivedTable, table)
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if _, ok := t.indexes[name]; ok {
@@ -562,11 +580,10 @@ func (s *Store) CreateIndex(table, name string, cols []int, unique bool) error {
 // CommitTx returned, and no snapshot height exceeds the store height —
 // so both sources answer "not yet visible" (or, for a deleter, "still
 // live"). The only commits at or below the current height are the ones
-// that are unordered with respect to readers by design — the sealer's
-// sys_ledger rows (sealed behind the committed height; contracts may not
-// read them) and private-schema transactions (node-local) — and for those
-// a concurrent reader now sees the commit from the stamp instead of from
-// the status flip a few instructions later, two equally arbitrary points.
+// that are unordered with respect to readers by design — private-schema
+// transactions (node-local) — and for those a concurrent reader now sees
+// the commit from the stamp instead of from the status flip a few
+// instructions later, two equally arbitrary points.
 // What the stamps save is a striped RWMutex round trip and a map read per
 // version inspected, twice for superseded versions, on every scan.
 
@@ -639,6 +656,9 @@ func (s *Store) ScanIndex(table, ixName string, rng index.Range, self TxID, heig
 	if err != nil {
 		return err
 	}
+	if t.derived != nil {
+		return t.scanDerived(ixName, rng, height, fn)
+	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	ix, ok := t.indexes[ixName]
@@ -690,6 +710,9 @@ func (s *Store) Insert(rec *TxRecord, table string, row types.Row) (*RowVersion,
 	t, err := s.Table(table)
 	if err != nil {
 		return nil, err
+	}
+	if t.derived != nil {
+		return nil, fmt.Errorf("%w: %s", ErrDerivedTable, table)
 	}
 	if len(row) != len(t.schema.Columns) {
 		return nil, fmt.Errorf("%w: table %s has %d columns, got %d",
@@ -766,6 +789,9 @@ func (s *Store) MarkDelete(rec *TxRecord, table string, ref uint64) error {
 	if err != nil {
 		return err
 	}
+	if t.derived != nil {
+		return fmt.Errorf("%w: %s", ErrDerivedTable, table)
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	v, ok := t.heap[ref]
@@ -820,8 +846,7 @@ func (s *Store) lockTables(refs ...[]ItemRef) (tabs map[string]*Table, unlock fu
 // CommitTx stamps rec's writes with the given block number, marks the
 // transaction committed, and fills rec.Capture with the applied effects
 // (see WriteCapture). The block processor serializes the CommitTx calls
-// of each writer stream (block commits in block order, sys_ledger sealing
-// in block order), so block stamps are deterministic.
+// of a block in block order, so block stamps are deterministic.
 //
 // Index maintenance is batched: every table a transaction touched is
 // locked once and all of its row updates applied in that one critical
@@ -1078,9 +1103,10 @@ func (s *Store) StateHash(height int64) [32]byte {
 	h := sha256.New()
 	for _, name := range s.TableNames() {
 		t, err := s.Table(name)
-		if err != nil || t.schema.HashExempt || t.schema.Class == ClassPrivate {
-			// Private tables legitimately differ per node (§3.7);
-			// sys_ledger carries node-local xids (§4.2).
+		if err != nil || t.derived != nil || t.schema.HashExempt || t.schema.Class == ClassPrivate {
+			// Private tables legitimately differ per node (§3.7); a derived
+			// table stores nothing (sys_ledger is computed from the chain,
+			// and its local_xid column is node-local, §4.2).
 			continue
 		}
 		buf := codec.NewBuf(256)
@@ -1196,6 +1222,13 @@ func (s *Store) CountVisible(table string, height int64) (int, error) {
 		return 0, err
 	}
 	n := 0
+	if t.derived != nil {
+		err := t.scanDerived(t.primary.Name, index.AllRange(), height, func(*RowVersion) bool {
+			n++
+			return true
+		})
+		return n, err
+	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	t.primary.tree.Scan(index.AllRange(), func(_ types.Key, refs []uint64) bool {

@@ -1,8 +1,9 @@
 // bcrdb-bench regenerates every table and figure of the paper's
-// evaluation (§5) with configurable sweep sizes. `go test -bench=.` runs
-// reduced versions of the same experiments; this tool is the full
-// harness whose output EXPERIMENTS.md records. It is not the A/B tool:
-// parent-vs-change comparisons use `go run ./benchmarks` (BENCHMARK.json).
+// evaluation (§5) with configurable sweep sizes, and is the only driver
+// of those experiments. Its output is recorded nowhere yet: a table that
+// sets it beside the paper's §5 figures needs those figures in the
+// repository first (ROADMAP). It is not the A/B tool: parent-vs-change
+// comparisons use `go run ./benchmarks` (BENCHMARK.json).
 //
 // Usage:
 //

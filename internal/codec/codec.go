@@ -50,9 +50,6 @@ func (e *Buf) Uint64(v uint64) { e.b = binary.BigEndian.AppendUint64(e.b, v) }
 // Byte appends a single byte.
 func (e *Buf) Byte(v byte) { e.b = append(e.b, v) }
 
-// Raw appends pre-encoded bytes verbatim (no length prefix).
-func (e *Buf) Raw(v []byte) { e.b = append(e.b, v...) }
-
 // Bool appends a boolean as one byte.
 func (e *Buf) Bool(v bool) {
 	if v {

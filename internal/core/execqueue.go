@@ -13,8 +13,10 @@
 // held worker slots, a block full of future-snapshot transactions would
 // fill the pool with waiters and stall the very commit that would have
 // released them. bumpHeight moves parked jobs to the runnable list as
-// their heights commit, and runExecution's own waitForHeight then
-// returns immediately.
+// their heights commit. This parking is the node's ONLY snapshot-height
+// wait (§3.4.1 / §4.2): put decides under the queue lock, so a worker
+// never holds a job whose snapshot is uncommitted, and runExecution does
+// not wait again.
 
 package core
 
@@ -25,9 +27,8 @@ import (
 
 var (
 	errQueueClosed = errors.New("node stopped")
-	// errCancelled matches waitForHeight's cancel error, so a queued
-	// execution withdrawn before running reports the same reason as one
-	// cancelled mid-wait.
+	// errCancelled is the reason of a queued execution withdrawn before
+	// running (cancelExecution).
 	errCancelled = errors.New("snapshot height unavailable")
 )
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -12,10 +13,12 @@ import (
 	"testing"
 	"time"
 
+	"bcrdb/internal/codec"
 	"bcrdb/internal/engine"
 	"bcrdb/internal/ordering"
 	"bcrdb/internal/storage"
 	"bcrdb/internal/types"
+	"bcrdb/internal/wal"
 )
 
 // testdata/ledger_rows.json holds what sys_ledger read at the last commit
@@ -69,6 +72,15 @@ func ledgerRecs(t *testing.T, node *Node, sql string, params ...types.Value) []l
 		out[i] = ledgerRec{r[0].Str(), r[1].Int(), r[2].Int(), r[3].Str(), r[4].Str(), r[5].Str(), r[6].Str(), r[7].Int()}
 	}
 	return out
+}
+
+// seen reports whether a processed block carried the transaction id
+// (§3.4.3 unique-identifier rule).
+func (v *ledgerView) seen(id string) bool {
+	v.mu.RLock()
+	_, ok := v.byID[id]
+	v.mu.RUnlock()
+	return ok
 }
 
 func keepRecs(rows []ledgerRec, keep func(ledgerRec) bool) []ledgerRec {
@@ -317,7 +329,7 @@ func TestLedgerRowsFollowTheSeal(t *testing.T) {
 	}
 	// The id is consumed all the same: the duplicate check does not wait
 	// for the seal.
-	if !node.seenBefore(txs[0].ID) {
+	if !node.ledger.seen(txs[0].ID) {
 		t.Error("committed id not in the recorded-id set before the seal")
 	}
 
@@ -434,6 +446,68 @@ func TestMaterialisedLedgerRefused(t *testing.T) {
 	}
 	if !errors.Is(err, storage.ErrTableExists) || !strings.Contains(err.Error(), "sys_ledger") {
 		t.Fatalf("err = %v, want ErrTableExists naming sys_ledger", err)
+	}
+}
+
+// TestRetiredHashExemptFrameRefused: every store log written while
+// sys_ledger was materialised marks it hash-exempt — frame kind 4, or the
+// reserved byte of a create-table frame in a compacted log. Nothing can
+// honour the mark any more (the table would enter the state hash), so the
+// node refuses the log, saying why, and leaves it as found.
+func TestRetiredHashExemptFrameRefused(t *testing.T) {
+	markFrame := codec.NewBuf(32)
+	markFrame.Byte(4)
+	markFrame.Varint(0)
+	markFrame.String("sys_ledger")
+	tableFrame := codec.NewBuf(64)
+	tableFrame.Byte(1) // create table
+	tableFrame.Varint(0)
+	tableFrame.String("sys_ledger")
+	tableFrame.Byte(byte(storage.ClassSystem))
+	tableFrame.Bool(true) // the reserved byte
+	tableFrame.Uvarint(1)
+	tableFrame.String("txid")
+	tableFrame.Byte(byte(types.KindString))
+	tableFrame.Bool(false)
+	tableFrame.Bool(false)
+	tableFrame.Uvarint(1)
+	tableFrame.Varint(0)
+
+	for name, frame := range map[string][]byte{"frame kind 4": markFrame.Bytes(), "create-table byte": tableFrame.Bytes()} {
+		t.Run(name, func(t *testing.T) {
+			tn := newTestNet(t, netOpts{flow: OrderThenExecute, nNodes: 1})
+			cfg := tn.nodes[0].cfg
+			cfg.Name, cfg.DataDir, cfg.Backend = "db-old", t.TempDir(), storage.KindDisk
+			path := cfg.DataDir + "/" + cfg.Name + ".store.wal"
+			lg, err := wal.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := lg.AppendRaw(frame); err != nil {
+				t.Fatal(err)
+			}
+			if err := lg.Close(); err != nil {
+				t.Fatal(err)
+			}
+			before, _ := os.ReadFile(path)
+
+			node, err := NewNode(cfg, tn.nodes[0].signer, tn.netReg.Clone(), tn.net)
+			if err == nil {
+				node.Stop()
+				t.Fatal("node started over a store log that carries the retired hash-exempt mark")
+			}
+			for _, want := range []string{"sys_ledger", "predates the derived ledger (ADR-0008)"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("err = %v, want it to say %q", err, want)
+				}
+			}
+			if strings.Contains(err.Error(), "unknown frame kind") {
+				t.Errorf("err = %v: the retired kind must be refused by name", err)
+			}
+			if after, _ := os.ReadFile(path); !bytes.Equal(after, before) {
+				t.Error("the refused log was modified")
+			}
+		})
 	}
 }
 

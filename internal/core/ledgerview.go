@@ -124,14 +124,6 @@ func (v *ledgerView) consume(id string, pos txPos) (dup bool) {
 	return dup
 }
 
-// seen reports whether id was consumed.
-func (v *ledgerView) seen(id string) bool {
-	v.mu.RLock()
-	_, ok := v.byID[id]
-	v.mu.RUnlock()
-	return ok
-}
-
 // publish makes block's rows visible. Blocks are published in chain
 // order, each after consume has seen all of its ids; xids is nil for a
 // block restored from disk. A block that does not follow the last

@@ -16,6 +16,16 @@
 // block N's bookkeeping overlaps block N+1's execution. See pipeline.go
 // and docs/adr/0002-block-pipeline.md; Config.SynchronousSeal restores
 // the fully serial path as the parity tests' reference.
+//
+// Each job has one mechanism: a transaction waits for its snapshot height
+// parked in the execute queue (execqueue.go) and nowhere else; results
+// reach clients through SubscribeAll (notify.go) and no other path.
+//
+// The node is spread over files by job: node.go (configuration, lifecycle,
+// accessors), notify.go, submit.go (client submissions, authentication,
+// the certificate-key cache), intake.go (block sequencing and catch-up
+// serving), processor.go (checkpoints and recovery), antientropy.go
+// (self-healing delivery), and the pipeline's stage files.
 package core
 
 import (
@@ -182,7 +192,6 @@ type execution struct {
 	rec    *storage.TxRecord
 	err    error
 	result types.Value
-	cancel chan struct{} // closed to abandon a height wait
 	done   chan struct{}
 	ran    time.Duration
 }
@@ -222,10 +231,6 @@ type Node struct {
 	// Block-intake signature prewarm pool; nil when disabled.
 	verifyCh chan *ledger.Transaction
 	verifyWG sync.WaitGroup
-
-	// Height signaling for snapshot waits.
-	heightMu   sync.Mutex
-	heightCond *sync.Cond
 
 	// Incoming block sequencing. pending is bounded by pendingAhead
 	// (far-future deliveries are re-requested, not buffered).
@@ -270,7 +275,6 @@ type Node struct {
 
 	// Notifications.
 	subMu sync.Mutex
-	subs  map[string][]chan TxResult // by tx id
 	allCh []chan TxResult
 
 	metrics Metrics
@@ -358,13 +362,11 @@ func NewNode(cfg Config, signer *identity.Signer, netReg *identity.Registry, net
 		blockCh:    make(chan *ledger.Block, 1024),
 		ownHashes:  make(map[uint64]ledger.Hash),
 		peerHashes: make(map[uint64]map[string]ledger.Hash),
-		subs:       make(map[string][]chan TxResult),
 		certCache:  make(map[string]certCacheEntry),
 		sealAbort:  make(chan struct{}),
 		stopped:    make(chan struct{}),
 		diskBacked: kind == storage.KindDisk,
 	}
-	n.heightCond = sync.NewCond(&n.heightMu)
 	n.execQ = newExecQueue(st.Height)
 	for i, o := range cfg.Orderers {
 		if o == cfg.DeliverFrom {
@@ -541,9 +543,6 @@ func (n *Node) Stop() {
 	n.stopOnce.Do(func() {
 		close(n.stopped)
 		n.ep.Unregister()
-		// Wake any executions waiting on heights so they observe the
-		// stop signal.
-		n.heightCond.Broadcast()
 		n.wg.Wait()
 		// The block processor is gone; fail queued executions and let the
 		// pools drain. (verifyCh is never closed — late onBlock senders
@@ -651,35 +650,6 @@ func (n *Node) Vacuum(horizon int64) int {
 	return n.store.Vacuum(horizon)
 }
 
-// Subscribe returns a channel receiving the result of the given tx id.
-func (n *Node) Subscribe(txID string) <-chan TxResult {
-	ch := make(chan TxResult, 1)
-	n.subMu.Lock()
-	n.subs[txID] = append(n.subs[txID], ch)
-	n.subMu.Unlock()
-	return ch
-}
-
-// Unsubscribe removes a Subscribe registration whose waiter gave up
-// (client Await timeout), so the node does not hold the channel — and
-// the tx-id entry — forever.
-func (n *Node) Unsubscribe(txID string, ch <-chan TxResult) {
-	n.subMu.Lock()
-	subs := n.subs[txID]
-	for i, c := range subs {
-		if (<-chan TxResult)(c) == ch {
-			subs = append(subs[:i], subs[i+1:]...)
-			break
-		}
-	}
-	if len(subs) == 0 {
-		delete(n.subs, txID)
-	} else {
-		n.subs[txID] = subs
-	}
-	n.subMu.Unlock()
-}
-
 // SubscribeAll returns a channel receiving every transaction result.
 func (n *Node) SubscribeAll() <-chan TxResult {
 	ch := make(chan TxResult, 4096)
@@ -708,13 +678,6 @@ func (n *Node) notify(r TxResult, replay bool) {
 		return
 	}
 	n.subMu.Lock()
-	for _, ch := range n.subs[r.ID] {
-		select {
-		case ch <- r:
-		default:
-		}
-	}
-	delete(n.subs, r.ID)
 	all := append([]chan TxResult(nil), n.allCh...)
 	n.subMu.Unlock()
 	for _, ch := range all {
@@ -955,31 +918,11 @@ func (n *Node) requestCatchUp() {
 	n.metrics.CatchUpRequests.Add(1)
 }
 
-// waitForHeight blocks until the committed height reaches h or the
-// execution is cancelled.
-func (n *Node) waitForHeight(h int64, cancel chan struct{}) error {
-	n.heightMu.Lock()
-	defer n.heightMu.Unlock()
-	for n.store.Height() < h {
-		select {
-		case <-cancel:
-			return errors.New("snapshot height unavailable")
-		case <-n.stopped:
-			return errors.New("node stopped")
-		default:
-		}
-		n.heightCond.Wait()
-	}
-	return nil
-}
-
+// bumpHeight publishes block h as committed and releases the executions
+// parked on this (or a lower) snapshot height — the one place a
+// transaction's wait for its snapshot ends (execqueue.go).
 func (n *Node) bumpHeight(h int64) {
-	n.heightMu.Lock()
 	n.store.SetHeight(h)
-	n.heightCond.Broadcast()
-	n.heightMu.Unlock()
-	// Executions parked on this (or a lower) snapshot height are now
-	// runnable.
 	n.execQ.release(h)
 }
 

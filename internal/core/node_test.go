@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -29,6 +30,11 @@ type testNet struct {
 	clients        map[string]*identity.Signer
 	netReg         *identity.Registry
 	dataDirs       []string
+
+	// Results node 0 publishes on SubscribeAll, handed to whoever watches
+	// the transaction id (follow).
+	waitMu  sync.Mutex
+	waiters map[string][]chan TxResult
 }
 
 var testGenesisSQL = []string{
@@ -104,6 +110,7 @@ func newTestNet(t *testing.T, o netOpts) *testNet {
 		net:     simnet.New(simnet.Profile{Latency: 100 * time.Microsecond}),
 		topic:   kafka.NewTopic(nil),
 		clients: make(map[string]*identity.Signer),
+		waiters: make(map[string][]chan TxResult),
 	}
 	t.Cleanup(tn.net.Close)
 
@@ -172,6 +179,9 @@ func newTestNet(t *testing.T, o netOpts) *testNet {
 		tn.nodes = append(tn.nodes, node)
 		t.Cleanup(node.Stop)
 	}
+	stop := make(chan struct{})
+	t.Cleanup(func() { close(stop) })
+	go tn.follow(tn.nodes[0].SubscribeAll(), stop)
 
 	for i := 0; i < o.nNodes; i++ {
 		ord, err := kafka.NewOrderer(ordererNames[i], ordererSigners[i], tn.topic, tn.net,
@@ -212,15 +222,49 @@ func (tn *testNet) submit(user, contract string, args ...types.Value) (<-chan Tx
 	} else {
 		tx = tn.buildTx(user, contract, args, 0)
 	}
-	ch := tn.nodes[0].Subscribe(tx.ID)
+	ch := tn.watch(tx.ID)
 	if tn.nodes[0].cfg.Flow == ExecuteOrder {
-		if err := tn.nodes[0].ExecuteOrderSubmitLocal(tx); err != nil {
-			tn.t.Fatal(err)
-		}
+		tn.submitTo(0, tx)
 	} else {
 		tn.orderers[0].SubmitLocal(tx)
 	}
 	return ch, tx.ID
+}
+
+// submitTo hands node i a client submission (execute-order flow) without
+// the network hop.
+func (tn *testNet) submitTo(i int, tx *ledger.Transaction) {
+	n := tn.nodes[i]
+	n.onSubmit(simnet.Message{From: tx.Username, To: n.cfg.Name, Kind: KindSubmit,
+		Payload: ledger.MarshalTransaction(tx)}, true)
+}
+
+// watch returns a channel receiving the result node 0 publishes for the
+// transaction id. Register before submitting.
+func (tn *testNet) watch(txID string) <-chan TxResult {
+	ch := make(chan TxResult, 1)
+	tn.waitMu.Lock()
+	tn.waiters[txID] = append(tn.waiters[txID], ch)
+	tn.waitMu.Unlock()
+	return ch
+}
+
+// follow hands every result of node 0's commit subscription to the
+// channels watching its id.
+func (tn *testNet) follow(all <-chan TxResult, stop <-chan struct{}) {
+	for {
+		select {
+		case r := <-all:
+			tn.waitMu.Lock()
+			for _, ch := range tn.waiters[r.ID] {
+				ch <- r // buffered, one result per watcher
+			}
+			delete(tn.waiters, r.ID)
+			tn.waitMu.Unlock()
+		case <-stop:
+			return
+		}
+	}
 }
 
 func (tn *testNet) await(ch <-chan TxResult) TxResult {
@@ -412,7 +456,7 @@ func TestDuplicateTransactionRejected(t *testing.T) {
 		cfg: ordering.Config{BlockSize: 1, BlockTimeout: 20 * time.Millisecond}})
 	args := []types.Value{types.NewInt(500), types.NewString("dup"), types.NewFloat(1)}
 	tx1 := tn.buildTx("alice", "put_account", args, 0)
-	ch1 := tn.nodes[0].Subscribe(tx1.ID)
+	ch1 := tn.watch(tx1.ID)
 	tn.orderers[0].SubmitLocal(tx1)
 	r1 := tn.await(ch1)
 	if !r1.Committed {
@@ -427,7 +471,7 @@ func TestDuplicateTransactionRejected(t *testing.T) {
 	if tx2.ID != tx1.ID {
 		t.Fatal("identical invocations should produce identical ids")
 	}
-	ch2 := tn.nodes[0].Subscribe(tx2.ID)
+	ch2 := tn.watch(tx2.ID)
 	tn.orderers[0].SubmitLocal(tx2)
 	select {
 	case r2 := <-ch2:

@@ -21,7 +21,6 @@ func (n *Node) crashForTest() {
 	n.stopOnce.Do(func() {
 		close(n.stopped)
 		n.ep.Unregister()
-		n.heightCond.Broadcast()
 		n.wg.Wait()
 		close(n.sealAbort) // sealer drops queued tasks instead of sealing
 		if n.sealCh != nil {
@@ -282,11 +281,11 @@ func TestRecordedIDSetCoherentAcrossRestart(t *testing.T) {
 			}
 			assertLedgerAfterRestart(t, restarted, usedIDs[0], restored)
 			for _, id := range usedIDs {
-				if !restarted.seenBefore(id) {
+				if !restarted.ledger.seen(id) {
 					t.Fatalf("restarted %s node lost recorded id %s", backend, id)
 				}
 			}
-			if restarted.seenBefore("never-used-id") {
+			if restarted.ledger.seen("never-used-id") {
 				t.Fatal("recorded-id set contains an id that was never submitted")
 			}
 

@@ -11,7 +11,6 @@ import (
 	"slices"
 
 	"bcrdb/internal/ledger"
-	"bcrdb/internal/simnet"
 	"bcrdb/internal/wal"
 )
 
@@ -248,15 +247,4 @@ func (n *Node) recoverLocal() error {
 
 func (n *Node) walPath() string {
 	return n.cfg.DataDir + "/" + n.cfg.Name + ".wal"
-}
-
-// ExecuteOrderSubmitLocal lets a co-located client (the facade) submit a
-// transaction to this node without the network hop. Used by tests.
-func (n *Node) ExecuteOrderSubmitLocal(tx *ledger.Transaction) error {
-	if n.cfg.Flow != ExecuteOrder {
-		return fmt.Errorf("core: node %s runs order-then-execute", n.cfg.Name)
-	}
-	payload := ledger.MarshalTransaction(tx)
-	n.onSubmit(simnet.Message{From: tx.Username, To: n.cfg.Name, Kind: KindSubmit, Payload: payload}, true)
-	return nil
 }

@@ -188,9 +188,3 @@ func (n *Node) txInfo(seq int, e *execution) *ssi.TxInfo {
 	}
 	return info
 }
-
-// seenBefore reports whether a processed block already carried the
-// transaction id (§3.4.3 unique-identifier rule). The set is the ledger
-// view's id index: exact while the previous block's outcomes are still
-// being published in the background, and after a restart.
-func (n *Node) seenBefore(txID string) bool { return n.ledger.seen(txID) }

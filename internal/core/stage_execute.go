@@ -1,6 +1,7 @@
 // Stage 1 — Execute: concurrent transaction execution against the
 // block's snapshot (§3.3.2 / §3.4.1). See pipeline.go for the stage
-// overview.
+// overview. Nothing here waits for a height: the execute queue
+// (execqueue.go) hands a worker only jobs whose snapshot is committed.
 
 package core
 
@@ -22,11 +23,7 @@ func (n *Node) ensureExecution(tx *ledger.Transaction, snapshot int64) (*executi
 		n.execMu.Unlock()
 		return e, false
 	}
-	e := &execution{
-		tx:     tx,
-		cancel: make(chan struct{}),
-		done:   make(chan struct{}),
-	}
+	e := &execution{tx: tx, done: make(chan struct{})}
 	n.executing[tx.ID] = e
 	n.execMu.Unlock()
 	n.execQ.put(e, snapshot)
@@ -46,10 +43,11 @@ func (n *Node) execWorker() {
 	}
 }
 
-// runExecution performs the execution phase of §3.3.2 / §3.4.1: wait for
-// the snapshot to exist, authenticate, run the contract with full
-// read/write tracking, then park until the block processor signals the
-// commit turn (by reading e.rec after e.done).
+// runExecution performs the execution phase of §3.3.2 / §3.4.1 on a job
+// whose snapshot height is committed (the queue hands a worker no other):
+// authenticate, run the contract with full read/write tracking, then
+// leave the record for the block processor's commit turn (it reads e.rec
+// after e.done).
 func (n *Node) runExecution(e *execution, snapshot int64) {
 	defer close(e.done)
 	start := time.Now()
@@ -59,10 +57,6 @@ func (n *Node) runExecution(e *execution, snapshot int64) {
 		n.metrics.TxExecCount.Add(1)
 	}()
 
-	if err := n.waitForHeight(snapshot, e.cancel); err != nil {
-		e.err = err
-		return
-	}
 	// Authenticate against certificates visible at the snapshot height —
 	// identical on every node (§3.3.2 step 2).
 	if err := n.authenticate(e.tx, snapshot); err != nil {
@@ -86,18 +80,17 @@ func (n *Node) runExecution(e *execution, snapshot int64) {
 	e.result = res
 }
 
-// cancelExecution abandons an execution stuck waiting for an impossible
-// snapshot height. If the execution is still queued (parked on a future
-// height, or behind other work), it is withdrawn before ever running;
-// once a worker has it, the cancel channel unblocks its height wait.
+// cancelExecution abandons an execution whose snapshot height the block
+// carrying it has made impossible. If the execution is still queued
+// (parked on that height, or behind other work), it is withdrawn before
+// ever running; a job a worker already took has a committed snapshot and
+// runs to completion.
 func (n *Node) cancelExecution(e *execution) {
 	if n.execQ.remove(e) {
 		e.err = errCancelled
 		close(e.done)
 		return
 	}
-	close(e.cancel)
-	n.heightCond.Broadcast()
 	<-e.done
 }
 
@@ -117,7 +110,7 @@ func (n *Node) executeStage(b *ledger.Block, replay bool) []*execution {
 			// Snapshot at or above this block can never be satisfied:
 			// fail deterministically without waiting.
 			e := &execution{tx: tx, err: fmt.Errorf("invalid snapshot %d for block %d", snapshot, b.Number),
-				cancel: make(chan struct{}), done: make(chan struct{})}
+				done: make(chan struct{})}
 			close(e.done)
 			// If a forwarded copy is already waiting on that height,
 			// abandon it.

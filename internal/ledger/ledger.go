@@ -13,7 +13,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"sync"
 
@@ -295,6 +294,9 @@ type BlockStore struct {
 	mu     sync.RWMutex
 	blocks []*Block // blocks[i] has Number i+1
 	file   *os.File
+	// end is the file offset after the last whole block: where the next
+	// frame goes, and where a torn or failed write is cut away.
+	end int64
 }
 
 // NewBlockStore returns an in-memory store.
@@ -327,59 +329,64 @@ func (bs *BlockStore) Close() error {
 	return nil
 }
 
+// load reads the chain from the backing file. A frame is a 4-byte
+// big-endian length and that many bytes of Block.Encode; the format has
+// no checksum, so load tells damage from a crash by position: a final
+// frame that runs past end-of-file, or that does not decode and has
+// nothing after it, is the torn write of a crash and is cut away (the
+// block comes back by catch-up); anything wrong before the tail is
+// corruption, reported with its position, and the file is left as found.
 func (bs *BlockStore) load() error {
-	if _, err := bs.file.Seek(0, io.SeekStart); err != nil {
+	st, err := bs.file.Stat()
+	if err != nil {
 		return err
 	}
+	size := st.Size()
 	var prev Hash
-	for {
+	for bs.end < size {
+		damaged := func(err error) error {
+			return fmt.Errorf("ledger: block store %s: block %d (offset %d of %d) is damaged, file left untouched: %w",
+				bs.file.Name(), len(bs.blocks)+1, bs.end, size, err)
+		}
+		// The length is bounded by the bytes that remain before anything
+		// is allocated from it.
+		rest := size - bs.end - 4
+		if rest < 0 {
+			break
+		}
 		var lenBuf [4]byte
-		_, err := io.ReadFull(bs.file, lenBuf[:])
-		if err == io.EOF {
-			return nil
-		}
-		if err == io.ErrUnexpectedEOF {
-			// Torn final write from a crash: truncate it away.
-			return bs.truncateToLoaded()
-		}
-		if err != nil {
+		if _, err := bs.file.ReadAt(lenBuf[:], bs.end); err != nil {
 			return err
 		}
-		n := binary.BigEndian.Uint32(lenBuf[:])
+		n := int64(binary.BigEndian.Uint32(lenBuf[:]))
+		if n > rest {
+			break
+		}
 		data := make([]byte, n)
-		if _, err := io.ReadFull(bs.file, data); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				return bs.truncateToLoaded()
-			}
+		if _, err := bs.file.ReadAt(data, bs.end+4); err != nil {
 			return err
 		}
 		b, err := DecodeBlock(data)
 		if err != nil {
-			return bs.truncateToLoaded()
+			if n == rest {
+				break
+			}
+			return damaged(err)
 		}
 		if b.Number != uint64(len(bs.blocks))+1 {
-			return fmt.Errorf("%w: file holds block %d at position %d", ErrOutOfSequence, b.Number, len(bs.blocks)+1)
+			return damaged(fmt.Errorf("%w: it holds block %d", ErrOutOfSequence, b.Number))
 		}
 		if err := b.VerifyHash(prev); err != nil {
-			return err
+			return damaged(err)
 		}
 		prev = b.Hash
 		bs.blocks = append(bs.blocks, b)
+		bs.end += 4 + n
 	}
-}
-
-// truncateToLoaded cuts the backing file after the last fully-loaded
-// block (crash-consistent append).
-func (bs *BlockStore) truncateToLoaded() error {
-	var off int64
-	for _, b := range bs.blocks {
-		off += 4 + int64(len(b.Encode()))
+	if bs.end < size {
+		return bs.file.Truncate(bs.end)
 	}
-	if err := bs.file.Truncate(off); err != nil {
-		return err
-	}
-	_, err := bs.file.Seek(off, io.SeekStart)
-	return err
+	return nil
 }
 
 // Append adds the next block. The block number must be exactly
@@ -401,12 +408,17 @@ func (bs *BlockStore) Append(b *Block) error {
 		data := b.Encode()
 		var lenBuf [4]byte
 		binary.BigEndian.PutUint32(lenBuf[:], uint32(len(data)))
-		if _, err := bs.file.Write(lenBuf[:]); err != nil {
+		_, err := bs.file.WriteAt(lenBuf[:], bs.end)
+		if err == nil {
+			_, err = bs.file.WriteAt(data, bs.end+4)
+		}
+		if err != nil {
+			// Cut the half-written frame away; the next Append writes at
+			// the same offset whether or not this succeeds.
+			_ = bs.file.Truncate(bs.end)
 			return err
 		}
-		if _, err := bs.file.Write(data); err != nil {
-			return err
-		}
+		bs.end += 4 + int64(len(data))
 	}
 	bs.blocks = append(bs.blocks, b)
 	return nil

@@ -2,7 +2,6 @@ package ledger
 
 import (
 	"errors"
-	"os"
 	"path/filepath"
 	"testing"
 
@@ -188,45 +187,6 @@ func TestFileStorePersistence(t *testing.T) {
 	if err := re.Append(b3); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestFileStoreTornWriteRecovery(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "blocks.dat")
-	bs, err := OpenFileStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b1 := sampleBlock(1, Hash{})
-	if err := bs.Append(b1); err != nil {
-		t.Fatal(err)
-	}
-	bs.Close()
-
-	// Simulate a crash mid-append: garbage half-frame at the tail.
-	f, _ := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
-	f.Write([]byte{0, 0, 0, 99, 1, 2, 3}) // claims 99 bytes, provides 3
-	f.Close()
-
-	re, err := OpenFileStore(path)
-	if err != nil {
-		t.Fatalf("torn-write recovery failed: %v", err)
-	}
-	defer re.Close()
-	if re.Height() != 1 {
-		t.Fatalf("height after recovery = %d", re.Height())
-	}
-	// The store must be appendable again (file truncated cleanly).
-	b2 := sampleBlock(2, b1.Hash)
-	if err := re.Append(b2); err != nil {
-		t.Fatal(err)
-	}
-	re.Close()
-	re2, err := OpenFileStore(path)
-	if err != nil || re2.Height() != 2 {
-		t.Fatalf("reload after recovery: h=%d err=%v", re2.Height(), err)
-	}
-	re2.Close()
 }
 
 func TestCheckpointSignBytes(t *testing.T) {

@@ -27,12 +27,6 @@ var builtins = map[string]Builtin{
 	"delete_user":      biDeleteUser,
 }
 
-// IsSystemContract reports whether name is a built-in system contract.
-func IsSystemContract(name string) bool {
-	_, ok := builtins[name]
-	return ok
-}
-
 // q executes a parameterized statement inside the transaction. System
 // contracts are trusted code shipped with the node, so their statements
 // may write system tables (sys_deployments, sys_contracts, sys_certs).

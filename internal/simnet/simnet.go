@@ -188,7 +188,6 @@ var (
 	ErrClosed       = errors.New("simnet: network closed")
 	ErrUnknownPeer  = errors.New("simnet: unknown endpoint")
 	ErrDuplicate    = errors.New("simnet: endpoint name in use")
-	ErrNoHandler    = errors.New("simnet: endpoint has no handler")
 	ErrPartitioned  = errors.New("simnet: link partitioned")
 	ErrEndpointDown = errors.New("simnet: endpoint stopped")
 )

@@ -200,12 +200,3 @@ func Tokenize(src string) ([]Token, error) {
 		}
 	}
 }
-
-// RestFrom returns the source text starting at byte offset pos. The
-// procedure parser uses it to slice out $$-delimited bodies.
-func RestFrom(src string, pos int) string {
-	if pos >= len(src) {
-		return ""
-	}
-	return src[pos:]
-}

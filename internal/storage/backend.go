@@ -30,10 +30,6 @@ type Backend interface {
 	// Close releases any resources (files, fds). The store stays readable
 	// for in-memory state but must not be written afterwards.
 	Close() error
-	// Checkpoint compacts the backend's durable representation to a
-	// snapshot of current committed state (a no-op for volatile
-	// backends). Callers must be quiescent: no block may be mid-commit.
-	Checkpoint() error
 
 	// --- chain height and transaction status ----------------------------
 
@@ -67,7 +63,6 @@ type Backend interface {
 	Table(name string) (*Table, error)
 	HasTable(name string) bool
 	TableNames() []string
-	SetHashExempt(table string)
 
 	// --- reads ----------------------------------------------------------
 
@@ -136,10 +131,6 @@ func Open(kind Kind, path string) (Backend, error) {
 
 // Close implements Backend for the in-memory store (nothing to release).
 func (s *Store) Close() error { return nil }
-
-// Checkpoint implements Backend for the in-memory store: volatile state
-// has no durable representation to compact.
-func (s *Store) Checkpoint() error { return nil }
 
 // MarkDurable implements Backend for the in-memory store: volatile state
 // has no durability point.

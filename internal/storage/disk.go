@@ -1,8 +1,8 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"bcrdb/internal/codec"
@@ -29,10 +29,9 @@ import (
 type DiskStore struct {
 	*Store // in-memory working state; reads and provisional writes pass through
 
-	mu   sync.Mutex // guards log, err and appends
-	log  *wal.Log
-	err  error // first append/sync failure; latched until checked
-	path string
+	mu  sync.Mutex // guards log, err and appends
+	log *wal.Log
+	err error // first append/sync failure; latched until checked
 }
 
 // Log frame kinds. Every frame starts with one kind byte. DDL-ish frames
@@ -50,22 +49,17 @@ const (
 	opCreateTable byte = iota + 1
 	opCreateIndex
 	opDropTable
-	opHashExempt
+	// opRetiredHashExempt is reserved: logs written while sys_ledger was a
+	// stored table (before ADR-0008) carry it, and replay refuses them.
+	opRetiredHashExempt
 	opCommit
 	opHeight
 	opVacuum
 )
 
-// OpenDisk opens (creating if needed) a disk backend whose log lives at
-// path, replaying any existing committed state.
-func (d *DiskStore) openLog() error {
-	lg, err := wal.Open(d.path)
-	if err != nil {
-		return err
-	}
-	d.log = lg
-	return nil
-}
+// errPredatesDerivedLedger refuses a log that marks a table hash-exempt:
+// only the materialised sys_ledger ever was.
+var errPredatesDerivedLedger = errors.New("log holds the retired hash-exempt mark: it was written while sys_ledger was a stored table, predates the derived ledger (ADR-0008) and cannot be served")
 
 // OpenDisk opens the durable backend at path and restores committed
 // state by WAL replay. The recovery horizon H is the newest height frame
@@ -73,7 +67,7 @@ func (d *DiskStore) openLog() error {
 // and the log is compacted to exactly the applied prefix, so a
 // subsequent re-processing of block H+1 cannot double-apply.
 func OpenDisk(path string) (*DiskStore, error) {
-	d := &DiskStore{Store: NewStore(), path: path}
+	d := &DiskStore{Store: NewStore()}
 
 	frames, err := wal.ReadAllRaw(path)
 	if err != nil {
@@ -115,7 +109,7 @@ func OpenDisk(path string) (*DiskStore, error) {
 			return nil, err
 		}
 	}
-	if err := d.openLog(); err != nil {
+	if d.log, err = wal.Open(path); err != nil {
 		return nil, err
 	}
 	return d, nil
@@ -145,9 +139,12 @@ func (d *DiskStore) applyFrame(f []byte, horizon int64, txOf map[int64]TxID) (bo
 	switch f[0] {
 	case opCreateTable:
 		at := dec.Varint()
-		schema := decodeSchema(dec)
+		schema, hashExempt := decodeSchema(dec)
 		if err := dec.Done(); err != nil {
 			return false, err
+		}
+		if hashExempt {
+			return false, fmt.Errorf("table %q: %w", schema.Name, errPredatesDerivedLedger)
 		}
 		if at > horizon {
 			return false, nil
@@ -184,16 +181,9 @@ func (d *DiskStore) applyFrame(f []byte, horizon int64, txOf map[int64]TxID) (bo
 			return false, nil
 		}
 		_ = d.Store.DropTable(name) // table may already be gone
-	case opHashExempt:
-		at := dec.Varint()
-		table := dec.String()
-		if err := dec.Done(); err != nil {
-			return false, err
-		}
-		if at > horizon {
-			return false, nil
-		}
-		d.Store.SetHashExempt(table)
+	case opRetiredHashExempt:
+		dec.Varint()
+		return false, fmt.Errorf("table %q: %w", dec.String(), errPredatesDerivedLedger)
 	case opVacuum:
 		at := dec.Varint()
 		hz := dec.Varint()
@@ -310,16 +300,6 @@ func (d *DiskStore) CreateIndex(table, name string, cols []int, unique bool) err
 	return nil
 }
 
-// SetHashExempt marks the table hash-exempt and logs it.
-func (d *DiskStore) SetHashExempt(table string) {
-	d.Store.SetHashExempt(table)
-	e := codec.NewBuf(32)
-	e.Byte(opHashExempt)
-	e.Varint(d.Store.Height())
-	e.String(table)
-	d.append(e.Bytes())
-}
-
 // CommitTx commits in memory and logs the transaction's surviving
 // effects from the commit-time capture: every inserted version that
 // outlived the commit (with its row data) and every superseded version
@@ -382,117 +362,6 @@ func (d *DiskStore) Vacuum(horizon int64) int {
 	return n
 }
 
-// Checkpoint compacts the log to a snapshot of current committed state:
-// catalog frames, one commit frame per block of surviving versions, and
-// a final height frame. Provenance (superseded versions and their
-// creator/deleter stamps) is preserved. The caller must be quiescent —
-// no block mid-commit — exactly like Vacuum.
-func (d *DiskStore) Checkpoint() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-
-	h := d.Store.Height()
-	var frames [][]byte
-
-	type blockOps struct {
-		ins *codec.Buf // (table, ref, row) triples
-		del *codec.Buf // (table, ref) pairs
-		nIn uint64
-		nDe uint64
-	}
-	byBlock := make(map[int64]*blockOps)
-	opsFor := func(b int64) *blockOps {
-		ops, ok := byBlock[b]
-		if !ok {
-			ops = &blockOps{ins: codec.NewBuf(256), del: codec.NewBuf(64)}
-			byBlock[b] = ops
-		}
-		return ops
-	}
-
-	for _, name := range d.Store.TableNames() {
-		t, err := d.Store.Table(name)
-		if err != nil || t.derived != nil {
-			continue // a derived table stores nothing: never logged
-		}
-		t.mu.RLock()
-		frames = append(frames, encodeCreateTable(0, t.schema))
-		ixNames := make([]string, 0, len(t.indexes))
-		for n := range t.indexes {
-			ixNames = append(ixNames, n)
-		}
-		sort.Strings(ixNames)
-		for _, ixn := range ixNames {
-			ix := t.indexes[ixn]
-			if ix == t.primary {
-				continue
-			}
-			frames = append(frames, encodeCreateIndex(0, name, ix.Name, ix.Cols, ix.Unique))
-		}
-		refs := make([]uint64, 0, len(t.heap))
-		for ref := range t.heap {
-			refs = append(refs, ref)
-		}
-		sort.Slice(refs, func(i, j int) bool { return refs[i] < refs[j] })
-		for _, ref := range refs {
-			v := t.heap[ref]
-			if v.CreatorBlk == NoBlock {
-				continue // provisional: not committed, not durable
-			}
-			ops := opsFor(v.CreatorBlk)
-			ops.ins.String(name)
-			ops.ins.Uvarint(v.ID)
-			ops.ins.Row(v.Data)
-			ops.nIn++
-			if v.DeleterBlk != NoBlock {
-				dops := opsFor(v.DeleterBlk)
-				dops.del.String(name)
-				dops.del.Uvarint(v.ID)
-				dops.nDe++
-			}
-		}
-		t.mu.RUnlock()
-	}
-
-	blocks := make([]int64, 0, len(byBlock))
-	for b := range byBlock {
-		blocks = append(blocks, b)
-	}
-	sort.Slice(blocks, func(i, j int) bool { return blocks[i] < blocks[j] })
-	for _, b := range blocks {
-		ops := byBlock[b]
-		e := codec.NewBuf(64 + len(ops.ins.Bytes()) + len(ops.del.Bytes()))
-		e.Byte(opCommit)
-		e.Varint(b)
-		e.Uvarint(ops.nIn)
-		e.Raw(ops.ins.Bytes())
-		e.Uvarint(ops.nDe)
-		e.Raw(ops.del.Bytes())
-		frames = append(frames, e.Bytes())
-	}
-
-	he := codec.NewBuf(16)
-	he.Byte(opHeight)
-	he.Varint(h)
-	frames = append(frames, he.Bytes())
-
-	if d.log != nil {
-		if err := d.log.Close(); err != nil {
-			return err
-		}
-		d.log = nil
-	}
-	if err := wal.Rewrite(d.path, frames); err != nil {
-		// The rename never happened, so the old log is intact: reopen it
-		// and keep appending to it rather than silently disabling logging.
-		if reopenErr := d.openLog(); reopenErr != nil && d.err == nil {
-			d.err = reopenErr
-		}
-		return err
-	}
-	return d.openLog()
-}
-
 // Close syncs and closes the log. The in-memory state stays readable.
 func (d *DiskStore) Close() error {
 	d.mu.Lock()
@@ -509,9 +378,6 @@ func (d *DiskStore) Close() error {
 	return err2
 }
 
-// Path returns the log file location (tests, diagnostics).
-func (d *DiskStore) Path() string { return d.path }
-
 // --- frame encoding helpers ----------------------------------------------------
 
 func encodeCreateTable(at int64, schema Schema) []byte {
@@ -520,7 +386,7 @@ func encodeCreateTable(at int64, schema Schema) []byte {
 	e.Varint(at)
 	e.String(schema.Name)
 	e.Byte(byte(schema.Class))
-	e.Bool(schema.HashExempt)
+	e.Bool(false) // reserved: was Schema.HashExempt
 	e.Uvarint(uint64(len(schema.Columns)))
 	for _, c := range schema.Columns {
 		e.String(c.Name)
@@ -538,11 +404,13 @@ func encodeCreateTable(at int64, schema Schema) []byte {
 	return e.Bytes()
 }
 
-func decodeSchema(d *codec.Dec) Schema {
+// decodeSchema also returns the frame's reserved byte, which once was
+// Schema.HashExempt.
+func decodeSchema(d *codec.Dec) (Schema, bool) {
 	s := Schema{}
 	s.Name = d.String()
 	s.Class = SchemaClass(d.Byte())
-	s.HashExempt = d.Bool()
+	hashExempt := d.Bool()
 	n := d.Uvarint()
 	for i := uint64(0); i < n && d.Err() == nil; i++ {
 		c := Column{}
@@ -559,7 +427,7 @@ func decodeSchema(d *codec.Dec) Schema {
 	for i := uint64(0); i < n && d.Err() == nil; i++ {
 		s.PKCols = append(s.PKCols, int(d.Varint()))
 	}
-	return s
+	return s, hashExempt
 }
 
 func encodeCreateIndex(at int64, table, name string, cols []int, unique bool) []byte {

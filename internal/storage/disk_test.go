@@ -276,41 +276,6 @@ func TestDiskBackendVacuumReplayed(t *testing.T) {
 	}
 }
 
-// TestDiskBackendCheckpointCompaction verifies that Checkpoint rewrites
-// the log to a snapshot without changing state, version provenance, or
-// recoverability.
-func TestDiskBackendCheckpointCompaction(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "store.wal")
-	d := openDiskT(t, path)
-	h := driveHistory(t, d)
-	want := d.StateHash(h)
-	wantN, _ := d.CountVersions("t")
-
-	if err := d.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if d.StateHash(h) != want {
-		t.Fatal("checkpoint changed live state")
-	}
-	// Appends still work after the log swap.
-	insertCommitted(t, d, "t", row(70, "post-ckpt", 7), h+1)
-	want2 := d.StateHash(h + 1)
-	wantN2, _ := d.CountVersions("t")
-	d.Close()
-
-	d2 := openDiskT(t, path)
-	defer d2.Close()
-	if d2.Height() != h+1 {
-		t.Fatalf("height after checkpointed restart = %d, want %d", d2.Height(), h+1)
-	}
-	if d2.StateHash(h) != want || d2.StateHash(h+1) != want2 {
-		t.Fatal("state hash diverges after checkpointed restart")
-	}
-	if gotN, _ := d2.CountVersions("t"); gotN != wantN2 || wantN2 != wantN+1 {
-		t.Fatalf("provenance lost across checkpoint: %d versions, want %d", gotN, wantN2)
-	}
-}
-
 // TestDiskBackendDDLSurvivesRestart covers catalog replay: dropped
 // tables stay dropped, created ones come back with their schema class.
 func TestDiskBackendDDLSurvivesRestart(t *testing.T) {
@@ -325,7 +290,6 @@ func TestDiskBackendDDLSurvivesRestart(t *testing.T) {
 	if err := d.CreateTable(priv); err != nil {
 		t.Fatal(err)
 	}
-	d.SetHashExempt("private_t")
 	if err := d.DropTable("gone"); err != nil {
 		t.Fatal(err)
 	}
@@ -340,8 +304,8 @@ func TestDiskBackendDDLSurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := tab.Schema(); got.Class != ClassPrivate || !got.HashExempt {
-		t.Fatalf("schema flags lost: class=%d hashExempt=%v", got.Class, got.HashExempt)
+	if got := tab.Schema(); got.Class != ClassPrivate {
+		t.Fatalf("schema class lost: class=%d", got.Class)
 	}
 }
 

@@ -63,8 +63,6 @@ type Schema struct {
 	// (replicated, contract-writable only) and the node-private
 	// non-blockchain schema (§3.7).
 	Class SchemaClass
-	// HashExempt excludes the table from StateHash.
-	HashExempt bool
 }
 
 // SchemaClass distinguishes replicated from node-private tables.
@@ -1103,7 +1101,7 @@ func (s *Store) StateHash(height int64) [32]byte {
 	h := sha256.New()
 	for _, name := range s.TableNames() {
 		t, err := s.Table(name)
-		if err != nil || t.derived != nil || t.schema.HashExempt || t.schema.Class == ClassPrivate {
+		if err != nil || t.derived != nil || t.schema.Class == ClassPrivate {
 			// Private tables legitimately differ per node (§3.7); a derived
 			// table stores nothing (sys_ledger is computed from the chain,
 			// and its local_xid column is node-local, §4.2).
@@ -1134,16 +1132,6 @@ func (s *Store) StateHash(height int64) [32]byte {
 	var out [32]byte
 	copy(out[:], h.Sum(nil))
 	return out
-}
-
-// SetHashExempt excludes a table from StateHash (see Schema.HashExempt).
-func (s *Store) SetHashExempt(table string) {
-	t, ok := s.catalog()[table]
-	if ok {
-		t.mu.Lock()
-		t.schema.HashExempt = true
-		t.mu.Unlock()
-	}
 }
 
 // IndexKeys returns, for the version with the given heap ref, its key in

@@ -202,8 +202,8 @@ func ReadAllRaw(path string) ([][]byte, error) {
 
 // Rewrite atomically replaces the log at path with exactly the given
 // frame payloads: it writes a temporary sibling file, syncs it, and
-// renames it over path. Used for log compaction (checkpointing) and for
-// dropping frames beyond the recovery horizon.
+// renames it over path. Used for dropping frames beyond the recovery
+// horizon.
 func Rewrite(path string, payloads [][]byte) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)

@@ -195,11 +195,10 @@ func Run(cfg RunConfig) (Result, error) {
 	var seq atomic.Int64
 	stopGen := make(chan struct{})
 	var genW sync.WaitGroup
-	submitOne := func(userIdx int) {
+	submitOne := func() {
 		s := seq.Add(1)
 		name, args := Invocation(cfg.Contract, s)
 		user := users[int(s)%len(users)]
-		_ = userIdx
 		id, err := nw.SubmitRaw(user, name, args)
 		if err != nil {
 			return
@@ -216,7 +215,7 @@ func Run(cfg RunConfig) (Result, error) {
 		interval := time.Duration(float64(time.Second) / per)
 		for w := 0; w < genWorkers; w++ {
 			genW.Add(1)
-			go func(w int) {
+			go func() {
 				defer genW.Done()
 				next := time.Now()
 				for {
@@ -230,29 +229,29 @@ func Run(cfg RunConfig) (Result, error) {
 						time.Sleep(next.Sub(now))
 					}
 					next = next.Add(interval)
-					submitOne(w)
+					submitOne()
 				}
-			}(w)
+			}()
 		}
 	} else {
 		// Closed loop: bounded in-flight saturation.
 		for w := 0; w < genWorkers; w++ {
 			genW.Add(1)
-			go func(w int) {
+			go func() {
 				defer genW.Done()
 				for {
 					select {
 					case <-stopGen:
 						return
 					case inFlight <- struct{}{}:
-						submitOne(w)
+						submitOne()
 					case <-time.After(200 * time.Millisecond):
 						// Semaphore leak guard: a dropped tx should not
 						// stall the generator forever.
-						submitOne(w)
+						submitOne()
 					}
 				}
-			}(w)
+			}()
 		}
 	}
 
@@ -301,24 +300,4 @@ func Run(cfg RunConfig) (Result, error) {
 	}
 	mu.Unlock()
 	return res, nil
-}
-
-// Peak measures saturation throughput for a configuration (closed loop).
-func Peak(cfg RunConfig) (Result, error) {
-	cfg.ArrivalRate = 0
-	return Run(cfg)
-}
-
-// VerifyConsistencyAfter runs a short saturation burst and checks that
-// every replica converged to the same state — used by integration tests.
-func VerifyConsistencyAfter(cfg RunConfig) error {
-	cfg = cfg.withDefaults()
-	res, err := Run(cfg)
-	if err != nil {
-		return err
-	}
-	if res.Committed == 0 {
-		return fmt.Errorf("workload: nothing committed (aborted=%d submitted=%d)", res.Aborted, res.Submitted)
-	}
-	return nil
 }

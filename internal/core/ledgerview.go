@@ -12,6 +12,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 
 	"bcrdb/internal/index"
@@ -348,4 +349,13 @@ func ledgerRow(b *ledger.Block, seq int, out *blockOutcome) *storage.RowVersion 
 		CreatorBlk: int64(b.Number),
 		DeleterBlk: storage.NoBlock,
 	}
+}
+
+// argsString renders arguments for the ledger table.
+func argsString(args []types.Value) string {
+	parts := make([]string, len(args))
+	for i, a := range args {
+		parts[i] = a.SQLLiteral()
+	}
+	return strings.Join(parts, ",")
 }

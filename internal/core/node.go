@@ -17,35 +17,25 @@
 // and docs/adr/0002-block-pipeline.md; Config.SynchronousSeal restores
 // the fully serial path as the parity tests' reference.
 //
-// Each job has one mechanism: a transaction waits for its snapshot height
-// parked in the execute queue (execqueue.go) and nowhere else; results
-// reach clients through SubscribeAll (notify.go) and no other path.
-//
-// The node is spread over files by job: node.go (configuration, lifecycle,
-// accessors), notify.go, submit.go (client submissions, authentication,
-// the certificate-key cache), intake.go (block sequencing and catch-up
-// serving), processor.go (checkpoints and recovery), antientropy.go
-// (self-healing delivery), and the pipeline's stage files.
+// This file holds configuration, lifecycle and accessors. Each other job
+// has one file and one mechanism: genesis.go, submit.go, intake.go,
+// notify.go (SubscribeAll, the only path to a client), execqueue.go (the
+// only snapshot-height wait), processor.go, antientropy.go, stage_*.go.
 package core
 
 import (
-	"crypto/ed25519"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"bcrdb/internal/codec"
 	"bcrdb/internal/engine"
 	"bcrdb/internal/identity"
 	"bcrdb/internal/ledger"
-	"bcrdb/internal/ordering"
 	"bcrdb/internal/proc"
 	"bcrdb/internal/simnet"
 	"bcrdb/internal/ssi"
@@ -427,77 +417,6 @@ func (n *Node) closeFiles() {
 	n.store.Close()
 }
 
-// Genesis describes the identical initial state every node starts from
-// (§3.7): client/admin certificates and optional initial DDL + data.
-type Genesis struct {
-	Certs []CertEntry
-	// SQL statements (DDL and seed DML) applied at block 0 on every node.
-	SQL []string
-	// Contracts deployed at genesis (CREATE FUNCTION sources), bypassing
-	// the runtime approval workflow (which governs post-genesis changes).
-	Contracts []string
-}
-
-// CertEntry is one initial identity for sys_certs.
-type CertEntry struct {
-	Name   string
-	Org    string
-	Role   string // "admin" or "client"
-	PubKey ed25519.PublicKey
-}
-
-// Bootstrap initializes system tables and applies the genesis state at
-// block 0. Every node of the network must receive the same genesis. On a
-// disk-backed node whose store was already restored by WAL replay the
-// call is a no-op: the genesis state (including block 0's commits) came
-// back with the replay.
-func (n *Node) Bootstrap(g Genesis) error {
-	if n.store.HasTable("sys_certs") {
-		return nil
-	}
-	if err := proc.CreateSystemTables(n.eng); err != nil {
-		return err
-	}
-
-	rec := storage.NewTxRecord(n.store.BeginTx(), 0)
-	ctx := &engine.ExecCtx{Mode: engine.ModeSystem, Height: 0, Rec: rec}
-	for _, c := range g.Certs {
-		sub := *ctx
-		sub.Params = []types.Value{
-			types.NewString(c.Name), types.NewString(c.Org),
-			types.NewString(c.Role), types.NewString(hex.EncodeToString(c.PubKey)),
-		}
-		_, err := n.eng.ExecSQL(&sub, `INSERT INTO sys_certs (name, org, role, pubkey) VALUES ($1, $2, $3, $4)`)
-		if err != nil {
-			n.store.AbortTx(rec)
-			return fmt.Errorf("core: genesis cert %s: %w", c.Name, err)
-		}
-	}
-	for _, src := range g.Contracts {
-		p, err := proc.ParseCreateFunction(src)
-		if err != nil {
-			n.store.AbortTx(rec)
-			return fmt.Errorf("core: genesis contract: %w", err)
-		}
-		sub := *ctx
-		sub.Params = []types.Value{types.NewString(p.Name), types.NewString(src)}
-		if _, err := n.eng.ExecSQL(&sub, `INSERT INTO sys_contracts (name, src) VALUES ($1, $2)`); err != nil {
-			n.store.AbortTx(rec)
-			return fmt.Errorf("core: genesis contract %s: %w", p.Name, err)
-		}
-	}
-	for _, stmt := range g.SQL {
-		if _, err := n.eng.ExecSQL(ctx, stmt); err != nil {
-			n.store.AbortTx(rec)
-			return fmt.Errorf("core: genesis SQL %q: %w", stmt, err)
-		}
-	}
-	n.store.CommitTx(rec, 0)
-	n.store.SetHeight(0)
-	n.store.MarkDurable(0)
-	return nil
-}
-
 // Start launches recovery, the sealer, catch-up and the block processor.
 // It blocks until local recovery (block store replay) completes; replay
 // runs the pipeline stages synchronously, so by the time Start returns
@@ -648,289 +567,4 @@ func (n *Node) Vacuum(horizon int64) int {
 		horizon = h
 	}
 	return n.store.Vacuum(horizon)
-}
-
-// SubscribeAll returns a channel receiving every transaction result.
-func (n *Node) SubscribeAll() <-chan TxResult {
-	ch := make(chan TxResult, 4096)
-	n.subMu.Lock()
-	n.allCh = append(n.allCh, ch)
-	n.subMu.Unlock()
-	return ch
-}
-
-// UnsubscribeAll removes a SubscribeAll registration. Transport servers
-// subscribe one channel per connected commit-stream client; without this
-// a dropped subscriber would leave its channel registered forever.
-func (n *Node) UnsubscribeAll(ch <-chan TxResult) {
-	n.subMu.Lock()
-	for i, c := range n.allCh {
-		if (<-chan TxResult)(c) == ch {
-			n.allCh = append(n.allCh[:i], n.allCh[i+1:]...)
-			break
-		}
-	}
-	n.subMu.Unlock()
-}
-
-func (n *Node) notify(r TxResult, replay bool) {
-	if replay {
-		return
-	}
-	n.subMu.Lock()
-	all := append([]chan TxResult(nil), n.allCh...)
-	n.subMu.Unlock()
-	for _, ch := range all {
-		select {
-		case ch <- r:
-		default:
-		}
-	}
-}
-
-// --- message handling -----------------------------------------------------------
-
-func (n *Node) onMessage(m simnet.Message) {
-	select {
-	case <-n.stopped:
-		return
-	default:
-	}
-	switch m.Kind {
-	case ordering.KindBlock:
-		n.onBlock(m)
-	case KindSubmit:
-		n.onSubmit(m, true)
-	case KindForward:
-		n.onSubmit(m, false)
-	case KindBlockReq:
-		n.onBlockReq(m)
-	case KindBlockResp:
-		n.onBlock(m)
-	case ordering.KindHeartbeat:
-		n.onHeartbeat(m)
-	case KindTipReq:
-		n.onTipReq(m)
-	case KindTip:
-		n.onTip(m)
-	}
-}
-
-// onSubmit handles a client submission (fresh=true) or a peer forward
-// (execute-order-in-parallel, §3.4.1).
-func (n *Node) onSubmit(m simnet.Message, fresh bool) {
-	if n.cfg.Flow != ExecuteOrder {
-		return // order-then-execute clients talk to the ordering service
-	}
-	tx, err := ledger.UnmarshalTransaction(m.Payload)
-	if err != nil {
-		return
-	}
-	// Authenticate before doing any work (§3.4.1). Certificates are read
-	// at the committed height, outside any transaction.
-	if err := n.authenticate(tx, n.store.Height()); err != nil {
-		if fresh {
-			n.notify(TxResult{ID: tx.ID, Reason: "authentication: " + err.Error()}, false)
-		}
-		return
-	}
-	if fresh {
-		// Forward to the other peers and the ordering service in the
-		// background.
-		for _, p := range n.cfg.Peers {
-			if p != n.cfg.Name {
-				_ = n.ep.Send(p, KindForward, m.Payload)
-			}
-		}
-		if len(n.cfg.Orderers) > 0 {
-			// The orderer a client's attempt 0 picks under order-then-
-			// execute (transport.Route), so the id reaches one cutter first.
-			target := n.cfg.Orderers[ordering.FNV1a(tx.ID)%uint32(len(n.cfg.Orderers))]
-			_ = n.ep.Send(target, ordering.KindSubmit, m.Payload)
-		}
-	}
-	n.ensureExecution(tx, tx.Snapshot)
-}
-
-// authenticate verifies the client signature against sys_certs as of the
-// given height.
-func (n *Node) authenticate(tx *ledger.Transaction, height int64) error {
-	key, err := n.certKeyAt(tx.Username, height)
-	if err != nil {
-		return err
-	}
-	if !identity.VerifyCached(key, tx.SignBytes(), tx.Signature) {
-		return fmt.Errorf("signature verification failed for %q", tx.Username)
-	}
-	return nil
-}
-
-// certCacheEntry is a decoded public key plus the validity guards: the
-// certsEpoch it was read under and the height it was read at.
-type certCacheEntry struct {
-	key    ed25519.PublicKey
-	height int64
-	epoch  uint64
-}
-
-// certKeyAt resolves a user's public key as of the given height,
-// consulting the decoded-key cache. A hit requires the current
-// certsEpoch (no sys_certs write committed since the entry was read)
-// and height >= the entry's read height (a lower height could precede a
-// cert change that the entry already reflects).
-func (n *Node) certKeyAt(user string, height int64) (ed25519.PublicKey, error) {
-	epoch := n.certsEpoch.Load()
-	n.certMu.Lock()
-	if e, ok := n.certCache[user]; ok && e.epoch == epoch && height >= e.height {
-		n.certMu.Unlock()
-		return e.key, nil
-	}
-	n.certMu.Unlock()
-
-	res, err := n.QueryAt(height, `SELECT pubkey FROM sys_certs WHERE name = $1`,
-		types.NewString(user))
-	if err != nil {
-		return nil, err
-	}
-	if len(res.Rows) == 0 {
-		return nil, fmt.Errorf("unknown user %q", user)
-	}
-	keyHex := res.Rows[0][0].Str()
-	key, err := hex.DecodeString(keyHex)
-	if err != nil || len(key) != ed25519.PublicKeySize {
-		return nil, fmt.Errorf("bad public key for %q", user)
-	}
-	n.certMu.Lock()
-	n.certCache[user] = certCacheEntry{key: key, height: height, epoch: epoch}
-	n.certMu.Unlock()
-	return key, nil
-}
-
-// onBlock sequences an incoming block (orderer delivery or catch-up
-// response).
-func (n *Node) onBlock(m simnet.Message) {
-	b, err := ledger.DecodeBlock(m.Payload)
-	if err != nil {
-		return
-	}
-	// Verify the delivering orderer's (or relaying peer's stored
-	// orderer) signature: the block must carry at least one signature
-	// from a known orderer over its hash (§3.1).
-	okSig := false
-	for _, s := range b.Sigs {
-		if err := n.netReg.VerifyBy(s.Orderer, b.Hash[:], s.Signature); err == nil {
-			okSig = true
-			break
-		}
-	}
-	if !okSig {
-		return
-	}
-	n.metrics.BlocksReceived.Add(1)
-	// A block from the delivering orderer proves its liveness.
-	n.noteOrdererAlive(m.From)
-	// Fan the block's client signatures across the verify pool so the
-	// execute stage's authenticate hits a warm memo (prewarm.go).
-	n.prewarmBlock(b)
-
-	gap := false
-	var tip uint64
-	n.blockMu.Lock()
-loop:
-	for {
-		h := n.blocks.Height()
-		switch {
-		case b.Number <= h:
-			break loop // duplicate
-		case b.Number == h+1:
-			if err := n.blocks.Append(b); err != nil {
-				break loop // linkage or hash failure: reject
-			}
-			select {
-			case n.blockCh <- b:
-			case <-n.stopped:
-				break loop
-			}
-			next, ok := n.pending[b.Number+1]
-			if !ok {
-				break loop
-			}
-			delete(n.pending, b.Number+1)
-			b = next
-		default:
-			// Buffer near-future blocks; anything beyond the bound is
-			// dropped (the tip is remembered and the range re-requested,
-			// so a burst of far-future deliveries cannot exhaust memory).
-			if b.Number <= h+1+pendingAhead {
-				n.pending[b.Number] = b
-			}
-			gap, tip = true, b.Number
-			break loop
-		}
-	}
-	n.blockMu.Unlock()
-	if gap {
-		// Ask ONE rotating peer for the missing range, rate-limited with
-		// exponential backoff — not a broadcast to every peer.
-		n.noteTip(tip, true)
-	}
-}
-
-// onBlockReq serves missing blocks to a catching-up peer (§3.6).
-func (n *Node) onBlockReq(m simnet.Message) {
-	d := codec.NewDec(m.Payload)
-	from := d.Uvarint()
-	to := d.Uvarint()
-	if d.Done() != nil || to < from || to-from > 10000 {
-		return
-	}
-	for i := from; i <= to; i++ {
-		b, err := n.blocks.Get(i)
-		if err != nil {
-			return
-		}
-		_ = n.ep.Send(m.From, KindBlockResp, b.Encode())
-	}
-}
-
-// requestCatchUp primes recovery after a (re)start: probe every peer's
-// chain tip (tiny messages) and blind-request a first range from one
-// rotating peer. Steady-state catch-up is the anti-entropy loop's job.
-func (n *Node) requestCatchUp() {
-	h := n.blocks.Height()
-	tip := codec.NewBuf(8)
-	tip.Uvarint(h)
-	for _, p := range n.cfg.Peers {
-		if p != n.cfg.Name {
-			_ = n.ep.Send(p, KindTipReq, tip.Bytes())
-		}
-	}
-	n.heal.mu.Lock()
-	p := n.nextPeerLocked()
-	n.heal.mu.Unlock()
-	if p == "" {
-		return
-	}
-	e := codec.NewBuf(16)
-	e.Uvarint(h + 1)
-	e.Uvarint(h + catchUpWindow)
-	_ = n.ep.Send(p, KindBlockReq, e.Bytes())
-	n.metrics.CatchUpRequests.Add(1)
-}
-
-// bumpHeight publishes block h as committed and releases the executions
-// parked on this (or a lower) snapshot height — the one place a
-// transaction's wait for its snapshot ends (execqueue.go).
-func (n *Node) bumpHeight(h int64) {
-	n.store.SetHeight(h)
-	n.execQ.release(h)
-}
-
-// argsString renders arguments for the ledger table.
-func argsString(args []types.Value) string {
-	parts := make([]string, len(args))
-	for i, a := range args {
-		parts[i] = a.SQLLiteral()
-	}
-	return strings.Join(parts, ",")
 }

@@ -188,3 +188,11 @@ func (n *Node) txInfo(seq int, e *execution) *ssi.TxInfo {
 	}
 	return info
 }
+
+// bumpHeight publishes block h as committed and releases the executions
+// parked on this (or a lower) snapshot height — the one place a
+// transaction's wait for its snapshot ends (execqueue.go).
+func (n *Node) bumpHeight(h int64) {
+	n.store.SetHeight(h)
+	n.execQ.release(h)
+}

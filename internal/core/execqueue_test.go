@@ -245,7 +245,7 @@ func parkedAt(n *Node, snapshot int64) int {
 	return len(n.execQ.parked[snapshot])
 }
 
-// deliverToAll signs block number over txs once and hands it to every node.
+// deliverToAll hands every node block number over txs, as its orderer would.
 func deliverToAll(tn *testNet, number uint64, txs ...*ledger.Transaction) {
 	for _, n := range tn.nodes {
 		prev := ledger.Hash{}

@@ -450,64 +450,42 @@ func TestMaterialisedLedgerRefused(t *testing.T) {
 }
 
 // TestRetiredHashExemptFrameRefused: every store log written while
-// sys_ledger was materialised marks it hash-exempt — frame kind 4, or the
-// reserved byte of a create-table frame in a compacted log. Nothing can
-// honour the mark any more (the table would enter the state hash), so the
-// node refuses the log, saying why, and leaves it as found.
+// sys_ledger was materialised marks it hash-exempt with frame kind 4.
+// Nothing can honour the mark any more (the table would enter the state
+// hash), so the node refuses the log, saying why, and leaves it as found.
 func TestRetiredHashExemptFrameRefused(t *testing.T) {
-	markFrame := codec.NewBuf(32)
-	markFrame.Byte(4)
-	markFrame.Varint(0)
-	markFrame.String("sys_ledger")
-	tableFrame := codec.NewBuf(64)
-	tableFrame.Byte(1) // create table
-	tableFrame.Varint(0)
-	tableFrame.String("sys_ledger")
-	tableFrame.Byte(byte(storage.ClassSystem))
-	tableFrame.Bool(true) // the reserved byte
-	tableFrame.Uvarint(1)
-	tableFrame.String("txid")
-	tableFrame.Byte(byte(types.KindString))
-	tableFrame.Bool(false)
-	tableFrame.Bool(false)
-	tableFrame.Uvarint(1)
-	tableFrame.Varint(0)
+	tn := newTestNet(t, netOpts{flow: OrderThenExecute, nNodes: 1})
+	cfg := tn.nodes[0].cfg
+	cfg.Name, cfg.DataDir, cfg.Backend = "db-old", t.TempDir(), storage.KindDisk
+	path := cfg.DataDir + "/" + cfg.Name + ".store.wal"
+	frame := codec.NewBuf(32)
+	frame.Byte(4) // the retired kind
+	frame.Varint(0)
+	frame.String("sys_ledger")
+	lg, err := wal.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lg.AppendRaw(frame.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if err := lg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := os.ReadFile(path)
 
-	for name, frame := range map[string][]byte{"frame kind 4": markFrame.Bytes(), "create-table byte": tableFrame.Bytes()} {
-		t.Run(name, func(t *testing.T) {
-			tn := newTestNet(t, netOpts{flow: OrderThenExecute, nNodes: 1})
-			cfg := tn.nodes[0].cfg
-			cfg.Name, cfg.DataDir, cfg.Backend = "db-old", t.TempDir(), storage.KindDisk
-			path := cfg.DataDir + "/" + cfg.Name + ".store.wal"
-			lg, err := wal.Open(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := lg.AppendRaw(frame); err != nil {
-				t.Fatal(err)
-			}
-			if err := lg.Close(); err != nil {
-				t.Fatal(err)
-			}
-			before, _ := os.ReadFile(path)
-
-			node, err := NewNode(cfg, tn.nodes[0].signer, tn.netReg.Clone(), tn.net)
-			if err == nil {
-				node.Stop()
-				t.Fatal("node started over a store log that carries the retired hash-exempt mark")
-			}
-			for _, want := range []string{"sys_ledger", "predates the derived ledger (ADR-0008)"} {
-				if !strings.Contains(err.Error(), want) {
-					t.Errorf("err = %v, want it to say %q", err, want)
-				}
-			}
-			if strings.Contains(err.Error(), "unknown frame kind") {
-				t.Errorf("err = %v: the retired kind must be refused by name", err)
-			}
-			if after, _ := os.ReadFile(path); !bytes.Equal(after, before) {
-				t.Error("the refused log was modified")
-			}
-		})
+	node, err := NewNode(cfg, tn.nodes[0].signer, tn.netReg.Clone(), tn.net)
+	if err == nil {
+		node.Stop()
+		t.Fatal("node started over a store log that carries the retired hash-exempt mark")
+	}
+	for _, want := range []string{"sys_ledger", "predates the derived ledger (ADR-0008)"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("err = %v, want it to say %q", err, want)
+		}
+	}
+	if after, _ := os.ReadFile(path); !bytes.Equal(after, before) {
+		t.Error("the refused log was modified")
 	}
 }
 

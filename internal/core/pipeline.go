@@ -2,10 +2,8 @@
 // cross-block overlap):
 //
 //	Stage 1 — Execute (stage_execute.go): all transactions of the block
-//	          run concurrently against the pre-block snapshot. One whose
-//	          snapshot height is not committed yet (execute-order) waits
-//	          parked in the execute queue (execqueue.go), the only such
-//	          wait, until bumpHeight releases it.
+//	          run concurrently against the pre-block snapshot; one whose
+//	          snapshot is not committed yet waits parked in execqueue.go.
 //	Stage 2 — Commit (stage_commit.go): SSI analysis, commit-turn
 //	          validation and CommitTx strictly in block order, ending at
 //	          bumpHeight — the point at which block N+1's executions may

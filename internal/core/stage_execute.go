@@ -1,7 +1,6 @@
 // Stage 1 — Execute: concurrent transaction execution against the
 // block's snapshot (§3.3.2 / §3.4.1). See pipeline.go for the stage
-// overview. Nothing here waits for a height: the execute queue
-// (execqueue.go) hands a worker only jobs whose snapshot is committed.
+// overview; execqueue.go holds the stage's one snapshot-height wait.
 
 package core
 

@@ -344,12 +344,7 @@ func (bs *BlockStore) load() error {
 	size := st.Size()
 	var prev Hash
 	for bs.end < size {
-		damaged := func(err error) error {
-			return fmt.Errorf("ledger: block store %s: block %d (offset %d of %d) is damaged, file left untouched: %w",
-				bs.file.Name(), len(bs.blocks)+1, bs.end, size, err)
-		}
-		// The length is bounded by the bytes that remain before anything
-		// is allocated from it.
+		// rest bounds the length before anything is allocated from it.
 		rest := size - bs.end - 4
 		if rest < 0 {
 			break
@@ -367,17 +362,18 @@ func (bs *BlockStore) load() error {
 			return err
 		}
 		b, err := DecodeBlock(data)
+		if err != nil && n == rest {
+			break
+		}
+		if err == nil && b.Number != uint64(len(bs.blocks))+1 {
+			err = fmt.Errorf("%w: it holds block %d", ErrOutOfSequence, b.Number)
+		}
+		if err == nil {
+			err = b.VerifyHash(prev)
+		}
 		if err != nil {
-			if n == rest {
-				break
-			}
-			return damaged(err)
-		}
-		if b.Number != uint64(len(bs.blocks))+1 {
-			return damaged(fmt.Errorf("%w: it holds block %d", ErrOutOfSequence, b.Number))
-		}
-		if err := b.VerifyHash(prev); err != nil {
-			return damaged(err)
+			return fmt.Errorf("ledger: block store %s: block %d (offset %d of %d) is damaged, file left untouched: %w",
+				bs.file.Name(), len(bs.blocks)+1, bs.end, size, err)
 		}
 		prev = b.Hash
 		bs.blocks = append(bs.blocks, b)

@@ -198,11 +198,6 @@ func (p *tokCursor) acceptOp(op string) bool {
 	return false
 }
 
-func (p *tokCursor) peekOp(op string) bool {
-	t := p.cur()
-	return t.Kind == sqlparser.TokOp && t.Text == op
-}
-
 func (p *tokCursor) acceptIdent() (string, bool) {
 	t := p.cur()
 	if t.Kind == sqlparser.TokIdent {

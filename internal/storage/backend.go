@@ -11,8 +11,8 @@ import (
 // the block processor. It captures everything the rest of the system
 // needs from a node's versioned relational store: catalog management,
 // snapshot-at-block-height reads for SSI, provisional writes with
-// commit-turn validation, deterministic state hashing, and
-// checkpoint/restore for durability.
+// commit-turn validation, deterministic state hashing, and the
+// durability point of each block.
 //
 // Two implementations exist:
 //

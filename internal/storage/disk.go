@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 
@@ -56,10 +55,6 @@ const (
 	opHeight
 	opVacuum
 )
-
-// errPredatesDerivedLedger refuses a log that marks a table hash-exempt:
-// only the materialised sys_ledger ever was.
-var errPredatesDerivedLedger = errors.New("log holds the retired hash-exempt mark: it was written while sys_ledger was a stored table, predates the derived ledger (ADR-0008) and cannot be served")
 
 // OpenDisk opens the durable backend at path and restores committed
 // state by WAL replay. The recovery horizon H is the newest height frame
@@ -139,12 +134,9 @@ func (d *DiskStore) applyFrame(f []byte, horizon int64, txOf map[int64]TxID) (bo
 	switch f[0] {
 	case opCreateTable:
 		at := dec.Varint()
-		schema, hashExempt := decodeSchema(dec)
+		schema := decodeSchema(dec)
 		if err := dec.Done(); err != nil {
 			return false, err
-		}
-		if hashExempt {
-			return false, fmt.Errorf("table %q: %w", schema.Name, errPredatesDerivedLedger)
 		}
 		if at > horizon {
 			return false, nil
@@ -183,7 +175,7 @@ func (d *DiskStore) applyFrame(f []byte, horizon int64, txOf map[int64]TxID) (bo
 		_ = d.Store.DropTable(name) // table may already be gone
 	case opRetiredHashExempt:
 		dec.Varint()
-		return false, fmt.Errorf("table %q: %w", dec.String(), errPredatesDerivedLedger)
+		return false, fmt.Errorf("table %q carries the retired hash-exempt mark: the log was written while sys_ledger was a stored table, predates the derived ledger (ADR-0008) and cannot be served", dec.String())
 	case opVacuum:
 		at := dec.Varint()
 		hz := dec.Varint()
@@ -404,13 +396,11 @@ func encodeCreateTable(at int64, schema Schema) []byte {
 	return e.Bytes()
 }
 
-// decodeSchema also returns the frame's reserved byte, which once was
-// Schema.HashExempt.
-func decodeSchema(d *codec.Dec) (Schema, bool) {
+func decodeSchema(d *codec.Dec) Schema {
 	s := Schema{}
 	s.Name = d.String()
 	s.Class = SchemaClass(d.Byte())
-	hashExempt := d.Bool()
+	d.Bool() // reserved: was Schema.HashExempt
 	n := d.Uvarint()
 	for i := uint64(0); i < n && d.Err() == nil; i++ {
 		c := Column{}
@@ -427,7 +417,7 @@ func decodeSchema(d *codec.Dec) (Schema, bool) {
 	for i := uint64(0); i < n && d.Err() == nil; i++ {
 		s.PKCols = append(s.PKCols, int(d.Varint()))
 	}
-	return s, hashExempt
+	return s
 }
 
 func encodeCreateIndex(at int64, table, name string, cols []int, unique bool) []byte {

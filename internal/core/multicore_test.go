@@ -48,9 +48,9 @@ func TestDifferentialParallelVsSerialCommit(t *testing.T) {
 				flow := flow
 				t.Run(flowName(flow), func(t *testing.T) {
 					for _, backend := range []string{"memory", "disk"} {
-						ref := runDifferential(t, c, flow, backend, false, poolsOff)
+						ref := runDifferential(t, c, flow, backend, poolsOff)
 						refLabel := fmt.Sprintf("%s/no-prewarm", backend)
-						got := runDifferential(t, c, flow, backend, false, poolsOn)
+						got := runDifferential(t, c, flow, backend, poolsOn)
 						compareOutcomes(t, refLabel, ref,
 							fmt.Sprintf("%s/prewarm+exec-pool", backend), got)
 						if total := diffBlockSize * diffBatches; ref.committed+ref.aborted != total {

@@ -145,12 +145,6 @@ type Config struct {
 	// every height.
 	SynchronousSeal bool
 
-	// InterpretContracts disables compile-once contract execution and
-	// runs every invocation through the tree-walking interpreter.
-	// Intended for A/B benchmarking and differential testing; both paths
-	// produce identical state.
-	InterpretContracts bool
-
 	// ExecWorkers sizes the execute stage's worker pool: transactions
 	// run on a fixed pool instead of one goroutine each, so a 10k-tx
 	// block does not create 10k goroutines. Executions waiting for a
@@ -364,9 +358,6 @@ func NewNode(cfg Config, signer *identity.Signer, netReg *identity.Registry, net
 		}
 	}
 	n.heal.lastOrderer = time.Now()
-	if cfg.InterpretContracts {
-		n.interp.SetCompiled(false)
-	}
 
 	if cfg.DataDir != "" {
 		bs, err := ledger.OpenFileStore(filepath.Join(cfg.DataDir, cfg.Name+".blocks"))

@@ -13,7 +13,6 @@ import (
 	"bcrdb/internal/ordering"
 	"bcrdb/internal/ordering/kafka"
 	"bcrdb/internal/simnet"
-	"bcrdb/internal/sqlparser"
 	"bcrdb/internal/storage"
 	"bcrdb/internal/types"
 )
@@ -539,7 +538,7 @@ func TestTamperedReplicaDetected(t *testing.T) {
 	st := rogue.Store()
 	rec := storage.NewTxRecord(st.BeginTx(), rogue.Height())
 	ctx := &engine.ExecCtx{Mode: engine.ModeSystem, Height: rogue.Height(), Rec: rec}
-	if _, err := rogue.Engine().Exec(ctx, mustParse(t, `UPDATE accounts SET balance = 9999 WHERE id = 1`)); err != nil {
+	if _, err := rogue.Engine().ExecSQL(ctx, `UPDATE accounts SET balance = 9999 WHERE id = 1`); err != nil {
 		t.Fatal(err)
 	}
 	st.CommitTx(rec, rogue.Height())
@@ -739,14 +738,4 @@ func TestProvenanceAcrossLedger(t *testing.T) {
 	if !foundUpdated {
 		t.Fatalf("provenance join missing updated version: %v", res.Rows)
 	}
-}
-
-// mustParse parses one SQL statement or fails the test.
-func mustParse(t *testing.T, sql string) sqlparser.Statement {
-	t.Helper()
-	s, err := sqlparser.ParseStatement(sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
 }

@@ -185,3 +185,27 @@ func mustName(t *testing.T, src string) string {
 	j := strings.IndexAny(rest, "( \n")
 	return strings.ToLower(strings.TrimSpace(rest[:j]))
 }
+
+// TestGenesisRefusesSystemContractName: a genesis contract named like a
+// system contract would sit in sys_contracts and never run (the
+// interpreter dispatches system contracts first), so Bootstrap refuses it
+// by name and leaves nothing of the refused genesis behind.
+func TestGenesisRefusesSystemContractName(t *testing.T) {
+	tn := newTestNet(t, netOpts{flow: OrderThenExecute})
+	cfg := tn.nodes[0].cfg
+	cfg.Name = "db-reserved"
+	n, err := NewNode(cfg, tn.nodes[0].signer, tn.netReg.Clone(), tn.net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(n.Stop)
+	err = n.Bootstrap(Genesis{Certs: genesisCerts(tn), Contracts: []string{
+		`CREATE FUNCTION create_user(a TEXT) RETURNS VOID AS $$ BEGIN RETURN; END; $$`}})
+	if err == nil || !strings.Contains(err.Error(), `"create_user" is a system contract`) {
+		t.Fatalf("Bootstrap with a genesis contract named create_user: %v", err)
+	}
+	res, qerr := n.Query(`SELECT name FROM sys_contracts`)
+	if qerr != nil || len(res.Rows) != 0 {
+		t.Fatalf("sys_contracts after the refused genesis: %v, %v", res, qerr)
+	}
+}

@@ -50,11 +50,9 @@ type ExecCtx struct {
 	// index; unindexable scans abort the transaction. Set for the
 	// execute-order-in-parallel flow.
 	RequireIndex bool
-	Params       []types.Value          // $N bindings (1-based)
-	Vars         map[string]types.Value // procedure variables (by-name, interpreted path)
-	// Frame holds procedure variables by slot for compiled contracts: a
-	// VarRef with Slot > 0 reads Frame[Slot-1] directly, skipping the Vars
-	// map. Nil outside compiled execution.
+	Params       []types.Value // $N bindings (1-based)
+	// Frame holds the executing contract's variables by slot: a VarRef
+	// reads Frame[Slot-1]. Nil outside contract execution.
 	Frame []types.Value
 	User  string // invoking user (for sys contracts)
 	// AllowSystemWrites lets the built-in system contracts (§3.7) write
@@ -198,9 +196,7 @@ func (e *Engine) ExecSQL(ctx *ExecCtx, sql string) (*Result, error) {
 }
 
 // EvalScalar evaluates a scalar expression with no relation in scope —
-// procedure-language conditions, assignments and defaults. Compiled
-// contracts call it directly instead of wrapping the expression in a
-// FROM-less SELECT.
+// procedure-language conditions, assignments and defaults.
 func (e *Engine) EvalScalar(ctx *ExecCtx, x sqlparser.Expr) (types.Value, error) {
 	env := evalEnv{ctx: ctx}
 	return env.eval(x)
@@ -211,12 +207,6 @@ func (e *Engine) EvalScalar(ctx *ExecCtx, x sqlparser.Expr) (types.Value, error)
 // build one (misses) — hot-path observability for benchmarks and tests.
 func (e *Engine) PlanCacheStats() (hits, misses int64) {
 	return e.planHits.Load(), e.planMisses.Load()
-}
-
-// Exec executes a parsed statement nobody holds a Prepared for: it is
-// planned for this one execution.
-func (e *Engine) Exec(ctx *ExecCtx, stmt sqlparser.Statement) (*Result, error) {
-	return e.ExecPrepared(ctx, &Prepared{stmt: stmt})
 }
 
 // ExecPrepared executes a prepared statement.

@@ -34,7 +34,7 @@ func (e *Engine) execExplain(ctx *ExecCtx, pr *Prepared, s *sqlparser.Explain) (
 	}
 	plan, cached, err := e.planFor(pr, q)
 	if err == nil {
-		err = plan.checkRefs(ctx)
+		err = plan.checkRefs()
 	}
 	if err != nil {
 		return nil, err

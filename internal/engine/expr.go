@@ -58,8 +58,7 @@ type evalEnv struct {
 	// AggRef.Idx (set only while a grouped query emits its groups).
 	aggs []types.Value
 	// unbound maps the column references preparing could not resolve to
-	// the error resolution gave; evaluating one reports it unless the name
-	// is a procedure variable.
+	// the error resolution gave; evaluating one reports it.
 	unbound map[*sqlparser.ColumnRef]error
 }
 
@@ -76,14 +75,10 @@ func (env *evalEnv) eval(e sqlparser.Expr) (types.Value, error) {
 		return env.ctx.Params[x.N-1], nil
 
 	case *sqlparser.VarRef:
-		// Compiled contracts pre-resolve variables to frame slots.
+		// Contracts are compiled with their variables resolved to frame
+		// slots; the engine knows no variable by name.
 		if x.Slot > 0 && env.ctx != nil && x.Slot <= len(env.ctx.Frame) {
 			return env.ctx.Frame[x.Slot-1], nil
-		}
-		if env.ctx != nil && env.ctx.Vars != nil {
-			if v, ok := env.ctx.Vars[x.Name]; ok {
-				return v, nil
-			}
 		}
 		return types.Null(), fmt.Errorf("engine: unknown variable %q", x.Name)
 
@@ -98,13 +93,7 @@ func (env *evalEnv) eval(e sqlparser.Expr) (types.Value, error) {
 
 	case *sqlparser.ColumnRef:
 		// Preparing a statement rewrites every resolvable reference to a
-		// BoundCol, so what arrives here resolved to no column: an
-		// unqualified name may still be a procedure variable.
-		if x.Table == "" && env.ctx != nil && env.ctx.Vars != nil {
-			if v, ok := env.ctx.Vars[x.Column]; ok {
-				return v, nil
-			}
-		}
+		// BoundCol, so what arrives here resolved to no column.
 		if err, ok := env.unbound[x]; ok {
 			return types.Null(), err
 		}

@@ -34,12 +34,12 @@ type queryPlan struct {
 	where      sqlparser.Expr // bound
 	nCands     int            // sargable predicates over all tables
 	unbound    map[*sqlparser.ColumnRef]error
-	// eager lists, in clause order, the unresolved references of a SELECT's
-	// items, WHERE, GROUP BY, HAVING and ORDER BY: they fail the statement
-	// even when no row reaches them, unless they name a procedure variable.
-	eager []*sqlparser.ColumnRef
+	// eagerErr is what resolving the first (in clause order) unresolved
+	// reference of a SELECT's items, WHERE, GROUP BY, HAVING and ORDER BY
+	// gave: it fails the statement even when no row reaches the reference.
+	eagerErr error
 	// groupErr is a grouped SELECT's "column must appear in GROUP BY"
-	// verdict. It is reported after the eager references: an unknown column
+	// verdict. It is reported after the eager reference: an unknown column
 	// is the more useful complaint.
 	groupErr error
 
@@ -709,8 +709,8 @@ func (pl *planner) eagerRefs(s *sqlparser.Select) {
 	check := func(x sqlparser.Expr) {
 		sqlparser.WalkExpr(x, func(n sqlparser.Expr) {
 			if c, ok := n.(*sqlparser.ColumnRef); ok {
-				if _, err := pl.scope.resolve(c.Table, c.Column); err != nil {
-					pl.plan.eager = append(pl.plan.eager, c)
+				if _, err := pl.scope.resolve(c.Table, c.Column); err != nil && pl.plan.eagerErr == nil {
+					pl.plan.eagerErr = err
 				}
 			}
 		})

@@ -332,7 +332,7 @@ func (e *Engine) execSelect(ctx *ExecCtx, pr *Prepared, s *sqlparser.Select) (*R
 	}
 	defer st.release()
 	p := st.plan
-	if err := p.checkRefs(ctx); err != nil {
+	if err := p.checkRefs(); err != nil {
 		return nil, err
 	}
 	if p.grouped {
@@ -355,14 +355,9 @@ func (e *Engine) execSelect(ctx *ExecCtx, pr *Prepared, s *sqlparser.Select) (*R
 // checkRefs is the eager name resolution of a SELECT: bad column
 // references must fail even when the input is empty (PostgreSQL
 // semantics), instead of lazily on the first row.
-func (p *queryPlan) checkRefs(ctx *ExecCtx) error {
-	for _, c := range p.eager {
-		if c.Table == "" && ctx.Vars != nil {
-			if _, isVar := ctx.Vars[c.Column]; isVar {
-				continue
-			}
-		}
-		return p.unbound[c]
+func (p *queryPlan) checkRefs() error {
+	if p.eagerErr != nil {
+		return p.eagerErr
 	}
 	return p.groupErr
 }

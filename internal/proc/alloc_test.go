@@ -9,10 +9,11 @@ import (
 )
 
 // TestSimpleContractAllocs pins the allocation cost of one simple-
-// contract transaction through the compiled path: contract-source
-// lookup, compiled-closure cache hit, frame allocation, one INSERT.
-// A regression that reintroduces per-call parsing, per-call
-// compilation, or by-name variable maps blows well past the threshold.
+// contract transaction: contract-source lookup, compiled-closure cache
+// hit, frame allocation, one INSERT. A regression that reintroduces
+// per-call parsing, per-call compilation, or by-name variable maps blows
+// well past the threshold. (The measured run calls the interpreter
+// directly: the harness's oracle comparison is not part of it.)
 func TestSimpleContractAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
@@ -46,21 +47,13 @@ $$ LANGUAGE plpgsql;`)
 		h.st.AbortTx(rec)
 	}
 	avg := testing.AllocsPerRun(200, oneTx)
+	t.Logf("%.1f allocs/op", avg)
 
-	h.in.SetCompiled(false)
-	oneTx() // warm the interpreted path's parse cache
-	interp := testing.AllocsPerRun(200, oneTx)
-	h.in.SetCompiled(true)
-	t.Logf("compiled %.1f allocs/op, interpreted %.1f allocs/op", avg, interp)
-
-	// Measured 27 allocs/op compiled (tx record, frame, the prepared
-	// contract-source lookup, insert path) vs 35 interpreted; per-call
-	// parsing would be an order of magnitude more.
+	// Measured 23 allocs/op (tx record, frame, the prepared
+	// contract-source lookup, insert path); per-call parsing would be an
+	// order of magnitude more.
 	const maxAllocs = 55
 	if avg > maxAllocs {
 		t.Errorf("simple contract tx: %.1f allocs/op, want ≤ %d", avg, maxAllocs)
-	}
-	if avg > interp {
-		t.Errorf("compiled path allocates more than interpreted: %.1f > %.1f", avg, interp)
 	}
 }

@@ -9,35 +9,31 @@ import (
 	"bcrdb/internal/types"
 )
 
-// Compile-once, run-many contract execution.
-//
-// The interpreter re-binds every SQL statement and re-wraps every
-// procedural expression on each invocation: bindStatement allocates a
-// fresh AST per call, and variable resolution goes through a per-call
-// map. Compilation does that work once per (source, schema epoch):
+// Compile-once, run-many contract execution: the only way a deployed
+// procedure runs. The work that depends on the source and the catalog
+// alone is done once per (source, schema epoch):
 //
 //   - variables are assigned frame slots; VarRef.Slot lets the engine
-//     read ctx.Frame directly instead of a map lookup;
+//     read ctx.Frame directly — it knows variables no other way;
 //   - embedded SQL statements are bound at compile time and wrapped in an
 //     engine.Prepared, so every invocation runs the statement off the
 //     physical plan its first execution built;
-//   - procedural expressions evaluate through engine.EvalScalar instead
-//     of a synthesized FROM-less SELECT.
+//   - procedural expressions evaluate through engine.EvalScalar.
 //
-// Name resolution must be observationally identical to the interpreted
-// path (the differential harness holds us to it):
+// The language's name resolution (ADR-0003) is held in place by the
+// tree-walking oracle of oracle_test.go, which every call of this
+// package's tests also runs through:
 //
 //   - "columns win": an unqualified name that is both a variable and a
-//     column of a table in scope stays a column reference — same rule as
-//     bindExpr, evaluated against the same catalog. Because the catalog
-//     can change under DDL, a Compiled records the storage.SchemaEpoch
-//     it was built at and is recompiled when the epoch moves;
+//     column of a table in scope stays a column reference. Because the
+//     catalog can change under DDL, a Compiled records the
+//     storage.SchemaEpoch it was built at and is recompiled when the
+//     epoch moves;
 //   - declaration-order visibility: a DECLARE initializer sees only
-//     parameters, current_user and earlier declarations, exactly like
-//     the interpreter's incrementally-populated variable map;
-//   - undeclared INTO targets and assignment targets stay *runtime*
-//     errors with the interpreter's exact messages — a compile-time
-//     rejection would abort transactions the interpreter commits.
+//     parameters, current_user and earlier declarations;
+//   - undeclared INTO targets and assignment targets are *runtime*
+//     errors — a compile-time rejection would abort the invocations
+//     that never reach the faulty statement.
 
 // Compiled is a procedure lowered to slot-addressed statements, valid
 // for one schema epoch.
@@ -112,14 +108,13 @@ type compiler struct {
 
 // compileProcedure lowers proc against the catalog at the given epoch.
 // It cannot fail: anything it cannot resolve is left for the runtime to
-// report, matching the interpreter.
+// report.
 func compileProcedure(eng *engine.Engine, proc *Procedure, epoch uint64) *Compiled {
 	c := &compiler{eng: eng, slots: make(map[string]int, len(proc.Params)+len(proc.Decls)+1)}
 	out := &Compiled{proc: proc, epoch: epoch}
 
 	// Frame layout: params, then current_user, then decls. Shadowing
-	// follows map semantics — the latest binding of a name wins, exactly
-	// as the interpreter's vars map behaves.
+	// follows map semantics — the latest binding of a name wins.
 	for i, p := range proc.Params {
 		c.slots[p.Name] = i
 	}
@@ -128,7 +123,7 @@ func compileProcedure(eng *engine.Engine, proc *Procedure, epoch uint64) *Compil
 
 	// Each initializer is bound before its own name becomes visible, so
 	// forward or self references stay unresolved ColumnRefs and fail at
-	// runtime like they do interpreted.
+	// runtime.
 	for _, d := range proc.Decls {
 		cd := cDecl{name: d.Name, slot: next, typ: d.Type}
 		if d.Init != nil {
@@ -143,9 +138,11 @@ func compileProcedure(eng *engine.Engine, proc *Procedure, epoch uint64) *Compil
 	return out
 }
 
-// rewrite is bindExpr with slot annotation: unqualified ColumnRefs
-// naming visible variables become slot-addressed VarRefs, except when
-// the name is also a column of a table in scope (columns win).
+// rewrite turns unqualified ColumnRefs naming visible variables into
+// slot-addressed VarRefs, except when the name is also a column of a
+// table in scope (columns win, as in PL/pgSQL's default conflict
+// resolution — name your parameters distinctly). cols is nil when no
+// relation is in scope.
 func (c *compiler) rewrite(e sqlparser.Expr, cols map[string]bool) sqlparser.Expr {
 	if e == nil {
 		return nil
@@ -166,8 +163,10 @@ func (c *compiler) rewrite(e sqlparser.Expr, cols map[string]bool) sqlparser.Exp
 	})
 }
 
-// statement mirrors bindStatement, producing a statement whose variable
-// references are slot-bound. The result is immutable and shared across
+// statement binds the variable references of one SQL statement so the
+// planner sees them as constants (index bounds). The columns in scope are
+// the union of the referenced tables' columns; an INSERT's value lists
+// have no relation in scope. The result is immutable and shared across
 // invocations.
 func (c *compiler) statement(stmt sqlparser.Statement) sqlparser.Statement {
 	st := c.eng.Store()
@@ -301,12 +300,11 @@ func (c *compiler) stmt(s Stmt) cStmt {
 	case *Continue:
 		return &cContinue{}
 	}
-	// Unknown statements surface at runtime, like the interpreter.
+	// Unknown statements surface at runtime.
 	return nil
 }
 
-// invokeCompiled runs a compiled procedure. Control flow, coercions and
-// error messages replicate invoke/execStmt exactly.
+// invokeCompiled runs a compiled procedure.
 func (in *Interp) invokeCompiled(ctx *engine.ExecCtx, c *Compiled, args []types.Value) (types.Value, error) {
 	proc := c.proc
 	if len(args) != len(proc.Params) {
@@ -323,12 +321,10 @@ func (in *Interp) invokeCompiled(ctx *engine.ExecCtx, c *Compiled, args []types.
 	}
 	frame[len(proc.Params)] = types.NewString(ctx.User)
 
-	// Nested calls save and restore both frames; Vars is nil while a
-	// compiled procedure runs so stray by-name lookups cannot see a
-	// caller's variables.
-	savedFrame, savedVars := ctx.Frame, ctx.Vars
-	ctx.Frame, ctx.Vars = frame, nil
-	defer func() { ctx.Frame, ctx.Vars = savedFrame, savedVars }()
+	// The caller's ExecCtx is reused: leave its frame as it was.
+	saved := ctx.Frame
+	ctx.Frame = frame
+	defer func() { ctx.Frame = saved }()
 
 	for _, d := range c.decls {
 		if d.init != nil {

@@ -5,24 +5,8 @@ import (
 	"strings"
 	"testing"
 
-	"bcrdb/internal/engine"
-	"bcrdb/internal/storage"
 	"bcrdb/internal/types"
 )
-
-// callWithRec invokes a contract and returns both the result and the
-// transaction record, so tests can inspect the recorded read ranges.
-func (h *procHarness) callWithRec(user, name string, args ...types.Value) (types.Value, *storage.TxRecord, error) {
-	rec := storage.NewTxRecord(h.st.BeginTx(), h.block)
-	ctx := &engine.ExecCtx{Mode: engine.ModeContract, Height: h.block, Rec: rec, User: user}
-	v, err := h.in.Call(ctx, name, args)
-	if err != nil {
-		h.st.AbortTx(rec)
-		return v, rec, err
-	}
-	h.commit(rec)
-	return v, rec, nil
-}
 
 // TestCompiledContractInvalidatedByDDL pins the schema-epoch guard on
 // the compiled-contract cache and the plan cache together: a contract

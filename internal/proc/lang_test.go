@@ -248,3 +248,98 @@ func TestDeterminismGuardsInsideContracts(t *testing.T) {
 		t.Fatalf("err = %v", err)
 	}
 }
+
+// TestRuntimeEdgesOfTheLanguage pins the corners ADR-0003 lists as the
+// language's documented behaviour — declaration-order visibility, coercion
+// and arity errors, a short INTO, control signals outside a loop,
+// non-boolean conditions, variables as LIMIT and as index bounds (NULL
+// after a plan was prepared for a value) — with and without the
+// execute-order flow's index requirement. Each call is compared with the
+// oracle by the harness; want is the value or a piece of the error.
+func TestRuntimeEdgesOfTheLanguage(t *testing.T) {
+	h := newProcHarness(t)
+	h.systemExec(`CREATE TABLE e (id BIGINT PRIMARY KEY, grp BIGINT, v TEXT)`)
+	h.systemExec(`CREATE INDEX e_grp ON e (grp)`)
+	h.systemExec(`INSERT INTO e VALUES (1, 1, 'a'), (2, 1, 'b'), (3, 2, 'c'), (4, NULL, 'd')`)
+	for _, src := range []string{
+		`CREATE FUNCTION fwd() RETURNS BIGINT AS $$ DECLARE a BIGINT := b; b BIGINT := 1; BEGIN RETURN a; END; $$`,
+		`CREATE FUNCTION selfref() RETURNS BIGINT AS $$ DECLARE a BIGINT := a + 1; BEGIN RETURN a; END; $$`,
+		`CREATE FUNCTION badinit() RETURNS BIGINT AS $$ DECLARE a BIGINT := 'abc'; BEGIN RETURN a; END; $$`,
+		`CREATE FUNCTION badret() RETURNS BIGINT AS $$ BEGIN RETURN 'abc'; END; $$`,
+		`CREATE FUNCTION typed(a BIGINT) RETURNS BIGINT AS $$ BEGIN RETURN a; END; $$`,
+		`CREATE FUNCTION into2() RETURNS BIGINT AS $$ DECLARE x BIGINT; y BIGINT; BEGIN SELECT id INTO x, y FROM e WHERE id = 1; RETURN x; END; $$`,
+		`CREATE FUNCTION strayexit() RETURNS VOID AS $$ BEGIN EXIT; END; $$`,
+		`CREATE FUNCTION nullcond(p BIGINT) RETURNS TEXT AS $$
+			DECLARE i BIGINT := 0;
+			BEGIN
+				IF p > 1 THEN RETURN 'gt'; END IF;
+				WHILE p LOOP i := i + 1; END LOOP;
+				IF i THEN RETURN 'int'; ELSE RETURN 'else'; END IF;
+			END; $$`,
+		`CREATE FUNCTION bygrp(p BIGINT) RETURNS BIGINT AS $$ DECLARE n BIGINT; BEGIN SELECT COUNT(*) INTO n FROM e WHERE grp = p; RETURN n; END; $$`,
+		`CREATE FUNCTION newest(p BIGINT) RETURNS BIGINT AS $$ DECLARE n BIGINT; BEGIN SELECT id INTO n FROM e WHERE id > 0 ORDER BY id DESC LIMIT p; RETURN n; END; $$`,
+		`CREATE FUNCTION pairs(p BIGINT) RETURNS BIGINT AS $$
+			DECLARE n BIGINT;
+			BEGIN
+				SELECT COUNT(*) INTO n FROM e a JOIN e b ON b.grp = a.grp AND b.id > p
+				WHERE a.id = p GROUP BY a.id HAVING COUNT(*) >= p - p;
+				RETURN n;
+			END; $$`,
+		`CREATE FUNCTION put(p BIGINT) RETURNS VOID AS $$ BEGIN INSERT INTO e (id, grp, v) VALUES (p * 10, p, current_user || p); END; $$`,
+		`CREATE FUNCTION mark(p BIGINT) RETURNS VOID AS $$ BEGIN UPDATE e SET v = v || '!' WHERE id = p; END; $$`,
+		`CREATE FUNCTION drop_grp(p BIGINT) RETURNS VOID AS $$ BEGIN DELETE FROM e WHERE grp = p; END; $$`,
+	} {
+		h.deploy(src)
+	}
+	i, null := types.NewInt, types.Null()
+	const noIndex = "no usable index"
+	for _, c := range []struct {
+		name         string
+		arg          []types.Value
+		want, wantRI string // wantRI: under requireIndex, when it differs
+	}{
+		{"fwd", nil, `no table in scope for column "b"`, ""},
+		{"selfref", nil, `no table in scope for column "a"`, ""},
+		{"badinit", nil, "proc: init of a: types: cannot coerce TEXT to BIGINT", ""},
+		{"badret", nil, "types: cannot coerce TEXT to BIGINT", ""},
+		{"typed", []types.Value{types.NewString("12")}, "proc: typed arg a: types: cannot coerce TEXT to BIGINT", ""},
+		{"typed", nil, "typed expects 1, got 0", ""},
+		{"typed", []types.Value{null}, "NULL", ""},
+		{"into2", nil, "proc: INTO expects 2 columns, query returned 1", ""},
+		{"strayexit", nil, "proc: strayexit: EXIT/CONTINUE outside loop", ""},
+		{"nullcond", []types.Value{null}, "else", ""},
+		{"nullcond", []types.Value{i(0)}, "else", ""},
+		{"nullcond", []types.Value{i(5)}, "gt", ""},
+		{"bygrp", []types.Value{i(1)}, "2", ""},
+		{"bygrp", []types.Value{null}, "0", noIndex}, // the plan was prepared for a value
+		{"bygrp", []types.Value{i(2)}, "1", ""},
+		{"newest", []types.Value{i(1)}, "4", ""},
+		{"newest", []types.Value{i(0)}, "NULL", ""},
+		{"newest", []types.Value{null}, "LIMIT must be a non-negative integer", ""},
+		{"pairs", []types.Value{i(1)}, "1", ""},
+		{"pairs", []types.Value{i(3)}, "NULL", ""},
+		{"put", []types.Value{i(7)}, "NULL", "unique constraint violated"}, // the first of the two calls inserted it
+		{"put", []types.Value{null}, "NOT NULL constraint violated: e.id", ""},
+		{"mark", []types.Value{i(1)}, "NULL", ""},
+		{"mark", []types.Value{null}, "NULL", noIndex},
+		{"drop_grp", []types.Value{i(1)}, "NULL", ""},
+		{"drop_grp", []types.Value{null}, "NULL", noIndex},
+		{"bygrp", []types.Value{i(1)}, "0", ""},
+	} {
+		for _, ri := range []bool{false, true} {
+			h.requireIndex = ri
+			want := c.want
+			if ri && c.wantRI != "" {
+				want = c.wantRI
+			}
+			v, err := h.call("alice", c.name, c.arg...)
+			got := v.String()
+			if err != nil {
+				got = err.Error()
+			}
+			if !strings.Contains(got, want) {
+				t.Errorf("%s(%v) requireIndex=%v = %s, want %s", c.name, c.arg, ri, got, want)
+			}
+		}
+	}
+}

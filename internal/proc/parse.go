@@ -20,7 +20,8 @@ var (
 //	CREATE [OR REPLACE] FUNCTION name(p1 TYPE, ...) RETURNS {VOID|TYPE}
 //	AS $$ [DECLARE ...] BEGIN ... END; $$ [LANGUAGE x][;]
 //
-// and returns the validated procedure.
+// and returns the validated procedure. The name of a system contract
+// (create_user, submit_deploytx, …) is reserved and refused.
 func ParseCreateFunction(src string) (*Procedure, error) {
 	toks, err := sqlparser.Tokenize(src)
 	if err != nil {
@@ -43,6 +44,11 @@ func ParseCreateFunction(src string) (*Procedure, error) {
 	name, ok := p.acceptIdent()
 	if !ok {
 		return nil, p.errf("expected function name")
+	}
+	if _, reserved := builtins[name]; reserved {
+		// It would be stored and never run: Call dispatches system
+		// contracts first.
+		return nil, fmt.Errorf("proc: %q is a system contract and cannot be redefined", name)
 	}
 	proc.Name = name
 	if !p.acceptOp("(") {

@@ -2,6 +2,7 @@ package proc
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -11,59 +12,124 @@ import (
 )
 
 // procHarness wires a store, engine and interpreter with system tables
-// and a couple of registered users.
+// and a couple of registered users — twice: ref is a twin store that
+// receives every statement and every call the first one does, contracts
+// through the tree-walking oracle (oracle_test.go). Every call is thereby
+// a compiled-vs-oracle comparison of what a replica could observe.
 type procHarness struct {
 	t     *testing.T
 	st    *storage.Store
 	eng   *engine.Engine
 	in    *Interp
+	ref   *oracle
 	block int64
+	// requireIndex runs calls as the execute-order flow does (§4.3).
+	requireIndex bool
 }
 
 func newProcHarness(t *testing.T) *procHarness {
 	st := storage.NewStore()
 	eng := engine.New(st)
-	if err := CreateSystemTables(eng); err != nil {
-		t.Fatal(err)
+	h := &procHarness{t: t, st: st, eng: eng, in: NewInterp(eng), ref: newOracle()}
+	for _, e := range []*engine.Engine{h.eng, h.ref.eng} {
+		if err := CreateSystemTables(e); err != nil {
+			t.Fatal(err)
+		}
 	}
-	h := &procHarness{t: t, st: st, eng: eng, in: NewInterp(eng)}
 	// Seed admin users for two orgs plus a plain client.
 	h.systemExec(`INSERT INTO sys_certs VALUES
 		('admin1', 'org1', 'admin', 'pk1'),
 		('admin2', 'org2', 'admin', 'pk2'),
 		('alice',  'org1', 'client', 'pk3')`)
+	t.Cleanup(func() {
+		if got, want := h.st.StateHash(h.block), h.ref.st.StateHash(h.block); got != want {
+			t.Errorf("final state hash at height %d: compiled %x, oracle %x", h.block, got, want)
+		}
+	})
 	return h
 }
 
-// systemExec runs a statement as the node itself and commits a block.
+// systemExec runs a statement as the node itself, on both stores, and
+// commits a block.
 func (h *procHarness) systemExec(sql string) {
 	h.t.Helper()
-	rec := storage.NewTxRecord(h.st.BeginTx(), h.block)
-	ctx := &engine.ExecCtx{Mode: engine.ModeSystem, Height: h.block, Rec: rec}
-	if _, err := h.eng.ExecSQL(ctx, sql); err != nil {
-		h.t.Fatalf("systemExec %q: %v", sql, err)
+	recs := [2]*storage.TxRecord{}
+	for i, e := range []*engine.Engine{h.eng, h.ref.eng} {
+		recs[i] = storage.NewTxRecord(e.Store().BeginTx(), h.block)
+		ctx := &engine.ExecCtx{Mode: engine.ModeSystem, Height: h.block, Rec: recs[i]}
+		if _, err := e.ExecSQL(ctx, sql); err != nil {
+			h.t.Fatalf("systemExec %q: %v", sql, err)
+		}
 	}
-	h.commit(rec)
+	h.commit(recs[0], recs[1])
 }
 
-func (h *procHarness) commit(rec *storage.TxRecord) {
+// commit seals one block holding rec on the store and refRec on the twin.
+func (h *procHarness) commit(rec, refRec *storage.TxRecord) {
 	h.block++
 	h.st.CommitTx(rec, h.block)
 	h.st.SetHeight(h.block)
+	h.ref.st.CommitTx(refRec, h.block)
+	h.ref.st.SetHeight(h.block)
 }
 
 // call invokes a contract as the given user in a fresh transaction and
 // commits on success.
 func (h *procHarness) call(user, name string, args ...types.Value) (types.Value, error) {
-	rec := storage.NewTxRecord(h.st.BeginTx(), h.block)
-	ctx := &engine.ExecCtx{Mode: engine.ModeContract, Height: h.block, Rec: rec, User: user}
+	h.t.Helper()
+	v, _, err := h.callWithRec(user, name, args...)
+	return v, err
+}
+
+// callWithRec is call, returning the transaction record as well so tests
+// can inspect the recorded read ranges. The same call runs through the
+// oracle on the twin store; any observable difference fails the test.
+func (h *procHarness) callWithRec(user, name string, args ...types.Value) (types.Value, *storage.TxRecord, error) {
+	h.t.Helper()
+	begin := func(st *storage.Store) (*storage.TxRecord, *engine.ExecCtx) {
+		rec := storage.NewTxRecord(st.BeginTx(), h.block)
+		return rec, &engine.ExecCtx{Mode: engine.ModeContract, Height: h.block, Rec: rec,
+			User: user, RequireIndex: h.requireIndex}
+	}
+	rec, ctx := begin(h.st)
 	v, err := h.in.Call(ctx, name, args)
+	refRec, refCtx := begin(h.ref.st)
+	refV, refErr := h.ref.call(refCtx, name, args)
+
+	diverged := func(what string, got, want any) {
+		h.t.Helper()
+		h.t.Fatalf("%s(%v) by %s: %s diverged\n compiled: %v\n oracle:   %v", name, args, user, what, got, want)
+	}
+	if (err == nil) != (refErr == nil) || err != nil && err.Error() != refErr.Error() {
+		diverged("error", err, refErr)
+	}
+	for _, c := range []struct {
+		what      string
+		got, want any
+	}{
+		{"return value", v, refV},
+		{"read rows", rec.ReadRows, refRec.ReadRows},
+		{"read ranges", rec.ReadRanges, refRec.ReadRanges},
+		{"inserted versions", rec.Inserted, refRec.Inserted},
+		{"superseded versions", rec.DeletedOld, refRec.DeletedOld},
+	} {
+		if !reflect.DeepEqual(c.got, c.want) {
+			diverged(c.what, c.got, c.want)
+		}
+	}
+	for _, ir := range rec.Inserted { // same refs on both sides by now
+		if got, want := h.st.Get(ir.Table, ir.Ref).Data, h.ref.st.Get(ir.Table, ir.Ref).Data; !reflect.DeepEqual(got, want) {
+			diverged("row written to "+ir.Table, got, want)
+		}
+	}
+
 	if err != nil {
 		h.st.AbortTx(rec)
-		return v, err
+		h.ref.st.AbortTx(refRec)
+		return v, rec, err
 	}
-	h.commit(rec)
-	return v, nil
+	h.commit(rec, refRec)
+	return v, rec, nil
 }
 
 func (h *procHarness) mustCall(user, name string, args ...types.Value) types.Value {
@@ -312,11 +378,8 @@ func TestVarBindingEnablesIndexPlan(t *testing.T) {
 	$$`)
 	// RequireIndex (execute-order-in-parallel mode) must accept the
 	// variable-bounded predicate.
-	rec := storage.NewTxRecord(h.st.BeginTx(), h.block)
-	ctx := &engine.ExecCtx{Mode: engine.ModeContract, Height: h.block, Rec: rec,
-		User: "alice", RequireIndex: true}
-	v, err := h.in.Call(ctx, "get_v", []types.Value{types.NewInt(2)})
-	h.st.AbortTx(rec)
+	h.requireIndex = true
+	v, err := h.call("alice", "get_v", types.NewInt(2))
 	if err != nil {
 		t.Fatalf("indexed var predicate: %v", err)
 	}
@@ -410,6 +473,24 @@ func TestDeploymentValidatesSQL(t *testing.T) {
 	_, err := h.call("admin1", "create_deploytx", types.NewString(`SELECT 1`))
 	if err == nil {
 		t.Fatal("non-function SQL should be rejected")
+	}
+}
+
+// A contract named like a system contract would be stored and never run:
+// Call dispatches system contracts before it looks at sys_contracts.
+func TestDeploymentRefusesSystemContractName(t *testing.T) {
+	h := newProcHarness(t)
+	for _, src := range []string{
+		`CREATE FUNCTION create_user(a TEXT) RETURNS VOID AS $$ BEGIN RETURN; END; $$`,
+		`CREATE OR REPLACE FUNCTION submit_deploytx(id BIGINT) RETURNS VOID AS $$ BEGIN RETURN; END; $$`,
+	} {
+		_, err := h.call("admin1", "create_deploytx", types.NewString(src))
+		if err == nil || !strings.Contains(err.Error(), "is a system contract") {
+			t.Fatalf("create_deploytx(%s): %v", src, err)
+		}
+	}
+	if n := len(h.query(`SELECT id FROM sys_deployments`).Rows); n != 0 {
+		t.Fatalf("%d deployments recorded for refused names", n)
 	}
 }
 

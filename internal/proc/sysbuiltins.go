@@ -15,16 +15,23 @@ import (
 // invocations are blockchain transactions).
 type Builtin func(in *Interp, ctx *engine.ExecCtx, args []types.Value) (types.Value, error)
 
-// builtins maps the §3.7 system smart contracts to implementations.
-var builtins = map[string]Builtin{
-	"create_deploytx":  biCreateDeployTx,
-	"approve_deploytx": biApproveDeployTx,
-	"reject_deploytx":  biRejectDeployTx,
-	"comment_deploytx": biCommentDeployTx,
-	"submit_deploytx":  biSubmitDeployTx,
-	"create_user":      biCreateUser,
-	"update_user":      biUpdateUser,
-	"delete_user":      biDeleteUser,
+// builtins maps the §3.7 system smart contracts to implementations. Call
+// dispatches them before it looks at sys_contracts, so their names are
+// reserved: ParseCreateFunction refuses to define one. (Filled in init:
+// the deployment contracts parse what they deploy, which reads this map.)
+var builtins map[string]Builtin
+
+func init() {
+	builtins = map[string]Builtin{
+		"create_deploytx":  biCreateDeployTx,
+		"approve_deploytx": biApproveDeployTx,
+		"reject_deploytx":  biRejectDeployTx,
+		"comment_deploytx": biCommentDeployTx,
+		"submit_deploytx":  biSubmitDeployTx,
+		"create_user":      biCreateUser,
+		"update_user":      biUpdateUser,
+		"delete_user":      biDeleteUser,
+	}
 }
 
 // q executes a parameterized statement inside the transaction. System

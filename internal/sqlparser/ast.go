@@ -34,14 +34,12 @@ type Param struct {
 }
 
 // VarRef is a procedure-language variable reference. The SQL parser never
-// produces it; the procedure binder rewrites unresolved ColumnRefs into
-// VarRefs before execution.
+// produces it; compiling a contract rewrites the ColumnRefs that name its
+// variables into VarRefs.
 type VarRef struct {
-	Name string
-	// Slot, when positive, is 1 + the index into the executing procedure's
-	// variable frame (ExecCtx.Frame in the engine). The compile-once
-	// contract lowering assigns slots so evaluation skips the by-name map
-	// lookup; 0 means "resolve Name through ExecCtx.Vars".
+	Name string // for error messages
+	// Slot is 1 + the index into the executing procedure's variable frame
+	// (ExecCtx.Frame in the engine); a VarRef without one names nothing.
 	Slot int
 }
 

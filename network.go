@@ -94,12 +94,6 @@ type Options struct {
 	// (default 1).
 	CheckpointEvery uint64
 
-	// InterpretContracts runs contracts through the tree-walking
-	// interpreter instead of the compiled path: the reference of the
-	// compiled-vs-interpreted differential test; state is identical
-	// either way.
-	InterpretContracts bool
-
 	// ExecWorkers sizes each node's execute-stage worker pool
 	// (0 = GOMAXPROCS).
 	ExecWorkers int
@@ -356,20 +350,19 @@ func NewNetwork(opts Options) (*Network, error) {
 			continue
 		}
 		cfg := core.Config{
-			Name:               nw.peers[i],
-			Org:                org.Name,
-			Flow:               opts.Flow,
-			SerialExecution:    opts.SerialExecution,
-			Orderers:           nw.orderers,
-			DeliverFrom:        nw.orderers[i%len(nw.orderers)],
-			Peers:              nw.peers,
-			FailoverTimeout:    opts.FailoverTimeout,
-			AntiEntropyEvery:   opts.AntiEntropyEvery,
-			CheckpointEvery:    opts.CheckpointEvery,
-			Backend:            backend,
-			InterpretContracts: opts.InterpretContracts,
-			ExecWorkers:        opts.ExecWorkers,
-			VerifyWorkers:      opts.VerifyWorkers,
+			Name:             nw.peers[i],
+			Org:              org.Name,
+			Flow:             opts.Flow,
+			SerialExecution:  opts.SerialExecution,
+			Orderers:         nw.orderers,
+			DeliverFrom:      nw.orderers[i%len(nw.orderers)],
+			Peers:            nw.peers,
+			FailoverTimeout:  opts.FailoverTimeout,
+			AntiEntropyEvery: opts.AntiEntropyEvery,
+			CheckpointEvery:  opts.CheckpointEvery,
+			Backend:          backend,
+			ExecWorkers:      opts.ExecWorkers,
+			VerifyWorkers:    opts.VerifyWorkers,
 		}
 		if opts.DataDir != "" {
 			cfg.DataDir = filepath.Join(opts.DataDir, org.Name)

@@ -10,10 +10,23 @@ import (
 	"bcrdb/internal/types"
 )
 
+// parseExpr parses a standalone SQL expression.
+func parseExpr(src string) (sqlparser.Expr, error) {
+	p, err := sqlparser.NewParser(src)
+	if err != nil {
+		return nil, err
+	}
+	e, err := p.ParseExpr()
+	if err == nil && !p.AtEOF() {
+		err = p.ErrHere("unexpected %s after expression", p.Cur())
+	}
+	return e, err
+}
+
 // evalStr evaluates a standalone SQL expression.
 func evalStr(t *testing.T, src string) (types.Value, error) {
 	t.Helper()
-	e, err := sqlparser.ParseExprString(src)
+	e, err := parseExpr(src)
 	if err != nil {
 		t.Fatalf("parse %q: %v", src, err)
 	}
@@ -231,7 +244,7 @@ func TestExprKeyStableAndDistinct(t *testing.T) {
 	}
 	seen := make(map[string]string)
 	for _, s := range exprs {
-		e, err := sqlparser.ParseExprString(s)
+		e, err := parseExpr(s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,7 +254,7 @@ func TestExprKeyStableAndDistinct(t *testing.T) {
 		}
 		seen[k] = s
 		// Stable across reparses.
-		e2, _ := sqlparser.ParseExprString(s)
+		e2, _ := parseExpr(s)
 		if exprKey(e2) != k {
 			t.Errorf("exprKey unstable for %q", s)
 		}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"bcrdb/internal/codec"
@@ -183,6 +184,10 @@ func (e *Engine) scan(st *execState, i int, ixName string, ixCols []int, rng ind
 	st.hits[i] = st.hits[i][:0]
 	if err := e.store.ScanIndex(t.name, ixName, rng, ctx.selfID(), ctx.snapshotHeight(), mode, st.collect[i]); err != nil {
 		return err
+	}
+	if rec := ctx.Rec; !p.provenance && rec != nil && len(rec.DeletedOld) > 0 {
+		// What the transaction deleted, or replaced by UPDATE, is gone for it.
+		st.hits[i] = slices.DeleteFunc(st.hits[i], func(h hit) bool { return rec.Supersedes(t.name, h.id) })
 	}
 	st.sortHits(st.hits[i], ixCols, t.pkCols)
 	if track {

@@ -49,7 +49,6 @@ type Stmt interface{ procStmt() }
 type SQLStmt struct {
 	Stmt     sqlparser.Statement
 	IntoVars []string
-	Src      string // original text (diagnostics)
 }
 
 // Assign is `name := expr;`.

@@ -44,6 +44,31 @@ BEGIN
 	RETURN;
 END;
 $$ LANGUAGE plpgsql;`,
+		// INTO stands anywhere at the top level of a SELECT (ADR-0003).
+		`CREATE FUNCTION into_anywhere() RETURNS VOID AS $$
+DECLARE
+	a BIGINT;
+	b TEXT;
+BEGIN
+	SELECT INTO a 0;
+	SELECT 0 INTO a a0;
+	SELECT id, v FROM t WHERE id = 1 ORDER BY id INTO a, b;
+END;
+$$`,
+		// A CASE expression is a condition like any other.
+		`CREATE FUNCTION case_conditions(x BIGINT) RETURNS BIGINT AS $$
+BEGIN
+	IF CASE WHEN x > 0 THEN 1 ELSE 0 END = 1 THEN
+		RETURN 1;
+	ELSIF CASE WHEN x < 0 THEN TRUE END THEN
+		RETURN -1;
+	END IF;
+	WHILE CASE WHEN x > 10 THEN FALSE ELSE TRUE END LOOP
+		x := x + 1;
+	END LOOP;
+	RETURN 0;
+END;
+$$`,
 		`CREATE FUNCTION broken( RETURNS VOID`,
 		`CREATE FUNCTION f() RETURNS VOID AS $$ BEGIN`,
 		`CREATE FUNCTION f() RETURNS VOID AS $$ BEGIN SELECT; END; $$`,

@@ -1,9 +1,11 @@
 package proc
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
+	"bcrdb/internal/sqlparser"
 	"bcrdb/internal/types"
 )
 
@@ -218,6 +220,112 @@ func TestContractSeesOwnWrites(t *testing.T) {
 	$$`)
 	if v := h.mustCall("alice", "rmw"); v.Int() != 15 {
 		t.Fatalf("rmw = %v (read-your-writes broken)", v)
+	}
+}
+
+// TestContractSeesOwnDeletes: a row version the transaction itself
+// superseded — by DELETE, or by the delete half of its UPDATE — is gone
+// for the rest of the transaction, so a transfer to the same account
+// commits with the balance unchanged.
+func TestContractSeesOwnDeletes(t *testing.T) {
+	h := newProcHarness(t)
+	h.systemExec(`CREATE TABLE accounts (id BIGINT PRIMARY KEY, balance DOUBLE)`)
+	h.systemExec(`CREATE TABLE d (id BIGINT PRIMARY KEY, grp BIGINT, v BIGINT)`)
+	h.systemExec(`INSERT INTO accounts VALUES (1, 100)`)
+	h.systemExec(`INSERT INTO d VALUES (1, 1, 10), (2, 1, 20), (3, 2, 30)`)
+	h.deploy(`CREATE FUNCTION transfer(src BIGINT, dst BIGINT, amt DOUBLE) RETURNS VOID AS $$
+	BEGIN
+		UPDATE accounts SET balance = balance - amt WHERE id = src;
+		UPDATE accounts SET balance = balance + amt WHERE id = dst;
+	END; $$`)
+	h.deploy(`CREATE FUNCTION delete_count(g BIGINT) RETURNS BIGINT AS $$
+	DECLARE n BIGINT;
+	BEGIN
+		DELETE FROM d WHERE grp = g;
+		SELECT COUNT(*) INTO n FROM d WHERE id > 0;
+		RETURN n;
+	END; $$`)
+	h.deploy(`CREATE FUNCTION update_select(p BIGINT) RETURNS TEXT AS $$
+	DECLARE n BIGINT; s BIGINT;
+	BEGIN
+		UPDATE d SET v = v + 1 WHERE id = p;
+		SELECT COUNT(*), SUM(v) INTO n, s FROM d WHERE id = p;
+		RETURN n || ' ' || s;
+	END; $$`)
+	i := types.NewInt
+	for _, c := range []struct {
+		name string
+		args []types.Value
+		want string
+	}{
+		{"transfer", []types.Value{i(1), i(1), types.NewFloat(25)}, "NULL"},
+		{"update_select", []types.Value{i(3)}, "1 31"},
+		{"delete_count", []types.Value{i(1)}, "1"},
+	} {
+		v, err := h.call("alice", c.name, c.args...)
+		if err != nil || v.String() != c.want {
+			t.Errorf("%s%v = %v, %v; want %s", c.name, c.args, v, err, c.want)
+		}
+	}
+	if res := h.query(`SELECT balance FROM accounts WHERE id = 1`); len(res.Rows) != 1 || res.Rows[0][0].Float() != 100 {
+		t.Errorf("balance after self-transfer = %v, want one row of 100", res.Rows)
+	}
+}
+
+// TestContractFrontEnd pins what parsing contracts on the SQL parser's
+// own cursor, in one token stream, changed (ADR-0003 "One front end"): a
+// CASE expression is a condition like any other, a contract's types are
+// CREATE TABLE's types with CREATE TABLE's message, and a parse error
+// names its line and column in the CREATE FUNCTION source. want is the
+// call's value for a source that deploys, else a piece of its parse error.
+func TestContractFrontEnd(t *testing.T) {
+	h := newProcHarness(t)
+	_, tableErr := sqlparser.ParseStatement(`CREATE TABLE t (c VARCHAR(abc))`)
+	var vc *sqlparser.SyntaxError
+	if !errors.As(tableErr, &vc) {
+		t.Fatalf("CREATE TABLE with VARCHAR(abc): %v", tableErr)
+	}
+	i := types.NewInt
+	for _, c := range []struct {
+		src  string
+		args []types.Value
+		want string
+	}{
+		{`CREATE FUNCTION case_if(x BIGINT) RETURNS TEXT AS $$
+		BEGIN
+			IF CASE WHEN x > 0 THEN 1 ELSE 0 END = 1 THEN RETURN 'pos'; END IF;
+			RETURN 'other';
+		END; $$`, []types.Value{i(3)}, "pos"},
+		{`CREATE FUNCTION case_elsif(x BIGINT) RETURNS TEXT AS $$
+		BEGIN
+			IF x = 0 THEN RETURN 'zero';
+			ELSIF CASE WHEN x < 0 THEN TRUE ELSE FALSE END THEN RETURN 'neg';
+			END IF;
+			RETURN 'pos';
+		END; $$`, []types.Value{i(-2)}, "neg"},
+		{`CREATE FUNCTION case_while(x BIGINT) RETURNS BIGINT AS $$
+		DECLARE n BIGINT := 0;
+		BEGIN
+			WHILE CASE WHEN n < x THEN TRUE ELSE FALSE END LOOP n := n + 1; END LOOP;
+			RETURN n;
+		END; $$`, []types.Value{i(4)}, "4"},
+		{`CREATE FUNCTION vc_param(x VARCHAR(abc)) RETURNS VOID AS $$ BEGIN END; $$`, nil, vc.Msg},
+		{`CREATE FUNCTION vc_returns() RETURNS VARCHAR(abc) AS $$ BEGIN END; $$`, nil, vc.Msg},
+		{`CREATE FUNCTION vc_declare() RETURNS VOID AS $$ DECLARE s VARCHAR(abc); BEGIN END; $$`, nil, vc.Msg},
+		{"CREATE FUNCTION bad_pos() RETURNS VOID AS $$\nDECLARE n BIGINT;\nBEGIN\n  n := ;\nEND; $$", nil, "line 4 col 8"},
+	} {
+		name := functionName(c.src)
+		if _, err := ParseCreateFunction(c.src); err != nil {
+			if !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s: %v, want %s", name, err, c.want)
+			}
+			continue
+		}
+		h.deploy(c.src)
+		v, err := h.call("alice", name, c.args...)
+		if err != nil || v.String() != c.want {
+			t.Errorf("%s%v = %v, %v; want %s", name, c.args, v, err, c.want)
+		}
 	}
 }
 

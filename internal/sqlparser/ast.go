@@ -392,17 +392,8 @@ func StatementTables(s Statement) []string {
 	return nil
 }
 
-// IsReadOnly reports whether the statement cannot modify data.
-func IsReadOnly(s Statement) bool {
-	switch s.(type) {
-	case *Select, *Explain:
-		return true
-	}
-	return false
-}
-
-// KindFromTypeName maps SQL type names to value kinds.
-func KindFromTypeName(name string) (types.Kind, bool) {
+// kindFromTypeName maps SQL type names to value kinds.
+func kindFromTypeName(name string) (types.Kind, bool) {
 	switch strings.ToUpper(name) {
 	case "BIGINT", "INT", "INTEGER":
 		return types.KindInt, true

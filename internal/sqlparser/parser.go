@@ -2,13 +2,17 @@ package sqlparser
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
 	"bcrdb/internal/types"
 )
 
-// Parser is a recursive-descent parser over a token stream.
+// Parser is a recursive-descent parser over a token stream. Its cursor
+// methods are exported for the contract language (internal/proc), which
+// parses on the same cursor: a contract source is lexed once, and its
+// embedded statements, expressions and types are this grammar's.
 type Parser struct {
 	src  string
 	toks []Token
@@ -31,62 +35,25 @@ func ParseStatement(src string) (Statement, error) {
 	if err != nil {
 		return nil, err
 	}
-	s, err := p.parseStatement()
+	s, err := p.ParseStatement()
 	if err != nil {
 		return nil, err
 	}
-	p.acceptOp(";")
-	if !p.atEOF() {
-		return nil, p.errHere("unexpected %s after statement", p.cur())
+	p.AcceptOp(";")
+	if !p.AtEOF() {
+		return nil, p.ErrHere("unexpected %s after statement", p.Cur())
 	}
 	return s, nil
 }
 
-// ParseStatements parses a semicolon-separated statement list.
-func ParseStatements(src string) ([]Statement, error) {
-	p, err := NewParser(src)
-	if err != nil {
-		return nil, err
-	}
-	var out []Statement
-	for !p.atEOF() {
-		if p.acceptOp(";") {
-			continue
-		}
-		s, err := p.parseStatement()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, s)
-		if !p.acceptOp(";") && !p.atEOF() {
-			return nil, p.errHere("expected ';' between statements, found %s", p.cur())
-		}
-	}
-	return out, nil
-}
-
-// ParseExprString parses a standalone scalar expression.
-func ParseExprString(src string) (Expr, error) {
-	p, err := NewParser(src)
-	if err != nil {
-		return nil, err
-	}
-	e, err := p.ParseExpr()
-	if err != nil {
-		return nil, err
-	}
-	if !p.atEOF() {
-		return nil, p.errHere("unexpected %s after expression", p.cur())
-	}
-	return e, nil
-}
-
 // --- token plumbing ---------------------------------------------------------
 
-func (p *Parser) cur() Token  { return p.toks[p.pos] }
-func (p *Parser) atEOF() bool { return p.cur().Kind == TokEOF }
+// Cur returns the token at the cursor; at the end it is TokEOF.
+func (p *Parser) Cur() Token  { return p.toks[p.pos] }
+func (p *Parser) AtEOF() bool { return p.Cur().Kind == TokEOF }
 
-func (p *Parser) advance() Token {
+// Advance consumes and returns the token at the cursor.
+func (p *Parser) Advance() Token {
 	t := p.toks[p.pos]
 	if p.pos < len(p.toks)-1 {
 		p.pos++
@@ -94,75 +61,115 @@ func (p *Parser) advance() Token {
 	return t
 }
 
-func (p *Parser) errHere(format string, args ...any) error {
-	return &SyntaxError{Pos: p.cur().Pos, Msg: fmt.Sprintf(format, args...), Src: p.src}
+// ErrHere returns a SyntaxError at the cursor's position in the source.
+func (p *Parser) ErrHere(format string, args ...any) error {
+	return &SyntaxError{Pos: p.Cur().Pos, Msg: fmt.Sprintf(format, args...), Src: p.src}
 }
 
-func (p *Parser) peekKeyword(kw string) bool {
-	t := p.cur()
+// PeekKeyword, AcceptKeyword and ExpectKeyword test for, consume if
+// present, and require the keyword kw at the cursor; AcceptOp and
+// ExpectOp do the latter two for an operator.
+func (p *Parser) PeekKeyword(kw string) bool {
+	t := p.Cur()
 	return t.Kind == TokKeyword && t.Text == kw
 }
 
-func (p *Parser) acceptKeyword(kw string) bool {
-	if p.peekKeyword(kw) {
-		p.advance()
+func (p *Parser) AcceptKeyword(kw string) bool {
+	if p.PeekKeyword(kw) {
+		p.Advance()
 		return true
 	}
 	return false
 }
 
-func (p *Parser) expectKeyword(kw string) error {
-	if !p.acceptKeyword(kw) {
-		return p.errHere("expected %s, found %s", kw, p.cur())
+func (p *Parser) ExpectKeyword(kw string) error {
+	if !p.AcceptKeyword(kw) {
+		return p.ErrHere("expected %s, found %s", kw, p.Cur())
 	}
 	return nil
 }
 
 func (p *Parser) peekOp(op string) bool {
-	t := p.cur()
+	t := p.Cur()
 	return t.Kind == TokOp && t.Text == op
 }
 
-func (p *Parser) acceptOp(op string) bool {
+func (p *Parser) AcceptOp(op string) bool {
 	if p.peekOp(op) {
-		p.advance()
+		p.Advance()
 		return true
 	}
 	return false
 }
 
-func (p *Parser) expectOp(op string) error {
-	if !p.acceptOp(op) {
-		return p.errHere("expected %q, found %s", op, p.cur())
+func (p *Parser) ExpectOp(op string) error {
+	if !p.AcceptOp(op) {
+		return p.ErrHere("expected %q, found %s", op, p.Cur())
 	}
 	return nil
 }
 
-// expectIdent consumes an identifier (or unreserved keyword usable as a
+// ExpectIdent consumes an identifier (or unreserved keyword usable as a
 // name) and returns its lower-cased text.
-func (p *Parser) expectIdent(what string) (string, error) {
-	t := p.cur()
+func (p *Parser) ExpectIdent(what string) (string, error) {
+	t := p.Cur()
 	if t.Kind == TokIdent {
-		p.advance()
+		p.Advance()
 		return t.Text, nil
 	}
-	return "", p.errHere("expected %s, found %s", what, t)
+	return "", p.ErrHere("expected %s, found %s", what, t)
+}
+
+// CutInto removes the first "INTO name[, name]..." at the top level of
+// the statement at the cursor, which ends at its first top-level ";", from
+// the token stream and returns the names. PL/pgSQL lets a SELECT's INTO
+// stand anywhere at its top level; the statement then parses without it.
+func (p *Parser) CutInto() ([]string, error) {
+	depth := 0
+	for i := p.pos; p.toks[i].Kind != TokEOF; i++ {
+		switch t := p.toks[i]; {
+		case t.Kind == TokOp && t.Text == "(":
+			depth++
+		case t.Kind == TokOp && t.Text == ")":
+			depth--
+		case depth != 0:
+		case t.Kind == TokOp && t.Text == ";":
+			return nil, nil
+		case t.Kind == TokKeyword && t.Text == "INTO":
+			var names []string
+			j := i + 1
+			for p.toks[j].Kind == TokIdent {
+				names = append(names, p.toks[j].Text)
+				if j++; !(p.toks[j].Kind == TokOp && p.toks[j].Text == ",") {
+					break
+				}
+				j++
+			}
+			if len(names) == 0 {
+				return nil, &SyntaxError{Pos: p.toks[j].Pos, Msg: "expected variable names after INTO", Src: p.src}
+			}
+			p.toks = slices.Delete(p.toks, i, j)
+			return names, nil
+		}
+	}
+	return nil, nil
 }
 
 // --- statements -------------------------------------------------------------
 
-func (p *Parser) parseStatement() (Statement, error) {
-	t := p.cur()
+// ParseStatement parses the statement at the cursor.
+func (p *Parser) ParseStatement() (Statement, error) {
+	t := p.Cur()
 	if t.Kind != TokKeyword {
-		return nil, p.errHere("expected statement, found %s", t)
+		return nil, p.ErrHere("expected statement, found %s", t)
 	}
 	switch t.Text {
 	case "SELECT":
 		return p.parseSelect()
 	case "EXPLAIN":
-		p.advance()
-		if !p.peekKeyword("SELECT") {
-			return nil, p.errHere("expected SELECT after EXPLAIN, found %s", p.cur())
+		p.Advance()
+		if !p.PeekKeyword("SELECT") {
+			return nil, p.ErrHere("expected SELECT after EXPLAIN, found %s", p.Cur())
 		}
 		sel, err := p.parseSelect()
 		if err != nil {
@@ -180,64 +187,64 @@ func (p *Parser) parseStatement() (Statement, error) {
 	case "DROP":
 		return p.parseDrop()
 	}
-	return nil, p.errHere("unsupported statement %s", t)
+	return nil, p.ErrHere("unsupported statement %s", t)
 }
 
 func (p *Parser) parseCreate() (Statement, error) {
-	p.advance() // CREATE
+	p.Advance() // CREATE
 	switch {
-	case p.acceptKeyword("TABLE"):
+	case p.AcceptKeyword("TABLE"):
 		return p.parseCreateTable()
-	case p.acceptKeyword("UNIQUE"):
-		if err := p.expectKeyword("INDEX"); err != nil {
+	case p.AcceptKeyword("UNIQUE"):
+		if err := p.ExpectKeyword("INDEX"); err != nil {
 			return nil, err
 		}
 		return p.parseCreateIndex(true)
-	case p.acceptKeyword("INDEX"):
+	case p.AcceptKeyword("INDEX"):
 		return p.parseCreateIndex(false)
 	}
-	return nil, p.errHere("expected TABLE or INDEX after CREATE")
+	return nil, p.ErrHere("expected TABLE or INDEX after CREATE")
 }
 
 func (p *Parser) parseCreateTable() (Statement, error) {
 	ct := &CreateTable{}
-	if p.acceptKeyword("IF") {
-		if err := p.expectKeyword("NOT"); err != nil {
+	if p.AcceptKeyword("IF") {
+		if err := p.ExpectKeyword("NOT"); err != nil {
 			return nil, err
 		}
 		// EXISTS is not a keyword; accept as identifier.
-		if w, err := p.expectIdent("EXISTS"); err != nil || w != "exists" {
-			return nil, p.errHere("expected EXISTS")
+		if w, err := p.ExpectIdent("EXISTS"); err != nil || w != "exists" {
+			return nil, p.ErrHere("expected EXISTS")
 		}
 		ct.IfNotExists = true
 	}
-	name, err := p.expectIdent("table name")
+	name, err := p.ExpectIdent("table name")
 	if err != nil {
 		return nil, err
 	}
 	ct.Name = name
-	if err := p.expectOp("("); err != nil {
+	if err := p.ExpectOp("("); err != nil {
 		return nil, err
 	}
 	for {
-		if p.acceptKeyword("PRIMARY") {
-			if err := p.expectKeyword("KEY"); err != nil {
+		if p.AcceptKeyword("PRIMARY") {
+			if err := p.ExpectKeyword("KEY"); err != nil {
 				return nil, err
 			}
-			if err := p.expectOp("("); err != nil {
+			if err := p.ExpectOp("("); err != nil {
 				return nil, err
 			}
 			for {
-				c, err := p.expectIdent("column name")
+				c, err := p.ExpectIdent("column name")
 				if err != nil {
 					return nil, err
 				}
 				ct.PrimaryKey = append(ct.PrimaryKey, c)
-				if !p.acceptOp(",") {
+				if !p.AcceptOp(",") {
 					break
 				}
 			}
-			if err := p.expectOp(")"); err != nil {
+			if err := p.ExpectOp(")"); err != nil {
 				return nil, err
 			}
 		} else {
@@ -250,11 +257,11 @@ func (p *Parser) parseCreateTable() (Statement, error) {
 				ct.PrimaryKey = append(ct.PrimaryKey, col.Name)
 			}
 		}
-		if !p.acceptOp(",") {
+		if !p.AcceptOp(",") {
 			break
 		}
 	}
-	if err := p.expectOp(")"); err != nil {
+	if err := p.ExpectOp(")"); err != nil {
 		return nil, err
 	}
 	return ct, nil
@@ -262,32 +269,32 @@ func (p *Parser) parseCreateTable() (Statement, error) {
 
 func (p *Parser) parseColumnDef() (ColumnDef, error) {
 	var cd ColumnDef
-	name, err := p.expectIdent("column name")
+	name, err := p.ExpectIdent("column name")
 	if err != nil {
 		return cd, err
 	}
 	cd.Name = name
-	kind, err := p.parseTypeName()
+	kind, err := p.ParseTypeName()
 	if err != nil {
 		return cd, err
 	}
 	cd.Type = kind
 	for {
 		switch {
-		case p.acceptKeyword("NOT"):
-			if err := p.expectKeyword("NULL"); err != nil {
+		case p.AcceptKeyword("NOT"):
+			if err := p.ExpectKeyword("NULL"); err != nil {
 				return cd, err
 			}
 			cd.NotNull = true
-		case p.acceptKeyword("PRIMARY"):
-			if err := p.expectKeyword("KEY"); err != nil {
+		case p.AcceptKeyword("PRIMARY"):
+			if err := p.ExpectKeyword("KEY"); err != nil {
 				return cd, err
 			}
 			cd.PrimaryKey = true
 			cd.NotNull = true
-		case p.acceptKeyword("UNIQUE"):
+		case p.AcceptKeyword("UNIQUE"):
 			cd.Unique = true
-		case p.acceptKeyword("DEFAULT"):
+		case p.AcceptKeyword("DEFAULT"):
 			e, err := p.ParseExpr()
 			if err != nil {
 				return cd, err
@@ -299,79 +306,81 @@ func (p *Parser) parseColumnDef() (ColumnDef, error) {
 	}
 }
 
-func (p *Parser) parseTypeName() (types.Kind, error) {
-	t := p.cur()
+// ParseTypeName parses a column type: CREATE TABLE's, CAST's and a
+// contract's parameters, return value and variables.
+func (p *Parser) ParseTypeName() (types.Kind, error) {
+	t := p.Cur()
 	if t.Kind != TokKeyword {
-		return types.KindNull, p.errHere("expected type name, found %s", t)
+		return types.KindNull, p.ErrHere("expected type name, found %s", t)
 	}
-	p.advance()
+	p.Advance()
 	name := t.Text
-	if name == "DOUBLE" && p.acceptKeyword("PRECISION") {
+	if name == "DOUBLE" && p.AcceptKeyword("PRECISION") {
 		name = "DOUBLE"
 	}
-	if name == "VARCHAR" && p.acceptOp("(") {
-		if p.cur().Kind != TokInt {
-			return types.KindNull, p.errHere("expected length in VARCHAR(n)")
+	if name == "VARCHAR" && p.AcceptOp("(") {
+		if p.Cur().Kind != TokInt {
+			return types.KindNull, p.ErrHere("expected length in VARCHAR(n)")
 		}
-		p.advance()
-		if err := p.expectOp(")"); err != nil {
+		p.Advance()
+		if err := p.ExpectOp(")"); err != nil {
 			return types.KindNull, err
 		}
 	}
-	k, ok := KindFromTypeName(name)
+	k, ok := kindFromTypeName(name)
 	if !ok {
-		return types.KindNull, p.errHere("unknown type %s", name)
+		return types.KindNull, p.ErrHere("unknown type %s", name)
 	}
 	return k, nil
 }
 
 func (p *Parser) parseCreateIndex(unique bool) (Statement, error) {
 	ci := &CreateIndex{Unique: unique}
-	name, err := p.expectIdent("index name")
+	name, err := p.ExpectIdent("index name")
 	if err != nil {
 		return nil, err
 	}
 	ci.Name = name
-	if err := p.expectKeyword("ON"); err != nil {
+	if err := p.ExpectKeyword("ON"); err != nil {
 		return nil, err
 	}
-	tbl, err := p.expectIdent("table name")
+	tbl, err := p.ExpectIdent("table name")
 	if err != nil {
 		return nil, err
 	}
 	ci.Table = tbl
-	if err := p.expectOp("("); err != nil {
+	if err := p.ExpectOp("("); err != nil {
 		return nil, err
 	}
 	for {
-		c, err := p.expectIdent("column name")
+		c, err := p.ExpectIdent("column name")
 		if err != nil {
 			return nil, err
 		}
 		ci.Columns = append(ci.Columns, c)
-		if !p.acceptOp(",") {
+		if !p.AcceptOp(",") {
 			break
 		}
 	}
-	if err := p.expectOp(")"); err != nil {
+	if err := p.ExpectOp(")"); err != nil {
 		return nil, err
 	}
 	return ci, nil
 }
 
 func (p *Parser) parseDrop() (Statement, error) {
-	p.advance() // DROP
-	if err := p.expectKeyword("TABLE"); err != nil {
+	p.Advance() // DROP
+	if err := p.ExpectKeyword("TABLE"); err != nil {
 		return nil, err
 	}
 	dt := &DropTable{}
-	if p.acceptKeyword("IF") {
-		if w, err := p.expectIdent("EXISTS"); err != nil || w != "exists" {
-			return nil, p.errHere("expected EXISTS")
+	if p.AcceptKeyword("IF") {
+		if w, err := p.ExpectIdent("EXISTS"); err != nil || w != "exists" {
+			return nil, p.ErrHere("expected EXISTS")
 		}
 		dt.IfExists = true
 	}
-	name, err := p.expectIdent("table name")
+	name, err := p.ExpectIdent("table name")
 	if err != nil {
 		return nil, err
 	}
@@ -380,36 +389,36 @@ func (p *Parser) parseDrop() (Statement, error) {
 }
 
 func (p *Parser) parseInsert() (Statement, error) {
-	p.advance() // INSERT
-	if err := p.expectKeyword("INTO"); err != nil {
+	p.Advance() // INSERT
+	if err := p.ExpectKeyword("INTO"); err != nil {
 		return nil, err
 	}
 	ins := &Insert{}
-	tbl, err := p.expectIdent("table name")
+	tbl, err := p.ExpectIdent("table name")
 	if err != nil {
 		return nil, err
 	}
 	ins.Table = tbl
-	if p.acceptOp("(") {
+	if p.AcceptOp("(") {
 		for {
-			c, err := p.expectIdent("column name")
+			c, err := p.ExpectIdent("column name")
 			if err != nil {
 				return nil, err
 			}
 			ins.Columns = append(ins.Columns, c)
-			if !p.acceptOp(",") {
+			if !p.AcceptOp(",") {
 				break
 			}
 		}
-		if err := p.expectOp(")"); err != nil {
+		if err := p.ExpectOp(")"); err != nil {
 			return nil, err
 		}
 	}
-	if err := p.expectKeyword("VALUES"); err != nil {
+	if err := p.ExpectKeyword("VALUES"); err != nil {
 		return nil, err
 	}
 	for {
-		if err := p.expectOp("("); err != nil {
+		if err := p.ExpectOp("("); err != nil {
 			return nil, err
 		}
 		var row []Expr
@@ -419,15 +428,15 @@ func (p *Parser) parseInsert() (Statement, error) {
 				return nil, err
 			}
 			row = append(row, e)
-			if !p.acceptOp(",") {
+			if !p.AcceptOp(",") {
 				break
 			}
 		}
-		if err := p.expectOp(")"); err != nil {
+		if err := p.ExpectOp(")"); err != nil {
 			return nil, err
 		}
 		ins.Rows = append(ins.Rows, row)
-		if !p.acceptOp(",") {
+		if !p.AcceptOp(",") {
 			break
 		}
 	}
@@ -435,22 +444,22 @@ func (p *Parser) parseInsert() (Statement, error) {
 }
 
 func (p *Parser) parseUpdate() (Statement, error) {
-	p.advance() // UPDATE
+	p.Advance() // UPDATE
 	up := &Update{}
-	tbl, err := p.expectIdent("table name")
+	tbl, err := p.ExpectIdent("table name")
 	if err != nil {
 		return nil, err
 	}
 	up.Table = tbl
-	if err := p.expectKeyword("SET"); err != nil {
+	if err := p.ExpectKeyword("SET"); err != nil {
 		return nil, err
 	}
 	for {
-		col, err := p.expectIdent("column name")
+		col, err := p.ExpectIdent("column name")
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expectOp("="); err != nil {
+		if err := p.ExpectOp("="); err != nil {
 			return nil, err
 		}
 		e, err := p.ParseExpr()
@@ -458,11 +467,11 @@ func (p *Parser) parseUpdate() (Statement, error) {
 			return nil, err
 		}
 		up.Set = append(up.Set, SetClause{Column: col, Value: e})
-		if !p.acceptOp(",") {
+		if !p.AcceptOp(",") {
 			break
 		}
 	}
-	if p.acceptKeyword("WHERE") {
+	if p.AcceptKeyword("WHERE") {
 		e, err := p.ParseExpr()
 		if err != nil {
 			return nil, err
@@ -473,17 +482,17 @@ func (p *Parser) parseUpdate() (Statement, error) {
 }
 
 func (p *Parser) parseDelete() (Statement, error) {
-	p.advance() // DELETE
-	if err := p.expectKeyword("FROM"); err != nil {
+	p.Advance() // DELETE
+	if err := p.ExpectKeyword("FROM"); err != nil {
 		return nil, err
 	}
 	del := &Delete{}
-	tbl, err := p.expectIdent("table name")
+	tbl, err := p.ExpectIdent("table name")
 	if err != nil {
 		return nil, err
 	}
 	del.Table = tbl
-	if p.acceptKeyword("WHERE") {
+	if p.AcceptKeyword("WHERE") {
 		e, err := p.ParseExpr()
 		if err != nil {
 			return nil, err
@@ -494,9 +503,9 @@ func (p *Parser) parseDelete() (Statement, error) {
 }
 
 func (p *Parser) parseSelect() (Statement, error) {
-	p.advance() // SELECT
+	p.Advance() // SELECT
 	sel := &Select{}
-	sel.Distinct = p.acceptKeyword("DISTINCT")
+	sel.Distinct = p.AcceptKeyword("DISTINCT")
 
 	for {
 		item, err := p.parseSelectItem()
@@ -504,37 +513,37 @@ func (p *Parser) parseSelect() (Statement, error) {
 			return nil, err
 		}
 		sel.Items = append(sel.Items, item)
-		if !p.acceptOp(",") {
+		if !p.AcceptOp(",") {
 			break
 		}
 	}
 
-	if p.acceptKeyword("FROM") {
+	if p.AcceptKeyword("FROM") {
 		tr, err := p.parseTableRef()
 		if err != nil {
 			return nil, err
 		}
 		sel.From = &tr
-		if p.acceptKeyword("PROVENANCE") {
+		if p.AcceptKeyword("PROVENANCE") {
 			sel.Provenance = true
 		}
 		for {
 			var kind string
 			switch {
-			case p.acceptKeyword("JOIN"):
+			case p.AcceptKeyword("JOIN"):
 				kind = "INNER"
-			case p.acceptKeyword("INNER"):
-				if err := p.expectKeyword("JOIN"); err != nil {
+			case p.AcceptKeyword("INNER"):
+				if err := p.ExpectKeyword("JOIN"); err != nil {
 					return nil, err
 				}
 				kind = "INNER"
-			case p.acceptKeyword("LEFT"):
-				p.acceptKeyword("OUTER")
-				if err := p.expectKeyword("JOIN"); err != nil {
+			case p.AcceptKeyword("LEFT"):
+				p.AcceptKeyword("OUTER")
+				if err := p.ExpectKeyword("JOIN"); err != nil {
 					return nil, err
 				}
 				kind = "LEFT"
-			case p.acceptOp(","):
+			case p.AcceptOp(","):
 				// Comma joins are implicit inner joins whose predicate
 				// lives in WHERE; represent as INNER with ON TRUE.
 				right, err := p.parseTableRef()
@@ -554,7 +563,7 @@ func (p *Parser) parseSelect() (Statement, error) {
 			if err != nil {
 				return nil, err
 			}
-			if err := p.expectKeyword("ON"); err != nil {
+			if err := p.ExpectKeyword("ON"); err != nil {
 				return nil, err
 			}
 			on, err := p.ParseExpr()
@@ -565,15 +574,15 @@ func (p *Parser) parseSelect() (Statement, error) {
 		}
 	}
 
-	if p.acceptKeyword("WHERE") {
+	if p.AcceptKeyword("WHERE") {
 		e, err := p.ParseExpr()
 		if err != nil {
 			return nil, err
 		}
 		sel.Where = e
 	}
-	if p.acceptKeyword("GROUP") {
-		if err := p.expectKeyword("BY"); err != nil {
+	if p.AcceptKeyword("GROUP") {
+		if err := p.ExpectKeyword("BY"); err != nil {
 			return nil, err
 		}
 		for {
@@ -582,20 +591,20 @@ func (p *Parser) parseSelect() (Statement, error) {
 				return nil, err
 			}
 			sel.GroupBy = append(sel.GroupBy, e)
-			if !p.acceptOp(",") {
+			if !p.AcceptOp(",") {
 				break
 			}
 		}
 	}
-	if p.acceptKeyword("HAVING") {
+	if p.AcceptKeyword("HAVING") {
 		e, err := p.ParseExpr()
 		if err != nil {
 			return nil, err
 		}
 		sel.Having = e
 	}
-	if p.acceptKeyword("ORDER") {
-		if err := p.expectKeyword("BY"); err != nil {
+	if p.AcceptKeyword("ORDER") {
+		if err := p.ExpectKeyword("BY"); err != nil {
 			return nil, err
 		}
 		for {
@@ -604,25 +613,25 @@ func (p *Parser) parseSelect() (Statement, error) {
 				return nil, err
 			}
 			item := OrderItem{Expr: e}
-			if p.acceptKeyword("DESC") {
+			if p.AcceptKeyword("DESC") {
 				item.Desc = true
 			} else {
-				p.acceptKeyword("ASC")
+				p.AcceptKeyword("ASC")
 			}
 			sel.OrderBy = append(sel.OrderBy, item)
-			if !p.acceptOp(",") {
+			if !p.AcceptOp(",") {
 				break
 			}
 		}
 	}
-	if p.acceptKeyword("LIMIT") {
+	if p.AcceptKeyword("LIMIT") {
 		e, err := p.ParseExpr()
 		if err != nil {
 			return nil, err
 		}
 		sel.Limit = e
 	}
-	if p.acceptKeyword("OFFSET") {
+	if p.AcceptKeyword("OFFSET") {
 		e, err := p.ParseExpr()
 		if err != nil {
 			return nil, err
@@ -633,16 +642,16 @@ func (p *Parser) parseSelect() (Statement, error) {
 }
 
 func (p *Parser) parseSelectItem() (SelectItem, error) {
-	if p.acceptOp("*") {
+	if p.AcceptOp("*") {
 		return SelectItem{Star: true}, nil
 	}
 	// t.* form
-	if p.cur().Kind == TokIdent && p.pos+2 < len(p.toks) &&
+	if p.Cur().Kind == TokIdent && p.pos+2 < len(p.toks) &&
 		p.toks[p.pos+1].Kind == TokOp && p.toks[p.pos+1].Text == "." &&
 		p.toks[p.pos+2].Kind == TokOp && p.toks[p.pos+2].Text == "*" {
-		tbl := p.advance().Text
-		p.advance() // .
-		p.advance() // *
+		tbl := p.Advance().Text
+		p.Advance() // .
+		p.Advance() // *
 		return SelectItem{Star: true, Table: tbl}, nil
 	}
 	e, err := p.ParseExpr()
@@ -650,33 +659,33 @@ func (p *Parser) parseSelectItem() (SelectItem, error) {
 		return SelectItem{}, err
 	}
 	item := SelectItem{Expr: e}
-	if p.acceptKeyword("AS") {
-		a, err := p.expectIdent("alias")
+	if p.AcceptKeyword("AS") {
+		a, err := p.ExpectIdent("alias")
 		if err != nil {
 			return SelectItem{}, err
 		}
 		item.Alias = a
-	} else if p.cur().Kind == TokIdent {
-		item.Alias = p.advance().Text
+	} else if p.Cur().Kind == TokIdent {
+		item.Alias = p.Advance().Text
 	}
 	return item, nil
 }
 
 func (p *Parser) parseTableRef() (TableRef, error) {
-	pos := p.cur().Pos
-	name, err := p.expectIdent("table name")
+	pos := p.Cur().Pos
+	name, err := p.ExpectIdent("table name")
 	if err != nil {
 		return TableRef{}, err
 	}
 	tr := TableRef{Table: name, Alias: name, Pos: pos}
-	if p.acceptKeyword("AS") {
-		a, err := p.expectIdent("alias")
+	if p.AcceptKeyword("AS") {
+		a, err := p.ExpectIdent("alias")
 		if err != nil {
 			return TableRef{}, err
 		}
 		tr.Alias = a
-	} else if p.cur().Kind == TokIdent {
-		tr.Alias = p.advance().Text
+	} else if p.Cur().Kind == TokIdent {
+		tr.Alias = p.Advance().Text
 	}
 	return tr, nil
 }
@@ -691,9 +700,9 @@ func (p *Parser) parseOr() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	for p.peekKeyword("OR") {
-		pos := p.cur().Pos
-		p.advance()
+	for p.PeekKeyword("OR") {
+		pos := p.Cur().Pos
+		p.Advance()
 		r, err := p.parseAnd()
 		if err != nil {
 			return nil, err
@@ -708,9 +717,9 @@ func (p *Parser) parseAnd() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	for p.peekKeyword("AND") {
-		pos := p.cur().Pos
-		p.advance()
+	for p.PeekKeyword("AND") {
+		pos := p.Cur().Pos
+		p.Advance()
 		r, err := p.parseNot()
 		if err != nil {
 			return nil, err
@@ -721,7 +730,7 @@ func (p *Parser) parseAnd() (Expr, error) {
 }
 
 func (p *Parser) parseNot() (Expr, error) {
-	if p.acceptKeyword("NOT") {
+	if p.AcceptKeyword("NOT") {
 		x, err := p.parseNot()
 		if err != nil {
 			return nil, err
@@ -737,11 +746,11 @@ func (p *Parser) parseComparison() (Expr, error) {
 		return nil, err
 	}
 	for {
-		t := p.cur()
+		t := p.Cur()
 		switch {
 		case t.Kind == TokOp && (t.Text == "=" || t.Text == "<>" || t.Text == "!=" ||
 			t.Text == "<" || t.Text == "<=" || t.Text == ">" || t.Text == ">="):
-			p.advance()
+			p.Advance()
 			op := t.Text
 			if op == "!=" {
 				op = "<>"
@@ -751,52 +760,52 @@ func (p *Parser) parseComparison() (Expr, error) {
 				return nil, err
 			}
 			l = &Binary{Op: op, L: l, R: r, Pos: t.Pos}
-		case p.peekKeyword("IS"):
-			p.advance()
-			not := p.acceptKeyword("NOT")
-			if err := p.expectKeyword("NULL"); err != nil {
+		case p.PeekKeyword("IS"):
+			p.Advance()
+			not := p.AcceptKeyword("NOT")
+			if err := p.ExpectKeyword("NULL"); err != nil {
 				return nil, err
 			}
 			l = &IsNull{X: l, Not: not}
-		case p.peekKeyword("IN"):
-			p.advance()
+		case p.PeekKeyword("IN"):
+			p.Advance()
 			e, err := p.parseInTail(l, false)
 			if err != nil {
 				return nil, err
 			}
 			l = e
-		case p.peekKeyword("BETWEEN"):
-			p.advance()
+		case p.PeekKeyword("BETWEEN"):
+			p.Advance()
 			e, err := p.parseBetweenTail(l, false)
 			if err != nil {
 				return nil, err
 			}
 			l = e
-		case p.peekKeyword("LIKE"):
-			p.advance()
+		case p.PeekKeyword("LIKE"):
+			p.Advance()
 			pat, err := p.parseAdditive()
 			if err != nil {
 				return nil, err
 			}
 			l = &Like{X: l, Pattern: pat}
-		case p.peekKeyword("NOT"):
+		case p.PeekKeyword("NOT"):
 			// x NOT IN / NOT BETWEEN / NOT LIKE
 			save := p.pos
-			p.advance()
+			p.Advance()
 			switch {
-			case p.acceptKeyword("IN"):
+			case p.AcceptKeyword("IN"):
 				e, err := p.parseInTail(l, true)
 				if err != nil {
 					return nil, err
 				}
 				l = e
-			case p.acceptKeyword("BETWEEN"):
+			case p.AcceptKeyword("BETWEEN"):
 				e, err := p.parseBetweenTail(l, true)
 				if err != nil {
 					return nil, err
 				}
 				l = e
-			case p.acceptKeyword("LIKE"):
+			case p.AcceptKeyword("LIKE"):
 				pat, err := p.parseAdditive()
 				if err != nil {
 					return nil, err
@@ -813,7 +822,7 @@ func (p *Parser) parseComparison() (Expr, error) {
 }
 
 func (p *Parser) parseInTail(l Expr, not bool) (Expr, error) {
-	if err := p.expectOp("("); err != nil {
+	if err := p.ExpectOp("("); err != nil {
 		return nil, err
 	}
 	in := &InList{X: l, Not: not}
@@ -823,11 +832,11 @@ func (p *Parser) parseInTail(l Expr, not bool) (Expr, error) {
 			return nil, err
 		}
 		in.List = append(in.List, e)
-		if !p.acceptOp(",") {
+		if !p.AcceptOp(",") {
 			break
 		}
 	}
-	if err := p.expectOp(")"); err != nil {
+	if err := p.ExpectOp(")"); err != nil {
 		return nil, err
 	}
 	return in, nil
@@ -838,7 +847,7 @@ func (p *Parser) parseBetweenTail(l Expr, not bool) (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := p.expectKeyword("AND"); err != nil {
+	if err := p.ExpectKeyword("AND"); err != nil {
 		return nil, err
 	}
 	hi, err := p.parseAdditive()
@@ -854,9 +863,9 @@ func (p *Parser) parseAdditive() (Expr, error) {
 		return nil, err
 	}
 	for {
-		t := p.cur()
+		t := p.Cur()
 		if t.Kind == TokOp && (t.Text == "+" || t.Text == "-" || t.Text == "||") {
-			p.advance()
+			p.Advance()
 			r, err := p.parseMultiplicative()
 			if err != nil {
 				return nil, err
@@ -874,9 +883,9 @@ func (p *Parser) parseMultiplicative() (Expr, error) {
 		return nil, err
 	}
 	for {
-		t := p.cur()
+		t := p.Cur()
 		if t.Kind == TokOp && (t.Text == "*" || t.Text == "/" || t.Text == "%") {
-			p.advance()
+			p.Advance()
 			r, err := p.parseUnary()
 			if err != nil {
 				return nil, err
@@ -889,7 +898,7 @@ func (p *Parser) parseMultiplicative() (Expr, error) {
 }
 
 func (p *Parser) parseUnary() (Expr, error) {
-	if p.acceptOp("-") {
+	if p.AcceptOp("-") {
 		x, err := p.parseUnary()
 		if err != nil {
 			return nil, err
@@ -902,82 +911,82 @@ func (p *Parser) parseUnary() (Expr, error) {
 		}
 		return &Unary{Op: "-", X: x}, nil
 	}
-	if p.acceptOp("+") {
+	if p.AcceptOp("+") {
 		return p.parseUnary()
 	}
 	return p.parsePrimary()
 }
 
 func (p *Parser) parsePrimary() (Expr, error) {
-	t := p.cur()
+	t := p.Cur()
 	switch t.Kind {
 	case TokInt:
-		p.advance()
+		p.Advance()
 		v, err := strconv.ParseInt(t.Text, 10, 64)
 		if err != nil {
-			return nil, p.errHere("bad integer literal %q", t.Text)
+			return nil, p.ErrHere("bad integer literal %q", t.Text)
 		}
 		return &Literal{Val: types.NewInt(v)}, nil
 	case TokFloat:
-		p.advance()
+		p.Advance()
 		v, err := strconv.ParseFloat(t.Text, 64)
 		if err != nil {
-			return nil, p.errHere("bad float literal %q", t.Text)
+			return nil, p.ErrHere("bad float literal %q", t.Text)
 		}
 		return &Literal{Val: types.NewFloat(v)}, nil
 	case TokString:
-		p.advance()
+		p.Advance()
 		return &Literal{Val: types.NewString(t.Text)}, nil
 	case TokParam:
-		p.advance()
+		p.Advance()
 		n, err := strconv.Atoi(t.Text[1:])
 		if err != nil || n < 1 {
-			return nil, p.errHere("bad parameter %q", t.Text)
+			return nil, p.ErrHere("bad parameter %q", t.Text)
 		}
 		return &Param{N: n, Pos: t.Pos}, nil
 	case TokKeyword:
 		switch t.Text {
 		case "NULL":
-			p.advance()
+			p.Advance()
 			return &Literal{Val: types.Null()}, nil
 		case "TRUE":
-			p.advance()
+			p.Advance()
 			return &Literal{Val: types.NewBool(true)}, nil
 		case "FALSE":
-			p.advance()
+			p.Advance()
 			return &Literal{Val: types.NewBool(false)}, nil
 		case "CASE":
 			return p.parseCase()
 		case "CAST":
 			return p.parseCast()
 		case "COUNT", "SUM", "AVG", "MIN", "MAX":
-			p.advance()
+			p.Advance()
 			return p.parseFuncCall(t.Text, t.Pos)
 		}
-		return nil, p.errHere("unexpected keyword %s in expression", t.Text)
+		return nil, p.ErrHere("unexpected keyword %s in expression", t.Text)
 	case TokOp:
 		if t.Text == "(" {
-			p.advance()
+			p.Advance()
 			e, err := p.ParseExpr()
 			if err != nil {
 				return nil, err
 			}
-			if err := p.expectOp(")"); err != nil {
+			if err := p.ExpectOp(")"); err != nil {
 				return nil, err
 			}
 			return e, nil
 		}
-		return nil, p.errHere("unexpected %s in expression", t)
+		return nil, p.ErrHere("unexpected %s in expression", t)
 	case TokIdent:
-		p.advance()
+		p.Advance()
 		// Function call?
 		if p.peekOp("(") {
 			return p.parseFuncCall(strings.ToUpper(t.Text), t.Pos)
 		}
 		// Qualified column t.c?
 		if p.peekOp(".") {
-			p.advance()
-			col, err := p.expectIdent("column name")
+			p.Advance()
+			col, err := p.ExpectIdent("column name")
 			if err != nil {
 				return nil, err
 			}
@@ -985,50 +994,50 @@ func (p *Parser) parsePrimary() (Expr, error) {
 		}
 		return &ColumnRef{Column: t.Text, Pos: t.Pos}, nil
 	}
-	return nil, p.errHere("unexpected %s in expression", t)
+	return nil, p.ErrHere("unexpected %s in expression", t)
 }
 
 func (p *Parser) parseFuncCall(name string, pos int) (Expr, error) {
-	if err := p.expectOp("("); err != nil {
+	if err := p.ExpectOp("("); err != nil {
 		return nil, err
 	}
 	fc := &FuncCall{Name: name, Pos: pos}
-	if p.acceptOp("*") {
+	if p.AcceptOp("*") {
 		fc.Star = true
-		if err := p.expectOp(")"); err != nil {
+		if err := p.ExpectOp(")"); err != nil {
 			return nil, err
 		}
 		return fc, nil
 	}
-	if p.acceptOp(")") {
+	if p.AcceptOp(")") {
 		return fc, nil
 	}
-	fc.Distinct = p.acceptKeyword("DISTINCT")
+	fc.Distinct = p.AcceptKeyword("DISTINCT")
 	for {
 		e, err := p.ParseExpr()
 		if err != nil {
 			return nil, err
 		}
 		fc.Args = append(fc.Args, e)
-		if !p.acceptOp(",") {
+		if !p.AcceptOp(",") {
 			break
 		}
 	}
-	if err := p.expectOp(")"); err != nil {
+	if err := p.ExpectOp(")"); err != nil {
 		return nil, err
 	}
 	return fc, nil
 }
 
 func (p *Parser) parseCase() (Expr, error) {
-	p.advance() // CASE
+	p.Advance() // CASE
 	ce := &CaseExpr{}
-	for p.acceptKeyword("WHEN") {
+	for p.AcceptKeyword("WHEN") {
 		cond, err := p.ParseExpr()
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expectKeyword("THEN"); err != nil {
+		if err := p.ExpectKeyword("THEN"); err != nil {
 			return nil, err
 		}
 		then, err := p.ParseExpr()
@@ -1038,38 +1047,38 @@ func (p *Parser) parseCase() (Expr, error) {
 		ce.Whens = append(ce.Whens, CaseWhen{Cond: cond, Then: then})
 	}
 	if len(ce.Whens) == 0 {
-		return nil, p.errHere("CASE requires at least one WHEN arm")
+		return nil, p.ErrHere("CASE requires at least one WHEN arm")
 	}
-	if p.acceptKeyword("ELSE") {
+	if p.AcceptKeyword("ELSE") {
 		e, err := p.ParseExpr()
 		if err != nil {
 			return nil, err
 		}
 		ce.Else = e
 	}
-	if err := p.expectKeyword("END"); err != nil {
+	if err := p.ExpectKeyword("END"); err != nil {
 		return nil, err
 	}
 	return ce, nil
 }
 
 func (p *Parser) parseCast() (Expr, error) {
-	p.advance() // CAST
-	if err := p.expectOp("("); err != nil {
+	p.Advance() // CAST
+	if err := p.ExpectOp("("); err != nil {
 		return nil, err
 	}
 	x, err := p.ParseExpr()
 	if err != nil {
 		return nil, err
 	}
-	if err := p.expectKeyword("AS"); err != nil {
+	if err := p.ExpectKeyword("AS"); err != nil {
 		return nil, err
 	}
-	k, err := p.parseTypeName()
+	k, err := p.ParseTypeName()
 	if err != nil {
 		return nil, err
 	}
-	if err := p.expectOp(")"); err != nil {
+	if err := p.ExpectOp(")"); err != nil {
 		return nil, err
 	}
 	return &Cast{X: x, To: k}, nil

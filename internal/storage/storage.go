@@ -307,6 +307,20 @@ func (r *TxRecord) NoteRange(table, ixName string, rng index.Range) {
 	r.ReadRanges = append(r.ReadRanges, RangeRef{table, ixName, rng})
 }
 
+// Supersedes reports whether the transaction superseded version ref of
+// table — the delete half of its UPDATE, or its DELETE. The version is
+// gone for the transaction itself while others still see it until commit.
+// Transactions supersede few versions (a transfer two), so the list is
+// searched, not indexed.
+func (r *TxRecord) Supersedes(table string, ref uint64) bool {
+	for _, ir := range r.DeletedOld {
+		if ir.Ref == ref && ir.Table == table {
+			return true
+		}
+	}
+	return false
+}
+
 // HasWrites reports whether the transaction wrote anything.
 func (r *TxRecord) HasWrites() bool {
 	return len(r.Inserted) > 0 || len(r.DeletedOld) > 0
@@ -732,27 +746,16 @@ func (s *Store) Insert(rec *TxRecord, table string, row types.Row) (*RowVersion,
 	t.mu.Lock()
 	defer t.mu.Unlock()
 
-	// Versions this transaction already superseded (the delete half of an
-	// UPDATE) do not count as unique-key conflicts. Most transactions never
-	// delete, so the map is built lazily.
-	var superseded map[uint64]bool
-	for _, ir := range rec.DeletedOld {
-		if ir.Table == table {
-			if superseded == nil {
-				superseded = make(map[uint64]bool, len(rec.DeletedOld))
-			}
-			superseded[ir.Ref] = true
-		}
-	}
-
-	// Immediate unique checks against the visible snapshot.
+	// Immediate unique checks against the visible snapshot. Versions this
+	// transaction already superseded (the delete half of an UPDATE) do not
+	// conflict.
 	for _, ix := range t.indexes {
 		if !ix.Unique {
 			continue
 		}
 		key := ix.KeyFor(row)
 		for _, ref := range ix.tree.Get(key) {
-			if superseded[ref] {
+			if rec.Supersedes(table, ref) {
 				continue
 			}
 			v := t.heap[ref]

@@ -17,8 +17,10 @@
 package ssi
 
 import (
+	"encoding/binary"
 	"sort"
 
+	"bcrdb/internal/index"
 	"bcrdb/internal/storage"
 	"bcrdb/internal/types"
 )
@@ -135,19 +137,11 @@ func (a *Analysis) buildEdges() {
 		}
 	}
 	// Predicate edges: range-scanner → inserter.
+	scans := bucketRanges(a.txs)
+	var buf []byte
 	for _, w := range a.txs {
 		for _, k := range w.InsertedKeys {
-			for _, r := range a.txs {
-				if r.Seq == w.Seq {
-					continue
-				}
-				for _, rr := range r.ReadRanges {
-					if rr.Table == k.Table && rr.Index == k.Index && rr.Range.Contains(k.Key) {
-						addEdge(r.Seq, w.Seq)
-						break
-					}
-				}
-			}
+			buf = scans[tableIndex{k.Table, k.Index}].scanners(k.Key, buf, func(r int) { addEdge(r, w.Seq) })
 		}
 	}
 	// Deterministic adjacency order.
@@ -155,6 +149,125 @@ func (a *Analysis) buildEdges() {
 		sort.Ints(a.in[i])
 		sort.Ints(a.out[i])
 	}
+}
+
+// --- predicate-edge buckets ------------------------------------------------------
+
+type tableIndex struct{ table, index string }
+
+type scannedRange struct {
+	seq int
+	rng index.Range
+}
+
+// rangeBucket holds a block's read ranges over one (table, index). A
+// transfer block's ranges are almost all inclusive point ranges, so those
+// are found by hashing the inserted key's prefixes instead of by testing
+// each one with Range.Contains.
+type rangeBucket struct {
+	points   map[string][]int // encoded point key → seqs that scanned it
+	pointLen int              // longest key in points
+	pointRRs []scannedRange   // the ranges in points, for keys that cannot probe
+	others   []scannedRange   // every other range
+}
+
+// bucketRanges sorts the block's read ranges into one bucket per (table,
+// index) that some transaction of the block inserted into; a range over
+// any other index cannot give a predicate edge.
+func bucketRanges(txs []*TxInfo) map[tableIndex]*rangeBucket {
+	out := make(map[tableIndex]*rangeBucket)
+	for _, w := range txs {
+		for _, k := range w.InsertedKeys {
+			if ti := (tableIndex{k.Table, k.Index}); out[ti] == nil {
+				out[ti] = &rangeBucket{points: make(map[string][]int)}
+			}
+		}
+	}
+	var buf []byte
+	for _, r := range txs {
+		for _, rr := range r.ReadRanges {
+			b := out[tableIndex{rr.Table, rr.Index}]
+			if b == nil {
+				continue
+			}
+			sr := scannedRange{r.Seq, rr.Range}
+			if !exactPoint(rr.Range) {
+				b.others = append(b.others, sr)
+				continue
+			}
+			buf = buf[:0]
+			for _, v := range rr.Range.Lo {
+				buf = appendPart(buf, v)
+			}
+			b.points[string(buf)] = append(b.points[string(buf)], r.Seq)
+			b.pointRRs = append(b.pointRRs, sr)
+			b.pointLen = max(b.pointLen, len(rr.Range.Lo))
+		}
+	}
+	return out
+}
+
+// scanners calls fn with every seq whose range in b contains k, possibly
+// more than once, exactly as testing each range with Range.Contains would.
+// A point range p contains k when k[:len(p)] equals p, or, for a key
+// shorter than p, when k is a prefix of p. So a key at least as long as
+// every point, with BIGINT and TEXT components up to that length, probes
+// the map once per prefix; any other key — one with a DOUBLE that may
+// equal a BIGINT bound, say — tests every point range. buf is scratch
+// space, returned for reuse.
+func (b *rangeBucket) scanners(k types.Key, buf []byte, fn func(seq int)) []byte {
+	for _, sr := range b.others {
+		if sr.rng.Contains(k) {
+			fn(sr.seq)
+		}
+	}
+	if len(k) < b.pointLen || !hashable(k[:b.pointLen]) {
+		for _, sr := range b.pointRRs {
+			if sr.rng.Contains(k) {
+				fn(sr.seq)
+			}
+		}
+		return buf
+	}
+	buf = buf[:0]
+	for _, v := range k[:b.pointLen] {
+		buf = appendPart(buf, v)
+		for _, seq := range b.points[string(buf)] {
+			fn(seq)
+		}
+	}
+	return buf
+}
+
+// exactPoint reports whether r is an inclusive point range whose bounds
+// are the same hashable key.
+func exactPoint(r index.Range) bool {
+	return !r.Unbounded && !r.PrefixOnly && r.LoInc && r.HiInc && len(r.Lo) > 0 &&
+		len(r.Lo) == len(r.Hi) && hashable(r.Lo) && hashable(r.Hi) && types.CompareKeys(r.Lo, r.Hi) == 0
+}
+
+// hashable reports whether every component of k is BIGINT or TEXT, the
+// kinds whose values types.Compare finds equal only when they are
+// identical (a DOUBLE can equal a BIGINT).
+func hashable(k types.Key) bool {
+	for _, v := range k {
+		if kind := v.Kind(); kind != types.KindInt && kind != types.KindString {
+			return false
+		}
+	}
+	return true
+}
+
+// appendPart appends the encoding of one BIGINT or TEXT component: a kind
+// tag, then eight big-endian bytes or a length-prefixed string. Encodings
+// are self-delimiting, so two hashable keys encode alike exactly when they
+// compare equal.
+func appendPart(buf []byte, v types.Value) []byte {
+	if v.Kind() == types.KindInt {
+		return binary.BigEndian.AppendUint64(append(buf, 'i'), uint64(v.Int()))
+	}
+	s := v.Str()
+	return append(binary.AppendUvarint(append(buf, 's'), uint64(len(s))), s...)
 }
 
 // applyTable2SameBlock marks victims of dangerous structures whose

@@ -598,14 +598,40 @@ func (s *Store) CreateIndex(table, name string, cols []int, unique bool) error {
 // instructions later, two equally arbitrary points.
 // What the stamps save is a striped RWMutex round trip and a map read per
 // version inspected, twice for superseded versions, on every scan.
+//
+// The commit turn's Validate answers "committed, and in which block" from
+// the same stamps (creation, deletion), and there the two sources never
+// differ at all: CommitTx, replayInsert and replayDelete set a stamp
+// before, or together with, the status; the turn is serial per node, so
+// every commit Validate can see has already returned; and a provisional
+// version has no stamp, so it falls back to the status table and reads
+// "in progress", as before.
 
 // createdBy reports whether v's creator committed at or below height.
 func (s *Store) createdBy(v *RowVersion, height int64) bool {
+	created, blk := s.creation(v)
+	return created && blk <= height
+}
+
+// creation reports whether v's creator has committed, and in which block.
+func (s *Store) creation(v *RowVersion) (bool, int64) {
 	if v.CreatorBlk != NoBlock {
-		return v.CreatorBlk <= height
+		return true, v.CreatorBlk
 	}
 	cst := s.txStatus(v.Xmin)
-	return cst.kind == txCommitted && cst.block <= height
+	return cst.kind == txCommitted, cst.block
+}
+
+// deletion reports whether v's deleter has committed, and in which block.
+func (s *Store) deletion(v *RowVersion) (bool, int64) {
+	if v.DeleterBlk != NoBlock {
+		return true, v.DeleterBlk
+	}
+	if v.Xmax == 0 {
+		return false, 0
+	}
+	dst := s.txStatus(v.Xmax)
+	return dst.kind == txCommitted, dst.block
 }
 
 // visibleAt reports whether version v is visible to a transaction with
@@ -965,10 +991,8 @@ func (s *Store) Validate(rec *TxRecord, current int64) error {
 		t.mu.RLock()
 		v := t.heap[ir.Ref]
 		var bad bool
-		if v != nil && v.Xmax != 0 && v.Xmax != rec.ID {
-			if st := s.txStatus(v.Xmax); st.kind == txCommitted {
-				bad = true
-			}
+		if v != nil && v.Xmax != rec.ID {
+			bad, _ = s.deletion(v)
 		}
 		t.mu.RUnlock()
 		if bad {
@@ -986,11 +1010,9 @@ func (s *Store) Validate(rec *TxRecord, current int64) error {
 		t.mu.RLock()
 		v := t.heap[ir.Ref]
 		var bad bool
-		if v != nil && v.Xmax != 0 && v.Xmax != rec.ID {
-			if st := s.txStatus(v.Xmax); st.kind == txCommitted &&
-				st.block > rec.SnapshotHeight && st.block < current {
-				bad = true
-			}
+		if v != nil && v.Xmax != rec.ID {
+			deleted, blk := s.deletion(v)
+			bad = deleted && blk > rec.SnapshotHeight && blk < current
 		}
 		t.mu.RUnlock()
 		if bad {
@@ -1015,17 +1037,13 @@ func (s *Store) Validate(rec *TxRecord, current int64) error {
 					if v == nil || v.aborted || v.Xmin == rec.ID {
 						continue
 					}
-					cst := s.txStatus(v.Xmin)
-					if cst.kind != txCommitted ||
-						cst.block <= rec.SnapshotHeight || cst.block >= current {
+					if created, blk := s.creation(v); !created || blk <= rec.SnapshotHeight || blk >= current {
 						continue
 					}
 					// Created after our snapshot, before this block.
 					// Paper rule 1: abort provided the deleter is empty.
-					if v.Xmax != 0 {
-						if dst := s.txStatus(v.Xmax); dst.kind == txCommitted && dst.block < current {
-							continue // deleted again before this block
-						}
+					if deleted, blk := s.deletion(v); deleted && blk < current {
+						continue // deleted again before this block
 					}
 					bad = true
 					return false
@@ -1042,10 +1060,6 @@ func (s *Store) Validate(rec *TxRecord, current int64) error {
 
 	// Uniqueness against committed state as of `current`. Versions this
 	// transaction itself supersedes are about to die and do not conflict.
-	superseded := make(map[ItemRef]bool, len(rec.DeletedOld))
-	for _, ir := range rec.DeletedOld {
-		superseded[ir] = true
-	}
 	for _, ir := range rec.Inserted {
 		t, err := s.Table(ir.Table)
 		if err != nil {
@@ -1061,25 +1075,18 @@ func (s *Store) Validate(rec *TxRecord, current int64) error {
 				}
 				key := ix.KeyFor(mine.Data)
 				for _, ref := range ix.tree.Get(key) {
-					if ref == ir.Ref || superseded[ItemRef{ir.Table, ref}] {
+					if ref == ir.Ref || rec.Supersedes(ir.Table, ref) {
 						continue
 					}
 					v := t.heap[ref]
 					if v == nil || v.aborted {
 						continue
 					}
-					cst := s.txStatus(v.Xmin)
-					if cst.kind != txCommitted {
+					// Committed and not superseded by a committed delete.
+					if created, _ := s.creation(v); !created {
 						continue
 					}
-					// Committed and not superseded by a committed delete.
-					live := true
-					if v.Xmax != 0 {
-						if dst := s.txStatus(v.Xmax); dst.kind == txCommitted {
-							live = false
-						}
-					}
-					if live {
+					if deleted, _ := s.deletion(v); !deleted {
 						bad = fmt.Sprintf("%s key %s", ix.Name, key)
 					}
 				}

@@ -2,9 +2,11 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"reflect"
 	"sort"
@@ -15,6 +17,7 @@ import (
 
 	"bcrdb/internal/codec"
 	"bcrdb/internal/engine"
+	"bcrdb/internal/ledger"
 	"bcrdb/internal/ordering"
 	"bcrdb/internal/storage"
 	"bcrdb/internal/types"
@@ -489,36 +492,46 @@ func TestRetiredHashExemptFrameRefused(t *testing.T) {
 	}
 }
 
-// TestOutcomeLogFailureRaisesAlert: the block-outcome frame is the only
+// TestOutcomeLogFailureRaisesAlert: the outcome frame is the only
 // durable home of a block's statuses, so a failed write is reported.
 func TestOutcomeLogFailureRaisesAlert(t *testing.T) {
 	opts := ledgerScenarioOpts(OrderThenExecute, storage.KindMemory)
 	opts.dataDirs = true
 	tn := newTestNet(t, opts)
 	node := tn.nodes[0]
-	if err := node.log.Close(); err != nil { // every later append fails
-		t.Fatal(err)
-	}
+	// Blocks 1 and 2 enter the block log and commit; the log closes
+	// before either is sealed, so every outcome write fails.
+	node.sealPause.Store(true)
 	chain := ledgerScenarioChain(tn, OrderThenExecute)
 	b1 := deliverScenarioBlock(tn, node, 1, node.BlockStore().LastHash(), chain[0])
 	deliverScenarioBlock(tn, node, 2, b1.Hash, chain[1])
+	for deadline := time.Now().Add(10 * time.Second); node.Height() < 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("node committed %d blocks, want 2", node.Height())
+		}
+	}
+	if err := node.BlockStore().Close(); err != nil {
+		t.Fatal(err)
+	}
+	node.sealPause.Store(false)
 	waitSealedHeight(t, node, 2)
 	var got []string
 	for _, a := range node.Alerts() {
-		if strings.Contains(a, "block-outcome WAL") {
+		if strings.Contains(a, "block log") {
 			got = append(got, a)
 		}
 	}
-	if len(got) != 1 || !strings.Contains(got[0], "at block 1") {
+	if len(got) != 1 || !strings.Contains(got[0], "outcome of block 1 ") {
 		t.Fatalf("alerts = %q, want the first failure (block 1) once", got)
 	}
 }
 
-// TestLedgerRefilledAfterBlockStoreLoss: the block store's tail is not
-// synced, so a disk restart can find state (and outcome frames) for
-// blocks the block store no longer holds. Catch-up refills them; their
-// ledger rows must come back with them, from the frames.
-func TestLedgerRefilledAfterBlockStoreLoss(t *testing.T) {
+// TestTruncatedBlockLogRefused: the seal syncs the block log before the
+// storage horizon passes a block, so a crash cannot leave the store ahead
+// of the blocks and outcomes the log holds. A log that lost them anyway —
+// cut short, or restored from an old copy — is refused at start, naming
+// the log and the first block it lacks.
+func TestTruncatedBlockLogRefused(t *testing.T) {
 	tn := newTestNet(t, netOpts{flow: OrderThenExecute, backend: storage.KindDisk, dataDirs: true,
 		cfg: ordering.Config{BlockSize: 2, BlockTimeout: 20 * time.Millisecond}})
 	var maxBlock uint64
@@ -527,55 +540,92 @@ func TestLedgerRefilledAfterBlockStoreLoss(t *testing.T) {
 		maxBlock = max(maxBlock, tn.await(ch).Block)
 	}
 	tn.waitHeights(int64(maxBlock))
-	if maxBlock < 3 {
-		t.Fatalf("chain too short to lose a tail: %d blocks", maxBlock)
-	}
 
 	victim := tn.nodes[1]
 	cfg := victim.cfg
-	var keep int64 // bytes of the first block in the file: [len u32][block]
-	first, err := victim.BlockStore().Get(1)
+	victim.Stop()
+	path := cfg.DataDir + "/" + cfg.Name + ".blocks"
+	st, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	keep = 4 + int64(len(first.Encode()))
-	victim.Stop()
-	if err := os.Truncate(cfg.DataDir+"/"+cfg.Name+".blocks", keep); err != nil {
+	if err := os.Truncate(path, st.Size()/2); err != nil {
 		t.Fatal(err)
+	}
+	// What is left: the blocks and outcomes before the cut.
+	left, err := ledger.OpenFileStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kept uint64
+	for _, ok := left.Outcome(1); ok; _, ok = left.Outcome(kept + 1) {
+		kept++
+	}
+	left.Close()
+	if kept >= maxBlock {
+		t.Fatalf("the cut kept every outcome (%d of %d)", kept, maxBlock)
 	}
 
 	restarted, err := NewNode(cfg, victim.signer, tn.netReg.Clone(), tn.net)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer restarted.Stop()
 	if err := restarted.Bootstrap(Genesis{Certs: genesisCerts(tn), SQL: testGenesisSQL, Contracts: testContracts}); err != nil {
 		t.Fatal(err)
 	}
-	if err := restarted.Start(); err != nil {
-		t.Fatal(err)
+	err = restarted.Start()
+	if err == nil {
+		t.Fatalf("started over a block log holding %d of the %d durable blocks' outcomes", kept, maxBlock)
 	}
-	t.Cleanup(restarted.Stop)
-	if restarted.Height() != int64(maxBlock) || restarted.BlockStore().Height() != 1 {
-		t.Fatalf("restart: state at %d, block store at %d; want %d and 1", restarted.Height(), restarted.BlockStore().Height(), maxBlock)
-	}
-	if n := count(t, restarted, `SELECT COUNT(*) FROM sys_ledger`); n >= 8 {
-		t.Fatalf("%d ledger rows over a one-block chain", n)
-	}
-
-	deadline := time.Now().Add(15 * time.Second)
-	for count(t, restarted, `SELECT COUNT(*) FROM sys_ledger`) < 8 {
-		if time.Now().After(deadline) {
-			t.Fatalf("ledger stuck at %d rows, block store at %d of %d",
-				count(t, restarted, `SELECT COUNT(*) FROM sys_ledger`), restarted.BlockStore().Height(), maxBlock)
+	for _, want := range []string{path, fmt.Sprintf("no outcome of block %d,", kept+1)} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("err = %v, want it to name %q", err, want)
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
-	got := ledgerRecs(t, restarted, ledgerRowsQuery+` ORDER BY block, seq`)
-	if exp := ledgerRecs(t, tn.nodes[0], ledgerRowsQuery+` ORDER BY block, seq`); !reflect.DeepEqual(got, exp) {
-		t.Errorf("refilled ledger:\n got  %+v\n want %+v", got, exp)
+}
+
+// TestOldDataDirRefused: a data dir written before the one block log —
+// with a separate outcome log, or with a chain or storage log whose
+// frames carry no header checksum — is refused by name, and its files
+// are left as found.
+func TestOldDataDirRefused(t *testing.T) {
+	tn := newTestNet(t, netOpts{flow: OrderThenExecute, nNodes: 1})
+	b := tn.buildSignedBlock(1, ledger.Hash{}, nil)
+	oldFrame := func(payload []byte, crc bool) []byte {
+		out := binary.BigEndian.AppendUint32(nil, uint32(len(payload)))
+		if crc {
+			out = binary.BigEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
+		}
+		return append(out, payload...)
 	}
-	if len(restarted.Alerts()) != 0 {
-		t.Errorf("alerts after refill: %q", restarted.Alerts())
+	for _, tc := range []struct {
+		suffix string
+		data   []byte
+	}{
+		{".wal", oldFrame([]byte("an outcome record"), true)},
+		{".blocks", oldFrame(b.Encode(), false)},
+		{".store.wal", oldFrame([]byte{6, 0}, true)}, // a height frame
+	} {
+		t.Run(tc.suffix, func(t *testing.T) {
+			cfg := tn.nodes[0].cfg
+			cfg.Name, cfg.DataDir, cfg.Backend = "db-old", t.TempDir(), storage.KindDisk
+			path := cfg.DataDir + "/" + cfg.Name + tc.suffix
+			if err := os.WriteFile(path, tc.data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			node, err := NewNode(cfg, tn.nodes[0].signer, tn.netReg.Clone(), tn.net)
+			if err == nil {
+				node.Stop()
+				t.Fatalf("node started over an old %s", tc.suffix)
+			}
+			if !strings.Contains(err.Error(), path) {
+				t.Errorf("err = %v, want it to name %s", err, path)
+			}
+			if after, _ := os.ReadFile(path); !bytes.Equal(after, tc.data) {
+				t.Error("the refused file was modified")
+			}
+		})
 	}
 }
 

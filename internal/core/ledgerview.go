@@ -19,7 +19,6 @@ import (
 	"bcrdb/internal/ledger"
 	"bcrdb/internal/storage"
 	"bcrdb/internal/types"
-	"bcrdb/internal/wal"
 )
 
 // The table's name and the access paths the provider serves cheaper than
@@ -82,7 +81,7 @@ type txPos struct {
 // blockOutcome is what a block's rows need beyond the block itself.
 // Immutable once published.
 type blockOutcome struct {
-	committed []uint64 // bit i: the block's i-th transaction committed
+	committed []byte // ledger.Outcome.Committed: bit i%8 of byte i/8 is position i
 	// xids holds the node-local transaction id each position executed
 	// under (0: none — the transaction failed before it got one). Nil for
 	// a block whose state was restored from disk: xids are not durable by
@@ -129,13 +128,8 @@ func (v *ledgerView) consume(id string, pos txPos) (dup bool) {
 // order, each after consume has seen all of its ids; xids is nil for a
 // block restored from disk. A block that does not follow the last
 // published one is refused: the table then ends where the gap begins.
-func (v *ledgerView) publish(block uint64, outcomes []wal.TxOutcome, xids []storage.TxID) error {
-	out := blockOutcome{committed: make([]uint64, (len(outcomes)+63)/64), xids: xids}
-	for i, o := range outcomes {
-		if o.Committed {
-			out.committed[i/64] |= 1 << (i % 64)
-		}
-	}
+func (v *ledgerView) publish(block uint64, committed []byte, xids []storage.TxID) error {
+	out := blockOutcome{committed: committed, xids: xids}
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	if block != uint64(len(v.outcomes))+1 {
@@ -153,19 +147,11 @@ func (v *ledgerView) publish(block uint64, outcomes []wal.TxOutcome, xids []stor
 // restore publishes a block whose state came back from disk instead of
 // from execution: its ids are consumed and its statuses read from the
 // block's outcome frame.
-func (v *ledgerView) restore(b *ledger.Block, rec *wal.BlockRecord) error {
-	if len(rec.Outcomes) != len(b.Txs) {
-		return fmt.Errorf("core: outcome frame of block %d covers %d transactions, the block has %d",
-			b.Number, len(rec.Outcomes), len(b.Txs))
-	}
+func (v *ledgerView) restore(b *ledger.Block, committed []byte) error {
 	for i, tx := range b.Txs {
-		if rec.Outcomes[i].ID != tx.ID {
-			return fmt.Errorf("core: outcome frame of block %d names %q at position %d, the block has %q",
-				b.Number, rec.Outcomes[i].ID, i, tx.ID)
-		}
 		v.consume(tx.ID, txPos{b.Number, uint32(i)})
 	}
-	return v.publish(b.Number, rec.Outcomes, nil)
+	return v.publish(b.Number, committed, nil)
 }
 
 // visible returns the outcomes of the blocks a query at height may see.
@@ -326,7 +312,7 @@ func (v *ledgerView) emitBlock(outs []blockOutcome, n uint64, col int, rng index
 func ledgerRow(b *ledger.Block, seq int, out *blockOutcome) *storage.RowVersion {
 	tx := b.Txs[seq]
 	status := "aborted"
-	if out.committed[seq/64]&(1<<(seq%64)) != 0 {
+	if out.committed[seq/8]&(1<<(seq%8)) != 0 {
 		status = "committed"
 	}
 	xid := types.Null()

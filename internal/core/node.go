@@ -11,8 +11,8 @@
 // Execute (concurrent contract execution against the block snapshot) and
 // Commit (SSI analysis + commit-turn validation in block order, ending
 // at the height bump) form the commit-critical path, while Seal
-// (block outcomes for sys_ledger, write-set digest, WAL frame, durability
-// fsync, checkpoint broadcast, notifications) runs on a background sealer so
+// (block outcomes for sys_ledger, write-set digest, the outcome frame and
+// durability fsync, checkpoint broadcast, notifications) runs on a background sealer so
 // block N's bookkeeping overlaps block N+1's execution. See pipeline.go
 // and docs/adr/0002-block-pipeline.md; Config.SynchronousSeal restores
 // the fully serial path as the parity tests' reference.
@@ -41,7 +41,6 @@ import (
 	"bcrdb/internal/ssi"
 	"bcrdb/internal/storage"
 	"bcrdb/internal/types"
-	"bcrdb/internal/wal"
 )
 
 // Flow selects the transaction flow of §3.
@@ -120,8 +119,9 @@ type Config struct {
 	// orderer liveness check. Defaults to 250ms.
 	AntiEntropyEvery time.Duration
 
-	// DataDir enables file-backed persistence (block store + WAL) for
-	// crash recovery. Empty means in-memory only.
+	// DataDir enables file-backed persistence for crash recovery: the
+	// block log <Name>.blocks and, with the disk backend, the storage log
+	// <Name>.store.wal. Empty means in-memory only.
 	DataDir string
 
 	// Backend selects the storage implementation: storage.KindMemory
@@ -137,7 +137,7 @@ type Config struct {
 	CheckpointEvery uint64
 
 	// SynchronousSeal disables the block pipeline's background sealer:
-	// the seal stage (block outcomes, write-set hash, WAL frame,
+	// the seal stage (block outcomes, write-set hash, outcome frame,
 	// checkpointing, notifications) runs inline on the block processor,
 	// reproducing the fully serial pre-pipeline commit path. It is the
 	// reference the pipeline parity tests compare against; pipelined and
@@ -192,15 +192,11 @@ type Node struct {
 	eng    *engine.Engine
 	interp *proc.Interp
 
+	// blocks is the chain and, with a DataDir, the node's block log.
 	blocks *ledger.BlockStore
-	log    *wal.Log
 	// ledger derives sys_ledger from blocks and the published block
 	// outcomes, and holds the recorded transaction ids (ledgerview.go).
 	ledger *ledgerView
-	// recovered holds the block-outcome frames recoverLocal found: during
-	// replay they tell the seal which blocks still lack one; afterwards
-	// only those of blocks the block store has yet to be refilled with.
-	recovered map[uint64]*wal.BlockRecord
 
 	ep *simnet.Endpoint
 
@@ -232,7 +228,7 @@ type Node struct {
 	peerHashes map[uint64]map[string]ledger.Hash
 	lastCP     uint64
 	alerts     []string
-	logFailed  bool // the first block-outcome WAL failure is in alerts
+	logFailed  bool // the first failed outcome write is in alerts
 	// lastSealedHash is the write-set hash of the most recently sealed
 	// block; recovery reads it right after a synchronous replay seal (the
 	// ownHashes entry may already be pruned by a checkpoint quorum).
@@ -321,13 +317,17 @@ func NewNode(cfg Config, signer *identity.Signer, netReg *identity.Registry, net
 		if err := os.MkdirAll(cfg.DataDir, 0o755); err != nil {
 			return nil, err
 		}
+		old := dataFile(cfg, ".wal")
+		if _, err := os.Stat(old); err == nil {
+			return nil, fmt.Errorf("core: %s: block outcomes kept apart from the block log predate the one block log (ADR-0009); this data dir cannot be served", old)
+		}
 	}
 	var storePath string
 	if kind == storage.KindDisk {
 		if cfg.DataDir == "" {
 			return nil, errors.New("core: disk storage backend requires DataDir")
 		}
-		storePath = filepath.Join(cfg.DataDir, cfg.Name+".store.wal")
+		storePath = dataFile(cfg, ".store.wal")
 	}
 	st, err := storage.Open(kind, storePath)
 	if err != nil {
@@ -360,18 +360,12 @@ func NewNode(cfg Config, signer *identity.Signer, netReg *identity.Registry, net
 	n.heal.lastOrderer = time.Now()
 
 	if cfg.DataDir != "" {
-		bs, err := ledger.OpenFileStore(filepath.Join(cfg.DataDir, cfg.Name+".blocks"))
+		bs, err := ledger.OpenFileStore(dataFile(cfg, ".blocks"))
 		if err != nil {
 			n.closeFiles()
 			return nil, err
 		}
 		n.blocks = bs
-		lg, err := wal.Open(filepath.Join(cfg.DataDir, cfg.Name+".wal"))
-		if err != nil {
-			n.closeFiles()
-			return nil, err
-		}
-		n.log = lg
 	} else {
 		n.blocks = ledger.NewBlockStore()
 	}
@@ -387,21 +381,25 @@ func NewNode(cfg Config, signer *identity.Signer, netReg *identity.Registry, net
 			cfg.Name, ledgerTable, err)
 	}
 
-	ep, err := net.Register(cfg.Name, n.onMessage)
+	// The handler goes in once n.ep is set: a peer's message can arrive
+	// the moment the name is registered, and its handler may answer.
+	ep, err := net.Register(cfg.Name, nil)
 	if err != nil {
 		n.closeFiles()
 		return nil, err
 	}
 	n.ep = ep
+	ep.SetHandler(n.onMessage)
 	return n, nil
 }
 
-// closeFiles releases the block-outcome log, the block store and the
-// storage backend.
+// dataFile is the path of one of the node's files in its DataDir.
+func dataFile(cfg Config, suffix string) string {
+	return filepath.Join(cfg.DataDir, cfg.Name+suffix)
+}
+
+// closeFiles releases the block store and the storage backend.
 func (n *Node) closeFiles() {
-	if n.log != nil {
-		n.log.Close()
-	}
 	if n.blocks != nil {
 		n.blocks.Close()
 	}
@@ -447,7 +445,7 @@ func (n *Node) Start() error {
 }
 
 // Stop halts the node, draining the seal queue so every committed block
-// is sealed (outcomes published, WAL frame, durability fsync) before the
+// is sealed (outcomes published and logged, durability fsync) before the
 // files close. The store stays readable.
 func (n *Node) Stop() {
 	n.stopOnce.Do(func() {
@@ -481,7 +479,7 @@ func (n *Node) Org() string { return n.cfg.Org }
 func (n *Node) Height() int64 { return n.store.Height() }
 
 // SealedHeight returns the newest block whose seal (sys_ledger outcomes,
-// write-set checkpoint, WAL frame, durability fsync) has completed. It
+// write-set checkpoint, outcome frame, durability fsync) has completed. It
 // trails Height() by the pipeline's in-flight window; with
 // SynchronousSeal the two are always equal between blocks. Readers that
 // consume seal outputs (sys_ledger queries, checkpoint state) should

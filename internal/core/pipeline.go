@@ -9,8 +9,8 @@
 //	          bumpHeight — the point at which block N+1's executions may
 //	          proceed.
 //	Stage 3 — Seal (stage_seal.go): the block outcomes behind the
-//	          block's sys_ledger rows, the write-set digest, the
-//	          block-outcome WAL frame, the durability fsync, checkpoint
+//	          block's sys_ledger rows, the write-set digest, the outcome
+//	          frame in the block log, the durability fsync, checkpoint
 //	          signing/broadcast and client notifications.
 //
 // Execute and Commit form the commit-critical path and run on the block
@@ -29,17 +29,15 @@ import (
 
 	"bcrdb/internal/ledger"
 	"bcrdb/internal/storage"
-	"bcrdb/internal/wal"
 )
 
 // sealTask carries one committed block from the commit stage to the
 // sealer. Everything in it was fully written before the channel send, so
 // the sealer reads it without further synchronization.
 type sealTask struct {
-	block    *ledger.Block
-	execs    []*execution
-	outcomes []wal.TxOutcome
-	results  []TxResult
+	block   *ledger.Block
+	execs   []*execution
+	results []TxResult // one per position: the block's outcome
 	// committedTxs/committedRecs list the transactions that committed, in
 	// block order; recs carry the commit-time write captures the digest
 	// is computed from.
@@ -71,19 +69,6 @@ func (n *Node) processLoop() {
 // during §3.6 recovery and forces the seal inline so recovery is
 // deterministic and complete when Start returns.
 func (n *Node) processBlock(b *ledger.Block, replay bool) {
-	if int64(b.Number) <= n.store.Height() {
-		// Already reflected in the store: a disk-backed restart restored
-		// state ahead of the (unsynced) block store tail, and catch-up is
-		// refilling the chain. Re-applying would double-commit; what the
-		// refilled block still owes is its ledger rows.
-		if rec := n.recovered[b.Number]; rec != nil {
-			delete(n.recovered, b.Number)
-			if err := n.ledger.restore(b, rec); err != nil {
-				n.raiseAlert(err.Error())
-			}
-		}
-		return
-	}
 	t0 := time.Now()
 	n.collectCheckpoints(b, replay)
 	execs := n.executeStage(b, replay)

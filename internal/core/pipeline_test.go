@@ -10,7 +10,6 @@ import (
 	"bcrdb/internal/simnet"
 	"bcrdb/internal/storage"
 	"bcrdb/internal/types"
-	"bcrdb/internal/wal"
 )
 
 // crashForTest simulates a crash: the node stops without draining the
@@ -26,9 +25,6 @@ func (n *Node) crashForTest() {
 		if n.sealCh != nil {
 			close(n.sealCh)
 			n.sealWG.Wait()
-		}
-		if n.log != nil {
-			n.log.Close()
 		}
 		n.blocks.Close()
 		n.store.Close()
@@ -130,10 +126,10 @@ func TestPipelineParity(t *testing.T) {
 
 // TestCrashWithUnsealedBlocksRecovers kills a disk-backed node whose
 // sealer is artificially parked — its blocks are committed (height
-// advanced, state mutated) but never sealed (no ledger rows, no WAL
+// advanced, state mutated) but never sealed (no ledger rows, no outcome
 // frames, no durable height) — and restarts it. Recovery must
 // re-execute the unsealed tail from the block store, re-derive the
-// missing block-outcome WAL frames and with them the sys_ledger rows,
+// missing outcome frames and with them the sys_ledger rows,
 // and converge to the always-up peers' state hash (§3.6 case b).
 func TestCrashWithUnsealedBlocksRecovers(t *testing.T) {
 	tn := newTestNet(t, netOpts{
@@ -170,7 +166,6 @@ func TestCrashWithUnsealedBlocksRecovers(t *testing.T) {
 	}
 	want := held.StateHash(int64(maxBlock))
 
-	dir := tn.dataDirs[1]
 	cfg := held.cfg
 	held.crashForTest()
 
@@ -197,20 +192,17 @@ func TestCrashWithUnsealedBlocksRecovers(t *testing.T) {
 		t.Fatal("recovered state differs from always-up peer")
 	}
 
-	// The missing block-outcome WAL frames were re-derived: every block
-	// up to the crash height must have a frame, and its write hash must
-	// match what the always-up peer checkpointed.
-	recs, err := wal.ReadAll(dir + "/" + cfg.Name + ".wal")
-	if err != nil {
-		t.Fatal(err)
-	}
-	byBlock := make(map[uint64]*wal.BlockRecord)
-	for _, r := range recs {
-		byBlock[r.Block] = r
+	// The missing outcome frames were re-derived: every block up to the
+	// crash height has one in the block log, and its write hash matches
+	// the always-up peer's.
+	if alerts := restarted.Alerts(); len(alerts) != 0 {
+		t.Fatalf("alerts after recovery: %q", alerts)
 	}
 	for b := uint64(1); b <= maxBlock; b++ {
-		if _, ok := byBlock[b]; !ok {
-			t.Fatalf("block %d missing from re-derived WAL", b)
+		got, ok := restarted.BlockStore().Outcome(b)
+		want, _ := tn.nodes[0].BlockStore().Outcome(b)
+		if !ok || got.WriteHash != want.WriteHash {
+			t.Fatalf("block %d: re-derived outcome %v (found %v), the peer's write hash %v", b, got.WriteHash, ok, want.WriteHash)
 		}
 	}
 

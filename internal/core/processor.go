@@ -11,7 +11,6 @@ import (
 	"slices"
 
 	"bcrdb/internal/ledger"
-	"bcrdb/internal/wal"
 )
 
 // collectCheckpoints verifies and stores the peer checkpoints riding in a
@@ -148,94 +147,58 @@ func (n *Node) checkpointPruneableLocked(blk uint64) bool {
 
 // --- recovery (§3.6) ----------------------------------------------------------
 
-// recoverLocal rebuilds state after a restart. With the memory backend
-// the persisted chain is re-executed from block 1: execution and commit
-// decisions are deterministic, so replay reproduces exactly the
-// pre-crash state. With the disk backend the store was already restored
-// by storage-WAL replay up to its durable height, so those blocks are
-// skipped: their write-set hashes, and the statuses behind their
-// sys_ledger rows, are loaded from the block-outcome WAL instead (the
-// seal made each frame durable before the block's state, so a restored
-// block without its frame means the log was lost or tampered with, and
-// recovery fails as it does on a write-hash mismatch), and only the
-// crash-window tail is re-executed. Either way the WAL cross-checks every
-// re-executed outcome (a mismatch means the block store or log was
-// tampered with), and a torn WAL tail — the crash cases of §3.6 — is
-// simply re-processed.
+// recoverLocal rebuilds state after a restart from the block log, the
+// node's one durable log. With the memory backend every block is
+// re-executed from block 1: execution and commit decisions are
+// deterministic, so replay reproduces the pre-crash state. With the disk
+// backend the store came back from its own log up to its durable height
+// R, and blocks 1..R are not re-executed: their ledger rows and
+// checkpoint hashes come from their outcome frames. The seal syncs the
+// block log before the storage horizon passes a block, so every block at
+// or below R has its block and outcome frames; one without them means the
+// block log was damaged or lost, and the node refuses to start, naming the
+// log and the block. Blocks above R are the crash window (§3.6 case b):
+// re-executed, checked against their outcome frame where the log has one
+// (a mismatch means the chain or the log was tampered with), and given one
+// by the replayed seal where it has none.
 //
 // Replay drives the same Execute → Commit → Seal stages as live
-// processing, but synchronously (the sealer is not running yet), so a
-// node killed with committed-but-unsealed blocks re-derives the missing
-// seal artifacts — block outcomes, write-set hashes, block-outcome WAL
-// frames — deterministically during the tail re-execution.
+// processing, but synchronously (the sealer is not running yet).
 func (n *Node) recoverLocal() error {
 	height := n.blocks.Height()
-	restored := n.store.Height() // >0 only when the disk backend replayed state
+	restored := uint64(n.store.Height()) // >0 only when the disk backend replayed state
 	defer func() {
 		n.sealedHeight.Store(n.store.Height())
 	}()
-	if height == 0 && restored == 0 {
-		return nil
-	}
-	var walRecs []*wal.BlockRecord
-	if n.cfg.DataDir != "" {
-		recs, err := wal.ReadAll(n.walPath())
-		if err != nil {
-			return err
-		}
-		walRecs = recs
-	}
-	byBlock := make(map[uint64]*wal.BlockRecord, len(walRecs))
-	for _, r := range walRecs {
-		byBlock[r.Block] = r
-	}
-	n.recovered = byBlock
-	for i := uint64(1); int64(i) <= restored; i++ {
-		// State for this block came back with the storage WAL; adopt the
-		// recorded write-set hash so checkpointing stays coherent, and
-		// publish the block's ledger rows from the recorded outcomes. The
-		// prefix goes first: duplicate-id decisions during the tail replay
-		// must see the ids consumed below the horizon, or a duplicate that
-		// was aborted pre-crash would re-commit and diverge from the WAL.
-		rec, ok := byBlock[i]
-		if !ok {
-			return fmt.Errorf("core: recovery: restored block %d has no outcome frame in %s", i, n.walPath())
+	for i := uint64(1); i <= restored; i++ {
+		// The prefix goes first: duplicate-id decisions during the tail
+		// replay must see the ids consumed below the horizon.
+		b, err := n.blocks.Get(i)
+		out, ok := n.blocks.Outcome(i)
+		if err != nil || !ok {
+			return fmt.Errorf("core: %s holds no outcome of block %d, yet %s is durable to block %d: the block log is damaged or was lost",
+				dataFile(n.cfg, ".blocks"), i, dataFile(n.cfg, ".store.wal"), restored)
 		}
 		n.cpMu.Lock()
-		n.ownHashes[i] = ledger.Hash(rec.WriteHash)
+		n.ownHashes[i] = out.WriteHash
 		n.cpMu.Unlock()
 		n.evaluateCheckpoint(i)
-		if i > height {
-			// The block store came back shorter than the state (its tail is
-			// not synced): catch-up refills it, processBlock publishes then.
-			continue
-		}
-		b, err := n.blocks.Get(i)
-		if err != nil {
-			return err
-		}
-		if err := n.ledger.restore(b, rec); err != nil {
+		if err := n.ledger.restore(b, out.Committed); err != nil {
 			return err
 		}
 	}
-	for i := uint64(restored) + 1; i <= height; i++ {
+	for i := restored + 1; i <= height; i++ {
 		b, err := n.blocks.Get(i)
 		if err != nil {
 			return err
 		}
+		logged, ok := n.blocks.Outcome(i)
 		n.processBlock(b, true)
 		n.cpMu.Lock()
 		own := n.lastSealedHash
 		n.cpMu.Unlock()
-		if rec, ok := byBlock[i]; ok && own != ledger.Hash(rec.WriteHash) {
-			return fmt.Errorf("core: recovery mismatch at block %d: replay disagrees with WAL", i)
-		}
-	}
-	// What is left to do with a frame after recovery is to publish the
-	// ledger rows of a restored block the block store does not hold yet.
-	for blk := range byBlock {
-		if blk <= height || int64(blk) > restored {
-			delete(byBlock, blk)
+		if ok && own != logged.WriteHash {
+			return fmt.Errorf("core: recovery mismatch at block %d: replay disagrees with %s", i, dataFile(n.cfg, ".blocks"))
 		}
 	}
 	// The restored-prefix loop above adopts one hash per block without
@@ -243,8 +206,4 @@ func (n *Node) recoverLocal() error {
 	// already finished so a long restored chain does not linger in memory.
 	n.pruneCheckpoints()
 	return nil
-}
-
-func (n *Node) walPath() string {
-	return n.cfg.DataDir + "/" + n.cfg.Name + ".wal"
 }

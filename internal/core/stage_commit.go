@@ -12,7 +12,6 @@ import (
 	"bcrdb/internal/ledger"
 	"bcrdb/internal/ssi"
 	"bcrdb/internal/storage"
-	"bcrdb/internal/wal"
 )
 
 // commitStage validates and commits the executed transactions in block
@@ -36,7 +35,6 @@ func (n *Node) commitStage(b *ledger.Block, execs []*execution, replay bool, t0 
 	// be partitioned by table: every contract call reads sys_contracts
 	// inside its own transaction (§3.7: an upgrade aborts stale
 	// invocations), so all footprints of a block overlap.
-	outcomes := make([]wal.TxOutcome, len(execs))
 	results := make([]TxResult, len(execs))
 	// committedRecs/committedTxs keep block order: the seal stage's digest
 	// and the audit history depend on it.
@@ -47,8 +45,8 @@ func (n *Node) commitStage(b *ledger.Block, execs []*execution, replay bool, t0 
 		// id is consumed whether the transaction commits or aborts;
 		// sys_ledger shows both, at the id's first position.
 		dup := n.ledger.consume(e.tx.ID, txPos{b.Number, uint32(i)})
-		n.commitOne(b, i, e, dup, analysis, outcomes, results)
-		if outcomes[i].Committed {
+		n.commitOne(b, i, e, dup, analysis, results)
+		if results[i].Committed {
 			committedRecs = append(committedRecs, e.rec)
 			committedTxs = append(committedTxs, e.tx)
 			n.recordHistory(b, i, e, infos[i])
@@ -78,7 +76,6 @@ func (n *Node) commitStage(b *ledger.Block, execs []*execution, replay bool, t0 
 	return &sealTask{
 		block:         b,
 		execs:         execs,
-		outcomes:      outcomes,
 		results:       results,
 		committedTxs:  committedTxs,
 		committedRecs: committedRecs,
@@ -89,7 +86,7 @@ func (n *Node) commitStage(b *ledger.Block, execs []*execution, replay bool, t0 
 // commitOne validates and commits (or aborts) the block's i-th
 // transaction.
 func (n *Node) commitOne(b *ledger.Block, i int, e *execution, dup bool,
-	analysis *ssi.Analysis, outcomes []wal.TxOutcome, results []TxResult) {
+	analysis *ssi.Analysis, results []TxResult) {
 	reason := ""
 	switch {
 	case e.err != nil:
@@ -120,7 +117,6 @@ func (n *Node) commitOne(b *ledger.Block, i int, e *execution, dup bool,
 		analysis.MarkAborted(i)
 		n.metrics.TxAborted.Add(1)
 	}
-	outcomes[i] = wal.TxOutcome{ID: e.tx.ID, Committed: reason == "", Reason: reason}
 	results[i] = TxResult{ID: e.tx.ID, Block: b.Number, Committed: reason == "", Reason: reason}
 }
 

@@ -1,8 +1,8 @@
 // Stage 3 — Seal: per-block bookkeeping that nothing on the commit
 // critical path reads — the block outcomes that make the block's
 // sys_ledger rows visible (§3.3.2 step 1 / §3.3.3), the write-set digest
-// and checkpointing (§3.3.4), the block-outcome WAL frame and the storage
-// durability point, and client notifications (§2(7)). With the pipeline
+// and checkpointing (§3.3.4), the outcome frame in the block log and the
+// storage durability point, and client notifications (§2(7)). With the pipeline
 // enabled this runs on the sealer goroutine and overlaps the next block's
 // execution; replay and Config.SynchronousSeal run it inline. See
 // pipeline.go for the stage overview and
@@ -20,22 +20,22 @@ import (
 	"bcrdb/internal/ledger"
 	"bcrdb/internal/ordering"
 	"bcrdb/internal/storage"
-	"bcrdb/internal/wal"
 )
 
 // sealStage performs the seal for one committed block. Within the seal,
 // ordering is chosen for crash consistency on the disk backend:
 //
 //  1. publish the block outcomes: the block's sys_ledger rows become
-//     visible (in memory only — the table is derived from the block store
-//     and these outcomes, ledgerview.go);
+//     visible (in memory — the table is derived from the block store and
+//     these outcomes, ledgerview.go);
 //  2. write-set digest from the commit-time captures (no store reads);
-//  3. block-outcome WAL frame, fsynced on the disk backend — the only
-//     durable home of the statuses published in step 1;
+//  3. the outcome frame in the block log, after the block's own frame,
+//     and on the disk backend an fsync of the log — the only durable
+//     home of the statuses published in step 1;
 //  4. MarkDurable — the storage height frame + fsync. Everything before
-//     it (state commits from stage 2, the outcome frame) is durable once
-//     it returns, so a restart that restores height N also finds block
-//     N's outcome frame and can publish its ledger rows again;
+//     it (state commits from stage 2, the block log) is durable once it
+//     returns, so a restart that restores height N also finds blocks 1..N
+//     and their outcomes, and can publish their ledger rows again;
 //  5. checkpoint broadcast and client notifications, which must only
 //     ever announce durable outcomes.
 //
@@ -54,7 +54,13 @@ func (n *Node) sealStage(task *sealTask) {
 			xids[i] = e.rec.ID
 		}
 	}
-	if err := n.ledger.publish(b.Number, task.outcomes, xids); err != nil {
+	committed := make([]byte, (len(task.results)+7)/8)
+	for i, r := range task.results {
+		if r.Committed {
+			committed[i/8] |= 1 << (i % 8)
+		}
+	}
+	if err := n.ledger.publish(b.Number, committed, xids); err != nil {
 		n.raiseAlert(err.Error())
 	}
 
@@ -66,19 +72,21 @@ func (n *Node) sealStage(task *sealTask) {
 	n.evaluateCheckpoint(b.Number)
 	n.pruneCheckpoints()
 
-	// Replay re-derives the frame of a block the crash left without one
+	// Replay re-derives the outcome of a block the crash left without one
 	// (§3.6 case b, which includes blocks committed but not yet sealed).
-	if n.log != nil && (!task.replay || n.recovered[b.Number] == nil) {
-		err := n.log.Append(&wal.BlockRecord{Block: b.Number, Outcomes: task.outcomes, WriteHash: writeHash})
-		if err == nil && n.diskBacked {
-			// Make the outcome frame durable before the storage horizon
-			// advances past this block: a restored block then always has
-			// its WAL frame for the ledger rows, the checkpoint bookkeeping
-			// and the replay cross-check.
-			err = n.log.Sync()
-		}
-		n.noteLogFailure(b.Number, err)
+	var err error
+	if _, ok := n.blocks.Outcome(b.Number); !ok {
+		err = n.blocks.AppendOutcome(b.Number, ledger.Outcome{Committed: committed, WriteHash: writeHash})
 	}
+	if err == nil && n.diskBacked {
+		// The block and its outcome are durable before the storage horizon
+		// passes the block: a restored block then always has both, for its
+		// ledger rows, the checkpoint bookkeeping and the replay
+		// cross-check. A replayed block syncs too: a process crash can
+		// leave its frames in the page cache, not yet on disk.
+		err = n.blocks.Sync()
+	}
+	n.noteLogFailure(b.Number, err)
 	n.store.MarkDurable(int64(b.Number))
 
 	if !task.replay && b.Number%n.cfg.CheckpointEvery == 0 {
@@ -124,10 +132,10 @@ func (n *Node) releaseBlockRecords(execs []*execution) {
 	}
 }
 
-// noteLogFailure reports the first failed write of a block-outcome frame
-// in Alerts: the frame is the only durable home of the block's
-// transaction statuses, so a restart could not serve the block's ledger
-// rows and refuses to (recoverLocal).
+// noteLogFailure reports the first failed write of an outcome frame in
+// Alerts: the frame is the only durable home of the block's transaction
+// statuses, so a restart could not serve the block's ledger rows and
+// refuses to (recoverLocal).
 func (n *Node) noteLogFailure(block uint64, err error) {
 	if err == nil {
 		return
@@ -135,7 +143,7 @@ func (n *Node) noteLogFailure(block uint64, err error) {
 	n.cpMu.Lock()
 	if !n.logFailed {
 		n.logFailed = true
-		n.alerts = append(n.alerts, fmt.Sprintf("block-outcome WAL write failed at block %d: %v", block, err))
+		n.alerts = append(n.alerts, fmt.Sprintf("block log: writing the outcome of block %d failed: %v", block, err))
 	}
 	n.cpMu.Unlock()
 }

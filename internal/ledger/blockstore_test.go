@@ -2,11 +2,18 @@ package ledger
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
+
+	"bcrdb/internal/wal"
 )
 
 // tenBlockFile writes a ten-block chain to a fresh store file and returns
@@ -20,7 +27,6 @@ func tenBlockFile(t *testing.T) (string, []*Block, []int64) {
 		t.Fatal(err)
 	}
 	var blocks []*Block
-	offsets := []int64{0}
 	var prev Hash
 	for n := uint64(1); n <= 10; n++ {
 		b := sampleBlock(n, prev, sampleTx("t"+string(rune('a'+n))))
@@ -29,12 +35,19 @@ func tenBlockFile(t *testing.T) (string, []*Block, []int64) {
 		}
 		prev = b.Hash
 		blocks = append(blocks, b)
-		offsets = append(offsets, offsets[n-1]+4+int64(len(b.Encode())))
 	}
 	if err := bs.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return path, blocks, offsets
+	frames, end, err := wal.Scan(path)
+	if err != nil || len(frames) != 10 || end != fileSize(t, path) {
+		t.Fatalf("scan: %d frames to %d, err %v", len(frames), end, err)
+	}
+	var offsets []int64
+	for _, f := range frames {
+		offsets = append(offsets, f.Off)
+	}
+	return path, blocks, append(offsets, end)
 }
 
 func fileSize(t *testing.T, path string) int64 {
@@ -44,6 +57,14 @@ func fileSize(t *testing.T, path string) int64 {
 		t.Fatal(err)
 	}
 	return st.Size()
+}
+
+// frameHeader is a frame header that checks, announcing n bytes of
+// payload whose checksum is crc.
+func frameHeader(n, crc uint32) []byte {
+	h := binary.BigEndian.AppendUint32(nil, n)
+	h = binary.BigEndian.AppendUint32(h, crc)
+	return binary.BigEndian.AppendUint32(h, crc32.ChecksumIEEE(h))
 }
 
 // TestFileStoreTornWriteRecovery: the tail of the file may be torn by a
@@ -62,11 +83,22 @@ func TestFileStoreTornWriteRecovery(t *testing.T) {
 			}
 		}
 	}
+	writeAt := func(t *testing.T, path string, off int64, data []byte) {
+		f, err := os.OpenFile(path, os.O_WRONLY, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if _, err := f.WriteAt(data, off); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for _, tc := range []struct {
 		name       string
 		damage     func(t *testing.T, path string, offsets []int64)
 		wantHeight uint64 // blocks loaded; 0 = OpenFileStore must fail
 		wantErr    string
+		wantOff    int // the error names offsets[wantOff]
 	}{
 		{name: "torn tail: cut inside block 10's frame", wantHeight: 9,
 			damage: func(t *testing.T, path string, off []int64) {
@@ -75,23 +107,25 @@ func TestFileStoreTornWriteRecovery(t *testing.T) {
 				}
 			}},
 		{name: "torn tail: two bytes of a length prefix", wantHeight: 10, damage: appendBytes(0, 0)},
-		{name: "torn tail: 99 bytes announced, 3 written", wantHeight: 10, damage: appendBytes(0, 0, 0, 99, 1, 2, 3)},
+		{name: "torn tail: 99 bytes announced, 3 written", wantHeight: 10,
+			damage: appendBytes(append(frameHeader(99, 0), 1, 2, 3)...)},
 		{name: "torn tail: length prefix larger than the rest of the file", wantHeight: 10,
-			damage: appendBytes(0xFF, 0xFF, 0xFF, 0xF0, 1, 2, 3)},
+			damage: appendBytes(append(frameHeader(0xFFFFFFF0, 0), 1, 2, 3)...)},
 		{name: "torn tail: whole final frame that does not decode", wantHeight: 10,
-			damage: appendBytes(0, 0, 0, 5, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF)},
-		{name: "a frame that does not decode, followed by a block", wantErr: "block 4 ",
+			// The header checks, the payload does not: its write never landed.
+			damage: appendBytes(append(frameHeader(5, 0), 0xFF, 0xFF, 0xFF, 0xFF, 0xFF)...)},
+		{name: "a frame that does not decode, followed by a block", wantErr: "block 4 ", wantOff: 3,
 			damage: func(t *testing.T, path string, off []int64) {
-				f, err := os.OpenFile(path, os.O_WRONLY, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer f.Close()
-				// Block 4's transaction count becomes a varint that never ends.
-				garbage := bytes.Repeat([]byte{0xFF}, int(off[4]-off[3])-4)
-				if _, err := f.WriteAt(garbage, off[3]+4); err != nil {
-					t.Fatal(err)
-				}
+				// Block 4's frame still checks, but its transaction count
+				// becomes a varint that never ends.
+				garbage := bytes.Repeat([]byte{0xFF}, int(off[4]-off[3])-12)
+				garbage[0] = frameBlock
+				writeAt(t, path, off[3], append(frameHeader(uint32(len(garbage)), crc32.ChecksumIEEE(garbage)), garbage...))
+			}},
+		{name: "damaged length prefix mid-file", wantErr: "after block 4: ", wantOff: 4,
+			damage: func(t *testing.T, path string, off []int64) {
+				// Block 5's length now points far past end-of-file.
+				writeAt(t, path, off[4], []byte{0x80})
 			}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -113,8 +147,10 @@ func TestFileStoreTornWriteRecovery(t *testing.T) {
 					bs.Close()
 					t.Fatal("a damaged file opened")
 				}
-				if !strings.Contains(err.Error(), tc.wantErr) {
-					t.Errorf("err = %v, want it to name %q", err, tc.wantErr)
+				for _, want := range []string{tc.wantErr, fmt.Sprintf("offset %d", off[tc.wantOff]), path} {
+					if !strings.Contains(err.Error(), want) {
+						t.Errorf("err = %v, want it to name %q", err, want)
+					}
 				}
 				if after, _ := os.ReadFile(path); !bytes.Equal(after, before) {
 					t.Error("the refused file was modified")
@@ -148,17 +184,18 @@ func TestFileStoreTornWriteRecovery(t *testing.T) {
 	}
 }
 
-// TestFileStoreFlippedByte flips each byte of block 4's frame body in
-// turn: whatever the byte belonged to — the number, a hash, a transaction,
-// a length inside the encoding — the file is refused, the error names
-// block 4 and the bytes stay as found.
+// TestFileStoreFlippedByte flips each byte of block 4's frame in turn,
+// header and body: whatever the byte belonged to — the length, a
+// checksum, the number, a hash, a transaction — the file is refused, the
+// error names the last intact block and the frame's offset, and the bytes
+// stay as found.
 func TestFileStoreFlippedByte(t *testing.T) {
 	path, _, off := tenBlockFile(t)
 	orig, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for pos := off[3] + 4; pos < off[4]; pos++ {
+	for pos := off[3]; pos < off[4]; pos++ {
 		flipped := append([]byte(nil), orig...)
 		flipped[pos] ^= 0x01
 		if err := os.WriteFile(path, flipped, 0o644); err != nil {
@@ -169,12 +206,131 @@ func TestFileStoreFlippedByte(t *testing.T) {
 			bs.Close()
 			t.Fatalf("byte %d of block 4's frame flipped: the file opened with %d blocks", pos-off[3], bs.Height())
 		}
-		if !strings.Contains(err.Error(), "block 4 ") {
-			t.Fatalf("byte %d flipped: err = %v, want it to name block 4", pos-off[3], err)
+		for _, want := range []string{"after block 3: ", fmt.Sprintf("offset %d ", off[3])} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("byte %d flipped: err = %v, want it to name %q", pos-off[3], err, want)
+			}
 		}
 		if after, _ := os.ReadFile(path); !bytes.Equal(after, flipped) {
 			t.Fatalf("byte %d flipped: the refused file was modified", pos-off[3])
 		}
+	}
+}
+
+// TestFileStoreOutcomes: outcomes follow their blocks in order, carry one
+// committed bit per transaction, and come back with the chain.
+func TestFileStoreOutcomes(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "db.blocks")
+	bs, err := OpenFileStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b1 := sampleBlock(1, Hash{}, sampleTx("a"), sampleTx("b"))
+	b2 := sampleBlock(2, b1.Hash, sampleTx("c"))
+	o1 := Outcome{Committed: []byte{0b01}, WriteHash: Hash{1}}
+	if err := bs.AppendOutcome(1, o1); !errors.Is(err, ErrOutOfSequence) {
+		t.Fatalf("the outcome of a block not in the chain: err = %v", err)
+	}
+	if err := bs.Append(b1); err != nil {
+		t.Fatal(err)
+	}
+	if err := bs.AppendOutcome(1, Outcome{Committed: []byte{1, 0}}); err == nil {
+		t.Fatal("an outcome with a committed bit per byte was accepted")
+	}
+	if err := bs.AppendOutcome(1, o1); err != nil {
+		t.Fatal(err)
+	}
+	if err := bs.Append(b2); err != nil {
+		t.Fatal(err)
+	}
+	if err := bs.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	bs.Close()
+
+	re, err := OpenFileStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if got, ok := re.Outcome(1); !ok || !bytes.Equal(got.Committed, o1.Committed) || got.WriteHash != o1.WriteHash {
+		t.Fatalf("outcome 1 reloaded as %+v, %v", got, ok)
+	}
+	if _, ok := re.Outcome(2); ok || re.Height() != 2 {
+		t.Fatalf("reloaded: height %d, outcome 2 present %v", re.Height(), ok)
+	}
+	if err := re.AppendOutcome(2, Outcome{Committed: []byte{0}}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFileStoreConcurrentIntakeAndSeal: intake appends blocks while the
+// sealer appends each one's outcome and syncs, and readers look both up,
+// as a node does. The frames interleave in the file however the two
+// writers raced, and the chain reopens whole.
+func TestFileStoreConcurrentIntakeAndSeal(t *testing.T) {
+	const n = 200
+	path := filepath.Join(t.TempDir(), "db.blocks")
+	bs, err := OpenFileStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	wg.Add(3)
+	go func() { // intake
+		defer wg.Done()
+		var prev Hash
+		for k := uint64(1); k <= n; k++ {
+			b := sampleBlock(k, prev, sampleTx(fmt.Sprint("t", k)))
+			if err := bs.Append(b); err != nil {
+				t.Error(err)
+				return
+			}
+			prev = b.Hash
+		}
+	}()
+	go func() { // sealer
+		defer wg.Done()
+		for k := uint64(1); k <= n; runtime.Gosched() {
+			if bs.Height() < k {
+				continue
+			}
+			if err := bs.AppendOutcome(k, Outcome{Committed: []byte{byte(k % 2)}, WriteHash: Hash{byte(k)}}); err != nil {
+				t.Error(err)
+				return
+			}
+			if err := bs.Sync(); err != nil {
+				t.Error(err)
+				return
+			}
+			k++
+		}
+	}()
+	go func() { // queries
+		defer wg.Done()
+		for k := uint64(1); k <= n; runtime.Gosched() {
+			o, ok := bs.Outcome(k)
+			if !ok {
+				continue
+			}
+			if b, err := bs.Get(k); err != nil || b.Number != k || o.WriteHash != (Hash{byte(k)}) {
+				t.Errorf("block %d: %v, %v", k, b, err)
+				return
+			}
+			k++
+		}
+	}()
+	wg.Wait()
+	if err := bs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenFileStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if o, ok := re.Outcome(n); re.Height() != n || !ok || o.WriteHash != (Hash{byte(n)}) {
+		t.Fatalf("reopened at %d blocks, outcome %d: %v %v", re.Height(), n, o, ok)
 	}
 }
 
@@ -187,7 +343,7 @@ func TestFileStoreAppendFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer bs.Close()
-	if err := bs.file.Close(); err != nil { // closed underneath the store
+	if err := bs.log.Close(); err != nil { // closed underneath the store
 		t.Fatal(err)
 	}
 	if err := bs.Append(sampleBlock(11, blocks[9].Hash)); err == nil {

@@ -1,0 +1,141 @@
+package ledger
+
+import (
+	"bytes"
+	"encoding/binary"
+	"os"
+	"path/filepath"
+	"runtime"
+	"testing"
+
+	"bcrdb/internal/wal"
+)
+
+// twoBlockLog is a real block log: two blocks and the first one's outcome.
+func twoBlockLog(f *testing.F) []byte {
+	path := filepath.Join(f.TempDir(), "seed.blocks")
+	bs, err := OpenFileStore(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	b1 := sampleBlock(1, Hash{}, sampleTx("a"), sampleTx("b"))
+	b2 := sampleBlock(2, b1.Hash, sampleTx("c"))
+	if err := bs.Append(b1); err != nil {
+		f.Fatal(err)
+	}
+	if err := bs.AppendOutcome(1, Outcome{Committed: []byte{0b10}, WriteHash: Hash{7}}); err != nil {
+		f.Fatal(err)
+	}
+	if err := bs.Append(b2); err != nil {
+		f.Fatal(err)
+	}
+	bs.Close()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	return data
+}
+
+// FuzzOpenChainLog opens arbitrary bytes as a block log — the bytes a
+// restart trusts. It must never panic, and never allocate more than a
+// small multiple of the bytes it was given (decoding turns a byte into at
+// most a few dozen bytes of structs; no length field is trusted beyond
+// the file). Either it refuses and leaves the file as found, or it loads
+// a prefix of the file — or a fresh log, when that prefix is empty — that
+// reopens to the same chain without further change.
+//
+// Mutated bytes rarely pass a checksum, so with framed set the input is a
+// list of uvarint-prefixed payloads, written as frames that check: that
+// is what reaches the block and outcome decoders.
+func FuzzOpenChainLog(f *testing.F) {
+	log := twoBlockLog(f)
+	f.Add(log, false)
+	f.Add(log[:len(log)/2], false)
+	block := sampleBlock(1, Hash{}, sampleTx("a")).Encode()
+	f.Add(block, false) // what DecodeBlock reads: no log header
+	frames, _, err := wal.Scan(writeSeed(f, log))
+	if err != nil {
+		f.Fatal(err)
+	}
+	var payloads []byte
+	for _, fr := range frames {
+		payloads = binary.AppendUvarint(payloads, uint64(len(fr.Payload)))
+		payloads = append(payloads, fr.Payload...)
+	}
+	f.Add(payloads, true)
+	f.Add(append(binary.AppendUvarint(nil, uint64(len(block))), block...), true) // a frame without its kind
+	f.Fuzz(func(t *testing.T, data []byte, framed bool) {
+		path := writeSeed(t, data)
+		if framed {
+			if err := os.Remove(path); err != nil {
+				t.Fatal(err)
+			}
+			lg, err := wal.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for d := data; len(d) > 0; {
+				n, k := binary.Uvarint(d)
+				if k <= 0 || n > uint64(len(d)-k) {
+					break
+				}
+				if err := lg.AppendRaw(d[k : k+int(n)]); err != nil {
+					t.Fatal(err)
+				}
+				d = d[k+int(n):]
+			}
+			lg.Close()
+			if data, err = os.ReadFile(path); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		bs, err := OpenFileStore(path)
+		runtime.ReadMemStats(&m1)
+		if alloc := m1.TotalAlloc - m0.TotalAlloc; alloc > 64<<10+128*uint64(len(data)) {
+			t.Fatalf("opening %d bytes allocated %d", len(data), alloc)
+		}
+		after, rerr := os.ReadFile(path)
+		if rerr != nil {
+			t.Fatal(rerr)
+		}
+		if err != nil {
+			if !bytes.Equal(after, data) {
+				t.Fatalf("refused (%v), but the file changed from %d to %d bytes", err, len(data), len(after))
+			}
+			return
+		}
+		bs.Close()
+		if !bytes.HasPrefix(data, after) && (bs.Height() != 0 || len(after) <= len(data)) {
+			t.Fatalf("loaded %d blocks from %d bytes, leaving %d bytes that are not a prefix of them", bs.Height(), len(data), len(after))
+		}
+		re, err := OpenFileStore(path)
+		if err != nil {
+			t.Fatalf("the loaded prefix does not reopen: %v", err)
+		}
+		defer re.Close()
+		if re.Height() != bs.Height() || re.LastHash() != bs.LastHash() {
+			t.Fatalf("reopened at %d blocks, loaded %d", re.Height(), bs.Height())
+		}
+		for n := uint64(1); n <= bs.Height(); n++ {
+			o1, ok1 := bs.Outcome(n)
+			o2, ok2 := re.Outcome(n)
+			if ok1 != ok2 || !bytes.Equal(o1.Committed, o2.Committed) || o1.WriteHash != o2.WriteHash {
+				t.Fatalf("block %d: outcome %+v (%v) reopened as %+v (%v)", n, o1, ok1, o2, ok2)
+			}
+		}
+		if again, _ := os.ReadFile(path); !bytes.Equal(again, after) {
+			t.Fatal("reopening changed the file")
+		}
+	})
+}
+
+func writeSeed(tb testing.TB, data []byte) string {
+	path := filepath.Join(tb.TempDir(), "db.blocks")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		tb.Fatal(err)
+	}
+	return path
+}

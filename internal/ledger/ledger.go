@@ -10,14 +10,13 @@ package ledger
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"os"
 	"sync"
 
 	"bcrdb/internal/codec"
 	"bcrdb/internal/types"
+	"bcrdb/internal/wal"
 )
 
 // Hash is a SHA-256 digest.
@@ -192,6 +191,11 @@ type Block struct {
 // §3.1 — number, transactions, metadata, previous hash.
 func (b *Block) hashInput() []byte {
 	e := codec.NewBuf(512)
+	b.encodeHashed(e)
+	return e.Bytes()
+}
+
+func (b *Block) encodeHashed(e *codec.Buf) {
 	e.Uvarint(b.Number)
 	e.Bytes2(b.PrevHash[:])
 	e.Varint(b.Timestamp)
@@ -203,7 +207,6 @@ func (b *Block) hashInput() []byte {
 	for _, c := range b.Checkpoints {
 		c.Encode(e)
 	}
-	return e.Bytes()
 }
 
 // ComputeHash fills in the block hash.
@@ -226,24 +229,18 @@ func (b *Block) VerifyHash(prev Hash) error {
 // Encode returns the canonical encoding of the whole block.
 func (b *Block) Encode() []byte {
 	e := codec.NewBuf(1024)
-	e.Uvarint(b.Number)
-	e.Bytes2(b.PrevHash[:])
-	e.Varint(b.Timestamp)
-	e.Uvarint(uint64(len(b.Txs)))
-	for _, t := range b.Txs {
-		t.Encode(e)
-	}
-	e.Uvarint(uint64(len(b.Checkpoints)))
-	for _, c := range b.Checkpoints {
-		c.Encode(e)
-	}
+	b.encode(e)
+	return e.Bytes()
+}
+
+func (b *Block) encode(e *codec.Buf) {
+	b.encodeHashed(e)
 	e.Bytes2(b.Hash[:])
 	e.Uvarint(uint64(len(b.Sigs)))
 	for _, s := range b.Sigs {
 		e.String(s.Orderer)
 		e.Bytes2(s.Signature)
 	}
-	return e.Bytes()
 }
 
 // DecodeBlock parses a canonical block encoding.
@@ -287,102 +284,99 @@ var (
 	ErrNoBlock       = errors.New("ledger: no such block")
 )
 
-// BlockStore is the node's append-only block log (pgBlockstore). It is
-// safe for concurrent use. With a backing file every append is written
-// through, so a restarted node recovers its chain (§3.6).
+// Outcome is what sealing a block decided (§3.3.3, §3.3.4): which of its
+// transactions committed, by position, and the digest of what they wrote.
+// Abort reasons are not kept: nothing reads them back.
+type Outcome struct {
+	Committed []byte // bit i%8 of byte i/8: the block's i-th transaction committed
+	WriteHash Hash
+}
+
+// Frame kinds of the block log.
+const (
+	frameBlock   byte = 1 // the block's encoding, appended at intake
+	frameOutcome byte = 2 // block number, committed bits, write hash; appended at seal
+)
+
+// BlockStore is the node's chain (pgBlockstore): its blocks and the
+// outcome of each sealed one. It is safe for concurrent use. With a
+// backing file it is the node's durable log (§3.6): an internal/wal frame
+// log in which every block's frame precedes its outcome's, and outcomes
+// follow block order.
 type BlockStore struct {
-	mu     sync.RWMutex
-	blocks []*Block // blocks[i] has Number i+1
-	file   *os.File
-	// end is the file offset after the last whole block: where the next
-	// frame goes, and where a torn or failed write is cut away.
-	end int64
+	mu       sync.RWMutex
+	blocks   []*Block  // blocks[i] has Number i+1
+	outcomes []Outcome // outcomes[i] belongs to block i+1
+	log      *wal.Log  // nil: in memory only
 }
 
 // NewBlockStore returns an in-memory store.
 func NewBlockStore() *BlockStore { return &BlockStore{} }
 
-// OpenFileStore opens (or creates) a file-backed store and loads any
-// existing chain, verifying hashes and linkage.
+// OpenFileStore opens (or creates) a file-backed store and loads its
+// chain, verifying every block's hash and linkage and every outcome
+// against its block. A torn tail — the frame a crash was writing — is cut
+// away (the block returns by catch-up, the outcome by replay); anything
+// wrong before it is an error naming the file and the block, and the
+// file is left as found.
 func OpenFileStore(path string) (*BlockStore, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, err
+	frames, end, err := wal.Scan(path)
+	bs := &BlockStore{}
+	for _, f := range frames {
+		if lerr := bs.load(f.Payload); lerr != nil {
+			what := fmt.Sprintf("block %d", len(bs.blocks)+1)
+			if bytes.HasPrefix(f.Payload, []byte{frameOutcome}) {
+				what = fmt.Sprintf("the outcome of block %d", len(bs.outcomes)+1)
+			}
+			return nil, fmt.Errorf("ledger: %s: %s (offset %d) is damaged, file left untouched: %w", path, what, f.Off, lerr)
+		}
 	}
-	bs := &BlockStore{file: f}
-	if err := bs.load(); err != nil {
-		f.Close()
+	if errors.Is(err, wal.ErrCorrupt) {
+		return nil, fmt.Errorf("ledger: the frame after block %d: %w", len(bs.blocks), err)
+	}
+	if err == nil {
+		err = wal.CutTail(path, end)
+	}
+	if err == nil {
+		bs.log, err = wal.Open(path)
+	}
+	if err != nil {
 		return nil, err
 	}
 	return bs, nil
 }
 
-// Close releases the backing file, if any.
+// load applies one frame of the backing file (bs.log is not open yet).
+func (bs *BlockStore) load(p []byte) error {
+	if len(p) > 0 && p[0] == frameBlock {
+		b, err := DecodeBlock(p[1:])
+		if err != nil {
+			return err
+		}
+		return bs.Append(b)
+	}
+	if len(p) > 0 && p[0] == frameOutcome {
+		d := codec.NewDec(p[1:])
+		n := d.Uvarint()
+		o := Outcome{Committed: d.Bytes2()}
+		h := d.Bytes2()
+		if err := d.Done(); err != nil || len(h) != len(o.WriteHash) {
+			return codec.ErrCorrupt
+		}
+		copy(o.WriteHash[:], h)
+		return bs.AppendOutcome(n, o)
+	}
+	return codec.ErrCorrupt
+}
+
+// Close releases the backing file, if any. Later appends fail.
 func (bs *BlockStore) Close() error {
 	bs.mu.Lock()
 	defer bs.mu.Unlock()
-	if bs.file != nil {
-		err := bs.file.Close()
-		bs.file = nil
-		return err
+	if bs.log == nil {
+		return nil
 	}
-	return nil
-}
-
-// load reads the chain from the backing file. A frame is a 4-byte
-// big-endian length and that many bytes of Block.Encode; the format has
-// no checksum, so load tells damage from a crash by position: a final
-// frame that runs past end-of-file, or that does not decode and has
-// nothing after it, is the torn write of a crash and is cut away (the
-// block comes back by catch-up); anything wrong before the tail is
-// corruption, reported with its position, and the file is left as found.
-func (bs *BlockStore) load() error {
-	st, err := bs.file.Stat()
-	if err != nil {
-		return err
-	}
-	size := st.Size()
-	var prev Hash
-	for bs.end < size {
-		// rest bounds the length before anything is allocated from it.
-		rest := size - bs.end - 4
-		if rest < 0 {
-			break
-		}
-		var lenBuf [4]byte
-		if _, err := bs.file.ReadAt(lenBuf[:], bs.end); err != nil {
-			return err
-		}
-		n := int64(binary.BigEndian.Uint32(lenBuf[:]))
-		if n > rest {
-			break
-		}
-		data := make([]byte, n)
-		if _, err := bs.file.ReadAt(data, bs.end+4); err != nil {
-			return err
-		}
-		b, err := DecodeBlock(data)
-		if err != nil && n == rest {
-			break
-		}
-		if err == nil && b.Number != uint64(len(bs.blocks))+1 {
-			err = fmt.Errorf("%w: it holds block %d", ErrOutOfSequence, b.Number)
-		}
-		if err == nil {
-			err = b.VerifyHash(prev)
-		}
-		if err != nil {
-			return fmt.Errorf("ledger: block store %s: block %d (offset %d of %d) is damaged, file left untouched: %w",
-				bs.file.Name(), len(bs.blocks)+1, bs.end, size, err)
-		}
-		prev = b.Hash
-		bs.blocks = append(bs.blocks, b)
-		bs.end += 4 + n
-	}
-	if bs.end < size {
-		return bs.file.Truncate(bs.end)
-	}
-	return nil
+	return bs.log.Close()
 }
 
 // Append adds the next block. The block number must be exactly
@@ -400,24 +394,63 @@ func (bs *BlockStore) Append(b *Block) error {
 	if err := b.VerifyHash(prev); err != nil {
 		return err
 	}
-	if bs.file != nil {
-		data := b.Encode()
-		var lenBuf [4]byte
-		binary.BigEndian.PutUint32(lenBuf[:], uint32(len(data)))
-		_, err := bs.file.WriteAt(lenBuf[:], bs.end)
-		if err == nil {
-			_, err = bs.file.WriteAt(data, bs.end+4)
-		}
-		if err != nil {
-			// Cut the half-written frame away; the next Append writes at
-			// the same offset whether or not this succeeds.
-			_ = bs.file.Truncate(bs.end)
+	if bs.log != nil {
+		e := codec.NewBuf(1024)
+		e.Byte(frameBlock)
+		b.encode(e)
+		if err := bs.log.AppendRaw(e.Bytes()); err != nil {
 			return err
 		}
-		bs.end += 4 + int64(len(data))
 	}
 	bs.blocks = append(bs.blocks, b)
 	return nil
+}
+
+// AppendOutcome records the outcome of block n: the oldest block without
+// one, with one committed bit per transaction.
+func (bs *BlockStore) AppendOutcome(n uint64, o Outcome) error {
+	bs.mu.Lock()
+	defer bs.mu.Unlock()
+	if n != uint64(len(bs.outcomes))+1 || n > uint64(len(bs.blocks)) {
+		return fmt.Errorf("%w: the outcome of block %d, want block %d's (chain at %d)", ErrOutOfSequence, n, len(bs.outcomes)+1, len(bs.blocks))
+	}
+	if want := (len(bs.blocks[n-1].Txs) + 7) / 8; len(o.Committed) != want {
+		return fmt.Errorf("ledger: the outcome of block %d has %d bytes of committed bits, the block needs %d", n, len(o.Committed), want)
+	}
+	if bs.log != nil {
+		e := codec.NewBuf(48 + len(o.Committed))
+		e.Byte(frameOutcome)
+		e.Uvarint(n)
+		e.Bytes2(o.Committed)
+		e.Bytes2(o.WriteHash[:])
+		if err := bs.log.AppendRaw(e.Bytes()); err != nil {
+			return err
+		}
+	}
+	bs.outcomes = append(bs.outcomes, o)
+	return nil
+}
+
+// Outcome returns the recorded outcome of block n, if there is one.
+func (bs *BlockStore) Outcome(n uint64) (Outcome, bool) {
+	bs.mu.RLock()
+	defer bs.mu.RUnlock()
+	if n < 1 || n > uint64(len(bs.outcomes)) {
+		return Outcome{}, false
+	}
+	return bs.outcomes[n-1], true
+}
+
+// Sync makes every frame written so far durable. It does not hold the
+// store's lock, so appends and reads go on beside the fsync.
+func (bs *BlockStore) Sync() error {
+	bs.mu.RLock()
+	log := bs.log
+	bs.mu.RUnlock()
+	if log == nil {
+		return nil
+	}
+	return log.Sync()
 }
 
 // Get returns block n (1-based).

@@ -1,21 +1,21 @@
-// Package wal implements the node's append-ahead logging — the stand-in
-// for PostgreSQL's transaction log in the recovery protocol of §3.6.
+// Package wal is the crash-consistent frame log every durable file of a
+// node is written through — the stand-in for PostgreSQL's transaction log
+// in the recovery protocol of §3.6. A node keeps at most two: its chain
+// (internal/ledger: blocks and their outcomes) and, on the disk backend,
+// its storage log (internal/storage: row mutations).
 //
-// The package has two layers:
+// A log is the header line below followed by frames:
 //
-//   - a generic frame log (Append / AppendRaw / ReadAllRaw / Rewrite):
-//     length- and CRC-prefixed opaque payloads with torn-tail truncation,
-//     reused by any subsystem that needs crash-consistent appends (the
-//     disk storage backend logs row mutations through it);
-//   - the block-outcome record (BlockRecord): one frame per processed
-//     block, carrying every transaction's commit/abort status and the
-//     block's write-set hash.
+//	[len u32][payload crc u32][header crc u32][payload]
 //
-// A restarting node replays its block store to rebuild state (execution
-// is deterministic), then cross-checks the replayed statuses against the
-// WAL: a mismatch means the block store or the log was tampered with. A
-// torn final frame (crash mid-append, §3.6 case b) is detected by CRC and
-// discarded; the block is simply re-processed.
+// The header checksum covers the length and the payload checksum, so a
+// damaged length is reported as damage, never read as a torn write.
+// Reading tells a crash from damage by position: only the file's last
+// frame can be torn — a partial header, a length that runs past
+// end-of-file under a header that checks, or a final payload that fails
+// its checksum — and that tail is cut away. Anything wrong before it is
+// an error naming the file and the offset, and the file is left as found.
+// Nothing is allocated beyond the file's size.
 package wal
 
 import (
@@ -26,98 +26,70 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-
-	"bcrdb/internal/codec"
+	"strings"
 )
 
-// TxOutcome is one transaction's fate inside a block.
-type TxOutcome struct {
-	ID        string
-	Committed bool
-	Reason    string // abort reason, empty when committed
-}
+// magic starts every log. A file without it — one written before frame
+// headers were checksummed — is refused by name.
+const magic = "bcrdb-log-1\n"
 
-// BlockRecord is one WAL frame: the outcome of processing one block.
-type BlockRecord struct {
-	Block     uint64
-	Outcomes  []TxOutcome
-	WriteHash [32]byte
-}
+const frameHeader = 12
 
-func (r *BlockRecord) encode() []byte {
-	e := codec.NewBuf(256)
-	e.Uvarint(r.Block)
-	e.Uvarint(uint64(len(r.Outcomes)))
-	for _, o := range r.Outcomes {
-		e.String(o.ID)
-		e.Bool(o.Committed)
-		e.String(o.Reason)
-	}
-	e.Bytes2(r.WriteHash[:])
-	return e.Bytes()
-}
+// ErrCorrupt is damage before a log's tail.
+var ErrCorrupt = errors.New("damaged frame")
 
-func decodeRecord(data []byte) (*BlockRecord, error) {
-	d := codec.NewDec(data)
-	r := &BlockRecord{}
-	r.Block = d.Uvarint()
-	n := d.Uvarint()
-	for i := uint64(0); i < n && d.Err() == nil; i++ {
-		r.Outcomes = append(r.Outcomes, TxOutcome{
-			ID:        d.String(),
-			Committed: d.Bool(),
-			Reason:    d.String(),
-		})
-	}
-	h := d.Bytes2()
-	if len(h) == 32 {
-		copy(r.WriteHash[:], h)
-	}
-	if err := d.Done(); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
-// Log is an append-only WAL. Safe for use by one writer goroutine.
+// Log is an append-only frame log. Safe for use by one writer goroutine;
+// Sync may run beside it.
 type Log struct {
-	f    *os.File
-	path string
+	f *os.File
+	// end is where the next frame goes, and where a failed write is cut
+	// back to.
+	end int64
 }
 
-// ErrCorrupt reports an unreadable (non-tail) frame.
-var ErrCorrupt = errors.New("wal: corrupt record")
-
-// Open opens (creating if needed) a WAL at path and positions for append.
+// Open opens the log at path for appending, creating it when missing or
+// empty. The caller has cut any torn tail away (ReadAllRaw, CutTail).
 func Open(path string) (*Log, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
+	end, err := f.Seek(0, io.SeekEnd)
+	if err == nil && end == 0 {
+		_, err = f.WriteAt([]byte(magic), 0)
+		end = int64(len(magic))
+	} else if err == nil {
+		head := make([]byte, len(magic))
+		if _, rerr := f.ReadAt(head, 0); rerr != nil || string(head) != magic {
+			err = formatError(path)
+		}
+	}
+	if err != nil {
 		f.Close()
 		return nil, err
 	}
-	return &Log{f: f, path: path}, nil
+	return &Log{f: f, end: end}, nil
 }
 
-// Append writes one block-outcome frame.
-func (l *Log) Append(r *BlockRecord) error {
-	return l.AppendRaw(r.encode())
-}
-
-// AppendRaw writes one opaque frame: [len u32][crc u32][payload].
+// AppendRaw writes one frame holding payload. A write that fails is cut
+// away, so the next frame lands where this one would have.
 func (l *Log) AppendRaw(payload []byte) error {
-	_, err := l.f.Write(frame(payload))
-	return err
+	fr := frame(payload)
+	if _, err := l.f.WriteAt(fr, l.end); err != nil {
+		_ = l.f.Truncate(l.end)
+		return err
+	}
+	l.end += int64(len(fr))
+	return nil
 }
 
-// frame prefixes a payload with its length and CRC.
+// frame prefixes a payload with its checksummed header.
 func frame(payload []byte) []byte {
-	out := make([]byte, 8+len(payload))
+	out := make([]byte, frameHeader+len(payload))
 	binary.BigEndian.PutUint32(out[0:4], uint32(len(payload)))
 	binary.BigEndian.PutUint32(out[4:8], crc32.ChecksumIEEE(payload))
-	copy(out[8:], payload)
+	binary.BigEndian.PutUint32(out[8:12], crc32.ChecksumIEEE(out[0:8]))
+	copy(out[frameHeader:], payload)
 	return out
 }
 
@@ -127,77 +99,95 @@ func (l *Log) Sync() error { return l.f.Sync() }
 // Close closes the log.
 func (l *Log) Close() error { return l.f.Close() }
 
-// ReadAll loads every intact block-outcome frame from path; a torn or
-// corrupt tail is truncated away (crash recovery), while corruption in
-// the middle is an error.
-func ReadAll(path string) ([]*BlockRecord, error) {
-	payloads, err := ReadAllRaw(path)
-	if err != nil {
-		return nil, err
-	}
-	var out []*BlockRecord
-	var goodOff int64
-	for i, p := range payloads {
-		rec, err := decodeRecord(p)
-		if err != nil {
-			if i == len(payloads)-1 {
-				// Undecodable tail frame: treat like a torn write.
-				return out, truncate(path, goodOff)
-			}
-			return nil, err
-		}
-		out = append(out, rec)
-		goodOff += int64(8 + len(p))
-	}
-	return out, nil
+// Frame is one intact frame of a log.
+type Frame struct {
+	Off     int64 // where the frame starts in the file
+	Payload []byte
 }
 
-// ReadAllRaw loads every intact frame payload from path; a torn or
-// CRC-corrupt tail is truncated away (crash recovery), while corruption
-// in the middle is an error. A missing file yields no frames.
-func ReadAllRaw(path string) ([][]byte, error) {
-	f, err := os.Open(path)
+// Scan reads the log at path without modifying it. It returns the intact
+// frames and the offset just past the last of them; whatever lies beyond
+// is the torn tail of a crash, which CutTail removes. A missing file is an
+// empty log. Damage before the tail is an error (ErrCorrupt, naming path
+// and offset), returned with the frames before it.
+func Scan(path string) ([]Frame, int64, error) {
+	data, err := os.ReadFile(path)
+	if os.IsNotExist(err) {
+		return nil, 0, nil
+	}
 	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
+		return nil, 0, err
+	}
+	if len(data) < len(magic) && strings.HasPrefix(magic, string(data)) {
+		return nil, 0, nil // the header itself was torn
+	}
+	if len(data) < len(magic) || string(data[:len(magic)]) != magic {
+		return nil, 0, formatError(path)
+	}
+	var frames []Frame
+	off := len(magic)
+	for off < len(data) {
+		rest := data[off:]
+		if len(rest) < frameHeader {
+			break
 		}
+		if crc32.ChecksumIEEE(rest[0:8]) != binary.BigEndian.Uint32(rest[8:12]) {
+			return frames, int64(off), damaged(path, off, len(data), "header checksum mismatch")
+		}
+		n := int64(binary.BigEndian.Uint32(rest[0:4]))
+		if n > int64(len(rest)-frameHeader) {
+			break
+		}
+		p := rest[frameHeader : frameHeader+n]
+		if crc32.ChecksumIEEE(p) != binary.BigEndian.Uint32(rest[4:8]) {
+			if frameHeader+n == int64(len(rest)) {
+				break
+			}
+			return frames, int64(off), damaged(path, off, len(data), "payload checksum mismatch")
+		}
+		frames = append(frames, Frame{Off: int64(off), Payload: p})
+		off += frameHeader + int(n)
+	}
+	return frames, int64(off), nil
+}
+
+func damaged(path string, off, size int, why string) error {
+	return fmt.Errorf("wal: %s: %w at offset %d of %d (%s), file left untouched", path, ErrCorrupt, off, size, why)
+}
+
+func formatError(path string) error {
+	return fmt.Errorf("wal: %s does not start with %q: it predates checksummed frame headers", path, magic)
+}
+
+// CutTail cuts the log at path back to end, the offset Scan returned, when
+// a torn tail lies beyond it.
+func CutTail(path string, end int64) error {
+	st, err := os.Stat(path)
+	if os.IsNotExist(err) {
+		return nil
+	}
+	if err != nil || st.Size() <= end {
+		return err
+	}
+	return os.Truncate(path, end)
+}
+
+// ReadAllRaw returns the payload of every intact frame of the log at
+// path, first cutting away a torn tail. Damage before the tail is an
+// error, and the file is left untouched. A missing file yields no frames.
+func ReadAllRaw(path string) ([][]byte, error) {
+	frames, end, err := Scan(path)
+	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-
-	var out [][]byte
-	var goodOff int64
-	for {
-		var hdr [8]byte
-		_, err := io.ReadFull(f, hdr[:])
-		if err == io.EOF {
-			return out, nil
-		}
-		if err == io.ErrUnexpectedEOF {
-			return out, truncate(path, goodOff)
-		}
-		if err != nil {
-			return nil, err
-		}
-		n := binary.BigEndian.Uint32(hdr[0:4])
-		wantCRC := binary.BigEndian.Uint32(hdr[4:8])
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(f, payload); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				return out, truncate(path, goodOff)
-			}
-			return nil, err
-		}
-		if crc32.ChecksumIEEE(payload) != wantCRC {
-			// Torn tail if nothing follows; otherwise corruption.
-			if pos, _ := f.Seek(0, io.SeekCurrent); isEOFAt(f, pos) {
-				return out, truncate(path, goodOff)
-			}
-			return nil, fmt.Errorf("%w: at offset %d", ErrCorrupt, goodOff)
-		}
-		out = append(out, payload)
-		goodOff += int64(8 + len(payload))
+	if err := CutTail(path, end); err != nil {
+		return nil, err
 	}
+	out := make([][]byte, len(frames))
+	for i, f := range frames {
+		out[i] = f.Payload
+	}
+	return out, nil
 }
 
 // Rewrite atomically replaces the log at path with exactly the given
@@ -210,23 +200,22 @@ func Rewrite(path string, payloads [][]byte) error {
 	if err != nil {
 		return err
 	}
+	_, err = f.Write([]byte(magic))
 	for _, p := range payloads {
-		if _, err := f.Write(frame(p)); err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return err
+		if err == nil {
+			_, err = f.Write(frame(p))
 		}
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
 		os.Remove(tmp)
 		return err
 	}
@@ -238,13 +227,4 @@ func Rewrite(path string, payloads [][]byte) error {
 		dir.Close()
 	}
 	return nil
-}
-
-func isEOFAt(f *os.File, pos int64) bool {
-	fi, err := f.Stat()
-	return err == nil && pos >= fi.Size()
-}
-
-func truncate(path string, off int64) error {
-	return os.Truncate(path, off)
 }

@@ -1,9 +1,9 @@
 // bcrdb-bench regenerates every table and figure of the paper's
 // evaluation (§5) with configurable sweep sizes, and is the only driver
-// of those experiments. Its output is recorded nowhere yet: a table that
-// sets it beside the paper's §5 figures needs those figures in the
-// repository first (ROADMAP). It is not the A/B tool: parent-vs-change
-// comparisons use `go run ./benchmarks` (BENCHMARK.json).
+// of those experiments. It prints one table per experiment and writes no
+// file: a record that sets them beside the paper's §5 figures needs those
+// figures in the repository first (ROADMAP). It is not the A/B tool:
+// parent-vs-change comparisons use `go run ./benchmarks` (BENCHMARK.json).
 //
 // Usage:
 //
@@ -13,7 +13,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -30,131 +29,8 @@ var (
 	duration = flag.Duration("duration", 2*time.Second, "measurement window per point")
 	warmup   = flag.Duration("warmup", 500*time.Millisecond, "warmup before each measurement")
 	backend  = flag.String("backend", "memory", "storage backend: memory or disk (disk uses a temp data dir per run)")
-	jsonPath = flag.String("json", "", "write machine-readable results to this file (empty disables)")
 	cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 )
-
-// benchScenario is one measured point of the -json report: the workload
-// parameters plus the headline and per-stage metrics.
-type benchScenario struct {
-	Experiment  string  `json:"experiment"`
-	Flow        string  `json:"flow"`
-	Contract    string  `json:"contract"`
-	Backend     string  `json:"backend"`
-	BlockSize   int     `json:"block_size"`
-	ArrivalRate float64 `json:"arrival_rate_tps"` // 0 = closed-loop saturation
-	Serial      bool    `json:"serial,omitempty"`
-
-	ThroughputTPS float64 `json:"throughput_tps"`
-	AvgLatencyMs  float64 `json:"avg_latency_ms"`
-	P95LatencyMs  float64 `json:"p95_latency_ms"`
-	Committed     int64   `json:"committed"`
-	Aborted       int64   `json:"aborted"`
-
-	// Per-stage mean nanoseconds per block (the pipeline stages of
-	// docs/adr/0002-block-pipeline.md), plus mean tx execution nanos.
-	BlockProcessNs int64   `json:"block_process_ns"`
-	BlockExecNs    int64   `json:"block_exec_ns"`
-	BlockCommitNs  int64   `json:"block_commit_ns"`
-	BlockSealNs    int64   `json:"block_seal_ns"`
-	TxExecNs       int64   `json:"tx_exec_ns"`
-	SUPercent      float64 `json:"su_percent"`
-
-	// Self-healing counters (docs/adr/0005). Zero on every happy-path
-	// scenario; populated by the chaos soak, where nonzero values prove
-	// the healing machinery actually fired.
-	CatchUps   int64 `json:"catchup_requests,omitempty"`
-	Failovers  int64 `json:"orderer_failovers,omitempty"`
-	Retries    int64 `json:"client_retries,omitempty"`
-	Faults     int64 `json:"faults_injected,omitempty"`
-	Late       int64 `json:"late_resolved,omitempty"`
-	Unresolved int64 `json:"unresolved,omitempty"`
-}
-
-type benchReport struct {
-	GeneratedAt string          `json:"generated_at"`
-	DurationSec float64         `json:"duration_per_point_sec"`
-	Scenarios   []benchScenario `json:"scenarios"`
-}
-
-var report benchReport
-
-// curExperiment labels recorded scenarios; header() sets it.
-var curExperiment string
-
-func flowName(f bcrdb.Flow) string {
-	if f == bcrdb.ExecuteOrder {
-		return "execute-order"
-	}
-	return "order-then-execute"
-}
-
-func record(cfg workload.RunConfig, r workload.Result) {
-	be := cfg.Backend
-	if be == "" {
-		be = "memory"
-	}
-	report.Scenarios = append(report.Scenarios, benchScenario{
-		Experiment:     curExperiment,
-		Flow:           flowName(cfg.Flow),
-		Contract:       cfg.Contract.String(),
-		Backend:        be,
-		BlockSize:      cfg.BlockSize,
-		ArrivalRate:    cfg.ArrivalRate,
-		Serial:         cfg.Serial,
-		ThroughputTPS:  r.Throughput,
-		AvgLatencyMs:   r.AvgLatencyMs,
-		P95LatencyMs:   r.P95LatencyMs,
-		Committed:      r.Committed,
-		Aborted:        r.Aborted,
-		BlockProcessNs: int64(r.BPT * 1e6),
-		BlockExecNs:    int64(r.BET * 1e6),
-		BlockCommitNs:  int64(r.BCT * 1e6),
-		BlockSealNs:    int64(r.BST * 1e6),
-		TxExecNs:       int64(r.TET * 1e6),
-		SUPercent:      r.SU,
-		CatchUps:       r.CatchUps,
-		Failovers:      r.Failovers,
-		Retries:        r.Retries,
-	})
-}
-
-// recordChaos appends one chaos-soak point to the report.
-func recordChaos(backend string, r workload.ChaosResult) {
-	report.Scenarios = append(report.Scenarios, benchScenario{
-		Experiment: curExperiment,
-		Flow:       flowName(bcrdb.OrderThenExecute),
-		Contract:   r.Config.Contract.String(),
-		Backend:    backend,
-		BlockSize:  r.Config.BlockSize,
-		Committed:  r.Committed,
-		Aborted:    r.Aborted,
-		CatchUps:   r.CatchUps,
-		Failovers:  r.Failovers,
-		Retries:    r.Retries,
-		Faults:     r.FaultsInjected,
-		Late:       r.LateResolved,
-		Unresolved: r.Unresolved,
-	})
-}
-
-func writeReport() {
-	if *jsonPath == "" || len(report.Scenarios) == 0 {
-		return
-	}
-	report.GeneratedAt = time.Now().UTC().Format(time.RFC3339)
-	report.DurationSec = duration.Seconds()
-	data, err := json.MarshalIndent(&report, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "json report:", err)
-		return
-	}
-	if err := os.WriteFile(*jsonPath, append(data, '\n'), 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "json report:", err)
-		return
-	}
-	fmt.Printf("\nwrote %d scenarios to %s\n", len(report.Scenarios), *jsonPath)
-}
 
 func main() {
 	flag.Parse()
@@ -217,7 +93,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "no experiment matched %q\n", *expFlag)
 		os.Exit(2)
 	}
-	writeReport()
 }
 
 func run(cfg workload.RunConfig) workload.Result {
@@ -229,7 +104,6 @@ func run(cfg workload.RunConfig) workload.Result {
 		fmt.Fprintln(os.Stderr, "run failed:", err)
 		os.Exit(1)
 	}
-	record(cfg, res)
 	return res
 }
 
@@ -239,7 +113,6 @@ func peak(cfg workload.RunConfig) workload.Result {
 }
 
 func header(title string) {
-	curExperiment = title
 	fmt.Printf("\n=== %s ===\n", title)
 }
 
@@ -333,7 +206,6 @@ func chaosSmoke() {
 			fmt.Fprintln(os.Stderr, "chaos control:", err)
 			os.Exit(1)
 		}
-		record(ctrl, c)
 		fmt.Printf("%-18s tput %.1f tps, committed %d, catchups %d, failovers %d, retries %d\n",
 			be+"/control", c.Throughput, c.Committed, c.CatchUps, c.Failovers, c.Retries)
 		if c.Committed == 0 {
@@ -357,7 +229,6 @@ func chaosSmoke() {
 			fmt.Fprintf(os.Stderr, "chaos: %s soak injected no faults — the gate proved nothing\n", be)
 			os.Exit(1)
 		}
-		recordChaos(be, soak)
 	}
 }
 

@@ -1,7 +1,7 @@
 // The execute stage used to spawn one goroutine per transaction, so a
 // 10k-transaction block cost 10k goroutines (plus their stacks) before
 // the first contract ran. execQueue replaces the spawn with a two-level
-// scheduling queue drained by a fixed worker pool (Config.ExecWorkers):
+// scheduling queue drained by a fixed pool of GOMAXPROCS workers:
 //
 //   - runnable jobs, whose snapshot height is already committed, wait in
 //     FIFO order for a worker;

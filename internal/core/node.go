@@ -13,9 +13,8 @@
 // at the height bump) form the commit-critical path, while Seal
 // (block outcomes for sys_ledger, write-set digest, the outcome frame and
 // durability fsync, checkpoint broadcast, notifications) runs on a background sealer so
-// block N's bookkeeping overlaps block N+1's execution. See pipeline.go
-// and docs/adr/0002-block-pipeline.md; Config.SynchronousSeal restores
-// the fully serial path as the parity tests' reference.
+// block N's bookkeeping overlaps block N+1's execution; only §3.6 replay
+// seals inline. See pipeline.go and docs/adr/0002-block-pipeline.md.
 //
 // This file holds configuration, lifecycle and accessors. Each other job
 // has one file and one mechanism: genesis.go, submit.go, intake.go,
@@ -135,30 +134,6 @@ type Config struct {
 	// CheckpointEvery emits a checkpoint every N blocks (§3.3.4);
 	// defaults to 1.
 	CheckpointEvery uint64
-
-	// SynchronousSeal disables the block pipeline's background sealer:
-	// the seal stage (block outcomes, write-set hash, outcome frame,
-	// checkpointing, notifications) runs inline on the block processor,
-	// reproducing the fully serial pre-pipeline commit path. It is the
-	// reference the pipeline parity tests compare against; pipelined and
-	// synchronous nodes produce identical state and checkpoint hashes at
-	// every height.
-	SynchronousSeal bool
-
-	// ExecWorkers sizes the execute stage's worker pool: transactions
-	// run on a fixed pool instead of one goroutine each, so a 10k-tx
-	// block does not create 10k goroutines. Executions waiting for a
-	// future snapshot height are parked off-pool (execqueue.go), so the
-	// bound can never deadlock the pipeline. 0 means GOMAXPROCS.
-	ExecWorkers int
-
-	// VerifyWorkers sizes the block-intake signature-prewarm pool: on
-	// block arrival the client signatures are verified concurrently so
-	// the execute stage's authoritative authenticate call hits a warm
-	// memo. Prewarming is correctness-neutral (the memo is keyed by the
-	// exact key/message/signature bytes). 0 means GOMAXPROCS; negative
-	// disables the pool.
-	VerifyWorkers int
 }
 
 // TxResult is the outcome of one transaction, delivered via
@@ -204,11 +179,14 @@ type Node struct {
 	execMu    sync.Mutex
 	executing map[string]*execution
 
-	// Execute-stage scheduler and worker pool (execqueue.go).
+	// Execute-stage scheduler and worker pool (execqueue.go); the pool,
+	// like the prewarm pool below, has GOMAXPROCS workers.
 	execQ  *execQueue
 	execWG sync.WaitGroup
 
-	// Block-intake signature prewarm pool; nil when disabled.
+	// Block-intake signature prewarm pool (prewarm.go). verifyCh holds
+	// four signatures per worker so a block's burst waits for the pool;
+	// prewarmBlock drops the rest, leaving them to the execute stage.
 	verifyCh chan *ledger.Transaction
 	verifyWG sync.WaitGroup
 
@@ -230,13 +208,13 @@ type Node struct {
 	alerts     []string
 	logFailed  bool // the first failed outcome write is in alerts
 	// lastSealedHash is the write-set hash of the most recently sealed
-	// block; recovery reads it right after a synchronous replay seal (the
-	// ownHashes entry may already be pruned by a checkpoint quorum).
+	// block; recovery reads it right after a replayed block's inline seal
+	// (the ownHashes entry may already be pruned by a checkpoint quorum).
 	lastSealedHash ledger.Hash
 
-	// Seal pipeline (stage 3). sealCh is nil with SynchronousSeal;
-	// sealAbort makes the sealer drop queued work (test crash injection);
-	// sealPause parks the sealer between tasks (test hook).
+	// Seal pipeline (stage 3). sealAbort makes the sealer drop queued
+	// work (test crash injection); sealPause parks the sealer between
+	// tasks (test hook).
 	// sealedHeight trails Height() by the unsealed window.
 	sealCh       chan *sealTask
 	sealWG       sync.WaitGroup
@@ -302,13 +280,6 @@ func NewNode(cfg Config, signer *identity.Signer, netReg *identity.Registry, net
 	if cfg.DeliverFrom == "" && len(cfg.Orderers) > 0 {
 		cfg.DeliverFrom = cfg.Orderers[0]
 	}
-	// Worker-count knobs: 0 means "scale with the machine".
-	if cfg.ExecWorkers <= 0 {
-		cfg.ExecWorkers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.VerifyWorkers == 0 {
-		cfg.VerifyWorkers = runtime.GOMAXPROCS(0)
-	}
 	kind, err := storage.ParseKind(string(cfg.Backend))
 	if err != nil {
 		return nil, err
@@ -347,6 +318,8 @@ func NewNode(cfg Config, signer *identity.Signer, netReg *identity.Registry, net
 		ownHashes:  make(map[uint64]ledger.Hash),
 		peerHashes: make(map[uint64]map[string]ledger.Hash),
 		certCache:  make(map[string]certCacheEntry),
+		verifyCh:   make(chan *ledger.Transaction, 4*runtime.GOMAXPROCS(0)),
+		sealCh:     make(chan *sealTask, sealQueueCap),
 		sealAbort:  make(chan struct{}),
 		stopped:    make(chan struct{}),
 		diskBacked: kind == storage.KindDisk,
@@ -414,25 +387,17 @@ func (n *Node) Start() error {
 	// The execute-stage pool must run before recovery: replay drives the
 	// pipeline stages synchronously, and its executions run on these
 	// workers.
-	for i := 0; i < n.cfg.ExecWorkers; i++ {
+	for i := 0; i < runtime.GOMAXPROCS(0); i++ {
 		n.execWG.Add(1)
 		go n.execWorker()
-	}
-	if n.cfg.VerifyWorkers > 0 {
-		n.verifyCh = make(chan *ledger.Transaction, 4*n.cfg.VerifyWorkers)
-		for i := 0; i < n.cfg.VerifyWorkers; i++ {
-			n.verifyWG.Add(1)
-			go n.verifyLoop()
-		}
+		n.verifyWG.Add(1)
+		go n.verifyLoop()
 	}
 	if err := n.recoverLocal(); err != nil {
 		return err
 	}
-	if !n.cfg.SynchronousSeal {
-		n.sealCh = make(chan *sealTask, sealQueueCap)
-		n.sealWG.Add(1)
-		go n.sealLoop()
-	}
+	n.sealWG.Add(1)
+	go n.sealLoop()
 	n.wg.Add(1)
 	go n.processLoop()
 	n.heal.mu.Lock()
@@ -458,11 +423,9 @@ func (n *Node) Stop() {
 		n.execQ.close()
 		n.execWG.Wait()
 		n.verifyWG.Wait()
-		if n.sealCh != nil {
-			// The block processor has exited; flush the sealer's backlog.
-			close(n.sealCh)
-			n.sealWG.Wait()
-		}
+		// The block processor has exited; flush the sealer's backlog.
+		close(n.sealCh)
+		n.sealWG.Wait()
 		n.closeFiles()
 	})
 }
@@ -480,8 +443,7 @@ func (n *Node) Height() int64 { return n.store.Height() }
 
 // SealedHeight returns the newest block whose seal (sys_ledger outcomes,
 // write-set checkpoint, outcome frame, durability fsync) has completed. It
-// trails Height() by the pipeline's in-flight window; with
-// SynchronousSeal the two are always equal between blocks. Readers that
+// trails Height() by the pipeline's in-flight window. Readers that
 // consume seal outputs (sys_ledger queries, checkpoint state) should
 // wait on this rather than Height.
 func (n *Node) SealedHeight() int64 { return n.sealedHeight.Load() }

@@ -86,10 +86,6 @@ type netOpts struct {
 	dataDirs        bool
 	backend         storage.Kind // "" = memory
 	checkpointEvery uint64
-	// syncSeal lists node indexes that run with SynchronousSeal (the
-	// serial pre-pipeline commit path); all others run pipelined. Mixing
-	// both in one network is the determinism-parity test setup.
-	syncSeal map[int]bool
 	// holdSeal lists node indexes whose sealer is parked before Start:
 	// their blocks commit but never seal, simulating a crash with
 	// unsealed blocks when combined with crashForTest.
@@ -161,7 +157,6 @@ func newTestNet(t *testing.T, o netOpts) *testNet {
 			tn.dataDirs = append(tn.dataDirs, cfg.DataDir)
 		}
 		cfg.Backend = o.backend
-		cfg.SynchronousSeal = o.syncSeal[i]
 		node, err := NewNode(cfg, peerSigners[i], netReg.Clone(), tn.net)
 		if err != nil {
 			t.Fatal(err)

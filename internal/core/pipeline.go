@@ -17,10 +17,9 @@
 // processor goroutine. Seal is bookkeeping whose outputs nothing on the
 // critical path reads, so it is handed to a dedicated sealer goroutine
 // through a bounded channel: block N's seal overlaps block N+1's
-// execution. Config.SynchronousSeal collapses the pipeline back to the
-// fully serial pre-pipeline behavior (the parity tests' reference), and
-// replay (§3.6 recovery) always drives the stages synchronously so
-// recovery stays deterministic.
+// execution. Only replay (§3.6 recovery) drives the stages synchronously,
+// so recovery stays deterministic; a restart that re-executes the chain
+// is therefore the inline reference the pipeline is tested against.
 
 package core
 
@@ -73,7 +72,7 @@ func (n *Node) processBlock(b *ledger.Block, replay bool) {
 	n.collectCheckpoints(b, replay)
 	execs := n.executeStage(b, replay)
 	task := n.commitStage(b, execs, replay, t0)
-	if replay || n.sealCh == nil {
+	if replay {
 		n.sealStage(task)
 		return
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -12,22 +13,21 @@ import (
 	"bcrdb/internal/types"
 )
 
-// crashForTest simulates a crash: the node stops without draining the
-// seal queue (unsealed blocks stay unsealed) and releases its files so a
-// restart can take over the data directory. Contrast with Stop, which
-// flushes every pending seal first.
+// crashForTest simulates a crash: the node stops as Stop does, except
+// that the sealer drops its queue (unsealed blocks stay unsealed), and
+// releases its files so a restart can take over the data directory.
 func (n *Node) crashForTest() {
 	n.stopOnce.Do(func() {
 		close(n.stopped)
 		n.ep.Unregister()
 		n.wg.Wait()
+		n.execQ.close()
+		n.execWG.Wait()
+		n.verifyWG.Wait()
 		close(n.sealAbort) // sealer drops queued tasks instead of sealing
-		if n.sealCh != nil {
-			close(n.sealCh)
-			n.sealWG.Wait()
-		}
-		n.blocks.Close()
-		n.store.Close()
+		close(n.sealCh)
+		n.sealWG.Wait()
+		n.closeFiles()
 	})
 }
 
@@ -57,12 +57,14 @@ func driveMixedTraffic(t *testing.T, tn *testNet, base int64, count int) uint64 
 }
 
 // TestPipelineParity proves the pipelined processor is observationally
-// identical to the serial (SynchronousSeal) one: node 0 runs the serial
-// path while nodes 1–2 run pipelined, across both flows and both
-// backends. Every node must reach the same state hash at every height,
-// and the checkpoint quorum — which only forms when write-set hashes
-// match across nodes — must cover the whole chain with no divergence
-// alerts, proving the checkpoint write-hashes are identical too.
+// identical to the inline seal of §3.6 replay, across both flows and both
+// backends. Three pipelined nodes must agree on every write-set hash (the
+// checkpoint quorum only forms when they match) with no divergence
+// alerts. Node 0 is then restarted from its block log on the memory
+// backend, which re-executes every block with the seal inline: Start
+// refuses if a replayed write hash differs from the outcome frame the
+// pipelined sealer wrote, and the restarted node must reach the live
+// peers' state hash at every height.
 func TestPipelineParity(t *testing.T) {
 	for _, flow := range []Flow{OrderThenExecute, ExecuteOrder} {
 		for _, backend := range []storage.Kind{storage.KindMemory, storage.KindDisk} {
@@ -73,27 +75,16 @@ func TestPipelineParity(t *testing.T) {
 				tn := newTestNet(t, netOpts{
 					flow:     flow,
 					backend:  backend,
-					dataDirs: backend == storage.KindDisk,
-					syncSeal: map[int]bool{0: true},
+					dataDirs: true,
 					cfg:      ordering.Config{BlockSize: 3, BlockTimeout: 20 * time.Millisecond},
 				})
 				maxBlock := driveMixedTraffic(t, tn, 100, 18)
 				tn.waitHeights(int64(maxBlock))
 
-				// State-hash parity at every height, not just the tip.
-				for h := int64(1); h <= int64(maxBlock); h++ {
-					ref := tn.nodes[0].StateHash(h)
-					for i, n := range tn.nodes[1:] {
-						if got := n.StateHash(h); got != ref {
-							t.Fatalf("node %d state hash differs from sync-seal node at height %d", i+1, h)
-						}
-					}
-				}
-
 				// Keep traffic flowing so the final checkpoints circulate,
 				// then require full quorum coverage and zero alerts: the
-				// quorum only advances when the pipelined nodes' write-set
-				// hashes equal the serial node's at every block.
+				// quorum only advances when the nodes' write-set hashes
+				// agree at every block.
 				deadline := time.Now().Add(10 * time.Second)
 				for time.Now().Before(deadline) {
 					done := true
@@ -119,8 +110,65 @@ func TestPipelineParity(t *testing.T) {
 						t.Fatalf("node %d raised divergence alerts: %v", i, alerts)
 					}
 				}
+
+				// The inline reference: replay every block of node 0's log.
+				node0 := tn.nodes[0]
+				tip := node0.Height()
+				tn.waitHeights(tip)
+				cfg := node0.cfg
+				cfg.Backend = storage.KindMemory
+				node0.Stop()
+				replayed, err := NewNode(cfg, node0.signer, tn.netReg.Clone(), tn.net)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := replayed.Bootstrap(Genesis{Certs: genesisCerts(tn), SQL: testGenesisSQL, Contracts: testContracts}); err != nil {
+					t.Fatal(err)
+				}
+				if err := replayed.Start(); err != nil {
+					t.Fatalf("inline replay disagrees with the pipelined seal: %v", err)
+				}
+				t.Cleanup(replayed.Stop)
+				if got := replayed.SealedHeight(); got < tip {
+					t.Fatalf("replay sealed up to %d, want %d", got, tip)
+				}
+				for h := int64(1); h <= tip; h++ {
+					ref := replayed.StateHash(h)
+					for i, n := range tn.nodes[1:] {
+						if got := n.StateHash(h); got != ref {
+							t.Fatalf("node %d state hash differs from the inline replay at height %d", i+1, h)
+						}
+					}
+				}
+				if alerts := replayed.Alerts(); len(alerts) > 0 {
+					t.Fatalf("inline replay raised alerts: %v", alerts)
+				}
 			})
 		}
+	}
+}
+
+// TestCrashStopsNodeGoroutines crashes a quiescent node and requires
+// every goroutine it started to exit: the execute and prewarm pools
+// (GOMAXPROCS each), the block processor, the sealer and anti-entropy.
+// A leaked exec worker would hold the crashed node's store for the rest
+// of the process.
+func TestCrashStopsNodeGoroutines(t *testing.T) {
+	tn := newTestNet(t, netOpts{flow: OrderThenExecute, nNodes: 1,
+		cfg: ordering.Config{BlockSize: 1, BlockTimeout: 20 * time.Millisecond}})
+	maxBlock := driveMixedTraffic(t, tn, 100, 3)
+	tn.waitHeights(int64(maxBlock))
+
+	before := runtime.NumGoroutine()
+	tn.nodes[0].crashForTest()
+	want := before - (2*runtime.GOMAXPROCS(0) + 3)
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > want && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if got := runtime.NumGoroutine(); got > want {
+		t.Fatalf("%d goroutines after the crash, %d before: the node left %d of its own running",
+			got, before, got-want)
 	}
 }
 

@@ -2,9 +2,9 @@
 // the single most expensive per-transaction computation on the block hot
 // path; executed serially inside the execute stage it gates block
 // latency. On block arrival the node therefore fans the block's client
-// signatures across a GOMAXPROCS-sized pool (Config.VerifyWorkers) that
-// warms the process-wide verification memo (internal/identity) and the
-// node's decoded-key cache. The execute stage still performs the
+// signatures across a pool of GOMAXPROCS workers that warms the
+// process-wide verification memo (internal/identity) and the node's
+// decoded-key cache. The execute stage still performs the
 // authoritative authenticate call — prewarming only changes where the
 // cycles are spent, never the outcome, because the memo is keyed by the
 // exact (key, message, signature) bytes and the decoded-key cache is
@@ -19,9 +19,6 @@ import "bcrdb/internal/ledger"
 // simply verified inline by the execute stage, exactly as without the
 // pool.
 func (n *Node) prewarmBlock(b *ledger.Block) {
-	if n.verifyCh == nil {
-		return
-	}
 	for _, tx := range b.Txs {
 		select {
 		case n.verifyCh <- tx:

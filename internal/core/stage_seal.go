@@ -2,12 +2,10 @@
 // critical path reads — the block outcomes that make the block's
 // sys_ledger rows visible (§3.3.2 step 1 / §3.3.3), the write-set digest
 // and checkpointing (§3.3.4), the outcome frame in the block log and the
-// storage durability point, and client notifications (§2(7)). With the pipeline
-// enabled this runs on the sealer goroutine and overlaps the next block's
-// execution; replay and Config.SynchronousSeal run it inline. See
-// pipeline.go for the stage overview and
-// docs/adr/0002-block-pipeline.md for the recovery
-// implications.
+// storage durability point, and client notifications (§2(7)). It runs on
+// the sealer goroutine and overlaps the next block's execution; only
+// replay runs it inline. See pipeline.go for the stage overview and
+// docs/adr/0002-block-pipeline.md for the recovery implications.
 
 package core
 

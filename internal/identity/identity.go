@@ -192,19 +192,6 @@ func (r *Registry) Clone() *Registry {
 	return out
 }
 
-// CountByRole returns how many identities carry the given role.
-func (r *Registry) CountByRole(role Role) int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	n := 0
-	for _, id := range r.ids {
-		if id.Role == role {
-			n++
-		}
-	}
-	return n
-}
-
 // Orgs returns the distinct organizations present in the registry, sorted.
 func (r *Registry) Orgs() []string {
 	r.mu.RLock()

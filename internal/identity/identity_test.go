@@ -97,9 +97,6 @@ func TestRegistryEnumeration(t *testing.T) {
 	if len(all) != 3 || all[0].Name != "amy" {
 		t.Errorf("All = %v", all)
 	}
-	if n := r.CountByRole(RoleClient); n != 2 {
-		t.Errorf("CountByRole(client) = %d", n)
-	}
 	orgs := r.Orgs()
 	if len(orgs) != 2 || orgs[0] != "org1" || orgs[1] != "org2" {
 		t.Errorf("Orgs = %v", orgs)

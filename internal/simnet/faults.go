@@ -166,11 +166,3 @@ func (n *Network) RestartEndpoint(name string) bool {
 	ep.Restart()
 	return true
 }
-
-// EndpointStopped reports whether the named endpoint is currently down.
-func (n *Network) EndpointStopped(name string) bool {
-	n.mu.RLock()
-	ep := n.endpoints[name]
-	n.mu.RUnlock()
-	return ep != nil && ep.Stopped()
-}

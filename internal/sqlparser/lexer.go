@@ -5,14 +5,11 @@ import (
 	"strings"
 )
 
-// Lexer tokenizes SQL (and procedure-language) source text.
-type Lexer struct {
+// lexer tokenizes SQL (and procedure-language) source text.
+type lexer struct {
 	src string
 	pos int
 }
-
-// NewLexer returns a lexer over src.
-func NewLexer(src string) *Lexer { return &Lexer{src: src} }
 
 // SyntaxError is returned for lexical and parse errors, with the byte
 // offset into the source.
@@ -35,7 +32,7 @@ func (e *SyntaxError) Error() string {
 	return fmt.Sprintf("sql: line %d col %d: %s", line, col, e.Msg)
 }
 
-func (l *Lexer) errf(pos int, format string, args ...any) error {
+func (l *lexer) errf(pos int, format string, args ...any) error {
 	return &SyntaxError{Pos: pos, Msg: fmt.Sprintf(format, args...), Src: l.src}
 }
 
@@ -49,8 +46,8 @@ func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 
 func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
 
-// Next returns the next token.
-func (l *Lexer) Next() (Token, error) {
+// next returns the next token.
+func (l *lexer) next() (Token, error) {
 	l.skipSpaceAndComments()
 	if l.pos >= len(l.src) {
 		return Token{Kind: TokEOF, Pos: l.pos}, nil
@@ -160,7 +157,7 @@ func (l *Lexer) Next() (Token, error) {
 	}
 }
 
-func (l *Lexer) skipSpaceAndComments() {
+func (l *lexer) skipSpaceAndComments() {
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]
 		switch {
@@ -185,12 +182,12 @@ func (l *Lexer) skipSpaceAndComments() {
 	}
 }
 
-// Tokenize returns all tokens of src including the trailing EOF token.
-func Tokenize(src string) ([]Token, error) {
-	l := NewLexer(src)
+// tokenize returns all tokens of src including the trailing EOF token.
+func tokenize(src string) ([]Token, error) {
+	l := &lexer{src: src}
 	var out []Token
 	for {
-		t, err := l.Next()
+		t, err := l.next()
 		if err != nil {
 			return nil, err
 		}

@@ -21,7 +21,7 @@ type Parser struct {
 
 // NewParser returns a parser for src.
 func NewParser(src string) (*Parser, error) {
-	toks, err := Tokenize(src)
+	toks, err := tokenize(src)
 	if err != nil {
 		return nil, err
 	}

@@ -28,7 +28,7 @@ func mustFail(t *testing.T, src, wantSub string) {
 }
 
 func TestLexerBasics(t *testing.T) {
-	toks, err := Tokenize("SELECT a, 'it''s', 1.5e2, $2 FROM t -- comment\n/* block */ WHERE x<>1")
+	toks, err := tokenize("SELECT a, 'it''s', 1.5e2, $2 FROM t -- comment\n/* block */ WHERE x<>1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,19 +61,19 @@ func TestLexerBasics(t *testing.T) {
 }
 
 func TestLexerErrors(t *testing.T) {
-	if _, err := Tokenize("'unterminated"); err == nil {
+	if _, err := tokenize("'unterminated"); err == nil {
 		t.Error("expected error for unterminated string")
 	}
-	if _, err := Tokenize("a @ b"); err == nil {
+	if _, err := tokenize("a @ b"); err == nil {
 		t.Error("expected error for bad character")
 	}
-	if _, err := Tokenize("$x"); err == nil {
+	if _, err := tokenize("$x"); err == nil {
 		t.Error("expected error for bad parameter")
 	}
 }
 
 func TestLexerIdentCaseFolding(t *testing.T) {
-	toks, _ := Tokenize("MyTable SELECT sElEcT")
+	toks, _ := tokenize("MyTable SELECT sElEcT")
 	if toks[0].Text != "mytable" || toks[0].Kind != TokIdent {
 		t.Errorf("ident fold = %q", toks[0].Text)
 	}

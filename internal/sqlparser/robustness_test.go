@@ -89,7 +89,7 @@ func TestParserNeverPanics(t *testing.T) {
 			_, _ = ParseStatement(src)
 			_, _ = ParseStatements(src)
 			_, _ = ParseExprString(src)
-			_, _ = Tokenize(src)
+			_, _ = tokenize(src)
 		}()
 	}
 }

@@ -179,38 +179,6 @@ func (t *Table) Indexes() []string {
 	return out
 }
 
-// IndexOn returns the name of an index whose leading columns are exactly
-// cols (a prefix match on ordinals), preferring the primary index, or "".
-func (t *Table) IndexOn(cols []int) string {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	match := func(ix *IndexDef) bool {
-		if len(ix.Cols) < len(cols) {
-			return false
-		}
-		for i, c := range cols {
-			if ix.Cols[i] != c {
-				return false
-			}
-		}
-		return true
-	}
-	if match(t.primary) {
-		return t.primary.Name
-	}
-	var names []string
-	for n := range t.indexes {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		if match(t.indexes[n]) {
-			return n
-		}
-	}
-	return ""
-}
-
 // IndexCols returns the column ordinals of the named index.
 func (t *Table) IndexCols(name string) ([]int, bool) {
 	t.mu.RLock()

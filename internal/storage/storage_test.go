@@ -373,15 +373,6 @@ func TestSecondaryIndexAndBackfill(t *testing.T) {
 		t.Errorf("index order = %v", got)
 	}
 	tab, _ := s.Table("t")
-	if name := tab.IndexOn([]int{1}); name != "t_val" {
-		t.Errorf("IndexOn = %q", name)
-	}
-	if name := tab.IndexOn([]int{0}); name != "t_pkey" {
-		t.Errorf("IndexOn pk = %q", name)
-	}
-	if name := tab.IndexOn([]int{2}); name != "" {
-		t.Errorf("IndexOn missing = %q", name)
-	}
 	if got := tab.Indexes(); len(got) != 2 {
 		t.Errorf("Indexes = %v", got)
 	}

@@ -118,9 +118,6 @@ func (s *Server) URL() string { return "http://" + s.Addr() }
 // ActiveStreams reports currently connected commit-stream clients.
 func (s *Server) ActiveStreams() int64 { return s.streams.Load() }
 
-// Relayed reports how many cluster messages arrived via /v1/relay.
-func (s *Server) Relayed() int64 { return s.relayed.Load() }
-
 // Rejected reports how many requests were rejected as malformed.
 func (s *Server) Rejected() int64 { return s.rejected.Load() }
 

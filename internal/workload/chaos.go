@@ -106,8 +106,6 @@ func (c ChaosConfig) withDefaults() ChaosConfig {
 
 // ChaosResult summarizes a soak.
 type ChaosResult struct {
-	Config ChaosConfig
-
 	Invokes   int64 // total Invoke calls
 	Committed int64
 	Aborted   int64
@@ -223,7 +221,7 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 		Groups:     groups,
 		Partitions: parts,
 	}, cfg.Duration)
-	res := ChaosResult{Config: cfg, Timeline: chaos.Timeline()}
+	res := ChaosResult{Timeline: chaos.Timeline()}
 
 	// Pre-snapshot counters, then unleash.
 	baseline := snapshotHealing(nw)

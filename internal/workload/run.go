@@ -72,21 +72,16 @@ func (c RunConfig) withDefaults() RunConfig {
 // Result is the outcome of one run: the paper's headline metrics plus
 // the micro metrics of Tables 4 and 5.
 type Result struct {
-	Config RunConfig
-
 	Throughput   float64 // committed tx/s in the measurement window
 	AvgLatencyMs float64 // submit → commit, committed txs only
 	P95LatencyMs float64
 
-	Submitted int64
 	Committed int64
 	Aborted   int64
 
 	// Micro metrics (node 0, measurement window). BST is the mean block
-	// seal time, which overlaps the next block's execution; SealQueue is
-	// the seal-queue depth at the end of the window.
+	// seal time, which overlaps the next block's execution.
 	BRR, BPR, BPT, BET, BCT, BST, TET, MT, SU float64
-	SealQueue                                 int64
 
 	// Self-healing counters (node 0, measurement window): catch-up range
 	// requests, orderer failovers, client retries. All zero on a healthy
@@ -269,9 +264,7 @@ func Run(cfg RunConfig) (Result, error) {
 
 	w := after.Sub(before)
 	res := Result{
-		Config:     cfg,
 		Throughput: w.Throughput(),
-		Submitted:  seq.Load(),
 		Committed:  w.Diff.TxCommitted,
 		Aborted:    w.Diff.TxAborted,
 		BRR:        w.BRR(),
@@ -283,7 +276,6 @@ func Run(cfg RunConfig) (Result, error) {
 		TET:        w.TET(),
 		MT:         w.MT(),
 		SU:         w.SU(),
-		SealQueue:  w.Diff.SealQueueDepth,
 		CatchUps:   w.Diff.CatchUpRequests,
 		Failovers:  w.Diff.OrdererFailovers,
 		Retries:    w.Diff.ClientRetries,

@@ -94,13 +94,6 @@ type Options struct {
 	// (default 1).
 	CheckpointEvery uint64
 
-	// ExecWorkers sizes each node's execute-stage worker pool
-	// (0 = GOMAXPROCS).
-	ExecWorkers int
-	// VerifyWorkers sizes each node's block-intake signature-prewarm
-	// pool (0 = GOMAXPROCS, negative disables it).
-	VerifyWorkers int
-
 	// Retry configures client-side resubmission with backoff and target
 	// failover (see RetryPolicy). Zero value = one attempt, no retry.
 	Retry RetryPolicy
@@ -361,8 +354,6 @@ func NewNetwork(opts Options) (*Network, error) {
 			AntiEntropyEvery: opts.AntiEntropyEvery,
 			CheckpointEvery:  opts.CheckpointEvery,
 			Backend:          backend,
-			ExecWorkers:      opts.ExecWorkers,
-			VerifyWorkers:    opts.VerifyWorkers,
 		}
 		if opts.DataDir != "" {
 			cfg.DataDir = filepath.Join(opts.DataDir, org.Name)

@@ -60,9 +60,10 @@ func (n *Node) onBlock(m simnet.Message) {
 	n.metrics.BlocksReceived.Add(1)
 	// A block from the delivering orderer proves its liveness.
 	n.noteOrdererAlive(m.From)
-	// Fan the block's client signatures across the verify pool so the
-	// execute stage's authenticate hits a warm memo (prewarm.go).
-	n.prewarmBlock(b)
+	// Warm the execute stage's signature checks for a new block (prewarm.go).
+	if b.Number > n.blocks.Height() {
+		n.prewarmBlock(b)
+	}
 
 	gap := false
 	var tip uint64

@@ -185,9 +185,9 @@ type Node struct {
 	execWG sync.WaitGroup
 
 	// Block-intake signature prewarm pool (prewarm.go). verifyCh holds
-	// four signatures per worker so a block's burst waits for the pool;
-	// prewarmBlock drops the rest, leaving them to the execute stage.
-	verifyCh chan *ledger.Transaction
+	// four block offers per worker (one block is offered once per
+	// worker); prewarmBlock drops offers that find it full.
+	verifyCh chan *prewarmJob
 	verifyWG sync.WaitGroup
 
 	// Incoming block sequencing. pending is bounded by pendingAhead
@@ -318,7 +318,7 @@ func NewNode(cfg Config, signer *identity.Signer, netReg *identity.Registry, net
 		ownHashes:  make(map[uint64]ledger.Hash),
 		peerHashes: make(map[uint64]map[string]ledger.Hash),
 		certCache:  make(map[string]certCacheEntry),
-		verifyCh:   make(chan *ledger.Transaction, 4*runtime.GOMAXPROCS(0)),
+		verifyCh:   make(chan *prewarmJob, 4*runtime.GOMAXPROCS(0)),
 		sealCh:     make(chan *sealTask, sealQueueCap),
 		sealAbort:  make(chan struct{}),
 		stopped:    make(chan struct{}),
@@ -418,8 +418,8 @@ func (n *Node) Stop() {
 		n.ep.Unregister()
 		n.wg.Wait()
 		// The block processor is gone; fail queued executions and let the
-		// pools drain. (verifyCh is never closed — late onBlock senders
-		// select on n.stopped instead.)
+		// pools drain. (verifyCh is never closed — onBlock sends to it
+		// without blocking, and may still do so.)
 		n.execQ.close()
 		n.execWG.Wait()
 		n.verifyWG.Wait()

@@ -24,6 +24,10 @@ import (
 // Failed verifications are cached too (re-verifying a bad signature is
 // as expensive as a good one).
 //
+// An entry goes in before its verification runs, so concurrent callers
+// (the block-intake prewarm, every replica's execute stage) wait for the
+// one Ed25519 call instead of repeating it; only that call is a miss.
+//
 // The memo is sharded: with the block-intake prewarm pool and every
 // node's execute stage verifying concurrently, a single mutex would just
 // move the serialization from the verification to the cache. The digest
@@ -42,9 +46,16 @@ const (
 // cache line.
 type verifyShard struct {
 	mu    sync.Mutex
-	young map[[32]byte]bool
-	old   map[[32]byte]bool
+	young map[[32]byte]*verifyEntry
+	old   map[[32]byte]*verifyEntry
 	_     [40]byte
+}
+
+// verifyEntry is one memoized verdict, valid once done is closed. Waiters
+// hold the entry itself, so a rotation that drops it strands none.
+type verifyEntry struct {
+	done chan struct{}
+	ok   bool
 }
 
 var (
@@ -67,7 +78,8 @@ func verifyKey(pub ed25519.PublicKey, msg, sig []byte) [32]byte {
 	return k
 }
 
-// VerifyCached is ed25519.Verify behind the process-wide sharded memo.
+// VerifyCached is ed25519.Verify behind the process-wide sharded memo. A
+// caller that finds an entry, even one in flight, is a hit and waits.
 func VerifyCached(pub ed25519.PublicKey, msg, sig []byte) bool {
 	if len(pub) != ed25519.PublicKeySize {
 		return false
@@ -75,31 +87,30 @@ func VerifyCached(pub ed25519.PublicKey, msg, sig []byte) bool {
 	k := verifyKey(pub, msg, sig)
 	s := &verifyMemo[k[0]%verifyMemoShards]
 	s.mu.Lock()
-	if ok, hit := s.young[k]; hit {
+	e := s.young[k]
+	if e == nil {
+		e = s.old[k]
+	}
+	if e != nil {
 		s.mu.Unlock()
 		verifyHits.Add(1)
-		return ok
+		<-e.done
+		return e.ok
 	}
-	if ok, hit := s.old[k]; hit {
-		s.mu.Unlock()
-		verifyHits.Add(1)
-		return ok
+	e = &verifyEntry{done: make(chan struct{})}
+	if s.young == nil {
+		s.young = make(map[[32]byte]*verifyEntry, verifyShardCap)
+	} else if len(s.young) >= verifyShardCap {
+		s.old = s.young
+		s.young = make(map[[32]byte]*verifyEntry, verifyShardCap)
 	}
+	s.young[k] = e
 	s.mu.Unlock()
 	verifyMisses.Add(1)
 
-	ok := ed25519.Verify(pub, msg, sig)
-
-	s.mu.Lock()
-	if s.young == nil {
-		s.young = make(map[[32]byte]bool, verifyShardCap)
-	} else if len(s.young) >= verifyShardCap {
-		s.old = s.young
-		s.young = make(map[[32]byte]bool, verifyShardCap)
-	}
-	s.young[k] = ok
-	s.mu.Unlock()
-	return ok
+	defer close(e.done) // even on a panic, so no waiter is stranded
+	e.ok = ed25519.Verify(pub, msg, sig)
+	return e.ok
 }
 
 // VerifyCacheStats returns the process-wide memo hit/miss counters.

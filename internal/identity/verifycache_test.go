@@ -101,6 +101,47 @@ func TestVerifyCachedConcurrent(t *testing.T) {
 	}
 }
 
+// TestVerifyCachedSingleFlight releases 16 goroutines at once onto one
+// fresh valid signature and one fresh tampered one: each verdict must
+// cost exactly one Ed25519 call, every other caller waiting for it, and
+// every caller must get the right answer.
+func TestVerifyCachedSingleFlight(t *testing.T) {
+	pub, priv := testKeyPair(t)
+	msg := []byte("single flight")
+	sig := ed25519.Sign(priv, msg)
+	bad := append([]byte(nil), sig...)
+	bad[0] ^= 0x01
+
+	const callers = 16
+	h0, m0 := VerifyCacheStats()
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	fail := make(chan string, 2*callers)
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			if !VerifyCached(pub, msg, sig) {
+				fail <- "valid signature rejected"
+			}
+			if VerifyCached(pub, msg, bad) {
+				fail <- "tampered signature accepted"
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	close(fail)
+	for f := range fail {
+		t.Fatal(f)
+	}
+	h1, m1 := VerifyCacheStats()
+	if m1-m0 != 2 || h1-h0 != 2*callers-2 {
+		t.Fatalf("misses +%d, hits +%d; want +2 and +%d", m1-m0, h1-h0, 2*callers-2)
+	}
+}
+
 // TestVerifyShardRotationKeepsCorrectness overflows a single shard so
 // the young generation rotates; verdicts must stay correct for entries
 // that fell out of the memo (they are simply recomputed).

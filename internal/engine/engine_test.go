@@ -422,6 +422,23 @@ func TestUniqueColumnConstraint(t *testing.T) {
 	}
 }
 
+// TestCreateUniqueIndexOverDuplicatesRefused: CREATE UNIQUE INDEX over a
+// column that already holds a value twice fails, as in PostgreSQL, and
+// leaves no index behind — the column still takes a third copy.
+func TestCreateUniqueIndexOverDuplicatesRefused(t *testing.T) {
+	h := newHarness(t)
+	h.ddl(`CREATE TABLE users (id BIGINT PRIMARY KEY, email TEXT)`)
+	h.exec(`INSERT INTO users VALUES (1, 'a@x.com'), (2, 'a@x.com')`)
+	ctx := &ExecCtx{Mode: ModeSystem, Height: h.block, Rec: storage.NewTxRecord(h.st.BeginTx(), h.block)}
+	if _, err := h.eng.ExecSQL(ctx, `CREATE UNIQUE INDEX users_email ON users (email)`); !errors.Is(err, storage.ErrUniqueViolation) {
+		t.Fatalf("err = %v, want ErrUniqueViolation", err)
+	}
+	h.exec(`INSERT INTO users VALUES (3, 'a@x.com')`)
+	if res := h.query(`SELECT COUNT(*) FROM users WHERE email = 'a@x.com'`); res.Rows[0][0].Int() != 3 {
+		t.Fatalf("rows = %v", rowsToStrings(res))
+	}
+}
+
 func TestRequireIndexMode(t *testing.T) {
 	h := newHarness(t)
 	h.seedAccounts()

@@ -447,7 +447,7 @@ func (s *Store) replayInsert(table string, ref uint64, row types.Row, xid TxID, 
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if _, exists := t.heap[ref]; exists {
+	if t.version(ref) != nil {
 		return
 	}
 	v := &RowVersion{
@@ -457,7 +457,7 @@ func (s *Store) replayInsert(table string, ref uint64, row types.Row, xid TxID, 
 		CreatorBlk: block,
 		DeleterBlk: NoBlock,
 	}
-	t.heap[ref] = v
+	t.put(v)
 	if ref > t.nextRef {
 		t.nextRef = ref
 	}
@@ -474,7 +474,7 @@ func (s *Store) replayDelete(table string, ref uint64, xid TxID, block int64) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if v := t.heap[ref]; v != nil {
+	if v := t.version(ref); v != nil {
 		v.Xmax = xid
 		v.DeleterBlk = block
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"bcrdb/internal/index"
@@ -333,5 +334,76 @@ func TestDiskBackendRowFidelity(t *testing.T) {
 				t.Fatalf("row %d col %d: %v != %v", i, c, got[i][c], want[i][c])
 			}
 		}
+	}
+}
+
+// TestDiskRestartOverHeapHoles restarts a disk store whose log skips the
+// refs of aborted versions — a run of 1100 of them —
+// and requires the version count, the visible counts, the state hash and
+// the scans of both indexes to read as before the restart; a unique index
+// refused before the restart was never logged.
+func TestDiskRestartOverHeapHoles(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "store.wal")
+	d := openDiskT(t, path)
+	h := driveHistory(t, d)
+	ab := NewTxRecord(d.BeginTx(), h)
+	for i := int64(0); i < 1100; i++ {
+		if _, err := d.Insert(ab, "t", row(1000+i, "aborted", 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d.AbortTx(ab)
+	h++
+	for i := int64(0); i < 20; i++ {
+		insertCommitted(t, d, "t", row(100+i, fmt.Sprintf("late%d", i%3), 0), h)
+	}
+	if err := d.CreateIndex("t", "t_val_uq", []int{1}, true); err == nil {
+		t.Fatal("unique index over duplicate values accepted")
+	}
+
+	type snapshot struct {
+		versions int
+		visible  []int
+		hashes   [][32]byte
+		scans    []string
+	}
+	take := func(s Backend) snapshot {
+		var sn snapshot
+		sn.versions, _ = s.CountVersions("t")
+		for hh := int64(0); hh <= h; hh++ {
+			sn.visible = append(sn.visible, countVisible(t, s, hh))
+			sn.hashes = append(sn.hashes, s.StateHash(hh))
+			for _, ixName := range []string{"t_pkey", "t_val"} {
+				for _, mode := range []ScanMode{ScanVisible, ScanProvenance} {
+					if err := s.ScanIndex("t", ixName, index.AllRange(), 0, hh, mode, func(v *RowVersion) bool {
+						sn.scans = append(sn.scans, fmt.Sprintf("%s@%d/%d: %d %s", ixName, hh, mode, v.ID, v.Data))
+						return true
+					}); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		return sn
+	}
+	want := take(d)
+	if want.versions != 46 {
+		t.Fatalf("%d versions before the restart, want 46", want.versions)
+	}
+	d2 := openDiskT(t, path)
+	defer d2.Close()
+	got := take(d2)
+	if got.versions != want.versions || !slices.Equal(got.visible, want.visible) ||
+		!slices.Equal(got.hashes, want.hashes) || !slices.Equal(got.scans, want.scans) {
+		t.Fatalf("restart changed the store:\n got  %d versions, visible %v\n want %d versions, visible %v",
+			got.versions, got.visible, want.versions, want.visible)
+	}
+	if tab, _ := d2.Table("t"); len(tab.Indexes()) != 2 {
+		t.Fatalf("indexes after the restart: %v", tab.Indexes())
+	}
+	// New versions land past every replayed ref, holes included.
+	v := insertCommitted(t, d2, "t", row(200, "post", 0), h+1)
+	if v.ID <= uint64(1100) {
+		t.Fatalf("post-restart version got ref %d", v.ID)
 	}
 }

@@ -13,7 +13,8 @@
 //
 // Visibility is purely a function of (snapshot block height, committed
 // chain), which is what makes transaction execution deterministic on every
-// replica regardless of scheduling.
+// replica regardless of scheduling. A table's versions sit in an array by
+// heap ref, and a read of a unique key stops at its newest visible version.
 //
 // The store is pluggable behind the Backend interface (backend.go): the
 // in-memory *Store here is the reference implementation and the default;
@@ -105,8 +106,6 @@ type RowVersion struct {
 
 	CreatorBlk int64 // block that committed the insert; NoBlock while provisional
 	DeleterBlk int64 // block that committed the delete; NoBlock if live
-
-	aborted bool // creating transaction aborted; version is dead
 }
 
 // IndexDef is an index attached to a table. On a derived table it is a
@@ -149,11 +148,29 @@ func (ix *IndexDef) KeyFor(row types.Row) types.Key {
 type Table struct {
 	mu      sync.RWMutex
 	schema  Schema
-	heap    map[uint64]*RowVersion
+	heap    []*RowVersion // by ref-1; nil where dropped, or where replay met no ref
+	live    int           // versions in heap
 	nextRef uint64
 	primary *IndexDef
 	indexes map[string]*IndexDef // by name, includes primary
 	derived DerivedScan          // nil for a stored table
+}
+
+// version returns the version with the given heap ref, or nil; t.mu held.
+func (t *Table) version(ref uint64) *RowVersion {
+	if i := ref - 1; i < uint64(len(t.heap)) { // ref 0 wraps past the end
+		return t.heap[i]
+	}
+	return nil
+}
+
+// put stores v in the empty heap slot of its ref; t.mu held.
+func (t *Table) put(v *RowVersion) {
+	for uint64(len(t.heap)) < v.ID {
+		t.heap = append(t.heap, nil)
+	}
+	t.heap[v.ID-1] = v
+	t.live++
 }
 
 // Schema returns a copy of the table schema.
@@ -446,7 +463,6 @@ func (s *Store) CreateTable(schema Schema) error {
 	pk := newIndexDef(schema.Name+"_pkey", schema.PKCols, true)
 	return s.addTable(&Table{
 		schema:  schema,
-		heap:    make(map[uint64]*RowVersion),
 		primary: pk,
 		indexes: map[string]*IndexDef{pk.Name: pk},
 	})
@@ -518,7 +534,7 @@ func (s *Store) TableNames() []string {
 }
 
 // CreateIndex adds a secondary index over the named columns and backfills
-// it from the heap.
+// it from the heap; a unique one over colliding versions is refused.
 func (s *Store) CreateIndex(table, name string, cols []int, unique bool) error {
 	t, err := s.Table(table)
 	if err != nil {
@@ -537,13 +553,43 @@ func (s *Store) CreateIndex(table, name string, cols []int, unique bool) error {
 	}
 	ix := newIndexDef(name, cols, unique)
 	for _, v := range t.heap {
-		if !v.aborted {
+		if v != nil {
 			ix.tree.Insert(ix.KeyFor(v.Data), v.ID)
+		}
+	}
+	if unique {
+		if key := s.firstCollision(t, ix); key != nil {
+			return fmt.Errorf("%w: %s on %s key %s", ErrUniqueViolation, name, table, key)
 		}
 	}
 	t.indexes[name] = ix
 	s.epoch.Add(1)
 	return nil
+}
+
+// firstCollision returns a key under which ix holds two committed versions
+// visible at one height, or nil. Two versions' visible heights overlap iff
+// both are visible where the later was created, so each creation height is
+// tried: quadratic in a key's versions, for DDL only. Provisional versions
+// meet the index at their commit turn.
+func (s *Store) firstCollision(t *Table, ix *IndexDef) (key types.Key) {
+	ix.tree.Scan(index.AllRange(), func(k types.Key, refs []uint64) bool {
+		for _, ref := range refs {
+			created, at := s.creation(t.version(ref))
+			n := 0
+			for _, other := range refs {
+				if created && s.visibleAt(t.version(other), 0, at) {
+					n++
+				}
+			}
+			if n > 1 {
+				key = k
+				return false
+			}
+		}
+		return true
+	})
+	return key
 }
 
 // --- visibility ----------------------------------------------------------------
@@ -606,9 +652,6 @@ func (s *Store) deletion(v *RowVersion) (bool, int64) {
 // the given snapshot height and own id. Caller holds the table lock
 // (read or write).
 func (s *Store) visibleAt(v *RowVersion, self TxID, height int64) bool {
-	if v.aborted {
-		return false
-	}
 	// Own writes: visible unless deleted by self.
 	if v.Xmin == self {
 		return v.Xmax != self
@@ -632,13 +675,6 @@ func (s *Store) visibleAt(v *RowVersion, self TxID, height int64) bool {
 	return dst.kind != txCommitted || dst.block > height
 }
 
-// committedAt reports whether version v existed in the committed state as
-// of height (ignoring any in-progress activity). Used by provenance
-// queries, which see both live and superseded versions.
-func (s *Store) committedAt(v *RowVersion, height int64) bool {
-	return !v.aborted && s.createdBy(v, height)
-}
-
 // --- reads ----------------------------------------------------------------------
 
 // ScanMode selects which versions a scan yields.
@@ -651,8 +687,15 @@ const (
 )
 
 // ScanIndex iterates versions reachable through the named index within
-// rng, in index-key order (ties broken by ascending heap ref), invoking
-// fn with each version; returning false stops the scan. fn runs under the
+// rng, in index-key order, invoking fn with each version; returning false
+// stops the scan. Versions of one key come in ascending heap ref, except on
+// a unique index in ScanVisible mode: a key is walked newest first, and its
+// first visible version is the only one unless it is self's own (committed
+// versions of a key are visible at disjoint heights — Insert, Validate,
+// CreateIndex — and self's are newer than those its snapshot sees); before
+// self's own, versions it superseded may be visible, so that key is walked
+// ascending. The yield is the full walk's for the views the engine takes:
+// self 0 at any height, a transaction at its snapshot. fn runs under the
 // table's read latch: it must not call into the store (a nested scan can
 // deadlock against a committer locking tables in name order), and of v it
 // may keep only ID and Data, which never change — the other fields are
@@ -671,15 +714,24 @@ func (s *Store) ScanIndex(table, ixName string, rng index.Range, self TxID, heig
 	if !ok {
 		return fmt.Errorf("%w: %s.%s", ErrNoSuchIndex, table, ixName)
 	}
+	newestFirst := ix.Unique && mode == ScanVisible
 	ix.tree.Scan(rng, func(_ types.Key, refs []uint64) bool {
-		for _, ref := range refs {
-			v := t.heap[ref]
-			if v == nil {
-				continue
+		for i := len(refs) - 1; newestFirst && i >= 0; i-- {
+			if v := t.version(refs[i]); s.visibleAt(v, self, height) {
+				if v.Xmin != self {
+					return fn(v)
+				}
+				break // self's own version: walk the key ascending, below
 			}
+			if i == 0 {
+				return true // no version visible
+			}
+		}
+		for _, ref := range refs {
+			v := t.version(ref)
 			var vis bool
 			if mode == ScanProvenance {
-				vis = s.committedAt(v, height)
+				vis = s.createdBy(v, height) // live or superseded
 			} else {
 				vis = s.visibleAt(v, self, height)
 			}
@@ -700,7 +752,7 @@ func (s *Store) Get(table string, ref uint64) *RowVersion {
 	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.heap[ref]
+	return t.version(ref)
 }
 
 // --- writes ---------------------------------------------------------------------
@@ -752,8 +804,7 @@ func (s *Store) Insert(rec *TxRecord, table string, row types.Row) (*RowVersion,
 			if rec.Supersedes(table, ref) {
 				continue
 			}
-			v := t.heap[ref]
-			if v != nil && s.visibleAt(v, rec.ID, rec.SnapshotHeight) {
+			if s.visibleAt(t.version(ref), rec.ID, rec.SnapshotHeight) {
 				return nil, fmt.Errorf("%w: %s on %s key %s",
 					ErrUniqueViolation, ix.Name, table, key)
 			}
@@ -768,7 +819,7 @@ func (s *Store) Insert(rec *TxRecord, table string, row types.Row) (*RowVersion,
 		CreatorBlk: NoBlock,
 		DeleterBlk: NoBlock,
 	}
-	t.heap[v.ID] = v
+	t.put(v)
 	for _, ix := range t.indexes {
 		ix.tree.Insert(ix.KeyFor(v.Data), v.ID)
 	}
@@ -789,8 +840,8 @@ func (s *Store) MarkDelete(rec *TxRecord, table string, ref uint64) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	v, ok := t.heap[ref]
-	if !ok {
+	v := t.version(ref)
+	if v == nil {
 		return fmt.Errorf("storage: %s: no version %d", table, ref)
 	}
 	if v.Xmin == rec.ID {
@@ -862,7 +913,7 @@ func (s *Store) CommitTx(rec *TxRecord, block int64) {
 			if t == nil {
 				continue
 			}
-			if v := t.heap[ir.Ref]; v != nil {
+			if v := t.version(ir.Ref); v != nil {
 				if v.Xmax == rec.ID {
 					// Inserted and deleted within the same transaction:
 					// never becomes visible; drop it.
@@ -878,7 +929,7 @@ func (s *Store) CommitTx(rec *TxRecord, block int64) {
 			if t == nil {
 				continue
 			}
-			if v := t.heap[ir.Ref]; v != nil {
+			if v := t.version(ir.Ref); v != nil {
 				v.Xmax = rec.ID
 				v.DeleterBlk = block
 				cap.Deleted = append(cap.Deleted, CapturedRow{ir.Table, ir.Ref, types.Row(t.schema.PKKey(v.Data))})
@@ -900,7 +951,7 @@ func (s *Store) AbortTx(rec *TxRecord) {
 			if t == nil {
 				continue
 			}
-			if v := t.heap[ir.Ref]; v != nil {
+			if v := t.version(ir.Ref); v != nil {
 				s.dropVersionLocked(t, v)
 			}
 		}
@@ -914,11 +965,11 @@ func (s *Store) AbortTx(rec *TxRecord) {
 
 // dropVersionLocked removes v from heap and indexes. Caller holds t.mu.
 func (s *Store) dropVersionLocked(t *Table, v *RowVersion) {
-	v.aborted = true
 	for _, ix := range t.indexes {
 		ix.tree.Delete(ix.KeyFor(v.Data), v.ID)
 	}
-	delete(t.heap, v.ID)
+	t.heap[v.ID-1] = nil
+	t.live--
 }
 
 // --- commit-turn validation -------------------------------------------------------
@@ -957,7 +1008,7 @@ func (s *Store) Validate(rec *TxRecord, current int64) error {
 			continue
 		}
 		t.mu.RLock()
-		v := t.heap[ir.Ref]
+		v := t.version(ir.Ref)
 		var bad bool
 		if v != nil && v.Xmax != rec.ID {
 			bad, _ = s.deletion(v)
@@ -976,7 +1027,7 @@ func (s *Store) Validate(rec *TxRecord, current int64) error {
 			continue
 		}
 		t.mu.RLock()
-		v := t.heap[ir.Ref]
+		v := t.version(ir.Ref)
 		var bad bool
 		if v != nil && v.Xmax != rec.ID {
 			deleted, blk := s.deletion(v)
@@ -1001,8 +1052,8 @@ func (s *Store) Validate(rec *TxRecord, current int64) error {
 		if ok {
 			ix.tree.Scan(rr.Range, func(_ types.Key, refs []uint64) bool {
 				for _, ref := range refs {
-					v := t.heap[ref]
-					if v == nil || v.aborted || v.Xmin == rec.ID {
+					v := t.version(ref)
+					if v.Xmin == rec.ID {
 						continue
 					}
 					if created, blk := s.creation(v); !created || blk <= rec.SnapshotHeight || blk >= current {
@@ -1034,7 +1085,7 @@ func (s *Store) Validate(rec *TxRecord, current int64) error {
 			continue
 		}
 		t.mu.RLock()
-		mine := t.heap[ir.Ref]
+		mine := t.version(ir.Ref)
 		var bad string
 		if mine != nil && mine.Xmax != rec.ID {
 			for _, ix := range t.indexes {
@@ -1046,10 +1097,7 @@ func (s *Store) Validate(rec *TxRecord, current int64) error {
 					if ref == ir.Ref || rec.Supersedes(ir.Table, ref) {
 						continue
 					}
-					v := t.heap[ref]
-					if v == nil || v.aborted {
-						continue
-					}
+					v := t.version(ref)
 					// Committed and not superseded by a committed delete.
 					if created, _ := s.creation(v); !created {
 						continue
@@ -1091,10 +1139,7 @@ func (s *Store) StateHash(height int64) [32]byte {
 		t.mu.RLock()
 		t.primary.tree.Scan(index.AllRange(), func(_ types.Key, refs []uint64) bool {
 			for _, ref := range refs {
-				v := t.heap[ref]
-				if v == nil || v.aborted {
-					continue
-				}
+				v := t.version(ref)
 				if !s.visibleAt(v, 0, height) {
 					continue
 				}
@@ -1122,7 +1167,7 @@ func (s *Store) IndexKeys(table string, ref uint64) map[string]types.Key {
 	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	v := t.heap[ref]
+	v := t.version(ref)
 	if v == nil {
 		return nil
 	}
@@ -1150,19 +1195,14 @@ func (s *Store) Vacuum(horizon int64) int {
 			continue
 		}
 		t.mu.Lock()
-		var dead []*RowVersion
 		for _, v := range t.heap {
-			if v.Xmax == 0 {
+			if v == nil || v.Xmax == 0 {
 				continue
 			}
-			st := s.txStatus(v.Xmax)
-			if st.kind == txCommitted && st.block <= horizon {
-				dead = append(dead, v)
+			if st := s.txStatus(v.Xmax); st.kind == txCommitted && st.block <= horizon {
+				s.dropVersionLocked(t, v)
+				removed++
 			}
-		}
-		for _, v := range dead {
-			s.dropVersionLocked(t, v)
-			removed++
 		}
 		t.mu.Unlock()
 	}
@@ -1178,7 +1218,7 @@ func (s *Store) CountVersions(table string) (int, error) {
 	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return len(t.heap), nil
+	return t.live, nil
 }
 
 // CountVisible returns the number of rows visible at the given height.
@@ -1199,7 +1239,7 @@ func (s *Store) CountVisible(table string, height int64) (int, error) {
 	defer t.mu.RUnlock()
 	t.primary.tree.Scan(index.AllRange(), func(_ types.Key, refs []uint64) bool {
 		for _, ref := range refs {
-			if v := t.heap[ref]; v != nil && s.visibleAt(v, 0, height) {
+			if s.visibleAt(t.version(ref), 0, height) {
 				n++
 			}
 		}

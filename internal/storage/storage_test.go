@@ -453,3 +453,156 @@ func TestValidationErrorMessage(t *testing.T) {
 		t.Errorf("message = %q", e.Error())
 	}
 }
+
+// TestCreateUniqueIndexRefusesCollisions: CREATE UNIQUE INDEX is refused
+// when two committed versions share a key and are both visible at some
+// height — now, or only in the history a past-height read still reaches —
+// and the refusal leaves the catalog and the schema epoch as they were.
+// Versions whose lifetimes do not overlap share a key freely, and a
+// provisional duplicate is left to its transaction's commit turn.
+func TestCreateUniqueIndexRefusesCollisions(t *testing.T) {
+	// commit runs one transaction in its own block: it supersedes the
+	// versions del and inserts rows.
+	commit := func(s Backend, block int64, del []*RowVersion, rows ...types.Row) []*RowVersion {
+		rec := NewTxRecord(s.BeginTx(), block-1)
+		for _, v := range del {
+			if err := s.MarkDelete(rec, "t", v.ID); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var out []*RowVersion
+		for _, r := range rows {
+			v, err := s.Insert(rec, "t", r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, v)
+		}
+		s.CommitTx(rec, block)
+		setHeightDurable(s, block)
+		return out
+	}
+	for _, tc := range []struct {
+		name    string
+		history func(s Backend) *TxRecord // returns a transaction left in flight, or nil
+		cols    []int
+		ok      bool
+	}{
+		{"live collision", func(s Backend) *TxRecord {
+			commit(s, 1, nil, row(1, "a", 0), row(2, "a", 1))
+			return nil
+		}, []int{1}, false},
+		{"collision in history only", func(s Backend) *TxRecord {
+			one := commit(s, 1, nil, row(1, "a", 0))
+			two := commit(s, 2, nil, row(2, "a", 0))
+			commit(s, 3, append(one, two...), row(1, "b", 0))
+			return nil
+		}, []int{1}, false},
+		{"composite collision", func(s Backend) *TxRecord {
+			commit(s, 1, nil, row(1, "a", 7), row(2, "a", 7), row(3, "a", 8))
+			return nil
+		}, []int{1, 2}, false},
+		{"disjoint lifetimes", func(s Backend) *TxRecord {
+			one := commit(s, 1, nil, row(1, "a", 0))
+			commit(s, 2, one, row(1, "b", 0))
+			commit(s, 3, nil, row(2, "a", 0))
+			return nil
+		}, []int{1}, true},
+		{"handed over inside one block", func(s Backend) *TxRecord {
+			one := commit(s, 1, nil, row(1, "a", 0))
+			rec := NewTxRecord(s.BeginTx(), 1)
+			if err := s.MarkDelete(rec, "t", one[0].ID); err != nil {
+				t.Fatal(err)
+			}
+			s.CommitTx(rec, 2)
+			commit(s, 2, nil, row(2, "a", 0))
+			return nil
+		}, []int{1}, true},
+		{"composite without collision", func(s Backend) *TxRecord {
+			commit(s, 1, nil, row(1, "a", 7), row(2, "a", 8))
+			return nil
+		}, []int{1, 2}, true},
+		{"provisional duplicate", func(s Backend) *TxRecord {
+			commit(s, 1, nil, row(1, "a", 0))
+			rec := NewTxRecord(s.BeginTx(), 1)
+			if _, err := s.Insert(rec, "t", row(2, "a", 0)); err != nil {
+				t.Fatal(err)
+			}
+			return rec
+		}, []int{1}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			forEachBackend(t, func(t *testing.T, s Backend) {
+				if err := s.CreateTable(testSchema("t")); err != nil {
+					t.Fatal(err)
+				}
+				inFlight := tc.history(s)
+				tab, _ := s.Table("t")
+				epoch := s.SchemaEpoch()
+				err := s.CreateIndex("t", "t_uq", tc.cols, true)
+				if tc.ok != (err == nil) || !tc.ok && !errors.Is(err, ErrUniqueViolation) {
+					t.Fatalf("CREATE UNIQUE INDEX: err = %v, want ok=%v", err, tc.ok)
+				}
+				if _, has := tab.IndexCols("t_uq"); has != tc.ok || (s.SchemaEpoch() != epoch) != tc.ok {
+					t.Fatalf("index in catalog %v, epoch %d → %d", has, epoch, s.SchemaEpoch())
+				}
+				if inFlight != nil {
+					if err := s.Validate(inFlight, s.Height()+1); err == nil {
+						t.Fatal("the provisional duplicate passed its commit turn")
+					}
+					s.AbortTx(inFlight)
+				}
+			})
+		})
+	}
+}
+
+// TestVacuumKeepsCountsAndReads: Vacuum empties the heap slots of the
+// versions it removes, CountVersions follows it down and matches what a
+// provenance scan still reaches, and what stays reads as before.
+func TestVacuumKeepsCountsAndReads(t *testing.T) {
+	s := newTestStore(t)
+	live := make([]uint64, 3)
+	for id := range live {
+		live[id] = insertCommitted(t, s, "t", row(int64(id), "v", 1), 1).ID
+	}
+	first := live[0]
+	for blk := int64(2); blk <= 4; blk++ {
+		rec := NewTxRecord(s.BeginTx(), blk-1)
+		for id := range live {
+			if err := s.MarkDelete(rec, "t", live[id]); err != nil {
+				t.Fatal(err)
+			}
+			v, err := s.Insert(rec, "t", row(int64(id), "v", float64(blk)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			live[id] = v.ID
+		}
+		s.CommitTx(rec, blk)
+		s.SetHeight(blk)
+	}
+	want := s.StateHash(4)
+	for horizon, versions := int64(1), 12; horizon <= 4; horizon++ {
+		removed := s.Vacuum(horizon)
+		if horizon > 1 && removed != 3 || horizon == 1 && removed != 0 {
+			t.Fatalf("Vacuum(%d) removed %d", horizon, removed)
+		}
+		versions -= removed
+		if n, _ := s.CountVersions("t"); n != versions {
+			t.Fatalf("after Vacuum(%d): CountVersions %d, want %d", horizon, n, versions)
+		}
+		if n := len(scanAll(t, s, "t", 0, 4, ScanProvenance)); n != versions {
+			t.Fatalf("after Vacuum(%d): provenance scan reaches %d versions, want %d", horizon, n, versions)
+		}
+		if s.StateHash(4) != want {
+			t.Fatalf("Vacuum(%d) changed the state at height 4", horizon)
+		}
+	}
+	if s.Get("t", first) != nil {
+		t.Fatal("a vacuumed version is still in the heap")
+	}
+	if v := insertCommitted(t, s, "t", row(9, "v", 0), 5); v.ID != live[2]+1 {
+		t.Fatalf("insert after vacuum got ref %d, want %d", v.ID, live[2]+1)
+	}
+}

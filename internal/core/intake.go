@@ -108,7 +108,8 @@ loop:
 	}
 }
 
-// onBlockReq serves missing blocks to a catching-up peer (§3.6).
+// onBlockReq serves missing blocks to a catching-up peer (§3.6): the
+// encodings the block store keeps, sent as they are.
 func (n *Node) onBlockReq(m simnet.Message) {
 	d := codec.NewDec(m.Payload)
 	from := d.Uvarint()
@@ -117,11 +118,11 @@ func (n *Node) onBlockReq(m simnet.Message) {
 		return
 	}
 	for i := from; i <= to; i++ {
-		b, err := n.blocks.Get(i)
+		enc, err := n.blocks.Encoded(i)
 		if err != nil {
 			return
 		}
-		_ = n.ep.Send(m.From, KindBlockResp, b.Encode())
+		_ = n.ep.Send(m.From, KindBlockResp, enc)
 	}
 }
 

@@ -96,7 +96,7 @@ func keepRecs(rows []ledgerRec, keep func(ledgerRec) bool) []ledgerRec {
 	return out
 }
 
-func count(t *testing.T, node *Node, sql string, params ...types.Value) int64 {
+func count(t testing.TB, node *Node, sql string, params ...types.Value) int64 {
 	t.Helper()
 	res, err := node.Query(sql, params...)
 	if err != nil || len(res.Rows) != 1 {
@@ -658,4 +658,41 @@ func assertLedgerAfterRestart(t *testing.T, node *Node, knownID string, restored
 	if n := count(t, node, `SELECT COUNT(DISTINCT l.txid) FROM accounts a PROVENANCE, sys_ledger l WHERE a.xmin = l.local_xid`); n != executed {
 		t.Errorf("%d ledger rows join account versions on xmin, want the %d committed above block %d", n, executed, restored)
 	}
+}
+
+// BenchmarkLedgerQuery reads the derived sys_ledger over 1000 blocks of
+// ten transactions. Every row it yields comes from a block the block
+// store decodes on demand: a point lookup by transaction id (what
+// Client.lookupLedger pays on a retry) and a full scan.
+func BenchmarkLedgerQuery(b *testing.B) {
+	const blocks, perBlock = 1000, 10
+	tn := newTestNet(b, ledgerScenarioOpts(OrderThenExecute, storage.KindMemory))
+	node := tn.nodes[0]
+	var ids []types.Value
+	prev := node.BlockStore().LastHash()
+	for n := 1; n <= blocks; n++ {
+		txs := make([]*ledger.Transaction, perBlock)
+		for i := range txs {
+			args := []types.Value{types.NewInt(int64(n*perBlock + i)), types.NewString("o"), types.NewFloat(1)}
+			txs[i] = tn.buildTx("alice", "put_account", args, 0)
+			ids = append(ids, types.NewString(txs[i].ID))
+		}
+		prev = deliverScenarioBlock(tn, node, uint64(n), prev, txs).Hash
+	}
+	waitSealedHeight(b, node, blocks)
+	b.Run("point", func(b *testing.B) {
+		for i := range b.N {
+			res, err := node.Query(`SELECT status FROM sys_ledger WHERE txid = $1`, ids[i%len(ids)])
+			if err != nil || len(res.Rows) != 1 {
+				b.Fatalf("point lookup: %v, %v", res, err)
+			}
+		}
+	})
+	b.Run("scan", func(b *testing.B) {
+		for range b.N {
+			if n := count(b, node, `SELECT COUNT(*) FROM sys_ledger`); n != blocks*perBlock {
+				b.Fatalf("scan counted %d rows, want %d", n, blocks*perBlock)
+			}
+		}
+	})
 }

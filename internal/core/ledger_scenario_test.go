@@ -101,7 +101,7 @@ func deliverScenarioBlock(tn *testNet, node *Node, n uint64, prev ledger.Hash, t
 }
 
 // waitSealedHeight blocks until the node has sealed block h.
-func waitSealedHeight(t *testing.T, node *Node, h int64) {
+func waitSealedHeight(t testing.TB, node *Node, h int64) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for node.SealedHeight() < h {

@@ -20,7 +20,7 @@ import (
 // testNet wires N peers, one kafka-style ordering node per peer, and a
 // set of client identities over a fast simulated LAN.
 type testNet struct {
-	t              *testing.T
+	t              testing.TB
 	net            *simnet.Network
 	topic          *kafka.Topic
 	orderers       []*kafka.Orderer
@@ -92,7 +92,7 @@ type netOpts struct {
 	holdSeal map[int]bool
 }
 
-func newTestNet(t *testing.T, o netOpts) *testNet {
+func newTestNet(t testing.TB, o netOpts) *testNet {
 	t.Helper()
 	if o.nNodes == 0 {
 		o.nNodes = 3

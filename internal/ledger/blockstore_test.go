@@ -13,6 +13,7 @@ import (
 	"sync"
 	"testing"
 
+	"bcrdb/internal/types"
 	"bcrdb/internal/wal"
 )
 
@@ -354,5 +355,127 @@ func TestFileStoreAppendFailure(t *testing.T) {
 	}
 	if got := fileSize(t, path); got != off[10] {
 		t.Errorf("file is %d bytes after a failed Append, want %d", got, off[10])
+	}
+}
+
+// TestBlockStoreGetIsolated: Get hands out a decoded copy. A caller that
+// mutates it changes neither what a later Get returns nor the chain that
+// VerifyChain checks.
+func TestBlockStoreGetIsolated(t *testing.T) {
+	bs := NewBlockStore()
+	b1 := sampleBlock(1, Hash{}, sampleTx("a"), sampleTx("b"))
+	if err := bs.Append(b1); err != nil {
+		t.Fatal(err)
+	}
+	if err := bs.Append(sampleBlock(2, b1.Hash, sampleTx("c"))); err != nil {
+		t.Fatal(err)
+	}
+	want := b1.Encode()
+	got, err := bs.Get(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got.Txs[0].Args[0] = types.NewInt(999)
+	got.Txs[1].ID = "mallory"
+	got.Checkpoints[0].WriteHash[0] ^= 1
+	got.Hash[0] ^= 1
+	again, err := bs.Get(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Encode(), want) {
+		t.Fatal("a mutation of the block Get returned reached the store")
+	}
+	if n, err := bs.VerifyChain(); n != 0 || err != nil {
+		t.Fatalf("VerifyChain after a caller mutated its copy = %d, %v", n, err)
+	}
+}
+
+// TestBlockStoreRetainsCanonicalBytes: what catch-up sends is the
+// appended block's canonical encoding, held at its exact length, in a
+// store that appended it and in one that loaded it from its file.
+func TestBlockStoreRetainsCanonicalBytes(t *testing.T) {
+	path, blocks, _ := tenBlockFile(t)
+	mem := NewBlockStore()
+	for _, b := range blocks {
+		if err := mem.Append(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	file, err := OpenFileStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer file.Close()
+	for name, bs := range map[string]*BlockStore{"memory": mem, "reopened file": file} {
+		for _, b := range blocks {
+			enc, err := bs.Encoded(b.Number)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if !bytes.Equal(enc, b.Encode()) {
+				t.Errorf("%s: block %d: the retained bytes are not its encoding", name, b.Number)
+			}
+			if len(enc) != cap(enc) {
+				t.Errorf("%s: block %d: %d bytes retained in a slice of capacity %d", name, b.Number, len(enc), cap(enc))
+			}
+		}
+		if _, err := bs.Encoded(11); !errors.Is(err, ErrNoBlock) {
+			t.Errorf("%s: Encoded past the tip: err = %v", name, err)
+		}
+	}
+}
+
+// TestBlockStoreHeapPerTx: a block costs the store about its encoded
+// bytes, not a decoded transaction per entry.
+func TestBlockStoreHeapPerTx(t *testing.T) {
+	const blocks, perBlock = 200, 100
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	bs := NewBlockStore()
+	var prev Hash
+	encoded := 0
+	for n := uint64(1); n <= blocks; n++ {
+		txs := make([]*Transaction, perBlock)
+		for i := range txs {
+			txs[i] = sampleTx(fmt.Sprintf("tx-%d-%d", n, i))
+		}
+		b := sampleBlock(n, prev, txs...)
+		if err := bs.Append(b); err != nil {
+			t.Fatal(err)
+		}
+		encoded += len(b.Encode())
+		prev = b.Hash
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&m1)
+	runtime.KeepAlive(bs)
+	const txs = blocks * perBlock
+	heap := float64(int64(m1.HeapAlloc)-int64(m0.HeapAlloc)) / txs
+	perTx := float64(encoded) / txs
+	t.Logf("retained %.1f B per transaction, encoded %.1f B", heap, perTx)
+	if heap > 1.25*perTx {
+		t.Fatalf("the store retains %.1f B per transaction, over 1.25 × its %.1f encoded bytes", heap, perTx)
+	}
+}
+
+// BenchmarkBlockStoreGet is the cost of reading an old block back: one
+// decode of a 100-transaction block.
+func BenchmarkBlockStoreGet(b *testing.B) {
+	bs := NewBlockStore()
+	txs := make([]*Transaction, 100)
+	for i := range txs {
+		txs[i] = sampleTx(fmt.Sprint("tx-", i))
+	}
+	if err := bs.Append(sampleBlock(1, Hash{}, txs...)); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		if _, err := bs.Get(1); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -90,11 +90,9 @@ func FuzzOpenChainLog(f *testing.F) {
 				t.Fatal(err)
 			}
 		}
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		bs, err := OpenFileStore(path)
-		runtime.ReadMemStats(&m1)
-		if alloc := m1.TotalAlloc - m0.TotalAlloc; alloc > 64<<10+128*uint64(len(data)) {
+		var bs *BlockStore
+		var err error
+		if alloc := allocated(func() { bs, err = OpenFileStore(path) }); alloc > allocBound(len(data)) {
 			t.Fatalf("opening %d bytes allocated %d", len(data), alloc)
 		}
 		after, rerr := os.ReadFile(path)
@@ -138,4 +136,98 @@ func writeSeed(tb testing.TB, data []byte) string {
 		tb.Fatal(err)
 	}
 	return path
+}
+
+// allocBound is what decoding n untrusted bytes may allocate: a byte
+// becomes at most a few dozen bytes of structs, and no length field is
+// trusted beyond the input.
+func allocBound(n int) uint64 { return 64<<10 + 128*uint64(n) }
+
+// allocated runs f and returns the bytes it allocated.
+func allocated(f func()) uint64 {
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	f()
+	runtime.ReadMemStats(&m1)
+	return m1.TotalAlloc - m0.TotalAlloc
+}
+
+// FuzzDecodeBlock decodes arbitrary bytes as a block — what a peer's
+// block delivery or catch-up response carries. It must never panic nor
+// allocate beyond allocBound, and a block it accepts encodes to bytes
+// that decode to the same block and encode to themselves again.
+func FuzzDecodeBlock(f *testing.F) {
+	b := sampleBlock(2, Hash{1}, sampleTx("a"), sampleTx("b"))
+	b.Sigs = []BlockSig{{Orderer: "ord1", Signature: []byte{7, 8}}}
+	f.Add(b.Encode())
+	f.Add(sampleBlock(1, Hash{}).Encode())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var b *Block
+		var err error
+		if alloc := allocated(func() { b, err = DecodeBlock(data) }); alloc > allocBound(len(data)) {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), alloc)
+		}
+		if err != nil {
+			return
+		}
+		enc := b.Encode()
+		again, err := DecodeBlock(enc)
+		if err != nil {
+			t.Fatalf("an accepted block's encoding does not decode: %v", err)
+		}
+		if !sameBlock(b, again) || !bytes.Equal(again.Encode(), enc) {
+			t.Fatalf("block %+v came back as %+v", b, again)
+		}
+	})
+}
+
+// FuzzUnmarshalTransaction decodes arbitrary bytes as a transaction —
+// what a client submission or a peer's forward carries — under the same
+// rules as FuzzDecodeBlock.
+func FuzzUnmarshalTransaction(f *testing.F) {
+	f.Add(MarshalTransaction(sampleTx("a")))
+	f.Add(MarshalTransaction(&Transaction{}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var tx *Transaction
+		var err error
+		if alloc := allocated(func() { tx, err = UnmarshalTransaction(data) }); alloc > allocBound(len(data)) {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), alloc)
+		}
+		if err != nil {
+			return
+		}
+		enc := MarshalTransaction(tx)
+		again, err := UnmarshalTransaction(enc)
+		if err != nil {
+			t.Fatalf("an accepted transaction's encoding does not decode: %v", err)
+		}
+		if !tx.Equal(again) || !bytes.Equal(MarshalTransaction(again), enc) {
+			t.Fatalf("transaction %+v came back as %+v", tx, again)
+		}
+	})
+}
+
+// sameBlock compares every field of two blocks.
+func sameBlock(a, b *Block) bool {
+	if a.Number != b.Number || a.PrevHash != b.PrevHash || a.Timestamp != b.Timestamp || a.Hash != b.Hash ||
+		len(a.Txs) != len(b.Txs) || len(a.Checkpoints) != len(b.Checkpoints) || len(a.Sigs) != len(b.Sigs) {
+		return false
+	}
+	for i := range a.Txs {
+		if !a.Txs[i].Equal(b.Txs[i]) {
+			return false
+		}
+	}
+	for i, c := range a.Checkpoints {
+		o := b.Checkpoints[i]
+		if c.Peer != o.Peer || c.Block != o.Block || c.WriteHash != o.WriteHash || !bytes.Equal(c.Signature, o.Signature) {
+			return false
+		}
+	}
+	for i, s := range a.Sigs {
+		if s.Orderer != b.Sigs[i].Orderer || !bytes.Equal(s.Signature, b.Sigs[i].Signature) {
+			return false
+		}
+	}
+	return true
 }

@@ -4,7 +4,9 @@
 // persistence for crash recovery (§3.6).
 //
 // All hashed or signed material uses the canonical codec encoding, so
-// every replica computes identical digests.
+// every replica computes identical digests. The block store keeps that
+// encoding, not the decoded block: a block is decoded again only when an
+// old one is asked for (recovery, sys_ledger queries).
 package ledger
 
 import (
@@ -82,8 +84,8 @@ func (t *Transaction) Encode(e *codec.Buf) {
 	e.Bytes2(t.Signature)
 }
 
-// DecodeTransaction reads one transaction.
-func DecodeTransaction(d *codec.Dec) *Transaction {
+// decodeTransaction reads one transaction.
+func decodeTransaction(d *codec.Dec) *Transaction {
 	t := &Transaction{}
 	t.ID = d.String()
 	t.Username = d.String()
@@ -104,7 +106,7 @@ func MarshalTransaction(t *Transaction) []byte {
 // UnmarshalTransaction decodes a standalone transaction encoding.
 func UnmarshalTransaction(data []byte) (*Transaction, error) {
 	d := codec.NewDec(data)
-	t := DecodeTransaction(d)
+	t := decodeTransaction(d)
 	if err := d.Done(); err != nil {
 		return nil, err
 	}
@@ -138,17 +140,21 @@ func (c *Checkpoint) Encode(e *codec.Buf) {
 	e.Bytes2(c.Signature)
 }
 
-// DecodeCheckpoint reads one checkpoint.
-func DecodeCheckpoint(d *codec.Dec) *Checkpoint {
-	c := &Checkpoint{}
-	c.Peer = d.String()
-	c.Block = uint64(d.Uvarint())
-	h := d.Bytes2()
-	if len(h) == 32 {
-		copy(c.WriteHash[:], h)
-	}
+// decodeCheckpoint reads one checkpoint; ok is false when its write hash
+// is not a hash.
+func decodeCheckpoint(d *codec.Dec) (c *Checkpoint, ok bool) {
+	c = &Checkpoint{Peer: d.String(), Block: d.Uvarint()}
+	ok = readHash(d, &c.WriteHash)
 	c.Signature = d.Bytes2()
-	return c
+	return c, ok
+}
+
+// readHash reads a hash field into h: any other length is corrupt (ok
+// false), never a zero hash.
+func readHash(d *codec.Dec, h *Hash) (ok bool) {
+	b := d.Bytes2()
+	copy(h[:], b)
+	return len(b) == len(h)
 }
 
 // MarshalCheckpoint encodes a checkpoint standalone.
@@ -161,9 +167,12 @@ func MarshalCheckpoint(c *Checkpoint) []byte {
 // UnmarshalCheckpoint decodes a standalone checkpoint encoding.
 func UnmarshalCheckpoint(data []byte) (*Checkpoint, error) {
 	d := codec.NewDec(data)
-	c := DecodeCheckpoint(d)
+	c, ok := decodeCheckpoint(d)
 	if err := d.Done(); err != nil {
 		return nil, err
+	}
+	if !ok {
+		return nil, codec.ErrCorrupt
 	}
 	return c, nil
 }
@@ -216,11 +225,16 @@ func (b *Block) ComputeHash() {
 
 // VerifyHash recomputes and compares the hash and previous-hash linkage.
 func (b *Block) VerifyHash(prev Hash) error {
+	return b.checkLink(prev, sha256.Sum256(b.hashInput()))
+}
+
+// checkLink compares the block's linkage with prev and its hash with sum,
+// the digest of its hashInput.
+func (b *Block) checkLink(prev, sum Hash) error {
 	if b.PrevHash != prev {
 		return fmt.Errorf("ledger: block %d: previous hash mismatch", b.Number)
 	}
-	want := sha256.Sum256(b.hashInput())
-	if b.Hash != want {
+	if b.Hash != sum {
 		return fmt.Errorf("ledger: block %d: hash mismatch", b.Number)
 	}
 	return nil
@@ -229,12 +243,14 @@ func (b *Block) VerifyHash(prev Hash) error {
 // Encode returns the canonical encoding of the whole block.
 func (b *Block) Encode() []byte {
 	e := codec.NewBuf(1024)
-	b.encode(e)
+	b.encodeHashed(e)
+	b.encodeSeal(e)
 	return e.Bytes()
 }
 
-func (b *Block) encode(e *codec.Buf) {
-	b.encodeHashed(e)
+// encodeSeal appends what follows the hashed fields: the hash and the
+// orderer signatures over it.
+func (b *Block) encodeSeal(e *codec.Buf) {
 	e.Bytes2(b.Hash[:])
 	e.Uvarint(uint64(len(b.Sigs)))
 	for _, s := range b.Sigs {
@@ -246,25 +262,20 @@ func (b *Block) encode(e *codec.Buf) {
 // DecodeBlock parses a canonical block encoding.
 func DecodeBlock(data []byte) (*Block, error) {
 	d := codec.NewDec(data)
-	b := &Block{}
-	b.Number = d.Uvarint()
-	ph := d.Bytes2()
-	if len(ph) == 32 {
-		copy(b.PrevHash[:], ph)
-	}
+	b := &Block{Number: d.Uvarint()}
+	ok := readHash(d, &b.PrevHash)
 	b.Timestamp = d.Varint()
 	n := d.Uvarint()
 	for i := uint64(0); i < n && d.Err() == nil; i++ {
-		b.Txs = append(b.Txs, DecodeTransaction(d))
+		b.Txs = append(b.Txs, decodeTransaction(d))
 	}
 	n = d.Uvarint()
 	for i := uint64(0); i < n && d.Err() == nil; i++ {
-		b.Checkpoints = append(b.Checkpoints, DecodeCheckpoint(d))
+		c, cok := decodeCheckpoint(d)
+		b.Checkpoints = append(b.Checkpoints, c)
+		ok = ok && cok
 	}
-	h := d.Bytes2()
-	if len(h) == 32 {
-		copy(b.Hash[:], h)
-	}
+	ok = readHash(d, &b.Hash) && ok
 	n = d.Uvarint()
 	for i := uint64(0); i < n && d.Err() == nil; i++ {
 		s := BlockSig{Orderer: d.String(), Signature: d.Bytes2()}
@@ -272,6 +283,9 @@ func DecodeBlock(data []byte) (*Block, error) {
 	}
 	if err := d.Done(); err != nil {
 		return nil, err
+	}
+	if !ok {
+		return nil, codec.ErrCorrupt
 	}
 	return b, nil
 }
@@ -299,15 +313,25 @@ const (
 )
 
 // BlockStore is the node's chain (pgBlockstore): its blocks and the
-// outcome of each sealed one. It is safe for concurrent use. With a
-// backing file it is the node's durable log (§3.6): an internal/wal frame
-// log in which every block's frame precedes its outcome's, and outcomes
-// follow block order.
+// outcome of each sealed one. It is safe for concurrent use. A block is
+// kept as its canonical encoding — the bytes that were hashed, logged and
+// are served to catching-up peers — and is decoded again only when Get
+// asks for it, so the chain costs a replica its bytes, not a decoded
+// transaction per entry. With a backing file it is the node's durable log
+// (§3.6): an internal/wal frame log in which every block's frame precedes
+// its outcome's, and outcomes follow block order.
 type BlockStore struct {
 	mu       sync.RWMutex
-	blocks   []*Block  // blocks[i] has Number i+1
-	outcomes []Outcome // outcomes[i] belongs to block i+1
-	log      *wal.Log  // nil: in memory only
+	blocks   []storedBlock // blocks[i] has Number i+1
+	last     Hash          // the newest block's hash
+	outcomes []Outcome     // outcomes[i] belongs to block i+1
+	log      *wal.Log      // nil: in memory only
+}
+
+// storedBlock is one block as the store keeps it.
+type storedBlock struct {
+	enc []byte // Block.Encode's bytes, owned by the store; len == cap
+	ntx int    // its transaction count: one committed bit each
 }
 
 // NewBlockStore returns an in-memory store.
@@ -359,11 +383,10 @@ func (bs *BlockStore) load(p []byte) error {
 		d := codec.NewDec(p[1:])
 		n := d.Uvarint()
 		o := Outcome{Committed: d.Bytes2()}
-		h := d.Bytes2()
-		if err := d.Done(); err != nil || len(h) != len(o.WriteHash) {
+		ok := readHash(d, &o.WriteHash)
+		if err := d.Done(); err != nil || !ok {
 			return codec.ErrCorrupt
 		}
-		copy(o.WriteHash[:], h)
 		return bs.AppendOutcome(n, o)
 	}
 	return codec.ErrCorrupt
@@ -380,29 +403,33 @@ func (bs *BlockStore) Close() error {
 }
 
 // Append adds the next block. The block number must be exactly
-// Height()+1 and its hash linkage must verify.
+// Height()+1 and its hash linkage must verify. The block is encoded once:
+// the hashed prefix of that encoding is what its hash is checked against,
+// the whole of it is the block's log frame, and the store keeps a copy of
+// it. b stays the caller's.
 func (bs *BlockStore) Append(b *Block) error {
+	e := codec.NewBuf(256 + 192*len(b.Txs)) // 192: about one transaction's encoding
+	e.Byte(frameBlock)
+	b.encodeHashed(e)
+	sum := sha256.Sum256(e.Bytes()[1:])
+	b.encodeSeal(e)
+	frame := e.Bytes()
+	enc := append(make([]byte, 0, len(frame)-1), frame[1:]...)
 	bs.mu.Lock()
 	defer bs.mu.Unlock()
 	if b.Number != uint64(len(bs.blocks))+1 {
 		return fmt.Errorf("%w: got %d, want %d", ErrOutOfSequence, b.Number, len(bs.blocks)+1)
 	}
-	var prev Hash
-	if len(bs.blocks) > 0 {
-		prev = bs.blocks[len(bs.blocks)-1].Hash
-	}
-	if err := b.VerifyHash(prev); err != nil {
+	if err := b.checkLink(bs.last, sum); err != nil {
 		return err
 	}
 	if bs.log != nil {
-		e := codec.NewBuf(1024)
-		e.Byte(frameBlock)
-		b.encode(e)
-		if err := bs.log.AppendRaw(e.Bytes()); err != nil {
+		if err := bs.log.AppendRaw(frame); err != nil {
 			return err
 		}
 	}
-	bs.blocks = append(bs.blocks, b)
+	bs.blocks = append(bs.blocks, storedBlock{enc: enc, ntx: len(b.Txs)})
+	bs.last = b.Hash
 	return nil
 }
 
@@ -414,7 +441,7 @@ func (bs *BlockStore) AppendOutcome(n uint64, o Outcome) error {
 	if n != uint64(len(bs.outcomes))+1 || n > uint64(len(bs.blocks)) {
 		return fmt.Errorf("%w: the outcome of block %d, want block %d's (chain at %d)", ErrOutOfSequence, n, len(bs.outcomes)+1, len(bs.blocks))
 	}
-	if want := (len(bs.blocks[n-1].Txs) + 7) / 8; len(o.Committed) != want {
+	if want := (bs.blocks[n-1].ntx + 7) / 8; len(o.Committed) != want {
 		return fmt.Errorf("ledger: the outcome of block %d has %d bytes of committed bits, the block needs %d", n, len(o.Committed), want)
 	}
 	if bs.log != nil {
@@ -453,14 +480,24 @@ func (bs *BlockStore) Sync() error {
 	return log.Sync()
 }
 
-// Get returns block n (1-based).
+// Get returns block n (1-based), decoded afresh: the caller owns it.
 func (bs *BlockStore) Get(n uint64) (*Block, error) {
+	enc, err := bs.Encoded(n)
+	if err != nil {
+		return nil, err
+	}
+	return DecodeBlock(enc)
+}
+
+// Encoded returns block n's canonical encoding as the store keeps it —
+// what catch-up sends to a peer. The caller must not modify it.
+func (bs *BlockStore) Encoded(n uint64) ([]byte, error) {
 	bs.mu.RLock()
 	defer bs.mu.RUnlock()
 	if n < 1 || n > uint64(len(bs.blocks)) {
 		return nil, fmt.Errorf("%w: %d", ErrNoBlock, n)
 	}
-	return bs.blocks[n-1], nil
+	return bs.blocks[n-1].enc, nil
 }
 
 // Height returns the number of the newest block (0 when empty).
@@ -474,22 +511,21 @@ func (bs *BlockStore) Height() uint64 {
 func (bs *BlockStore) LastHash() Hash {
 	bs.mu.RLock()
 	defer bs.mu.RUnlock()
-	if len(bs.blocks) == 0 {
-		return Hash{}
-	}
-	return bs.blocks[len(bs.blocks)-1].Hash
+	return bs.last
 }
 
 // VerifyChain rechecks the whole chain's hashes and linkage, returning
 // the first broken block number (0 = intact). Used to detect tampering
 // (§3.5(6)).
 func (bs *BlockStore) VerifyChain() (uint64, error) {
-	bs.mu.RLock()
-	defer bs.mu.RUnlock()
 	var prev Hash
-	for _, b := range bs.blocks {
-		if err := b.VerifyHash(prev); err != nil {
-			return b.Number, err
+	for n := uint64(1); n <= bs.Height(); n++ {
+		b, err := bs.Get(n)
+		if err == nil {
+			err = b.VerifyHash(prev)
+		}
+		if err != nil {
+			return n, err
 		}
 		prev = b.Hash
 	}

@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"bcrdb/internal/codec"
 	"bcrdb/internal/types"
 )
 
@@ -212,5 +213,32 @@ func TestTransactionSignBytesCoverAllFields(t *testing.T) {
 		if string(tx.SignBytes()) == string(base.SignBytes()) {
 			t.Errorf("mutation %d not covered by SignBytes", i)
 		}
+	}
+}
+
+// TestMisSizedHashFieldsRefused: a hash field is 32 bytes or the encoding
+// is corrupt. A shorter field used to decode as the zero hash, so block 1
+// with an empty PrevHash field hashed canonically and entered the chain.
+func TestMisSizedHashFieldsRefused(t *testing.T) {
+	b1 := sampleBlock(1, Hash{}, sampleTx("a"))
+	enc := b1.Encode()
+	if enc[0] != 1 || enc[1] != 32 {
+		t.Fatalf("block 1 does not start with its number and a 32-byte PrevHash: % x", enc[:2])
+	}
+	emptyPrev := append([]byte{enc[0], 0}, enc[2+32:]...)
+	if got, err := DecodeBlock(emptyPrev); !errors.Is(err, codec.ErrCorrupt) {
+		if err == nil {
+			err = NewBlockStore().Append(got)
+		}
+		t.Errorf("block 1 with an empty PrevHash field: err = %v, want %v", err, codec.ErrCorrupt)
+	}
+
+	e := codec.NewBuf(64)
+	e.String("peer1")
+	e.Uvarint(4)
+	e.Bytes2(make([]byte, 31))
+	e.Bytes2([]byte{4})
+	if _, err := UnmarshalCheckpoint(e.Bytes()); !errors.Is(err, codec.ErrCorrupt) {
+		t.Errorf("a checkpoint with a 31-byte WriteHash: err = %v, want %v", err, codec.ErrCorrupt)
 	}
 }

@@ -32,10 +32,8 @@ type RetryPolicy struct {
 	// Timeout bounds each attempt's wait for a result. Default 30s.
 	Timeout time.Duration
 	// Backoff is the base delay before the second attempt; it doubles
-	// each further attempt (with jitter) up to MaxBackoff. Defaults
-	// 100ms / 2s.
-	Backoff    time.Duration
-	MaxBackoff time.Duration
+	// each further attempt (with jitter) up to 2s. Default 100ms.
+	Backoff time.Duration
 	// Seed seeds the jitter generator. 0 (the default) draws a random
 	// seed per client; a non-zero seed makes every client's backoff
 	// schedule a pure function of (Seed, username), so chaos runs with
@@ -53,11 +51,11 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	if p.Backoff <= 0 {
 		p.Backoff = 100 * time.Millisecond
 	}
-	if p.MaxBackoff < p.Backoff {
-		p.MaxBackoff = 2 * time.Second
-	}
 	return p
 }
+
+// maxBackoff caps the doubling retry delay.
+const maxBackoff = 2 * time.Second
 
 // Client submits signed transactions on behalf of one user and hears
 // back on the commit stream of the node it is connected to (§2(7):
@@ -425,7 +423,7 @@ func (c *Client) Invoke(contract string, args ...Value) (TxResult, error) {
 			if !c.sleep(wait) {
 				return TxResult{}, &UnresolvedError{ID: id, Attempts: attempt, Last: ErrClosed}
 			}
-			backoff = min(2*backoff, pol.MaxBackoff)
+			backoff = min(2*backoff, maxBackoff)
 			c.retries.Add(1)
 			if r, ok := c.lookupLedger(id); ok {
 				return r, nil

@@ -308,10 +308,10 @@ func fig8b() {
 	fmt.Printf("%-10s %-14s %-14s\n", "orderers", "kafka(tps)", "bft(tps)")
 	// Warm the process so the first row is not penalized.
 	_, _ = workload.RunOrderingBench(workload.OrderingBenchConfig{
-		Kind: workload.OrderingKafka, Orderers: 4, ArrivalRate: 3000,
+		Kind: bcrdb.OrderingKafka, Orderers: 4, ArrivalRate: 3000,
 		Duration: 500 * time.Millisecond, Warmup: 300 * time.Millisecond})
 	for _, n := range []int{4, 8, 16, 24, 32, 36} {
-		runOrd := func(kind workload.OrderingKind) float64 {
+		runOrd := func(kind bcrdb.OrderingKind) float64 {
 			res, err := workload.RunOrderingBench(workload.OrderingBenchConfig{
 				Kind:         kind,
 				Orderers:     n,
@@ -327,6 +327,6 @@ func fig8b() {
 			}
 			return res.Throughput
 		}
-		fmt.Printf("%-10d %-14.1f %-14.1f\n", n, runOrd(workload.OrderingKafka), runOrd(workload.OrderingBFT))
+		fmt.Printf("%-10d %-14.1f %-14.1f\n", n, runOrd(bcrdb.OrderingKafka), runOrd(bcrdb.OrderingBFT))
 	}
 }

@@ -100,14 +100,6 @@ func (e *Buf) Row(r types.Row) {
 	}
 }
 
-// StringSlice appends a count-prefixed list of strings.
-func (e *Buf) StringSlice(ss []string) {
-	e.Uvarint(uint64(len(ss)))
-	for _, s := range ss {
-		e.String(s)
-	}
-}
-
 // Dec is a strict decoder over a byte slice.
 type Dec struct {
 	b   []byte
@@ -269,26 +261,6 @@ func (d *Dec) Row() types.Row {
 	out := make(types.Row, 0, n)
 	for i := uint64(0); i < n; i++ {
 		out = append(out, d.Value())
-		if d.err != nil {
-			return nil
-		}
-	}
-	return out
-}
-
-// StringSlice reads a count-prefixed list of strings.
-func (d *Dec) StringSlice() []string {
-	n := d.Uvarint()
-	if d.err != nil {
-		return nil
-	}
-	if n > uint64(len(d.b)-d.off) {
-		d.fail()
-		return nil
-	}
-	out := make([]string, 0, n)
-	for i := uint64(0); i < n; i++ {
-		out = append(out, d.String())
 		if d.err != nil {
 			return nil
 		}

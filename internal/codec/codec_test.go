@@ -107,17 +107,6 @@ func TestRowRoundTrip(t *testing.T) {
 	}
 }
 
-func TestStringSliceRoundTrip(t *testing.T) {
-	ss := []string{"a", "", "ccc"}
-	e := NewBuf(16)
-	e.StringSlice(ss)
-	d := NewDec(e.Bytes())
-	got := d.StringSlice()
-	if len(got) != 3 || got[0] != "a" || got[1] != "" || got[2] != "ccc" {
-		t.Errorf("StringSlice = %v", got)
-	}
-}
-
 func TestTruncatedInputFails(t *testing.T) {
 	e := NewBuf(32)
 	e.String("hello world")

@@ -312,7 +312,7 @@ func TestLedgerRowsFollowTheSeal(t *testing.T) {
 	results := node.SubscribeAll()
 
 	txs := ledgerScenarioChain(tn, OrderThenExecute)[0]
-	deliverScenarioBlock(tn, node, 1, node.BlockStore().LastHash(), txs)
+	deliverScenarioBlock(tn, node, 1, tipHash(node), txs)
 	deadline := time.Now().Add(10 * time.Second)
 	for node.Height() < 1 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
@@ -503,7 +503,7 @@ func TestOutcomeLogFailureRaisesAlert(t *testing.T) {
 	// before either is sealed, so every outcome write fails.
 	node.sealPause.Store(true)
 	chain := ledgerScenarioChain(tn, OrderThenExecute)
-	b1 := deliverScenarioBlock(tn, node, 1, node.BlockStore().LastHash(), chain[0])
+	b1 := deliverScenarioBlock(tn, node, 1, tipHash(node), chain[0])
 	deliverScenarioBlock(tn, node, 2, b1.Hash, chain[1])
 	for deadline := time.Now().Add(10 * time.Second); node.Height() < 2; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
@@ -669,7 +669,7 @@ func BenchmarkLedgerQuery(b *testing.B) {
 	tn := newTestNet(b, ledgerScenarioOpts(OrderThenExecute, storage.KindMemory))
 	node := tn.nodes[0]
 	var ids []types.Value
-	prev := node.BlockStore().LastHash()
+	prev := tipHash(node)
 	for n := 1; n <= blocks; n++ {
 		txs := make([]*ledger.Transaction, perBlock)
 		for i := range txs {

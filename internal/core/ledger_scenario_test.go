@@ -89,6 +89,19 @@ func ledgerScenarioChain(tn *testNet, flow Flow) [][]*ledger.Transaction {
 	return [][]*ledger.Transaction{b1, b2, b3}
 }
 
+// tipHash is the hash of the node's newest block (zero before block 1).
+func tipHash(node *Node) ledger.Hash {
+	bs := node.BlockStore()
+	if bs.Height() == 0 {
+		return ledger.Hash{}
+	}
+	b, err := bs.Get(bs.Height())
+	if err != nil {
+		panic(err)
+	}
+	return b.Hash
+}
+
 // deliverScenarioBlock signs block n over txs with the scenario's fixed
 // timestamp and hands it to the node as its orderer would.
 func deliverScenarioBlock(tn *testNet, node *Node, n uint64, prev ledger.Hash, txs []*ledger.Transaction) *ledger.Block {
@@ -118,7 +131,7 @@ func runLedgerScenario(t *testing.T, tn *testNet, flow Flow) []*ledger.Block {
 	t.Helper()
 	node := tn.nodes[0]
 	var blocks []*ledger.Block
-	prev := node.BlockStore().LastHash()
+	prev := tipHash(node)
 	for k, txs := range ledgerScenarioChain(tn, flow) {
 		b := deliverScenarioBlock(tn, node, uint64(k+1), prev, txs)
 		prev = b.Hash

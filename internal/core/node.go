@@ -111,7 +111,7 @@ type Config struct {
 	// FailoverTimeout is how long the node tolerates silence (no block,
 	// no heartbeat) from its delivering orderer before re-subscribing to
 	// the next one. Defaults to 2s; must comfortably exceed the orderers'
-	// HeartbeatEvery.
+	// heartbeat interval (250ms).
 	FailoverTimeout time.Duration
 	// AntiEntropyEvery is the self-healing tick: tip gossip to a rotating
 	// peer, catch-up re-requests with exponential backoff, and the
@@ -234,6 +234,10 @@ type Node struct {
 	// Notifications.
 	subMu sync.Mutex
 	allCh []chan TxResult
+
+	// privMu makes a private transaction's validation and commit one
+	// step against every other private commit (ExecPrivate).
+	privMu sync.Mutex
 
 	metrics Metrics
 
@@ -498,16 +502,43 @@ func (n *Node) QueryAt(height int64, sql string, params ...types.Value) (*engine
 // or state hashes, but read-only queries may join them with blockchain
 // tables (reports combining both schemas).
 func (n *Node) ExecPrivate(sql string, params ...types.Value) (*engine.Result, error) {
+	res, rec, err := n.execPrivate(sql, params)
+	if err != nil {
+		return nil, err
+	}
+	if err := n.commitPrivate(rec); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// execPrivate runs a private statement at the current height without
+// committing it.
+func (n *Node) execPrivate(sql string, params []types.Value) (*engine.Result, *storage.TxRecord, error) {
 	h := n.store.Height()
 	rec := storage.NewTxRecord(n.store.BeginTx(), h)
 	ctx := &engine.ExecCtx{Mode: engine.ModePrivate, Height: h, Rec: rec, Params: params}
 	res, err := n.eng.ExecSQL(ctx, sql)
 	if err != nil {
 		n.store.AbortTx(rec)
-		return nil, err
+		return nil, nil, err
 	}
-	n.store.CommitTx(rec, h)
-	return res, nil
+	return res, rec, nil
+}
+
+// commitPrivate validates rec against the private commits before it
+// (first committer wins on a superseded row or a unique key) and
+// commits it at its snapshot height, or aborts it with the validation
+// error.
+func (n *Node) commitPrivate(rec *storage.TxRecord) error {
+	n.privMu.Lock()
+	defer n.privMu.Unlock()
+	if err := n.store.Validate(rec, rec.SnapshotHeight); err != nil {
+		n.store.AbortTx(rec)
+		return err
+	}
+	n.store.CommitTx(rec, rec.SnapshotHeight)
+	return nil
 }
 
 // Vacuum prunes superseded row versions older than the horizon block

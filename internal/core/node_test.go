@@ -220,9 +220,16 @@ func (tn *testNet) submit(user, contract string, args ...types.Value) (<-chan Tx
 	if tn.nodes[0].cfg.Flow == ExecuteOrder {
 		tn.submitTo(0, tx)
 	} else {
-		tn.orderers[0].SubmitLocal(tx)
+		tn.order(tx)
 	}
 	return ch, tx.ID
+}
+
+// order sends tx to orderer 0 as an order-then-execute client does.
+func (tn *testNet) order(tx *ledger.Transaction) {
+	if err := tn.net.Inject(tx.Username, tn.ordererSigners[0].Name, ordering.KindSubmit, ledger.MarshalTransaction(tx)); err != nil {
+		tn.t.Error(err)
+	}
 }
 
 // submitTo hands node i a client submission (execute-order flow) without
@@ -451,7 +458,7 @@ func TestDuplicateTransactionRejected(t *testing.T) {
 	args := []types.Value{types.NewInt(500), types.NewString("dup"), types.NewFloat(1)}
 	tx1 := tn.buildTx("alice", "put_account", args, 0)
 	ch1 := tn.watch(tx1.ID)
-	tn.orderers[0].SubmitLocal(tx1)
+	tn.order(tx1)
 	r1 := tn.await(ch1)
 	if !r1.Committed {
 		t.Fatalf("first submission aborted: %s", r1.Reason)
@@ -466,7 +473,7 @@ func TestDuplicateTransactionRejected(t *testing.T) {
 		t.Fatal("identical invocations should produce identical ids")
 	}
 	ch2 := tn.watch(tx2.ID)
-	tn.orderers[0].SubmitLocal(tx2)
+	tn.order(tx2)
 	select {
 	case r2 := <-ch2:
 		// If the ordering service let it through, the peers must abort it.

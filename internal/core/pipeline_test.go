@@ -368,7 +368,7 @@ func TestInBlockDuplicateDoesNotRollBackCommit(t *testing.T) {
 		[]types.Value{types.NewInt(777), types.NewString("dup"), types.NewFloat(7)}, 0)
 	b := &ledger.Block{
 		Number:    1,
-		PrevHash:  node.BlockStore().LastHash(),
+		PrevHash:  tipHash(node),
 		Timestamp: time.Now().UnixNano(),
 		Txs:       []*ledger.Transaction{tx, tx},
 	}
@@ -433,7 +433,7 @@ func TestHorizonSpanningDuplicateStaysAborted(t *testing.T) {
 		[]types.Value{types.NewInt(850), types.NewString("y"), types.NewFloat(1)}, 0)
 
 	// Block 1 carries X and seals normally (it ends up below the horizon).
-	b1 := tn.buildSignedBlock(1, node.BlockStore().LastHash(), []*ledger.Transaction{txX})
+	b1 := tn.buildSignedBlock(1, tipHash(node), []*ledger.Transaction{txX})
 	node.onBlock(simnet.Message{From: ord.Name, To: node.Name(), Kind: ordering.KindBlock, Payload: b1.Encode()})
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) && node.SealedHeight() < 1 {

@@ -58,7 +58,7 @@ func TestForgedSignatureInBlockRejected(t *testing.T) {
 			}
 			txs = append(txs[:valid/2], append([]*ledger.Transaction{forged}, txs[valid/2:]...)...)
 			for _, tx := range txs {
-				tn.orderers[0].SubmitLocal(tx)
+				tn.order(tx)
 			}
 
 			var block uint64

@@ -209,3 +209,37 @@ func TestGenesisRefusesSystemContractName(t *testing.T) {
 		t.Fatalf("sys_contracts after the refused genesis: %v, %v", res, qerr)
 	}
 }
+
+// TestPrivateCommitsValidate interleaves two private transactions that
+// insert the same primary key: both execute, then both commit. The
+// second commit must be refused as a unique violation, and the first
+// one's row must be the only one.
+func TestPrivateCommitsValidate(t *testing.T) {
+	tn := newTestNet(t, netOpts{flow: OrderThenExecute, nNodes: 1})
+	node := tn.nodes[0]
+	if _, err := node.ExecPrivate(`CREATE TABLE notes (id BIGINT PRIMARY KEY, note TEXT)`); err != nil {
+		t.Fatal(err)
+	}
+	_, first, err := node.execPrivate(`INSERT INTO notes VALUES (1, 'first')`, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, second, err := node.execPrivate(`INSERT INTO notes VALUES (1, 'second')`, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := node.commitPrivate(first); err != nil {
+		t.Fatalf("first commit: %v", err)
+	}
+	var ve *storage.ValidationError
+	if err := node.commitPrivate(second); !errors.As(err, &ve) || ve.Kind != "unique" {
+		t.Fatalf("second commit of key 1: %v, want a unique violation", err)
+	}
+	res, err := node.Query(`SELECT note FROM notes WHERE id = 1`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 1 || res.Rows[0][0].Str() != "first" {
+		t.Fatalf("rows with key 1 = %v, want only the first commit's", res.Rows)
+	}
+}

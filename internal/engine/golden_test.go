@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"bcrdb/internal/index"
 	"bcrdb/internal/storage"
 	"bcrdb/internal/types"
 )
@@ -398,10 +399,32 @@ func goldenRun(g *goldenEnv, gc goldenCase) goldenOut {
 		out.Deleted = append(out.Deleted, fmt.Sprintf("%s#%04d", ir.Table, ir.Ref))
 	}
 	for _, ir := range rec.Inserted {
-		out.Inserted = append(out.Inserted, ir.Table+gvs(g.st.Get(ir.Table, ir.Ref).Data))
+		out.Inserted = append(out.Inserted, ir.Table+gvs(g.insertedRow(rec, ir)))
 	}
 	g.st.AbortTx(rec)
 	return out
+}
+
+// insertedRow reads back, through the table's primary key, a row rec
+// inserted.
+func (g *goldenEnv) insertedRow(rec *storage.TxRecord, ir storage.ItemRef) types.Row {
+	tb, err := g.st.Table(ir.Table)
+	if err != nil {
+		g.t.Fatal(err)
+	}
+	var row types.Row
+	err = g.st.ScanIndex(ir.Table, tb.PrimaryIndexName(), index.AllRange(), rec.ID, rec.SnapshotHeight, storage.ScanVisible,
+		func(v *storage.RowVersion) bool {
+			if v.ID != ir.Ref {
+				return true
+			}
+			row = v.Data
+			return false
+		})
+	if err != nil || row == nil {
+		g.t.Fatalf("inserted %s#%d not found: %v", ir.Table, ir.Ref, err)
+	}
+	return row
 }
 
 func TestGoldenCorpus(t *testing.T) {

@@ -12,11 +12,9 @@ package identity
 import (
 	"crypto/ed25519"
 	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 )
 
@@ -37,12 +35,6 @@ type Identity struct {
 	Org    string
 	Role   Role
 	PubKey ed25519.PublicKey
-}
-
-// ID returns a short stable fingerprint of the identity's public key.
-func (id *Identity) ID() string {
-	h := sha256.Sum256(id.PubKey)
-	return hex.EncodeToString(h[:8])
 }
 
 // Verify checks sig over msg against the identity's public key.
@@ -118,21 +110,6 @@ func (r *Registry) Register(id Identity) error {
 	return nil
 }
 
-// Replace registers or overwrites an identity (used by user-management
-// system contracts, which are themselves ordered through consensus).
-func (r *Registry) Replace(id Identity) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.ids[id.Name] = id
-}
-
-// Remove deletes an identity by name.
-func (r *Registry) Remove(name string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.ids, name)
-}
-
 // Lookup returns the identity registered under name.
 func (r *Registry) Lookup(name string) (Identity, error) {
 	r.mu.RLock()
@@ -156,30 +133,6 @@ func (r *Registry) VerifyBy(name string, msg, sig []byte) error {
 	return nil
 }
 
-// Names returns all registered names in sorted order.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.ids))
-	for n := range r.ids {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// All returns all identities sorted by name.
-func (r *Registry) All() []Identity {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]Identity, 0, len(r.ids))
-	for _, id := range r.ids {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
 // Clone returns an independent copy of the registry (used when
 // bootstrapping nodes with the same initial certificate material, §3.7).
 func (r *Registry) Clone() *Registry {
@@ -189,21 +142,5 @@ func (r *Registry) Clone() *Registry {
 	for n, id := range r.ids {
 		out.ids[n] = id
 	}
-	return out
-}
-
-// Orgs returns the distinct organizations present in the registry, sorted.
-func (r *Registry) Orgs() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	set := make(map[string]struct{})
-	for _, id := range r.ids {
-		set[id.Org] = struct{}{}
-	}
-	out := make([]string, 0, len(set))
-	for o := range set {
-		out = append(out, o)
-	}
-	sort.Strings(out)
 	return out
 }

@@ -28,7 +28,6 @@ const (
 // BTree is an ordered multimap from types.Key to sets of uint64 refs.
 type BTree struct {
 	root *node
-	size int // number of distinct keys
 }
 
 type item struct {
@@ -45,9 +44,6 @@ func (n *node) leaf() bool { return len(n.children) == 0 }
 
 // New returns an empty tree.
 func New() *BTree { return &BTree{root: &node{}} }
-
-// Len returns the number of distinct keys in the tree.
-func (t *BTree) Len() int { return t.size }
 
 // search returns the index of the first item in n with key >= k, and
 // whether an exact match was found there.
@@ -110,7 +106,6 @@ func (t *BTree) insertNonFull(n *node, key types.Key, ref uint64) bool {
 			n.items = append(n.items, item{})
 			copy(n.items[i+1:], n.items[i:])
 			n.items[i] = item{key: key, refs: []uint64{ref}}
-			t.size++
 			return true
 		}
 		child := n.children[i]
@@ -157,9 +152,6 @@ func (t *BTree) Delete(key types.Key, ref uint64) bool {
 		return false
 	}
 	it.refs = append(it.refs[:i], it.refs[i+1:]...)
-	if len(it.refs) == 0 {
-		t.size--
-	}
 	return true
 }
 
@@ -229,44 +221,6 @@ func (r Range) Contains(k types.Key) bool {
 	if r.Hi != nil {
 		c := cmpPrefix(k, r.Hi)
 		if c > 0 || (c == 0 && !r.HiInc) {
-			return false
-		}
-	}
-	return true
-}
-
-// Overlaps reports whether two ranges can share any key. It is
-// conservative (may report true for disjoint ranges with exotic bounds);
-// the SSI layer only uses it to add conflict edges, where false positives
-// are safe.
-func (r Range) Overlaps(o Range) bool {
-	if r.Unbounded || o.Unbounded {
-		return true
-	}
-	if r.PrefixOnly || o.PrefixOnly {
-		// Compare on the shared prefix length.
-		a, b := r.Lo, o.Lo
-		if r.PrefixOnly && o.PrefixOnly {
-			n := len(a)
-			if len(b) < n {
-				n = len(b)
-			}
-			return types.CompareKeys(a[:n], b[:n]) == 0
-		}
-		return true // mixed prefix/interval: be conservative
-	}
-	// Interval vs interval: r.Lo <= o.Hi && o.Lo <= r.Hi (with open
-	// bounds), prefix-compared so composite bounds of different lengths
-	// stay conservative.
-	if r.Lo != nil && o.Hi != nil {
-		c := cmpPrefix(r.Lo, o.Hi)
-		if c > 0 || (c == 0 && (!r.LoInc || !o.HiInc) && len(r.Lo) == len(o.Hi)) {
-			return false
-		}
-	}
-	if o.Lo != nil && r.Hi != nil {
-		c := cmpPrefix(o.Lo, r.Hi)
-		if c > 0 || (c == 0 && (!o.LoInc || !r.HiInc) && len(o.Lo) == len(r.Hi)) {
 			return false
 		}
 	}

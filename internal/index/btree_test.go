@@ -9,7 +9,14 @@ import (
 	"bcrdb/internal/types"
 )
 
-func ik(i int64) types.Key  { return types.Key{types.NewInt(i)} }
+func ik(i int64) types.Key { return types.Key{types.NewInt(i)} }
+
+// keyCount is the number of keys a full scan visits.
+func keyCount(tr *BTree) int {
+	n := 0
+	tr.Scan(AllRange(), func(types.Key, []uint64) bool { n++; return true })
+	return n
+}
 func sk(s string) types.Key { return types.Key{types.NewString(s)} }
 
 func TestInsertGetDelete(t *testing.T) {
@@ -26,8 +33,8 @@ func TestInsertGetDelete(t *testing.T) {
 	if got := tr.Get(ik(1)); len(got) != 2 || got[0] != 100 || got[1] != 101 {
 		t.Errorf("Get = %v", got)
 	}
-	if tr.Len() != 1 {
-		t.Errorf("Len = %d, want 1", tr.Len())
+	if n := keyCount(tr); n != 1 {
+		t.Errorf("keys = %d, want 1", n)
 	}
 	if !tr.Delete(ik(1), 100) {
 		t.Error("delete existing ref should report true")
@@ -42,8 +49,8 @@ func TestInsertGetDelete(t *testing.T) {
 		t.Error("delete on absent key should report false")
 	}
 	tr.Delete(ik(1), 101)
-	if tr.Len() != 0 {
-		t.Errorf("Len after emptying = %d", tr.Len())
+	if n := keyCount(tr); n != 0 {
+		t.Errorf("keys after emptying = %d", n)
 	}
 	if got := tr.Get(ik(1)); got != nil {
 		t.Errorf("Get on emptied key = %v", got)
@@ -71,8 +78,8 @@ func TestScanOrderAfterManyInserts(t *testing.T) {
 	for _, p := range perm {
 		tr.Insert(ik(int64(p)), uint64(p))
 	}
-	if tr.Len() != n {
-		t.Fatalf("Len = %d, want %d", tr.Len(), n)
+	if got := keyCount(tr); got != n {
+		t.Fatalf("keys = %d, want %d", got, n)
 	}
 	var got []int64
 	tr.Scan(AllRange(), func(k types.Key, refs []uint64) bool {
@@ -198,33 +205,6 @@ func TestRangeContains(t *testing.T) {
 	}
 	if !AllRange().Contains(ik(123)) {
 		t.Error("AllRange should contain everything")
-	}
-}
-
-func TestRangeOverlaps(t *testing.T) {
-	mk := func(lo, hi int64, loInc, hiInc bool) Range {
-		return Range{Lo: ik(lo), Hi: ik(hi), LoInc: loInc, HiInc: hiInc}
-	}
-	cases := []struct {
-		a, b Range
-		want bool
-	}{
-		{mk(1, 5, true, true), mk(5, 9, true, true), true},
-		{mk(1, 5, true, false), mk(5, 9, true, true), false},
-		{mk(1, 5, true, true), mk(5, 9, false, true), false},
-		{mk(1, 3, true, true), mk(4, 9, true, true), false},
-		{mk(1, 9, true, true), mk(4, 5, true, true), true},
-		{AllRange(), mk(4, 5, true, true), true},
-		{Range{Lo: ik(3), LoInc: true}, Range{Hi: ik(2), HiInc: true}, false},
-		{Range{Lo: ik(3), LoInc: true}, Range{Hi: ik(3), HiInc: true}, true},
-	}
-	for i, c := range cases {
-		if got := c.a.Overlaps(c.b); got != c.want {
-			t.Errorf("case %d: Overlaps = %v, want %v", i, got, c.want)
-		}
-		if got := c.b.Overlaps(c.a); got != c.want {
-			t.Errorf("case %d (sym): Overlaps = %v, want %v", i, got, c.want)
-		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"testing"
 
+	"bcrdb/internal/types"
 	"bcrdb/internal/wal"
 )
 
@@ -114,7 +115,7 @@ func FuzzOpenChainLog(f *testing.F) {
 			t.Fatalf("the loaded prefix does not reopen: %v", err)
 		}
 		defer re.Close()
-		if re.Height() != bs.Height() || re.LastHash() != bs.LastHash() {
+		if re.Height() != bs.Height() || re.last != bs.last {
 			t.Fatalf("reopened at %d blocks, loaded %d", re.Height(), bs.Height())
 		}
 		for n := uint64(1); n <= bs.Height(); n++ {
@@ -201,10 +202,25 @@ func FuzzUnmarshalTransaction(f *testing.F) {
 		if err != nil {
 			t.Fatalf("an accepted transaction's encoding does not decode: %v", err)
 		}
-		if !tx.Equal(again) || !bytes.Equal(MarshalTransaction(again), enc) {
+		if !sameTx(tx, again) || !bytes.Equal(MarshalTransaction(again), enc) {
 			t.Fatalf("transaction %+v came back as %+v", tx, again)
 		}
 	})
+}
+
+// sameTx compares every field of two transactions, argument kinds too.
+func sameTx(t, o *Transaction) bool {
+	if t.ID != o.ID || t.Username != o.Username || t.Contract != o.Contract ||
+		t.Snapshot != o.Snapshot || !bytes.Equal(t.Signature, o.Signature) ||
+		len(t.Args) != len(o.Args) {
+		return false
+	}
+	for i := range t.Args {
+		if types.Compare(t.Args[i], o.Args[i]) != 0 || t.Args[i].Kind() != o.Args[i].Kind() {
+			return false
+		}
+	}
+	return true
 }
 
 // sameBlock compares every field of two blocks.
@@ -214,7 +230,7 @@ func sameBlock(a, b *Block) bool {
 		return false
 	}
 	for i := range a.Txs {
-		if !a.Txs[i].Equal(b.Txs[i]) {
+		if !sameTx(a.Txs[i], b.Txs[i]) {
 			return false
 		}
 	}

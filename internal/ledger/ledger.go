@@ -507,13 +507,6 @@ func (bs *BlockStore) Height() uint64 {
 	return uint64(len(bs.blocks))
 }
 
-// LastHash returns the hash of the newest block (zero when empty).
-func (bs *BlockStore) LastHash() Hash {
-	bs.mu.RLock()
-	defer bs.mu.RUnlock()
-	return bs.last
-}
-
 // VerifyChain rechecks the whole chain's hashes and linkage, returning
 // the first broken block number (0 = intact). Used to detect tampering
 // (§3.5(6)).
@@ -530,20 +523,4 @@ func (bs *BlockStore) VerifyChain() (uint64, error) {
 		prev = b.Hash
 	}
 	return 0, nil
-}
-
-// Equal reports whether two transactions are identical (for tests and
-// dedup checks).
-func (t *Transaction) Equal(o *Transaction) bool {
-	if t.ID != o.ID || t.Username != o.Username || t.Contract != o.Contract ||
-		t.Snapshot != o.Snapshot || !bytes.Equal(t.Signature, o.Signature) ||
-		len(t.Args) != len(o.Args) {
-		return false
-	}
-	for i := range t.Args {
-		if types.Compare(t.Args[i], o.Args[i]) != 0 || t.Args[i].Kind() != o.Args[i].Kind() {
-			return false
-		}
-	}
-	return true
 }

@@ -43,7 +43,7 @@ func TestTransactionEncodeDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tx.Equal(d) {
+	if !sameTx(tx, d) {
 		t.Fatalf("round trip mismatch: %+v vs %+v", tx, d)
 	}
 }
@@ -108,7 +108,7 @@ func TestBlockEncodeDecodeRoundTrip(t *testing.T) {
 		got.Timestamp != b.Timestamp || len(got.Txs) != 2 || len(got.Sigs) != 1 {
 		t.Fatalf("decoded = %+v", got)
 	}
-	if !got.Txs[0].Equal(b.Txs[0]) {
+	if !sameTx(got.Txs[0], b.Txs[0]) {
 		t.Error("tx mismatch after round trip")
 	}
 	if got.Checkpoints[0].Peer != "peer1" || got.Checkpoints[0].WriteHash != b.Checkpoints[0].WriteHash {
@@ -129,7 +129,7 @@ func TestBlockStoreAppendGet(t *testing.T) {
 	if err := bs.Append(b2); err != nil {
 		t.Fatal(err)
 	}
-	if bs.Height() != 2 || bs.LastHash() != b2.Hash {
+	if bs.Height() != 2 || bs.last != b2.Hash {
 		t.Fatalf("height=%d", bs.Height())
 	}
 	got, err := bs.Get(1)
@@ -180,7 +180,7 @@ func TestFileStorePersistence(t *testing.T) {
 		t.Fatalf("reloaded height = %d", re.Height())
 	}
 	got, _ := re.Get(2)
-	if !got.Txs[0].Equal(b2.Txs[0]) {
+	if !sameTx(got.Txs[0], b2.Txs[0]) {
 		t.Error("tx lost in reload")
 	}
 	// Appending continues after reload.

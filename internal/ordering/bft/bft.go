@@ -9,7 +9,8 @@
 // after a crashed leader (equivocation within a view is prevented by the
 // prepare quorum; the view-change sub-protocol does not carry prepared
 // certificates across views, which is sufficient for crash-faulty
-// leaders and documented as a simplification in DESIGN.md).
+// leaders and documented as a simplification in
+// docs/adr/0010-substitutions.md).
 //
 // The quadratic message complexity per block is intrinsic and reproduces
 // the throughput decay of Figure 8(b).
@@ -109,18 +110,8 @@ func New(idx int, all []string, signer *identity.Signer, reg *identity.Registry,
 	o.ep = ep
 	o.dlv = ordering.NewDelivery(o.name, signer, ep, peers)
 	ep.SetHandler(o.onMessage)
-	go o.dlv.Heartbeats(o.cfg.HeartbeatEvery, o.done)
+	go o.dlv.Heartbeats(o.done)
 	return o, nil
-}
-
-// Name returns the orderer's endpoint name.
-func (o *Orderer) Name() string { return o.name }
-
-// View returns the current view number.
-func (o *Orderer) View() uint64 {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.view
 }
 
 // Stop crashes the orderer.

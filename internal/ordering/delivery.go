@@ -49,12 +49,17 @@ func NewDelivery(name string, signer *identity.Signer, ep *simnet.Endpoint, peer
 	return &Delivery{name: name, signer: signer, ep: ep, peers: slices.Clone(peers)}
 }
 
+// heartbeatEvery is how often an idle orderer proves liveness to its
+// delivery peers (KindHeartbeat). Peers treat several missed heartbeats
+// as an orderer crash and fail over.
+const heartbeatEvery = 250 * time.Millisecond
+
 // Heartbeats proves liveness to the delivery peers between blocks until
 // done closes, so a peer hearing nothing can conclude its orderer crashed
 // and fail over. The payload carries the last delivered block number: a
 // peer behind it knows to catch up.
-func (d *Delivery) Heartbeats(every time.Duration, done <-chan struct{}) {
-	t := time.NewTicker(every)
+func (d *Delivery) Heartbeats(done <-chan struct{}) {
+	t := time.NewTicker(heartbeatEvery)
 	defer t.Stop()
 	for {
 		select {

@@ -4,7 +4,7 @@
 // trusted in-process sequencer) and independently cut identical blocks
 // from the topic stream.
 //
-// Substitution note (DESIGN.md): the real system trusts the Kafka cluster
+// Substitution note (docs/adr/0010-substitutions.md): the real system trusts the Kafka cluster
 // to order and retain messages across orderer crashes; Topic provides
 // exactly those guarantees. Orderer nodes remain untrusted by peers —
 // each signs the blocks it delivers.
@@ -125,12 +125,9 @@ func NewOrderer(name string, signer *identity.Signer, topic TopicRef, net *simne
 	id, ch := topic.subscribe()
 	o.subID = id
 	go o.consume(ch)
-	go o.dlv.Heartbeats(o.cfg.HeartbeatEvery, o.done)
+	go o.dlv.Heartbeats(o.done)
 	return o, nil
 }
-
-// Name returns the orderer's endpoint name.
-func (o *Orderer) Name() string { return o.name }
 
 // Stop halts the orderer (crash simulation).
 func (o *Orderer) Stop() {
@@ -168,12 +165,6 @@ func (o *Orderer) onMessage(m simnet.Message) {
 		}
 		o.topic.publish(record{kind: msgCheckpoint, cp: cp})
 	}
-}
-
-// SubmitLocal injects a transaction directly (clients colocated with an
-// orderer, used by tests and benchmarks).
-func (o *Orderer) SubmitLocal(tx *ledger.Transaction) {
-	o.topic.publish(record{kind: msgTx, tx: tx})
 }
 
 // consume drives the cutter from the topic stream.

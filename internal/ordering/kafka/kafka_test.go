@@ -13,6 +13,11 @@ import (
 	"bcrdb/internal/types"
 )
 
+// submitLocal hands o a client submission as the network would.
+func submitLocal(o *Orderer, tx *ledger.Transaction) {
+	o.onMessage(simnet.Message{From: tx.Username, To: o.name, Kind: ordering.KindSubmit, Payload: ledger.MarshalTransaction(tx)})
+}
+
 // cluster spins up a topic, n orderers and one collecting peer endpoint.
 type cluster struct {
 	t        *testing.T
@@ -97,7 +102,7 @@ func mktx(id string) *ledger.Transaction {
 func TestSizeTriggeredBlocks(t *testing.T) {
 	c := newCluster(t, 1, ordering.Config{BlockSize: 3, BlockTimeout: time.Hour}, "peer0")
 	for i := 0; i < 6; i++ {
-		c.orderers[0].SubmitLocal(mktx(fmt.Sprintf("t%d", i)))
+		submitLocal(c.orderers[0], mktx(fmt.Sprintf("t%d", i)))
 	}
 	bs := c.waitBlocks("peer0", 2, 2*time.Second)
 	if bs[0].Number != 1 || len(bs[0].Txs) != 3 || bs[1].Number != 2 {
@@ -113,7 +118,7 @@ func TestSizeTriggeredBlocks(t *testing.T) {
 
 func TestTimeoutTriggeredBlock(t *testing.T) {
 	c := newCluster(t, 1, ordering.Config{BlockSize: 100, BlockTimeout: 30 * time.Millisecond}, "peer0")
-	c.orderers[0].SubmitLocal(mktx("only"))
+	submitLocal(c.orderers[0], mktx("only"))
 	bs := c.waitBlocks("peer0", 1, 2*time.Second)
 	if len(bs[0].Txs) != 1 {
 		t.Fatalf("block = %+v", bs[0])
@@ -125,7 +130,7 @@ func TestAllOrderersCutIdenticalBlocks(t *testing.T) {
 		"peer0", "peer1", "peer2")
 	for i := 0; i < 6; i++ {
 		// Submit through different orderers.
-		c.orderers[i%3].SubmitLocal(mktx(fmt.Sprintf("t%d", i)))
+		submitLocal(c.orderers[i%3], mktx(fmt.Sprintf("t%d", i)))
 	}
 	b0 := c.waitBlocks("peer0", 3, 2*time.Second)
 	b1 := c.waitBlocks("peer1", 3, 2*time.Second)
@@ -159,7 +164,7 @@ func TestCheckpointInclusion(t *testing.T) {
 	cp := &ledger.Checkpoint{Peer: "peer0", Block: 1, WriteHash: ledger.Hash{7}}
 	_ = client.Send("orderer0", ordering.KindCheckpoint, ledger.MarshalCheckpoint(cp))
 	time.Sleep(20 * time.Millisecond)
-	c.orderers[0].SubmitLocal(mktx("x"))
+	submitLocal(c.orderers[0], mktx("x"))
 	bs := c.waitBlocks("peer0", 1, 2*time.Second)
 	if len(bs[0].Checkpoints) != 1 || bs[0].Checkpoints[0].WriteHash != cp.WriteHash {
 		t.Fatalf("checkpoints = %+v", bs[0].Checkpoints)
@@ -170,7 +175,7 @@ func TestOrdererCrashToleratedByOthers(t *testing.T) {
 	c := newCluster(t, 3, ordering.Config{BlockSize: 1, BlockTimeout: time.Hour},
 		"peer0", "peer1", "peer2")
 	c.orderers[0].Stop()
-	c.orderers[1].SubmitLocal(mktx("after-crash"))
+	submitLocal(c.orderers[1], mktx("after-crash"))
 	// Peers of live orderers still receive the block.
 	b1 := c.waitBlocks("peer1", 1, 2*time.Second)
 	b2 := c.waitBlocks("peer2", 1, 2*time.Second)
@@ -187,9 +192,9 @@ func TestOrdererCrashToleratedByOthers(t *testing.T) {
 func TestDuplicateSubmissionsIgnored(t *testing.T) {
 	c := newCluster(t, 1, ordering.Config{BlockSize: 2, BlockTimeout: 30 * time.Millisecond}, "peer0")
 	tx := mktx("dup")
-	c.orderers[0].SubmitLocal(tx)
-	c.orderers[0].SubmitLocal(tx)
-	c.orderers[0].SubmitLocal(mktx("other"))
+	submitLocal(c.orderers[0], tx)
+	submitLocal(c.orderers[0], tx)
+	submitLocal(c.orderers[0], mktx("other"))
 	bs := c.waitBlocks("peer0", 1, 2*time.Second)
 	if len(bs[0].Txs) != 2 {
 		t.Fatalf("block txs = %d (duplicate not dropped)", len(bs[0].Txs))

@@ -84,10 +84,6 @@ type Config struct {
 	// BlockTimeout is the maximum time since the first pending
 	// transaction before a block is cut anyway (§4.4).
 	BlockTimeout time.Duration
-	// HeartbeatEvery is how often an idle orderer proves liveness to its
-	// delivery peers (KindHeartbeat). Peers treat several missed
-	// heartbeats as an orderer crash and fail over.
-	HeartbeatEvery time.Duration
 }
 
 // WithDefaults fills unset fields.
@@ -97,9 +93,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.BlockTimeout <= 0 {
 		c.BlockTimeout = 100 * time.Millisecond
-	}
-	if c.HeartbeatEvery <= 0 {
-		c.HeartbeatEvery = 250 * time.Millisecond
 	}
 	return c
 }

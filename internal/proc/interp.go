@@ -26,9 +26,6 @@ type Interp struct {
 // NewInterp returns an interpreter bound to the engine.
 func NewInterp(eng *engine.Engine) *Interp { return &Interp{eng: eng} }
 
-// Engine returns the underlying engine.
-func (in *Interp) Engine() *engine.Engine { return in.eng }
-
 // Interpreter errors.
 var (
 	ErrUnknownContract = errors.New("proc: unknown contract")

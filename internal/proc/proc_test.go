@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"bcrdb/internal/engine"
+	"bcrdb/internal/index"
 	"bcrdb/internal/storage"
 	"bcrdb/internal/types"
 )
@@ -118,7 +119,7 @@ func (h *procHarness) callWithRec(user, name string, args ...types.Value) (types
 		}
 	}
 	for _, ir := range rec.Inserted { // same refs on both sides by now
-		if got, want := h.st.Get(ir.Table, ir.Ref).Data, h.ref.st.Get(ir.Table, ir.Ref).Data; !reflect.DeepEqual(got, want) {
+		if got, want := insertedRow(h.st, rec, ir), insertedRow(h.ref.st, refRec, ir); !reflect.DeepEqual(got, want) {
 			diverged("row written to "+ir.Table, got, want)
 		}
 	}
@@ -576,4 +577,23 @@ func TestContractUpgradeAbortsInFlight(t *testing.T) {
 		t.Fatal("transaction on old contract version should fail validation")
 	}
 	h.st.AbortTx(rec)
+}
+
+// insertedRow reads back, through the table's primary key, a row rec
+// inserted (nil when it is not there).
+func insertedRow(st *storage.Store, rec *storage.TxRecord, ir storage.ItemRef) types.Row {
+	tb, err := st.Table(ir.Table)
+	if err != nil {
+		return nil
+	}
+	var row types.Row
+	_ = st.ScanIndex(ir.Table, tb.PrimaryIndexName(), index.AllRange(), rec.ID, rec.SnapshotHeight, storage.ScanVisible,
+		func(v *storage.RowVersion) bool {
+			if v.ID != ir.Ref {
+				return true
+			}
+			row = v.Data
+			return false
+		})
+	return row
 }

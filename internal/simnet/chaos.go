@@ -38,10 +38,9 @@ type ChaosConfig struct {
 	MinDown, MaxDown time.Duration
 	// Groups lists crashable endpoints with per-group down caps.
 	Groups []ChaosGroup
-	// Partitions are candidate endpoint pairs to sever (both ways).
+	// Partitions are candidate endpoint pairs to sever (both ways); one
+	// pair at most is severed at a time.
 	Partitions [][2]string
-	// MaxPartitions caps concurrently severed pairs (default 1).
-	MaxPartitions int
 }
 
 func (c ChaosConfig) withDefaults() ChaosConfig {
@@ -53,9 +52,6 @@ func (c ChaosConfig) withDefaults() ChaosConfig {
 	}
 	if c.MaxDown < c.MinDown {
 		c.MaxDown = 5 * c.MinDown
-	}
-	if c.MaxPartitions == 0 {
-		c.MaxPartitions = 1
 	}
 	return c
 }
@@ -150,7 +146,7 @@ func buildTimeline(cfg ChaosConfig, horizon time.Duration) []chaosEvent {
 					open = append(open, p)
 				}
 			}
-			if active < cfg.MaxPartitions && len(open) > 0 {
+			if active == 0 && len(open) > 0 {
 				p := open[rng.Intn(len(open))]
 				partUntil[p] = now + dur
 				events = append(events, chaosEvent{at: now, dur: dur, kind: chaosPartition, pair: p})

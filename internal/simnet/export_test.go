@@ -5,5 +5,5 @@ func (n *Network) EndpointStopped(name string) bool {
 	n.mu.RLock()
 	ep := n.endpoints[name]
 	n.mu.RUnlock()
-	return ep != nil && ep.Stopped()
+	return ep != nil && ep.stopped.Load()
 }

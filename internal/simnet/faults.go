@@ -52,23 +52,10 @@ func (n *Network) SetSeed(seed int64) {
 	n.rngMu.Unlock()
 }
 
-// SetFaultsFn installs the default per-pair fault profile; per-link
-// overrides from SetLinkFaults take precedence. nil clears it.
+// SetFaultsFn installs the per-pair fault profile. nil clears it.
 func (n *Network) SetFaultsFn(fn FaultsFn) {
 	n.mu.Lock()
 	n.faultsFn = fn
-	n.mu.Unlock()
-}
-
-// SetLinkFaults pins one directed link's fault profile, overriding the
-// FaultsFn. A zero profile removes the override.
-func (n *Network) SetLinkFaults(from, to string, f Faults) {
-	n.mu.Lock()
-	if f.active() {
-		n.linkFaults[[2]string{from, to}] = f
-	} else {
-		delete(n.linkFaults, [2]string{from, to})
-	}
 	n.mu.Unlock()
 }
 
@@ -76,7 +63,6 @@ func (n *Network) SetLinkFaults(from, to string, f Faults) {
 func (n *Network) ClearFaults() {
 	n.mu.Lock()
 	n.faultsFn = nil
-	n.linkFaults = make(map[[2]string]Faults)
 	n.mu.Unlock()
 }
 
@@ -88,9 +74,6 @@ func (n *Network) FaultsInjected() int64 { return n.faults.Load() }
 func (n *Network) faultsFor(key [2]string) Faults {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	if f, ok := n.linkFaults[key]; ok {
-		return f
-	}
 	if n.faultsFn != nil {
 		return n.faultsFn(key[0], key[1])
 	}

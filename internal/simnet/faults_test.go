@@ -6,11 +6,21 @@ import (
 	"time"
 )
 
+// onLink injects f on the directed link from → to only.
+func onLink(from, to string, f Faults) FaultsFn {
+	return func(a, b string) Faults {
+		if a == from && b == to {
+			return f
+		}
+		return Faults{}
+	}
+}
+
 func TestLinkDropProbability(t *testing.T) {
 	n := New(Profile{})
 	defer n.Close()
 	n.SetSeed(7)
-	n.SetLinkFaults("a", "b", Faults{DropProb: 0.5})
+	n.SetFaultsFn(onLink("a", "b", Faults{DropProb: 0.5}))
 
 	var got atomic.Int64
 	if _, err := n.Register("b", func(m Message) { got.Add(1) }); err != nil {
@@ -46,7 +56,7 @@ func TestLinkSpikeDelaysButDelivers(t *testing.T) {
 	n := New(Profile{})
 	defer n.Close()
 	n.SetSeed(1)
-	n.SetLinkFaults("a", "b", Faults{SpikeProb: 1.0, Spike: 30 * time.Millisecond})
+	n.SetFaultsFn(onLink("a", "b", Faults{SpikeProb: 1.0, Spike: 30 * time.Millisecond}))
 
 	done := make(chan time.Time, 1)
 	if _, err := n.Register("b", func(m Message) { done <- time.Now() }); err != nil {
@@ -76,7 +86,7 @@ func TestDutyCycleFlapsLink(t *testing.T) {
 	n.SetSeed(3)
 	// 20ms up / 20ms down: over 200ms of steady traffic roughly half
 	// must vanish, and both outcomes must occur.
-	n.SetLinkFaults("a", "b", Faults{UpFor: 20 * time.Millisecond, DownFor: 20 * time.Millisecond})
+	n.SetFaultsFn(onLink("a", "b", Faults{UpFor: 20 * time.Millisecond, DownFor: 20 * time.Millisecond}))
 
 	var got atomic.Int64
 	if _, err := n.Register("b", func(m Message) { got.Add(1) }); err != nil {
@@ -130,8 +140,7 @@ func TestChaosTimelineDeterministic(t *testing.T) {
 			{Names: []string{"db.org1", "db.org2", "db.org3"}, MaxDown: 1},
 			{Names: []string{"orderer0", "orderer1", "orderer2"}, MaxDown: 1},
 		},
-		Partitions:    [][2]string{{"db.org1", "db.org2"}, {"db.org2", "db.org3"}},
-		MaxPartitions: 1,
+		Partitions: [][2]string{{"db.org1", "db.org2"}, {"db.org2", "db.org3"}},
 	}
 	n1, n2 := New(Profile{}), New(Profile{})
 	defer n1.Close()

@@ -93,11 +93,10 @@ type Network struct {
 	egressBW map[string]int64
 
 	// Fault injection (faults.go): per-link failure profiles layered
-	// under the FIFO guarantees. linkFaults overrides faultsFn per pair.
-	faultsFn   FaultsFn
-	linkFaults map[[2]string]Faults
-	seed       int64
-	start      time.Time
+	// under the FIFO guarantees.
+	faultsFn FaultsFn
+	seed     int64
+	start    time.Time
 
 	// gateway, when set, receives messages addressed to endpoints this
 	// process does not host (cluster mode). Atomic so the hot send path
@@ -120,11 +119,10 @@ type link struct {
 // New returns a network where every link uses the given default profile.
 func New(def Profile) *Network {
 	n := &Network{
-		endpoints:  make(map[string]*Endpoint),
-		links:      make(map[[2]string]*link),
-		blocked:    make(map[[2]string]bool),
-		egressBW:   make(map[string]int64),
-		linkFaults: make(map[[2]string]Faults),
+		endpoints: make(map[string]*Endpoint),
+		links:     make(map[[2]string]*link),
+		blocked:   make(map[[2]string]bool),
+		egressBW:  make(map[string]int64),
 		profileFn: func(from, to string) Profile {
 			if from == to {
 				return Loopback()
@@ -232,9 +230,6 @@ func (ep *Endpoint) Stop() { ep.stopped.Store(true) }
 
 // Restart brings a stopped endpoint back.
 func (ep *Endpoint) Restart() { ep.stopped.Store(false) }
-
-// Stopped reports whether the endpoint is down.
-func (ep *Endpoint) Stopped() bool { return ep.stopped.Load() }
 
 // Send queues a message from this endpoint. Delivery is asynchronous;
 // errors reflect immediately-known conditions only. A stopped (crashed)
@@ -426,14 +421,3 @@ func (n *Network) Close() {
 
 // Stats returns (messages sent, payload bytes sent).
 func (n *Network) Stats() (int64, int64) { return n.msgs.Load(), n.bytes.Load() }
-
-// Endpoints returns the registered endpoint names.
-func (n *Network) Endpoints() []string {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	out := make([]string, 0, len(n.endpoints))
-	for name := range n.endpoints {
-		out = append(out, name)
-	}
-	return out
-}

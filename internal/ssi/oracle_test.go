@@ -114,7 +114,7 @@ func (g blockGen) rng() index.Range {
 		return index.PointRange(g.key())
 	case 3: // equal bounds, not both inclusive, or built from separate keys
 		k := g.key()
-		return index.Range{Lo: k, Hi: k.Clone(), LoInc: g.pick(3) > 0, HiInc: g.pick(3) > 0}
+		return index.Range{Lo: k, Hi: append(types.Key(nil), k...), LoInc: g.pick(3) > 0, HiInc: g.pick(3) > 0}
 	case 4:
 		return index.PrefixRange(g.key())
 	case 5:

@@ -275,7 +275,7 @@ func appendPart(buf []byte, v types.Value) []byte {
 // one that would commit later (higher Seq) aborts. Structures with a
 // conflict outside the block need no action here — the outside
 // transaction fails its own stale-read/phantom validation at its own
-// commit turn (see DESIGN.md §4 for the argument).
+// commit turn (docs/adr/0010-substitutions.md §3 has the argument).
 func (a *Analysis) applyTable2SameBlock() {
 	for _, anchor := range a.txs {
 		x := anchor.Seq
@@ -368,23 +368,5 @@ func removeInt(s []int, v int) []int {
 			out = append(out, x)
 		}
 	}
-	return out
-}
-
-// Edges returns the current rw adjacency (for diagnostics and tests):
-// pairs (from, to).
-func (a *Analysis) Edges() [][2]int {
-	var out [][2]int
-	for from, tos := range a.out {
-		for _, to := range tos {
-			out = append(out, [2]int{from, to})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
 	return out
 }

@@ -62,12 +62,10 @@ type Backend interface {
 	SchemaEpoch() uint64
 	Table(name string) (*Table, error)
 	HasTable(name string) bool
-	TableNames() []string
 
 	// --- reads ----------------------------------------------------------
 
 	ScanIndex(table, ixName string, rng index.Range, self TxID, height int64, mode ScanMode, fn func(v *RowVersion) bool) error
-	Get(table string, ref uint64) *RowVersion
 	IndexKeys(table string, ref uint64) map[string]types.Key
 	CountVersions(table string) (int, error)
 	CountVisible(table string, height int64) (int, error)

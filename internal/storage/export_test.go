@@ -32,3 +32,14 @@ func (s *Store) scanFullWalk(table, ixName string, rng index.Range, self TxID, h
 	})
 	return nil
 }
+
+// getVersion returns the version with the given heap ref, or nil.
+func getVersion(s Backend, table string, ref uint64) *RowVersion {
+	t, err := s.Table(table)
+	if err != nil {
+		return nil
+	}
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.version(ref)
+}

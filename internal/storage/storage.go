@@ -744,17 +744,6 @@ func (s *Store) ScanIndex(table, ixName string, rng index.Range, self TxID, heig
 	return nil
 }
 
-// Get returns the version with the given heap ref, or nil.
-func (s *Store) Get(table string, ref uint64) *RowVersion {
-	t, err := s.Table(table)
-	if err != nil {
-		return nil
-	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.version(ref)
-}
-
 // --- writes ---------------------------------------------------------------------
 
 // Insert creates a provisional version owned by rec's transaction. NOT

@@ -172,7 +172,7 @@ func TestSnapshotReadsDuringCommits(t *testing.T) {
 			rec := NewTxRecord(s.BeginTx(), b-1)
 			for k := 0; k < perTx; k++ {
 				i := (int(b)*perTx + k) % rows
-				old := s.Get("t", refs[i])
+				old := getVersion(s, "t", refs[i])
 				if err := s.MarkDelete(rec, "t", old.ID); err != nil {
 					t.Fatal(err)
 				}
@@ -270,12 +270,11 @@ func runStripedStress(t *testing.T, s Backend) {
 		defer wg.Done()
 		for r := 0; r < rounds*4; r++ {
 			for i := 0; i < tables; i++ {
-				if !s.HasTable(name(i)) {
-					errCh <- fmt.Errorf("table %s vanished from the catalog", name(i))
+				if _, err := s.Table(name(i)); err != nil || !s.HasTable(name(i)) {
+					errCh <- fmt.Errorf("table %s vanished from the catalog: %v", name(i), err)
 					return
 				}
 			}
-			_ = s.TableNames()
 		}
 	}()
 	// Aborters: concurrent AbortTx exercises the status shards' delete path.
@@ -391,7 +390,7 @@ func TestSnapshotStabilityUnderCommit(t *testing.T) {
 
 	// Another tx inserts + commits at block 2, and updates row 1.
 	w := NewTxRecord(s.BeginTx(), 1)
-	v := s.Get("t", 1)
+	v := getVersion(s, "t", 1)
 	// Find row 1's version through the index to be robust.
 	var target *RowVersion
 	_ = s.ScanIndex("t", "t_pkey", index.PointRange(types.Key{types.NewInt(1)}), 0, 1, ScanVisible,

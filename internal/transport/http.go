@@ -9,7 +9,6 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"time"
 
 	"bcrdb/internal/core"
 	"bcrdb/internal/engine"
@@ -21,18 +20,14 @@ import (
 type HTTPClient struct {
 	base string
 	hc   *http.Client
-
-	// requestTimeout bounds each unary call; streams are exempt.
-	requestTimeout time.Duration
 }
 
 // Dial returns a client for the given base URL ("http://host:port").
 // No connection is opened until the first call.
 func Dial(base string) *HTTPClient {
 	return &HTTPClient{
-		base:           strings.TrimRight(base, "/"),
-		hc:             &http.Client{},
-		requestTimeout: DefaultRequestTimeout,
+		base: strings.TrimRight(base, "/"),
+		hc:   &http.Client{},
 	}
 }
 
@@ -48,7 +43,7 @@ func (e *StatusError) Error() string {
 
 // do runs one unary request and decodes the JSON response into out.
 func (c *HTTPClient) do(ctx context.Context, method, path string, in, out any) error {
-	ctx, cancel := context.WithTimeout(ctx, c.requestTimeout)
+	ctx, cancel := context.WithTimeout(ctx, requestTimeout)
 	defer cancel()
 	var body io.Reader
 	if in != nil {

@@ -3,7 +3,6 @@ package transport
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"bcrdb/internal/simnet"
@@ -18,7 +17,7 @@ import (
 // Each destination gets one ordered queue drained by one sender
 // goroutine — simnet links are FIFO and the relay must not reorder what
 // the fabric guarantees (topic records, block delivery). Delivery is
-// best-effort: a full queue or failed POST counts as a dropped packet,
+// best-effort: a full queue or failed POST is a dropped packet,
 // which the self-healing layer (anti-entropy catch-up, client retry)
 // recovers from, exactly as it does for injected link faults.
 type RelayPool struct {
@@ -27,9 +26,6 @@ type RelayPool struct {
 	queues map[string]chan simnet.Message
 	done   chan struct{}
 	wg     sync.WaitGroup
-
-	sent    atomic.Int64
-	dropped atomic.Int64
 }
 
 type relayRoute struct {
@@ -70,16 +66,11 @@ func (p *RelayPool) Gateway() simnet.Gateway {
 	}
 }
 
-// Sent and Dropped report relay traffic counters.
-func (p *RelayPool) Sent() int64    { return p.sent.Load() }
-func (p *RelayPool) Dropped() int64 { return p.dropped.Load() }
-
 func (p *RelayPool) enqueue(c *HTTPClient, msg simnet.Message) {
 	p.mu.Lock()
 	select {
 	case <-p.done:
 		p.mu.Unlock()
-		p.dropped.Add(1)
 		return
 	default:
 	}
@@ -93,8 +84,7 @@ func (p *RelayPool) enqueue(c *HTTPClient, msg simnet.Message) {
 	p.mu.Unlock()
 	select {
 	case q <- msg:
-	default:
-		p.dropped.Add(1) // backpressure: behave like a congested link
+	default: // backpressure: drop, like a congested link
 	}
 }
 
@@ -106,13 +96,8 @@ func (p *RelayPool) sender(c *HTTPClient, q chan simnet.Message) {
 			return
 		case msg := <-q:
 			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			err := c.Relay(ctx, msg.From, msg.To, msg.Kind, msg.Payload)
+			_ = c.Relay(ctx, msg.From, msg.To, msg.Kind, msg.Payload)
 			cancel()
-			if err != nil {
-				p.dropped.Add(1)
-			} else {
-				p.sent.Add(1)
-			}
 		}
 	}
 }

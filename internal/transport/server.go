@@ -21,9 +21,9 @@ import (
 // hold a slot. The commit stream is exempt from the request deadline
 // (it is long-lived by design) but still occupies a connection slot.
 const (
-	DefaultMaxConns       = 256
-	DefaultRequestTimeout = 10 * time.Second
-	maxBodyBytes          = 4 << 20 // transactions and queries are small; 4 MiB is generous
+	maxConns       = 256              // concurrently open client connections
+	requestTimeout = 10 * time.Second // each non-streaming request, both ends
+	maxBodyBytes   = 4 << 20          // transactions and queries are small; 4 MiB is generous
 )
 
 // ServerConfig configures one node's wire endpoint.
@@ -33,17 +33,12 @@ type ServerConfig struct {
 	Route Route
 
 	// Net is the process-local message fabric. Submissions enter it via
-	// a server-owned endpoint; /v1/relay injects cluster traffic into it.
+	// the server-owned endpoint "rpc.<org>"; /v1/relay injects cluster
+	// traffic into it.
 	Net *simnet.Network
-	// Endpoint names the server's simnet endpoint. Default "rpc.<org>".
-	Endpoint string
 
 	// Listen is the TCP address to bind, e.g. "127.0.0.1:7061" or ":0".
 	Listen string
-	// MaxConns bounds concurrently open client connections.
-	MaxConns int
-	// RequestTimeout bounds each non-streaming request.
-	RequestTimeout time.Duration
 }
 
 // Server serves the bcrdb wire protocol for one node.
@@ -53,7 +48,6 @@ type Server struct {
 	ln  net.Listener
 	hs  *http.Server
 
-	streams  atomic.Int64 // currently connected commit-stream clients
 	relayed  atomic.Int64 // messages injected via /v1/relay
 	rejected atomic.Int64 // requests rejected as malformed
 
@@ -67,21 +61,12 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.Node == nil || cfg.Net == nil {
 		return nil, errors.New("transport: ServerConfig needs Node and Net")
 	}
-	if cfg.Endpoint == "" {
-		cfg.Endpoint = "rpc." + cfg.Node.Org()
-	}
-	if cfg.MaxConns <= 0 {
-		cfg.MaxConns = DefaultMaxConns
-	}
-	if cfg.RequestTimeout <= 0 {
-		cfg.RequestTimeout = DefaultRequestTimeout
-	}
 	if cfg.Listen == "" {
 		cfg.Listen = "127.0.0.1:0"
 	}
 	s := &Server{cfg: cfg}
 
-	ep, err := cfg.Net.Register(cfg.Endpoint, func(simnet.Message) {})
+	ep, err := cfg.Net.Register("rpc."+cfg.Node.Org(), func(simnet.Message) {})
 	if err != nil {
 		return nil, err
 	}
@@ -92,7 +77,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		ep.Unregister()
 		return nil, err
 	}
-	s.ln = &limitListener{Listener: ln, sem: make(chan struct{}, cfg.MaxConns), closed: make(chan struct{})}
+	s.ln = &limitListener{Listener: ln, sem: make(chan struct{}, maxConns), closed: make(chan struct{})}
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/info", s.timed(s.handleInfo))
@@ -114,9 +99,6 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 
 // URL returns the base URL clients should dial.
 func (s *Server) URL() string { return "http://" + s.Addr() }
-
-// ActiveStreams reports currently connected commit-stream clients.
-func (s *Server) ActiveStreams() int64 { return s.streams.Load() }
 
 // Rejected reports how many requests were rejected as malformed.
 func (s *Server) Rejected() int64 { return s.rejected.Load() }
@@ -142,7 +124,7 @@ func (s *Server) Close() error {
 // timed wraps a handler with the per-request deadline and body cap.
 func (s *Server) timed(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+		ctx, cancel := context.WithTimeout(r.Context(), requestTimeout)
 		defer cancel()
 		r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 		h(w, r.WithContext(ctx))
@@ -256,8 +238,6 @@ func (s *Server) handleCommits(w http.ResponseWriter, r *http.Request) {
 	}
 	src := s.cfg.Node.SubscribeAll()
 	defer s.cfg.Node.UnsubscribeAll(src)
-	s.streams.Add(1)
-	defer s.streams.Add(-1)
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)

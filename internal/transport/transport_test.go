@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"net"
 	"net/http"
 	"strings"
 	"sync"
@@ -101,9 +102,8 @@ func newTestServer(t *testing.T, cfg ServerConfig) (*Server, *fakeNode) {
 
 // bothTransports runs fn once per Transport implementation, each in front
 // of its own fakeNode: Direct on a loopback fabric, HTTPClient against a
-// test server. released reports when the far side has let go of every
-// stream (the server tears a dropped stream down asynchronously).
-func bothTransports(t *testing.T, fn func(t *testing.T, tr Transport, node *fakeNode, released func() bool)) {
+// test server.
+func bothTransports(t *testing.T, fn func(t *testing.T, tr Transport, node *fakeNode)) {
 	t.Run("direct", func(t *testing.T) {
 		node := &fakeNode{}
 		d, err := NewDirect(simnet.New(simnet.Loopback()), "client", node, testRoute)
@@ -111,13 +111,13 @@ func bothTransports(t *testing.T, fn func(t *testing.T, tr Transport, node *fake
 			t.Fatal(err)
 		}
 		defer d.Close()
-		fn(t, d, node, func() bool { return node.subscriberCount() == 0 })
+		fn(t, d, node)
 	})
 	t.Run("http", func(t *testing.T) {
 		srv, node := newTestServer(t, ServerConfig{})
 		c := Dial(srv.URL())
 		defer c.Close()
-		fn(t, c, node, func() bool { return node.subscriberCount() == 0 && srv.ActiveStreams() == 0 })
+		fn(t, c, node)
 	})
 }
 
@@ -172,7 +172,7 @@ func TestMalformedRequestsRejected(t *testing.T) {
 // TestQueryRoundTrip exercises the value codec across both transports,
 // including the error path.
 func TestQueryRoundTrip(t *testing.T) {
-	bothTransports(t, func(t *testing.T, c Transport, _ *fakeNode, _ func() bool) {
+	bothTransports(t, func(t *testing.T, c Transport, _ *fakeNode) {
 		params := []types.Value{
 			types.NewInt(-42), types.NewFloat(2.5), types.NewString("héllo"),
 			types.NewBool(true), types.NewBytes([]byte{0, 1, 255}), types.Null(),
@@ -210,9 +210,11 @@ func TestQueryRoundTrip(t *testing.T) {
 
 // TestCommitStreamSubscriberCleanup: a dropped stream client must not
 // leave its SubscribeAll channel registered on the node, and stop is
-// idempotent — twice, and again after the transport closed.
+// idempotent — twice, and again after the transport closed. The server
+// tears a dropped stream down asynchronously, hence the wait.
 func TestCommitStreamSubscriberCleanup(t *testing.T) {
-	bothTransports(t, func(t *testing.T, c Transport, node *fakeNode, released func() bool) {
+	bothTransports(t, func(t *testing.T, c Transport, node *fakeNode) {
+		released := func() bool { return node.subscriberCount() == 0 }
 		ch, stop, err := c.CommitStream(context.Background())
 		if err != nil {
 			t.Fatal(err)
@@ -238,6 +240,32 @@ func TestCommitStreamSubscriberCleanup(t *testing.T) {
 			t.Fatal("stop after Close re-registered or leaked a subscriber")
 		}
 	})
+}
+
+// TestServerCloseReleasesStreams: closing the server with a commit stream
+// open ends the stream's handler, which lets go of its SubscribeAll
+// registration on the node, and the client sees its stream end.
+func TestServerCloseReleasesStreams(t *testing.T) {
+	srv, node := newTestServer(t, ServerConfig{})
+	c := Dial(srv.URL())
+	defer c.Close()
+	ch, stop, err := c.CommitStream(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	waitCond(t, "subscriber registered", func() bool { return node.subscriberCount() == 1 })
+
+	srv.Close()
+	waitCond(t, "subscriber released on server close", func() bool { return node.subscriberCount() == 0 })
+	select {
+	case _, ok := <-ch:
+		if ok {
+			t.Fatal("stream delivered a result after the server closed")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("client stream did not end after the server closed")
+	}
 }
 
 // TestRouteDest is the one routing rule as a table: where attempt n of a
@@ -318,27 +346,34 @@ func TestDirectRoutesByPeekedID(t *testing.T) {
 	}
 }
 
-// TestConnectionLimit: with one connection slot, a held-open stream
-// starves a second connection until the stream ends.
+// TestConnectionLimit: once open connections hold every one of the
+// maxConns slots, one more connection is not served until a slot is
+// released.
 func TestConnectionLimit(t *testing.T) {
-	srv, _ := newTestServer(t, ServerConfig{MaxConns: 1})
-	c := Dial(srv.URL())
-	defer c.Close()
-
-	_, stop, err := c.CommitStream(context.Background())
-	if err != nil {
-		t.Fatal(err)
+	srv, _ := newTestServer(t, ServerConfig{})
+	held := make([]net.Conn, 0, maxConns)
+	defer func() {
+		for _, c := range held {
+			c.Close()
+		}
+	}()
+	for len(held) < maxConns {
+		c, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatalf("connection %d: %v", len(held)+1, err)
+		}
+		held = append(held, c)
 	}
-	waitCond(t, "stream holds the slot", func() bool { return srv.ActiveStreams() == 1 })
+	slots := srv.ln.(*limitListener).sem
+	waitCond(t, "every slot held", func() bool { return len(slots) == maxConns })
 
-	// A second connection cannot be accepted while the slot is held.
 	blocked := &http.Client{Timeout: 300 * time.Millisecond, Transport: &http.Transport{}}
 	if _, err := blocked.Get(srv.URL() + "/v1/info"); err == nil {
-		t.Fatal("second connection served despite MaxConns=1")
+		t.Fatalf("connection %d served with every slot held", maxConns+1)
 	}
 
-	stop()
-	waitCond(t, "slot released", func() bool { return srv.ActiveStreams() == 0 })
+	held[0].Close()
+	held = held[1:]
 	free := &http.Client{Timeout: 5 * time.Second, Transport: &http.Transport{}}
 	resp, err := free.Get(srv.URL() + "/v1/info")
 	if err != nil {

@@ -272,14 +272,6 @@ func (k Key) String() string {
 	return "(" + strings.Join(parts, ",") + ")"
 }
 
-// Clone returns a copy of the key (Values are immutable, so a shallow
-// copy of the slice suffices).
-func (k Key) Clone() Key {
-	out := make(Key, len(k))
-	copy(out, k)
-	return out
-}
-
 // Row is a tuple of values in table column order.
 type Row []Value
 

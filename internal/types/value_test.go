@@ -194,12 +194,6 @@ func TestRowAndKeyClone(t *testing.T) {
 	if r[0].Int() != 1 {
 		t.Error("Clone should not alias the original row")
 	}
-	k := Key{NewInt(1)}
-	kc := k.Clone()
-	kc[0] = NewInt(2)
-	if k[0].Int() != 1 {
-		t.Error("Key clone should not alias")
-	}
 }
 
 func TestCoerceToKind(t *testing.T) {

@@ -28,80 +28,46 @@ import (
 	"bcrdb/internal/simnet"
 )
 
-// ChaosConfig parameterizes one seeded fault-injection soak.
+// ChaosConfig parameterizes one seeded fault-injection soak. The
+// network is benchNetwork's on the Kafka ordering service, whose
+// orderers join the crash schedule; blocks cut at 50 transactions or
+// 50ms, and one closed-loop worker per user invokes.
 type ChaosConfig struct {
-	Seed     int64 // drives link faults AND the chaos schedule (default 42)
+	Seed     int64 // drives link faults, the chaos schedule and retry jitter (default 42)
 	Contract Contract
-
-	Orgs        int // database nodes (default 3)
-	UsersPerOrg int // default 2
-
-	Ordering     bcrdb.OrderingKind // kafka recommended; see package comment
-	Backend      string             // "memory" (default) or "disk"
-	BlockSize    int                // default 50
-	BlockTimeout time.Duration      // default 50ms
+	Backend  string // "memory" (default) or "disk"
 
 	// Duration is the fault-injection window; after it the faults heal
 	// and the run drains to convergence. Default 4s.
 	Duration time.Duration
-	// Workers is the closed-loop Invoke concurrency (default: one per
-	// user).
-	Workers int
-	// Retry is the client resubmission policy (default: 6 attempts, 2s
-	// per attempt, 100ms base backoff — enough attempts to rotate past
-	// a crashed target twice even when every fallback drops).
-	Retry bcrdb.RetryPolicy
-
-	// Link-fault profile for every link touching a database node or a
-	// client (orderer↔orderer links are exempt).
-	DropProb  float64       // default 0.05
-	SpikeProb float64       // default 0.10
-	Spike     time.Duration // default 20ms
-
-	// CrashOrderers includes orderer endpoints in the crash schedule
-	// (exercises orderer failover). Enabled by default for kafka; the
-	// BFT service already schedules its own view changes under crashes.
-	CrashOrderers bool
 }
+
+const (
+	chaosBlockSize    = 50
+	chaosBlockTimeout = 50 * time.Millisecond
+)
+
+// chaosLinkFaults is the fault profile of every link touching a database
+// node or a client (orderer↔orderer links are exempt).
+var chaosLinkFaults = simnet.Faults{DropProb: 0.05, SpikeProb: 0.10, Spike: 20 * time.Millisecond}
 
 func (c ChaosConfig) withDefaults() ChaosConfig {
 	if c.Seed == 0 {
 		c.Seed = 42
 	}
-	if c.Orgs == 0 {
-		c.Orgs = 3
-	}
-	if c.UsersPerOrg == 0 {
-		c.UsersPerOrg = 2
-	}
-	if c.BlockSize == 0 {
-		c.BlockSize = 50
-	}
-	if c.BlockTimeout == 0 {
-		c.BlockTimeout = 50 * time.Millisecond
-	}
 	if c.Duration == 0 {
 		c.Duration = 4 * time.Second
 	}
-	if c.Retry.Attempts == 0 {
-		c.Retry = bcrdb.RetryPolicy{Attempts: 6, Timeout: 2 * time.Second, Backoff: 100 * time.Millisecond}
-	}
-	if c.Retry.Seed == 0 {
-		// One seed drives everything: link faults, the chaos schedule
-		// and now client retry jitter, which used the process-global
-		// math/rand source and made soak runs unrepeatable.
-		c.Retry.Seed = c.Seed
-	}
-	if c.DropProb == 0 {
-		c.DropProb = 0.05
-	}
-	if c.SpikeProb == 0 {
-		c.SpikeProb = 0.10
-	}
-	if c.Spike == 0 {
-		c.Spike = 20 * time.Millisecond
-	}
 	return c
+}
+
+// retry is the clients' resubmission policy: 6 attempts, 2s per attempt,
+// 100ms base backoff — enough attempts to rotate past a crashed target
+// twice even when every fallback drops. One seed drives everything: link
+// faults, the chaos schedule and client retry jitter, which used the
+// process-global math/rand source and made soak runs unrepeatable.
+func (c ChaosConfig) retry() bcrdb.RetryPolicy {
+	return bcrdb.RetryPolicy{Attempts: 6, Timeout: 2 * time.Second, Backoff: 100 * time.Millisecond, Seed: c.Seed}
 }
 
 // ChaosResult summarizes a soak.
@@ -138,21 +104,7 @@ func (r ChaosResult) String() string {
 // error if any invocation stays unresolved or the replicas diverge.
 func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 	cfg = cfg.withDefaults()
-
-	var orgs []bcrdb.Org
-	var users []string
-	for i := 0; i < cfg.Orgs; i++ {
-		org := bcrdb.Org{Name: fmt.Sprintf("org%d", i+1)}
-		for u := 0; u < cfg.UsersPerOrg; u++ {
-			name := fmt.Sprintf("user%d_%d", i+1, u)
-			org.Users = append(org.Users, name)
-			users = append(users, name)
-		}
-		orgs = append(orgs, org)
-	}
-	if cfg.Workers == 0 {
-		cfg.Workers = len(users)
-	}
+	orgs, users := benchNetwork()
 
 	var dataDir string
 	if cfg.Backend == "disk" {
@@ -166,14 +118,13 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 
 	nw, err := bcrdb.NewNetwork(bcrdb.Options{
 		Orgs:         orgs,
-		Ordering:     cfg.Ordering,
-		BlockSize:    cfg.BlockSize,
-		BlockTimeout: cfg.BlockTimeout,
+		BlockSize:    chaosBlockSize,
+		BlockTimeout: chaosBlockTimeout,
 		Backend:      cfg.Backend,
 		DataDir:      dataDir,
-		Retry:        cfg.Retry,
-		// Tight healing loop: heartbeats every 250ms (ordering default),
-		// so three missed beats trigger failover.
+		Retry:        cfg.retry(),
+		// Tight healing loop: orderers send heartbeats every 250ms, so
+		// three missed beats trigger failover.
 		FailoverTimeout:  750 * time.Millisecond,
 		AntiEntropyEvery: 100 * time.Millisecond,
 		Genesis:          Genesis(cfg.Contract),
@@ -191,24 +142,20 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 	for _, o := range nw.Orderers() {
 		isOrderer[o] = true
 	}
-	linkFaults := simnet.Faults{DropProb: cfg.DropProb, SpikeProb: cfg.SpikeProb, Spike: cfg.Spike}
 	net.SetFaultsFn(func(from, to string) simnet.Faults {
 		if isOrderer[from] && isOrderer[to] {
 			return simnet.Faults{}
 		}
-		return linkFaults
+		return chaosLinkFaults
 	})
 
-	// Seeded crash/partition schedule: at most one database node and (for
-	// kafka) one orderer down at a time, plus transient peer partitions.
+	// Seeded crash/partition schedule: at most one database node and one
+	// orderer down at a time, plus transient peer partitions.
 	var nodeNames []string
 	for _, n := range nw.Nodes() {
 		nodeNames = append(nodeNames, n.Name())
 	}
-	groups := []simnet.ChaosGroup{{Names: nodeNames, MaxDown: 1}}
-	if cfg.CrashOrderers || cfg.Ordering == bcrdb.OrderingKafka {
-		groups = append(groups, simnet.ChaosGroup{Names: nw.Orderers(), MaxDown: 1})
-	}
+	groups := []simnet.ChaosGroup{{Names: nodeNames, MaxDown: 1}, {Names: nw.Orderers(), MaxDown: 1}}
 	var parts [][2]string
 	for i := 1; i < len(nodeNames); i++ {
 		parts = append(parts, [2]string{nodeNames[i-1], nodeNames[i]})
@@ -236,11 +183,11 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 		unresolved                  int64    // Invoke errors with no recoverable tx id
 	)
 	deadline := time.Now().Add(cfg.Duration)
-	for w := 0; w < cfg.Workers; w++ {
+	for _, user := range users {
 		wg.Add(1)
-		go func(w int) {
+		go func(user string) {
 			defer wg.Done()
-			client := nw.Client(users[w%len(users)])
+			client := nw.Client(user)
 			for time.Now().Before(deadline) {
 				name, args := Invocation(cfg.Contract, seq.Add(1))
 				invokes.Add(1)
@@ -264,7 +211,7 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 					aborted.Add(1)
 				}
 			}
-		}(w)
+		}(user)
 	}
 	wg.Wait()
 

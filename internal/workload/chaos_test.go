@@ -1,11 +1,19 @@
 package workload
 
 import (
+	"encoding/json"
+	"os"
+	"reflect"
 	"testing"
 	"time"
-
-	"bcrdb"
 )
+
+// timelinePath pins the seed-42 chaos schedule TestChaosSoakMemory
+// injects (a JSON list of ChaosResult.Timeline entries). The soak's
+// network shape (orgs, users, crashable orderers) decides it, so a change
+// there moves an event here. Rewrite it only for a deliberate schedule
+// change, from the timeline the failure prints.
+const timelinePath = "testdata/chaos_timeline_seed42.json"
 
 // The seeded soak is the tentpole's capstone: under link drops, latency
 // spikes, node/orderer crashes and partitions, every invocation must
@@ -19,6 +27,17 @@ func TestChaosSoakMemory(t *testing.T) {
 	t.Log(res.String())
 	if err != nil {
 		t.Fatal(err)
+	}
+	b, err := os.ReadFile(timelinePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	if err := json.Unmarshal(b, &want); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.Timeline, want) {
+		t.Fatalf("seed-42 chaos timeline moved:\n got  %q\n want %q", res.Timeline, want)
 	}
 	if res.FaultsInjected == 0 {
 		t.Fatal("soak injected no link faults — the run proved nothing")
@@ -43,15 +62,13 @@ func TestChaosSoakDisk(t *testing.T) {
 // soak's timeline is a pure function of its printed seed: the chaos
 // seed must propagate into RetryPolicy.Seed (the client-side jitter
 // source — see bcrdb's TestRetryJitterDeterministic for the proof that
-// an equal seed yields an identical backoff schedule), and an explicit
-// Retry.Seed must survive defaulting untouched.
+// an equal seed yields an identical backoff schedule), the default seed
+// included.
 func TestChaosSeedThreadsIntoRetryJitter(t *testing.T) {
-	cfg := ChaosConfig{Seed: 1234}.withDefaults()
-	if cfg.Retry.Seed != 1234 {
-		t.Fatalf("Retry.Seed = %d, want the chaos seed 1234", cfg.Retry.Seed)
+	if got := (ChaosConfig{Seed: 1234}).withDefaults().retry().Seed; got != 1234 {
+		t.Fatalf("Retry.Seed = %d, want the chaos seed 1234", got)
 	}
-	cfg = ChaosConfig{Seed: 1234, Retry: bcrdb.RetryPolicy{Attempts: 2, Seed: 99}}.withDefaults()
-	if cfg.Retry.Seed != 99 {
-		t.Fatalf("explicit Retry.Seed overridden: got %d, want 99", cfg.Retry.Seed)
+	if got := (ChaosConfig{}).withDefaults().retry().Seed; got != 42 {
+		t.Fatalf("Retry.Seed = %d, want the default chaos seed 42", got)
 	}
 }

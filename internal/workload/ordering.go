@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"bcrdb"
 	"bcrdb/internal/identity"
 	"bcrdb/internal/ledger"
 	"bcrdb/internal/ordering"
@@ -16,22 +17,6 @@ import (
 	"bcrdb/internal/types"
 )
 
-// OrderingKind mirrors the facade's constants for harness use.
-type OrderingKind uint8
-
-// Ordering kinds.
-const (
-	OrderingKafka OrderingKind = iota
-	OrderingBFT
-)
-
-func (k OrderingKind) String() string {
-	if k == OrderingBFT {
-		return "bft"
-	}
-	return "kafka"
-}
-
 // padding brings bench envelopes to the paper's ~196-byte transaction
 // size (§5.3).
 var padding = strings.Repeat("x", 100)
@@ -39,18 +24,19 @@ var padding = strings.Repeat("x", 100)
 // OrderingBenchConfig parameterizes the Figure 8(b) experiment: raw
 // ordering throughput versus the number of orderer nodes.
 type OrderingBenchConfig struct {
-	Kind         OrderingKind
+	Kind         bcrdb.OrderingKind
 	Orderers     int
 	ArrivalRate  float64 // offered tx/s (paper: 3000)
 	BlockSize    int
 	BlockTimeout time.Duration
 	Duration     time.Duration
 	Warmup       time.Duration
-	// NICBandwidth caps each orderer's shared uplink (bytes/s). This is
-	// what makes BFT's O(n) leader dissemination and O(n²) votes bite as
-	// the cluster grows (default 8 MiB/s ≈ the paper's inter-VM links).
-	NICBandwidth int64
 }
+
+// nicBandwidth caps each orderer's shared uplink (bytes/s). This is what
+// makes BFT's O(n) leader dissemination and O(n²) votes bite as the
+// cluster grows (8 MiB/s ≈ the paper's inter-VM links).
+const nicBandwidth = 8 << 20
 
 // OrderingBenchResult reports delivered transaction throughput.
 type OrderingBenchResult struct {
@@ -80,9 +66,6 @@ func RunOrderingBench(cfg OrderingBenchConfig) (OrderingBenchResult, error) {
 	}
 	if cfg.ArrivalRate == 0 {
 		cfg.ArrivalRate = 3000
-	}
-	if cfg.NICBandwidth == 0 {
-		cfg.NICBandwidth = 8 << 20
 	}
 
 	net := simnet.New(simnet.LAN())
@@ -121,11 +104,11 @@ func RunOrderingBench(cfg OrderingBenchConfig) (OrderingBenchResult, error) {
 		signers = append(signers, s)
 		names = append(names, s.Name)
 		_ = reg.Register(s.Public())
-		net.SetEgressBandwidth(s.Name, cfg.NICBandwidth)
+		net.SetEgressBandwidth(s.Name, nicBandwidth)
 	}
 
 	switch cfg.Kind {
-	case OrderingKafka:
+	case bcrdb.OrderingKafka:
 		topic := kafka.NewTopic(nil)
 		for i := 0; i < cfg.Orderers; i++ {
 			peers := []string{}
@@ -138,7 +121,7 @@ func RunOrderingBench(cfg OrderingBenchConfig) (OrderingBenchResult, error) {
 			}
 			defer o.Stop()
 		}
-	case OrderingBFT:
+	case bcrdb.OrderingBFT:
 		if cfg.Orderers < 4 {
 			return OrderingBenchResult{}, fmt.Errorf("workload: BFT needs ≥ 4 orderers")
 		}

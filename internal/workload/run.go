@@ -18,20 +18,14 @@ type RunConfig struct {
 	Flow     bcrdb.Flow
 	Serial   bool // Ethereum-style serial block execution (§5.1)
 
-	Orgs          int // organizations = database nodes (default 3)
-	UsersPerOrg   int // client identities per org (default 2)
-	ExtraOrderers int
-
-	Ordering     bcrdb.OrderingKind
 	Profile      bcrdb.NetProfile
 	BlockSize    int
 	BlockTimeout time.Duration
 
 	// Backend selects the nodes' storage backend ("memory" or "disk").
-	// The disk backend needs a data directory; when DataDir is empty a
-	// temporary one is created and removed after the run.
+	// The disk backend runs in a temporary data directory, removed after
+	// the run.
 	Backend string
-	DataDir string
 
 	// ArrivalRate > 0 drives an open-loop Poisson-like arrival process
 	// at that many tx/s. ArrivalRate == 0 saturates the system with a
@@ -44,13 +38,31 @@ type RunConfig struct {
 	Duration time.Duration // measurement window (default 2s)
 }
 
+// Every run, chaos soaks included, has three organizations (one database
+// node and one orderer each) with two client users apiece.
+const (
+	benchOrgs        = 3
+	benchUsersPerOrg = 2
+)
+
+// benchNetwork returns the organizations of a run and their users'
+// names, in submission order.
+func benchNetwork() ([]bcrdb.Org, []string) {
+	var orgs []bcrdb.Org
+	var users []string
+	for i := 0; i < benchOrgs; i++ {
+		org := bcrdb.Org{Name: fmt.Sprintf("org%d", i+1)}
+		for u := 0; u < benchUsersPerOrg; u++ {
+			name := fmt.Sprintf("user%d_%d", i+1, u)
+			org.Users = append(org.Users, name)
+			users = append(users, name)
+		}
+		orgs = append(orgs, org)
+	}
+	return orgs, users
+}
+
 func (c RunConfig) withDefaults() RunConfig {
-	if c.Orgs == 0 {
-		c.Orgs = 3
-	}
-	if c.UsersPerOrg == 0 {
-		c.UsersPerOrg = 2
-	}
 	if c.BlockSize == 0 {
 		c.BlockSize = 100
 	}
@@ -102,21 +114,10 @@ func (r Result) String() string {
 // measure a steady-state window, tear down.
 func Run(cfg RunConfig) (Result, error) {
 	cfg = cfg.withDefaults()
+	orgs, users := benchNetwork()
 
-	var orgs []bcrdb.Org
-	var users []string
-	for i := 0; i < cfg.Orgs; i++ {
-		org := bcrdb.Org{Name: fmt.Sprintf("org%d", i+1)}
-		for u := 0; u < cfg.UsersPerOrg; u++ {
-			name := fmt.Sprintf("user%d_%d", i+1, u)
-			org.Users = append(org.Users, name)
-			users = append(users, name)
-		}
-		orgs = append(orgs, org)
-	}
-
-	dataDir := cfg.DataDir
-	if cfg.Backend == "disk" && dataDir == "" {
+	var dataDir string
+	if cfg.Backend == "disk" {
 		tmp, err := os.MkdirTemp("", "bcrdb-bench-*")
 		if err != nil {
 			return Result{}, err
@@ -129,8 +130,6 @@ func Run(cfg RunConfig) (Result, error) {
 		Orgs:            orgs,
 		Flow:            cfg.Flow,
 		SerialExecution: cfg.Serial,
-		Ordering:        cfg.Ordering,
-		ExtraOrderers:   cfg.ExtraOrderers,
 		BlockSize:       cfg.BlockSize,
 		BlockTimeout:    cfg.BlockTimeout,
 		Profile:         cfg.Profile,

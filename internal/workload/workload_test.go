@@ -103,7 +103,7 @@ func TestRunComplexGroupEO(t *testing.T) {
 
 func TestOrderingBenchKafka(t *testing.T) {
 	res, err := RunOrderingBench(OrderingBenchConfig{
-		Kind: OrderingKafka, Orderers: 2, ArrivalRate: 500,
+		Kind: bcrdb.OrderingKafka, Orderers: 2, ArrivalRate: 500,
 		BlockSize: 50, BlockTimeout: 20 * time.Millisecond,
 		Duration: 400 * time.Millisecond, Warmup: 100 * time.Millisecond,
 	})
@@ -117,7 +117,7 @@ func TestOrderingBenchKafka(t *testing.T) {
 
 func TestOrderingBenchBFT(t *testing.T) {
 	res, err := RunOrderingBench(OrderingBenchConfig{
-		Kind: OrderingBFT, Orderers: 4, ArrivalRate: 300,
+		Kind: bcrdb.OrderingBFT, Orderers: 4, ArrivalRate: 300,
 		BlockSize: 50, BlockTimeout: 20 * time.Millisecond,
 		Duration: 400 * time.Millisecond, Warmup: 150 * time.Millisecond,
 	})
@@ -127,7 +127,7 @@ func TestOrderingBenchBFT(t *testing.T) {
 	if res.Throughput <= 0 {
 		t.Fatalf("res = %+v", res)
 	}
-	if _, err := RunOrderingBench(OrderingBenchConfig{Kind: OrderingBFT, Orderers: 3}); err == nil {
+	if _, err := RunOrderingBench(OrderingBenchConfig{Kind: bcrdb.OrderingBFT, Orderers: 3}); err == nil {
 		t.Fatal("BFT with 3 orderers should fail")
 	}
 }

@@ -74,12 +74,11 @@ type Options struct {
 	// at-a-time execution (the Ethereum-style baseline of §5.1).
 	SerialExecution bool
 
-	Ordering OrderingKind
-	// ExtraOrderers adds orderer nodes beyond one per org (used to scale
-	// the ordering service, Fig 8(b); BFT needs ≥ 4 total).
-	ExtraOrderers int
-	BlockSize     int
-	BlockTimeout  time.Duration
+	// Ordering selects the ordering service; BFT runs at least 4
+	// orderer nodes, more than one per org when there are fewer orgs.
+	Ordering     OrderingKind
+	BlockSize    int
+	BlockTimeout time.Duration
 
 	Profile NetProfile
 	// DataDir, when set, persists each node's block store and WAL under
@@ -180,7 +179,7 @@ func NewNetwork(opts Options) (*Network, error) {
 		opts.CheckpointEvery = 1
 	}
 
-	nOrderers := len(opts.Orgs) + opts.ExtraOrderers
+	nOrderers := len(opts.Orgs)
 	if opts.Ordering == OrderingBFT && nOrderers < 4 {
 		nOrderers = 4
 	}

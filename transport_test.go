@@ -1,15 +1,19 @@
 package bcrdb
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"bcrdb/internal/core"
 	"bcrdb/internal/simnet"
+	"bcrdb/internal/transport"
 )
 
 // remoteOptions is demoOptions plus the deterministic identities remote
@@ -230,10 +234,48 @@ func TestPeerForwardMatchesRoute(t *testing.T) {
 	}
 }
 
+// streamWatch wraps a client's transport and counts the commit streams
+// the client's follower opened and how many of them are still open. Call
+// watchStreams before the client's first awaited submission.
+type streamWatch struct {
+	transport.Transport
+	opened, open atomic.Int64
+}
+
+func watchStreams(c *Client) *streamWatch {
+	w := &streamWatch{Transport: c.tr}
+	c.tr = w
+	return w
+}
+
+func (w *streamWatch) CommitStream(ctx context.Context) (<-chan core.TxResult, func(), error) {
+	ch, stop, err := w.Transport.CommitStream(ctx)
+	if err != nil {
+		return ch, stop, err
+	}
+	w.opened.Add(1)
+	w.open.Add(1)
+	out := make(chan core.TxResult)
+	go func() {
+		defer w.open.Add(-1)
+		defer close(out)
+		for r := range ch {
+			select {
+			case out <- r:
+			case <-ctx.Done():
+				return
+			}
+		}
+	}()
+	return out, stop, nil
+}
+
 // TestCommitStreamReconnect drops the server mid-session and asserts
-// (1) the dropped subscriber's node-side registration is released and
-// (2) the client's stream follower redials a replacement server on the
-// same address and resumes receiving commit notifications.
+// (1) the client sees its stream end and (2) the client's stream
+// follower redials a replacement server on the same address and resumes
+// receiving commit notifications. That a closed server releases the
+// stream's node-side subscription is internal/transport's
+// TestServerCloseReleasesStreams.
 func TestCommitStreamReconnect(t *testing.T) {
 	nw, err := NewNetwork(remoteOptions(ExecuteOrder, "reconnect-secret"))
 	if err != nil {
@@ -254,18 +296,17 @@ func TestCommitStreamReconnect(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rc.Close()
+	streams := watchStreams(rc)
 
 	if res, err := rc.Invoke("transfer", Int(1), Int(2), Float(5)); err != nil || !res.Committed {
 		t.Fatalf("pre-drop invoke: %v / %+v", err, res)
 	}
-	waitFor(t, "stream connected", func() bool { return srv.ActiveStreams() == 1 })
+	waitFor(t, "stream connected", func() bool { return streams.open.Load() == 1 })
 
 	if err := srv.Close(); err != nil {
 		t.Fatalf("server close: %v", err)
 	}
-	// The dropped subscriber's handler tears down as its connection
-	// dies; the node-side registration must go with it.
-	waitFor(t, "dropped stream released", func() bool { return srv.ActiveStreams() == 0 })
+	waitFor(t, "dropped stream ended", func() bool { return streams.open.Load() == 0 })
 
 	// Same address, fresh server: the follower must find it on its own.
 	srv2, err := nw.Serve(0, addr)
@@ -273,7 +314,7 @@ func TestCommitStreamReconnect(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv2.Close()
-	waitFor(t, "stream reconnected", func() bool { return srv2.ActiveStreams() == 1 })
+	waitFor(t, "stream reconnected", func() bool { return streams.open.Load() == 1 && streams.opened.Load() == 2 })
 
 	res, err := rc.Invoke("transfer", Int(2), Int(1), Float(3))
 	if err != nil {
@@ -306,6 +347,7 @@ func TestFollowerRedialsAfterFailedOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rc.Close()
+	streams := watchStreams(rc)
 	addr := srv.Addr()
 	if err := srv.Close(); err != nil {
 		t.Fatalf("server close: %v", err)
@@ -326,7 +368,7 @@ func TestFollowerRedialsAfterFailedOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv2.Close()
-	waitFor(t, "follower redialed the new server", func() bool { return srv2.ActiveStreams() == 1 })
+	waitFor(t, "follower redialed the new server", func() bool { return streams.open.Load() == 1 })
 	select {
 	case o := <-done:
 		if o.err != nil || !o.res.Committed {

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	mrand "math/rand"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"bcrdb/internal/core"
@@ -73,9 +72,6 @@ type Client struct {
 	signer *identity.Signer
 	flow   Flow
 	retry  RetryPolicy
-	// retries counts resubmissions: the home node's ClientRetries for an
-	// in-process client, a private counter for a dialed one.
-	retries *atomic.Int64
 
 	// In-process extras (Home, ExecPrivate, QueryAll); nil when dialed.
 	home  *core.Node
@@ -115,7 +111,6 @@ func newClient(tr transport.Transport, signer *identity.Signer, flow Flow, retry
 		signer:  signer,
 		flow:    flow,
 		retry:   retry,
-		retries: new(atomic.Int64),
 		rng:     mrand.New(mrand.NewSource(seed ^ int64(ordering.FNV1a(signer.Name)))),
 		waiters: make(map[string][]chan TxResult),
 	}
@@ -156,7 +151,7 @@ func (nw *Network) Client(username string) *Client {
 		tr = d
 	}
 	c := newClient(tr, signer, nw.opts.Flow, nw.opts.Retry)
-	c.home, c.nodes, c.retries = home, nw.nodes, &home.Metrics().ClientRetries
+	c.home, c.nodes = home, nw.nodes
 	if tr == nil {
 		c.cancel()
 	}
@@ -424,7 +419,9 @@ func (c *Client) Invoke(contract string, args ...Value) (TxResult, error) {
 				return TxResult{}, &UnresolvedError{ID: id, Attempts: attempt, Last: ErrClosed}
 			}
 			backoff = min(2*backoff, maxBackoff)
-			c.retries.Add(1)
+			if c.home != nil {
+				c.home.Metrics().ClientRetries.Add(1)
+			}
 			if r, ok := c.lookupLedger(id); ok {
 				return r, nil
 			}

@@ -133,7 +133,8 @@ func TestCloseFencesConcurrentUse(t *testing.T) {
 // TestRetryJitterDeterministic is the regression test for jitter drawn
 // from the process-global math/rand source: with RetryPolicy.Seed set,
 // two networks must produce identical backoff schedules for the same
-// client, whatever else the process has done with math/rand.
+// client, whatever else the process has done with math/rand. Each
+// backoff also counts once in the home node's ClientRetries.
 func TestRetryJitterDeterministic(t *testing.T) {
 	schedule := func() []time.Duration {
 		nw := stalledNetwork(t, RetryPolicy{
@@ -146,10 +147,16 @@ func TestRetryJitterDeterministic(t *testing.T) {
 		alice := nw.Client("alice")
 		var waits []time.Duration
 		alice.backoffHook = func(d time.Duration) { waits = append(waits, d) }
+		retries := &alice.Home().Metrics().ClientRetries
+		before := retries.Load()
 		_, err := alice.Invoke("transfer", Int(1), Int(2), Float(1))
 		var ue *UnresolvedError
 		if !errors.As(err, &ue) {
 			t.Fatalf("stalled invoke returned %v, want UnresolvedError", err)
+		}
+		// Every backoff is one retry on the home node's counter.
+		if got := retries.Load() - before; got != int64(len(waits)) {
+			t.Fatalf("home node's ClientRetries rose by %d over %d backoffs", got, len(waits))
 		}
 		return waits
 	}

@@ -121,17 +121,17 @@ func fig5(flow bcrdb.Flow, title string) {
 	base := workload.RunConfig{Contract: workload.Simple, Flow: flow,
 		BlockSize: 100, BlockTimeout: 100 * time.Millisecond}
 	p := peak(base)
-	fmt.Printf("measured peak ≈ %.0f tps (block size 100, saturation)\n", p.Throughput)
+	fmt.Printf("measured peak ≈ %.0f tps (block size 100, saturation)\n", p.Throughput())
 	fmt.Printf("%-10s %-12s %-12s %-14s %-14s %-10s\n",
 		"blocksize", "rate(tps)", "tput(tps)", "lat-avg(ms)", "lat-p95(ms)", "aborts")
 	for _, bs := range []int{10, 100, 500} {
 		for _, frac := range []float64{0.4, 0.6, 0.8, 1.0, 1.2} {
 			cfg := base
 			cfg.BlockSize = bs
-			cfg.ArrivalRate = p.Throughput * frac
+			cfg.ArrivalRate = p.Throughput() * frac
 			r := run(cfg)
 			fmt.Printf("%-10d %-12.0f %-12.1f %-14.2f %-14.2f %-10d\n",
-				bs, cfg.ArrivalRate, r.Throughput, r.AvgLatencyMs, r.P95LatencyMs, r.Aborted)
+				bs, cfg.ArrivalRate, r.Throughput(), r.AvgLatencyMs, r.P95LatencyMs, r.Diff.TxAborted)
 		}
 	}
 }
@@ -141,7 +141,7 @@ func micro(flow bcrdb.Flow, title string, withMT bool) {
 	base := workload.RunConfig{Contract: workload.Simple, Flow: flow,
 		BlockSize: 100, BlockTimeout: 100 * time.Millisecond}
 	p := peak(base)
-	rate := p.Throughput * 0.9
+	rate := p.Throughput() * 0.9
 	fmt.Printf("arrival rate %.0f tps (≈0.9× measured peak)\n", rate)
 	cols := "%-6s %-8s %-8s %-9s %-9s %-9s %-9s %-9s"
 	args := []any{"bs", "brr", "bpr", "bpt(ms)", "bet(ms)", "bct(ms)", "bst(ms)", "tet(ms)"}
@@ -158,13 +158,13 @@ func micro(flow bcrdb.Flow, title string, withMT bool) {
 		cfg.ArrivalRate = rate
 		r := run(cfg)
 		rowFmt := "%-6d %-8.1f %-8.1f %-9.2f %-9.2f %-9.2f %-9.2f %-9.3f"
-		row := []any{bs, r.BRR, r.BPR, r.BPT, r.BET, r.BCT, r.BST, r.TET}
+		row := []any{bs, r.BRR(), r.BPR(), r.BPT(), r.BET(), r.BCT(), r.BST(), r.TET()}
 		if withMT {
 			rowFmt += " %-8.1f"
-			row = append(row, r.MT)
+			row = append(row, r.MT())
 		}
 		rowFmt += " %-6.1f\n"
-		row = append(row, r.SU)
+		row = append(row, r.SU())
 		fmt.Printf(rowFmt, row...)
 	}
 }
@@ -177,9 +177,9 @@ func serialComparison() {
 	ser := base
 	ser.Serial = true
 	serRes := peak(ser)
-	fmt.Printf("concurrent SSI peak: %.0f tps\n", par.Throughput)
-	fmt.Printf("serial peak:         %.0f tps\n", serRes.Throughput)
-	fmt.Printf("ratio:               %.2f (paper: ≈0.4)\n", serRes.Throughput/par.Throughput)
+	fmt.Printf("concurrent SSI peak: %.0f tps\n", par.Throughput())
+	fmt.Printf("serial peak:         %.0f tps\n", serRes.Throughput())
+	fmt.Printf("ratio:               %.2f (paper: ≈0.4)\n", serRes.Throughput()/par.Throughput())
 }
 
 // chaosSmoke is the CI chaos gate: on each storage backend, first a
@@ -206,15 +206,16 @@ func chaosSmoke() {
 			fmt.Fprintln(os.Stderr, "chaos control:", err)
 			os.Exit(1)
 		}
+		h := c.Diff
 		fmt.Printf("%-18s tput %.1f tps, committed %d, catchups %d, failovers %d, retries %d\n",
-			be+"/control", c.Throughput, c.Committed, c.CatchUps, c.Failovers, c.Retries)
-		if c.Committed == 0 {
+			be+"/control", c.Throughput(), h.TxCommitted, h.CatchUpRequests, h.OrdererFailovers, h.ClientRetries)
+		if h.TxCommitted == 0 {
 			fmt.Fprintf(os.Stderr, "chaos: %s control window committed nothing\n", be)
 			os.Exit(1)
 		}
-		if c.CatchUps+c.Failovers+c.Retries > 0 {
+		if h.CatchUpRequests+h.OrdererFailovers+h.ClientRetries > 0 {
 			fmt.Fprintf(os.Stderr, "chaos: self-healing fired on a healthy %s fabric (catchups=%d failovers=%d retries=%d)\n",
-				be, c.CatchUps, c.Failovers, c.Retries)
+				be, h.CatchUpRequests, h.OrdererFailovers, h.ClientRetries)
 			os.Exit(1)
 		}
 
@@ -241,7 +242,7 @@ func figComplex(c workload.Contract, flow bcrdb.Flow, title string) {
 			BlockSize: bs, BlockTimeout: 100 * time.Millisecond}
 		r := peak(cfg)
 		fmt.Printf("%-10d %-12.1f %-9.2f %-9.2f %-9.2f %-9.3f\n",
-			bs, r.Throughput, r.BPT, r.BET, r.BCT, r.TET)
+			bs, r.Throughput(), r.BPT(), r.BET(), r.BCT(), r.TET())
 	}
 }
 
@@ -257,7 +258,7 @@ func fig8a() {
 		lanCfg := base
 		lanCfg.Profile = bcrdb.ProfileLAN
 		lanPeak := peak(lanCfg)
-		rate := lanPeak.Throughput * 0.5
+		rate := lanPeak.Throughput() * 0.5
 		for _, p := range []bcrdb.NetProfile{bcrdb.ProfileLAN, bcrdb.ProfileWAN} {
 			name := "LAN"
 			if p == bcrdb.ProfileWAN {
@@ -272,7 +273,7 @@ func fig8a() {
 			cfg.ArrivalRate = rate
 			lat := run(cfg)
 			fmt.Printf("%-10d %-6s %-12.1f %-16.2f %-16.2f\n",
-				bs, name, pk.Throughput, lat.AvgLatencyMs, lat.P95LatencyMs)
+				bs, name, pk.Throughput(), lat.AvgLatencyMs, lat.P95LatencyMs)
 		}
 	}
 }
@@ -294,12 +295,12 @@ func contention() {
 		rc.BlockTimeout = 50 * time.Millisecond
 		rc.MaxInFlight = 256
 		r := peak(rc)
-		total := r.Committed + r.Aborted
+		committed, aborted := r.Diff.TxCommitted, r.Diff.TxAborted
 		pct := 0.0
-		if total > 0 {
-			pct = 100 * float64(r.Aborted) / float64(total)
+		if total := committed + aborted; total > 0 {
+			pct = 100 * float64(aborted) / float64(total)
 		}
-		fmt.Printf("%-24s %-12.1f %-12d %-12d %-10.1f\n", c.name, r.Throughput, r.Committed, r.Aborted, pct)
+		fmt.Printf("%-24s %-12.1f %-12d %-12d %-10.1f\n", c.name, r.Throughput(), committed, aborted, pct)
 	}
 }
 

@@ -1,108 +1,84 @@
 package core
 
 import (
+	"reflect"
 	"sync/atomic"
 	"time"
 )
 
-// Metrics collects the micro-metrics of §5: block receive/process rates
-// (brr, bpr), block processing/execution/commit times (bpt, bet, bct),
+// counters is the one list of a node's counters: Metrics holds them as
+// atomics, Snapshot as plain values. All are cumulative; callers snapshot
+// twice and diff.
+//
+// They are the micro-metrics of §5: block receive/process rates (brr,
+// bpr), block processing/execution/commit times (bpt, bet, bct),
 // transaction execution time (tet), missing transactions (mt) and the
 // block-processor busy time that yields system utilization (su) — plus
-// the pipeline's seal-stage timings (bst, seal queue depth).
-//
-// With the pipelined block processor, bpt covers only the commit-critical
-// path (execute + commit, bpt = bet + bct); the seal stage — ledger rows,
-// write-set hash, WAL append, checkpointing, notifications — is measured
-// separately by BlockSealNanos and overlaps the next block's execution.
-// All counters except SealQueueDepth are cumulative; callers snapshot
-// twice and diff. SealQueueDepth is an instantaneous gauge.
-type Metrics struct {
-	BlocksReceived  atomic.Int64 // brr numerator
-	BlocksProcessed atomic.Int64 // bpr numerator
-	BlocksSealed    atomic.Int64 // bst denominator
+// the pipeline's seal-stage time (bst). With the pipelined block
+// processor, bpt covers only the commit-critical path (execute + commit,
+// bpt = bet + bct); the seal stage — ledger rows, write-set hash, WAL
+// append, checkpointing, notifications — is measured separately by
+// BlockSealNanos and overlaps the next block's execution.
+type counters[T any] struct {
+	BlocksReceived  T // brr numerator
+	BlocksProcessed T // bpr numerator
+	BlocksSealed    T // bst denominator
 
-	BlockProcessNanos atomic.Int64 // Σ bpt (execute + commit critical path)
-	BlockExecNanos    atomic.Int64 // Σ bet
-	BlockCommitNanos  atomic.Int64 // Σ bct
-	BlockSealNanos    atomic.Int64 // Σ bst (seal stage, off the critical path)
+	BlockProcessNanos T // Σ bpt (execute + commit critical path)
+	BlockExecNanos    T // Σ bet
+	BlockCommitNanos  T // Σ bct
+	BlockSealNanos    T // Σ bst (seal stage, off the critical path)
 
-	TxExecNanos atomic.Int64 // Σ tet
-	TxExecCount atomic.Int64
+	TxExecNanos T // Σ tet
+	TxExecCount T
 
-	TxCommitted atomic.Int64
-	TxAborted   atomic.Int64
-	MissingTxs  atomic.Int64 // mt numerator (execute-order-in-parallel)
+	TxCommitted T
+	TxAborted   T
+	MissingTxs  T // mt numerator (execute-order-in-parallel)
 
-	BusyNanos atomic.Int64 // block processor busy time (su numerator)
-
-	SealQueueDepth atomic.Int64 // gauge: blocks committed but not yet sealed
+	BusyNanos T // block processor busy time (su numerator)
 
 	// CommitGroups counts one per non-empty block. It outlives the
 	// withdrawn table-partitioned commit turn (docs/adr/0004) only
 	// because the benchmark harness reads Snapshot.CommitGroups.
-	CommitGroups atomic.Int64
+	CommitGroups T
 	// SigPrewarms counts signatures prewarmed by the block-intake verify
 	// pool (docs/adr/0004).
-	SigPrewarms atomic.Int64
+	SigPrewarms T
 
 	// Self-healing delivery (docs/adr/0005): catch-up ranges requested
 	// from peers, orderer failovers (re-subscribes after a silent
 	// delivery deadline), and client-side submit retries recorded against
 	// the client's home node.
-	CatchUpRequests  atomic.Int64
-	OrdererFailovers atomic.Int64
-	ClientRetries    atomic.Int64
+	CatchUpRequests  T
+	OrdererFailovers T
+	ClientRetries    T
 }
 
-// Snapshot is a point-in-time copy of all counters.
+// Metrics is a node's live counters.
+type Metrics struct {
+	counters[atomic.Int64]
+}
+
+// Snapshot is a point-in-time copy of all counters, plus SealQueueDepth,
+// the blocks committed but not yet sealed at At.
 type Snapshot struct {
-	At                time.Time
-	BlocksReceived    int64
-	BlocksProcessed   int64
-	BlocksSealed      int64
-	BlockProcessNanos int64
-	BlockExecNanos    int64
-	BlockCommitNanos  int64
-	BlockSealNanos    int64
-	TxExecNanos       int64
-	TxExecCount       int64
-	TxCommitted       int64
-	TxAborted         int64
-	MissingTxs        int64
-	BusyNanos         int64
-	SealQueueDepth    int64
-	CommitGroups      int64
-	SigPrewarms       int64
-	CatchUpRequests   int64
-	OrdererFailovers  int64
-	ClientRetries     int64
+	At time.Time
+	counters[int64]
+	SealQueueDepth int64
 }
 
-// Snapshot captures the current counters.
+// Snapshot captures the current counters. It walks the counter list by
+// reflection, which costs nothing that matters at a window's edges.
 func (m *Metrics) Snapshot() Snapshot {
-	return Snapshot{
-		At:                time.Now(),
-		BlocksReceived:    m.BlocksReceived.Load(),
-		BlocksProcessed:   m.BlocksProcessed.Load(),
-		BlocksSealed:      m.BlocksSealed.Load(),
-		BlockProcessNanos: m.BlockProcessNanos.Load(),
-		BlockExecNanos:    m.BlockExecNanos.Load(),
-		BlockCommitNanos:  m.BlockCommitNanos.Load(),
-		BlockSealNanos:    m.BlockSealNanos.Load(),
-		TxExecNanos:       m.TxExecNanos.Load(),
-		TxExecCount:       m.TxExecCount.Load(),
-		TxCommitted:       m.TxCommitted.Load(),
-		TxAborted:         m.TxAborted.Load(),
-		MissingTxs:        m.MissingTxs.Load(),
-		BusyNanos:         m.BusyNanos.Load(),
-		SealQueueDepth:    m.SealQueueDepth.Load(),
-		CommitGroups:      m.CommitGroups.Load(),
-		SigPrewarms:       m.SigPrewarms.Load(),
-		CatchUpRequests:   m.CatchUpRequests.Load(),
-		OrdererFailovers:  m.OrdererFailovers.Load(),
-		ClientRetries:     m.ClientRetries.Load(),
+	s := Snapshot{At: time.Now()}
+	src, dst := reflect.ValueOf(&m.counters).Elem(), reflect.ValueOf(&s.counters).Elem()
+	for i := range dst.NumField() {
+		dst.Field(i).SetInt(src.Field(i).Addr().Interface().(*atomic.Int64).Load())
 	}
+	// The two counters are not read at one instant: clamp.
+	s.SealQueueDepth = max(s.BlocksProcessed-s.BlocksSealed, 0)
+	return s
 }
 
 // Window is the difference of two snapshots, exposing the paper's
@@ -112,32 +88,15 @@ type Window struct {
 	Diff    Snapshot
 }
 
-// Sub computes the window between two snapshots (b after a).
+// Sub computes the window between two snapshots (b after a). The gauge
+// SealQueueDepth is b's, not a difference.
 func (b Snapshot) Sub(a Snapshot) Window {
-	return Window{
-		Elapsed: b.At.Sub(a.At),
-		Diff: Snapshot{
-			BlocksReceived:    b.BlocksReceived - a.BlocksReceived,
-			BlocksProcessed:   b.BlocksProcessed - a.BlocksProcessed,
-			BlocksSealed:      b.BlocksSealed - a.BlocksSealed,
-			BlockProcessNanos: b.BlockProcessNanos - a.BlockProcessNanos,
-			BlockExecNanos:    b.BlockExecNanos - a.BlockExecNanos,
-			BlockCommitNanos:  b.BlockCommitNanos - a.BlockCommitNanos,
-			BlockSealNanos:    b.BlockSealNanos - a.BlockSealNanos,
-			TxExecNanos:       b.TxExecNanos - a.TxExecNanos,
-			TxExecCount:       b.TxExecCount - a.TxExecCount,
-			TxCommitted:       b.TxCommitted - a.TxCommitted,
-			TxAborted:         b.TxAborted - a.TxAborted,
-			MissingTxs:        b.MissingTxs - a.MissingTxs,
-			BusyNanos:         b.BusyNanos - a.BusyNanos,
-			SealQueueDepth:    b.SealQueueDepth,
-			CommitGroups:      b.CommitGroups - a.CommitGroups,
-			SigPrewarms:       b.SigPrewarms - a.SigPrewarms,
-			CatchUpRequests:   b.CatchUpRequests - a.CatchUpRequests,
-			OrdererFailovers:  b.OrdererFailovers - a.OrdererFailovers,
-			ClientRetries:     b.ClientRetries - a.ClientRetries,
-		},
+	d := Snapshot{SealQueueDepth: b.SealQueueDepth}
+	bv, av, dv := reflect.ValueOf(b.counters), reflect.ValueOf(a.counters), reflect.ValueOf(&d.counters).Elem()
+	for i := range dv.NumField() {
+		dv.Field(i).SetInt(bv.Field(i).Int() - av.Field(i).Int())
 	}
+	return Window{Elapsed: b.At.Sub(a.At), Diff: d}
 }
 
 func (w Window) seconds() float64 { return w.Elapsed.Seconds() }

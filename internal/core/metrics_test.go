@@ -1,6 +1,8 @@
 package core
 
 import (
+	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -56,6 +58,66 @@ func TestMetricsZeroWindowSafe(t *testing.T) {
 	w := b.Sub(a)
 	if w.BPT() != 0 || w.TET() != 0 {
 		t.Error("zero-count averages should be 0, not NaN")
+	}
+}
+
+// TestSnapshotCoversEveryCounter is the oracle of the counter list: every
+// int64 of Snapshot but the seal-queue gauge reads the Metrics counter of
+// the same name, and Sub differences each one.
+func TestSnapshotCoversEveryCounter(t *testing.T) {
+	var m Metrics
+	var names []string
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(Snapshot{})) {
+		if f.Type.Kind() == reflect.Int64 && f.Name != "SealQueueDepth" {
+			names = append(names, f.Name)
+		}
+	}
+	if len(names) == 0 {
+		t.Fatal("Snapshot has no counters")
+	}
+	counter := func(name string) *atomic.Int64 {
+		f := reflect.ValueOf(&m).Elem().FieldByName(name)
+		if !f.IsValid() {
+			t.Fatalf("Snapshot.%s has no Metrics counter", name)
+		}
+		return f.Addr().Interface().(*atomic.Int64)
+	}
+	for i, name := range names {
+		counter(name).Add(int64(1000 * (i + 1)))
+	}
+	a := m.Snapshot()
+	for i, name := range names {
+		counter(name).Add(int64(i + 1))
+	}
+	b := m.Snapshot()
+	w := b.Sub(a)
+	for i, name := range names {
+		if got, want := reflect.ValueOf(b).FieldByName(name).Int(), int64(1001*(i+1)); got != want {
+			t.Errorf("Snapshot().%s = %d, want %d", name, got, want)
+		}
+		if got := reflect.ValueOf(w.Diff).FieldByName(name).Int(); got != int64(i+1) {
+			t.Errorf("Sub: Diff.%s = %d, want %d", name, got, i+1)
+		}
+	}
+
+	a.SealQueueDepth, b.SealQueueDepth = 5, 3
+	if d := b.Sub(a).Diff.SealQueueDepth; d != 3 {
+		t.Fatalf("Sub: Diff.SealQueueDepth = %d, want the later snapshot's 3", d)
+	}
+}
+
+// TestSealQueueDepthDerived checks the gauge is the blocks committed but
+// not yet sealed, never below zero.
+func TestSealQueueDepthDerived(t *testing.T) {
+	var m Metrics
+	m.BlocksProcessed.Add(5)
+	m.BlocksSealed.Add(3)
+	if d := m.Snapshot().SealQueueDepth; d != 2 {
+		t.Fatalf("depth = %d, want 2", d)
+	}
+	m.BlocksSealed.Add(3) // the two loads are not one instant
+	if d := m.Snapshot().SealQueueDepth; d != 0 {
+		t.Fatalf("depth = %d, want the clamp's 0", d)
 	}
 }
 

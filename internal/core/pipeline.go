@@ -80,7 +80,6 @@ func (n *Node) processBlock(b *ledger.Block, replay bool) {
 	// backpressure: if sealing falls more than sealQueueCap blocks behind,
 	// the commit stage blocks here rather than letting unsealed work grow
 	// without limit.
-	n.metrics.SealQueueDepth.Add(1)
 	n.sealCh <- task
 }
 
@@ -109,6 +108,5 @@ func (n *Node) sealLoop() {
 		default:
 		}
 		n.sealStage(task)
-		n.metrics.SealQueueDepth.Add(-1)
 	}
 }

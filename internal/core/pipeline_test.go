@@ -534,7 +534,7 @@ func TestSealMetricsExposed(t *testing.T) {
 		t.Fatalf("seal metrics not populated: sealed=%d nanos=%d",
 			m.BlocksSealed.Load(), m.BlockSealNanos.Load())
 	}
-	if d := m.SealQueueDepth.Load(); d != 0 {
+	if d := m.Snapshot().SealQueueDepth; d != 0 {
 		t.Fatalf("seal queue depth = %d after quiescence, want 0", d)
 	}
 	if got, want := tn.nodes[0].SealedHeight(), tn.nodes[0].Height(); got < want {

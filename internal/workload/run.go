@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"bcrdb"
+	"bcrdb/internal/core"
 )
 
 // RunConfig parameterizes one experiment run (§5: block size, arrival
@@ -63,12 +64,6 @@ func benchNetwork() ([]bcrdb.Org, []string) {
 }
 
 func (c RunConfig) withDefaults() RunConfig {
-	if c.BlockSize == 0 {
-		c.BlockSize = 100
-	}
-	if c.BlockTimeout == 0 {
-		c.BlockTimeout = 100 * time.Millisecond
-	}
 	if c.Duration == 0 {
 		c.Duration = 2 * time.Second
 	}
@@ -81,33 +76,13 @@ func (c RunConfig) withDefaults() RunConfig {
 	return c
 }
 
-// Result is the outcome of one run: the paper's headline metrics plus
-// the micro metrics of Tables 4 and 5.
+// Result is the outcome of one run: node 0's counters over the
+// measurement window — the paper's micro metrics of Tables 4 and 5 and
+// the self-healing counters — plus submit → commit latency.
 type Result struct {
-	Throughput   float64 // committed tx/s in the measurement window
-	AvgLatencyMs float64 // submit → commit, committed txs only
+	core.Window
+	AvgLatencyMs float64 // committed txs only
 	P95LatencyMs float64
-
-	Committed int64
-	Aborted   int64
-
-	// Micro metrics (node 0, measurement window). BST is the mean block
-	// seal time, which overlaps the next block's execution.
-	BRR, BPR, BPT, BET, BCT, BST, TET, MT, SU float64
-
-	// Self-healing counters (node 0, measurement window): catch-up range
-	// requests, orderer failovers, client retries. All zero on a healthy
-	// fabric at moderate load — failovers or retries in any happy-path
-	// run indicate a regression; an occasional catch-up request at
-	// closed-loop saturation is legitimate (a replica genuinely trailing
-	// its peers for more than one anti-entropy tick).
-	CatchUps, Failovers, Retries int64
-}
-
-// String renders one result row.
-func (r Result) String() string {
-	return fmt.Sprintf("tput=%7.1f tps  lat(avg)=%7.2fms  lat(p95)=%7.2fms  su=%5.1f%%  aborts=%d",
-		r.Throughput, r.AvgLatencyMs, r.P95LatencyMs, r.SU, r.Aborted)
 }
 
 // Run executes one experiment: build a fresh network, generate load,
@@ -261,24 +236,7 @@ func Run(cfg RunConfig) (Result, error) {
 	close(done)
 	collectorW.Wait()
 
-	w := after.Sub(before)
-	res := Result{
-		Throughput: w.Throughput(),
-		Committed:  w.Diff.TxCommitted,
-		Aborted:    w.Diff.TxAborted,
-		BRR:        w.BRR(),
-		BPR:        w.BPR(),
-		BPT:        w.BPT(),
-		BET:        w.BET(),
-		BCT:        w.BCT(),
-		BST:        w.BST(),
-		TET:        w.TET(),
-		MT:         w.MT(),
-		SU:         w.SU(),
-		CatchUps:   w.Diff.CatchUpRequests,
-		Failovers:  w.Diff.OrdererFailovers,
-		Retries:    w.Diff.ClientRetries,
-	}
+	res := Result{Window: after.Sub(before)}
 	mu.Lock()
 	if len(latencies) > 0 {
 		sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })

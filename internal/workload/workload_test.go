@@ -49,17 +49,17 @@ func TestRunSimpleOpenLoopOE(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Committed == 0 {
+	if res.Diff.TxCommitted == 0 {
 		t.Fatalf("no commits: %+v", res)
 	}
-	if res.Throughput <= 0 {
-		t.Fatalf("throughput = %v", res.Throughput)
+	if res.Throughput() <= 0 {
+		t.Fatalf("throughput = %v", res.Throughput())
 	}
 	if res.AvgLatencyMs <= 0 {
 		t.Fatalf("latency = %v", res.AvgLatencyMs)
 	}
-	if res.BPT < res.BET {
-		t.Fatalf("bpt (%v) < bet (%v)", res.BPT, res.BET)
+	if res.BPT() < res.BET() {
+		t.Fatalf("bpt (%v) < bet (%v)", res.BPT(), res.BET())
 	}
 }
 
@@ -68,7 +68,7 @@ func TestRunSimpleOpenLoopEO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Committed == 0 {
+	if res.Diff.TxCommitted == 0 {
 		t.Fatalf("no commits: %+v", res)
 	}
 }
@@ -81,11 +81,11 @@ func TestRunComplexJoinClosedLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Committed == 0 {
+	if res.Diff.TxCommitted == 0 {
 		t.Fatalf("no commits: %+v", res)
 	}
-	if res.TET <= 0 {
-		t.Fatalf("tet = %v", res.TET)
+	if res.TET() <= 0 {
+		t.Fatalf("tet = %v", res.TET())
 	}
 }
 
@@ -96,7 +96,7 @@ func TestRunComplexGroupEO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Committed == 0 {
+	if res.Diff.TxCommitted == 0 {
 		t.Fatalf("no commits: %+v", res)
 	}
 }
@@ -129,12 +129,5 @@ func TestOrderingBenchBFT(t *testing.T) {
 	}
 	if _, err := RunOrderingBench(OrderingBenchConfig{Kind: bcrdb.OrderingBFT, Orderers: 3}); err == nil {
 		t.Fatal("BFT with 3 orderers should fail")
-	}
-}
-
-func TestResultString(t *testing.T) {
-	r := Result{Throughput: 1234.5, AvgLatencyMs: 6.7, SU: 88}
-	if s := r.String(); s == "" {
-		t.Fatal("empty string")
 	}
 }

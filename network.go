@@ -76,7 +76,9 @@ type Options struct {
 
 	// Ordering selects the ordering service; BFT runs at least 4
 	// orderer nodes, more than one per org when there are fewer orgs.
-	Ordering     OrderingKind
+	Ordering OrderingKind
+	// BlockSize and BlockTimeout cut blocks (default 100 transactions
+	// and 100 ms).
 	BlockSize    int
 	BlockTimeout time.Duration
 
@@ -168,15 +170,6 @@ type Network struct {
 func NewNetwork(opts Options) (*Network, error) {
 	if len(opts.Orgs) == 0 {
 		return nil, errors.New("bcrdb: at least one organization required")
-	}
-	if opts.BlockSize == 0 {
-		opts.BlockSize = 100
-	}
-	if opts.BlockTimeout == 0 {
-		opts.BlockTimeout = 100 * time.Millisecond
-	}
-	if opts.CheckpointEvery == 0 {
-		opts.CheckpointEvery = 1
 	}
 
 	nOrderers := len(opts.Orgs)

@@ -45,13 +45,10 @@ import (
 var callerAllowlist = map[string]string{
 	"core.Node.DeliveringOrderer":   "which orderer feeds a node: the failover tests and diagnostics read it",
 	"ssi.SerialOrder":               "the apparent serial order of a committed history, beside the MVSG checker",
-	"core.Node.RetainHistory":       "switches on the history the serializability tests' oracle reads",
-	"core.Node.History":             "the committed history the serializability tests' oracle checks",
 	"core.Node.Alerts":              "§3.5 detection: the checkpoint mismatches a node observed",
 	"core.Node.Vacuum":              "version pruning, until the memory item's horizon replaces it",
 	"bcrdb.Options.CheckpointEvery": "§3.3.4: checkpoints cover a preconfigured number of blocks",
 	"bcrdb.Options.Ordering":        "selects §4.4's BFT ordering service instead of Kafka",
-	"bcrdb.RemoteConfig.Org":        "a user dialing another org's node names the org it belongs to",
 }
 
 // satisfiedStd are the standard-library interfaces, besides error, whose
@@ -557,7 +554,7 @@ func TestEveryNameHasAProductionCaller(t *testing.T) {
 			t.Errorf("allowlist entry %s excuses nothing any more: remove it", key)
 		}
 	}
-	if n := len(callerAllowlist); n > 12 {
-		t.Errorf("allowlist holds %d entries; at most 12 may bypass the caller rule", n)
+	if n := len(callerAllowlist); n > 6 {
+		t.Errorf("allowlist holds %d entries; at most 6 may bypass the caller rule", n)
 	}
 }

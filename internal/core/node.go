@@ -37,7 +37,6 @@ import (
 	"bcrdb/internal/ledger"
 	"bcrdb/internal/proc"
 	"bcrdb/internal/simnet"
-	"bcrdb/internal/ssi"
 	"bcrdb/internal/storage"
 	"bcrdb/internal/types"
 )
@@ -241,32 +240,9 @@ type Node struct {
 
 	metrics Metrics
 
-	// History retention for serializability audits (tests and the MVSG
-	// checker). Off by default.
-	histMu     sync.Mutex
-	retainHist bool
-	history    []*ssi.CommittedTx
-
 	stopOnce sync.Once
 	stopped  chan struct{}
 	wg       sync.WaitGroup
-}
-
-// RetainHistory makes the node keep a serializability audit trail of
-// every committed transaction's read/write sets, for use with
-// ssi.CheckSerializable. Intended for tests and audits — memory grows
-// with history length.
-func (n *Node) RetainHistory(on bool) {
-	n.histMu.Lock()
-	n.retainHist = on
-	n.histMu.Unlock()
-}
-
-// History returns the retained committed-transaction audit trail.
-func (n *Node) History() []*ssi.CommittedTx {
-	n.histMu.Lock()
-	defer n.histMu.Unlock()
-	return append([]*ssi.CommittedTx(nil), n.history...)
 }
 
 // NewNode constructs a node, opening persistent state when DataDir is

@@ -103,7 +103,7 @@ func newTestNet(t testing.TB, o netOpts) *testNet {
 	tn := &testNet{
 		t:       t,
 		net:     simnet.New(simnet.Profile{Latency: 100 * time.Microsecond}),
-		topic:   kafka.NewTopic(nil),
+		topic:   kafka.NewTopic(),
 		clients: make(map[string]*identity.Signer),
 		waiters: make(map[string][]chan TxResult),
 	}

@@ -37,7 +37,7 @@ func (n *Node) commitStage(b *ledger.Block, execs []*execution, replay bool, t0 
 	// invocations), so all footprints of a block overlap.
 	results := make([]TxResult, len(execs))
 	// committedRecs/committedTxs keep block order: the seal stage's digest
-	// and the audit history depend on it.
+	// depends on it.
 	var committedRecs []*storage.TxRecord
 	var committedTxs []*ledger.Transaction
 	for i, e := range execs {
@@ -49,7 +49,6 @@ func (n *Node) commitStage(b *ledger.Block, execs []*execution, replay bool, t0 
 		if results[i].Committed {
 			committedRecs = append(committedRecs, e.rec)
 			committedTxs = append(committedTxs, e.tx)
-			n.recordHistory(b, i, e, infos[i])
 		}
 	}
 	if len(execs) > 0 {
@@ -135,28 +134,6 @@ func (n *Node) noteCertWrites(rec *storage.TxRecord) {
 			return
 		}
 	}
-}
-
-// recordHistory appends a committed transaction to the serializability
-// audit trail, when enabled.
-func (n *Node) recordHistory(b *ledger.Block, seq int, e *execution, info *ssi.TxInfo) {
-	n.histMu.Lock()
-	defer n.histMu.Unlock()
-	if !n.retainHist || e.rec == nil {
-		return
-	}
-	ct := &ssi.CommittedTx{
-		Name:           e.tx.ID,
-		Block:          int64(b.Number),
-		Seq:            seq,
-		SnapshotHeight: e.rec.SnapshotHeight,
-		ReadRows:       e.rec.ReadRows,
-		ReadRanges:     e.rec.ReadRanges,
-		WrittenOld:     info.WrittenOld,
-		InsertedRefs:   append([]storage.ItemRef(nil), e.rec.Inserted...),
-		InsertedKeys:   info.InsertedKeys,
-	}
-	n.history = append(n.history, ct)
 }
 
 // txInfo converts an execution into the SSI analysis input.

@@ -109,17 +109,10 @@ func (n *Node) sealStage(task *sealTask) {
 }
 
 // releaseBlockRecords returns a sealed block's transaction records to
-// the storage arena (storage/arena.go). Skipped entirely while history
-// retention is on — the audit trail aliases the records' read sets — and
-// deduplicated by execution, since a malicious block repeating a
-// transaction id yields several entries sharing one record.
+// the storage arena (storage/arena.go), deduplicated by execution, since
+// a malicious block repeating a transaction id yields several entries
+// sharing one record.
 func (n *Node) releaseBlockRecords(execs []*execution) {
-	n.histMu.Lock()
-	retain := n.retainHist
-	n.histMu.Unlock()
-	if retain {
-		return
-	}
 	for _, e := range execs {
 		// Duplicate block entries share one execution object, so nil-ing
 		// e.rec on first release also deduplicates.

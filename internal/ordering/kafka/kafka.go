@@ -44,15 +44,11 @@ type Topic struct {
 	mu      sync.Mutex
 	subs    map[int]chan record
 	nextSub int
-	now     func() time.Time
 }
 
-// NewTopic returns an empty topic. now may be nil for wall-clock time.
-func NewTopic(now func() time.Time) *Topic {
-	if now == nil {
-		now = time.Now
-	}
-	return &Topic{now: now, subs: make(map[int]chan record)}
+// NewTopic returns an empty topic.
+func NewTopic() *Topic {
+	return &Topic{subs: make(map[int]chan record)}
 }
 
 // subscribe returns an ordered stream of all future records and the
@@ -77,7 +73,7 @@ func (t *Topic) unsubscribe(id int) {
 func (t *Topic) publish(r record) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	r.ts = t.now().UnixNano()
+	r.ts = time.Now().UnixNano()
 	for _, ch := range t.subs {
 		ch <- r // buffered; a stalled consumer blocks the topic like a slow Kafka consumer group member
 	}

@@ -34,7 +34,7 @@ func newCluster(t *testing.T, nOrderers int, cfg ordering.Config, peerNames ...s
 	c := &cluster{
 		t:      t,
 		net:    simnet.New(simnet.Profile{Latency: 100 * time.Microsecond}),
-		topic:  NewTopic(nil),
+		topic:  NewTopic(),
 		blocks: make(map[string][]*ledger.Block),
 	}
 	t.Cleanup(c.net.Close)

@@ -37,57 +37,7 @@ type CommittedTx struct {
 //	    could not see it (T1 committed after T2's snapshot) → T2 → T1
 func CheckSerializable(txs []*CommittedTx) error {
 	n := len(txs)
-	creator := make(map[storage.ItemRef]int) // version → creating tx index
-	for i, t := range txs {
-		for _, ir := range t.InsertedRefs {
-			creator[ir] = i
-		}
-	}
-	adj := make([][]int, n)
-	addEdge := func(from, to int) {
-		if from != to {
-			adj[from] = append(adj[from], to)
-		}
-	}
-	for i, t := range txs {
-		// wr and rw(row) edges via read rows.
-		for ir := range t.ReadRows {
-			if c, ok := creator[ir]; ok {
-				addEdge(c, i) // wr: creator before reader
-			}
-			for j, u := range txs {
-				if j == i {
-					continue
-				}
-				if _, wrote := u.WrittenOld[ir]; wrote {
-					addEdge(i, j) // rw: reader before superseder
-				}
-			}
-		}
-		// ww edges: creator before superseder.
-		for ir := range t.WrittenOld {
-			if c, ok := creator[ir]; ok {
-				addEdge(c, i)
-			}
-		}
-		// Predicate rw edges.
-		for _, rr := range t.ReadRanges {
-			for j, u := range txs {
-				if j == i {
-					continue
-				}
-				for _, k := range u.InsertedKeys {
-					if k.Table == rr.Table && k.Index == rr.Index && rr.Range.Contains(k.Key) {
-						// Did t see u's insert? Only if u committed at or
-						// below t's snapshot.
-						if u.Block > t.SnapshotHeight {
-							addEdge(i, j)
-						}
-					}
-				}
-			}
-		}
-	}
+	adj := mvsg(txs)
 
 	// Cycle detection (iterative DFS, colors).
 	const (
@@ -154,67 +104,38 @@ func SerialOrder(txs []*CommittedTx) ([]string, error) {
 	if err := CheckSerializable(txs); err != nil {
 		return nil, err
 	}
-	// Rebuild edges and Kahn-sort; ties broken by (block, seq) so the
+	// Kahn-sort the same graph; ties broken by (block, seq) so the
 	// output is deterministic.
 	n := len(txs)
-	creator := make(map[storage.ItemRef]int)
-	for i, t := range txs {
-		for _, ir := range t.InsertedRefs {
-			creator[ir] = i
-		}
-	}
+	adj := mvsg(txs)
 	indeg := make([]int, n)
-	adj := make([][]int, n)
-	addEdge := func(a, b int) {
-		if a == b {
-			return
-		}
-		adj[a] = append(adj[a], b)
-		indeg[b]++
-	}
-	for i, t := range txs {
-		for ir := range t.ReadRows {
-			if c, ok := creator[ir]; ok {
-				addEdge(c, i)
-			}
-			for j, u := range txs {
-				if j != i {
-					if _, wrote := u.WrittenOld[ir]; wrote {
-						addEdge(i, j)
-					}
-				}
-			}
-		}
-		for ir := range t.WrittenOld {
-			if c, ok := creator[ir]; ok {
-				addEdge(c, i)
-			}
+	for _, out := range adj {
+		for _, w := range out {
+			indeg[w]++
 		}
 	}
-	type cand struct{ idx int }
-	var ready []cand
-	push := func(i int) { ready = append(ready, cand{i}) }
+	var ready []int
 	for i := range txs {
 		if indeg[i] == 0 {
-			push(i)
+			ready = append(ready, i)
 		}
 	}
 	var out []string
 	for len(ready) > 0 {
 		sort.Slice(ready, func(a, b int) bool {
-			ta, tb := txs[ready[a].idx], txs[ready[b].idx]
+			ta, tb := txs[ready[a]], txs[ready[b]]
 			if ta.Block != tb.Block {
 				return ta.Block < tb.Block
 			}
 			return ta.Seq < tb.Seq
 		})
-		v := ready[0].idx
+		v := ready[0]
 		ready = ready[1:]
 		out = append(out, txs[v].Name)
 		for _, w := range adj[v] {
 			indeg[w]--
 			if indeg[w] == 0 {
-				push(w)
+				ready = append(ready, w)
 			}
 		}
 	}
@@ -222,4 +143,56 @@ func SerialOrder(txs []*CommittedTx) ([]string, error) {
 		return nil, fmt.Errorf("ssi: internal: topological sort incomplete")
 	}
 	return out, nil
+}
+
+// mvsg builds the multi-version serialization graph of a committed
+// history as adjacency lists over txs' indexes, by the edge rules
+// CheckSerializable lists.
+func mvsg(txs []*CommittedTx) [][]int {
+	creator := make(map[storage.ItemRef]int) // version → creating tx index
+	for i, t := range txs {
+		for _, ir := range t.InsertedRefs {
+			creator[ir] = i
+		}
+	}
+	adj := make([][]int, len(txs))
+	addEdge := func(from, to int) {
+		if from != to {
+			adj[from] = append(adj[from], to)
+		}
+	}
+	for i, t := range txs {
+		// wr and rw(row) edges via read rows.
+		for ir := range t.ReadRows {
+			if c, ok := creator[ir]; ok {
+				addEdge(c, i) // wr: creator before reader
+			}
+			for j, u := range txs {
+				if _, wrote := u.WrittenOld[ir]; wrote {
+					addEdge(i, j) // rw: reader before superseder
+				}
+			}
+		}
+		// ww edges: creator before superseder.
+		for ir := range t.WrittenOld {
+			if c, ok := creator[ir]; ok {
+				addEdge(c, i)
+			}
+		}
+		// Predicate rw edges.
+		for _, rr := range t.ReadRanges {
+			for j, u := range txs {
+				for _, k := range u.InsertedKeys {
+					if k.Table == rr.Table && k.Index == rr.Index && rr.Range.Contains(k.Key) {
+						// Did t see u's insert? Only if u committed at or
+						// below t's snapshot.
+						if u.Block > t.SnapshotHeight {
+							addEdge(i, j)
+						}
+					}
+				}
+			}
+		}
+	}
+	return adj
 }

@@ -380,3 +380,22 @@ func TestCheckerWWChain(t *testing.T) {
 		t.Fatalf("ww chain rejected: %v", err)
 	}
 }
+
+func TestSerialOrderFollowsPredicateEdges(t *testing.T) {
+	// T2 inserts key 7 in block 2; T1, in block 3 but on snapshot 1,
+	// scanned key 7 and could not see it. The predicate rw edge T1 → T2
+	// puts T1 first although its block is later.
+	inserter := ctx("inserter", 2, 0, 1)
+	inserter.InsertedKeys = []KeyAt{{Table: "t", Index: "t_pkey", Key: types.Key{types.NewInt(7)}}}
+	scanner := ctx("scanner", 3, 0, 1)
+	scanner.ReadRanges = []storage.RangeRef{{Table: "t", Index: "t_pkey",
+		Range: index.PointRange(types.Key{types.NewInt(7)})}}
+
+	order, err := SerialOrder([]*CommittedTx{inserter, scanner})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(order) != 2 || order[0] != "scanner" || order[1] != "inserter" {
+		t.Fatalf("order = %v, want [scanner inserter]", order)
+	}
+}

@@ -109,7 +109,7 @@ func RunOrderingBench(cfg OrderingBenchConfig) (OrderingBenchResult, error) {
 
 	switch cfg.Kind {
 	case bcrdb.OrderingKafka:
-		topic := kafka.NewTopic(nil)
+		topic := kafka.NewTopic()
 		for i := 0; i < cfg.Orderers; i++ {
 			peers := []string{}
 			if i == 0 {

@@ -374,7 +374,7 @@ func NewNetwork(opts Options) (*Network, error) {
 		// mode org 0's process hosts it and everyone else attaches a
 		// topic client, mirroring the paper's external Kafka cluster.
 		if cluster == nil || localOrgIdx == 0 {
-			nw.topic = kafka.NewTopic(nil)
+			nw.topic = kafka.NewTopic()
 			if cluster != nil {
 				h, err := kafka.ServeTopic(nw.topic, nw.net)
 				if err != nil {

@@ -98,6 +98,45 @@ func TestRemoteClientOverWire(t *testing.T) {
 	}
 }
 
+// TestDialRemoteSignsAsTheUsersOrg: a user of org2 dials org1's node.
+// The client takes the user's org and role from the replicated sys_certs
+// table, not from the node it dialed, so its signature verifies and the
+// call commits; a user sys_certs does not hold is a dial error that
+// names the user.
+func TestDialRemoteSignsAsTheUsersOrg(t *testing.T) {
+	nw, err := NewNetwork(remoteOptions(ExecuteOrder, "cross-org-secret"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nw.Close()
+	srv, err := nw.Serve(0, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	rc, err := DialRemote(RemoteConfig{
+		URL: srv.URL(), Username: "bob", IdentitySecret: "cross-org-secret",
+		Retry: RetryPolicy{Attempts: 4, Timeout: 5 * time.Second, Backoff: 50 * time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	res, err := rc.Invoke("transfer", Int(1), Int(2), Float(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Committed {
+		t.Fatalf("bob's transfer through org1's node aborted: %s", res.Reason)
+	}
+
+	_, err = DialRemote(RemoteConfig{URL: srv.URL(), Username: "mallory", IdentitySecret: "cross-org-secret"})
+	if err == nil || !strings.Contains(err.Error(), `"mallory"`) {
+		t.Fatalf("dialing as an unknown user returned %v, want an error naming the user", err)
+	}
+}
+
 // TestWireDifferential runs the identical transaction sequence through
 // the in-process client (the one client over a Direct transport) and
 // through a dialed client over HTTP, and demands bit-identical outcomes:

@@ -391,7 +391,9 @@ func (n *Node) Start() error {
 
 // Stop halts the node, draining the seal queue so every committed block
 // is sealed (outcomes published and logged, durability fsync) before the
-// files close. The store stays readable.
+// files close. The store stays readable, except that on a node with a
+// DataDir a sys_ledger read that needs a block fails: the block log it
+// reads blocks back from is closed.
 func (n *Node) Stop() {
 	n.stopOnce.Do(func() {
 		close(n.stopped)

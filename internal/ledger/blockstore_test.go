@@ -277,9 +277,11 @@ func TestFileStoreConcurrentIntakeAndSeal(t *testing.T) {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
-	wg.Add(3)
+	intakeDone := make(chan struct{})
+	wg.Add(4)
 	go func() { // intake
 		defer wg.Done()
+		defer close(intakeDone)
 		var prev Hash
 		for k := uint64(1); k <= n; k++ {
 			b := sampleBlock(k, prev, sampleTx(fmt.Sprint("t", k)))
@@ -319,6 +321,31 @@ func TestFileStoreConcurrentIntakeAndSeal(t *testing.T) {
 				return
 			}
 			k++
+		}
+	}()
+	go func() { // catch-up: earlier blocks read back while intake appends
+		defer wg.Done()
+		for k := uint64(1); ; k++ {
+			select {
+			case <-intakeDone:
+				return
+			default:
+			}
+			h := bs.Height()
+			if h == 0 {
+				runtime.Gosched()
+				continue
+			}
+			k = 1 + k%h
+			enc, err := bs.Encoded(k)
+			if err != nil {
+				t.Errorf("Encoded(%d) beside Append: %v", k, err)
+				return
+			}
+			if b, err := DecodeBlock(enc); err != nil || b.Number != k || !bytes.Equal(b.Encode(), enc) {
+				t.Errorf("Encoded(%d) beside Append read back %d bytes that are not its encoding (%v)", k, len(enc), err)
+				return
+			}
 		}
 	}()
 	wg.Wait()
@@ -391,91 +418,194 @@ func TestBlockStoreGetIsolated(t *testing.T) {
 	}
 }
 
-// TestBlockStoreRetainsCanonicalBytes: what catch-up sends is the
-// appended block's canonical encoding, held at its exact length, in a
-// store that appended it and in one that loaded it from its file.
-func TestBlockStoreRetainsCanonicalBytes(t *testing.T) {
-	path, blocks, _ := tenBlockFile(t)
-	mem := NewBlockStore()
-	for _, b := range blocks {
-		if err := mem.Append(b); err != nil {
-			t.Fatal(err)
-		}
+// The chain the heap and canonical-bytes tests build: chainBlocks
+// blocks of chainTxs transactions each.
+const chainBlocks, chainTxs = 200, 100
+
+// chainBlock returns block n of that chain.
+func chainBlock(n uint64, prev Hash) *Block {
+	txs := make([]*Transaction, chainTxs)
+	for i := range txs {
+		txs[i] = sampleTx(fmt.Sprintf("tx-%d-%d", n, i))
 	}
-	file, err := OpenFileStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer file.Close()
-	for name, bs := range map[string]*BlockStore{"memory": mem, "reopened file": file} {
-		for _, b := range blocks {
-			enc, err := bs.Encoded(b.Number)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			if !bytes.Equal(enc, b.Encode()) {
-				t.Errorf("%s: block %d: the retained bytes are not its encoding", name, b.Number)
-			}
-			if len(enc) != cap(enc) {
-				t.Errorf("%s: block %d: %d bytes retained in a slice of capacity %d", name, b.Number, len(enc), cap(enc))
-			}
-		}
-		if _, err := bs.Encoded(11); !errors.Is(err, ErrNoBlock) {
-			t.Errorf("%s: Encoded past the tip: err = %v", name, err)
-		}
-	}
+	return sampleBlock(n, prev, txs...)
 }
 
-// TestBlockStoreHeapPerTx: a block costs the store about its encoded
-// bytes, not a decoded transaction per entry.
-func TestBlockStoreHeapPerTx(t *testing.T) {
-	const blocks, perBlock = 200, 100
+// chainHeapPerTx appends the chain to bs and returns the heap the store
+// retained and the encoded bytes, each per transaction.
+func chainHeapPerTx(t *testing.T, bs *BlockStore) (heap, encoded float64) {
+	t.Helper()
 	var m0, m1 runtime.MemStats
 	runtime.GC()
+	runtime.GC() // the second frees what the first left in sync.Pool victim caches
 	runtime.ReadMemStats(&m0)
-	bs := NewBlockStore()
 	var prev Hash
-	encoded := 0
-	for n := uint64(1); n <= blocks; n++ {
-		txs := make([]*Transaction, perBlock)
-		for i := range txs {
-			txs[i] = sampleTx(fmt.Sprintf("tx-%d-%d", n, i))
-		}
-		b := sampleBlock(n, prev, txs...)
+	enc := 0
+	for n := uint64(1); n <= chainBlocks; n++ {
+		b := chainBlock(n, prev)
 		if err := bs.Append(b); err != nil {
 			t.Fatal(err)
 		}
-		encoded += len(b.Encode())
+		enc += len(b.Encode())
 		prev = b.Hash
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&m1)
 	runtime.KeepAlive(bs)
-	const txs = blocks * perBlock
-	heap := float64(int64(m1.HeapAlloc)-int64(m0.HeapAlloc)) / txs
-	perTx := float64(encoded) / txs
+	const txs = chainBlocks * chainTxs
+	return float64(int64(m1.HeapAlloc)-int64(m0.HeapAlloc)) / txs, float64(enc) / txs
+}
+
+// TestBlockStoreHeapPerTx: a block costs the store about its encoded
+// bytes, not a decoded transaction per entry.
+func TestBlockStoreHeapPerTx(t *testing.T) {
+	heap, perTx := chainHeapPerTx(t, NewBlockStore())
 	t.Logf("retained %.1f B per transaction, encoded %.1f B", heap, perTx)
 	if heap > 1.25*perTx {
 		t.Fatalf("the store retains %.1f B per transaction, over 1.25 × its %.1f encoded bytes", heap, perTx)
 	}
 }
 
+// TestBlockStoreFileHeapPerTx: a file-backed store keeps where each block
+// lies in its file, not the block's bytes: the chain costs it a few words
+// per block, under 2 B per transaction.
+func TestBlockStoreFileHeapPerTx(t *testing.T) {
+	bs, err := OpenFileStore(filepath.Join(t.TempDir(), "db.blocks"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bs.Close()
+	heap, perTx := chainHeapPerTx(t, bs)
+	t.Logf("retained %.2f B per transaction, encoded %.1f B (in the file)", heap, perTx)
+	if heap > 2 {
+		t.Fatalf("the file-backed store retains %.2f B per transaction, want at most 2", heap)
+	}
+}
+
+// TestBlockStoreRetainsCanonicalBytes: what catch-up sends is the
+// appended block's canonical encoding at its exact length — kept by an
+// in-memory store, and read back from its file by a file-backed one as
+// appended, after a reopen, and after a torn tail was cut and the lost
+// block appended again.
+func TestBlockStoreRetainsCanonicalBytes(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "db.blocks")
+	file, err := OpenFileStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := NewBlockStore()
+	var blocks []*Block
+	var prev Hash
+	for n := uint64(1); n <= chainBlocks; n++ {
+		b := chainBlock(n, prev)
+		if err := mem.Append(b); err != nil {
+			t.Fatal(err)
+		}
+		if err := file.Append(b); err != nil {
+			t.Fatal(err)
+		}
+		blocks = append(blocks, b)
+		prev = b.Hash
+	}
+	canonical := func(stage string, bs *BlockStore, height uint64) {
+		t.Helper()
+		if bs.Height() != height {
+			t.Fatalf("%s: height %d, want %d", stage, bs.Height(), height)
+		}
+		for _, b := range blocks[:height] {
+			want := b.Encode()
+			enc, err := bs.Encoded(b.Number)
+			if err != nil || !bytes.Equal(enc, want) || len(enc) != cap(enc) {
+				t.Fatalf("%s: block %d: Encoded = %d bytes (capacity %d), %v; its encoding is %d bytes",
+					stage, b.Number, len(enc), cap(enc), err, len(want))
+			}
+			got, err := bs.Get(b.Number)
+			if err != nil || !bytes.Equal(got.Encode(), want) {
+				t.Fatalf("%s: block %d: Get = %v, %v", stage, b.Number, got, err)
+			}
+		}
+		if _, err := bs.Encoded(height + 1); !errors.Is(err, ErrNoBlock) {
+			t.Fatalf("%s: Encoded past the tip: err = %v", stage, err)
+		}
+	}
+	canonical("memory", mem, chainBlocks)
+	canonical("file, as appended", file, chainBlocks)
+	if err := file.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenFileStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	canonical("file, reopened", re, chainBlocks)
+	re.Close()
+
+	frames, end, err := wal.Scan(path)
+	if err != nil || len(frames) != chainBlocks {
+		t.Fatalf("scan: %d frames, %v", len(frames), err)
+	}
+	if err := os.Truncate(path, (frames[chainBlocks-1].Off+end)/2); err != nil {
+		t.Fatal(err)
+	}
+	torn, err := OpenFileStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer torn.Close()
+	canonical("file, torn tail cut", torn, chainBlocks-1)
+	if err := torn.Append(blocks[chainBlocks-1]); err != nil {
+		t.Fatal(err)
+	}
+	canonical("file, cut block appended again", torn, chainBlocks)
+}
+
+// TestBlockStoreEncodedAfterClose: a closed file-backed store has no
+// bytes to serve; reading a block back fails instead of panicking or
+// answering from stale memory.
+func TestBlockStoreEncodedAfterClose(t *testing.T) {
+	path, _, _ := tenBlockFile(t)
+	bs, err := OpenFileStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := bs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if enc, err := bs.Encoded(3); err == nil {
+		t.Fatalf("Encoded after Close returned %d bytes and no error", len(enc))
+	}
+	if b, err := bs.Get(3); err == nil {
+		t.Fatalf("Get after Close returned block %d and no error", b.Number)
+	}
+}
+
 // BenchmarkBlockStoreGet is the cost of reading an old block back: one
-// decode of a 100-transaction block.
+// decode of a 100-transaction block, and on a file-backed store the
+// pread of its encoding before that.
 func BenchmarkBlockStoreGet(b *testing.B) {
-	bs := NewBlockStore()
+	file, err := OpenFileStore(filepath.Join(b.TempDir(), "db.blocks"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer file.Close()
 	txs := make([]*Transaction, 100)
 	for i := range txs {
 		txs[i] = sampleTx(fmt.Sprint("tx-", i))
 	}
-	if err := bs.Append(sampleBlock(1, Hash{}, txs...)); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for range b.N {
-		if _, err := bs.Get(1); err != nil {
+	for _, bc := range []struct {
+		name string
+		bs   *BlockStore
+	}{{"memory", NewBlockStore()}, {"file", file}} {
+		if err := bc.bs.Append(sampleBlock(1, Hash{}, txs...)); err != nil {
 			b.Fatal(err)
 		}
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				if _, err := bc.bs.Get(1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

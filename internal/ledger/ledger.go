@@ -6,7 +6,10 @@
 // All hashed or signed material uses the canonical codec encoding, so
 // every replica computes identical digests. The block store keeps that
 // encoding, not the decoded block: a block is decoded again only when an
-// old one is asked for (recovery, sys_ledger queries).
+// old one is asked for (recovery, sys_ledger queries, catch-up). A
+// file-backed store does not hold the encoding in memory at all: its log
+// already does, so it keeps each block's offset there and reads the bytes
+// back when they are asked for.
 package ledger
 
 import (
@@ -319,7 +322,9 @@ const (
 // asks for it, so the chain costs a replica its bytes, not a decoded
 // transaction per entry. With a backing file it is the node's durable log
 // (§3.6): an internal/wal frame log in which every block's frame precedes
-// its outcome's, and outcomes follow block order.
+// its outcome's, and outcomes follow block order. A file-backed store
+// keeps only where each encoding lies in that file and reads it back on
+// demand, so the chain costs it no heap beyond a few words per block.
 type BlockStore struct {
 	mu       sync.RWMutex
 	blocks   []storedBlock // blocks[i] has Number i+1
@@ -328,10 +333,13 @@ type BlockStore struct {
 	log      *wal.Log      // nil: in memory only
 }
 
-// storedBlock is one block as the store keeps it.
+// storedBlock is one block as the store keeps it: its encoding in memory,
+// or where that encoding lies in the backing file.
 type storedBlock struct {
-	enc []byte // Block.Encode's bytes, owned by the store; len == cap
-	ntx int    // its transaction count: one committed bit each
+	enc  []byte // in memory: Block.Encode's bytes, owned by the store; len == cap
+	off  int64  // with a file: the offset of the block's frame
+	size int    // with a file: the length of its encoding
+	ntx  int    // its transaction count: one committed bit each
 }
 
 // NewBlockStore returns an in-memory store.
@@ -347,7 +355,7 @@ func OpenFileStore(path string) (*BlockStore, error) {
 	frames, end, err := wal.Scan(path)
 	bs := &BlockStore{}
 	for _, f := range frames {
-		if lerr := bs.load(f.Payload); lerr != nil {
+		if lerr := bs.load(f); lerr != nil {
 			what := fmt.Sprintf("block %d", len(bs.blocks)+1)
 			if bytes.HasPrefix(f.Payload, []byte{frameOutcome}) {
 				what = fmt.Sprintf("the outcome of block %d", len(bs.outcomes)+1)
@@ -370,14 +378,23 @@ func OpenFileStore(path string) (*BlockStore, error) {
 	return bs, nil
 }
 
-// load applies one frame of the backing file (bs.log is not open yet).
-func (bs *BlockStore) load(p []byte) error {
+// load applies one frame of the backing file (bs.log is not open yet). A
+// block frame must hold the canonical encoding of the block it decodes
+// to: those bytes are what Encoded serves without decoding them again.
+func (bs *BlockStore) load(f wal.Frame) error {
+	p := f.Payload
 	if len(p) > 0 && p[0] == frameBlock {
 		b, err := DecodeBlock(p[1:])
 		if err != nil {
 			return err
 		}
-		return bs.Append(b)
+		frame, sum := encodeFrame(b)
+		if !bytes.Equal(frame, p) {
+			return codec.ErrCorrupt
+		}
+		bs.mu.Lock()
+		defer bs.mu.Unlock()
+		return bs.addLocked(b, sum, storedBlock{off: f.Off, size: len(p) - 1, ntx: len(b.Txs)}, nil)
 	}
 	if len(p) > 0 && p[0] == frameOutcome {
 		d := codec.NewDec(p[1:])
@@ -392,7 +409,8 @@ func (bs *BlockStore) load(p []byte) error {
 	return codec.ErrCorrupt
 }
 
-// Close releases the backing file, if any. Later appends fail.
+// Close releases the backing file, if any. Later appends fail, and so do
+// a file-backed store's Get and Encoded.
 func (bs *BlockStore) Close() error {
 	bs.mu.Lock()
 	defer bs.mu.Unlock()
@@ -405,30 +423,48 @@ func (bs *BlockStore) Close() error {
 // Append adds the next block. The block number must be exactly
 // Height()+1 and its hash linkage must verify. The block is encoded once:
 // the hashed prefix of that encoding is what its hash is checked against,
-// the whole of it is the block's log frame, and the store keeps a copy of
-// it. b stays the caller's.
+// the whole of it is the block's log frame, and an in-memory store keeps
+// a copy of it. b stays the caller's.
 func (bs *BlockStore) Append(b *Block) error {
+	frame, sum := encodeFrame(b)
+	rec := storedBlock{size: len(frame) - 1, ntx: len(b.Txs)}
+	if bs.log == nil {
+		rec.enc = append(make([]byte, 0, rec.size), frame[1:]...)
+	}
+	bs.mu.Lock()
+	defer bs.mu.Unlock()
+	return bs.addLocked(b, sum, rec, frame)
+}
+
+// encodeFrame returns b's block-log frame payload — the kind byte, then
+// the block's encoding — and the digest of its hashed prefix.
+func encodeFrame(b *Block) (frame []byte, sum Hash) {
 	e := codec.NewBuf(256 + 192*len(b.Txs)) // 192: about one transaction's encoding
 	e.Byte(frameBlock)
 	b.encodeHashed(e)
-	sum := sha256.Sum256(e.Bytes()[1:])
+	sum = sha256.Sum256(e.Bytes()[1:])
 	b.encodeSeal(e)
-	frame := e.Bytes()
-	enc := append(make([]byte, 0, len(frame)-1), frame[1:]...)
-	bs.mu.Lock()
-	defer bs.mu.Unlock()
+	return e.Bytes(), sum
+}
+
+// addLocked checks that b, whose hashed prefix digests to sum, is the
+// next block, writes frame to the log (loading passes nil: the frame is
+// already there), and records rec.
+func (bs *BlockStore) addLocked(b *Block, sum Hash, rec storedBlock, frame []byte) error {
 	if b.Number != uint64(len(bs.blocks))+1 {
 		return fmt.Errorf("%w: got %d, want %d", ErrOutOfSequence, b.Number, len(bs.blocks)+1)
 	}
 	if err := b.checkLink(bs.last, sum); err != nil {
 		return err
 	}
-	if bs.log != nil {
-		if err := bs.log.AppendRaw(frame); err != nil {
+	if frame != nil && bs.log != nil {
+		off, err := bs.log.Append(frame)
+		if err != nil {
 			return err
 		}
+		rec.off = off
 	}
-	bs.blocks = append(bs.blocks, storedBlock{enc: enc, ntx: len(b.Txs)})
+	bs.blocks = append(bs.blocks, rec)
 	bs.last = b.Hash
 	return nil
 }
@@ -489,15 +525,29 @@ func (bs *BlockStore) Get(n uint64) (*Block, error) {
 	return DecodeBlock(enc)
 }
 
-// Encoded returns block n's canonical encoding as the store keeps it —
-// what catch-up sends to a peer. The caller must not modify it.
+// Encoded returns block n's canonical encoding — what catch-up sends to a
+// peer. An in-memory store returns the bytes it keeps, which the caller
+// must not modify; a file-backed one reads them back from its file into
+// a fresh slice, outside the store's lock, and fails once it is closed.
 func (bs *BlockStore) Encoded(n uint64) ([]byte, error) {
 	bs.mu.RLock()
-	defer bs.mu.RUnlock()
 	if n < 1 || n > uint64(len(bs.blocks)) {
+		bs.mu.RUnlock()
 		return nil, fmt.Errorf("%w: %d", ErrNoBlock, n)
 	}
-	return bs.blocks[n-1].enc, nil
+	rec, log := bs.blocks[n-1], bs.log
+	bs.mu.RUnlock()
+	if log == nil {
+		return rec.enc, nil
+	}
+	p := make([]byte, 1+rec.size)
+	if err := log.ReadPayload(p, rec.off); err != nil {
+		return nil, fmt.Errorf("ledger: reading block %d back: %w", n, err)
+	}
+	if p[0] != frameBlock {
+		return nil, fmt.Errorf("ledger: reading block %d back: offset %d holds no block frame", n, rec.off)
+	}
+	return p[1:], nil
 }
 
 // Height returns the number of the newest block (0 when empty).

@@ -106,9 +106,15 @@ type Cutter struct {
 	pending  []*ledger.Transaction
 	seen     map[string]bool
 	cps      []*ledger.Checkpoint
-	cpSeen   map[[2]interface{}]bool
+	cpSeen   map[cpKey]struct{}
 	next     uint64
 	lastHash ledger.Hash
+}
+
+// cpKey names a checkpoint for deduplication: one per peer and block.
+type cpKey struct {
+	peer  string
+	block uint64
 }
 
 // NewCutter returns a cutter starting at block 1.
@@ -116,7 +122,7 @@ func NewCutter(cfg Config) *Cutter {
 	return &Cutter{
 		cfg:    cfg.WithDefaults(),
 		seen:   make(map[string]bool),
-		cpSeen: make(map[[2]interface{}]bool),
+		cpSeen: make(map[cpKey]struct{}),
 		next:   1,
 	}
 }
@@ -143,11 +149,11 @@ func (c *Cutter) AddTx(tx *ledger.Transaction, ts int64) *ledger.Block {
 
 // AddCheckpoint queues a checkpoint for inclusion in the next block.
 func (c *Cutter) AddCheckpoint(cp *ledger.Checkpoint) {
-	key := [2]interface{}{cp.Peer, cp.Block}
-	if c.cpSeen[key] {
+	key := cpKey{cp.Peer, cp.Block}
+	if _, dup := c.cpSeen[key]; dup {
 		return
 	}
-	c.cpSeen[key] = true
+	c.cpSeen[key] = struct{}{}
 	c.cps = append(c.cps, cp)
 }
 

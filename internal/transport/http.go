@@ -16,7 +16,8 @@ import (
 )
 
 // HTTPClient speaks the bcrdb wire protocol to one server. It is safe
-// for concurrent use; the underlying http.Client pools connections.
+// for concurrent use; the underlying http.Client pools connections, so
+// a client that makes one unary call at a time holds one connection.
 type HTTPClient struct {
 	base string
 	hc   *http.Client
@@ -64,7 +65,13 @@ func (c *HTTPClient) do(ctx context.Context, method, path string, in, out any) e
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
+	defer func() {
+		// Read the body to its end, whatever was decoded of it (nothing,
+		// an error, a value without the encoder's trailing newline):
+		// only a drained body hands its connection back for reuse.
+		_, _ = io.CopyN(io.Discard, resp.Body, maxBodyBytes)
+		resp.Body.Close()
+	}()
 	if resp.StatusCode/100 != 2 {
 		var er errorResponse
 		msg := resp.Status

@@ -6,11 +6,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -443,4 +445,67 @@ func waitCond(t *testing.T, what string, cond func() bool) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatalf("timeout waiting for %s", what)
+}
+
+// TestHTTPClientReusesOneConnection: a client making one call at a time
+// holds one TCP connection, whatever the calls return — submits whose
+// body it does not decode, queries and info whose decode stops before
+// the encoder's trailing newline, rejected submits whose error body it
+// reads only in part. A proxy in front of the server counts the
+// connections the client opens.
+func TestHTTPClientReusesOneConnection(t *testing.T) {
+	fabric := simnet.New(simnet.Loopback())
+	if _, err := fabric.Register("db.test", func(simnet.Message) {}); err != nil {
+		t.Fatal(err)
+	}
+	srv, _ := newTestServer(t, ServerConfig{Net: fabric})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	var accepted atomic.Int64
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			accepted.Add(1)
+			up, err := net.Dial("tcp", srv.Addr())
+			if err != nil {
+				c.Close()
+				continue
+			}
+			go func() { _, _ = io.Copy(up, c); up.Close() }()
+			go func() { _, _ = io.Copy(c, up); c.Close() }()
+		}
+	}()
+
+	c := Dial("http://" + ln.Addr().String())
+	defer c.Close()
+	ctx := context.Background()
+	for i := 0; i < 100; i++ {
+		tx := &ledger.Transaction{ID: fmt.Sprint("tx-", i), Username: "u", Contract: "c", Signature: []byte{1}}
+		if err := c.Submit(ctx, ledger.MarshalTransaction(tx)); err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		if _, err := c.Query(ctx, -1, "SELECT $1", []types.Value{types.NewInt(int64(i))}); err != nil {
+			t.Fatalf("query %d: %v", i, err)
+		}
+	}
+	if _, err := c.Info(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		var se *StatusError
+		if err := c.Submit(ctx, []byte("not a transaction")); !errors.As(err, &se) || se.Code != http.StatusBadRequest {
+			t.Fatalf("rejected submit %d: err = %v, want a 400", i, err)
+		}
+	}
+	if got := accepted.Load(); got != 1 {
+		t.Fatalf("131 sequential calls opened %d connections, want 1", got)
+	}
 }

@@ -39,7 +39,7 @@ const frameHeader = 12
 var ErrCorrupt = errors.New("damaged frame")
 
 // Log is an append-only frame log. Safe for use by one writer goroutine;
-// Sync may run beside it.
+// Sync and ReadPayload may run beside it.
 type Log struct {
 	f *os.File
 	// end is where the next frame goes, and where a failed write is cut
@@ -74,13 +74,37 @@ func Open(path string) (*Log, error) {
 // AppendRaw writes one frame holding payload. A write that fails is cut
 // away, so the next frame lands where this one would have.
 func (l *Log) AppendRaw(payload []byte) error {
+	_, err := l.Append(payload)
+	return err
+}
+
+// Append is AppendRaw that also returns the offset at which the frame
+// starts — the Off that Scan reports for it, and what ReadPayload takes.
+func (l *Log) Append(payload []byte) (off int64, err error) {
 	fr := frame(payload)
 	if _, err := l.f.WriteAt(fr, l.end); err != nil {
 		_ = l.f.Truncate(l.end)
-		return err
+		return 0, err
 	}
+	off = l.end
 	l.end += int64(len(fr))
-	return nil
+	return off, nil
+}
+
+// ReadPayload fills p with the first len(p) bytes of the payload of the
+// frame that starts at off, an offset Append returned or Scan reported.
+// The bytes of a written frame never change, so it may run beside Append
+// and Sync; after Close it fails. It does not check the payload's
+// checksum: that was done when the frame was scanned or written.
+func (l *Log) ReadPayload(p []byte, off int64) error {
+	n, err := l.f.ReadAt(p, off+frameHeader)
+	if n == len(p) {
+		return nil
+	}
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return err
 }
 
 // frame prefixes a payload with its checksummed header.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -164,5 +165,52 @@ func TestOldFormatRefused(t *testing.T) {
 	}
 	if after, _ := os.ReadFile(path); !bytes.Equal(after, old) {
 		t.Error("the refused file was modified")
+	}
+}
+
+// TestAppendOffsetsReadBack: Append returns the offset Scan reports for
+// the frame, ReadPayload reads that frame's payload back (or its start),
+// a read past the end of the file fails, and so does any read once the
+// log is closed.
+func TestAppendOffsetsReadBack(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal")
+	l, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payloads := []string{"one", "", "three", "four"}
+	var offs []int64
+	for _, p := range payloads {
+		off, err := l.Append([]byte(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		offs = append(offs, off)
+	}
+	frames, _, err := Scan(path)
+	if err != nil || len(frames) != len(payloads) {
+		t.Fatalf("scan: %d frames, %v", len(frames), err)
+	}
+	for i, p := range payloads {
+		if frames[i].Off != offs[i] {
+			t.Errorf("frame %d: Append returned offset %d, Scan reports %d", i, offs[i], frames[i].Off)
+		}
+		got := make([]byte, len(p))
+		if err := l.ReadPayload(got, offs[i]); err != nil || string(got) != p {
+			t.Errorf("frame %d: ReadPayload = %q, %v; want %q", i, got, err, p)
+		}
+	}
+	head := make([]byte, 2)
+	if err := l.ReadPayload(head, offs[2]); err != nil || string(head) != "th" {
+		t.Errorf("the start of frame 2 = %q, %v", head, err)
+	}
+	if err := l.ReadPayload(make([]byte, 5), offs[3]); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("a read past the end of the log: err = %v, want io.ErrUnexpectedEOF", err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.ReadPayload(make([]byte, 3), offs[0]); err == nil {
+		t.Error("ReadPayload on a closed log succeeded")
 	}
 }

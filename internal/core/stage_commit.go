@@ -106,12 +106,9 @@ func (n *Node) commitOne(b *ledger.Block, i int, e *execution, dup bool,
 		n.metrics.TxCommitted.Add(1)
 	} else {
 		if e.rec != nil {
-			// A malicious block can carry the same transaction twice;
-			// both entries then share one execution record, and the
-			// second must not roll back versions the first committed.
-			if ok, _ := n.store.IsCommitted(e.rec.ID); !ok {
-				n.store.AbortTx(e.rec)
-			}
+			// A duplicate entry shares its first entry's record; AbortTx
+			// keeps the versions that entry committed.
+			n.store.AbortTx(e.rec)
 		}
 		analysis.MarkAborted(i)
 		n.metrics.TxAborted.Add(1)

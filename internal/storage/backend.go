@@ -31,7 +31,7 @@ type Backend interface {
 	// for in-memory state but must not be written afterwards.
 	Close() error
 
-	// --- chain height and transaction status ----------------------------
+	// --- chain height and transaction ids --------------------------------
 
 	Height() int64
 	// SetHeight records that all blocks up to h are committed in memory.
@@ -45,8 +45,9 @@ type Backend interface {
 	// disk backend appends a height frame and fsyncs, flushing every
 	// preceding commit frame of the block with it.
 	MarkDurable(h int64)
+	// BeginTx allocates a node-local transaction id. The store keeps no
+	// record of it: a version's block stamps are the only commit record.
 	BeginTx() TxID
-	IsCommitted(id TxID) (bool, int64)
 
 	// --- catalog (DDL) --------------------------------------------------
 

@@ -81,10 +81,13 @@ func OpenDisk(path string) (*DiskStore, error) {
 	}
 
 	// Pass 2: apply every frame at or below the horizon, in log order.
+	// Node-local transaction ids are not durable by design (§4.2): every
+	// replayed version carries one synthetic xid, and only its block stamps
+	// say when it was created and deleted.
 	kept := make([][]byte, 0, len(frames))
-	txOf := make(map[int64]TxID) // synthetic committed tx per block
+	xid := d.Store.BeginTx()
 	for _, f := range frames {
-		ok, err := d.applyFrame(f, horizon, txOf)
+		ok, err := d.applyFrame(f, horizon, xid)
 		if err != nil {
 			return nil, fmt.Errorf("storage: disk backend replay: %w", err)
 		}
@@ -110,23 +113,10 @@ func OpenDisk(path string) (*DiskStore, error) {
 	return d, nil
 }
 
-// txFor returns (allocating if needed) the synthetic replay transaction
-// standing in for all transactions committed in the given block.
-// Node-local transaction ids are not durable by design (§4.2); only the
-// deterministic block stamps matter for visibility and hashing.
-func (d *DiskStore) txFor(txOf map[int64]TxID, block int64) TxID {
-	id, ok := txOf[block]
-	if !ok {
-		id = d.Store.BeginTx()
-		d.Store.forceCommitted(id, block)
-		txOf[block] = id
-	}
-	return id
-}
-
-// applyFrame applies one log frame during replay. It reports whether the
-// frame is inside the recovery horizon (and was therefore applied).
-func (d *DiskStore) applyFrame(f []byte, horizon int64, txOf map[int64]TxID) (bool, error) {
+// applyFrame applies one log frame during replay, stamping replayed
+// versions with the synthetic xid. It reports whether the frame is inside
+// the recovery horizon (and was therefore applied).
+func (d *DiskStore) applyFrame(f []byte, horizon int64, xid TxID) (bool, error) {
 	if len(f) == 0 {
 		return false, fmt.Errorf("empty frame")
 	}
@@ -222,7 +212,6 @@ func (d *DiskStore) applyFrame(f []byte, horizon int64, txOf map[int64]TxID) (bo
 		if block > horizon {
 			return false, nil
 		}
-		xid := d.txFor(txOf, block)
 		for _, op := range ins {
 			d.Store.replayInsert(op.table, op.ref, op.row, xid, block)
 		}
@@ -437,8 +426,8 @@ func encodeCreateIndex(at int64, table, name string, cols []int, unique bool) []
 // --- replay application (package-internal) -------------------------------------
 
 // replayInsert installs an already-committed version during WAL replay:
-// explicit heap ref, row data, synthetic committed transaction, creator
-// block stamp. Index entries are maintained; uniqueness was validated
+// explicit heap ref, row data, synthetic transaction id, creator block
+// stamp. Index entries are maintained; uniqueness was validated
 // before the original commit and is not re-checked.
 func (s *Store) replayInsert(table string, ref uint64, row types.Row, xid TxID, block int64) {
 	t, err := s.Table(table)

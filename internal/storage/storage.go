@@ -311,38 +311,9 @@ func (r *TxRecord) HasWrites() bool {
 	return len(r.Inserted) > 0 || len(r.DeletedOld) > 0
 }
 
-// --- transaction status ------------------------------------------------------
-
-type txStatusKind uint8
-
-const (
-	txInProgress txStatusKind = iota
-	txCommitted
-	txAborted
-)
-
-type txState struct {
-	kind  txStatusKind
-	block int64
-}
-
-// txShardCount stripes the transaction-status table. Status reads sit on
-// the visibility hot path — every version inspected by every scan costs
-// one — so a single RWMutex there serializes all concurrent executions
-// and the sealer. Ids are sequential, so id mod txShardCount spreads
-// consecutive transactions evenly.
-const txShardCount = 64
-
-// txShard is one stripe of the status table, padded so neighboring
-// shards don't share a cache line.
-type txShard struct {
-	mu sync.RWMutex
-	m  map[TxID]txState
-	_  [32]byte
-}
-
-// Store is one node's database: catalog, heaps, indexes and the
-// transaction status table (the CLOG equivalent).
+// Store is one node's database: catalog, heaps and indexes. A version's
+// block stamps are the only commit record; there is no transaction-status
+// table.
 //
 // The catalog is copy-on-write: readers resolve tables through one
 // atomic pointer load with no lock at all, and DDL (rare, never inside
@@ -352,8 +323,6 @@ type txShard struct {
 type Store struct {
 	catMu  sync.Mutex                        // serializes DDL (copy-on-write swaps)
 	tables atomic.Pointer[map[string]*Table] // immutable snapshot; lock-free reads
-
-	txShards [txShardCount]txShard
 
 	nextTx atomic.Uint64
 	height atomic.Int64 // last committed block number
@@ -382,20 +351,12 @@ func NewStore() *Store {
 	s := &Store{}
 	empty := make(map[string]*Table)
 	s.tables.Store(&empty)
-	for i := range s.txShards {
-		s.txShards[i].m = make(map[TxID]txState)
-	}
 	return s
 }
 
 // catalog returns the current table map snapshot. The map is immutable —
 // DDL swaps in a copy — so callers may read it without locking.
 func (s *Store) catalog() map[string]*Table { return *s.tables.Load() }
-
-// shardFor returns the status stripe owning a transaction id.
-func (s *Store) shardFor(id TxID) *txShard {
-	return &s.txShards[uint64(id)%txShardCount]
-}
 
 // Height returns the last committed block number.
 func (s *Store) Height() int64 { return s.height.Load() }
@@ -409,42 +370,7 @@ func (s *Store) SchemaEpoch() uint64 { return s.epoch.Load() }
 func (s *Store) SetHeight(h int64) { s.height.Store(h) }
 
 // BeginTx allocates a fresh node-local transaction id.
-func (s *Store) BeginTx() TxID {
-	id := TxID(s.nextTx.Add(1))
-	sh := s.shardFor(id)
-	sh.mu.Lock()
-	sh.m[id] = txState{kind: txInProgress}
-	sh.mu.Unlock()
-	return id
-}
-
-func (s *Store) txStatus(id TxID) txState {
-	if id == 0 {
-		return txState{kind: txAborted}
-	}
-	sh := s.shardFor(id)
-	sh.mu.RLock()
-	st := sh.m[id]
-	sh.mu.RUnlock()
-	return st
-}
-
-// forceCommitted marks a transaction committed at the given block without
-// going through CommitTx. WAL replay uses it for the synthetic per-block
-// transactions standing in for the original (non-durable) ids.
-func (s *Store) forceCommitted(id TxID, block int64) {
-	sh := s.shardFor(id)
-	sh.mu.Lock()
-	sh.m[id] = txState{kind: txCommitted, block: block}
-	sh.mu.Unlock()
-}
-
-// IsCommitted reports whether the transaction has committed, and in which
-// block.
-func (s *Store) IsCommitted(id TxID) (bool, int64) {
-	st := s.txStatus(id)
-	return st.kind == txCommitted, st.block
-}
+func (s *Store) BeginTx() TxID { return TxID(s.nextTx.Add(1)) }
 
 // --- DDL ----------------------------------------------------------------------
 
@@ -594,32 +520,12 @@ func (s *Store) firstCollision(t *Table, ix *IndexDef) (key types.Key) {
 
 // --- visibility ----------------------------------------------------------------
 
-// Visibility is answered from the block stamps on the version wherever
-// they are set, and from the transaction status table only for versions
-// that are still provisional. CommitTx writes CreatorBlk/DeleterBlk (and
-// Xmax) under the same table latch every reader of the version holds, and
-// marks the transaction committed right after releasing it, so the two
-// sources differ only inside that window: the stamp says "committed in
-// block b", the status table still says "in progress". For a block's
-// transactions that window is invisible, because b is above every
-// reader's snapshot — SetHeight(b) happens after the block's last
-// CommitTx returned, and no snapshot height exceeds the store height —
-// so both sources answer "not yet visible" (or, for a deleter, "still
-// live"). The only commits at or below the current height are the ones
-// that are unordered with respect to readers by design — private-schema
-// transactions (node-local) — and for those a concurrent reader now sees
-// the commit from the stamp instead of from the status flip a few
-// instructions later, two equally arbitrary points.
-// What the stamps save is a striped RWMutex round trip and a map read per
-// version inspected, twice for superseded versions, on every scan.
-//
-// The commit turn's Validate answers "committed, and in which block" from
-// the same stamps (creation, deletion), and there the two sources never
-// differ at all: CommitTx, replayInsert and replayDelete set a stamp
-// before, or together with, the status; the turn is serial per node, so
-// every commit Validate can see has already returned; and a provisional
-// version has no stamp, so it falls back to the status table and reads
-// "in progress", as before.
+// Visibility reads the block stamps alone. CommitTx writes CreatorBlk and
+// DeleterBlk under the table latch every reader of the version holds, so
+// a version with no stamp is provisional and only its creator sees it. An
+// aborted transaction's versions are removed before anyone could read them
+// as committed, and a committed one's never are (AbortTx skips stamped
+// versions).
 
 // createdBy reports whether v's creator committed at or below height.
 func (s *Store) createdBy(v *RowVersion, height int64) bool {
@@ -629,23 +535,12 @@ func (s *Store) createdBy(v *RowVersion, height int64) bool {
 
 // creation reports whether v's creator has committed, and in which block.
 func (s *Store) creation(v *RowVersion) (bool, int64) {
-	if v.CreatorBlk != NoBlock {
-		return true, v.CreatorBlk
-	}
-	cst := s.txStatus(v.Xmin)
-	return cst.kind == txCommitted, cst.block
+	return v.CreatorBlk != NoBlock, v.CreatorBlk
 }
 
 // deletion reports whether v's deleter has committed, and in which block.
 func (s *Store) deletion(v *RowVersion) (bool, int64) {
-	if v.DeleterBlk != NoBlock {
-		return true, v.DeleterBlk
-	}
-	if v.Xmax == 0 {
-		return false, 0
-	}
-	dst := s.txStatus(v.Xmax)
-	return dst.kind == txCommitted, dst.block
+	return v.DeleterBlk != NoBlock, v.DeleterBlk
 }
 
 // visibleAt reports whether version v is visible to a transaction with
@@ -668,11 +563,7 @@ func (s *Store) visibleAt(v *RowVersion, self TxID, height int64) bool {
 		return false
 	}
 	// Deleted by a committed tx at or below the snapshot: invisible.
-	if v.DeleterBlk != NoBlock {
-		return v.DeleterBlk > height
-	}
-	dst := s.txStatus(v.Xmax)
-	return dst.kind != txCommitted || dst.block > height
+	return v.DeleterBlk == NoBlock || v.DeleterBlk > height
 }
 
 // --- reads ----------------------------------------------------------------------
@@ -878,10 +769,10 @@ func (s *Store) lockTables(refs ...[]ItemRef) (tabs map[string]*Table, unlock fu
 	}
 }
 
-// CommitTx stamps rec's writes with the given block number, marks the
-// transaction committed, and fills rec.Capture with the applied effects
-// (see WriteCapture). The block processor serializes the CommitTx calls
-// of a block in block order, so block stamps are deterministic.
+// CommitTx stamps rec's writes with the given block number and fills
+// rec.Capture with the applied effects (see WriteCapture). The block
+// processor serializes the CommitTx calls of a block in block order, so
+// block stamps are deterministic.
 //
 // Index maintenance is batched: every table a transaction touched is
 // locked once and all of its row updates applied in that one critical
@@ -927,29 +818,30 @@ func (s *Store) CommitTx(rec *TxRecord, block int64) {
 		unlock()
 	}
 	rec.Capture = cap
-	s.forceCommitted(rec.ID, block)
 }
 
-// AbortTx discards rec's provisional versions and marks the transaction
-// aborted. Like CommitTx, each touched table is locked once.
+// AbortTx discards rec's provisional versions. Versions that carry a
+// creator stamp are kept: a malicious block can carry one transaction
+// twice, both entries share one record, and aborting the second must not
+// roll back what the first committed. Like CommitTx, each touched table
+// is locked once.
 func (s *Store) AbortTx(rec *TxRecord) {
-	if len(rec.Inserted) > 0 {
-		tabs, unlock := s.lockTables(rec.Inserted)
-		for _, ir := range rec.Inserted {
-			t := tabs[ir.Table]
-			if t == nil {
-				continue
-			}
-			if v := t.version(ir.Ref); v != nil {
-				s.dropVersionLocked(t, v)
-			}
-		}
-		unlock()
+	if len(rec.Inserted) == 0 {
+		return
 	}
-	sh := s.shardFor(rec.ID)
-	sh.mu.Lock()
-	sh.m[rec.ID] = txState{kind: txAborted}
-	sh.mu.Unlock()
+	tabs, unlock := s.lockTables(rec.Inserted)
+	for _, ir := range rec.Inserted {
+		t := tabs[ir.Table]
+		if t == nil {
+			continue
+		}
+		v := t.version(ir.Ref)
+		if v == nil || v.CreatorBlk != NoBlock {
+			continue // already dropped, or committed
+		}
+		s.dropVersionLocked(t, v)
+	}
+	unlock()
 }
 
 // dropVersionLocked removes v from heap and indexes. Caller holds t.mu.
@@ -1185,10 +1077,7 @@ func (s *Store) Vacuum(horizon int64) int {
 		}
 		t.mu.Lock()
 		for _, v := range t.heap {
-			if v == nil || v.Xmax == 0 {
-				continue
-			}
-			if st := s.txStatus(v.Xmax); st.kind == txCommitted && st.block <= horizon {
+			if v != nil && v.DeleterBlk != NoBlock && v.DeleterBlk <= horizon {
 				s.dropVersionLocked(t, v)
 				removed++
 			}

@@ -434,19 +434,6 @@ func TestScanEarlyStopAndMissingIndex(t *testing.T) {
 	}
 }
 
-func TestIsCommitted(t *testing.T) {
-	s := newTestStore(t)
-	rec := NewTxRecord(s.BeginTx(), 0)
-	if ok, _ := s.IsCommitted(rec.ID); ok {
-		t.Error("in-progress tx reported committed")
-	}
-	s.CommitTx(rec, 5)
-	ok, blk := s.IsCommitted(rec.ID)
-	if !ok || blk != 5 {
-		t.Errorf("IsCommitted = %v %d", ok, blk)
-	}
-}
-
 func TestValidationErrorMessage(t *testing.T) {
 	e := &ValidationError{Kind: "phantom", Table: "t", Detail: "x"}
 	if !strings.Contains(e.Error(), "phantom") || !strings.Contains(e.Error(), "t") {

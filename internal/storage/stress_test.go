@@ -110,9 +110,8 @@ func runConcurrentStress(t *testing.T, s Backend) {
 
 // TestSnapshotReadsDuringCommits scans at the store's current height while
 // a committer supersedes rows block after block. Visibility is answered
-// from the block stamps CommitTx writes under the table latch, a moment
-// before the transaction's status flips; a reader must nevertheless see
-// each block's updates all at once and only from that block's height on —
+// from the block stamps CommitTx writes under the table latch; a reader
+// must see each block's updates all at once and only from that block's height on —
 // never a row twice, never a row missing, never half a transaction. With
 // -race it also audits the stamp reads against the committer's writes.
 func TestSnapshotReadsDuringCommits(t *testing.T) {
@@ -200,10 +199,10 @@ func TestSnapshotReadsDuringCommits(t *testing.T) {
 // TestStripedStoreDisjointTables drives the multicore commit pattern:
 // per-table committers running fully concurrently (the parallel commit
 // turn commits disjoint-table groups from different goroutines), a DDL
-// goroutine growing the copy-on-write catalog, catalog readers, and
-// tx-status probes across the 64 status shards. With -race this audits
-// the striped locking that replaced the store's global mutex; the final
-// counts prove no commit was lost.
+// goroutine growing the copy-on-write catalog, catalog readers, and a
+// read of each commit's stamp under its table latch while the other tables
+// commit. With -race this audits the striped locking that replaced the
+// store's global mutex; the final counts prove no commit was lost.
 func TestStripedStoreDisjointTables(t *testing.T) {
 	forEachBackend(t, runStripedStress)
 }
@@ -243,10 +242,14 @@ func runStripedStress(t *testing.T, s Backend) {
 					return
 				}
 				s.CommitTx(rec, int64(2+r))
-				// Status probes: the committed stamp must be immediately
-				// visible through the striped status shards.
-				if ok, blk := s.IsCommitted(rec.ID); !ok || blk != int64(2+r) {
-					errCh <- fmt.Errorf("IsCommitted(%d) = %v,%d after commit at %d", rec.ID, ok, blk, 2+r)
+				// The commit is visible at its block at once.
+				found := false
+				err := s.ScanIndex(tbl, tbl+"_pkey", index.PointRange(types.Key{types.NewInt(int64(1 + r))}), 0, int64(2+r), ScanVisible, func(v *RowVersion) bool {
+					found = v.CreatorBlk == int64(2+r)
+					return false
+				})
+				if err != nil || !found {
+					errCh <- fmt.Errorf("row %d of %s not visible at block %d right after its commit: %v", 1+r, tbl, 2+r, err)
 					return
 				}
 			}
@@ -277,7 +280,8 @@ func runStripedStress(t *testing.T, s Backend) {
 			}
 		}
 	}()
-	// Aborters: concurrent AbortTx exercises the status shards' delete path.
+	// Aborters: concurrent AbortTx drops provisional versions beside the
+	// committers.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()

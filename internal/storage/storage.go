@@ -26,8 +26,6 @@ package storage
 import (
 	"crypto/sha256"
 	"errors"
-	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -106,105 +104,6 @@ type RowVersion struct {
 
 	CreatorBlk int64 // block that committed the insert; NoBlock while provisional
 	DeleterBlk int64 // block that committed the delete; NoBlock if live
-}
-
-// IndexDef is an index attached to a table. On a derived table it is a
-// definition only — a name and columns the planner may choose, served by
-// the table's provider — and tree is nil.
-type IndexDef struct {
-	Name   string
-	Cols   []int // column ordinals
-	Unique bool
-	tree   *index.BTree
-	// adjacent: Cols are consecutive ordinals (see KeyFor).
-	adjacent bool
-}
-
-func newIndexDef(name string, cols []int, unique bool) *IndexDef {
-	ix := &IndexDef{Name: name, Cols: append([]int(nil), cols...), Unique: unique, tree: index.New(), adjacent: true}
-	for i, c := range cols {
-		ix.adjacent = ix.adjacent && c == cols[0]+i
-	}
-	return ix
-}
-
-// KeyFor extracts this index's key from a row. When the index columns are
-// adjacent in the row (any single-column index) the key is a slice of the
-// row itself: row data is immutable once stored, and the B-tree keeps the
-// key it is handed, so such an index entry holds no copy of its values.
-func (ix *IndexDef) KeyFor(row types.Row) types.Key {
-	if c0 := ix.Cols[0]; ix.adjacent {
-		return types.Key(row[c0 : c0+len(ix.Cols) : c0+len(ix.Cols)])
-	}
-	k := make(types.Key, len(ix.Cols))
-	for i, c := range ix.Cols {
-		k[i] = row[c]
-	}
-	return k
-}
-
-// Table is a versioned heap plus its indexes — or, when derived is set, a
-// schema and index definitions over rows a provider computes (derived.go).
-type Table struct {
-	mu      sync.RWMutex
-	schema  Schema
-	heap    []*RowVersion // by ref-1; nil where dropped, or where replay met no ref
-	live    int           // versions in heap
-	nextRef uint64
-	primary *IndexDef
-	indexes map[string]*IndexDef // by name, includes primary
-	derived DerivedScan          // nil for a stored table
-}
-
-// version returns the version with the given heap ref, or nil; t.mu held.
-func (t *Table) version(ref uint64) *RowVersion {
-	if i := ref - 1; i < uint64(len(t.heap)) { // ref 0 wraps past the end
-		return t.heap[i]
-	}
-	return nil
-}
-
-// put stores v in the empty heap slot of its ref; t.mu held.
-func (t *Table) put(v *RowVersion) {
-	for uint64(len(t.heap)) < v.ID {
-		t.heap = append(t.heap, nil)
-	}
-	t.heap[v.ID-1] = v
-	t.live++
-}
-
-// Schema returns a copy of the table schema.
-func (t *Table) Schema() Schema { return t.schema }
-
-// Derived reports whether the table's rows are computed by a provider
-// instead of stored (see Store.RegisterDerived): it can be read through
-// ScanIndex like any other table and never written.
-func (t *Table) Derived() bool { return t.derived != nil }
-
-// PrimaryIndexName returns the name of the primary-key index.
-func (t *Table) PrimaryIndexName() string { return t.primary.Name }
-
-// Indexes returns the names of all indexes in sorted order.
-func (t *Table) Indexes() []string {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	out := make([]string, 0, len(t.indexes))
-	for n := range t.indexes {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// IndexCols returns the column ordinals of the named index.
-func (t *Table) IndexCols(name string) ([]int, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	ix, ok := t.indexes[name]
-	if !ok {
-		return nil, false
-	}
-	return append([]int(nil), ix.Cols...), true
 }
 
 // --- transaction records -----------------------------------------------------
@@ -371,631 +270,6 @@ func (s *Store) SetHeight(h int64) { s.height.Store(h) }
 
 // BeginTx allocates a fresh node-local transaction id.
 func (s *Store) BeginTx() TxID { return TxID(s.nextTx.Add(1)) }
-
-// --- DDL ----------------------------------------------------------------------
-
-// CreateTable creates a table with a primary-key index named
-// "<table>_pkey".
-func (s *Store) CreateTable(schema Schema) error {
-	if len(schema.PKCols) == 0 {
-		return fmt.Errorf("storage: table %s needs a primary key", schema.Name)
-	}
-	for _, c := range schema.PKCols {
-		if c < 0 || c >= len(schema.Columns) {
-			return fmt.Errorf("storage: table %s: bad pk ordinal %d", schema.Name, c)
-		}
-		schema.Columns[c].NotNull = true
-	}
-	pk := newIndexDef(schema.Name+"_pkey", schema.PKCols, true)
-	return s.addTable(&Table{
-		schema:  schema,
-		primary: pk,
-		indexes: map[string]*IndexDef{pk.Name: pk},
-	})
-}
-
-// addTable publishes a new table in the catalog.
-func (s *Store) addTable(t *Table) error {
-	s.catMu.Lock()
-	defer s.catMu.Unlock()
-	old := s.catalog()
-	if _, ok := old[t.schema.Name]; ok {
-		return fmt.Errorf("%w: %s", ErrTableExists, t.schema.Name)
-	}
-	next := make(map[string]*Table, len(old)+1)
-	for n, tb := range old {
-		next[n] = tb
-	}
-	next[t.schema.Name] = t
-	s.tables.Store(&next)
-	s.epoch.Add(1)
-	return nil
-}
-
-// DropTable removes a table and its indexes.
-func (s *Store) DropTable(name string) error {
-	s.catMu.Lock()
-	defer s.catMu.Unlock()
-	old := s.catalog()
-	if t, ok := old[name]; !ok {
-		return fmt.Errorf("%w: %s", ErrNoSuchTable, name)
-	} else if t.derived != nil {
-		return fmt.Errorf("%w: %s", ErrDerivedTable, name)
-	}
-	next := make(map[string]*Table, len(old))
-	for n, tb := range old {
-		if n != name {
-			next[n] = tb
-		}
-	}
-	s.tables.Store(&next)
-	s.epoch.Add(1)
-	return nil
-}
-
-// Table returns the named table.
-func (s *Store) Table(name string) (*Table, error) {
-	t, ok := s.catalog()[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNoSuchTable, name)
-	}
-	return t, nil
-}
-
-// HasTable reports whether the named table exists.
-func (s *Store) HasTable(name string) bool {
-	_, ok := s.catalog()[name]
-	return ok
-}
-
-// TableNames returns all table names sorted.
-func (s *Store) TableNames() []string {
-	cat := s.catalog()
-	out := make([]string, 0, len(cat))
-	for n := range cat {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// CreateIndex adds a secondary index over the named columns and backfills
-// it from the heap; a unique one over colliding versions is refused.
-func (s *Store) CreateIndex(table, name string, cols []int, unique bool) error {
-	t, err := s.Table(table)
-	if err != nil {
-		return err
-	}
-	if t.derived != nil {
-		return fmt.Errorf("%w: %s", ErrDerivedTable, table)
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if _, ok := t.indexes[name]; ok {
-		return fmt.Errorf("%w: %s", ErrIndexExists, name)
-	}
-	if len(cols) == 0 {
-		return fmt.Errorf("storage: index %s on %s names no column", name, table)
-	}
-	ix := newIndexDef(name, cols, unique)
-	for _, v := range t.heap {
-		if v != nil {
-			ix.tree.Insert(ix.KeyFor(v.Data), v.ID)
-		}
-	}
-	if unique {
-		if key := s.firstCollision(t, ix); key != nil {
-			return fmt.Errorf("%w: %s on %s key %s", ErrUniqueViolation, name, table, key)
-		}
-	}
-	t.indexes[name] = ix
-	s.epoch.Add(1)
-	return nil
-}
-
-// firstCollision returns a key under which ix holds two committed versions
-// visible at one height, or nil. Two versions' visible heights overlap iff
-// both are visible where the later was created, so each creation height is
-// tried: quadratic in a key's versions, for DDL only. Provisional versions
-// meet the index at their commit turn.
-func (s *Store) firstCollision(t *Table, ix *IndexDef) (key types.Key) {
-	ix.tree.Scan(index.AllRange(), func(k types.Key, refs []uint64) bool {
-		for _, ref := range refs {
-			created, at := s.creation(t.version(ref))
-			n := 0
-			for _, other := range refs {
-				if created && s.visibleAt(t.version(other), 0, at) {
-					n++
-				}
-			}
-			if n > 1 {
-				key = k
-				return false
-			}
-		}
-		return true
-	})
-	return key
-}
-
-// --- visibility ----------------------------------------------------------------
-
-// Visibility reads the block stamps alone. CommitTx writes CreatorBlk and
-// DeleterBlk under the table latch every reader of the version holds, so
-// a version with no stamp is provisional and only its creator sees it. An
-// aborted transaction's versions are removed before anyone could read them
-// as committed, and a committed one's never are (AbortTx skips stamped
-// versions).
-
-// createdBy reports whether v's creator committed at or below height.
-func (s *Store) createdBy(v *RowVersion, height int64) bool {
-	created, blk := s.creation(v)
-	return created && blk <= height
-}
-
-// creation reports whether v's creator has committed, and in which block.
-func (s *Store) creation(v *RowVersion) (bool, int64) {
-	return v.CreatorBlk != NoBlock, v.CreatorBlk
-}
-
-// deletion reports whether v's deleter has committed, and in which block.
-func (s *Store) deletion(v *RowVersion) (bool, int64) {
-	return v.DeleterBlk != NoBlock, v.DeleterBlk
-}
-
-// visibleAt reports whether version v is visible to a transaction with
-// the given snapshot height and own id. Caller holds the table lock
-// (read or write).
-func (s *Store) visibleAt(v *RowVersion, self TxID, height int64) bool {
-	// Own writes: visible unless deleted by self.
-	if v.Xmin == self {
-		return v.Xmax != self
-	}
-	// Created by another tx: must be committed at or below the snapshot.
-	if !s.createdBy(v, height) {
-		return false
-	}
-	if v.Xmax == 0 {
-		return true
-	}
-	// Deleted by self: invisible.
-	if v.Xmax == self {
-		return false
-	}
-	// Deleted by a committed tx at or below the snapshot: invisible.
-	return v.DeleterBlk == NoBlock || v.DeleterBlk > height
-}
-
-// --- reads ----------------------------------------------------------------------
-
-// ScanMode selects which versions a scan yields.
-type ScanMode uint8
-
-// Scan modes.
-const (
-	ScanVisible    ScanMode = iota // SI visibility at the snapshot height
-	ScanProvenance                 // all committed versions ≤ height, live or dead
-)
-
-// ScanIndex iterates versions reachable through the named index within
-// rng, in index-key order, invoking fn with each version; returning false
-// stops the scan. Versions of one key come in ascending heap ref, except on
-// a unique index in ScanVisible mode: a key is walked newest first, and its
-// first visible version is the only one unless it is self's own (committed
-// versions of a key are visible at disjoint heights — Insert, Validate,
-// CreateIndex — and self's are newer than those its snapshot sees); before
-// self's own, versions it superseded may be visible, so that key is walked
-// ascending. The yield is the full walk's for the views the engine takes:
-// self 0 at any height, a transaction at its snapshot. fn runs under the
-// table's read latch: it must not call into the store (a nested scan can
-// deadlock against a committer locking tables in name order), and of v it
-// may keep only ID and Data, which never change — the other fields are
-// guarded by the latch and must be read inside fn.
-func (s *Store) ScanIndex(table, ixName string, rng index.Range, self TxID, height int64, mode ScanMode, fn func(v *RowVersion) bool) error {
-	t, err := s.Table(table)
-	if err != nil {
-		return err
-	}
-	if t.derived != nil {
-		return t.scanDerived(ixName, rng, height, fn)
-	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	ix, ok := t.indexes[ixName]
-	if !ok {
-		return fmt.Errorf("%w: %s.%s", ErrNoSuchIndex, table, ixName)
-	}
-	newestFirst := ix.Unique && mode == ScanVisible
-	ix.tree.Scan(rng, func(_ types.Key, refs []uint64) bool {
-		for i := len(refs) - 1; newestFirst && i >= 0; i-- {
-			if v := t.version(refs[i]); s.visibleAt(v, self, height) {
-				if v.Xmin != self {
-					return fn(v)
-				}
-				break // self's own version: walk the key ascending, below
-			}
-			if i == 0 {
-				return true // no version visible
-			}
-		}
-		for _, ref := range refs {
-			v := t.version(ref)
-			var vis bool
-			if mode == ScanProvenance {
-				vis = s.createdBy(v, height) // live or superseded
-			} else {
-				vis = s.visibleAt(v, self, height)
-			}
-			if vis && !fn(v) {
-				return false
-			}
-		}
-		return true
-	})
-	return nil
-}
-
-// --- writes ---------------------------------------------------------------------
-
-// Insert creates a provisional version owned by rec's transaction. NOT
-// NULL and arity are checked immediately; uniqueness against the visible
-// snapshot is checked immediately (PostgreSQL-style), while conflicts
-// with concurrent transactions are resolved at commit turn.
-//
-// Insert takes ownership of row: the caller must not reuse or mutate the
-// slice afterwards (row data is immutable once stored).
-func (s *Store) Insert(rec *TxRecord, table string, row types.Row) (*RowVersion, error) {
-	t, err := s.Table(table)
-	if err != nil {
-		return nil, err
-	}
-	if t.derived != nil {
-		return nil, fmt.Errorf("%w: %s", ErrDerivedTable, table)
-	}
-	if len(row) != len(t.schema.Columns) {
-		return nil, fmt.Errorf("%w: table %s has %d columns, got %d",
-			ErrArity, table, len(t.schema.Columns), len(row))
-	}
-	for i, c := range t.schema.Columns {
-		if c.NotNull && row[i].IsNull() {
-			return nil, fmt.Errorf("%w: %s.%s", ErrNotNull, table, c.Name)
-		}
-		if !row[i].IsNull() && row[i].Kind() != c.Type {
-			cv, err := types.CoerceToKind(row[i], c.Type)
-			if err != nil {
-				return nil, fmt.Errorf("storage: %s.%s: %v", table, c.Name, err)
-			}
-			row[i] = cv
-		}
-	}
-
-	t.mu.Lock()
-	defer t.mu.Unlock()
-
-	// Immediate unique checks against the visible snapshot. Versions this
-	// transaction already superseded (the delete half of an UPDATE) do not
-	// conflict.
-	for _, ix := range t.indexes {
-		if !ix.Unique {
-			continue
-		}
-		key := ix.KeyFor(row)
-		for _, ref := range ix.tree.Get(key) {
-			if rec.Supersedes(table, ref) {
-				continue
-			}
-			if s.visibleAt(t.version(ref), rec.ID, rec.SnapshotHeight) {
-				return nil, fmt.Errorf("%w: %s on %s key %s",
-					ErrUniqueViolation, ix.Name, table, key)
-			}
-		}
-	}
-
-	t.nextRef++
-	v := &RowVersion{
-		ID:         t.nextRef,
-		Data:       row,
-		Xmin:       rec.ID,
-		CreatorBlk: NoBlock,
-		DeleterBlk: NoBlock,
-	}
-	t.put(v)
-	for _, ix := range t.indexes {
-		ix.tree.Insert(ix.KeyFor(v.Data), v.ID)
-	}
-	rec.Inserted = append(rec.Inserted, ItemRef{table, v.ID})
-	return v, nil
-}
-
-// MarkDelete registers that rec's transaction supersedes version ref
-// (the delete half of UPDATE, or a plain DELETE). The version stays
-// visible to others until commit.
-func (s *Store) MarkDelete(rec *TxRecord, table string, ref uint64) error {
-	t, err := s.Table(table)
-	if err != nil {
-		return err
-	}
-	if t.derived != nil {
-		return fmt.Errorf("%w: %s", ErrDerivedTable, table)
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	v := t.version(ref)
-	if v == nil {
-		return fmt.Errorf("storage: %s: no version %d", table, ref)
-	}
-	if v.Xmin == rec.ID {
-		// Deleting our own provisional insert: mark it so it is
-		// invisible to ourselves and skipped at commit.
-		v.Xmax = rec.ID
-		return nil
-	}
-	rec.DeletedOld = append(rec.DeletedOld, ItemRef{table, ref})
-	return nil
-}
-
-// --- commit / abort --------------------------------------------------------------
-
-// lockTables resolves the distinct tables referenced by the given item
-// refs and write-locks each exactly once, in sorted name order (a stable
-// total order, so concurrent multi-table lockers cannot deadlock).
-// Unknown tables are simply absent from the returned map. The caller runs
-// unlock when done.
-func (s *Store) lockTables(refs ...[]ItemRef) (tabs map[string]*Table, unlock func()) {
-	tabs = make(map[string]*Table, 2)
-	var names []string
-	for _, rs := range refs {
-		for _, ir := range rs {
-			if _, seen := tabs[ir.Table]; seen {
-				continue
-			}
-			t, err := s.Table(ir.Table)
-			if err != nil {
-				tabs[ir.Table] = nil
-				continue
-			}
-			tabs[ir.Table] = t
-			names = append(names, ir.Table)
-		}
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		tabs[n].mu.Lock()
-	}
-	return tabs, func() {
-		for i := len(names) - 1; i >= 0; i-- {
-			tabs[names[i]].mu.Unlock()
-		}
-	}
-}
-
-// CommitTx stamps rec's writes with the given block number and fills
-// rec.Capture with the applied effects (see WriteCapture). The block
-// processor serializes the CommitTx calls of a block in block order, so
-// block stamps are deterministic.
-//
-// Index maintenance is batched: every table a transaction touched is
-// locked once and all of its row updates applied in that one critical
-// section, instead of a lock round-trip per row.
-func (s *Store) CommitTx(rec *TxRecord, block int64) {
-	// Reuse the capture a pooled record brought along (see arena.go);
-	// fresh records allocate one here.
-	cap := rec.Capture
-	if cap == nil {
-		cap = &WriteCapture{}
-	}
-	cap.Inserted = cap.Inserted[:0]
-	cap.Deleted = cap.Deleted[:0]
-	if rec.HasWrites() {
-		tabs, unlock := s.lockTables(rec.Inserted, rec.DeletedOld)
-		for _, ir := range rec.Inserted {
-			t := tabs[ir.Table]
-			if t == nil {
-				continue
-			}
-			if v := t.version(ir.Ref); v != nil {
-				if v.Xmax == rec.ID {
-					// Inserted and deleted within the same transaction:
-					// never becomes visible; drop it.
-					s.dropVersionLocked(t, v)
-				} else {
-					v.CreatorBlk = block
-					cap.Inserted = append(cap.Inserted, CapturedRow{ir.Table, ir.Ref, v.Data})
-				}
-			}
-		}
-		for _, ir := range rec.DeletedOld {
-			t := tabs[ir.Table]
-			if t == nil {
-				continue
-			}
-			if v := t.version(ir.Ref); v != nil {
-				v.Xmax = rec.ID
-				v.DeleterBlk = block
-				cap.Deleted = append(cap.Deleted, CapturedRow{ir.Table, ir.Ref, types.Row(t.schema.PKKey(v.Data))})
-			}
-		}
-		unlock()
-	}
-	rec.Capture = cap
-}
-
-// AbortTx discards rec's provisional versions. Versions that carry a
-// creator stamp are kept: a malicious block can carry one transaction
-// twice, both entries share one record, and aborting the second must not
-// roll back what the first committed. Like CommitTx, each touched table
-// is locked once.
-func (s *Store) AbortTx(rec *TxRecord) {
-	if len(rec.Inserted) == 0 {
-		return
-	}
-	tabs, unlock := s.lockTables(rec.Inserted)
-	for _, ir := range rec.Inserted {
-		t := tabs[ir.Table]
-		if t == nil {
-			continue
-		}
-		v := t.version(ir.Ref)
-		if v == nil || v.CreatorBlk != NoBlock {
-			continue // already dropped, or committed
-		}
-		s.dropVersionLocked(t, v)
-	}
-	unlock()
-}
-
-// dropVersionLocked removes v from heap and indexes. Caller holds t.mu.
-func (s *Store) dropVersionLocked(t *Table, v *RowVersion) {
-	for _, ix := range t.indexes {
-		ix.tree.Delete(ix.KeyFor(v.Data), v.ID)
-	}
-	t.heap[v.ID-1] = nil
-	t.live--
-}
-
-// --- commit-turn validation -------------------------------------------------------
-
-// ValidationError describes why a transaction failed commit-turn
-// validation.
-type ValidationError struct {
-	Kind   string // "stale-read", "phantom", "ww-conflict", "unique"
-	Table  string
-	Detail string
-}
-
-func (e *ValidationError) Error() string {
-	return fmt.Sprintf("storage: %s on %s: %s", e.Kind, e.Table, e.Detail)
-}
-
-// Validate re-checks rec at its commit turn inside block `current`:
-//
-//   - stale reads: a version rec read was superseded by a block in
-//     (snapshot, current) — §3.4.1 rule 2;
-//   - phantoms: a version matching one of rec's scanned ranges was created
-//     by a block in (snapshot, current) and is still live — §3.4.1 rule 1;
-//   - ww conflicts: a version rec supersedes was already superseded by a
-//     committed transaction (first-committer-wins, incl. earlier txs of the
-//     current block) — §3.3.3;
-//   - uniqueness: rec's inserts collide with committed versions visible at
-//     the current block (covers concurrent inserts committed earlier in
-//     this block or in blocks above the snapshot).
-//
-// It returns nil when the transaction may commit.
-func (s *Store) Validate(rec *TxRecord, current int64) error {
-	// ww conflicts.
-	for _, ir := range rec.DeletedOld {
-		t, err := s.Table(ir.Table)
-		if err != nil {
-			continue
-		}
-		t.mu.RLock()
-		v := t.version(ir.Ref)
-		var bad bool
-		if v != nil && v.Xmax != rec.ID {
-			bad, _ = s.deletion(v)
-		}
-		t.mu.RUnlock()
-		if bad {
-			return &ValidationError{Kind: "ww-conflict", Table: ir.Table,
-				Detail: fmt.Sprintf("version %d already superseded", ir.Ref)}
-		}
-	}
-
-	// Stale reads: deleter committed in (snapshot, current).
-	for ir := range rec.ReadRows {
-		t, err := s.Table(ir.Table)
-		if err != nil {
-			continue
-		}
-		t.mu.RLock()
-		v := t.version(ir.Ref)
-		var bad bool
-		if v != nil && v.Xmax != rec.ID {
-			deleted, blk := s.deletion(v)
-			bad = deleted && blk > rec.SnapshotHeight && blk < current
-		}
-		t.mu.RUnlock()
-		if bad {
-			return &ValidationError{Kind: "stale-read", Table: ir.Table,
-				Detail: fmt.Sprintf("version %d superseded after snapshot %d", ir.Ref, rec.SnapshotHeight)}
-		}
-	}
-
-	// Phantoms: creator committed in (snapshot, current), still live.
-	for _, rr := range rec.ReadRanges {
-		t, err := s.Table(rr.Table)
-		if err != nil {
-			continue
-		}
-		t.mu.RLock()
-		ix, ok := t.indexes[rr.Index]
-		var bad bool
-		if ok {
-			ix.tree.Scan(rr.Range, func(_ types.Key, refs []uint64) bool {
-				for _, ref := range refs {
-					v := t.version(ref)
-					if v.Xmin == rec.ID {
-						continue
-					}
-					if created, blk := s.creation(v); !created || blk <= rec.SnapshotHeight || blk >= current {
-						continue
-					}
-					// Created after our snapshot, before this block.
-					// Paper rule 1: abort provided the deleter is empty.
-					if deleted, blk := s.deletion(v); deleted && blk < current {
-						continue // deleted again before this block
-					}
-					bad = true
-					return false
-				}
-				return true
-			})
-		}
-		t.mu.RUnlock()
-		if bad {
-			return &ValidationError{Kind: "phantom", Table: rr.Table,
-				Detail: fmt.Sprintf("new row in scanned range of %s", rr.Index)}
-		}
-	}
-
-	// Uniqueness against committed state as of `current`. Versions this
-	// transaction itself supersedes are about to die and do not conflict.
-	for _, ir := range rec.Inserted {
-		t, err := s.Table(ir.Table)
-		if err != nil {
-			continue
-		}
-		t.mu.RLock()
-		mine := t.version(ir.Ref)
-		var bad string
-		if mine != nil && mine.Xmax != rec.ID {
-			for _, ix := range t.indexes {
-				if !ix.Unique {
-					continue
-				}
-				key := ix.KeyFor(mine.Data)
-				for _, ref := range ix.tree.Get(key) {
-					if ref == ir.Ref || rec.Supersedes(ir.Table, ref) {
-						continue
-					}
-					v := t.version(ref)
-					// Committed and not superseded by a committed delete.
-					if created, _ := s.creation(v); !created {
-						continue
-					}
-					if deleted, _ := s.deletion(v); !deleted {
-						bad = fmt.Sprintf("%s key %s", ix.Name, key)
-					}
-				}
-			}
-		}
-		t.mu.RUnlock()
-		if bad != "" {
-			return &ValidationError{Kind: "unique", Table: ir.Table, Detail: bad}
-		}
-	}
-	return nil
-}
 
 // --- state hashing -----------------------------------------------------------------
 

@@ -45,8 +45,7 @@ type Backend interface {
 	// disk backend appends a height frame and fsyncs, flushing every
 	// preceding commit frame of the block with it.
 	MarkDurable(h int64)
-	// BeginTx allocates a node-local transaction id. The store keeps no
-	// record of it: a version's block stamps are the only commit record.
+	// BeginTx allocates a node-local id; the store keeps no record of it.
 	BeginTx() TxID
 
 	// --- catalog (DDL) --------------------------------------------------

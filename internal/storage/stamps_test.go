@@ -1,11 +1,9 @@
 package storage
 
 import (
+	"fmt"
 	"runtime"
-	"slices"
 	"testing"
-
-	"bcrdb/internal/types"
 )
 
 // TestStoreRetainsNothingPerTransaction runs transactions with no writes
@@ -81,13 +79,10 @@ func TestAbortAfterCommitKeepsVersions(t *testing.T) {
 		if s.StateHash(2) != hash {
 			t.Error("StateHash(2) changed when a committed record was aborted")
 		}
-		rowsEqual := func(a, b types.Row) bool {
-			return slices.EqualFunc(a, b, func(x, y types.Value) bool { return types.Compare(x, y) == 0 })
-		}
-		if got := scanAll(t, s, "t", 0, 2, ScanVisible); !slices.EqualFunc(got, visible, rowsEqual) {
+		if got := scanAll(t, s, "t", 0, 2, ScanVisible); fmt.Sprint(got) != fmt.Sprint(visible) {
 			t.Errorf("visible rows after the abort = %v, want %v", got, visible)
 		}
-		if got := scanAll(t, s, "t", 0, 2, ScanProvenance); !slices.EqualFunc(got, provenance, rowsEqual) {
+		if got := scanAll(t, s, "t", 0, 2, ScanProvenance); fmt.Sprint(got) != fmt.Sprint(provenance) {
 			t.Errorf("provenance rows after the abort = %v, want %v", got, provenance)
 		}
 	})

@@ -211,8 +211,7 @@ func (r *TxRecord) HasWrites() bool {
 }
 
 // Store is one node's database: catalog, heaps and indexes. A version's
-// block stamps are the only commit record; there is no transaction-status
-// table.
+// block stamps are the only commit record.
 //
 // The catalog is copy-on-write: readers resolve tables through one
 // atomic pointer load with no lock at all, and DDL (rare, never inside

@@ -13,9 +13,8 @@ import (
 // Visibility reads the block stamps alone. CommitTx writes CreatorBlk and
 // DeleterBlk under the table latch every reader of the version holds, so
 // a version with no stamp is provisional and only its creator sees it. An
-// aborted transaction's versions are removed before anyone could read them
-// as committed, and a committed one's never are (AbortTx skips stamped
-// versions).
+// aborted transaction's versions never carry a stamp and are removed; an
+// abort never removes a stamped version (see AbortTx).
 
 // createdBy reports whether v's creator committed at or below height.
 func (s *Store) createdBy(v *RowVersion, height int64) bool {

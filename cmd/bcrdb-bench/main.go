@@ -187,8 +187,9 @@ func serialComparison() {
 // counter at zero (healing machinery firing without faults is a
 // regression), then the seeded soak of workload.RunChaos, which fails
 // the process when any invocation stays unresolved or the replicas
-// diverge. The fixed seed makes a CI failure reproducible locally with
-// the timeline printed in the error.
+// diverge. The fixed seed replays a CI failure's crash and partition
+// timeline locally (it is printed in the error); link faults differ
+// from run to run.
 //
 // The control runs open-loop at a moderate rate rather than closed-loop
 // saturation: at saturation a replica can genuinely trail its peers for

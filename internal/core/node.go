@@ -23,7 +23,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -162,7 +161,7 @@ type Node struct {
 	// identities live in the replicated sys_certs table.
 	netReg *identity.Registry
 
-	store  storage.Backend
+	store  *storage.Store
 	eng    *engine.Engine
 	interp *proc.Interp
 
@@ -260,10 +259,7 @@ func NewNode(cfg Config, signer *identity.Signer, netReg *identity.Registry, net
 	if cfg.DeliverFrom == "" && len(cfg.Orderers) > 0 {
 		cfg.DeliverFrom = cfg.Orderers[0]
 	}
-	kind, err := storage.ParseKind(string(cfg.Backend))
-	if err != nil {
-		return nil, err
-	}
+	var storePath string // the memory backend ignores it
 	if cfg.DataDir != "" {
 		if err := os.MkdirAll(cfg.DataDir, 0o755); err != nil {
 			return nil, err
@@ -272,15 +268,9 @@ func NewNode(cfg Config, signer *identity.Signer, netReg *identity.Registry, net
 		if _, err := os.Stat(old); err == nil {
 			return nil, fmt.Errorf("core: %s: block outcomes kept apart from the block log predate the one block log (ADR-0009); this data dir cannot be served", old)
 		}
-	}
-	var storePath string
-	if kind == storage.KindDisk {
-		if cfg.DataDir == "" {
-			return nil, errors.New("core: disk storage backend requires DataDir")
-		}
 		storePath = dataFile(cfg, ".store.wal")
 	}
-	st, err := storage.Open(kind, storePath)
+	st, err := storage.Open(cfg.Backend, storePath)
 	if err != nil {
 		return nil, err
 	}
@@ -302,7 +292,7 @@ func NewNode(cfg Config, signer *identity.Signer, netReg *identity.Registry, net
 		sealCh:     make(chan *sealTask, sealQueueCap),
 		sealAbort:  make(chan struct{}),
 		stopped:    make(chan struct{}),
-		diskBacked: kind == storage.KindDisk,
+		diskBacked: cfg.Backend == storage.KindDisk,
 	}
 	n.execQ = newExecQueue(st.Height)
 	for i, o := range cfg.Orderers {
@@ -434,8 +424,8 @@ func (n *Node) SealedHeight() int64 { return n.sealedHeight.Load() }
 // SELECTs run on one node and are not recorded on the chain).
 func (n *Node) Engine() *engine.Engine { return n.eng }
 
-// Store exposes the underlying storage backend (tests, state hashing).
-func (n *Node) Store() storage.Backend { return n.store }
+// Store exposes the node's store (tests, state hashing).
+func (n *Node) Store() *storage.Store { return n.store }
 
 // BlockStore exposes the chain (tests, audits).
 func (n *Node) BlockStore() *ledger.BlockStore { return n.blocks }

@@ -15,7 +15,7 @@ import (
 // table called sys_ledger): three fixed rows, a primary key on txid and
 // index definitions on block and local_xid, none on username. The
 // provider yields in reverse order; the engine sorts.
-func registerChainLedger(t *testing.T, st storage.Backend) {
+func registerChainLedger(t *testing.T, st *storage.Store) {
 	t.Helper()
 	text, num := types.KindString, types.KindInt
 	schema := storage.Schema{Name: "chain_ledger", Class: storage.ClassSystem, PKCols: []int{0},

@@ -100,8 +100,8 @@ type Result struct {
 	Affected int
 }
 
-// Engine executes SQL against a storage backend (memory or disk — the
-// engine is backend-agnostic; see storage.Backend).
+// Engine executes SQL against one node's store, with or without its log
+// (storage.Open): the engine sees the same *storage.Store either way.
 //
 // The execute hot path re-runs the same handful of statements (the
 // per-transaction authentication and contract-lookup queries, contract
@@ -109,18 +109,18 @@ type Result struct {
 // Prepared statement — parsed once, and carrying its physical plan (see
 // plancache.go, plan.go). Parsed ASTs are never mutated by execution.
 type Engine struct {
-	store storage.Backend
+	store *storage.Store
 
 	stmts stmtCache
 
 	planHits, planMisses atomic.Int64
 }
 
-// New returns an engine over the given storage backend.
-func New(st storage.Backend) *Engine { return &Engine{store: st} }
+// New returns an engine over the given store.
+func New(st *storage.Store) *Engine { return &Engine{store: st} }
 
-// Store exposes the underlying storage backend (used by the node core).
-func (e *Engine) Store() storage.Backend { return e.store }
+// Store exposes the underlying store (used by the node core).
+func (e *Engine) Store() *storage.Store { return e.store }
 
 // Execution errors.
 var (

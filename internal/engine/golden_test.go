@@ -119,7 +119,7 @@ func goldenCtx(gc goldenCase, rec *storage.TxRecord, height int64) *ExecCtx {
 // goldenEnv is a store loaded with the corpus data set.
 type goldenEnv struct {
 	t     *testing.T
-	st    storage.Backend
+	st    *storage.Store
 	eng   *Engine
 	block int64
 }

@@ -3,7 +3,9 @@
 // partition/heal events and then replays it against the live network.
 // The timeline is a pure function of the configuration and seed — two
 // schedulers built with the same inputs inject the identical event
-// sequence — so a chaos soak failure reproduces by rerunning the seed.
+// sequence. Only the timeline is: the link faults beside it draw from
+// the network's shared RNG in the order traffic arrives (faults.go), so
+// rerunning a seed replays the same events, not the same run.
 //
 // Crashes are endpoint-level (Stop/Restart): the "process" keeps
 // running but its network interface drops all traffic both ways, which

@@ -6,8 +6,12 @@
 // explicit partitions, crashed endpoints, or an injected fault, all of
 // which the FaultsInjected counter accounts for.
 //
-// Everything is driven by the network's seeded RNG (SetSeed), so a run
-// with the same seed injects the same faults at the same decision points.
+// Every drop and spike decision draws from the network's one seeded RNG
+// (SetSeed), shared by all links. A seed fixes the sequence of draws, not
+// which message gets which draw: that follows the order in which the
+// goroutines of a run reach the links, so two runs of one seed can
+// inject different faults. Only a Chaos timeline (chaos.go) is a function
+// of the seed alone.
 
 package simnet
 
@@ -41,8 +45,10 @@ func (f Faults) active() bool {
 // FaultsFn selects the fault profile for a (from, to) pair.
 type FaultsFn func(from, to string) Faults
 
-// SetSeed reseeds the network's RNG, making jitter and fault decisions
-// reproducible for a given seed. Call before traffic starts.
+// SetSeed reseeds the network's RNG, from which jitter and fault
+// decisions draw, and the phase of each flapping link. The draws are
+// taken in the order traffic arrives, so a seed does not reproduce a
+// run's decisions. Call before traffic starts.
 func (n *Network) SetSeed(seed int64) {
 	n.mu.Lock()
 	n.seed = seed

@@ -111,7 +111,8 @@ func (t *Table) IndexCols(name string) ([]int, bool) {
 // --- DDL ----------------------------------------------------------------------
 
 // CreateTable creates a table with a primary-key index named
-// "<table>_pkey".
+// "<table>_pkey". Like every DDL call, it is logged when the store has a
+// log.
 func (s *Store) CreateTable(schema Schema) error {
 	if len(schema.PKCols) == 0 {
 		return fmt.Errorf("storage: table %s needs a primary key", schema.Name)
@@ -123,11 +124,15 @@ func (s *Store) CreateTable(schema Schema) error {
 		schema.Columns[c].NotNull = true
 	}
 	pk := newIndexDef(schema.Name+"_pkey", schema.PKCols, true)
-	return s.addTable(&Table{
+	if err := s.addTable(&Table{
 		schema:  schema,
 		primary: pk,
 		indexes: map[string]*IndexDef{pk.Name: pk},
-	})
+	}); err != nil {
+		return err
+	}
+	s.logFrame(func() []byte { return encodeCreateTable(s.Height(), schema) })
+	return nil
 }
 
 // addTable publishes a new table in the catalog.
@@ -166,6 +171,7 @@ func (s *Store) DropTable(name string) error {
 	}
 	s.tables.Store(&next)
 	s.epoch.Add(1)
+	s.logFrame(func() []byte { return encodeDropTable(s.Height(), name) })
 	return nil
 }
 
@@ -213,6 +219,11 @@ func (s *Store) CreateIndex(table, name string, cols []int, unique bool) error {
 	if len(cols) == 0 {
 		return fmt.Errorf("storage: index %s on %s names no column", name, table)
 	}
+	for _, c := range cols {
+		if c < 0 || c >= len(t.schema.Columns) {
+			return fmt.Errorf("storage: index %s on %s: bad column ordinal %d", name, table, c)
+		}
+	}
 	ix := newIndexDef(name, cols, unique)
 	for _, v := range t.heap {
 		if v != nil {
@@ -226,6 +237,7 @@ func (s *Store) CreateIndex(table, name string, cols []int, unique bool) error {
 	}
 	t.indexes[name] = ix
 	s.epoch.Add(1)
+	s.logFrame(func() []byte { return encodeCreateIndex(s.Height(), table, name, cols, unique) })
 	return nil
 }
 

@@ -13,7 +13,7 @@ import (
 // blk BIGINT) with one secondary index definition on blk. Its provider
 // yields row i of blk i for i in 1..height, filtered by rng on the asked
 // index's column, in descending order (providers may yield in any order).
-func derivedStandIn(t *testing.T, b Backend) {
+func derivedStandIn(t *testing.T, b *Store) {
 	t.Helper()
 	schema := Schema{Name: "chain", Class: ClassSystem, PKCols: []int{0},
 		Columns: []Column{{Name: "id", Type: types.KindInt, NotNull: true}, {Name: "blk", Type: types.KindInt}}}

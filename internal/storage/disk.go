@@ -1,19 +1,19 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
-	"sync"
 
 	"bcrdb/internal/codec"
 	"bcrdb/internal/types"
 	"bcrdb/internal/wal"
 )
 
-// DiskStore is the durable storage backend: an in-memory working store
-// (for reads, planning and provisional writes — identical semantics to
-// *Store) plus an append-ahead log of every committed mutation, written
-// through internal/wal's CRC-framed log. On startup, OpenDisk rebuilds
-// committed state by replaying the log.
+// A store opened with OpenDisk keeps a log: every committed mutation is
+// appended to it through internal/wal's CRC-framed log, and on startup
+// OpenDisk rebuilds committed state by replaying it. The log is how the
+// one in-memory store becomes durable, as PostgreSQL's WAL is for its
+// heap; a store from NewStore has none and appends nothing.
 //
 // Durability contract: a block is durable once its height frame has been
 // fsynced (MarkDurable syncs, flushing all preceding commit frames of
@@ -25,12 +25,32 @@ import (
 // re-processed from the block store, exactly like the §3.6 recovery
 // cases. Private-schema transactions (§3.7) become durable at the next
 // sealed block boundary or Close, whichever comes first.
-type DiskStore struct {
-	*Store // in-memory working state; reads and provisional writes pass through
 
-	mu  sync.Mutex // guards log, err and appends
-	log *wal.Log
-	err error // first append/sync failure; latched until checked
+// Kind names how a node keeps its store.
+type Kind string
+
+// Backend kinds.
+const (
+	// KindMemory is the store without a log (the default).
+	KindMemory Kind = "memory"
+	// KindDisk is the store with a log.
+	KindDisk Kind = "disk"
+)
+
+// Open returns a store of the given kind: in memory for "" or
+// KindMemory (path is ignored), or restored from and logging to the file
+// at path for KindDisk. It is the one place a backend name is checked.
+func Open(kind Kind, path string) (*Store, error) {
+	switch kind {
+	case "", KindMemory:
+		return NewStore(), nil
+	case KindDisk:
+		if path == "" {
+			return nil, errors.New("storage: the disk backend needs a file for its log: give the node a data dir")
+		}
+		return OpenDisk(path)
+	}
+	return nil, fmt.Errorf("storage: unknown backend %q (want %q or %q)", kind, KindMemory, KindDisk)
 }
 
 // Log frame kinds. Every frame starts with one kind byte. DDL-ish frames
@@ -56,25 +76,25 @@ const (
 	opVacuum
 )
 
-// OpenDisk opens the durable backend at path and restores committed
-// state by WAL replay. The recovery horizon H is the newest height frame
-// in the log; frames stamped beyond H (a crash mid-block) are discarded
-// and the log is compacted to exactly the applied prefix, so a
-// subsequent re-processing of block H+1 cannot double-apply.
-func OpenDisk(path string) (*DiskStore, error) {
-	d := &DiskStore{Store: NewStore()}
-
-	frames, err := wal.ReadAllRaw(path)
+// OpenDisk opens the store logged at path and restores committed state
+// by replay. The recovery horizon H is the newest height frame in the
+// log; frames stamped beyond H (a crash mid-block) are discarded and the
+// log is compacted to exactly the applied prefix, so a subsequent
+// re-processing of block H+1 cannot double-apply. A frame that checks
+// but does not replay is an error naming the file and the frame's
+// offset, and the file is left as found.
+func OpenDisk(path string) (*Store, error) {
+	frames, end, err := wal.Scan(path)
 	if err != nil {
-		return nil, fmt.Errorf("storage: disk backend: %w", err)
+		return nil, fmt.Errorf("storage: %w", err)
 	}
 
 	// Pass 1: find the recovery horizon.
 	horizon := int64(-1)
 	for _, f := range frames {
-		if len(f) > 0 && f[0] == opHeight {
-			d2 := codec.NewDec(f[1:])
-			if h := d2.Varint(); d2.Done() == nil && h > horizon {
+		if len(f.Payload) > 0 && f.Payload[0] == opHeight {
+			d := codec.NewDec(f.Payload[1:])
+			if h := d.Varint(); d.Done() == nil && h > horizon {
 				horizon = h
 			}
 		}
@@ -83,43 +103,62 @@ func OpenDisk(path string) (*DiskStore, error) {
 	// Pass 2: apply every frame at or below the horizon, in log order.
 	// Node-local transaction ids are not durable by design (§4.2): every
 	// replayed version carries one synthetic xid, and only its block stamps
-	// say when it was created and deleted.
+	// say when it was created and deleted. The log is not open yet, so
+	// nothing applied here is logged again.
+	s := NewStore()
+	r := replay{store: s, horizon: horizon, xid: s.BeginTx()}
 	kept := make([][]byte, 0, len(frames))
-	xid := d.Store.BeginTx()
+	keptBytes := uint64(0)
 	for _, f := range frames {
-		ok, err := d.applyFrame(f, horizon, xid)
+		r.maxRef = 1<<20 + 64*(keptBytes+uint64(len(f.Payload)))
+		ok, err := r.apply(f.Payload)
 		if err != nil {
-			return nil, fmt.Errorf("storage: disk backend replay: %w", err)
+			return nil, fmt.Errorf("storage: %s: the frame at offset %d does not replay, file left untouched: %w", path, f.Off, err)
 		}
 		if ok {
-			kept = append(kept, f)
+			kept = append(kept, f.Payload)
+			keptBytes += uint64(len(f.Payload))
 		}
 	}
 	if horizon >= 0 {
-		d.Store.SetHeight(horizon)
+		s.SetHeight(horizon)
 	}
 
 	// Drop the frames beyond the horizon from the log itself, so they can
 	// never be applied by a later restart after the block is re-processed
-	// (which would double-apply its writes).
+	// (which would double-apply its writes). Otherwise only a torn tail
+	// goes.
 	if len(kept) != len(frames) {
-		if err := wal.Rewrite(path, kept); err != nil {
-			return nil, err
-		}
+		err = wal.Rewrite(path, kept)
+	} else {
+		err = wal.CutTail(path, end)
 	}
-	if d.log, err = wal.Open(path); err != nil {
+	if err != nil {
 		return nil, err
 	}
-	return d, nil
+	if s.log, err = wal.Open(path); err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
-// applyFrame applies one log frame during replay, stamping replayed
-// versions with the synthetic xid. It reports whether the frame is inside
-// the recovery horizon (and was therefore applied).
-func (d *DiskStore) applyFrame(f []byte, horizon int64, xid TxID) (bool, error) {
+// replay applies a log's frames to a store that has no log yet.
+type replay struct {
+	store   *Store
+	horizon int64
+	xid     TxID   // the one synthetic xid of every replayed version
+	maxRef  uint64 // the largest heap ref the frame being applied may name
+}
+
+// apply applies one log frame. It reports whether the frame is inside the
+// recovery horizon (and was therefore applied). No count read from a
+// frame sizes an allocation: a frame that checks may still carry any
+// number.
+func (r *replay) apply(f []byte) (bool, error) {
 	if len(f) == 0 {
 		return false, fmt.Errorf("empty frame")
 	}
+	s := r.store
 	dec := codec.NewDec(f[1:])
 	switch f[0] {
 	case opCreateTable:
@@ -128,29 +167,28 @@ func (d *DiskStore) applyFrame(f []byte, horizon int64, xid TxID) (bool, error) 
 		if err := dec.Done(); err != nil {
 			return false, err
 		}
-		if at > horizon {
+		if at > r.horizon {
 			return false, nil
 		}
-		if err := d.Store.CreateTable(schema); err != nil {
+		if err := s.CreateTable(schema); err != nil {
 			return false, err
 		}
 	case opCreateIndex:
 		at := dec.Varint()
 		table := dec.String()
 		name := dec.String()
-		n := dec.Uvarint()
-		cols := make([]int, 0, n)
-		for i := uint64(0); i < n && dec.Err() == nil; i++ {
+		var cols []int
+		for i, n := uint64(0), dec.Uvarint(); i < n && dec.Err() == nil; i++ {
 			cols = append(cols, int(dec.Varint()))
 		}
 		unique := dec.Bool()
 		if err := dec.Done(); err != nil {
 			return false, err
 		}
-		if at > horizon {
+		if at > r.horizon {
 			return false, nil
 		}
-		if err := d.Store.CreateIndex(table, name, cols, unique); err != nil {
+		if err := s.CreateIndex(table, name, cols, unique); err != nil {
 			return false, err
 		}
 	case opDropTable:
@@ -159,10 +197,10 @@ func (d *DiskStore) applyFrame(f []byte, horizon int64, xid TxID) (bool, error) 
 		if err := dec.Done(); err != nil {
 			return false, err
 		}
-		if at > horizon {
+		if at > r.horizon {
 			return false, nil
 		}
-		_ = d.Store.DropTable(name) // table may already be gone
+		_ = s.DropTable(name) // table may already be gone
 	case opRetiredHashExempt:
 		dec.Varint()
 		return false, fmt.Errorf("table %q carries the retired hash-exempt mark: the log was written while sys_ledger was a stored table, predates the derived ledger (ADR-0008) and cannot be served", dec.String())
@@ -172,51 +210,42 @@ func (d *DiskStore) applyFrame(f []byte, horizon int64, xid TxID) (bool, error) 
 		if err := dec.Done(); err != nil {
 			return false, err
 		}
-		if at > horizon {
+		if at > r.horizon {
 			return false, nil
 		}
-		d.Store.Vacuum(hz)
+		s.Vacuum(hz)
 	case opHeight:
 		h := dec.Varint()
 		if err := dec.Done(); err != nil {
 			return false, err
 		}
-		if h > horizon {
+		if h > r.horizon {
 			return false, nil
 		}
-		d.Store.SetHeight(h)
+		s.SetHeight(h)
 	case opCommit:
 		block := dec.Varint()
-		nIns := dec.Uvarint()
-		type insOp struct {
-			table string
-			ref   uint64
-			row   types.Row
+		var ins []CapturedRow
+		for i, n := uint64(0), dec.Uvarint(); i < n && dec.Err() == nil; i++ {
+			ins = append(ins, CapturedRow{Table: dec.String(), Ref: dec.Uvarint(), Row: dec.Row()})
 		}
-		ins := make([]insOp, 0, nIns)
-		for i := uint64(0); i < nIns && dec.Err() == nil; i++ {
-			ins = append(ins, insOp{table: dec.String(), ref: dec.Uvarint(), row: dec.Row()})
-		}
-		nDel := dec.Uvarint()
-		type delOp struct {
-			table string
-			ref   uint64
-		}
-		del := make([]delOp, 0, nDel)
-		for i := uint64(0); i < nDel && dec.Err() == nil; i++ {
-			del = append(del, delOp{table: dec.String(), ref: dec.Uvarint()})
+		var del []ItemRef
+		for i, n := uint64(0), dec.Uvarint(); i < n && dec.Err() == nil; i++ {
+			del = append(del, ItemRef{Table: dec.String(), Ref: dec.Uvarint()})
 		}
 		if err := dec.Done(); err != nil {
 			return false, err
 		}
-		if block > horizon {
+		if block > r.horizon {
 			return false, nil
 		}
 		for _, op := range ins {
-			d.Store.replayInsert(op.table, op.ref, op.row, xid, block)
+			if err := r.insert(op, block); err != nil {
+				return false, err
+			}
 		}
 		for _, op := range del {
-			d.Store.replayDelete(op.table, op.ref, xid, block)
+			s.replayDelete(op.Table, op.Ref, r.xid, block)
 		}
 	default:
 		return false, fmt.Errorf("unknown frame kind %d", f[0])
@@ -224,142 +253,122 @@ func (d *DiskStore) applyFrame(f []byte, horizon int64, xid TxID) (bool, error) 
 	return true, nil
 }
 
-// append writes one frame to the log, latching the first failure.
-func (d *DiskStore) append(payload []byte) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.log == nil {
-		return
-	}
-	if err := d.log.AppendRaw(payload); err != nil && d.err == nil {
-		d.err = err
-	}
-}
-
-// sync flushes the log to stable storage, latching the first failure.
-func (d *DiskStore) sync() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.log == nil {
-		return
-	}
-	if err := d.log.Sync(); err != nil && d.err == nil {
-		d.err = err
-	}
-}
-
-// --- logged overrides of the mutating operations ------------------------------
-
-// CreateTable creates the table and logs the DDL.
-func (d *DiskStore) CreateTable(schema Schema) error {
-	if err := d.Store.CreateTable(schema); err != nil {
-		return err
-	}
-	d.append(encodeCreateTable(d.Store.Height(), schema))
-	return nil
-}
-
-// DropTable drops the table and logs the DDL.
-func (d *DiskStore) DropTable(name string) error {
-	if err := d.Store.DropTable(name); err != nil {
-		return err
-	}
-	e := codec.NewBuf(32)
-	e.Byte(opDropTable)
-	e.Varint(d.Store.Height())
-	e.String(name)
-	d.append(e.Bytes())
-	return nil
-}
-
-// CreateIndex creates the index and logs the DDL.
-func (d *DiskStore) CreateIndex(table, name string, cols []int, unique bool) error {
-	if err := d.Store.CreateIndex(table, name, cols, unique); err != nil {
-		return err
-	}
-	d.append(encodeCreateIndex(d.Store.Height(), table, name, cols, unique))
-	return nil
-}
-
-// CommitTx commits in memory and logs the transaction's surviving
-// effects from the commit-time capture: every inserted version that
-// outlived the commit (with its row data) and every superseded version
-// reference, stamped with the block. Using rec.Capture avoids re-reading
-// the store per row on the commit critical path.
-func (d *DiskStore) CommitTx(rec *TxRecord, block int64) {
-	d.Store.CommitTx(rec, block)
-	if !rec.HasWrites() {
-		return
-	}
-	wc := rec.Capture
-	e := codec.NewBuf(512)
-	e.Byte(opCommit)
-	e.Varint(block)
-	e.Uvarint(uint64(len(wc.Inserted)))
-	for _, op := range wc.Inserted {
-		e.String(op.Table)
-		e.Uvarint(op.Ref)
-		e.Row(op.Row)
-	}
-	e.Uvarint(uint64(len(rec.DeletedOld)))
-	for _, ir := range rec.DeletedOld {
-		e.String(ir.Table)
-		e.Uvarint(ir.Ref)
-	}
-	d.append(e.Bytes())
-}
-
-// MarkDurable logs the new durable height and fsyncs: this is the
-// durability point for every commit frame of the block. The in-memory
-// height was already bumped by SetHeight at the commit stage; blocks
-// between the two are the crash window that recovery re-processes from
-// the block store (§3.6). A log write or sync failure here is
-// unrecoverable — continuing would acknowledge blocks that are not
-// durable — so, like PostgreSQL on a WAL write failure, the node panics
-// and relies on crash recovery.
-func (d *DiskStore) MarkDurable(h int64) {
-	e := codec.NewBuf(16)
-	e.Byte(opHeight)
-	e.Varint(h)
-	d.append(e.Bytes())
-	d.sync()
-	d.mu.Lock()
-	err := d.err
-	d.mu.Unlock()
+// insert installs an already-committed version: explicit heap ref, row
+// data, the synthetic xid, creator block stamp. Index entries are
+// maintained; uniqueness was validated before the original commit and is
+// not re-checked. A ref sizes the table's heap array, so one past maxRef
+// is refused: a real log names only refs its node allocated, and those
+// grow with the log. The bound is 1<<20 refs, for inserts aborted in
+// between (they leave no frame), plus 64 per byte of the frames applied
+// up to this one, so a compacted log replays under the same bounds.
+func (r *replay) insert(op CapturedRow, block int64) error {
+	t, err := r.store.Table(op.Table)
 	if err != nil {
-		panic(fmt.Sprintf("storage: disk WAL write failed, cannot guarantee durability of block %d: %v", h, err))
+		return nil // no such table: skipped, as replayDelete does
 	}
-}
-
-// Vacuum prunes in memory and logs the horizon so replay re-applies the
-// same pruning.
-func (d *DiskStore) Vacuum(horizon int64) int {
-	n := d.Store.Vacuum(horizon)
-	e := codec.NewBuf(16)
-	e.Byte(opVacuum)
-	e.Varint(d.Store.Height())
-	e.Varint(horizon)
-	d.append(e.Bytes())
-	return n
-}
-
-// Close syncs and closes the log. The in-memory state stays readable.
-func (d *DiskStore) Close() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.log == nil {
+	if op.Ref == 0 || op.Ref > r.maxRef {
+		return fmt.Errorf("table %s: heap ref %d out of range (at most %d)", op.Table, op.Ref, r.maxRef)
+	}
+	if len(op.Row) != len(t.schema.Columns) {
+		return fmt.Errorf("table %s: %w: a row of %d values", op.Table, ErrArity, len(op.Row))
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.version(op.Ref) != nil {
 		return nil
 	}
-	err1 := d.log.Sync()
-	err2 := d.log.Close()
-	d.log = nil
+	v := &RowVersion{
+		ID:         op.Ref,
+		Data:       op.Row,
+		Xmin:       r.xid,
+		CreatorBlk: block,
+		DeleterBlk: NoBlock,
+	}
+	t.put(v)
+	if op.Ref > t.nextRef {
+		t.nextRef = op.Ref
+	}
+	for _, ix := range t.indexes {
+		ix.tree.Insert(ix.KeyFor(v.Data), v.ID)
+	}
+	return nil
+}
+
+// replayDelete marks a version superseded during replay.
+func (s *Store) replayDelete(table string, ref uint64, xid TxID, block int64) {
+	t, err := s.Table(table)
+	if err != nil {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if v := t.version(ref); v != nil {
+		v.Xmax = xid
+		v.DeleterBlk = block
+	}
+}
+
+// logFrame appends the frame encode returns, latching the first failure.
+// Without a log — a store from NewStore, or one closed — it does nothing
+// and encode is not called.
+func (s *Store) logFrame(encode func() []byte) {
+	s.logMu.Lock()
+	defer s.logMu.Unlock()
+	if s.log == nil {
+		return
+	}
+	if err := s.log.AppendRaw(encode()); err != nil && s.logErr == nil {
+		s.logErr = err
+	}
+}
+
+// MarkDurable is the durability point for everything committed at or
+// below block h: the seal stage calls it once per block, off the commit
+// critical path. It logs the new durable height and fsyncs, flushing
+// every commit frame of the block with it; without a log it does
+// nothing. The in-memory height was already bumped by SetHeight at the
+// commit stage; blocks between the two are the crash window that
+// recovery re-processes from the block store (§3.6). A log write or sync
+// failure here is unrecoverable — continuing would acknowledge blocks
+// that are not durable — so, like PostgreSQL on a WAL write failure, the
+// node panics and relies on crash recovery.
+func (s *Store) MarkDurable(h int64) {
+	s.logMu.Lock()
+	defer s.logMu.Unlock()
+	if s.log != nil {
+		e := codec.NewBuf(16)
+		e.Byte(opHeight)
+		e.Varint(h)
+		if err := s.log.AppendRaw(e.Bytes()); err != nil && s.logErr == nil {
+			s.logErr = err
+		}
+		if err := s.log.Sync(); err != nil && s.logErr == nil {
+			s.logErr = err
+		}
+	}
+	if s.logErr != nil {
+		panic(fmt.Sprintf("storage: disk WAL write failed, cannot guarantee durability of block %d: %v", h, s.logErr))
+	}
+}
+
+// Close syncs and closes the log, if there is one. The in-memory state
+// stays readable; later writes are not logged.
+func (s *Store) Close() error {
+	s.logMu.Lock()
+	defer s.logMu.Unlock()
+	if s.log == nil {
+		return nil
+	}
+	err1 := s.log.Sync()
+	err2 := s.log.Close()
+	s.log = nil
 	if err1 != nil {
 		return err1
 	}
 	return err2
 }
 
-// --- frame encoding helpers ----------------------------------------------------
+// --- frame encoding ------------------------------------------------------------
 
 func encodeCreateTable(at int64, schema Schema) []byte {
 	e := codec.NewBuf(128)
@@ -423,48 +432,41 @@ func encodeCreateIndex(at int64, table, name string, cols []int, unique bool) []
 	return e.Bytes()
 }
 
-// --- replay application (package-internal) -------------------------------------
-
-// replayInsert installs an already-committed version during WAL replay:
-// explicit heap ref, row data, synthetic transaction id, creator block
-// stamp. Index entries are maintained; uniqueness was validated
-// before the original commit and is not re-checked.
-func (s *Store) replayInsert(table string, ref uint64, row types.Row, xid TxID, block int64) {
-	t, err := s.Table(table)
-	if err != nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.version(ref) != nil {
-		return
-	}
-	v := &RowVersion{
-		ID:         ref,
-		Data:       row,
-		Xmin:       xid,
-		CreatorBlk: block,
-		DeleterBlk: NoBlock,
-	}
-	t.put(v)
-	if ref > t.nextRef {
-		t.nextRef = ref
-	}
-	for _, ix := range t.indexes {
-		ix.tree.Insert(ix.KeyFor(v.Data), v.ID)
-	}
+func encodeDropTable(at int64, name string) []byte {
+	e := codec.NewBuf(32)
+	e.Byte(opDropTable)
+	e.Varint(at)
+	e.String(name)
+	return e.Bytes()
 }
 
-// replayDelete marks a version superseded during WAL replay.
-func (s *Store) replayDelete(table string, ref uint64, xid TxID, block int64) {
-	t, err := s.Table(table)
-	if err != nil {
-		return
+// encodeCommit is the commit frame of rec at block, built from the
+// commit-time capture: every inserted version that outlived the commit
+// (with its row data) and every superseded version reference. Using
+// rec.Capture avoids re-reading the store per row on the commit critical
+// path.
+func encodeCommit(rec *TxRecord, block int64) []byte {
+	e := codec.NewBuf(512)
+	e.Byte(opCommit)
+	e.Varint(block)
+	e.Uvarint(uint64(len(rec.Capture.Inserted)))
+	for _, op := range rec.Capture.Inserted {
+		e.String(op.Table)
+		e.Uvarint(op.Ref)
+		e.Row(op.Row)
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if v := t.version(ref); v != nil {
-		v.Xmax = xid
-		v.DeleterBlk = block
+	e.Uvarint(uint64(len(rec.DeletedOld)))
+	for _, ir := range rec.DeletedOld {
+		e.String(ir.Table)
+		e.Uvarint(ir.Ref)
 	}
+	return e.Bytes()
+}
+
+func encodeVacuum(at, horizon int64) []byte {
+	e := codec.NewBuf(16)
+	e.Byte(opVacuum)
+	e.Varint(at)
+	e.Varint(horizon)
+	return e.Bytes()
 }

@@ -1,12 +1,15 @@
 package storage
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
+	"bcrdb/internal/codec"
 	"bcrdb/internal/index"
 	"bcrdb/internal/types"
 	"bcrdb/internal/wal"
@@ -14,12 +17,12 @@ import (
 
 // setHeightDurable bumps the committed height and marks it durable — the
 // two calls the node's commit and seal stages issue respectively.
-func setHeightDurable(s Backend, h int64) {
+func setHeightDurable(s *Store, h int64) {
 	s.SetHeight(h)
 	s.MarkDurable(h)
 }
 
-func openDiskT(t *testing.T, path string) *DiskStore {
+func openDiskT(t *testing.T, path string) *Store {
 	t.Helper()
 	d, err := OpenDisk(path)
 	if err != nil {
@@ -32,7 +35,7 @@ func openDiskT(t *testing.T, path string) *DiskStore {
 // updates, deletes over blocks 1..5 — to any backend, so a disk store
 // can be compared against an "always-up" in-memory peer. It returns the
 // final height.
-func driveHistory(t *testing.T, s Backend) int64 {
+func driveHistory(t testing.TB, s *Store) int64 {
 	t.Helper()
 	if err := s.CreateTable(testSchema("t")); err != nil {
 		t.Fatal(err)
@@ -218,7 +221,7 @@ func TestDiskBackendCrashMidBlock(t *testing.T) {
 	}
 }
 
-func countVisible(t *testing.T, s Backend, h int64) int {
+func countVisible(t *testing.T, s *Store, h int64) int {
 	t.Helper()
 	n, err := s.CountVisible("t", h)
 	if err != nil {
@@ -367,7 +370,7 @@ func TestDiskRestartOverHeapHoles(t *testing.T) {
 		hashes   [][32]byte
 		scans    []string
 	}
-	take := func(s Backend) snapshot {
+	take := func(s *Store) snapshot {
 		var sn snapshot
 		sn.versions, _ = s.CountVersions("t")
 		for hh := int64(0); hh <= h; hh++ {
@@ -405,5 +408,88 @@ func TestDiskRestartOverHeapHoles(t *testing.T) {
 	v := insertCommitted(t, d2, "t", row(200, "post", 0), h+1)
 	if v.ID <= uint64(1100) {
 		t.Fatalf("post-restart version got ref %d", v.ID)
+	}
+}
+
+// writeLog writes payloads as the frames of a fresh log and returns its
+// path and bytes.
+func writeLog(tb testing.TB, payloads ...[]byte) (string, []byte) {
+	tb.Helper()
+	path := filepath.Join(tb.TempDir(), "store.wal")
+	lg, err := wal.Open(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, p := range payloads {
+		if err := lg.AppendRaw(p); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := lg.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return path, data
+}
+
+// TestDiskBackendRefusesOutOfRangeFrames: a frame that passes its
+// checksums can still carry any number. A count is never trusted to size
+// an allocation, and a heap ref, a row or an index column that does not
+// fit the table is refused. Each log is refused by an error naming the
+// file, and the file is left as found.
+func TestDiskBackendRefusesOutOfRangeFrames(t *testing.T) {
+	frame := func(kind byte, fill func(e *codec.Buf)) []byte {
+		e := codec.NewBuf(64)
+		e.Byte(kind)
+		fill(e)
+		return e.Bytes()
+	}
+	insert := func(ref uint64, r types.Row) []byte {
+		return frame(opCommit, func(e *codec.Buf) {
+			e.Varint(1)
+			e.Uvarint(1)
+			e.String("t")
+			e.Uvarint(ref)
+			e.Row(r)
+			e.Uvarint(0)
+		})
+	}
+	height := frame(opHeight, func(e *codec.Buf) { e.Varint(1) })
+	for _, tc := range []struct {
+		name  string
+		frame []byte
+	}{
+		{"commit of 1<<62 inserts", frame(opCommit, func(e *codec.Buf) { e.Varint(1); e.Uvarint(1 << 62) })},
+		{"commit of 1<<62 deletes", frame(opCommit, func(e *codec.Buf) { e.Varint(1); e.Uvarint(0); e.Uvarint(1 << 62) })},
+		{"index of 1<<62 columns", frame(opCreateIndex, func(e *codec.Buf) { e.Varint(0); e.String("t"); e.String("ix"); e.Uvarint(1 << 62) })},
+		{"heap ref 1<<40", insert(1<<40, row(1, "a", 1))},
+		{"heap ref 0", insert(0, row(1, "a", 1))},
+		{"row of one value", insert(1, types.Row{types.NewInt(1)})},
+		{"index on column 7", encodeCreateIndex(0, "t", "ix", []int{7}, false)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path, before := writeLog(t, encodeCreateTable(0, testSchema("t")), tc.frame, height)
+			var err error
+			func() {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Fatalf("OpenDisk panicked: %v", p)
+					}
+				}()
+				s, oerr := OpenDisk(path)
+				if err = oerr; err == nil {
+					s.Close()
+				}
+			}()
+			if err == nil || !strings.Contains(err.Error(), path) {
+				t.Fatalf("OpenDisk = %v, want an error naming %s", err, path)
+			}
+			if after, _ := os.ReadFile(path); !bytes.Equal(after, before) {
+				t.Fatalf("refused (%v), but the file changed from %d to %d bytes", err, len(before), len(after))
+			}
+		})
 	}
 }

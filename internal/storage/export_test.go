@@ -34,7 +34,7 @@ func (s *Store) scanFullWalk(table, ixName string, rng index.Range, self TxID, h
 }
 
 // getVersion returns the version with the given heap ref, or nil.
-func getVersion(s Backend, table string, ref uint64) *RowVersion {
+func getVersion(s *Store, table string, ref uint64) *RowVersion {
 	t, err := s.Table(table)
 	if err != nil {
 		return nil

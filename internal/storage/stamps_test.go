@@ -44,7 +44,7 @@ func TestStoreRetainsNothingPerTransaction(t *testing.T) {
 // The abort must change nothing: the committed versions carry a block
 // stamp, and AbortTx drops only provisional ones.
 func TestAbortAfterCommitKeepsVersions(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, s Backend) {
+	forEachBackend(t, func(t *testing.T, s *Store) {
 		if err := s.CreateTable(testSchema("t")); err != nil {
 			t.Fatal(err)
 		}

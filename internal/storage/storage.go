@@ -16,11 +16,10 @@
 // replica regardless of scheduling. A table's versions sit in an array by
 // heap ref, and a read of a unique key stops at its newest visible version.
 //
-// The store is pluggable behind the Backend interface (backend.go): the
-// in-memory *Store here is the reference implementation and the default;
-// *DiskStore (disk.go) adds durability by append-ahead-logging committed
-// mutations through internal/wal and restoring state by WAL replay on
-// startup. See README.md in this package and docs/adr/0001-storage-backends.md.
+// There is one store type. A store from NewStore lives in memory only;
+// one from OpenDisk (disk.go) also appends every committed mutation to a
+// log through internal/wal and is restored from it by replay on startup.
+// See README.md in this package and docs/adr/0001-storage-backends.md.
 package storage
 
 import (
@@ -32,6 +31,7 @@ import (
 	"bcrdb/internal/codec"
 	"bcrdb/internal/index"
 	"bcrdb/internal/types"
+	"bcrdb/internal/wal"
 )
 
 // TxID is a node-local transaction identifier (the PostgreSQL xid
@@ -210,7 +210,8 @@ func (r *TxRecord) HasWrites() bool {
 	return len(r.Inserted) > 0 || len(r.DeletedOld) > 0
 }
 
-// Store is one node's database: catalog, heaps and indexes. A version's
+// Store is one node's database: catalog, heaps and indexes, and, when
+// opened with OpenDisk, the log that makes them durable. A version's
 // block stamps are the only commit record.
 //
 // The catalog is copy-on-write: readers resolve tables through one
@@ -230,6 +231,12 @@ type Store struct {
 	// cached plan (a stale plan could keep scanning a dropped index or miss
 	// a better new one).
 	epoch atomic.Uint64
+
+	// The log (disk.go): CreateTable, DropTable, CreateIndex, CommitTx,
+	// Vacuum and MarkDurable append their frames to it.
+	logMu  sync.Mutex // guards log and logErr, and orders appends and syncs
+	log    *wal.Log   // nil: in memory only, or closed
+	logErr error      // first append or sync failure; latched
 }
 
 // Sentinel errors surfaced to the engine.
@@ -340,7 +347,7 @@ func (s *Store) IndexKeys(table string, ref uint64) map[string]types.Key {
 //
 // Vacuum must not run concurrently with block processing of blocks at or
 // below the horizon; callers pass a horizon safely below the committed
-// height.
+// height. The horizon is logged, so replay re-applies the same pruning.
 func (s *Store) Vacuum(horizon int64) int {
 	removed := 0
 	for _, name := range s.TableNames() {
@@ -357,6 +364,7 @@ func (s *Store) Vacuum(horizon int64) int {
 		}
 		t.mu.Unlock()
 	}
+	s.logFrame(func() []byte { return encodeVacuum(s.Height(), horizon) })
 	return removed
 }
 

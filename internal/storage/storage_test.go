@@ -35,7 +35,7 @@ func row(id int64, val string, amt float64) types.Row {
 }
 
 // insertCommitted inserts a row and commits it at the given block.
-func insertCommitted(t *testing.T, s Backend, table string, r types.Row, block int64) *RowVersion {
+func insertCommitted(t *testing.T, s *Store, table string, r types.Row, block int64) *RowVersion {
 	t.Helper()
 	rec := NewTxRecord(s.BeginTx(), s.Height())
 	v, err := s.Insert(rec, table, r)
@@ -50,7 +50,7 @@ func insertCommitted(t *testing.T, s Backend, table string, r types.Row, block i
 	return v
 }
 
-func scanAll(t *testing.T, s Backend, table string, self TxID, height int64, mode ScanMode) []types.Row {
+func scanAll(t *testing.T, s *Store, table string, self TxID, height int64, mode ScanMode) []types.Row {
 	t.Helper()
 	tab, err := s.Table(table)
 	if err != nil {
@@ -450,7 +450,7 @@ func TestValidationErrorMessage(t *testing.T) {
 func TestCreateUniqueIndexRefusesCollisions(t *testing.T) {
 	// commit runs one transaction in its own block: it supersedes the
 	// versions del and inserts rows.
-	commit := func(s Backend, block int64, del []*RowVersion, rows ...types.Row) []*RowVersion {
+	commit := func(s *Store, block int64, del []*RowVersion, rows ...types.Row) []*RowVersion {
 		rec := NewTxRecord(s.BeginTx(), block-1)
 		for _, v := range del {
 			if err := s.MarkDelete(rec, "t", v.ID); err != nil {
@@ -471,31 +471,31 @@ func TestCreateUniqueIndexRefusesCollisions(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name    string
-		history func(s Backend) *TxRecord // returns a transaction left in flight, or nil
+		history func(s *Store) *TxRecord // returns a transaction left in flight, or nil
 		cols    []int
 		ok      bool
 	}{
-		{"live collision", func(s Backend) *TxRecord {
+		{"live collision", func(s *Store) *TxRecord {
 			commit(s, 1, nil, row(1, "a", 0), row(2, "a", 1))
 			return nil
 		}, []int{1}, false},
-		{"collision in history only", func(s Backend) *TxRecord {
+		{"collision in history only", func(s *Store) *TxRecord {
 			one := commit(s, 1, nil, row(1, "a", 0))
 			two := commit(s, 2, nil, row(2, "a", 0))
 			commit(s, 3, append(one, two...), row(1, "b", 0))
 			return nil
 		}, []int{1}, false},
-		{"composite collision", func(s Backend) *TxRecord {
+		{"composite collision", func(s *Store) *TxRecord {
 			commit(s, 1, nil, row(1, "a", 7), row(2, "a", 7), row(3, "a", 8))
 			return nil
 		}, []int{1, 2}, false},
-		{"disjoint lifetimes", func(s Backend) *TxRecord {
+		{"disjoint lifetimes", func(s *Store) *TxRecord {
 			one := commit(s, 1, nil, row(1, "a", 0))
 			commit(s, 2, one, row(1, "b", 0))
 			commit(s, 3, nil, row(2, "a", 0))
 			return nil
 		}, []int{1}, true},
-		{"handed over inside one block", func(s Backend) *TxRecord {
+		{"handed over inside one block", func(s *Store) *TxRecord {
 			one := commit(s, 1, nil, row(1, "a", 0))
 			rec := NewTxRecord(s.BeginTx(), 1)
 			if err := s.MarkDelete(rec, "t", one[0].ID); err != nil {
@@ -505,11 +505,11 @@ func TestCreateUniqueIndexRefusesCollisions(t *testing.T) {
 			commit(s, 2, nil, row(2, "a", 0))
 			return nil
 		}, []int{1}, true},
-		{"composite without collision", func(s Backend) *TxRecord {
+		{"composite without collision", func(s *Store) *TxRecord {
 			commit(s, 1, nil, row(1, "a", 7), row(2, "a", 8))
 			return nil
 		}, []int{1, 2}, true},
-		{"provisional duplicate", func(s Backend) *TxRecord {
+		{"provisional duplicate", func(s *Store) *TxRecord {
 			commit(s, 1, nil, row(1, "a", 0))
 			rec := NewTxRecord(s.BeginTx(), 1)
 			if _, err := s.Insert(rec, "t", row(2, "a", 0)); err != nil {
@@ -519,7 +519,7 @@ func TestCreateUniqueIndexRefusesCollisions(t *testing.T) {
 		}, []int{1}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			forEachBackend(t, func(t *testing.T, s Backend) {
+			forEachBackend(t, func(t *testing.T, s *Store) {
 				if err := s.CreateTable(testSchema("t")); err != nil {
 					t.Fatal(err)
 				}

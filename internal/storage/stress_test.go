@@ -13,7 +13,7 @@ import (
 // forEachBackend runs a test body against every storage backend, so the
 // concurrency stress below audits both the in-memory store and the
 // WAL-logging disk store.
-func forEachBackend(t *testing.T, fn func(t *testing.T, s Backend)) {
+func forEachBackend(t *testing.T, fn func(t *testing.T, s *Store)) {
 	t.Run("memory", func(t *testing.T) { fn(t, NewStore()) })
 	t.Run("disk", func(t *testing.T) {
 		d, err := OpenDisk(filepath.Join(t.TempDir(), "store.wal"))
@@ -33,7 +33,7 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 	forEachBackend(t, runConcurrentStress)
 }
 
-func runConcurrentStress(t *testing.T, s Backend) {
+func runConcurrentStress(t *testing.T, s *Store) {
 	if err := s.CreateTable(testSchema("t")); err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func runConcurrentStress(t *testing.T, s Backend) {
 // never a row twice, never a row missing, never half a transaction. With
 // -race it also audits the stamp reads against the committer's writes.
 func TestSnapshotReadsDuringCommits(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, s Backend) {
+	forEachBackend(t, func(t *testing.T, s *Store) {
 		const (
 			rows    = 64
 			perTx   = 8 // rows superseded per block, each gaining 1.0
@@ -207,7 +207,7 @@ func TestStripedStoreDisjointTables(t *testing.T) {
 	forEachBackend(t, runStripedStress)
 }
 
-func runStripedStress(t *testing.T, s Backend) {
+func runStripedStress(t *testing.T, s *Store) {
 	const (
 		tables = 6
 		rounds = 60

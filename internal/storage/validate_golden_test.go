@@ -45,7 +45,7 @@ func goldenRow(id, bal int64) types.Row {
 // way the engine does: scans note their range and every row they return,
 // and skip versions the transaction itself superseded.
 type goldenTx struct {
-	s   Backend
+	s   *Store
 	rec *TxRecord
 }
 
@@ -87,7 +87,7 @@ func (g goldenTx) update(id, delta int64) error {
 // failing record names depends on map order, so a stale-read verdict is
 // rendered as Validate's text for the lowest stale read alone plus the
 // count of stale reads — every string is still Validate's own output.
-func goldenVerdict(s Backend, rec *TxRecord, current int64) string {
+func goldenVerdict(s *Store, rec *TxRecord, current int64) string {
 	err := s.Validate(rec, current)
 	var ve *ValidationError
 	if err == nil {
@@ -118,7 +118,7 @@ func goldenVerdict(s Backend, rec *TxRecord, current int64) string {
 // when set, is called after the build-up and returns the backend to
 // continue on (the disk leg restarts there, so the random phase validates
 // against replayed versions).
-func runValidateHistory(t *testing.T, s Backend, reopen func() Backend) []string {
+func runValidateHistory(t *testing.T, s *Store, reopen func() *Store) []string {
 	t.Helper()
 	schema := Schema{
 		Name: "acct",
@@ -280,7 +280,7 @@ func TestValidateGolden(t *testing.T) {
 
 	path := filepath.Join(t.TempDir(), "store.wal")
 	d := openDiskT(t, path)
-	got = runValidateHistory(t, d, func() Backend {
+	got = runValidateHistory(t, d, func() *Store {
 		if err := d.Close(); err != nil {
 			t.Fatal(err)
 		}

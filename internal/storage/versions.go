@@ -265,7 +265,8 @@ func (s *Store) lockTables(refs ...[]ItemRef) (tabs map[string]*Table, unlock fu
 //
 // Index maintenance is batched: every table a transaction touched is
 // locked once and all of its row updates applied in that one critical
-// section, instead of a lock round-trip per row.
+// section, instead of a lock round-trip per row. A transaction that wrote
+// something is then logged, when the store has a log (encodeCommit).
 func (s *Store) CommitTx(rec *TxRecord, block int64) {
 	// Reuse the capture a pooled record brought along (see arena.go);
 	// fresh records allocate one here.
@@ -307,6 +308,9 @@ func (s *Store) CommitTx(rec *TxRecord, block int64) {
 		unlock()
 	}
 	rec.Capture = cap
+	if rec.HasWrites() {
+		s.logFrame(func() []byte { return encodeCommit(rec, block) })
+	}
 }
 
 // AbortTx discards rec's provisional versions. Versions that carry a

@@ -19,8 +19,9 @@ const timelinePath = "testdata/chaos_timeline_seed42.json"
 // spikes, node/orderer crashes and partitions, every invocation must
 // reach a terminal state in the replicated ledger (client give-ups are
 // reconciled against the converged chain after the drain) and the
-// replicas must converge once faults heal. A failure reproduces by
-// rerunning the same seed (the timeline is in the error message).
+// replicas must converge once faults heal. Rerunning the same seed
+// replays the same crash and partition timeline (it is in the error
+// message); the link faults beside it differ from run to run.
 
 func TestChaosSoakMemory(t *testing.T) {
 	res, err := RunChaos(ChaosConfig{Contract: Simple, Duration: 2500 * time.Millisecond, Seed: 42})

@@ -319,16 +319,6 @@ func NewNetwork(opts Options) (*Network, error) {
 
 	genesis := core.Genesis{Certs: certs, SQL: opts.Genesis.SQL, Contracts: opts.Genesis.Contracts}
 
-	backend, err := storage.ParseKind(opts.Backend)
-	if err != nil {
-		nw.Close()
-		return nil, err
-	}
-	if backend == storage.KindDisk && opts.DataDir == "" {
-		nw.Close()
-		return nil, errors.New("bcrdb: the disk storage backend requires Options.DataDir")
-	}
-
 	// Database nodes.
 	for i, org := range opts.Orgs {
 		if !localNode(i) {
@@ -345,7 +335,7 @@ func NewNetwork(opts Options) (*Network, error) {
 			FailoverTimeout:  opts.FailoverTimeout,
 			AntiEntropyEvery: opts.AntiEntropyEvery,
 			CheckpointEvery:  opts.CheckpointEvery,
-			Backend:          backend,
+			Backend:          storage.Kind(opts.Backend),
 		}
 		if opts.DataDir != "" {
 			cfg.DataDir = filepath.Join(opts.DataDir, org.Name)

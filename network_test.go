@@ -242,6 +242,32 @@ func TestClientPrivateSchema(t *testing.T) {
 	}
 }
 
+// TestNetworkRefusesBadBackend: a backend the network cannot give its
+// nodes is refused before it serves anything, with an error that names
+// the problem.
+func TestNetworkRefusesBadBackend(t *testing.T) {
+	for _, tc := range []struct {
+		backend, dataDir string
+		want             []string
+	}{
+		{"disk", "", []string{"disk backend", "data dir"}},
+		{"tape", t.TempDir(), []string{`unknown backend "tape"`}},
+	} {
+		opts := demoOptions(OrderThenExecute)
+		opts.Backend, opts.DataDir = tc.backend, tc.dataDir
+		nw, err := NewNetwork(opts)
+		if err == nil {
+			nw.Close()
+			t.Fatalf("backend %q, data dir %q: no error", tc.backend, tc.dataDir)
+		}
+		for _, w := range tc.want {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("backend %q, data dir %q: %v does not say %q", tc.backend, tc.dataDir, err, w)
+			}
+		}
+	}
+}
+
 func TestUnknownUserPanics(t *testing.T) {
 	nw, err := NewNetwork(demoOptions(OrderThenExecute))
 	if err != nil {

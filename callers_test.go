@@ -40,6 +40,9 @@ import (
 	"testing"
 )
 
+// allowlistCap bounds callerAllowlist; it only ever goes down.
+const allowlistCap = 5
+
 // callerAllowlist names what the rules would delete but the product keeps,
 // keyed as the failure message prints it.
 var callerAllowlist = map[string]string{
@@ -48,7 +51,6 @@ var callerAllowlist = map[string]string{
 	"core.Node.Alerts":              "§3.5 detection: the checkpoint mismatches a node observed",
 	"core.Node.Vacuum":              "version pruning, until the memory item's horizon replaces it",
 	"bcrdb.Options.CheckpointEvery": "§3.3.4: checkpoints cover a preconfigured number of blocks",
-	"bcrdb.Options.Ordering":        "selects §4.4's BFT ordering service instead of Kafka",
 }
 
 // satisfiedStd are the standard-library interfaces, besides error, whose
@@ -554,7 +556,7 @@ func TestEveryNameHasAProductionCaller(t *testing.T) {
 			t.Errorf("allowlist entry %s excuses nothing any more: remove it", key)
 		}
 	}
-	if n := len(callerAllowlist); n > 6 {
-		t.Errorf("allowlist holds %d entries; at most 6 may bypass the caller rule", n)
+	if n := len(callerAllowlist); n > allowlistCap {
+		t.Errorf("allowlist holds %d entries; at most %d may bypass the caller rule", n, allowlistCap)
 	}
 }

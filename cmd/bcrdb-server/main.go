@@ -125,8 +125,11 @@ func main() {
 }
 
 func options(cf clusterFile) bcrdb.Options {
+	// BFT orderers, which no org has to trust: with Kafka one process
+	// would host the sequencer every other org relies on.
 	opts := bcrdb.Options{
 		Flow:           bcrdb.ExecuteOrder,
+		Ordering:       bcrdb.OrderingBFT,
 		BlockSize:      cf.BlockSize,
 		BlockTimeout:   time.Duration(cf.BlockTimeoutMs) * time.Millisecond,
 		IdentitySecret: cf.IdentitySecret,

@@ -27,6 +27,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -172,6 +173,9 @@ type Node struct {
 	ledger *ledgerView
 
 	ep *simnet.Endpoint
+	// ordOffset is this node's place in cfg.Peers: it shifts the orderer
+	// an execute-order submission is forwarded to (onSubmit).
+	ordOffset uint32
 
 	// Execution registry (TxMetadata).
 	execMu    sync.Mutex
@@ -293,6 +297,7 @@ func NewNode(cfg Config, signer *identity.Signer, netReg *identity.Registry, net
 		sealAbort:  make(chan struct{}),
 		stopped:    make(chan struct{}),
 		diskBacked: cfg.Backend == storage.KindDisk,
+		ordOffset:  uint32(max(slices.Index(cfg.Peers, cfg.Name), 0)),
 	}
 	n.execQ = newExecQueue(st.Height)
 	for i, o := range cfg.Orderers {

@@ -42,9 +42,11 @@ func (n *Node) onSubmit(m simnet.Message, fresh bool) {
 			}
 		}
 		if len(n.cfg.Orderers) > 0 {
-			// The orderer a client's attempt 0 picks under order-then-
-			// execute (transport.Route), so the id reaches one cutter first.
-			target := n.cfg.Orderers[ordering.FNV1a(tx.ID)%uint32(len(n.cfg.Orderers))]
+			// The orderer a client's attempt k picks under order-then-
+			// execute (transport.Route) when this node is the ring's k-th,
+			// so a client's retry to the next node reaches the next orderer.
+			nOrd := uint32(len(n.cfg.Orderers))
+			target := n.cfg.Orderers[(ordering.FNV1a(tx.ID)%nOrd+n.ordOffset)%nOrd]
 			_ = n.ep.Send(target, ordering.KindSubmit, m.Payload)
 		}
 	}

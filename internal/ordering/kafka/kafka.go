@@ -7,7 +7,9 @@
 // Substitution note (docs/adr/0010-substitutions.md): the real system trusts the Kafka cluster
 // to order and retain messages across orderer crashes; Topic provides
 // exactly those guarantees. Orderer nodes remain untrusted by peers —
-// each signs the blocks it delivers.
+// each signs the blocks it delivers. The topic never leaves its process:
+// a multi-process cluster has no party every org trusts to host it, so
+// cluster mode orders with BFT (internal/ordering/bft) instead.
 package kafka
 
 import (
@@ -85,7 +87,7 @@ func (t *Topic) publish(r record) {
 // connected peers.
 type Orderer struct {
 	name  string
-	topic TopicRef
+	topic *Topic
 	cfg   ordering.Config
 	ep    *simnet.Endpoint
 	dlv   *ordering.Delivery
@@ -98,11 +100,10 @@ type Orderer struct {
 	subID   int
 }
 
-// NewOrderer creates and starts an orderer node attached to the topic —
-// the in-process *Topic, or a *TopicClient reaching a topic hosted in
-// another process. peers are the endpoint names this orderer delivers
-// blocks to.
-func NewOrderer(name string, signer *identity.Signer, topic TopicRef, net *simnet.Network, peers []string, cfg ordering.Config) (*Orderer, error) {
+// NewOrderer creates and starts an orderer node attached to the topic,
+// which lives in the orderer's own process. peers are the endpoint names
+// this orderer delivers blocks to.
+func NewOrderer(name string, signer *identity.Signer, topic *Topic, net *simnet.Network, peers []string, cfg ordering.Config) (*Orderer, error) {
 	o := &Orderer{
 		name:   name,
 		topic:  topic,

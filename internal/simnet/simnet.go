@@ -222,9 +222,6 @@ func (ep *Endpoint) Unregister() {
 	ep.net.mu.Unlock()
 }
 
-// Name returns the endpoint's address.
-func (ep *Endpoint) Name() string { return ep.name }
-
 // Stop makes the endpoint drop all future traffic (crash simulation).
 func (ep *Endpoint) Stop() { ep.stopped.Store(true) }
 

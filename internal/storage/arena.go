@@ -13,8 +13,7 @@ import "sync"
 // Safety rules for callers of ReleaseTxRecord:
 //
 //   - no reference to the record, its read/write sets or its Capture may
-//     survive the release (the node skips release entirely when history
-//     retention aliases the read sets);
+//     survive the release;
 //   - a record shared by several block entries (a malicious block can
 //     repeat a transaction) must be released once.
 //

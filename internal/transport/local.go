@@ -29,8 +29,10 @@ type Route struct {
 // Execute-order: the connected node validates and forwards (§3.2), and
 // each retry moves one node along the ring. Order-then-execute: clients
 // talk straight to the ordering service (§3.3) — attempt 0 goes to the
-// orderer owning the id's hash, the one a peer's forward picks too, and
-// each retry to the next orderer, so a silent one is walked past.
+// orderer owning the id's hash and each retry to the next orderer, so a
+// silent one is walked past. A node forwards an execute-order submission
+// to the orderer this route's attempt k picks, k its place in the node
+// ring, so an execute-order retry walks the orderers too.
 //
 // attempt is not negative; it is reduced before it is added, so no value
 // a request can carry overflows the index.

@@ -11,58 +11,51 @@ import (
 // RelayPool ships fabric messages to the processes hosting their
 // destination endpoints. It is installed as the simnet Gateway of a
 // cluster-mode process: a message addressed to an endpoint that is not
-// registered locally is matched to a peer process by endpoint-name
-// prefix and POSTed to that peer's /v1/relay.
+// registered locally goes to the peer process that declared that
+// endpoint name, POSTed to its /v1/relay.
 //
 // Each destination gets one ordered queue drained by one sender
 // goroutine — simnet links are FIFO and the relay must not reorder what
-// the fabric guarantees (topic records, block delivery). Delivery is
+// the fabric guarantees (block delivery, consensus votes). Delivery is
 // best-effort: a full queue or failed POST is a dropped packet,
 // which the self-healing layer (anti-entropy catch-up, client retry)
 // recovers from, exactly as it does for injected link faults.
 type RelayPool struct {
-	routes []relayRoute
+	owners map[string]*HTTPClient // endpoint name → its process's client
 	mu     sync.Mutex
 	queues map[string]chan simnet.Message
 	done   chan struct{}
 	wg     sync.WaitGroup
 }
 
-type relayRoute struct {
-	prefixes []string // endpoint-name prefixes owned by the peer
-	client   *HTTPClient
-}
-
-// NewRelayPool builds a pool from peer base URLs keyed by a route name.
-// AddRoute attaches the endpoint prefixes each peer owns.
+// NewRelayPool returns a pool with no routes; AddRoute adds them.
 func NewRelayPool() *RelayPool {
 	return &RelayPool{
+		owners: make(map[string]*HTTPClient),
 		queues: make(map[string]chan simnet.Message),
 		done:   make(chan struct{}),
 	}
 }
 
-// AddRoute declares that endpoints matching any of the prefixes live in
-// the process at baseURL.
-func (p *RelayPool) AddRoute(baseURL string, prefixes ...string) {
-	p.routes = append(p.routes, relayRoute{
-		prefixes: append([]string(nil), prefixes...),
-		client:   Dial(baseURL),
-	})
+// AddRoute declares that the named endpoints live in the process at
+// baseURL. Add every route before installing the Gateway, which reads
+// them without a lock.
+func (p *RelayPool) AddRoute(baseURL string, endpoints ...string) {
+	c := Dial(baseURL)
+	for _, name := range endpoints {
+		p.owners[name] = c
+	}
 }
 
 // Gateway returns the function to install via simnet.SetGateway.
 func (p *RelayPool) Gateway() simnet.Gateway {
 	return func(msg simnet.Message) error {
-		for _, rt := range p.routes {
-			for _, pre := range rt.prefixes {
-				if routeMatch(msg.To, pre) {
-					p.enqueue(rt.client, msg)
-					return nil
-				}
-			}
+		c, ok := p.owners[msg.To]
+		if !ok {
+			return simnet.ErrUnknownPeer
 		}
-		return simnet.ErrUnknownPeer
+		p.enqueue(c, msg)
+		return nil
 	}
 }
 
@@ -113,17 +106,7 @@ func (p *RelayPool) Close() {
 	}
 	p.mu.Unlock()
 	p.wg.Wait()
-	for _, rt := range p.routes {
-		_ = rt.client.Close()
+	for _, c := range p.owners {
+		_ = c.Close() // idempotent; a process hosting several endpoints repeats it
 	}
-}
-
-// routeMatch matches an endpoint name against a route entry: exact, or
-// a dot-separated extension ("orderer2" owns "orderer2.seq" but not
-// "orderer20" — plain prefix matching would misroute that).
-func routeMatch(name, route string) bool {
-	if name == route {
-		return true
-	}
-	return len(name) > len(route)+1 && name[:len(route)] == route && name[len(route)] == '.'
 }

@@ -415,22 +415,30 @@ func TestRelayInjection(t *testing.T) {
 	}
 }
 
+// TestRouteMatch: the relay sends a message to the process that declared
+// its destination's whole name; a longer or dotted name is not routed.
 func TestRouteMatch(t *testing.T) {
-	cases := []struct {
-		name, route string
-		want        bool
+	p := NewRelayPool()
+	defer p.Close()
+	p.AddRoute("http://127.0.0.1:1", "orderer2", "db.org1")
+	gw := p.Gateway()
+	for _, tc := range []struct {
+		to     string
+		routed bool
 	}{
-		{"orderer2", "orderer2", true},
-		{"orderer2.seq", "orderer2", true},
-		{"orderer20", "orderer2", false},
-		{"orderer20.seq", "orderer2", false},
-		{"db.org1", "db.org1", true},
-		{"db.org10", "db.org1", false},
-		{"kafka.seq", "kafka.seq", true},
-	}
-	for _, tc := range cases {
-		if got := routeMatch(tc.name, tc.route); got != tc.want {
-			t.Errorf("routeMatch(%q, %q) = %v, want %v", tc.name, tc.route, got, tc.want)
+		{"orderer2", true},
+		{"db.org1", true},
+		{"orderer20", false},
+		{"orderer2.seq", false},
+		{"db.org10", false},
+		{"orderer", false},
+	} {
+		err := gw(simnet.Message{From: "x", To: tc.to, Kind: "k"})
+		if tc.routed && err != nil {
+			t.Errorf("%s not routed: %v", tc.to, err)
+		}
+		if !tc.routed && !errors.Is(err, simnet.ErrUnknownPeer) {
+			t.Errorf("%s: got %v, want ErrUnknownPeer", tc.to, err)
 		}
 	}
 }

@@ -76,6 +76,7 @@ type Options struct {
 
 	// Ordering selects the ordering service; BFT runs at least 4
 	// orderer nodes, more than one per org when there are fewer orgs.
+	// Cluster mode requires OrderingBFT.
 	Ordering OrderingKind
 	// BlockSize and BlockTimeout cut blocks (default 100 transactions
 	// and 100 ms).
@@ -117,7 +118,9 @@ type Options struct {
 	// Cluster, when non-nil, makes this process run only one org's
 	// slice of the network (its database node and orderers) and reach
 	// the rest over the wire. All processes must be started with
-	// identical Options apart from Cluster.LocalOrg/Listen.
+	// identical Options apart from Cluster.LocalOrg/Listen, and with
+	// Ordering set to OrderingBFT: the orgs trust no common party, and
+	// Kafka needs one to host its sequencer.
 	Cluster *ClusterConfig
 
 	Genesis Genesis
@@ -139,9 +142,8 @@ type ClusterConfig struct {
 // Network is a running blockchain database network — the whole fabric
 // in-process, or (cluster mode) one org's slice of it.
 type Network struct {
-	opts  Options
-	net   *simnet.Network
-	topic *kafka.Topic
+	opts Options
+	net  *simnet.Network
 
 	kafkaOrds []*kafka.Orderer
 	bftOrds   []*bft.Orderer
@@ -152,10 +154,8 @@ type Network struct {
 	orderers []string                    // orderer endpoint names
 
 	// Cluster-mode wiring (nil otherwise).
-	topicHost    *kafka.TopicHost
-	topicClients []*kafka.TopicClient
-	relay        *transport.RelayPool
-	server       *transport.Server
+	relay  *transport.RelayPool
+	server *transport.Server
 
 	clientMu sync.Mutex
 	clients  map[string]*Client
@@ -186,6 +186,9 @@ func NewNetwork(opts Options) (*Network, error) {
 	if cluster != nil {
 		if opts.IdentitySecret == "" {
 			return nil, errors.New("bcrdb: cluster mode requires Options.IdentitySecret")
+		}
+		if opts.Ordering != OrderingBFT {
+			return nil, errors.New("bcrdb: cluster mode requires OrderingBFT: Kafka orders through one trusted sequencer, and no org's process may host it for the others")
 		}
 		for i, org := range opts.Orgs {
 			if org.Name == cluster.LocalOrg {
@@ -257,9 +260,6 @@ func NewNetwork(opts Options) (*Network, error) {
 				if i%len(opts.Orgs) == j {
 					owns = append(owns, ordererName(i))
 				}
-			}
-			if j == 0 {
-				owns = append(owns, kafka.TopicEndpoint)
 			}
 			pool.AddRoute(url, owns...)
 		}
@@ -360,36 +360,12 @@ func NewNetwork(opts Options) (*Network, error) {
 	cfg := ordering.Config{BlockSize: opts.BlockSize, BlockTimeout: opts.BlockTimeout}
 	switch opts.Ordering {
 	case OrderingKafka:
-		// One trusted sequencer for the whole deployment: in cluster
-		// mode org 0's process hosts it and everyone else attaches a
-		// topic client, mirroring the paper's external Kafka cluster.
-		if cluster == nil || localOrgIdx == 0 {
-			nw.topic = kafka.NewTopic()
-			if cluster != nil {
-				h, err := kafka.ServeTopic(nw.topic, nw.net)
-				if err != nil {
-					nw.Close()
-					return nil, err
-				}
-				nw.topicHost = h
-			}
-		}
+		// One trusted sequencer for the whole network, as the paper's
+		// external Kafka cluster (cluster mode, refused above, has none).
+		topic := kafka.NewTopic()
 		for i := 0; i < nOrderers; i++ {
-			if !localOrderer(i) {
-				continue
-			}
-			var topicRef kafka.TopicRef = nw.topic
-			if nw.topic == nil {
-				tc, err := kafka.DialTopic(nw.net, nw.orderers[i])
-				if err != nil {
-					nw.Close()
-					return nil, err
-				}
-				nw.topicClients = append(nw.topicClients, tc)
-				topicRef = tc
-			}
 			peers := deliveryPeers(nw.peers, i, nOrderers)
-			o, err := kafka.NewOrderer(nw.orderers[i], ordSigners[i], topicRef, nw.net, peers, cfg)
+			o, err := kafka.NewOrderer(nw.orderers[i], ordSigners[i], topic, nw.net, peers, cfg)
 			if err != nil {
 				nw.Close()
 				return nil, err
@@ -476,12 +452,6 @@ func (nw *Network) Close() {
 		}
 		for _, o := range nw.bftOrds {
 			o.Stop()
-		}
-		for _, tc := range nw.topicClients {
-			tc.Close()
-		}
-		if nw.topicHost != nil {
-			nw.topicHost.Stop()
 		}
 		for _, n := range nw.nodes {
 			n.Stop()

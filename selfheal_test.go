@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"bcrdb/internal/ordering"
 	"bcrdb/internal/simnet"
 )
 
@@ -250,5 +251,41 @@ func TestBlockLostOnEveryDeliveryLink(t *testing.T) {
 	}
 	if err := nw.VerifyConsistency(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// An execute-order client retry walks the node ring, and each node
+// forwards to the ordering service itself, offset by its place in the
+// ring: the retry walks the orderers too, so a transaction the dead
+// orderer owns commits through the next one. Alice's home is node 0,
+// whose pick is the order-then-execute route's attempt 0.
+func TestExecuteOrderRetryWalksPastDeadOrderer(t *testing.T) {
+	opts := demoOptions(ExecuteOrder)
+	opts.Retry = RetryPolicy{Attempts: 4, Timeout: time.Second, Backoff: 20 * time.Millisecond}
+	nw, err := NewNetwork(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nw.Close()
+	const dead = 1
+	nw.StopOrderer(dead)
+	orderers := uint32(len(nw.Orderers()))
+
+	alice := nw.Client("alice")
+	owned := 0 // invokes whose id the dead orderer owns
+	for i := 0; owned < 3; i++ {
+		if i == 60 {
+			t.Fatalf("only %d of 60 ids hashed to %s", owned, nw.Orderers()[dead])
+		}
+		res, err := alice.Invoke("open_account", Int(int64(9000+i)), Text("x"), Float(1))
+		if err != nil {
+			t.Fatalf("invoke %d: %v", i, err)
+		}
+		if !res.Committed {
+			t.Fatalf("invoke %d aborted: %s", i, res.Reason)
+		}
+		if ordering.FNV1a(res.ID)%orderers == dead {
+			owned++
+		}
 	}
 }

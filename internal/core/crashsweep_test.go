@@ -84,11 +84,13 @@ func viewOf(t *testing.T, n *Node) sweepView {
 		rows:   ledgerRecs(t, n, ledgerRowsQuery+` ORDER BY block, seq`),
 		alerts: n.Alerts(),
 	}
-	n.cpMu.Lock()
 	for b := uint64(1); b <= sweepBlocks; b++ {
-		v.hashes = append(v.hashes, n.ownHashes[b])
+		out, ok := n.blocks.Outcome(b)
+		if !ok {
+			t.Fatalf("%s holds no outcome of block %d", n.Name(), b)
+		}
+		v.hashes = append(v.hashes, out.WriteHash)
 	}
-	n.cpMu.Unlock()
 	return v
 }
 

@@ -1,17 +1,20 @@
 // sys_ledger — the paper's pgLedger (§4.2, §3.3.2 step 1), "all blocks'
 // transactions and their status" — is a derived table: every column of a
 // row already lives in the block (txid, username, contract, args; block,
-// seq, commit_time) or in the block's outcome record (status, local_xid),
-// so the node stores no second copy. This file is the table's provider
+// seq, commit_time), in the block's outcome in the block store (status)
+// or in what this process executed (local_xid), so the node stores no
+// second copy. This file is the table's provider
 // (storage.RegisterDerived): it builds rows on demand from the block
-// store and the outcome records the seal stage publishes, and keeps the
-// one txid → (block, seq) index, which is also the commit stage's
-// recorded-id set (§3.4.3). See docs/adr/0008-derived-ledger.md.
+// store's blocks and outcomes, and keeps the local xids the seal stage
+// publishes and the one txid → (block, seq) index, which is also the
+// commit stage's recorded-id set (§3.4.3). See
+// docs/adr/0008-derived-ledger.md.
 
 package core
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"sync"
 
@@ -78,17 +81,6 @@ type txPos struct {
 	seq   uint32
 }
 
-// blockOutcome is what a block's rows need beyond the block itself.
-// Immutable once published.
-type blockOutcome struct {
-	committed []byte // ledger.Outcome.Committed: bit i%8 of byte i/8 is position i
-	// xids holds the node-local transaction id each position executed
-	// under (0: none — the transaction failed before it got one). Nil for
-	// a block whose state was restored from disk: xids are not durable by
-	// design (§4.2), and the restored versions carry a synthetic xmin.
-	xids []storage.TxID
-}
-
 // ledgerView is the provider of sys_ledger. Three goroutine kinds share
 // it: the commit stage (consume), the sealer (publish) and queries (scan).
 type ledgerView struct {
@@ -98,13 +90,15 @@ type ledgerView struct {
 	// byID maps every transaction id a processed block carried to its
 	// first occurrence: the primary-key index, and the recorded-id set of
 	// the unique-identifier rule (§3.4.3). The commit stage adds a block's
-	// ids before the block's outcomes are published.
+	// ids before the block is sealed.
 	byID map[string]txPos
-	// outcomes[n-1] belongs to block n; its length is the last published
-	// block. A row is visible iff its block is at or below both that and
-	// the query's height.
-	outcomes []blockOutcome
-	byXid    map[storage.TxID]txPos
+	// xids[n-1] holds the node-local transaction id each position of block
+	// n executed under (0: none — the transaction failed before it got
+	// one). It is nil for a block whose state was restored from disk: xids
+	// are not durable by design (§4.2), and the restored versions carry a
+	// synthetic xmin.
+	xids  [][]storage.TxID
+	byXid map[storage.TxID]txPos
 }
 
 func newLedgerView(blocks *ledger.BlockStore) *ledgerView {
@@ -124,18 +118,18 @@ func (v *ledgerView) consume(id string, pos txPos) (dup bool) {
 	return dup
 }
 
-// publish makes block's rows visible. Blocks are published in chain
-// order, each after consume has seen all of its ids; xids is nil for a
-// block restored from disk. A block that does not follow the last
-// published one is refused: the table then ends where the gap begins.
-func (v *ledgerView) publish(block uint64, committed []byte, xids []storage.TxID) error {
-	out := blockOutcome{committed: committed, xids: xids}
+// publish records the local xids of block's positions, before the seal
+// appends the block's outcome. Blocks are published in chain order, each
+// after consume has seen all of its ids; xids is nil for a block restored
+// from disk. A block that does not follow the last published one is
+// refused, and its rows then show no local_xid.
+func (v *ledgerView) publish(block uint64, xids []storage.TxID) error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if block != uint64(len(v.outcomes))+1 {
-		return fmt.Errorf("core: %s ends at block %d: the outcomes of a later block cannot follow", ledgerTable, len(v.outcomes))
+	if block != uint64(len(v.xids))+1 {
+		return fmt.Errorf("core: %s holds the local ids of blocks 1 to %d: block %d's cannot follow", ledgerTable, len(v.xids), block)
 	}
-	v.outcomes = append(v.outcomes, out)
+	v.xids = append(v.xids, xids)
 	for i, xid := range xids {
 		if _, ok := v.byXid[xid]; xid != 0 && !ok {
 			v.byXid[xid] = txPos{block, uint32(i)}
@@ -145,29 +139,31 @@ func (v *ledgerView) publish(block uint64, committed []byte, xids []storage.TxID
 }
 
 // restore publishes a block whose state came back from disk instead of
-// from execution: its ids are consumed and its statuses read from the
-// block's outcome frame.
-func (v *ledgerView) restore(b *ledger.Block, committed []byte) error {
+// from execution: its ids are consumed, and its statuses are the outcome
+// the block store loaded from the block log.
+func (v *ledgerView) restore(b *ledger.Block) error {
 	for i, tx := range b.Txs {
 		v.consume(tx.ID, txPos{b.Number, uint32(i)})
 	}
-	return v.publish(b.Number, committed, nil)
+	return v.publish(b.Number, nil)
 }
 
-// visible returns the outcomes of the blocks a query at height may see.
-func (v *ledgerView) visible(height int64) []blockOutcome {
-	v.mu.RLock()
-	outs := v.outcomes
-	v.mu.RUnlock()
-	if height < int64(len(outs)) {
-		outs = outs[:max(height, 0)]
-	}
-	return outs
+// visible returns the newest block a query at height may see: a row is
+// visible iff its block is at or below both height and the last block
+// the block store holds an outcome of (appending the outcome is what
+// publishes a block's rows). Outcomes follow block order, so a binary
+// search finds that block.
+func (v *ledgerView) visible(height int64) uint64 {
+	h := min(uint64(max(height, 0)), v.blocks.Height())
+	return uint64(sort.Search(int(h), func(i int) bool {
+		_, ok := v.blocks.Outcome(uint64(i) + 1)
+		return !ok
+	}))
 }
 
 // scan is the table's storage.DerivedScan.
 func (v *ledgerView) scan(ixName string, rng index.Range, height int64, fn func(*storage.RowVersion) bool) error {
-	outs := v.visible(height)
+	top := v.visible(height)
 	// A point range over a key of the column's own kind is a probe; any
 	// other range on those two indexes is a filter over the whole chain.
 	var eq types.Value
@@ -177,67 +173,78 @@ func (v *ledgerView) scan(ixName string, rng index.Range, height int64, fn func(
 	}
 	switch {
 	case ixName == ledgerByTxID && eq.Kind() == types.KindString:
-		return v.scanTxID(outs, eq.Str(), fn)
+		return v.scanTxID(top, eq.Str(), fn)
 	case ixName == ledgerByXid && eq.Kind() == types.KindInt:
-		return v.scanXid(outs, storage.TxID(eq.Int()), fn)
+		return v.scanXid(top, storage.TxID(eq.Int()), fn)
 	case ixName == ledgerByBlock:
-		return v.scanBlocks(outs, rng, fn)
+		return v.scanBlocks(top, rng, fn)
 	case ixName == ledgerByTxID:
-		return v.scanAll(outs, ledgerColTxID, rng, fn)
+		return v.scanAll(top, ledgerColTxID, rng, fn)
 	case ixName == ledgerByXid:
-		return v.scanAll(outs, ledgerColLocalXid, rng, fn)
+		return v.scanAll(top, ledgerColLocalXid, rng, fn)
 	}
 	return fmt.Errorf("%w: %s.%s", storage.ErrNoSuchIndex, ledgerTable, ixName)
 }
 
 // scanTxID serves txid = id: one probe of the id index.
-func (v *ledgerView) scanTxID(outs []blockOutcome, id string, fn func(*storage.RowVersion) bool) error {
+func (v *ledgerView) scanTxID(top uint64, id string, fn func(*storage.RowVersion) bool) error {
 	v.mu.RLock()
 	pos, ok := v.byID[id]
 	v.mu.RUnlock()
 	if !ok {
 		return nil
 	}
-	return v.emitAt(outs, pos, fn)
+	return v.emitAt(top, pos, fn)
 }
 
 // scanXid serves local_xid = xid: one probe of the xid index.
-func (v *ledgerView) scanXid(outs []blockOutcome, xid storage.TxID, fn func(*storage.RowVersion) bool) error {
+func (v *ledgerView) scanXid(top uint64, xid storage.TxID, fn func(*storage.RowVersion) bool) error {
 	v.mu.RLock()
 	pos, ok := v.byXid[xid]
 	v.mu.RUnlock()
 	if !ok {
 		return nil
 	}
-	return v.emitAt(outs, pos, fn)
+	return v.emitAt(top, pos, fn)
 }
 
 // emitAt yields the row at pos if it is visible and is a row at all: a
 // later occurrence of a duplicate id executed (under an xid of its own)
 // but was not recorded.
-func (v *ledgerView) emitAt(outs []blockOutcome, pos txPos, fn func(*storage.RowVersion) bool) error {
-	if pos.block > uint64(len(outs)) {
+func (v *ledgerView) emitAt(top uint64, pos txPos, fn func(*storage.RowVersion) bool) error {
+	if pos.block > top {
 		return nil
 	}
 	b, err := v.blocks.Get(pos.block)
 	if err != nil {
 		return fmt.Errorf("core: %s: %w", ledgerTable, err)
 	}
+	out, _ := v.blocks.Outcome(pos.block) // visible: it has one
 	v.mu.RLock()
 	first := v.byID[b.Txs[pos.seq].ID] == pos
+	xids := v.xidsOf(pos.block)
 	v.mu.RUnlock()
 	if first {
-		fn(ledgerRow(b, int(pos.seq), &outs[pos.block-1]))
+		fn(ledgerRow(b, int(pos.seq), out.Committed, xids))
 	}
 	return nil
+}
+
+// xidsOf returns block n's local xids; nil when none were published.
+// Caller holds mu.
+func (v *ledgerView) xidsOf(n uint64) []storage.TxID {
+	if n > uint64(len(v.xids)) {
+		return nil
+	}
+	return v.xids[n-1]
 }
 
 // scanBlocks serves bounds on block: block n is the block store's n-th,
 // so only the blocks inside rng are touched. Integer bounds narrow the
 // walk; rng itself decides membership (exclusive bounds, and bounds of
 // other kinds, stay its business).
-func (v *ledgerView) scanBlocks(outs []blockOutcome, rng index.Range, fn func(*storage.RowVersion) bool) error {
-	lo, hi := int64(1), int64(len(outs))
+func (v *ledgerView) scanBlocks(top uint64, rng index.Range, fn func(*storage.RowVersion) bool) error {
+	lo, hi := int64(1), int64(top)
 	if b := rng.Lo; len(b) > 0 && b[0].Kind() == types.KindInt {
 		lo = max(lo, b[0].Int())
 	}
@@ -254,7 +261,7 @@ func (v *ledgerView) scanBlocks(outs []blockOutcome, rng index.Range, fn func(*s
 		if !rng.Contains(key) {
 			continue
 		}
-		if more, err := v.emitBlock(outs, uint64(n), -1, rng, fn); err != nil || !more {
+		if more, err := v.emitBlock(uint64(n), -1, rng, fn); err != nil || !more {
 			return err
 		}
 	}
@@ -263,26 +270,27 @@ func (v *ledgerView) scanBlocks(outs []blockOutcome, rng index.Range, fn func(*s
 
 // scanAll serves everything else: a walk over the visible chain, keeping
 // the rows whose value in column col lies in rng.
-func (v *ledgerView) scanAll(outs []blockOutcome, col int, rng index.Range, fn func(*storage.RowVersion) bool) error {
+func (v *ledgerView) scanAll(top uint64, col int, rng index.Range, fn func(*storage.RowVersion) bool) error {
 	if rng.Unbounded {
 		col = -1
 	}
-	for n := uint64(1); n <= uint64(len(outs)); n++ {
-		if more, err := v.emitBlock(outs, n, col, rng, fn); err != nil || !more {
+	for n := uint64(1); n <= top; n++ {
+		if more, err := v.emitBlock(n, col, rng, fn); err != nil || !more {
 			return err
 		}
 	}
 	return nil
 }
 
-// emitBlock yields the rows of block n — one per transaction id the block
-// was the first to carry — whose value in column col lies in rng (col < 0:
-// all of them). It reports whether the scan goes on.
-func (v *ledgerView) emitBlock(outs []blockOutcome, n uint64, col int, rng index.Range, fn func(*storage.RowVersion) bool) (more bool, err error) {
+// emitBlock yields the rows of visible block n — one per transaction id
+// the block was the first to carry — whose value in column col lies in rng
+// (col < 0: all of them). It reports whether the scan goes on.
+func (v *ledgerView) emitBlock(n uint64, col int, rng index.Range, fn func(*storage.RowVersion) bool) (more bool, err error) {
 	b, err := v.blocks.Get(n)
 	if err != nil {
 		return false, fmt.Errorf("core: %s: %w", ledgerTable, err)
 	}
+	out, _ := v.blocks.Outcome(n) // visible: it has one
 	// Only the first occurrence of an id has a row ("record only the
 	// first" of a duplicate): the one the id index points at.
 	first := make([]bool, len(b.Txs))
@@ -290,12 +298,13 @@ func (v *ledgerView) emitBlock(outs []blockOutcome, n uint64, col int, rng index
 	for i, tx := range b.Txs {
 		first[i] = v.byID[tx.ID] == txPos{n, uint32(i)}
 	}
+	xids := v.xidsOf(n)
 	v.mu.RUnlock()
 	for i := range b.Txs {
 		if !first[i] {
 			continue
 		}
-		row := ledgerRow(b, i, &outs[n-1])
+		row := ledgerRow(b, i, out.Committed, xids)
 		if col >= 0 && !rng.Contains(types.Key{row.Data[col]}) {
 			continue
 		}
@@ -306,18 +315,19 @@ func (v *ledgerView) emitBlock(outs []blockOutcome, n uint64, col int, rng index
 	return true, nil
 }
 
-// ledgerRow builds the row of block b's seq-th transaction. The version
-// exists from block b on and is never superseded; no storage transaction
-// created it, so its xmin is the reserved id 0.
-func ledgerRow(b *ledger.Block, seq int, out *blockOutcome) *storage.RowVersion {
+// ledgerRow builds the row of block b's seq-th transaction from the
+// block's committed bits and local xids (nil: none). The version exists
+// from block b on and is never superseded; no storage transaction created
+// it, so its xmin is the reserved id 0.
+func ledgerRow(b *ledger.Block, seq int, committed []byte, xids []storage.TxID) *storage.RowVersion {
 	tx := b.Txs[seq]
 	status := "aborted"
-	if out.committed[seq/8]&(1<<(seq%8)) != 0 {
+	if committed[seq/8]&(1<<(seq%8)) != 0 {
 		status = "committed"
 	}
 	xid := types.Null()
-	if out.xids != nil && out.xids[seq] != 0 {
-		xid = types.NewInt(int64(out.xids[seq]))
+	if xids != nil && xids[seq] != 0 {
+		xid = types.NewInt(int64(xids[seq]))
 	}
 	return &storage.RowVersion{
 		ID: b.Number<<32 | uint64(seq),

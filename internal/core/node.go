@@ -11,8 +11,9 @@
 // Execute (concurrent contract execution against the block snapshot) and
 // Commit (SSI analysis + commit-turn validation in block order, ending
 // at the height bump) form the commit-critical path, while Seal
-// (block outcomes for sys_ledger, write-set digest, the outcome frame and
-// durability fsync, checkpoint broadcast, notifications) runs on a background sealer so
+// (write-set digest, the block's outcome in the block store — sys_ledger's
+// statuses and the outcome frame — checkpoint comparison, durability
+// fsync, checkpoint broadcast, notifications) runs on a background sealer so
 // block N's bookkeeping overlaps block N+1's execution; only §3.6 replay
 // seals inline. See pipeline.go and docs/adr/0002-block-pipeline.md.
 //
@@ -168,8 +169,8 @@ type Node struct {
 
 	// blocks is the chain and, with a DataDir, the node's block log.
 	blocks *ledger.BlockStore
-	// ledger derives sys_ledger from blocks and the published block
-	// outcomes, and holds the recorded transaction ids (ledgerview.go).
+	// ledger derives sys_ledger from blocks and their outcomes, and holds
+	// the recorded transaction ids and local xids (ledgerview.go).
 	ledger *ledgerView
 
 	ep *simnet.Endpoint
@@ -201,18 +202,15 @@ type Node struct {
 	// Self-healing delivery state (antientropy.go).
 	heal healState
 
-	// Checkpoint bookkeeping (§3.3.4). ownHashes/peerHashes hold only the
-	// window above lastCP — evaluateCheckpoint prunes at and below it.
+	// Checkpoint bookkeeping (§3.3.4). This node's own hash of a block is
+	// the block's outcome in blocks. peerHashes holds peer checkpoints for
+	// blocks not sealed yet, and the agreeing peers of sealed blocks above
+	// lastCP (processor.go).
 	cpMu       sync.Mutex
-	ownHashes  map[uint64]ledger.Hash
 	peerHashes map[uint64]map[string]ledger.Hash
 	lastCP     uint64
 	alerts     []string
 	logFailed  bool // the first failed outcome write is in alerts
-	// lastSealedHash is the write-set hash of the most recently sealed
-	// block; recovery reads it right after a replayed block's inline seal
-	// (the ownHashes entry may already be pruned by a checkpoint quorum).
-	lastSealedHash ledger.Hash
 
 	// Seal pipeline (stage 3). sealAbort makes the sealer drop queued
 	// work (test crash injection); sealPause parks the sealer between
@@ -289,7 +287,6 @@ func NewNode(cfg Config, signer *identity.Signer, netReg *identity.Registry, net
 		executing:  make(map[string]*execution),
 		pending:    make(map[uint64]*ledger.Block),
 		blockCh:    make(chan *ledger.Block, 1024),
-		ownHashes:  make(map[uint64]ledger.Hash),
 		peerHashes: make(map[uint64]map[string]ledger.Hash),
 		certCache:  make(map[string]certCacheEntry),
 		verifyCh:   make(chan *prewarmJob, 4*runtime.GOMAXPROCS(0)),

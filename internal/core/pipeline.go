@@ -8,10 +8,11 @@
 //	          validation and CommitTx strictly in block order, ending at
 //	          bumpHeight — the point at which block N+1's executions may
 //	          proceed.
-//	Stage 3 — Seal (stage_seal.go): the block outcomes behind the
-//	          block's sys_ledger rows, the write-set digest, the outcome
-//	          frame in the block log, the durability fsync, checkpoint
-//	          signing/broadcast and client notifications.
+//	Stage 3 — Seal (stage_seal.go): the write-set digest, the block's
+//	          outcome in the block store (its sys_ledger rows and its
+//	          frame in the block log), the checkpoint comparison, the
+//	          durability fsync, checkpoint signing/broadcast and client
+//	          notifications.
 //
 // Execute and Commit form the commit-critical path and run on the block
 // processor goroutine. Seal is bookkeeping whose outputs nothing on the
@@ -66,21 +67,22 @@ func (n *Node) processLoop() {
 // processBlock runs the pipeline stages for one block. replay suppresses
 // externally visible effects (checkpoint submission, notifications)
 // during §3.6 recovery and forces the seal inline so recovery is
-// deterministic and complete when Start returns.
-func (n *Node) processBlock(b *ledger.Block, replay bool) {
+// deterministic and complete when Start returns; the inline seal's error
+// (a replay that disagrees with the logged outcome) is returned.
+func (n *Node) processBlock(b *ledger.Block, replay bool) error {
 	t0 := time.Now()
-	n.collectCheckpoints(b, replay)
+	n.collectCheckpoints(b)
 	execs := n.executeStage(b, replay)
 	task := n.commitStage(b, execs, replay, t0)
 	if replay {
-		n.sealStage(task)
-		return
+		return n.sealStage(task)
 	}
 	// Hand off to the sealer. The channel bound is the pipeline's
 	// backpressure: if sealing falls more than sealQueueCap blocks behind,
 	// the commit stage blocks here rather than letting unsealed work grow
 	// without limit.
 	n.sealCh <- task
+	return nil
 }
 
 // sealLoop is the sealer goroutine: it consumes committed blocks in
@@ -107,6 +109,8 @@ func (n *Node) sealLoop() {
 			return
 		default:
 		}
-		n.sealStage(task)
+		if err := n.sealStage(task); err != nil {
+			n.raiseAlert(err.Error()) // live blocks have no logged outcome to disagree with
+		}
 	}
 }

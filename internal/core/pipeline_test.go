@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -499,26 +500,31 @@ func TestHorizonSpanningDuplicateStaysAborted(t *testing.T) {
 }
 
 // TestCheckpointPruneableStalledQuorum covers the absolute bookkeeping
-// bound: with a majority of peers down, lastCP never advances, yet
-// entries far enough behind the node's own sealed tip must still be
-// evicted (checkpointLagCap), while recent ones are kept for when the
-// peers return.
+// bound: with a majority of peers silent, lastCP never advances, yet the
+// agreement sets far enough behind the node's own sealed tip must still be
+// evicted (checkpointLagCap), while recent ones and checkpoints for
+// blocks not sealed yet are kept for when the peers return.
 func TestCheckpointPruneableStalledQuorum(t *testing.T) {
-	n := &Node{cfg: Config{Name: "db0", Peers: []string{"db0", "db1"}}}
-	n.ownHashes = map[uint64]ledger.Hash{}
-	n.peerHashes = map[uint64]map[string]ledger.Hash{}
-	n.sealedHeight.Store(checkpointLagCap + 100)
+	n := &Node{cfg: Config{Name: "db0", Peers: []string{"db0", "db1", "db2", "db3"}}}
+	agree := map[string]ledger.Hash{"db1": {1}} // db2 and db3 are silent
+	old, recent, ahead := uint64(50), uint64(checkpointLagCap+90), uint64(checkpointLagCap+150)
+	n.peerHashes = map[uint64]map[string]ledger.Hash{old: agree, recent: agree, ahead: agree}
 	// lastCP stuck at 0: no quorum ever formed.
-	if !n.checkpointPruneableLocked(50) {
+	n.pruneCheckpointsLocked(checkpointLagCap + 100)
+	if _, ok := n.peerHashes[old]; ok {
 		t.Fatal("entry far behind the sealed tip not evicted under a stalled quorum")
 	}
-	if n.checkpointPruneableLocked(checkpointLagCap + 90) {
-		t.Fatal("recent entry evicted — laggard comparison window lost")
+	if _, ok := n.peerHashes[recent]; !ok {
+		t.Fatal("recent entry evicted — its agreement set is lost")
+	}
+	if _, ok := n.peerHashes[ahead]; !ok {
+		t.Fatal("checkpoint for a block not sealed yet evicted")
 	}
 	// Below the cap nothing is evicted without a quorum.
-	n.sealedHeight.Store(100)
-	if n.checkpointPruneableLocked(50) {
-		t.Fatal("entry evicted while within the lag cap and no quorum passed")
+	n.peerHashes[old] = agree
+	n.pruneCheckpointsLocked(100)
+	if len(n.peerHashes) != 3 {
+		t.Fatalf("%d of 3 entries kept within the lag cap while no quorum passed", len(n.peerHashes))
 	}
 }
 
@@ -543,17 +549,18 @@ func TestSealMetricsExposed(t *testing.T) {
 	}
 }
 
-// TestCheckpointBookkeepingPruned proves the ownHashes/peerHashes maps
-// stay bounded: once the checkpoint quorum advances and every peer has
-// reported, entries are pruned instead of leaking one per block forever.
+// TestCheckpointBookkeepingPruned proves the checkpoint bookkeeping stays
+// bounded while one peer is silent: its checkpoints never complete a
+// block's set, yet once the quorum passes a block nothing at or below it
+// is kept, instead of one entry per block lingering for a retention window.
 func TestCheckpointBookkeepingPruned(t *testing.T) {
 	tn := newTestNet(t, netOpts{flow: OrderThenExecute,
 		cfg: ordering.Config{BlockSize: 2, BlockTimeout: 20 * time.Millisecond}})
-	maxBlock := driveMixedTraffic(t, tn, 500, 16)
-	tn.waitHeights(int64(maxBlock))
+	tn.nodes[2].Stop()
+	maxBlock := driveMixedTraffic(t, tn, 500, 300)
 
 	// Push follow-up traffic until the quorum covers maxBlock, then
-	// check the maps hold only the small in-flight window.
+	// check what the bookkeeping holds.
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) && tn.nodes[0].LastCheckpoint() < maxBlock {
 		ch, _ := tn.submit("alice", "put_account",
@@ -561,17 +568,63 @@ func TestCheckpointBookkeepingPruned(t *testing.T) {
 		tn.await(ch)
 	}
 	n := tn.nodes[0]
+	waitSealedHeight(t, n, n.Height())
 	n.cpMu.Lock()
-	own, peers := len(n.ownHashes), len(n.peerHashes)
 	last := n.lastCP
+	var kept []uint64
+	for blk := range n.peerHashes {
+		kept = append(kept, blk)
+	}
 	n.cpMu.Unlock()
 	if last < maxBlock {
 		t.Fatalf("checkpoint quorum stalled at %d", last)
 	}
-	// Everything fully compared below lastCP is pruned; only the tail
-	// where some peer checkpoint is still in flight may remain.
-	if own > 8 || peers > 8 {
-		t.Fatalf("checkpoint bookkeeping not pruned: %d own, %d peer entries after %d blocks",
-			own, peers, last)
+	for _, blk := range kept {
+		if blk <= last {
+			t.Fatalf("checkpoint bookkeeping keeps block %d, at or below the checkpoint %d (%d entries after %d blocks)",
+				blk, last, len(kept), last)
+		}
+	}
+	if len(kept) > 8 {
+		t.Fatalf("checkpoint bookkeeping not pruned: %d entries after %d blocks", len(kept), last)
+	}
+}
+
+// TestLaggardDivergentCheckpointDetected is the laggard case of §3.5
+// detection: a peer that lags far behind the checkpoint reports a write
+// set that differs from this node's for a block sealed long ago. The own
+// hash is the block's outcome in the block store, so the comparison needs
+// nothing retained, and the divergence raises an alert however far below
+// the checkpoint the block lies.
+func TestLaggardDivergentCheckpointDetected(t *testing.T) {
+	tn := newTestNet(t, netOpts{flow: OrderThenExecute,
+		cfg: ordering.Config{BlockSize: 1, BlockTimeout: 20 * time.Millisecond}})
+	n := tn.nodes[0]
+	const lag = 140 // more blocks than any retention window of the past held
+	driveMixedTraffic(t, tn, 1000, lag+10)
+	// Checkpoints ride in later blocks: follow-up traffic carries them.
+	for i := int64(0); n.LastCheckpoint() < lag+5; i++ {
+		if i > 100 {
+			t.Fatalf("checkpoint at %d after %d follow-up transactions", n.LastCheckpoint(), i)
+		}
+		ch, _ := tn.submit("alice", "put_account", types.NewInt(2000+i), types.NewString("f"), types.NewFloat(1))
+		tn.await(ch)
+	}
+	waitSealedHeight(t, n, n.Height())
+	if a := n.Alerts(); len(a) != 0 {
+		t.Fatalf("alerts before the divergent checkpoint: %q", a)
+	}
+	block := n.LastCheckpoint() - lag
+	cp := &ledger.Checkpoint{Peer: "db2", Block: block, WriteHash: ledger.Hash{0xba, 0xd}}
+	cp.Signature = tn.nodes[2].signer.Sign(cp.SignBytes())
+	n.collectCheckpoints(&ledger.Block{Checkpoints: []*ledger.Checkpoint{cp}})
+	want := fmt.Sprintf("checkpoint divergence at block %d: peer db2", block)
+	if a := n.Alerts(); !slices.Contains(a, want) {
+		t.Fatalf("alerts %q, want %q", a, want)
+	}
+	n.cpMu.Lock()
+	defer n.cpMu.Unlock()
+	if _, kept := n.peerHashes[block]; kept {
+		t.Fatalf("the compared checkpoint for block %d is still kept", block)
 	}
 }

@@ -13,11 +13,13 @@ import (
 	"bcrdb/internal/ledger"
 )
 
-// collectCheckpoints verifies and stores the peer checkpoints riding in a
-// block (§3.3.4), comparing them with our own hashes.
-func (n *Node) collectCheckpoints(b *ledger.Block, replay bool) {
+// collectCheckpoints verifies the peer checkpoints riding in a block
+// (§3.3.4). One for a block this node has sealed is compared with the
+// block's outcome at once; one for a later block waits in peerHashes
+// until the seal of that block compares it.
+func (n *Node) collectCheckpoints(b *ledger.Block) {
 	for _, cp := range b.Checkpoints {
-		if err := n.netReg.VerifyBy(cp.Peer, cp.SignBytes(), cp.Signature); err != nil {
+		if cp.Peer == n.cfg.Name || n.netReg.VerifyBy(cp.Peer, cp.SignBytes(), cp.Signature) != nil {
 			continue
 		}
 		// Reject checkpoints absurdly ahead of our own chain: a Byzantine
@@ -34,50 +36,43 @@ func (n *Node) collectCheckpoints(b *ledger.Block, replay bool) {
 			n.peerHashes[cp.Block] = m
 		}
 		m[cp.Peer] = cp.WriteHash
+		n.evaluateCheckpointLocked(cp.Block)
 		n.cpMu.Unlock()
-		n.evaluateCheckpoint(cp.Block)
 	}
 }
 
-// checkpointRetention is how many blocks behind the quorum point a
-// not-yet-fully-compared checkpoint entry is retained, so a lagging
-// peer's (possibly divergent) checkpoint can still be compared and
-// alerted on. Entries older than this are evicted unconditionally,
-// which bounds the bookkeeping even when a peer is permanently down.
-const checkpointRetention = 128
-
-// checkpointLagCap is the absolute bound: entries further than this
-// behind the node's own sealed tip are evicted even when no quorum ever
-// forms (e.g. a majority of peers down, so lastCP cannot advance and the
-// retention rule above never fires). Divergence from a peer lagging more
-// than this goes undetected — the memory bound wins.
+// checkpointLagCap bounds the checkpoint bookkeeping when no quorum forms
+// (a majority of peers down, so lastCP never moves): a checkpoint more
+// than this many blocks above the chain's tip is ignored, and an
+// agreement set this many blocks behind the sealed tip is dropped. A
+// divergent checkpoint is never among what is dropped: it is compared,
+// and alerted on, as soon as both hashes are known.
 const checkpointLagCap = 4096
 
-// evaluateCheckpoint records a checkpoint when a majority of peers agree
-// with our hash, and raises alerts for divergent peers (§3.5 properties
-// 3 and 5). Quorum-passed bookkeeping is pruned once every peer's hash
-// has been compared (or the retention window is exceeded) — without
-// pruning, every block would leak one map entry per peer forever.
-func (n *Node) evaluateCheckpoint(block uint64) {
-	n.cpMu.Lock()
-	defer n.cpMu.Unlock()
-	own, ok := n.ownHashes[block]
-	if !ok {
+// evaluateCheckpointLocked compares the peer hashes kept for block with
+// this node's own, the write hash of the block's outcome in the block
+// store; without an outcome yet it does nothing. A divergent peer raises
+// an alert (§3.5 properties 3 and 5) and leaves the set; the agreeing ones
+// stay, and a majority moves the checkpoint to block. An entry at or
+// below the checkpoint can change nothing and is dropped. Caller holds
+// cpMu.
+func (n *Node) evaluateCheckpointLocked(block uint64) {
+	own, sealed := n.blocks.Outcome(block)
+	if !sealed {
 		return
 	}
-	agree := 1 // ourselves
-	for peer, h := range n.peerHashes[block] {
-		if peer == n.cfg.Name {
-			continue
-		}
-		if h == own {
-			agree++
-		} else {
+	peers := n.peerHashes[block]
+	for peer, h := range peers {
+		if h != own.WriteHash {
 			n.raiseAlertLocked(fmt.Sprintf("checkpoint divergence at block %d: peer %s", block, peer))
+			delete(peers, peer)
 		}
 	}
-	if agree > len(n.cfg.Peers)/2 && block > n.lastCP {
+	if 1+len(peers) > len(n.cfg.Peers)/2 && block > n.lastCP {
 		n.lastCP = block
+	}
+	if block <= n.lastCP || len(peers) == 0 {
+		delete(n.peerHashes, block)
 	}
 }
 
@@ -95,54 +90,15 @@ func (n *Node) raiseAlertLocked(alert string) {
 	}
 }
 
-// pruneCheckpoints drops finished checkpoint bookkeeping. The seal stage
-// calls it once per block — off the commit-critical path — rather than
-// on every evaluateCheckpoint, which runs per peer checkpoint inside
-// block intake.
-func (n *Node) pruneCheckpoints() {
-	n.cpMu.Lock()
-	n.pruneCheckpointsLocked()
-	n.cpMu.Unlock()
-}
-
-// pruneCheckpointsLocked drops checkpoint bookkeeping that can no longer
-// change anything. Caller holds cpMu.
-func (n *Node) pruneCheckpointsLocked() {
+// pruneCheckpointsLocked drops the entries that can change nothing once
+// block sealed is: those at or below the checkpoint, and those
+// checkpointLagCap blocks behind it. Caller holds cpMu.
+func (n *Node) pruneCheckpointsLocked(sealed uint64) {
 	for blk := range n.peerHashes {
-		if n.checkpointPruneableLocked(blk) {
-			delete(n.ownHashes, blk)
+		if blk <= n.lastCP || blk+checkpointLagCap <= sealed {
 			delete(n.peerHashes, blk)
 		}
 	}
-	for blk := range n.ownHashes {
-		if n.checkpointPruneableLocked(blk) {
-			delete(n.ownHashes, blk)
-			delete(n.peerHashes, blk)
-		}
-	}
-}
-
-// checkpointPruneableLocked reports whether block blk's checkpoint entry
-// is finished: far enough behind our own sealed tip that no comparison
-// is worth waiting for, or at/below the quorum point and either compared
-// against every peer already or older than the laggard retention window.
-func (n *Node) checkpointPruneableLocked(blk uint64) bool {
-	if sealed := n.sealedHeight.Load(); sealed > checkpointLagCap && blk <= uint64(sealed)-checkpointLagCap {
-		return true
-	}
-	if blk > n.lastCP {
-		return false
-	}
-	if blk+checkpointRetention <= n.lastCP {
-		return true
-	}
-	others := 0
-	for peer := range n.peerHashes[blk] {
-		if peer != n.cfg.Name {
-			others++
-		}
-	}
-	return others >= len(n.cfg.Peers)-1
 }
 
 // --- recovery (§3.6) ----------------------------------------------------------
@@ -153,14 +109,14 @@ func (n *Node) checkpointPruneableLocked(blk uint64) bool {
 // deterministic, so replay reproduces the pre-crash state. With the disk
 // backend the store came back from its own log up to its durable height
 // R, and blocks 1..R are not re-executed: their ledger rows and
-// checkpoint hashes come from their outcome frames. The seal syncs the
-// block log before the storage horizon passes a block, so every block at
-// or below R has its block and outcome frames; one without them means the
-// block log was damaged or lost, and the node refuses to start, naming the
-// log and the block. Blocks above R are the crash window (§3.6 case b):
-// re-executed, checked against their outcome frame where the log has one
-// (a mismatch means the chain or the log was tampered with), and given one
-// by the replayed seal where it has none.
+// checkpoint hashes are their outcomes in the block store. The seal syncs
+// the block log before the storage horizon passes a block, so every block
+// at or below R has its block and outcome frames; one without them means
+// the block log was damaged or lost, and the node refuses to start,
+// naming the log and the block. Blocks above R are the crash window (§3.6
+// case b): re-executed, and the replayed seal checks each against its
+// outcome frame where the log has one (a mismatch means the chain or the
+// log was tampered with) and appends one where it has none.
 //
 // Replay drives the same Execute → Commit → Seal stages as live
 // processing, but synchronously (the sealer is not running yet).
@@ -174,36 +130,28 @@ func (n *Node) recoverLocal() error {
 		// The prefix goes first: duplicate-id decisions during the tail
 		// replay must see the ids consumed below the horizon.
 		b, err := n.blocks.Get(i)
-		out, ok := n.blocks.Outcome(i)
-		if err != nil || !ok {
+		if _, ok := n.blocks.Outcome(i); err != nil || !ok {
 			return fmt.Errorf("core: %s holds no outcome of block %d, yet %s is durable to block %d: the block log is damaged or was lost",
 				dataFile(n.cfg, ".blocks"), i, dataFile(n.cfg, ".store.wal"), restored)
 		}
-		n.cpMu.Lock()
-		n.ownHashes[i] = out.WriteHash
-		n.cpMu.Unlock()
-		n.evaluateCheckpoint(i)
-		if err := n.ledger.restore(b, out.Committed); err != nil {
+		if err := n.ledger.restore(b); err != nil {
 			return err
 		}
 	}
+	// The restored prefix passes no seal. No peer checkpoint has been
+	// collected yet, so this moves the checkpoint only where this node
+	// alone is a majority: a one-node network.
+	n.cpMu.Lock()
+	n.evaluateCheckpointLocked(restored)
+	n.cpMu.Unlock()
 	for i := restored + 1; i <= height; i++ {
 		b, err := n.blocks.Get(i)
 		if err != nil {
 			return err
 		}
-		logged, ok := n.blocks.Outcome(i)
-		n.processBlock(b, true)
-		n.cpMu.Lock()
-		own := n.lastSealedHash
-		n.cpMu.Unlock()
-		if ok && own != logged.WriteHash {
-			return fmt.Errorf("core: recovery mismatch at block %d: replay disagrees with %s", i, dataFile(n.cfg, ".blocks"))
+		if err := n.processBlock(b, true); err != nil {
+			return err
 		}
 	}
-	// The restored-prefix loop above adopts one hash per block without
-	// sealing (which is where pruning normally runs); drop what is
-	// already finished so a long restored chain does not linger in memory.
-	n.pruneCheckpoints()
 	return nil
 }

@@ -83,8 +83,10 @@ func (tn *testNet) replayHistory(i int, h uint64) []*ssi.CommittedTx {
 				InsertedKeys:   info.InsertedKeys,
 			})
 		}
-		r.sealStage(task)
-		if r.lastSealedHash != logged.WriteHash {
+		if err := r.sealStage(task); err != nil {
+			tn.t.Fatalf("node %d block %d: %v", i, num, err)
+		}
+		if replayed, _ := r.blocks.Outcome(num); replayed.WriteHash != logged.WriteHash {
 			tn.t.Fatalf("node %d block %d: the replayed write set differs from the logged one", i, num)
 		}
 	}

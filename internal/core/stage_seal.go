@@ -1,11 +1,12 @@
 // Stage 3 — Seal: per-block bookkeeping that nothing on the commit
-// critical path reads — the block outcomes that make the block's
-// sys_ledger rows visible (§3.3.2 step 1 / §3.3.3), the write-set digest
-// and checkpointing (§3.3.4), the outcome frame in the block log and the
-// storage durability point, and client notifications (§2(7)). It runs on
-// the sealer goroutine and overlaps the next block's execution; only
-// replay runs it inline. See pipeline.go for the stage overview and
-// docs/adr/0002-block-pipeline.md for the recovery implications.
+// critical path reads — the write-set digest, the block's outcome in the
+// block store (which makes the block's sys_ledger rows visible, §3.3.2
+// step 1 / §3.3.3, and is its frame in the block log), checkpointing
+// (§3.3.4), the storage durability point, and client notifications
+// (§2(7)). It runs on the sealer goroutine and overlaps the next block's
+// execution; only replay runs it inline. See pipeline.go for the stage
+// overview and docs/adr/0002-block-pipeline.md for the recovery
+// implications.
 
 package core
 
@@ -23,26 +24,34 @@ import (
 // sealStage performs the seal for one committed block. Within the seal,
 // ordering is chosen for crash consistency on the disk backend:
 //
-//  1. publish the block outcomes: the block's sys_ledger rows become
-//     visible (in memory — the table is derived from the block store and
-//     these outcomes, ledgerview.go);
-//  2. write-set digest from the commit-time captures (no store reads);
-//  3. the outcome frame in the block log, after the block's own frame,
-//     and on the disk backend an fsync of the log — the only durable
-//     home of the statuses published in step 1;
-//  4. MarkDurable — the storage height frame + fsync. Everything before
+//  1. write-set digest from the commit-time captures (no store reads);
+//  2. the block's local xids to the sys_ledger view, then the block's
+//     outcome to the block store — the one record of it, which makes the
+//     block's rows visible (ledgerview.go) and writes the outcome frame
+//     after the block's own. On replay the store may hold the outcome
+//     already, logged before a crash: the digest is compared with it
+//     instead, and a mismatch ends the seal with an error;
+//  3. the peer checkpoints for the block are compared with its outcome;
+//  4. on the disk backend an fsync of the block log, the only durable
+//     home of the outcome;
+//  5. MarkDurable — the storage height frame + fsync. Everything before
 //     it (state commits from stage 2, the block log) is durable once it
 //     returns, so a restart that restores height N also finds blocks 1..N
 //     and their outcomes, and can publish their ledger rows again;
-//  5. checkpoint broadcast and client notifications, which must only
+//  6. checkpoint broadcast and client notifications, which must only
 //     ever announce durable outcomes.
 //
-// A crash anywhere before step 4 leaves the block beyond the storage
+// A crash anywhere before step 5 leaves the block beyond the storage
 // recovery horizon: recovery re-executes it from the block store and
 // re-derives the seal (§3.6 case b).
-func (n *Node) sealStage(task *sealTask) {
+func (n *Node) sealStage(task *sealTask) error {
 	t0 := time.Now()
 	b := task.block
+	writeHash := writeSetHash(task.committedTxs, task.committedRecs)
+	logged, replayed := n.blocks.Outcome(b.Number)
+	if replayed && logged.WriteHash != writeHash {
+		return fmt.Errorf("core: recovery mismatch at block %d: replay disagrees with %s", b.Number, dataFile(n.cfg, ".blocks"))
+	}
 
 	// Before the block's notifications fire: a client that looks its
 	// transaction up in sys_ledger after being notified finds the row.
@@ -52,34 +61,28 @@ func (n *Node) sealStage(task *sealTask) {
 			xids[i] = e.rec.ID
 		}
 	}
-	committed := make([]byte, (len(task.results)+7)/8)
-	for i, r := range task.results {
-		if r.Committed {
-			committed[i/8] |= 1 << (i % 8)
-		}
-	}
-	if err := n.ledger.publish(b.Number, committed, xids); err != nil {
+	if err := n.ledger.publish(b.Number, xids); err != nil {
 		n.raiseAlert(err.Error())
 	}
-
-	writeHash := writeSetHash(task.committedTxs, task.committedRecs)
-	n.cpMu.Lock()
-	n.ownHashes[b.Number] = writeHash
-	n.lastSealedHash = writeHash
-	n.cpMu.Unlock()
-	n.evaluateCheckpoint(b.Number)
-	n.pruneCheckpoints()
-
-	// Replay re-derives the outcome of a block the crash left without one
-	// (§3.6 case b, which includes blocks committed but not yet sealed).
 	var err error
-	if _, ok := n.blocks.Outcome(b.Number); !ok {
+	if !replayed {
+		committed := make([]byte, (len(task.results)+7)/8)
+		for i, r := range task.results {
+			if r.Committed {
+				committed[i/8] |= 1 << (i % 8)
+			}
+		}
 		err = n.blocks.AppendOutcome(b.Number, ledger.Outcome{Committed: committed, WriteHash: writeHash})
 	}
+	n.cpMu.Lock()
+	n.evaluateCheckpointLocked(b.Number)
+	n.pruneCheckpointsLocked(b.Number)
+	n.cpMu.Unlock()
+
 	if err == nil && n.diskBacked {
 		// The block and its outcome are durable before the storage horizon
 		// passes the block: a restored block then always has both, for its
-		// ledger rows, the checkpoint bookkeeping and the replay
+		// ledger rows, the checkpoint comparison and the replay
 		// cross-check. A replayed block syncs too: a process crash can
 		// leave its frames in the page cache, not yet on disk.
 		err = n.blocks.Sync()
@@ -106,6 +109,7 @@ func (n *Node) sealStage(task *sealTask) {
 	// The seal was the last reader of the block's execution records (the
 	// write-set digest above consumed their captures); recycle them.
 	n.releaseBlockRecords(task.execs)
+	return nil
 }
 
 // releaseBlockRecords returns a sealed block's transaction records to
@@ -126,7 +130,8 @@ func (n *Node) releaseBlockRecords(execs []*execution) {
 // noteLogFailure reports the first failed write of an outcome frame in
 // Alerts: the frame is the only durable home of the block's transaction
 // statuses, so a restart could not serve the block's ledger rows and
-// refuses to (recoverLocal).
+// refuses to (recoverLocal). The block store keeps the outcome in memory,
+// so this process goes on serving them.
 func (n *Node) noteLogFailure(block uint64, err error) {
 	if err == nil {
 		return

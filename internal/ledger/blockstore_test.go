@@ -385,6 +385,61 @@ func TestFileStoreAppendFailure(t *testing.T) {
 	}
 }
 
+// TestFileStoreOutcomeWriteFailure: an outcome whose frame cannot be
+// written is still the store's outcome of the block, since the chain's
+// readers take it from the store, and the error is returned. Every later
+// outcome returns it too and stays out of the log, even once the file
+// takes writes again: the log never holds an outcome past a gap.
+func TestFileStoreOutcomeWriteFailure(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "db.blocks")
+	bs, err := OpenFileStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bs.Close()
+	prev := Hash{}
+	for n := uint64(1); n <= 3; n++ {
+		b := sampleBlock(n, prev, sampleTx(fmt.Sprint(n)))
+		if err := bs.Append(b); err != nil {
+			t.Fatal(err)
+		}
+		prev = b.Hash
+	}
+	if err := bs.AppendOutcome(1, Outcome{Committed: []byte{1}, WriteHash: Hash{1}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := bs.log.Close(); err != nil { // closed underneath the store
+		t.Fatal(err)
+	}
+	if err := bs.AppendOutcome(2, Outcome{Committed: []byte{1}, WriteHash: Hash{2}}); err == nil {
+		t.Fatal("an outcome written to a closed file reported success")
+	}
+	if o, ok := bs.Outcome(2); !ok || o.WriteHash != (Hash{2}) {
+		t.Fatalf("outcome 2 after its failed write: %+v, %v", o, ok)
+	}
+	if bs.log, err = wal.Open(path); err != nil { // the file takes writes again
+		t.Fatal(err)
+	}
+	if err := bs.AppendOutcome(3, Outcome{Committed: []byte{0}, WriteHash: Hash{3}}); err == nil {
+		t.Fatal("the outcome after a failed one reported success")
+	}
+	if _, ok := bs.Outcome(3); !ok {
+		t.Fatal("outcome 3 not kept in memory")
+	}
+	bs.Close()
+	re, err := OpenFileStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if _, ok := re.Outcome(1); !ok || re.Height() != 3 {
+		t.Fatalf("reopened at %d blocks, outcome 1 present %v", re.Height(), ok)
+	}
+	if _, ok := re.Outcome(2); ok {
+		t.Fatal("the outcome whose write failed is in the log")
+	}
+}
+
 // TestBlockStoreGetIsolated: Get hands out a decoded copy. A caller that
 // mutates it changes neither what a later Get returns nor the chain that
 // VerifyChain checks.

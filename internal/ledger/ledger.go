@@ -331,6 +331,9 @@ type BlockStore struct {
 	last     Hash          // the newest block's hash
 	outcomes []Outcome     // outcomes[i] belongs to block i+1
 	log      *wal.Log      // nil: in memory only
+	// logErr is the first failed write of an outcome frame. Later outcomes
+	// are kept in memory only, so the log never holds one past a gap.
+	logErr error
 }
 
 // storedBlock is one block as the store keeps it: its encoding in memory,
@@ -470,7 +473,10 @@ func (bs *BlockStore) addLocked(b *Block, sum Hash, rec storedBlock, frame []byt
 }
 
 // AppendOutcome records the outcome of block n: the oldest block without
-// one, with one committed bit per transaction.
+// one, with one committed bit per transaction. The store keeps an outcome
+// of the right shape even when writing its frame fails, since the chain's
+// readers take it from here; the write error is returned, for this
+// outcome and every later one, none of which reach the log.
 func (bs *BlockStore) AppendOutcome(n uint64, o Outcome) error {
 	bs.mu.Lock()
 	defer bs.mu.Unlock()
@@ -480,18 +486,16 @@ func (bs *BlockStore) AppendOutcome(n uint64, o Outcome) error {
 	if want := (bs.blocks[n-1].ntx + 7) / 8; len(o.Committed) != want {
 		return fmt.Errorf("ledger: the outcome of block %d has %d bytes of committed bits, the block needs %d", n, len(o.Committed), want)
 	}
-	if bs.log != nil {
+	if bs.log != nil && bs.logErr == nil {
 		e := codec.NewBuf(48 + len(o.Committed))
 		e.Byte(frameOutcome)
 		e.Uvarint(n)
 		e.Bytes2(o.Committed)
 		e.Bytes2(o.WriteHash[:])
-		if err := bs.log.AppendRaw(e.Bytes()); err != nil {
-			return err
-		}
+		bs.logErr = bs.log.AppendRaw(e.Bytes())
 	}
 	bs.outcomes = append(bs.outcomes, o)
-	return nil
+	return bs.logErr
 }
 
 // Outcome returns the recorded outcome of block n, if there is one.

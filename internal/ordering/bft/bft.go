@@ -76,6 +76,13 @@ type Orderer struct {
 	stopped     bool
 	done        chan struct{}
 	deliverMu   sync.Mutex // orders deliveries; taken under mu, held across the sends
+
+	// held keeps each request this replica received until a delivered
+	// block carries its id: adopting a view hands it to the new leader,
+	// so a request forwarded to a dead leader is not lost. delivered is
+	// every id on the chain; none is held or proposed again. Both under mu.
+	held      map[string]*ledger.Transaction
+	delivered map[string]bool
 }
 
 // New creates and starts a PBFT orderer. all lists every orderer endpoint
@@ -98,6 +105,8 @@ func New(idx int, all []string, signer *identity.Signer, reg *identity.Registry,
 		cfg:         cfg.WithDefaults(),
 		cutter:      ordering.NewCutter(cfg),
 		entries:     make(map[uint64]*entry),
+		held:        make(map[string]*ledger.Transaction),
+		delivered:   make(map[string]bool),
 		deliverNext: 1,
 		vcVotes:     make(map[uint64]map[string]bool),
 		done:        make(chan struct{}),
@@ -181,24 +190,19 @@ func (o *Orderer) onMessage(m simnet.Message) {
 	}
 }
 
-// handleRequest accepts a client/peer submission: leaders enqueue it,
-// followers forward it to the current leader and arm the liveness timer.
+// handleRequest accepts a client/peer submission: every replica holds it
+// until it is delivered, leaders enqueue it, followers forward it to the
+// current leader and watch the leader's progress.
 func (o *Orderer) handleRequest(tx *ledger.Transaction, raw []byte) {
 	o.mu.Lock()
+	if o.delivered[tx.ID] {
+		o.mu.Unlock()
+		return
+	}
+	o.held[tx.ID] = tx
 	leader := o.leaderOf(o.view)
 	isLeader := leader == o.name
-	var gossipWatch bool
-	if !isLeader {
-		o.armViewChangeTimerLocked()
-		// Let every replica watch for leader progress so a crashed
-		// leader is voted out even if only one replica saw the request —
-		// throttled to once per block timeout to keep the O(n) gossip
-		// off the hot path.
-		if time.Since(o.lastWatch) >= o.cfg.BlockTimeout {
-			o.lastWatch = time.Now()
-			gossipWatch = true
-		}
-	}
+	gossipWatch := !isLeader && o.watchLeaderLocked()
 	o.mu.Unlock()
 	if isLeader {
 		o.leaderEnqueue(tx)
@@ -208,6 +212,19 @@ func (o *Orderer) handleRequest(tx *ledger.Transaction, raw []byte) {
 			o.ep.Broadcast(o.all, kindWatch, nil)
 		}
 	}
+}
+
+// watchLeaderLocked arms a follower's liveness timer, and reports whether
+// to tell every replica to watch for leader progress too, so a crashed
+// leader is voted out even if only one replica holds client work — at
+// most once per block timeout, to keep the O(n) gossip off the hot path.
+func (o *Orderer) watchLeaderLocked() bool {
+	o.armViewChangeTimerLocked()
+	if time.Since(o.lastWatch) < o.cfg.BlockTimeout {
+		return false
+	}
+	o.lastWatch = time.Now()
+	return true
 }
 
 func (o *Orderer) handleCheckpoint(cp *ledger.Checkpoint, raw []byte) {
@@ -223,10 +240,17 @@ func (o *Orderer) handleCheckpoint(cp *ledger.Checkpoint, raw []byte) {
 	}
 }
 
-// leaderEnqueue batches a transaction and proposes when full.
+// leaderEnqueue batches a transaction and proposes when full. A replica
+// that does not lead holds it instead: a follower that adopted a view
+// before its new leader did hands its requests over early.
 func (o *Orderer) leaderEnqueue(tx *ledger.Transaction) {
 	o.mu.Lock()
-	if o.stopped || !o.isLeader() {
+	if o.stopped || o.delivered[tx.ID] {
+		o.mu.Unlock()
+		return
+	}
+	if !o.isLeader() {
+		o.held[tx.ID] = tx
 		o.mu.Unlock()
 		return
 	}
@@ -431,7 +455,10 @@ func (o *Orderer) checkProgress(seq uint64) {
 		ent.done = true
 		toDeliver = append(toDeliver, ent.block)
 		o.lastHash = ent.block.Hash
-		o.cutter.MarkDelivered(txIDs(ent.block))
+		for _, tx := range ent.block.Txs {
+			o.delivered[tx.ID] = true
+			delete(o.held, tx.ID)
+		}
 		delete(o.entries, o.deliverNext)
 		o.deliverNext++
 		if o.vcTimer != nil {
@@ -448,14 +475,6 @@ func (o *Orderer) checkProgress(seq uint64) {
 		o.dlv.Deliver(b)
 	}
 	o.deliverMu.Unlock()
-}
-
-func txIDs(b *ledger.Block) []string {
-	out := make([]string, len(b.Txs))
-	for i, t := range b.Txs {
-		out[i] = t.ID
-	}
-	return out
 }
 
 // --- view change -------------------------------------------------------------------
@@ -537,7 +556,9 @@ func (o *Orderer) recordViewChangeVote(newView uint64, from string) {
 		o.mu.Unlock()
 		return
 	}
-	// Adopt the new view: recycle undelivered proposals.
+	// Adopt the new view: the new leader re-proposes undelivered
+	// proposals and what it holds; every other replica hands it what it
+	// holds.
 	o.view = newView
 	delete(o.vcVotes, newView)
 	var recycled []*ledger.Transaction
@@ -547,19 +568,32 @@ func (o *Orderer) recordViewChangeVote(newView uint64, from string) {
 		}
 		delete(o.entries, seq)
 	}
-	isLeader := o.isLeader()
-	if isLeader {
-		o.cutter = o.newCutterLocked()
-		for _, tx := range recycled {
-			if b := o.cutter.AddTx(tx, time.Now().UnixNano()); b != nil {
-				o.mu.Unlock()
-				o.propose(b)
-				o.mu.Lock()
-			}
+	held := make([]*ledger.Transaction, 0, len(o.held))
+	for _, tx := range o.held {
+		held = append(held, tx)
+	}
+	if !o.isLeader() {
+		leader := o.leaderOf(newView)
+		gossipWatch := len(held) > 0 && o.watchLeaderLocked()
+		o.mu.Unlock()
+		for _, tx := range held {
+			_ = o.ep.Send(leader, kindRequest, ledger.MarshalTransaction(tx))
 		}
-		if o.cutter.Pending() > 0 {
-			o.armBatchTimerLocked(o.cutter.NextBlock())
+		if gossipWatch {
+			o.ep.Broadcast(o.all, kindWatch, nil)
 		}
+		return
+	}
+	o.cutter = o.newCutterLocked()
+	for _, tx := range append(recycled, held...) {
+		if b := o.cutter.AddTx(tx, time.Now().UnixNano()); b != nil {
+			o.mu.Unlock()
+			o.propose(b)
+			o.mu.Lock()
+		}
+	}
+	if o.cutter.Pending() > 0 {
+		o.armBatchTimerLocked(o.cutter.NextBlock())
 	}
 	o.mu.Unlock()
 }

@@ -183,12 +183,47 @@ func TestLeaderCrashTriggersViewChange(t *testing.T) {
 	if c.orderers[1].View() == 0 {
 		t.Fatal("view change never happened")
 	}
-	// The transaction may have been lost pre-pre-prepare (the paper's
-	// client-retry case, §3.5(2)): resubmit to the new leader.
-	submit(t, c, "bft1", mktx("x-retry"))
+	// bft1 held the request it forwarded to the dead leader, and proposes
+	// it as the new leader: no client retry is needed.
 	bs := c.waitBlocks("peer1", 1, 5*time.Second)
-	if len(bs) == 0 {
-		t.Fatal("no delivery after view change")
+	if len(bs[0].Txs) != 1 || bs[0].Txs[0].ID != "x" {
+		t.Fatalf("first block after the view change = %+v, want the held request", bs[0])
+	}
+}
+
+// TestHeldRequestHandedToNewLeader: a follower that is not the next
+// leader hands the request it holds to the new leader, which proposes it
+// exactly once, and a request for an id already delivered is not held.
+func TestHeldRequestHandedToNewLeader(t *testing.T) {
+	c := newCluster(t, 4, ordering.Config{BlockSize: 1, BlockTimeout: 20 * time.Millisecond})
+	c.orderers[0].Stop()
+	submit(t, c, "bft2", mktx("y")) // held by bft2; bft1 leads view 1
+	bs := c.waitBlocks("peer1", 1, 5*time.Second)
+	if bs[0].Txs[0].ID != "y" {
+		t.Fatalf("block 1 = %+v, want the request bft2 held", bs[0])
+	}
+	retry, err := c.net.Register("client-retry", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A client retry of the delivered id, then a fresh request.
+	if err := retry.Send("bft3", ordering.KindSubmit, ledger.MarshalTransaction(mktx("y"))); err != nil {
+		t.Fatal(err)
+	}
+	submit(t, c, "bft1", mktx("z"))
+	for _, peer := range []string{"peer1", "peer2", "peer3"} {
+		bs = c.waitBlocks(peer, 2, 5*time.Second)
+		if len(bs) != 2 || bs[1].Txs[0].ID != "z" {
+			t.Fatalf("%s chain = %+v, want y then z", peer, bs)
+		}
+	}
+	for _, o := range c.orderers[1:] {
+		o.mu.Lock()
+		held := len(o.held)
+		o.mu.Unlock()
+		if held != 0 {
+			t.Fatalf("%s holds %d requests after both were delivered", o.name, held)
+		}
 	}
 }
 

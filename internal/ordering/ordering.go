@@ -175,14 +175,6 @@ func (c *Cutter) Reset(next uint64, lastHash ledger.Hash) {
 	c.lastHash = lastHash
 }
 
-// MarkDelivered records ids of transactions that are already on the
-// chain so the cutter never re-proposes them.
-func (c *Cutter) MarkDelivered(ids []string) {
-	for _, id := range ids {
-		c.seen[id] = true
-	}
-}
-
 func (c *Cutter) cut(ts int64) *ledger.Block {
 	n := len(c.pending)
 	if n > c.cfg.BlockSize {

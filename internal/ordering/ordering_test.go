@@ -54,11 +54,6 @@ func TestCutterDeduplicates(t *testing.T) {
 	if c.AddTx(tx("a"), 2) != nil || c.Pending() != 1 {
 		t.Fatal("duplicate id should be dropped")
 	}
-	c.MarkDelivered([]string{"z"})
-	c.AddTx(tx("z"), 3)
-	if c.Pending() != 1 {
-		t.Fatal("delivered id should be dropped")
-	}
 }
 
 func TestCutterTimeToCut(t *testing.T) {

@@ -289,3 +289,34 @@ func TestExecuteOrderRetryWalksPastDeadOrderer(t *testing.T) {
 		}
 	}
 }
+
+// TestBFTRequestSurvivesDeadLeader: a request that a follower forwards
+// to a dead PBFT leader is not lost. The follower holds it until a block
+// carries it, and hands it to the leader of the view that replaces the
+// dead one, so it commits after the view change (10 × BlockTimeout =
+// 200 ms) rather than after the client's attempt timeout. An attempt sent
+// to the dead orderer itself fails at once, so the first invoke reaches
+// a live follower by its first or second attempt.
+func TestBFTRequestSurvivesDeadLeader(t *testing.T) {
+	opts := demoOptions(OrderThenExecute)
+	opts.Ordering = OrderingBFT
+	opts.Retry = RetryPolicy{Attempts: 3, Timeout: 4 * time.Second}
+	nw, err := NewNetwork(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nw.Close()
+	nw.StopOrderer(0) // the view-0 leader
+
+	bob := nw.Client("bob") // org2's node takes deliveries from a live orderer
+	for i := 0; i < 6; i++ {
+		start := time.Now()
+		res, err := bob.Invoke("open_account", Int(int64(7000+i)), Text("x"), Float(1))
+		if err != nil || !res.Committed {
+			t.Fatalf("invoke %d: %+v, %v", i, res, err)
+		}
+		if took := time.Since(start); i == 0 && took > 1500*time.Millisecond {
+			t.Fatalf("the first invoke, forwarded to the dead leader, took %v, want under 1.5s", took)
+		}
+	}
+}

@@ -41,14 +41,12 @@ import (
 )
 
 // allowlistCap bounds callerAllowlist; it only ever goes down.
-const allowlistCap = 5
+const allowlistCap = 3
 
 // callerAllowlist names what the rules would delete but the product keeps,
 // keyed as the failure message prints it.
 var callerAllowlist = map[string]string{
-	"core.Node.DeliveringOrderer":   "which orderer feeds a node: the failover tests and diagnostics read it",
 	"ssi.SerialOrder":               "the apparent serial order of a committed history, beside the MVSG checker",
-	"core.Node.Alerts":              "§3.5 detection: the checkpoint mismatches a node observed",
 	"core.Node.Vacuum":              "version pruning, until the memory item's horizon replaces it",
 	"bcrdb.Options.CheckpointEvery": "§3.3.4: checkpoints cover a preconfigured number of blocks",
 }

@@ -112,11 +112,14 @@ func nodeInfo(node NodeBackend, route Route) Info {
 		flow = "order-execute"
 	}
 	return Info{
-		Node:         node.Name(),
-		Org:          node.Org(),
-		Flow:         flow,
-		Height:       node.Height(),
-		SealedHeight: node.SealedHeight(),
-		Orderers:     len(route.Orderers),
+		Node:              node.Name(),
+		Org:               node.Org(),
+		Flow:              flow,
+		Height:            node.Height(),
+		SealedHeight:      node.SealedHeight(),
+		LastCheckpoint:    node.LastCheckpoint(),
+		Alerts:            node.Alerts(),
+		DeliveringOrderer: node.DeliveringOrderer(),
+		Orderers:          len(route.Orderers),
 	}
 }

@@ -16,7 +16,7 @@
 //
 // Endpoints:
 //
-//	GET  /v1/info     node identity, org, chain height
+//	GET  /v1/info     node identity, org, chain height, checkpoint, alerts
 //	POST /v1/submit   {"tx": base64, "attempt": n} → {"id": txid}; routed by
 //	                  Route.Dest(id, n); "attempt" is optional (0), < 0 is 400
 //	POST /v1/query    {"sql", "params", "height"} → {"cols", "rows"}
@@ -56,14 +56,19 @@ type Transport interface {
 	Close() error
 }
 
-// Info describes the node behind a transport.
+// Info describes the node behind a transport: who it is, how far its
+// chain and its checkpoint quorum (§3.3.4) have come, the divergence
+// alerts it raised (§3.5), and the orderer it takes blocks from.
 type Info struct {
-	Node         string `json:"node"`
-	Org          string `json:"org"`
-	Flow         string `json:"flow"`
-	Height       int64  `json:"height"`
-	SealedHeight int64  `json:"sealed_height"`
-	Orderers     int    `json:"orderers"`
+	Node              string   `json:"node"`
+	Org               string   `json:"org"`
+	Flow              string   `json:"flow"`
+	Height            int64    `json:"height"`
+	SealedHeight      int64    `json:"sealed_height"`
+	LastCheckpoint    uint64   `json:"last_checkpoint"`
+	Alerts            []string `json:"alerts"`
+	DeliveringOrderer string   `json:"delivering_orderer"`
+	Orderers          int      `json:"orderers"`
 }
 
 // NodeBackend is what the transport layer needs from a database node.
@@ -73,6 +78,9 @@ type NodeBackend interface {
 	Org() string
 	Height() int64
 	SealedHeight() int64
+	LastCheckpoint() uint64
+	Alerts() []string
+	DeliveringOrderer() string
 	Query(sql string, params ...types.Value) (*engine.Result, error)
 	QueryAt(height int64, sql string, params ...types.Value) (*engine.Result, error)
 	SubscribeAll() <-chan core.TxResult

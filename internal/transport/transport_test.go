@@ -10,6 +10,7 @@ import (
 	"math"
 	"net"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -30,10 +31,15 @@ type fakeNode struct {
 	subs []chan core.TxResult
 }
 
-func (f *fakeNode) Name() string        { return "db.test" }
-func (f *fakeNode) Org() string         { return "test" }
-func (f *fakeNode) Height() int64       { return 7 }
-func (f *fakeNode) SealedHeight() int64 { return 7 }
+func (f *fakeNode) Name() string              { return "db.test" }
+func (f *fakeNode) Org() string               { return "test" }
+func (f *fakeNode) Height() int64             { return 7 }
+func (f *fakeNode) SealedHeight() int64       { return 7 }
+func (f *fakeNode) LastCheckpoint() uint64    { return 6 }
+func (f *fakeNode) DeliveringOrderer() string { return "orderer1" }
+func (f *fakeNode) Alerts() []string {
+	return []string{"checkpoint divergence at block 5: peer db.rogue"}
+}
 
 func (f *fakeNode) Query(sql string, params ...types.Value) (*engine.Result, error) {
 	if strings.Contains(sql, "boom") {
@@ -206,6 +212,23 @@ func TestQueryRoundTrip(t *testing.T) {
 
 		if res, err := c.Query(context.Background(), 3, "SELECT 1", nil); err != nil || res.Rows[0][0].Int() != 3 {
 			t.Fatalf("height routing: %v %v", res, err)
+		}
+	})
+}
+
+// TestInfoReportsOperatorState: /v1/info carries the node's checkpoint,
+// its divergence alerts and its delivering orderer, on the wire and
+// in-process alike.
+func TestInfoReportsOperatorState(t *testing.T) {
+	bothTransports(t, func(t *testing.T, c Transport, node *fakeNode) {
+		info, err := c.Info(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.LastCheckpoint != node.LastCheckpoint() || info.DeliveringOrderer != node.DeliveringOrderer() ||
+			!slices.Equal(info.Alerts, node.Alerts()) {
+			t.Fatalf("info = %+v, want checkpoint %d, orderer %s, alerts %q",
+				info, node.LastCheckpoint(), node.DeliveringOrderer(), node.Alerts())
 		}
 	})
 }

@@ -73,7 +73,8 @@ func TestRemoteClientOverWire(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if info.Node != "db.org1" || info.Org != "org1" {
+			if info.Node != "db.org1" || info.Org != "org1" ||
+				info.DeliveringOrderer != nw.Node(0).DeliveringOrderer() || len(info.Alerts) != 0 {
 				t.Fatalf("info = %+v", info)
 			}
 

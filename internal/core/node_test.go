@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"strings"
 	"sync"
@@ -112,7 +114,7 @@ func newTestNet(t testing.TB, o netOpts) *testNet {
 	// Client identities.
 	var certs []CertEntry
 	for _, name := range []string{"alice", "bob", "carol"} {
-		s, err := identity.NewSigner(name, "org1", identity.RoleClient, nil)
+		s, err := identity.NewSigner(name, "org1", identity.RoleClient, bytes.NewReader(clientSeed(name)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -655,6 +657,13 @@ func testRecoveryAfterRestart(t *testing.T, backend storage.Kind) {
 				got, int64(lastBlock)-int64(maxBlock))
 		}
 	}
+}
+
+// clientSeed is the Ed25519 seed of a test client's key, fixed so a test
+// can sign as the client outside its Signer.
+func clientSeed(name string) []byte {
+	seed := sha256.Sum256([]byte("core test client " + name))
+	return seed[:]
 }
 
 func genesisCerts(tn *testNet) []CertEntry {

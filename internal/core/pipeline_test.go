@@ -265,6 +265,50 @@ func TestCrashWithUnsealedBlocksRecovers(t *testing.T) {
 	assertLedgerAfterRestart(t, restarted, firstID, 0)
 }
 
+// TestRestartKeepsCheckpoint restarts one node of three on the disk
+// backend, which restores its blocks without re-executing them: the peer
+// checkpoints riding in those blocks must be read again, so the node
+// reports the checkpoint it reported before the restart, not 0.
+func TestRestartKeepsCheckpoint(t *testing.T) {
+	tn := newTestNet(t, netOpts{
+		flow:     OrderThenExecute,
+		backend:  storage.KindDisk,
+		dataDirs: true,
+		cfg:      ordering.Config{BlockSize: 1, BlockTimeout: 20 * time.Millisecond},
+	})
+	var last uint64
+	for i := 0; i < 8; i++ {
+		ch, _ := tn.submit("alice", "put_account", types.NewInt(int64(500+i)), types.NewString("cp"), types.NewFloat(1))
+		if r := tn.await(ch); !r.Committed {
+			t.Fatalf("tx %d aborted: %s", i, r.Reason)
+		} else {
+			last = r.Block
+		}
+	}
+	tn.waitHeights(int64(last))
+	node1 := tn.nodes[1]
+	before := node1.LastCheckpoint()
+	if before == 0 {
+		t.Fatal("no checkpoint formed before the restart")
+	}
+	node1.Stop()
+
+	restarted, err := NewNode(node1.cfg, node1.signer, tn.netReg.Clone(), tn.net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := restarted.Bootstrap(Genesis{Certs: genesisCerts(tn), SQL: testGenesisSQL, Contracts: testContracts}); err != nil {
+		t.Fatal(err)
+	}
+	if err := restarted.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(restarted.Stop)
+	if got := restarted.LastCheckpoint(); got != before {
+		t.Fatalf("LastCheckpoint after the restart = %d, want %d as before it", got, before)
+	}
+}
+
 // TestRecordedIDSetCoherentAcrossRestart proves the in-memory
 // recorded-id set (which replaced the per-transaction sys_ledger lookup)
 // is rebuilt correctly on restart for both backends: ids consumed before

@@ -137,10 +137,13 @@ func (n *Node) recoverLocal() error {
 		if err := n.ledger.restore(b); err != nil {
 			return err
 		}
+		// The peer checkpoints riding in the prefix are read again:
+		// each is compared with the outcome in the block store.
+		n.collectCheckpoints(b)
 	}
-	// The restored prefix passes no seal. No peer checkpoint has been
-	// collected yet, so this moves the checkpoint only where this node
-	// alone is a majority: a one-node network.
+	// The restored prefix passes no seal. collectCheckpoints compared
+	// every peer checkpoint it carries; this covers a one-node network,
+	// where the node alone is a majority for its last restored block.
 	n.cpMu.Lock()
 	n.evaluateCheckpointLocked(restored)
 	n.cpMu.Unlock()
@@ -149,6 +152,9 @@ func (n *Node) recoverLocal() error {
 		if err != nil {
 			return err
 		}
+		// One batch equation per block, before the execute stage reads
+		// the verdicts back one by one.
+		n.verifySignatures(b.Txs, n.store.Height())
 		if err := n.processBlock(b, true); err != nil {
 			return err
 		}

@@ -7,8 +7,8 @@ import (
 	"sync/atomic"
 )
 
-// Signature-verification memo. Ed25519 verification is a pure function
-// of (public key, message, signature), yet the simulated network pays
+// Signature-verification memo. Verification is a pure function of
+// (public key, message, signature), yet the simulated network pays
 // for it repeatedly: every database node verifies every transaction's
 // client signature during block execution, and in the
 // execute-order-in-parallel flow the receiving node verifies once more
@@ -26,7 +26,10 @@ import (
 //
 // An entry goes in before its verification runs, so concurrent callers
 // (the block-intake prewarm, every replica's execute stage) wait for the
-// one Ed25519 call instead of repeating it; only that call is a miss.
+// one check instead of repeating it; only that check is a miss. The
+// prewarm fills entries a chunk at a time (VerifyBatchCached): one batch
+// equation decides all of a chunk's misses, and a member whose entry is
+// already present or in flight is left to whoever holds it.
 //
 // The memo is sharded: with the block-intake prewarm pool and every
 // node's execute stage verifying concurrently, a single mutex would just
@@ -78,24 +81,18 @@ func verifyKey(pub ed25519.PublicKey, msg, sig []byte) [32]byte {
 	return k
 }
 
-// VerifyCached is ed25519.Verify behind the process-wide sharded memo. A
-// caller that finds an entry, even one in flight, is a hit and waits.
-func VerifyCached(pub ed25519.PublicKey, msg, sig []byte) bool {
-	if len(pub) != ed25519.PublicKeySize {
-		return false
-	}
-	k := verifyKey(pub, msg, sig)
+// claim finds the memo entry for k, or inserts an in-flight one; fresh
+// reports an insert, which the caller must finish by setting ok and
+// closing done.
+func claim(k [32]byte) (e *verifyEntry, fresh bool) {
 	s := &verifyMemo[k[0]%verifyMemoShards]
 	s.mu.Lock()
-	e := s.young[k]
-	if e == nil {
+	defer s.mu.Unlock()
+	if e = s.young[k]; e == nil {
 		e = s.old[k]
 	}
 	if e != nil {
-		s.mu.Unlock()
-		verifyHits.Add(1)
-		<-e.done
-		return e.ok
+		return e, false
 	}
 	e = &verifyEntry{done: make(chan struct{})}
 	if s.young == nil {
@@ -105,12 +102,58 @@ func VerifyCached(pub ed25519.PublicKey, msg, sig []byte) bool {
 		s.young = make(map[[32]byte]*verifyEntry, verifyShardCap)
 	}
 	s.young[k] = e
-	s.mu.Unlock()
-	verifyMisses.Add(1)
+	return e, true
+}
 
+// VerifyCached is the signature predicate (verify.go) behind the
+// process-wide sharded memo. A caller that finds an entry, even one in
+// flight, is a hit and waits.
+func VerifyCached(pub ed25519.PublicKey, msg, sig []byte) bool {
+	if len(pub) != ed25519.PublicKeySize {
+		return false
+	}
+	e, fresh := claim(verifyKey(pub, msg, sig))
+	if !fresh {
+		verifyHits.Add(1)
+		<-e.done
+		return e.ok
+	}
+	verifyMisses.Add(1)
 	defer close(e.done) // even on a panic, so no waiter is stranded
-	e.ok = ed25519.Verify(pub, msg, sig)
+	e.ok = verify(pub, msg, sig)
 	return e.ok
+}
+
+// VerifyBatchCached puts the verdict of every member of batch into the
+// memo. A member already present or in flight is a hit and is skipped,
+// not waited for; every other one gets an
+// in-flight entry first, so concurrent VerifyCached callers wait for the
+// batch instead of repeating it. The misses are then checked together
+// (verifyBatch), each keeping its own verdict.
+func VerifyBatchCached(batch []Signed) {
+	misses := make([]Signed, 0, len(batch))
+	entries := make([]*verifyEntry, 0, len(batch))
+	for _, m := range batch {
+		if len(m.Pub) != ed25519.PublicKeySize {
+			continue
+		}
+		e, fresh := claim(verifyKey(m.Pub, m.Msg, m.Sig))
+		if !fresh {
+			verifyHits.Add(1)
+			continue
+		}
+		misses = append(misses, m)
+		entries = append(entries, e)
+	}
+	verifyMisses.Add(uint64(len(entries)))
+	defer func() { // even on a panic, so no waiter is stranded
+		for _, e := range entries {
+			close(e.done)
+		}
+	}()
+	for i, ok := range verifyBatch(misses) {
+		entries[i].ok = ok
+	}
 }
 
 // VerifyCacheStats returns the process-wide memo hit/miss counters.

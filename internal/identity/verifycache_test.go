@@ -166,3 +166,45 @@ func TestVerifyShardRotationKeepsCorrectness(t *testing.T) {
 		t.Fatal("tampered message accepted after rotation")
 	}
 }
+
+// TestVerifyBatchCachedFillsMemo: a batch puts each member's own verdict
+// into the memo — the forged member's false among honest trues — counts
+// one miss per member it checked, and skips, as a hit, a member already
+// present. Callers of VerifyCached racing the batch wait for its entries.
+func TestVerifyBatchCachedFillsMemo(t *testing.T) {
+	pub, priv := testKeyPair(t)
+	batch := make([]Signed, 40)
+	for i := range batch {
+		msg := []byte{byte(i), 'b'}
+		batch[i] = Signed{pub, msg, ed25519.Sign(priv, msg)}
+	}
+	batch[9].Sig = append([]byte(nil), batch[9].Sig...)
+	batch[9].Sig[40] ^= 0x10
+	if !VerifyCached(batch[0].Pub, batch[0].Msg, batch[0].Sig) {
+		t.Fatal("valid signature rejected")
+	}
+
+	h0, m0 := VerifyCacheStats()
+	var wg sync.WaitGroup
+	racers := make([]bool, len(batch))
+	for i := range batch {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			racers[i] = VerifyCached(batch[i].Pub, batch[i].Msg, batch[i].Sig)
+		}(i)
+	}
+	VerifyBatchCached(batch)
+	wg.Wait()
+	h1, m1 := VerifyCacheStats()
+	// Every new signature is checked once, by the batch or by a racer;
+	// every other lookup of the batch's and the racers' is a hit.
+	if m1-m0 != uint64(len(batch))-1 || (m1-m0)+(h1-h0) != 2*uint64(len(batch)) {
+		t.Fatalf("misses +%d, hits +%d; want +%d misses of %d lookups", m1-m0, h1-h0, len(batch)-1, 2*len(batch))
+	}
+	for i, m := range batch {
+		if want := i != 9; racers[i] != want || VerifyCached(m.Pub, m.Msg, m.Sig) != want {
+			t.Fatalf("member %d: verdict %v, want %v", i, racers[i], want)
+		}
+	}
+}

@@ -24,7 +24,8 @@ import (
 // and single alike — accepts. Order-then-execute has no check at the
 // door; under execute-order the crafted transaction reaches the block
 // through the ordering service directly, and the door is asked after the
-// block. Every node must decide the crafted transaction alike (the
+// block, so the block's batch meets the signature first; a client then
+// submitting the forgery must hear the door refuse it. Every node must decide the crafted transaction alike (the
 // forgery aborted for its signature, the mixed-order one committed),
 // commit every honest neighbour and reach the same state, and node 0's
 // prewarm must have claimed every transaction of the block.
@@ -120,6 +121,24 @@ func testCraftedSignatureInBlock(t *testing.T, flow Flow, mixed bool) {
 		for i, n := range tn.nodes {
 			if err := n.authenticate(crafted, n.Height()); (err == nil) != mixed {
 				t.Fatalf("node %d's door answered the crafted signature with %v", i, err)
+			}
+		}
+		if !mixed {
+			// A client submitting the forgery hears the door's refusal.
+			// Node 0's block results are all drained, so the next result
+			// for the id on its subscription is the door's.
+			tn.submitTo(0, crafted)
+			deadline := time.After(5 * time.Second)
+			for r := (TxResult{}); r.ID != crafted.ID; {
+				select {
+				case r = <-results[0]:
+				case <-deadline:
+					t.Fatal("the door published no result for the forgery")
+				}
+				if r.ID == crafted.ID && (r.Committed || !strings.HasPrefix(r.Reason, "authentication: ") ||
+					!strings.Contains(r.Reason, "signature verification failed")) {
+					t.Fatalf("door answered the forgery with %+v", r)
+				}
 			}
 		}
 	}

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"slices"
 
-	"bcrdb/internal/identity"
 	"bcrdb/internal/ledger"
 )
 
@@ -40,21 +39,6 @@ func (n *Node) collectCheckpoints(b *ledger.Block) {
 		n.evaluateCheckpointLocked(cp.Block)
 		n.cpMu.Unlock()
 	}
-}
-
-// verifyCheckpointSignatures checks the signatures of the peer
-// checkpoints in blocks as one batch into the verification memo, where
-// collectCheckpoints reads them back.
-func (n *Node) verifyCheckpointSignatures(blocks []*ledger.Block) {
-	var batch []identity.Signed
-	for _, b := range blocks {
-		for _, cp := range b.Checkpoints {
-			if id, err := n.netReg.Lookup(cp.Peer); err == nil && cp.Peer != n.cfg.Name {
-				batch = append(batch, identity.Signed{Pub: id.PubKey, Msg: cp.SignBytes(), Sig: cp.Signature})
-			}
-		}
-	}
-	identity.VerifyBatchCached(batch)
 }
 
 // checkpointLagCap bounds the checkpoint bookkeeping when no quorum forms
@@ -142,17 +126,6 @@ func (n *Node) recoverLocal() error {
 	defer func() {
 		n.sealedHeight.Store(n.store.Height())
 	}()
-	// The peer checkpoints riding in the prefix are read again, each
-	// compared with the outcome in the block store; their signatures are
-	// checked a run of blocks at a time, as one batch.
-	var run []*ledger.Block
-	collect := func() {
-		n.verifyCheckpointSignatures(run)
-		for _, b := range run {
-			n.collectCheckpoints(b)
-		}
-		run = run[:0]
-	}
 	for i := uint64(1); i <= restored; i++ {
 		// The prefix goes first: duplicate-id decisions during the tail
 		// replay must see the ids consumed below the horizon.
@@ -164,11 +137,10 @@ func (n *Node) recoverLocal() error {
 		if err := n.ledger.restore(b); err != nil {
 			return err
 		}
-		if run = append(run, b); len(run) == prewarmChunkFloor {
-			collect()
-		}
+		// The peer checkpoints riding in the prefix are read again:
+		// each is compared with the outcome in the block store.
+		n.collectCheckpoints(b)
 	}
-	collect()
 	// The restored prefix passes no seal. collectCheckpoints compared
 	// every peer checkpoint it carries; this covers a one-node network,
 	// where the node alone is a majority for its last restored block.

@@ -193,6 +193,11 @@ type Node struct {
 	verifyCh chan *prewarmJob
 	verifyWG sync.WaitGroup
 
+	// Execute-order door (submit.go). doorCh holds one chunk's worth of
+	// client submissions, so a full batch can gather while the door
+	// checks the one before; a link that finds it full waits.
+	doorCh chan submission
+
 	// Incoming block sequencing. pending is bounded by pendingAhead
 	// (far-future deliveries are re-requested, not buffered).
 	blockMu sync.Mutex
@@ -290,6 +295,7 @@ func NewNode(cfg Config, signer *identity.Signer, netReg *identity.Registry, net
 		peerHashes: make(map[uint64]map[string]ledger.Hash),
 		certCache:  make(map[string]certCacheEntry),
 		verifyCh:   make(chan *prewarmJob, 4*runtime.GOMAXPROCS(0)),
+		doorCh:     make(chan submission, prewarmChunkFloor),
 		sealCh:     make(chan *sealTask, sealQueueCap),
 		sealAbort:  make(chan struct{}),
 		stopped:    make(chan struct{}),
@@ -351,7 +357,8 @@ func (n *Node) closeFiles() {
 	n.store.Close()
 }
 
-// Start launches recovery, the sealer, catch-up and the block processor.
+// Start launches the execute-order door, recovery, the sealer, catch-up
+// and the block processor.
 // It blocks until local recovery (block store replay) completes; replay
 // runs the pipeline stages synchronously, so by the time Start returns
 // every recovered block is fully sealed.
@@ -364,6 +371,10 @@ func (n *Node) Start() error {
 		go n.execWorker()
 		n.verifyWG.Add(1)
 		go n.verifyLoop()
+	}
+	if n.cfg.Flow == ExecuteOrder {
+		n.wg.Add(1)
+		go n.doorLoop()
 	}
 	if err := n.recoverLocal(); err != nil {
 		return err

@@ -7,7 +7,8 @@
 // (identity.VerifyBatchCached), warming the process-wide verification
 // memo and the node's decoded-key cache. A batch of n signatures by one
 // key costs about a third of n single checks; one forged signature costs
-// its chunk the batch plus a single check of each member. The execute
+// its chunk at most 2·log₂n + 1 equations, because a failed batch is
+// halved until the forgery stands alone (identity.verifyBatch). The execute
 // stage still performs the authoritative authenticate call — prewarming
 // only changes where the cycles are spent, never the outcome, because the
 // memo is keyed by the exact (key, message, signature) bytes, a batch and

@@ -1,5 +1,16 @@
 // Client submissions under execute-order (§3.4.1), and the signature
 // check against sys_certs both flows run, with its decoded-key cache.
+//
+// A client submission is checked at the door before it is forwarded or
+// executed. The link that delivers it only decodes it and hands it to
+// the node's one door goroutine, which gathers submissions for up to
+// doorWindow or until prewarmChunkFloor have arrived, checks their
+// signatures with one batch equation into the verification memo
+// (verifySignatures), and then admits them in arrival order through
+// authenticate, which reads each verdict back from the memo. A batch of
+// 32 by one key costs about a third of 32 single checks; a lone
+// submission waits the window. A peer's forward is authenticated inline:
+// the door that forwarded it has already filled the memo.
 
 package core
 
@@ -7,6 +18,7 @@ import (
 	"crypto/ed25519"
 	"encoding/hex"
 	"fmt"
+	"time"
 
 	"bcrdb/internal/identity"
 	"bcrdb/internal/ledger"
@@ -15,8 +27,21 @@ import (
 	"bcrdb/internal/types"
 )
 
-// onSubmit handles a client submission (fresh=true) or a peer forward
-// (execute-order-in-parallel, §3.4.1).
+// doorWindow is how long the door waits for more submissions after the
+// first one of a batch arrives. On transfer-eo-mixed 5 ms cut
+// cpu_us_per_op by 18 % and added about 3 ms to the median commit
+// latency (ADR-0011); a 1 ms window showed no gain.
+const doorWindow = 5 * time.Millisecond
+
+// submission is a decoded client transaction waiting at the door, with
+// the bytes it arrived in, which are forwarded unchanged.
+type submission struct {
+	tx      *ledger.Transaction
+	payload []byte
+}
+
+// onSubmit handles a client submission (fresh=true), which goes to the
+// door, or a peer forward (execute-order-in-parallel, §3.4.1).
 func (n *Node) onSubmit(m simnet.Message, fresh bool) {
 	if n.cfg.Flow != ExecuteOrder {
 		return // order-then-execute clients talk to the ordering service
@@ -25,20 +50,72 @@ func (n *Node) onSubmit(m simnet.Message, fresh bool) {
 	if err != nil {
 		return
 	}
-	// Authenticate before doing any work (§3.4.1). Certificates are read
-	// at the committed height, outside any transaction.
-	if err := n.authenticate(tx, n.store.Height()); err != nil {
-		if fresh {
-			n.notify(TxResult{ID: tx.ID, Reason: "authentication: " + err.Error()}, false)
+	if fresh {
+		select {
+		case n.doorCh <- submission{tx, m.Payload}:
+		case <-n.stopped:
 		}
 		return
 	}
-	if fresh {
-		// Forward to the other peers and the ordering service in the
-		// background.
+	// Authenticate before doing any work (§3.4.1). Certificates are read
+	// at the committed height, outside any transaction.
+	if err := n.authenticate(tx, n.store.Height()); err != nil {
+		return
+	}
+	n.ensureExecution(tx, tx.Snapshot)
+}
+
+// doorLoop is the door: it takes the first waiting submission, gathers
+// more until the window closes or a chunk's worth has arrived, and
+// admits the batch.
+func (n *Node) doorLoop() {
+	defer n.wg.Done()
+	batch := make([]submission, 0, prewarmChunkFloor)
+	for {
+		select {
+		case s := <-n.doorCh:
+			batch = append(batch[:0], s)
+		case <-n.stopped:
+			return
+		}
+		window := time.NewTimer(doorWindow)
+	gather:
+		for len(batch) < prewarmChunkFloor {
+			select {
+			case s := <-n.doorCh:
+				batch = append(batch, s)
+			case <-window.C:
+				break gather
+			case <-n.stopped:
+				window.Stop()
+				return
+			}
+		}
+		window.Stop()
+		n.admit(batch)
+	}
+}
+
+// admit checks a door batch's signatures with one equation, then
+// authenticates each submission in arrival order: a refused one is
+// answered and dropped, an accepted one is forwarded to the other peers
+// and one orderer and executed.
+func (n *Node) admit(batch []submission) {
+	height := n.store.Height()
+	txs := make([]*ledger.Transaction, len(batch))
+	for i, s := range batch {
+		txs[i] = s.tx
+	}
+	n.verifySignatures(txs, height)
+	for _, s := range batch {
+		tx := s.tx
+		if err := n.authenticate(tx, height); err != nil {
+			n.notify(TxResult{ID: tx.ID, Reason: "authentication: " + err.Error()}, false)
+			continue
+		}
 		for _, p := range n.cfg.Peers {
 			if p != n.cfg.Name {
-				_ = n.ep.Send(p, KindForward, m.Payload)
+				_ = n.ep.Send(p, KindForward, s.payload)
 			}
 		}
 		if len(n.cfg.Orderers) > 0 {
@@ -47,10 +124,10 @@ func (n *Node) onSubmit(m simnet.Message, fresh bool) {
 			// so a client's retry to the next node reaches the next orderer.
 			nOrd := uint32(len(n.cfg.Orderers))
 			target := n.cfg.Orderers[(ordering.FNV1a(tx.ID)%nOrd+n.ordOffset)%nOrd]
-			_ = n.ep.Send(target, ordering.KindSubmit, m.Payload)
+			_ = n.ep.Send(target, ordering.KindSubmit, s.payload)
 		}
+		n.ensureExecution(tx, tx.Snapshot)
 	}
-	n.ensureExecution(tx, tx.Snapshot)
 }
 
 // authenticate verifies the client signature against sys_certs as of the

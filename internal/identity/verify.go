@@ -11,8 +11,8 @@ import (
 )
 
 // The one signature predicate. Every Ed25519 check in the network — the
-// execute stage, the execute-order door, the block-intake batch and its
-// fallback, orderer and checkpoint signatures — decides by ZIP-215
+// execute stage, the execute-order door's and the block intake's batches
+// and their halves, orderer and checkpoint signatures — decides by ZIP-215
 // (Chalkias et al., "Taming the many EdDSAs", 2020):
 //
 //   - the cofactored equation [8]([S]B − R − [k]A) = O, with
@@ -73,10 +73,14 @@ func (t *sigTerms) decode(pub, msg, sig []byte) bool {
 
 var scalarOne = [32]byte{1}
 
+// cofactoredCheck is the equation every check evaluates, single or
+// batch; a package test counts the equations a batch costs through it.
+var cofactoredCheck = edwards25519.CofactoredCheck
+
 // check is the single-signature equation.
 func (t *sigTerms) check() bool {
 	s := leBytes(t.s)
-	return edwards25519.CofactoredCheck(&s, [][32]byte{leBytes(t.k), scalarOne}, []*edwards25519.Point{t.a, &t.r})
+	return cofactoredCheck(&s, [][32]byte{leBytes(t.k), scalarOne}, []*edwards25519.Point{t.a, &t.r})
 }
 
 // verify is the predicate for one signature.
@@ -86,16 +90,8 @@ func verify(pub, msg, sig []byte) bool {
 }
 
 // verifyBatch returns each member's verdict under verify. It decodes
-// every member, then checks all that decode with one equation,
-//
-//	[8]([Σ zᵢsᵢ]B − Σ [zᵢ]Rᵢ − Σ [zᵢkᵢ]Aᵢ) = O,
-//
-// where each zᵢ is a fresh random 128-bit value and the terms of members
-// signing with one key fold into one point. The equation holds when
-// every member verifies; when one does not, it fails but with
-// probability 2^-128, and every member is then checked alone. So a batch
-// of n costs one multi-scalar check when all are honest, and that plus n
-// single checks when one is forged.
+// every member, then decides all that decode with one equation (settle);
+// a failed equation is halved until each forgery stands alone.
 func verifyBatch(batch []Signed) []bool {
 	ok := make([]bool, len(batch))
 	terms := make([]sigTerms, len(batch))
@@ -105,13 +101,41 @@ func verifyBatch(batch []Signed) []bool {
 			members = append(members, i)
 		}
 	}
+	settle(terms, members, ok)
+	return ok
+}
+
+// settle sets ok[i] for every i in members. It checks them with one
+// equation,
+//
+//	[8]([Σ zᵢsᵢ]B − Σ [zᵢ]Rᵢ − Σ [zᵢkᵢ]Aᵢ) = O,
+//
+// where each zᵢ is a fresh random 128-bit value and the terms of members
+// signing with one key fold into one point. The equation holds when
+// every member verifies; when one does not, it fails but with
+// probability 2^-128, and each half is then settled alone, down to
+// single checks. So n honest members cost one equation, and k forgeries
+// among them at most 2k⌈log₂n⌉ + 1.
+func settle(terms []sigTerms, members []int, ok []bool) {
 	if len(members) < 2 {
 		for _, i := range members {
 			ok[i] = terms[i].check()
 		}
-		return ok
+		return
 	}
+	if batchCheck(terms, members) {
+		for _, i := range members {
+			ok[i] = true
+		}
+		return
+	}
+	half := len(members) / 2
+	settle(terms, members[:half], ok)
+	settle(terms, members[half:], ok)
+}
 
+// batchCheck is settle's one equation over members, with fresh zᵢ.
+func batchCheck(terms []sigTerms, members []int) bool {
 	z := make([]byte, 16*len(members))
 	if _, err := rand.Read(z); err != nil {
 		panic("identity: crypto/rand: " + err.Error())
@@ -138,11 +162,7 @@ func verifyBatch(batch []Signed) []bool {
 		points = append(points, a)
 	}
 	s := leBytes(sum.Mod(sum, groupOrder))
-	all := edwards25519.CofactoredCheck(&s, scalars, points)
-	for _, i := range members {
-		ok[i] = all || terms[i].check()
-	}
-	return ok
+	return cofactoredCheck(&s, scalars, points)
 }
 
 // Decoded public keys. Decoding a point is a square root, about a fifth

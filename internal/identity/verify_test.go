@@ -9,6 +9,8 @@ import (
 	"math/big"
 	"math/rand"
 	"testing"
+
+	"bcrdb/internal/identity/edwards25519"
 )
 
 // crypto/ed25519.Verify is the oracle here: honest signatures and their
@@ -305,6 +307,44 @@ func FuzzBatchAgreesWithSingle(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestFailedBatchIsHalved counts the equations a batch of 32 costs: one
+// when every member is honest, and with one forgery, wherever it sits,
+// at most 2·log₂32 + 1 = 11 rather than the 33 of checking every member
+// alone. Each member keeps its single verdict.
+func TestFailedBatchIsHalved(t *testing.T) {
+	var equations int
+	orig := cofactoredCheck
+	cofactoredCheck = func(s *[32]byte, scalars [][32]byte, points []*edwards25519.Point) bool {
+		equations++
+		return orig(s, scalars, points)
+	}
+	t.Cleanup(func() { cofactoredCheck = orig })
+
+	const n = 32
+	equations = 0
+	for i, ok := range verifyBatch(honestBatch(n)) {
+		if !ok {
+			t.Fatalf("honest member %d rejected", i)
+		}
+	}
+	if equations != 1 {
+		t.Fatalf("an honest batch of %d cost %d equations, want 1", n, equations)
+	}
+	for forged := 0; forged < n; forged++ {
+		batch := honestBatch(n)
+		batch[forged].Msg = []byte("forged")
+		equations = 0
+		for i, ok := range verifyBatch(batch) {
+			if ok != (i != forged) {
+				t.Fatalf("forgery at %d: member %d got %v", forged, i, ok)
+			}
+		}
+		if equations > 2*5+1 {
+			t.Fatalf("one forgery at %d in %d cost %d equations, want at most 11", forged, n, equations)
+		}
+	}
 }
 
 // BenchmarkVerifyBatch is the per-signature cost of a batch by chunk

@@ -11,13 +11,14 @@ import (
 // (public key, message, signature), yet the simulated network pays
 // for it repeatedly: every database node verifies every transaction's
 // client signature during block execution, and in the
-// execute-order-in-parallel flow the receiving node verifies once more
-// at submission. On real deployments those verifications run on
-// separate machines; in this single-process simulation they all compete
-// for the same cores, so memoizing the pure computation removes the
-// duplicate work without changing any node's observable behavior —
-// every node still "performs" authentication and sees the identical
-// boolean.
+// execute-order-in-parallel flow the receiving node's door checks it
+// first, a batch of submissions at a time, and every peer it forwards
+// the submission to checks it again. On real deployments those
+// verifications run on separate machines; in this single-process
+// simulation they all compete for the same cores, so memoizing the pure
+// computation removes the duplicate work without changing any node's
+// observable behavior — every node still "performs" authentication and
+// sees the identical boolean.
 //
 // The memo is keyed by a digest of (key, message, signature), so a
 // different signature, message or key can never alias a cached verdict.
@@ -27,9 +28,10 @@ import (
 // An entry goes in before its verification runs, so concurrent callers
 // (the block-intake prewarm, every replica's execute stage) wait for the
 // one check instead of repeating it; only that check is a miss. The
-// prewarm fills entries a chunk at a time (VerifyBatchCached): one batch
-// equation decides all of a chunk's misses, and a member whose entry is
-// already present or in flight is left to whoever holds it.
+// block-intake prewarm and the execute-order door fill entries a batch
+// at a time (VerifyBatchCached): one batch equation decides all of a
+// batch's misses, and a member whose entry is already present or in
+// flight is left to whoever holds it.
 //
 // The memo is sharded: with the block-intake prewarm pool and every
 // node's execute stage verifying concurrently, a single mutex would just
